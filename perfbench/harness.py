@@ -4,14 +4,16 @@ Every program the benchmark starts runs in its own process group (its own
 session), from a working directory the benchmark owns, and is reaped with
 ``os.wait4`` so its CPU time and peak resident set size come from the
 kernel's accounting of the process and every descendant it waited for.
-After a launched program exits, its process group must be gone before the
-next one starts.
+A program that exits while members of its group still run has leaked them:
+they are recorded on the program and killed, so the group is gone before
+the next program starts.
 """
 
 from __future__ import annotations
 
 import glob
 import hashlib
+import json
 import math
 import os
 import platform
@@ -33,6 +35,8 @@ WORK = os.path.join(HERE, ".work")
 
 #: how long a launched program may run before its group is killed
 LAUNCH_TIMEOUT_S = 150.0
+#: how long a killed process group may take to disappear
+REAP_TIMEOUT_S = 10.0
 
 
 class BenchError(RuntimeError):
@@ -98,12 +102,12 @@ def kill_group(pgid: int) -> None:
         pass
 
 
-def reap_group(pgid: int, timeout: float = 10.0) -> None:
+def reap_group(pgid: int) -> None:
     """Make sure nothing of the process group ``pgid`` survives."""
     if not _group_alive(pgid):
         return
     kill_group(pgid)
-    deadline = time.monotonic() + timeout
+    deadline = time.monotonic() + REAP_TIMEOUT_S
     while time.monotonic() < deadline:
         if not _group_alive(pgid) or not _live_members(pgid):
             return
@@ -112,16 +116,13 @@ def reap_group(pgid: int, timeout: float = 10.0) -> None:
 
 
 class Program:
-    """A launched program in its own process group; ``wait`` reaps it."""
+    """A launched program in its own process group; ``wait`` reaps it.
 
-    def __init__(
-        self,
-        argv: Sequence[str],
-        cwd: str,
-        env: Dict[str, str],
-        log_prefix: str,
-        timeout: float = LAUNCH_TIMEOUT_S,
-    ) -> None:
+    ``leaked`` lists the members of the group that were still running when
+    the program exited on its own.
+    """
+
+    def __init__(self, argv: Sequence[str], cwd: str, env: Dict[str, str], log_prefix: str) -> None:
         self.argv = list(argv)
         self._stdout_path = log_prefix + ".out"
         self._stderr_path = log_prefix + ".err"
@@ -138,7 +139,9 @@ class Program:
             )
         self.pid = self.process.pid
         self.done = False
-        self._watchdog = threading.Timer(timeout, kill_group, (self.pid,))
+        self.killed = False
+        self.leaked: List[int] = []
+        self._watchdog = threading.Timer(LAUNCH_TIMEOUT_S, self._kill)
         self._watchdog.daemon = True
         self._watchdog.start()
 
@@ -150,6 +153,8 @@ class Program:
         wall = time.perf_counter() - self.started
         self.done = True
         self.process.returncode = os.waitstatus_to_exitcode(status)
+        if not self.killed:
+            self.leaked = _live_members(self.pid)
         reap_group(self.pid)
         with open(self._stdout_path, "r", encoding="utf-8", errors="replace") as handle:
             stdout = handle.read()
@@ -164,8 +169,12 @@ class Program:
             stderr=stderr,
         )
 
-    def kill(self) -> Launched:
+    def _kill(self) -> None:
+        self.killed = True
         kill_group(self.pid)
+
+    def kill(self) -> Launched:
+        self._kill()
         return self.wait()
 
 
@@ -192,6 +201,13 @@ def fresh_dir(*parts: str) -> str:
     shutil.rmtree(path, ignore_errors=True)
     os.makedirs(path)
     return path
+
+
+def metric_units(kind: str) -> Dict[str, str]:
+    """Name to unit of the ``end_to_end`` or ``per_layer`` metrics of
+    ``BENCHMARK.json``, in its order."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), "r", encoding="utf-8") as handle:
+        return {metric["name"]: metric["unit"] for metric in json.load(handle)[kind]}
 
 
 # ---------------------------------------------------------------------------

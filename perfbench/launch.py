@@ -2,16 +2,16 @@
 
 Usage::
 
-    python3 perfbench/launch.py verify [--timers] -- ARGS...
-    python3 perfbench/launch.py serve [--timers] -- ARGS...
-    python3 perfbench/launch.py bmc --checks d:p,... --bound N --out FILE [--trace FILE]
+    python3 perfbench/launch.py verify -- ARGS...
+    python3 perfbench/launch.py serve -- ARGS...
+    python3 perfbench/launch.py bmc --out FILE [--trace FILE]
 
-``verify`` and ``serve`` call ``main(ARGS)`` of ``repro-verify`` and
-``repro-serve``; with ``--timers`` the per-layer timers of ``layers.py``
-are installed first (pass the program's own ``--trace FILE`` so it records
-and writes them).  ``bmc`` runs ``make_engine("bmc", load_system(d),
-max_bound=N).verify(p)`` on each check in order, in this one interpreter,
-and writes every check's verdict, wall and CPU time to ``FILE`` as JSON; with
+``verify`` and ``serve`` install the per-layer timers of ``layers.py`` and
+then call ``main(ARGS)`` of ``repro-verify`` and ``repro-serve``; pass the
+program's own ``--trace FILE`` so it records and writes them.  ``bmc`` runs
+``make_engine("bmc", load_system(d), max_bound=BMC_BOUND).verify(p)`` on
+every suite property in suite order, in this one interpreter, and writes
+every check's verdict, wall and CPU time to ``FILE`` as JSON; with
 ``--trace`` it records the checks under the per-layer timers and writes
 the program's trace there.
 """
@@ -27,6 +27,7 @@ import time
 def _bmc(args) -> int:
     from repro.benchmarks import load_system
     from repro.engines import make_engine
+    from workloads import BMC_BOUND, suite_queries
 
     recorder = None
     if args.trace:
@@ -37,14 +38,15 @@ def _bmc(args) -> int:
         recorder = telemetry.enable()
     checks = []
     started = time.perf_counter()
-    for check in args.checks.split(","):
-        design, prop = check.split(":")
+    for query in suite_queries():
         t0, c0 = time.perf_counter(), time.process_time()
-        result = make_engine("bmc", load_system(design), max_bound=args.bound).verify(prop)
+        result = make_engine("bmc", load_system(query.design), max_bound=BMC_BOUND).verify(
+            query.prop
+        )
         checks.append(
             {
-                "design": design,
-                "property": prop,
+                "design": query.design,
+                "property": query.prop,
                 "status": result.status,
                 "bound": result.detail.get("bound"),
                 "bound_reached": result.detail.get("bound_reached"),
@@ -72,18 +74,14 @@ def main(argv=None) -> int:
         argv, program_args = argv[:split], argv[split + 1:]
     parser = argparse.ArgumentParser(prog="launch.py")
     parser.add_argument("entry", choices=("verify", "serve", "bmc"))
-    parser.add_argument("--timers", action="store_true")
-    parser.add_argument("--checks", default="")
-    parser.add_argument("--bound", type=int, default=128)
     parser.add_argument("--out", default=None)
     parser.add_argument("--trace", default=None)
     args = parser.parse_args(argv)
     if args.entry == "bmc":
         return _bmc(args)
-    if args.timers:
-        import layers
+    import layers
 
-        layers.install()
+    layers.install()
     if args.entry == "verify":
         from repro.tools.verify_cli import main as entry
     else:

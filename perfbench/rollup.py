@@ -17,60 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
-#: every per-layer metric a traced run reports: (name, unit, better)
-PER_LAYER: Tuple[Tuple[str, str, str], ...] = (
-    ("tools.import_s", "s", "lower"),
-    ("netlist.load_s", "s", "lower"),
-    ("encoding.blast_s", "s", "lower"),
-    ("encoding.blasts", "count", "lower"),
-    ("encoding.stamp_s", "s", "lower"),
-    ("encoding.frames_stamped", "count", "lower"),
-    ("encoding.clauses", "count", "lower"),
-    ("sat.check_s", "s", "lower"),
-    ("sat.checks", "count", "lower"),
-    ("sat.conflicts", "count", "lower"),
-    ("sat.decisions", "count", "lower"),
-    ("sat.propagations", "count", "lower"),
-    ("sat.props_per_s", "1/s", "higher"),
-    ("engines.bmc.verify_s", "s", "lower"),
-    ("engines.k-induction.verify_s", "s", "lower"),
-    ("engines.kiki.verify_s", "s", "lower"),
-    ("engines.absint.verify_s", "s", "lower"),
-    ("engines.rsim.verify_s", "s", "lower"),
-    ("engines.pdr.verify_s", "s", "lower"),
-    ("engines.interpolation.verify_s", "s", "lower"),
-    ("engines.other.verify_s", "s", "lower"),
-    ("engines.attempts", "count", "lower"),
-    ("engines.decided_ratio", "ratio", "higher"),
-    ("engines.wasted_s", "s", "lower"),
-    ("schedule.spawns", "count", "lower"),
-    ("schedule.retries", "count", "lower"),
-    ("schedule.kills", "count", "lower"),
-    ("schedule.spawn_s", "s", "lower"),
-    ("schedule.queue_wait_s", "s", "lower"),
-    ("schedule.busy_ratio", "ratio", "higher"),
-    ("schedule.critical_path_s", "s", "lower"),
-    ("portfolio.workers", "count", "lower"),
-    ("portfolio.cancelled", "count", "lower"),
-    ("portfolio.overhead_s", "s", "lower"),
-    ("certs.validate_s", "s", "lower"),
-    ("certs.validations", "count", "lower"),
-    ("certs.rejected", "count", "lower"),
-    ("cache.lookup_s", "s", "lower"),
-    ("cache.store_s", "s", "lower"),
-    ("cache.minimize_s", "s", "lower"),
-    ("cache.hits", "count", "higher"),
-    ("cache.misses", "count", "lower"),
-    ("cache.demotions", "count", "lower"),
-    ("serve.admit_ms", "ms", "lower"),
-    ("serve.answer_ms", "ms", "lower"),
-    ("serve.coalesced", "count", "higher"),
-    ("serve.computations", "count", "lower"),
-    ("serve.rejected", "count", "lower"),
-    ("serve.journal_appends", "count", "lower"),
-    ("obs.overhead_ratio", "ratio", "lower"),
-    ("obs.unattributed_ratio", "ratio", "lower"),
-)
+import harness
 
 #: engines reported under their own metric (metric name -> ``Engine.name``);
 #: any other engine lands in engines.other
@@ -121,7 +68,8 @@ _WORKER_ROOTS = ("worker.attempt", "worker.config")
 
 
 def empty() -> Dict[str, float]:
-    return {name: 0.0 for name, _, _ in PER_LAYER}
+    """Every per-layer metric of ``BENCHMARK.json``, at zero."""
+    return {name: 0.0 for name in harness.metric_units("per_layer")}
 
 
 def _schedule(spans: List[dict]) -> Tuple[float, float, float, float, float]:

@@ -28,18 +28,6 @@ import sys
 import time
 
 import harness
-import rollup
-
-#: end-to-end metrics: (name, unit)
-END_TO_END = (
-    ("wall_s", "s"),
-    ("cpu_s", "s"),
-    ("p50_ms", "ms"),
-    ("p99_ms", "ms"),
-    ("rps", "1/s"),
-    ("setup_s", "s"),
-    ("peak_rss_mb", "MB"),
-)
 
 
 def _compile_sources() -> None:
@@ -82,10 +70,7 @@ def main(argv=None) -> int:
         run.problems.append(f"run wrote BENCH_*.json files: {leaked}")
     correct = not run.wrong and not run.problems
 
-    if args.trace:
-        units = {name: unit for name, unit, _ in rollup.PER_LAYER}
-    else:
-        units = dict(END_TO_END)
+    units = harness.metric_units("per_layer" if args.trace else "end_to_end")
     reported = {name: {"value": metrics[name], "unit": unit} for name, unit in units.items()}
     record = {
         "workload": args.workload,

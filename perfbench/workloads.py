@@ -44,9 +44,11 @@ LAUNCH = [sys.executable, os.path.join(HERE, "launch.py")]
 
 #: the cold sweep the ROADMAP reports: one batch over the suite, 2 workers
 BATCH_ARGS = ["--batch", "--jobs", "2", "--quiet"]
-#: fresh interpreters timed per run for a start-up metric (median reported)
-IMPORT_PROBES = 9
-#: server launches timed per run for serve-warm's set-up (median reported)
+#: fresh interpreters timed ahead of every pass for a start-up metric
+#: (median reported)
+PROBES_PER_PASS = 3
+#: server lifetimes a serve-warm run splits its window over; each launch is
+#: one set-up sample (median reported)
 SERVER_LAUNCHES = 5
 #: concurrent closed-loop client connections of serve-warm
 CONNECTIONS = 2
@@ -116,10 +118,15 @@ class Run:
         return program
 
     def close(self) -> None:
-        """Kill and reap whatever a failed run left running."""
+        """Kill and reap whatever a failed run left running, and count every
+        program that exited while members of its process group still ran."""
         for program in self._programs:
             if not program.done:
                 program.kill()
+            if program.leaked:
+                self.problems.append(
+                    f"{' '.join(program.argv[1:4])} left process(es) running: {program.leaked}"
+                )
 
     def launch(self, argv: List[str], kernels: Optional[str] = None) -> harness.Launched:
         return self.start(argv, kernels).wait()
@@ -132,7 +139,7 @@ class Run:
         if verdict != "ok":
             self.failed += 1
 
-    def import_probes(self, modules: str, count: int = IMPORT_PROBES) -> List[float]:
+    def import_probes(self, modules: str, count: int = PROBES_PER_PASS) -> List[float]:
         """Fresh interpreters importing ``modules``: launch-to-exit walls."""
         walls = []
         for _ in range(count):
@@ -179,11 +186,16 @@ def judge_batch(run: Run, launched: harness.Launched, prefix: str) -> None:
 
 
 def judge_reply(run: Run, query: Query, reply: dict) -> None:
+    """Every serve-warm request must be a validated cache hit."""
     status = reply.get("status")
     label = f"serve:{query.design}:{query.prop}"
     if status in ("safe", "unsafe") and status != query.expected:
         run.judge(label, "wrong")
-    elif status == query.expected and reply.get("validated") is True:
+    elif (
+        status == query.expected
+        and reply.get("validated") is True
+        and reply.get("source") == "cache"
+    ):
         run.judge(label, "ok")
     else:
         run.judge(label, "miss")
@@ -235,14 +247,14 @@ def traced_layers(run: Run, trace_files: List[str]) -> Dict[str, float]:
 def _passes(run: Run, seconds: float, one_pass, before=None) -> List[dict]:
     """Run ``one_pass`` while another one still fits in ``seconds``.
 
-    Runs at least three passes, so one slow pass cannot set the median.
-    ``before(index)`` runs ahead of each pass.
+    Runs at least three passes, so one slow spell of the machine cannot
+    hold every repeat.  ``before()`` runs ahead of each pass.
     """
     samples = []
     started = time.perf_counter()
     while True:
         if before is not None:
-            before(len(samples))
+            before()
         t0 = time.perf_counter()
         samples.append(one_pass())
         last = time.perf_counter() - t0
@@ -251,25 +263,31 @@ def _passes(run: Run, seconds: float, one_pass, before=None) -> List[dict]:
 
 
 def _probed_passes(run: Run, one_pass, modules: str) -> Tuple[List[dict], List[float]]:
-    """Untraced passes, and the set-up probes spread ahead of the first three,
-    so one slow spell of the machine cannot hold every probe."""
+    """Untraced passes, and set-up probes ahead of every pass, so the probes
+    sample the machine over the whole run like the passes do."""
     setup: List[float] = []
-
-    def before(index: int) -> None:
-        if index < 3:
-            setup.extend(run.import_probes(modules, IMPORT_PROBES // 3))
-
-    return _passes(run, run.seconds, one_pass, before), setup
+    samples = _passes(run, run.seconds, one_pass, lambda: setup.extend(run.import_probes(modules)))
+    return samples, setup
 
 
-def _item_metrics(samples: List[dict], setup: List[float]) -> Dict[str, float]:
+# The machine is shared and has slow spells of one to ten seconds, in which
+# the same work takes up to half as long again.  A run repeats a sweep or a
+# set of items only three to eight times, so a spell can cover most repeats
+# of one item and move its median.  Where the work is the same on every
+# repeat (a sweep, a BMC check), the fastest repeat is the one the spells
+# disturbed least, and wall and CPU time come from it.  A query-cold query
+# races five engines on two CPUs, so its time varies by itself and its
+# fastest repeat is an outlier; it reports each query's median.  serve-warm
+# has hundreds of rounds and reports medians.
+
+
+def _item_metrics(samples: List[dict], setup: List[float], pick) -> Dict[str, float]:
     """Metrics of a pass over distinct items, each timed once per pass.
 
-    Every item's wall and CPU time is its median over the passes, so a slow
-    spell of the machine during one pass moves only the items it overlapped.
-    A pass is the sum of its items; with one sample per item per pass no
-    percentile above the median has ten samples beyond it, so ``p99_ms`` is
-    the slowest item.
+    Every item's wall and CPU time is ``pick`` of its repeats over the
+    passes, and a pass is the sum of its items.  With one sample per item
+    per pass no percentile above the median has ten samples beyond it, so
+    ``p99_ms`` is the slowest item.
     """
     walls: Dict[str, List[float]] = {}
     cpus: Dict[str, List[float]] = {}
@@ -277,11 +295,11 @@ def _item_metrics(samples: List[dict], setup: List[float]) -> Dict[str, float]:
         for item, (wall, cpu) in sample["items"].items():
             walls.setdefault(item, []).append(wall)
             cpus.setdefault(item, []).append(cpu)
-    item_walls = [median(values) for values in walls.values()]
+    item_walls = [pick(values) for values in walls.values()]
     wall = sum(item_walls)
     return {
         "wall_s": wall,
-        "cpu_s": sum(median(values) for values in cpus.values()),
+        "cpu_s": sum(pick(values) for values in cpus.values()),
         "p50_ms": 1000.0 * median(item_walls),
         "p99_ms": 1000.0 * max(item_walls),
         "rps": len(item_walls) / wall,
@@ -291,14 +309,18 @@ def _item_metrics(samples: List[dict], setup: List[float]) -> Dict[str, float]:
 
 
 def _sweep_metrics(samples: List[dict], items: int, setup: List[float]) -> Dict[str, float]:
-    """Metrics of whole sweeps: the sweep is both the pass and the request."""
+    """Metrics of whole sweeps: the sweep is both the pass and the request.
+
+    Wall and CPU time are the fastest sweep's; the latency percentiles are
+    taken over all sweeps.
+    """
     walls = [s["wall_s"] for s in samples]
     return {
-        "wall_s": median(walls),
-        "cpu_s": median([s["cpu_s"] for s in samples]),
+        "wall_s": min(walls),
+        "cpu_s": min(s["cpu_s"] for s in samples),
         "p50_ms": 1000.0 * median(walls),
         "p99_ms": 1000.0 * tail(walls),
-        "rps": items / median(walls),
+        "rps": items / min(walls),
         "setup_s": median(setup),
         "peak_rss_mb": median([s["maxrss_mb"] for s in samples]),
     }
@@ -327,7 +349,7 @@ def _sweep(run: Run, trace_file: Optional[str] = None) -> dict:
     argv = (
         VERIFY + args
         if trace_file is None
-        else LAUNCH + ["verify", "--timers", "--"] + args + ["--trace", trace_file]
+        else LAUNCH + ["verify", "--"] + args + ["--trace", trace_file]
     )
     launched = run.launch(argv, kernels=os.path.join(sweep_dir, "kernels"))
     judge_batch(run, launched, f"sweep{run._launches}")
@@ -368,7 +390,7 @@ def _query_pass(run: Run, trace_dir: Optional[str] = None) -> dict:
             argv = VERIFY + [design, "--certify"]
         else:
             trace_file = os.path.join(trace_dir, f"{design}.trace.jsonl")
-            argv = LAUNCH + ["verify", "--timers", "--", design, "--certify", "--trace", trace_file]
+            argv = LAUNCH + ["verify", "--", design, "--certify", "--trace", trace_file]
         launched = run.launch(argv, kernels=kernels)
         judge_query(run, design, launched)
         items[design] = (launched.wall_s, launched.cpu_s)
@@ -391,7 +413,7 @@ def query_cold(run: Run) -> Dict[str, float]:
         return _traced(run, lambda: _query_pass(run), traced_pass)
     samples, setup = _probed_passes(run, lambda: _query_pass(run), "repro.tools.verify_cli")
     run.record["passes"] = samples
-    return _item_metrics(samples, setup)
+    return _item_metrics(samples, setup, median)
 
 
 # ---------------------------------------------------------------------------
@@ -400,16 +422,12 @@ def query_cold(run: Run) -> Dict[str, float]:
 
 
 def _bmc_pass(run: Run, trace_file: Optional[str] = None) -> dict:
-    # suite order on purpose: the order of the checks in one interpreter
-    # moves the pass time by up to a third, which would drown any change
+    # launch.py runs the checks in suite order on purpose: the order of the
+    # checks in one interpreter moves the pass time by up to a third, which
+    # would drown any change
     order = run.queries
     out = run.path(f"bmc{run._launches}.json")
-    argv = LAUNCH + [
-        "bmc",
-        "--checks", ",".join(f"{q.design}:{q.prop}" for q in order),
-        "--bound", str(BMC_BOUND),
-        "--out", out,
-    ]
+    argv = LAUNCH + ["bmc", "--out", out]
     if trace_file is not None:
         argv += ["--trace", trace_file]
     launched = run.launch(argv)
@@ -418,6 +436,10 @@ def _bmc_pass(run: Run, trace_file: Optional[str] = None) -> dict:
     with open(out, "r", encoding="utf-8") as handle:
         report = json.load(handle)
     os.remove(out)
+    if [(c["design"], c["property"]) for c in report["checks"]] != [
+        (q.design, q.prop) for q in order
+    ]:
+        raise BenchError("bmc checks do not match the suite's properties")
     for query, check in zip(order, report["checks"]):
         judge_bmc(run, check, query)
     return {
@@ -441,7 +463,7 @@ def bmc_deep(run: Run) -> Dict[str, float]:
         return _traced(run, lambda: _bmc_pass(run), traced_pass)
     samples, setup = _probed_passes(run, lambda: _bmc_pass(run), "repro.benchmarks, repro.engines")
     run.record["passes"] = samples
-    return _item_metrics(samples, setup)
+    return _item_metrics(samples, setup, min)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +488,7 @@ class Server:
         if trace_file is None:
             argv = SERVE + args
         else:
-            argv = LAUNCH + ["serve", "--timers", "--"] + args + ["--trace", trace_file]
+            argv = LAUNCH + ["serve", "--"] + args + ["--trace", trace_file]
         self.program = run.start(argv, kernels=run.path("kernels"), cwd=cwd)
         self.socket = os.path.relpath(socket_abs)
 
@@ -549,6 +571,12 @@ def _serve_window(run: Run, server: Server, client, seconds: float) -> dict:
     replies = [pair for r in results for pair in r["replies"]]
     for query, reply in replies:
         judge_reply(run, query, reply)
+    cache = stats.get("cache") or {}
+    if cache.get("misses", 0) or cache.get("demotions", 0):
+        run.problems.append(
+            f"serve: warm cache missed {cache.get('misses', 0)} and demoted "
+            f"{cache.get('demotions', 0)} time(s)"
+        )
     latencies = [a + b for r in results for a, b in zip(r["admit"], r["answer"])]
     return {
         "window_s": window,
@@ -562,14 +590,19 @@ def _serve_window(run: Run, server: Server, client, seconds: float) -> dict:
     }
 
 
-def _launch_server(run: Run, cache: str, first: Query) -> Tuple[Server, object, float]:
-    """Start a server; returns it, a client, and launch-to-first-reply time."""
-    server = Server(run, cache)
+def _serve_lifetime(run: Run, cache: str, seconds: float, trace_file: Optional[str] = None) -> dict:
+    """One server from launch to drain: its set-up time (launch to the first
+    reply), then a closed-loop window of ``seconds``."""
+    server = Server(run, cache, trace_file)
     client = server.connect()
+    first = run.queries[0]
     reply, _, _ = _request(client, first)
     setup = time.perf_counter() - server.program.started
     judge_reply(run, first, reply)
-    return server, client, setup
+    window = _serve_window(run, server, client, seconds)
+    launched = server.stop(client)
+    window.update(setup_s=setup, maxrss_mb=launched.maxrss_mb)
+    return window
 
 
 def serve_warm(run: Run) -> Dict[str, float]:
@@ -579,38 +612,30 @@ def serve_warm(run: Run) -> Dict[str, float]:
     if fill.returncode != 0:
         raise BenchError(f"cache pre-fill exited {fill.returncode}: {fill.stdout[-800:]}")
     run.record["prefill_s"] = fill.wall_s
-    first = run.queries[0]
     seconds = run.seconds / 2 if run.trace else run.seconds
-
-    setups = []
-    for _ in range(SERVER_LAUNCHES - 1):
-        server, client, setup = _launch_server(run, cache, first)
-        setups.append(setup)
-        server.stop(client)
-    server, client, setup = _launch_server(run, cache, first)
-    setups.append(setup)
-    window = _serve_window(run, server, client, seconds)
-    launched = server.stop(client)
-    run.record["serve"] = {k: v for k, v in window.items() if not k.endswith("_s")}
-    run.record["setups_s"] = setups
-    rounds = window["rounds_s"]
+    # the window is split over several server lifetimes, so the set-up
+    # samples are spread over the run like the requests are
+    lives = [_serve_lifetime(run, cache, seconds / SERVER_LAUNCHES) for _ in range(SERVER_LAUNCHES)]
+    run.record["serve"] = [
+        {k: v for k, v in life.items() if not k.endswith("_s")} for life in lives
+    ]
+    run.record["setups_s"] = [life["setup_s"] for life in lives]
+    rounds = [w for life in lives for w in life["rounds_s"]]
     if not run.trace:
-        per_round = len(run.queries) / window["requests"]
+        latencies = [t for life in lives for t in life["latencies_s"]]
+        requests = sum(life["requests"] for life in lives)
         return {
             "wall_s": median(rounds),
-            "cpu_s": window["cpu_s"] * per_round,
-            "p50_ms": 1000.0 * median(window["latencies_s"]),
-            "p99_ms": 1000.0 * tail(window["latencies_s"]),
-            "rps": window["requests"] / window["window_s"],
-            "setup_s": median(setups),
-            "peak_rss_mb": launched.maxrss_mb,
+            "cpu_s": sum(life["cpu_s"] for life in lives) * len(run.queries) / requests,
+            "p50_ms": 1000.0 * median(latencies),
+            "p99_ms": 1000.0 * tail(latencies),
+            "rps": requests / sum(life["window_s"] for life in lives),
+            "setup_s": median(run.record["setups_s"]),
+            "peak_rss_mb": median([life["maxrss_mb"] for life in lives]),
         }
 
     trace_file = run.path("serve.trace.jsonl")
-    server = Server(run, cache, trace_file)
-    client = server.connect()
-    traced = _serve_window(run, server, client, seconds)
-    server.stop(client)
+    traced = _serve_lifetime(run, cache, seconds, trace_file)
     metrics = traced_layers(run, [trace_file])
     counters = traced["stats"].get("counters", {})
     metrics.update(
