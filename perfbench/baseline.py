@@ -8,9 +8,13 @@ Runs ``run.py`` untraced once per seed on every workload, then traced once
 per workload on the first seed, and writes, per workload and end-to-end
 metric, the ten values, their median and quartiles
 (``statistics.quantiles(values, n=4)``) and the spread ``(q3 - q1) /
-median`` next to the metric's bound, plus the traced run's per-layer
-metrics and the environment of the first run.  Exits 1 when a run is not
-correct or a spread other than ``setup_s``'s exceeds its bound.
+median`` next to the metric's bound, the same spread of the values as
+measured (before ``run.py`` scaled them to the reference speed), plus the
+traced run's per-layer metrics and the environment of the first run.  The
+metrics ``run.py`` prints but does not bound (``run.UNBOUNDED``) get the
+same record with no bound.
+Exits 1 when a run is not correct or a spread other than ``setup_s``'s
+exceeds its bound.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import subprocess
 import sys
 
 import harness
+import run
 
 RUN = os.path.join(harness.HERE, "run.py")
 
@@ -44,8 +49,20 @@ def _run(workload: str, seed: int, seconds: int, trace: int) -> dict:
     result = json.loads(lines[-1])
     record = next(line.split(" record ", 1)[1] for line in lines if " record " in line)
     with open(os.path.join(harness.ROOT, record), "r", encoding="utf-8") as handle:
-        result["environment"] = json.load(handle)["environment"]
+        kept = json.load(handle)
+    result["environment"] = kept["environment"]
+    result["measured"] = kept["measured"]
+    result["values"] = {
+        **{name: entry["value"] for name, entry in result["metrics"].items()},
+        **kept.get("unbounded", {}),
+    }
     return result
+
+
+def _spread(values) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    median = statistics.median(values)
+    return {"median": median, "q1": q1, "q3": q3, "spread": (q3 - q1) / median}
 
 
 def main(argv=None) -> int:
@@ -56,6 +73,8 @@ def main(argv=None) -> int:
     with open(os.path.join(harness.ROOT, "BENCHMARK.json"), "r", encoding="utf-8") as handle:
         bench = json.load(handle)
     bounds = {metric["name"]: metric["bound"] for metric in bench["end_to_end"]}
+    bounds.update({name: None for name in run.UNBOUNDED})
+    units = {**harness.metric_units("end_to_end"), **run.UNBOUNDED}
     seconds = bench["run_seconds"]
     seeds = _seeds(args.seeds)
 
@@ -70,24 +89,25 @@ def main(argv=None) -> int:
                   f"{result['failed']}/{result['attempted']} failed", flush=True)
         metrics = {}
         for name, bound in bounds.items():
-            values = [run["metrics"][name]["value"] for run in runs]
-            q1, _, q3 = statistics.quantiles(values, n=4)
-            median = statistics.median(values)
-            spread = (q3 - q1) / median
+            values = [result["values"][name] for result in runs]
+            measured = [result["measured"][name] for result in runs]
+            stats = _spread(values)
             metrics[name] = {
-                "unit": runs[0]["metrics"][name]["unit"], "median": median, "q1": q1, "q3": q3,
-                "spread": spread, "bound": bound, "values": values,
+                "unit": units[name], **stats, "bound": bound,
+                "values": values, "measured_spread": _spread(measured)["spread"],
+                "measured": measured,
             }
-            over = name != "setup_s" and spread > bound
+            over = bound is not None and name != "setup_s" and stats["spread"] > bound
             ok = ok and not over
-            print(f"  {name:12s} median {median:12.6g} spread {spread:.4f} bound {bound}"
+            print(f"  {name:12s} median {stats['median']:12.6g} spread {stats['spread']:.4f}"
+                  f" (measured {metrics[name]['measured_spread']:.4f}) bound {bound}"
                   + ("  OVER BOUND" if over else ""), flush=True)
         traced = _run(workload, seeds[0], seconds, 1)
-        ok = ok and traced["correct"] and all(run["correct"] for run in runs)
+        ok = ok and traced["correct"] and all(result["correct"] for result in runs)
         baseline["workloads"][workload] = {
-            "correct": all(run["correct"] for run in runs),
-            "attempted": sum(run["attempted"] for run in runs),
-            "failed": sum(run["failed"] for run in runs),
+            "correct": all(result["correct"] for result in runs),
+            "attempted": sum(result["attempted"] for result in runs),
+            "failed": sum(result["failed"] for result in runs),
             "end_to_end": metrics,
             "per_layer": {
                 "seed": seeds[0], "correct": traced["correct"],

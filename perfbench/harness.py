@@ -33,6 +33,18 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 #: scratch space of every run (ignored by git)
 WORK = os.path.join(HERE, ".work")
 
+#: the reference task: a fresh isolated interpreter importing a fixed set of
+#: standard-library modules.  It runs no code of the program, so only the
+#: machine moves its time.
+REFERENCE = [
+    "-I", "-c",
+    "import argparse, asyncio, dataclasses, decimal, fractions, json, statistics, typing",
+]
+#: the reference task's median time on the 2-CPU machine the benchmark was
+#: tuned on.  End-to-end time metrics are reported at this reference speed:
+#: each is scaled by REFERENCE_S over the run's median reference time.
+REFERENCE_S = 0.13
+
 #: how long a launched program may run before its group is killed
 LAUNCH_TIMEOUT_S = 150.0
 #: how long a killed process group may take to disappear
@@ -55,16 +67,14 @@ class Launched:
     stderr: str
 
 
-def child_env(run_dir: str, hash_seed: int) -> Dict[str, str]:
+def child_env(run_dir: str) -> Dict[str, str]:
     """The environment of every launched program of one run.
 
-    The kernel cache and any XDG cache land inside the run directory, and
-    the hash seed comes from the workload seed, so the same seed replays
-    the same dict and set orders.
+    The kernel cache and any XDG cache land inside the run directory;
+    ``Run.start`` sets the hash seed of each program.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC
-    env["PYTHONHASHSEED"] = str(hash_seed)
     env["REPRO_KERNEL_CACHE"] = os.path.join(run_dir, "kernels")
     env["XDG_CACHE_HOME"] = os.path.join(run_dir, "xdg")
     env.pop("PYTHONSTARTUP", None)

@@ -14,10 +14,13 @@ the fixed unit of work whose wall and CPU time are reported:
 workload    request                          pass
 ==========  ===============================  ===============================
 suite-cold  one ``--batch`` sweep (14 items)  one sweep
-serve-warm  one query to the server           one connection's 14 queries
+serve-warm  one query to the server           the 14 suite queries
 bmc-deep    one BMC check to bound 128        the 14 checks
 query-cold  one ``repro-verify --certify``    the 12 designs in turn
 ==========  ===============================  ===============================
+
+``BENCHMARK.json`` lists serve-warm and query-cold; suite-cold and
+bmc-deep run only by hand (see ``README.md``).
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import random
 import re
 import shutil
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -45,13 +47,14 @@ LAUNCH = [sys.executable, os.path.join(HERE, "launch.py")]
 #: the cold sweep the ROADMAP reports: one batch over the suite, 2 workers
 BATCH_ARGS = ["--batch", "--jobs", "2", "--quiet"]
 #: fresh interpreters timed ahead of every pass for a start-up metric
-#: (median reported)
+#: (median reported), and reference tasks timed ahead of every pass
 PROBES_PER_PASS = 3
 #: server lifetimes a serve-warm run splits its window over; each launch is
 #: one set-up sample (median reported)
-SERVER_LAUNCHES = 5
-#: concurrent closed-loop client connections of serve-warm
-CONNECTIONS = 2
+SERVER_LAUNCHES = 8
+#: serve-warm permutations of the suite queries per chunk; a reference probe
+#: runs ahead of every chunk
+ROUNDS_PER_CHUNK = 2
 BMC_BOUND = 128
 
 
@@ -85,7 +88,7 @@ class Run:
         self.dir = harness.fresh_dir(
             harness.WORK, f"{workload}-s{seed}-t{int(trace)}-{os.getpid()}"
         )
-        self.env = harness.child_env(self.dir, hash_seed=seed % 4294967296)
+        self.env = harness.child_env(self.dir)
         self.rng = random.Random(seed)
         self.queries = suite_queries()
         self.attempted = 0
@@ -93,6 +96,8 @@ class Run:
         self.wrong: List[str] = []
         self.problems: List[str] = []
         self.record: Dict[str, object] = {}
+        #: launch-to-exit walls of the reference task (``harness.REFERENCE``)
+        self.reference: List[float] = []
         self._launches = 0
         self._programs: List[Program] = []
         os.makedirs(self.path("logs"))
@@ -105,11 +110,21 @@ class Run:
         return harness.fresh_dir(self.dir, f"{prefix}{self._launches}")
 
     def start(
-        self, argv: List[str], kernels: Optional[str] = None, cwd: Optional[str] = None
+        self,
+        argv: List[str],
+        kernels: Optional[str] = None,
+        cwd: Optional[str] = None,
+        hash_seed: int = 0,
     ) -> Program:
-        """Launch a program from a fresh empty working directory."""
+        """Launch a program from a fresh empty working directory.
+
+        The hash seed never comes from the workload seed: the program
+        receives only the generated requests, and the dict and set orders
+        a hash seed picks move a server's speed by several percent.
+        """
         cwd = cwd or self.scratch("cwd")
         env = dict(self.env)
+        env["PYTHONHASHSEED"] = str(hash_seed)
         if kernels is not None:
             env["REPRO_KERNEL_CACHE"] = kernels
         log = self.path("logs", f"{self._launches}")
@@ -148,6 +163,14 @@ class Run:
                 raise BenchError(f"import {modules} failed: {launched.stderr[-500:]}")
             walls.append(launched.wall_s)
         return walls
+
+    def reference_probes(self, count: int) -> None:
+        """Time the reference task ``count`` times."""
+        for _ in range(count):
+            launched = self.launch([sys.executable] + harness.REFERENCE)
+            if launched.returncode != 0:
+                raise BenchError(f"the reference task failed: {launched.stderr[-500:]}")
+            self.reference.append(launched.wall_s)
 
     def ladder(self) -> List[List[str]]:
         """The ladder an empty working directory resolves to."""
@@ -263,31 +286,46 @@ def _passes(run: Run, seconds: float, one_pass, before=None) -> List[dict]:
 
 
 def _probed_passes(run: Run, one_pass, modules: str) -> Tuple[List[dict], List[float]]:
-    """Untraced passes, and set-up probes ahead of every pass, so the probes
-    sample the machine over the whole run like the passes do."""
+    """Untraced passes, with set-up and reference probes ahead of every
+    pass, so the probes sample the machine over the whole run like the
+    passes do."""
     setup: List[float] = []
-    samples = _passes(run, run.seconds, one_pass, lambda: setup.extend(run.import_probes(modules)))
-    return samples, setup
+
+    def before() -> None:
+        setup.extend(run.import_probes(modules))
+        run.reference_probes(PROBES_PER_PASS)
+
+    return _passes(run, run.seconds, one_pass, before), setup
 
 
-# The machine is shared and has slow spells of one to ten seconds, in which
-# the same work takes up to half as long again.  A run repeats a sweep or a
-# set of items only three to eight times, so a spell can cover most repeats
-# of one item and move its median.  Where the work is the same on every
-# repeat (a sweep, a BMC check), the fastest repeat is the one the spells
-# disturbed least, and wall and CPU time come from it.  A query-cold query
-# races five engines on two CPUs, so its time varies by itself and its
-# fastest repeat is an outlier; it reports each query's median.  serve-warm
-# has hundreds of rounds and reports medians.
+# The machine is shared.  A neighbour on the same core makes a CPU up to
+# 1.65 times slower for spells of a tenth of a second to a few seconds, and
+# the share of time in such spells drifts over minutes.  Within a run, a
+# sweep or a BMC check does the same work on every repeat, so its fastest
+# repeat is the one the spells disturbed least.  A query-cold query races
+# five engines on two CPUs, so its time varies by itself; it reports each
+# query's median.  serve-warm has thousands of requests and reports
+# medians.  The drift between runs is taken out by the reference task
+# (``harness.REFERENCE``), which run.py scales the time metrics by.
+
+
+def _typical_ms(latencies: Dict[object, List[float]]) -> float:
+    """The median request latency of a mix that sends every item equally
+    often, taken as the median over the items of each item's median.
+
+    The items' latencies are far apart, so the median over every request
+    falls in the gap between two items, where a few slow requests move it
+    far; each item's median holds still.
+    """
+    return 1000.0 * median([median(values) for values in latencies.values()])
 
 
 def _item_metrics(samples: List[dict], setup: List[float], pick) -> Dict[str, float]:
     """Metrics of a pass over distinct items, each timed once per pass.
 
     Every item's wall and CPU time is ``pick`` of its repeats over the
-    passes, and a pass is the sum of its items.  With one sample per item
-    per pass no percentile above the median has ten samples beyond it, so
-    ``p99_ms`` is the slowest item.
+    passes, and a pass is the sum of its items.  The tail latency and the
+    rate are taken over every timed item.
     """
     walls: Dict[str, List[float]] = {}
     cpus: Dict[str, List[float]] = {}
@@ -295,14 +333,13 @@ def _item_metrics(samples: List[dict], setup: List[float], pick) -> Dict[str, fl
         for item, (wall, cpu) in sample["items"].items():
             walls.setdefault(item, []).append(wall)
             cpus.setdefault(item, []).append(cpu)
-    item_walls = [pick(values) for values in walls.values()]
-    wall = sum(item_walls)
+    every = [wall for values in walls.values() for wall in values]
     return {
-        "wall_s": wall,
+        "wall_s": sum(pick(values) for values in walls.values()),
         "cpu_s": sum(pick(values) for values in cpus.values()),
-        "p50_ms": 1000.0 * median(item_walls),
-        "p99_ms": 1000.0 * max(item_walls),
-        "rps": len(item_walls) / wall,
+        "p50_ms": _typical_ms(walls),
+        "p99_ms": 1000.0 * tail(every),
+        "rps": len(every) / sum(every),
         "setup_s": median(setup),
         "peak_rss_mb": median([s["maxrss_mb"] for s in samples]),
     }
@@ -474,7 +511,9 @@ def bmc_deep(run: Run) -> Dict[str, float]:
 class Server:
     """One ``repro-serve`` process on a unix socket inside the run."""
 
-    def __init__(self, run: Run, cache: str, trace_file: Optional[str] = None) -> None:
+    def __init__(
+        self, run: Run, cache: str, trace_file: Optional[str] = None, hash_seed: int = 0
+    ) -> None:
         cwd = run.scratch("cwd")
         index = run._launches
         socket_abs = run.path(f"serve{index}.sock")
@@ -489,7 +528,7 @@ class Server:
             argv = SERVE + args
         else:
             argv = LAUNCH + ["serve", "--"] + args + ["--trace", trace_file]
-        self.program = run.start(argv, kernels=run.path("kernels"), cwd=cwd)
+        self.program = run.start(argv, kernels=run.path("kernels"), cwd=cwd, hash_seed=hash_seed)
         self.socket = os.path.relpath(socket_abs)
 
     def connect(self):
@@ -521,79 +560,59 @@ def _request(client, query: Query) -> Tuple[dict, float, float]:
     return reply, t1 - t0, time.perf_counter() - t1
 
 
-def _serve_window(run: Run, server: Server, client, seconds: float) -> dict:
-    """Closed loops of seeded suite permutations on every connection."""
-    clients = [client] + [server.connect() for _ in range(CONNECTIONS - 1)]
-    streams = [random.Random(f"{run.seed}:{index}") for index in range(CONNECTIONS)]
-    results = [dict(rounds=[], admit=[], answer=[], replies=[]) for _ in clients]
-    errors: List[BaseException] = []
-
-    def loop(index: int, stop_at: float, record: bool) -> None:
-        try:
-            while True:
-                order = list(run.queries)
-                streams[index].shuffle(order)
-                started = time.perf_counter()
-                for query in order:
-                    reply, admit, answer = _request(clients[index], query)
-                    if record:
-                        results[index]["admit"].append(admit)
-                        results[index]["answer"].append(answer)
-                        results[index]["replies"].append((query, reply))
-                if record:
-                    results[index]["rounds"].append(time.perf_counter() - started)
-                if time.perf_counter() >= stop_at:
-                    return
-        except BaseException as error:  # noqa: BLE001 - re-raised by the caller
-            errors.append(error)
-
-    def run_loops(duration: float, record: bool) -> float:
-        started = time.perf_counter()
-        threads = [
-            threading.Thread(target=loop, args=(i, started + duration, record))
-            for i in range(CONNECTIONS)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise BenchError(f"serve client failed: {errors[0]!r}")
-        return time.perf_counter() - started
-
-    run_loops(0.0, record=False)  # one warm-up permutation per connection
-    cpu0 = harness.group_cpu_s(server.program.pid)
-    window = run_loops(seconds, record=True)
-    cpu = harness.group_cpu_s(server.program.pid) - cpu0
-    stats = client.stats()
-    for other in clients[1:]:
-        other.close()
-    replies = [pair for r in results for pair in r["replies"]]
-    for query, reply in replies:
+def _serve_round(run: Run, client, times: Optional[dict] = None) -> float:
+    """One seeded permutation of the suite queries, each sent after the
+    previous reply; ``times`` collects each query's admit and answer times.
+    Returns the permutation's wall time."""
+    order = list(run.queries)
+    run.rng.shuffle(order)
+    started = time.perf_counter()
+    for query in order:
+        reply, admit, answer = _request(client, query)
         judge_reply(run, query, reply)
+        if times is not None:
+            times.setdefault(query, []).append((admit, answer))
+    return time.perf_counter() - started
+
+
+def _serve_window(run: Run, server: Server, client, seconds: float) -> dict:
+    """A closed loop of seeded suite permutations on one connection for
+    ``seconds``, after one untimed warm-up permutation.  The loop runs in
+    chunks of ROUNDS_PER_CHUNK permutations with a reference probe ahead
+    of each; the permutations' time and CPU leave the probes out."""
+    _serve_round(run, client)
+    times: Dict[Query, List[Tuple[float, float]]] = {}
+    rounds: List[float] = []
+    cpu = 0.0
+    started = time.perf_counter()
+    while time.perf_counter() - started < seconds:
+        run.reference_probes(1)
+        cpu0 = harness.group_cpu_s(server.program.pid)
+        for _ in range(ROUNDS_PER_CHUNK):
+            rounds.append(_serve_round(run, client, times))
+        cpu += harness.group_cpu_s(server.program.pid) - cpu0
+    stats = client.stats()
     cache = stats.get("cache") or {}
     if cache.get("misses", 0) or cache.get("demotions", 0):
         run.problems.append(
             f"serve: warm cache missed {cache.get('misses', 0)} and demoted "
             f"{cache.get('demotions', 0)} time(s)"
         )
-    latencies = [a + b for r in results for a, b in zip(r["admit"], r["answer"])]
     return {
-        "window_s": window,
-        "requests": len(replies),
-        "rounds_s": [w for r in results for w in r["rounds"]],
+        "rounds_s": rounds,
+        "requests": sum(len(pairs) for pairs in times.values()),
         "cpu_s": cpu,
-        "latencies_s": latencies,
-        "admit_s": [a for r in results for a in r["admit"]],
-        "answer_s": [a for r in results for a in r["answer"]],
+        "times": times,
         "stats": stats,
     }
 
 
-def _serve_lifetime(run: Run, cache: str, seconds: float, trace_file: Optional[str] = None) -> dict:
+def _serve_lifetime(
+    run: Run, cache: str, seconds: float, trace_file: Optional[str] = None, hash_seed: int = 0
+) -> dict:
     """One server from launch to drain: its set-up time (launch to the first
-    reply), then a closed-loop window of ``seconds``."""
-    server = Server(run, cache, trace_file)
+    reply), then a closed-loop window of ``seconds``, probes included."""
+    server = Server(run, cache, trace_file, hash_seed)
     client = server.connect()
     first = run.queries[0]
     reply, _, _ = _request(client, first)
@@ -605,6 +624,20 @@ def _serve_lifetime(run: Run, cache: str, seconds: float, trace_file: Optional[s
     return window
 
 
+def _serve_latencies(lives: List[dict]) -> Dict[Query, List[float]]:
+    """Every latency of every query over the server lifetimes."""
+    latencies: Dict[Query, List[float]] = {}
+    for life in lives:
+        for query, pairs in life["times"].items():
+            latencies.setdefault(query, []).extend(admit + answer for admit, answer in pairs)
+    return latencies
+
+
+def _serve_pass_s(lives: List[dict]) -> float:
+    """One pass of the suite queries: the sum of each query's median latency."""
+    return sum(median(values) for values in _serve_latencies(lives).values())
+
+
 def serve_warm(run: Run) -> Dict[str, float]:
     cache = run.path("cache")
     os.makedirs(cache)
@@ -614,23 +647,25 @@ def serve_warm(run: Run) -> Dict[str, float]:
     run.record["prefill_s"] = fill.wall_s
     seconds = run.seconds / 2 if run.trace else run.seconds
     # the window is split over several server lifetimes, so the set-up
-    # samples are spread over the run like the requests are
-    lives = [_serve_lifetime(run, cache, seconds / SERVER_LAUNCHES) for _ in range(SERVER_LAUNCHES)]
-    run.record["serve"] = [
-        {k: v for k, v in life.items() if not k.endswith("_s")} for life in lives
+    # samples are spread over the run like the requests are; lifetime i
+    # runs under hash seed i, so every run measures the same mix of orders
+    lives = [
+        _serve_lifetime(run, cache, seconds / SERVER_LAUNCHES, hash_seed=index)
+        for index in range(SERVER_LAUNCHES)
     ]
-    run.record["setups_s"] = [life["setup_s"] for life in lives]
-    rounds = [w for life in lives for w in life["rounds_s"]]
+    run.record["serve"] = [{k: v for k, v in life.items() if k != "times"} for life in lives]
     if not run.trace:
-        latencies = [t for life in lives for t in life["latencies_s"]]
-        requests = sum(life["requests"] for life in lives)
+        per_query = _serve_latencies(lives)
+        latencies = [value for values in per_query.values() for value in values]
+        # the rate of a permutation is its requests over its time; the
+        # median permutation is one a spell of the machine left alone
         return {
-            "wall_s": median(rounds),
-            "cpu_s": sum(life["cpu_s"] for life in lives) * len(run.queries) / requests,
-            "p50_ms": 1000.0 * median(latencies),
+            "wall_s": _serve_pass_s(lives),
+            "cpu_s": sum(life["cpu_s"] for life in lives) * len(run.queries) / len(latencies),
+            "p50_ms": _typical_ms(per_query),
             "p99_ms": 1000.0 * tail(latencies),
-            "rps": requests / sum(life["window_s"] for life in lives),
-            "setup_s": median(run.record["setups_s"]),
+            "rps": median([len(run.queries) / took for life in lives for took in life["rounds_s"]]),
+            "setup_s": median([life["setup_s"] for life in lives]),
             "peak_rss_mb": median([life["maxrss_mb"] for life in lives]),
         }
 
@@ -638,10 +673,11 @@ def serve_warm(run: Run) -> Dict[str, float]:
     traced = _serve_lifetime(run, cache, seconds, trace_file)
     metrics = traced_layers(run, [trace_file])
     counters = traced["stats"].get("counters", {})
+    pairs = [pair for values in traced["times"].values() for pair in values]
     metrics.update(
         {
-            "serve.admit_ms": 1000.0 * median(traced["admit_s"]),
-            "serve.answer_ms": 1000.0 * median(traced["answer_s"]),
+            "serve.admit_ms": 1000.0 * median([admit for admit, _ in pairs]),
+            "serve.answer_ms": 1000.0 * median([answer for _, answer in pairs]),
             "serve.coalesced": float(counters.get("coalesced", 0)),
             "serve.computations": float(counters.get("computations", 0)),
             "serve.rejected": float(
@@ -650,7 +686,7 @@ def serve_warm(run: Run) -> Dict[str, float]:
             "serve.journal_appends": float(
                 (traced["stats"].get("journal") or {}).get("appends", 0)
             ),
-            "obs.overhead_ratio": median(traced["rounds_s"]) / median(rounds),
+            "obs.overhead_ratio": _serve_pass_s([traced]) / _serve_pass_s(lives),
             "tools.import_s": median(run.import_probes("repro.tools.verify_cli")),
         }
     )
