@@ -32,24 +32,11 @@ from typing import Callable, Dict, Optional
 from repro.cache.key import cache_key
 from repro.cache.minimize import MinimizationResult, minimize_certificate
 from repro.cache.store import CacheEntry, CertificateStore
-from repro.certs import (
-    INDUCTIVE,
-    K_INDUCTIVE,
-    WITNESS,
-    ValidationResult,
-    validate_certificate,
-)
+from repro.certs import KINDS_FOR_STATUS, ValidationResult, validate_certificate
 from repro.engines.result import Status, VerificationResult
 from repro.jsonio import write_json_atomic
 from repro.netlist import TransitionSystem
 from repro.obs import telemetry as _telemetry
-
-#: certificate kinds that can justify each definitive status (a witness can
-#: never be served for SAFE, an invariant never for UNSAFE)
-_KINDS_FOR_STATUS = {
-    Status.UNSAFE: (WITNESS,),
-    Status.SAFE: (INDUCTIVE, K_INDUCTIVE),
-}
 
 
 @dataclass
@@ -208,7 +195,7 @@ class ResultCache:
             entry = self.store_backend.load(key)
             if entry is None:
                 return miss("absent")
-            allowed = _KINDS_FOR_STATUS.get(entry.status)
+            allowed = KINDS_FOR_STATUS.get(entry.status)
             certificate_kind = getattr(entry.certificate, "kind", None)
             if (
                 allowed is None
@@ -290,7 +277,7 @@ class ResultCache:
             "cache.store", key=key, property=property_name
         ) as store_span:
             certificate = getattr(result, "certificate", None)
-            allowed = _KINDS_FOR_STATUS.get(result.status)
+            allowed = KINDS_FOR_STATUS.get(result.status)
             if allowed is None:
                 store_span.set_outcome("rejected")
                 return CacheStoreOutcome(False, key, "verdict is not definitive")
@@ -420,7 +407,7 @@ class ResultCache:
                     self.store_backend.delete(key)
                 report["pruned"].append({"key": key, "reason": reason})
 
-            allowed = _KINDS_FOR_STATUS.get(entry.status)
+            allowed = KINDS_FOR_STATUS.get(entry.status)
             kind = getattr(entry.certificate, "kind", None)
             if allowed is None or kind not in allowed:
                 fail("certificate kind cannot justify the verdict")

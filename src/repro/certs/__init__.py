@@ -4,10 +4,11 @@ UNSAFE verdicts carry an input-trace :class:`Witness` replayed concretely
 through the reference simulator; SAFE verdicts carry an
 :class:`InductiveCertificate` (one-step inductive invariant) or a
 :class:`KInductiveCertificate` (k-induction claim with auxiliary invariants)
-discharged by the independent :class:`CertificateValidator` with fresh SAT
-queries that share no code with the producing engine.  Certificates
-serialize to JSON (and witnesses to AIGER ``.cex`` stimuli) so verdicts can
-be archived, exchanged and re-validated.
+discharged by the independent :class:`CertificateValidator` with SAT
+queries on a warm per-design validation session that shares no code with
+the producing engine.  Certificates serialize to JSON (and witnesses to
+AIGER ``.cex`` stimuli) so verdicts can be archived, exchanged and
+re-validated.
 """
 
 from repro.certs.certificate import (
@@ -27,6 +28,7 @@ from repro.certs.certificate import (
 )
 from repro.certs.exprjson import ExprJsonError, expr_from_json, expr_to_json
 from repro.certs.validate import (
+    KINDS_FOR_STATUS,
     CertificateValidator,
     Obligation,
     ValidationResult,
@@ -51,6 +53,7 @@ __all__ = [
     "ExprJsonError",
     "expr_from_json",
     "expr_to_json",
+    "KINDS_FOR_STATUS",
     "CertificateValidator",
     "Obligation",
     "ValidationResult",

@@ -13,7 +13,7 @@ engines attach to their :class:`repro.engines.result.VerificationResult`:
   invariant ``Inv`` (PDR frame clauses, the interpolation fixpoint ``R``,
   IMPACT's covered labels, predicate-abstraction's reachable abstract states,
   the interval box of abstract interpretation); the validator discharges
-  ``Init ⊆ Inv``, ``Inv ∧ T ⊆ Inv′`` and ``Inv ⊆ P`` with fresh SAT queries.
+  ``Init ⊆ Inv``, ``Inv ∧ T ⊆ Inv′`` and ``Inv ⊆ P`` as SAT queries.
 * :class:`KInductiveCertificate` — k-induction and kIkI instead certify that
   the property (optionally strengthened with auxiliary inductive invariants)
   is ``k``-inductive; the validator discharges the base case, the step case

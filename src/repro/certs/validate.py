@@ -4,8 +4,8 @@ The validator deliberately shares no code with the producing engines: it
 never touches :class:`repro.engines.encoding.FrameEncoder`, the frame
 templates or any engine module.  Witnesses are replayed *concretely* through
 the reference simulator (:func:`repro.netlist.simulate.replay`); safety
-certificates are discharged with fresh SAT queries over expressions the
-validator stamps itself (``name#frame``), one fresh solver per obligation:
+certificates are discharged as SAT queries over expressions the validator
+stamps itself (``name#frame``):
 
 * inductive invariant ``Inv`` — ``Init ∧ C ⊆ Inv``, ``Inv ∧ C ∧ T ⊆ Inv′``
   and ``Inv ∧ C ⊆ P`` (``C`` are the design's environment constraints, which
@@ -17,13 +17,46 @@ validator stamps itself (``name#frame``), one fresh solver per obligation:
 
 Each obligation is recorded separately so a failed validation names exactly
 which proof step broke.
+
+The SAT queries run on one long-lived validation session per design
+(:class:`_Session`): a :class:`~repro.smt.BVSolver` plus the design-side
+formulas, memoized per frame — the flattened design, ``Init@0``,
+``T(i→i+1) ∧ C(i)``, ``C(i)`` and ``P(i)``.  Design formulas and each
+certificate's formulas are only ever *blasted* to literals (Tseitin gate
+definitions), never asserted, and an obligation is decided as
+``check(assumptions=literals)``: it holds iff the check is UNSAT.  A warm
+session decides exactly what a fresh solver would:
+
+* the clause database only ever holds gate definitions and the
+  constant-true unit;
+* so every learned clause follows from the definitions alone;
+* so a check under assumptions is UNSAT iff the definitions plus the
+  assumed literals are — the question a fresh solver with the obligation
+  asserted answers — while the re-blast is skipped and learned lemmas are
+  reused.
+
+Two guards keep a long-lived session honest.  The definitions are always
+satisfiable, so an UNSAT with an empty assumption core means the session
+itself is inconsistent: that obligation is reported undecided, never
+holding, and the session is dropped.  A session that grows past
+:data:`_SESSION_GROWTH_LIMIT` times its size after its first validation is
+dropped too, so failed minimizer candidates or a forged entry with a huge
+``k`` cannot bloat a long-lived server; the next validation rebuilds it.
+
+Sessions are kept per live :class:`~repro.netlist.TransitionSystem` (weak
+keys, checked against :meth:`~repro.netlist.TransitionSystem.fingerprint`,
+so a mutated design gets a new session).  A module lock guards the memo,
+each session has its own lock, and forked children start without sessions.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.certs.certificate import (
     INDUCTIVE,
@@ -35,9 +68,7 @@ from repro.certs.certificate import (
 )
 from repro.exprs import (
     Expr,
-    TRUE,
     bool_and,
-    bool_not,
     bool_or,
     bv_eq,
     bv_ne,
@@ -54,7 +85,11 @@ from repro.smt import BVResult, BVSolver
 #: validation outcome of one obligation
 HOLDS = "holds"
 FAILED = "failed"
-UNDECIDED = "undecided"  # solver gave up (deadline)
+UNDECIDED = "undecided"  # solver gave up (deadline) or the session broke
+
+#: a session is dropped once its variables plus clauses exceed this multiple
+#: of what it held after its first validation
+_SESSION_GROWTH_LIMIT = 8
 
 
 @dataclass
@@ -105,6 +140,171 @@ REPLAY_BACKENDS = ("scalar", "packed")
 DEFAULT_CROSSCHECK_CYCLES = 8
 
 
+# ---------------------------------------------------------------------------
+# validation sessions (independent of the engines' frame encoder)
+# ---------------------------------------------------------------------------
+
+
+def _at(expr: Expr, frame: int) -> Expr:
+    return rename(expr, lambda name: f"{name}#{frame}")
+
+
+class _Session:
+    """The warm SAT side of validation for one design.
+
+    Holds the flattened design, one :class:`BVSolver` whose clause database
+    only ever receives gate definitions, and the literals of the design-side
+    formulas memoized per frame.  Callers hold :attr:`lock` while using it.
+    """
+
+    def __init__(self, system: TransitionSystem, fingerprint: int) -> None:
+        self.fingerprint = fingerprint
+        self.flat = system.flattened()
+        self.flat.validate()
+        self.lock = threading.Lock()
+        self.solver = BVSolver()
+        #: variables plus clauses after the first validation that blasted
+        self.baseline = 0
+        #: set when a check refuted the definitions themselves
+        self.inconsistent = False
+        self._init: Optional[int] = None
+        self._trans: Dict[int, int] = {}
+        self._constraints: Dict[int, int] = {}
+        self._props: Dict[Tuple[str, int], int] = {}
+        self._distinct: Dict[Tuple[int, int], int] = {}
+
+    # -- formulas as literals ------------------------------------------------
+    def literal(self, expr: Expr, frame: int) -> int:
+        """The literal of ``expr`` stamped at ``frame`` (definitions only)."""
+        return self.solver.literal_for(_at(expr, frame))
+
+    def all_of(self, literals: Sequence[int]) -> int:
+        """A literal for the conjunction of ``literals``."""
+        return self.solver.blaster.encoder.and_gate(literals)
+
+    def init(self) -> int:
+        """``Init@0``."""
+        if self._init is None:
+            self._init = self.literal(
+                bool_and(
+                    *[
+                        bv_eq(bv_var(name, width), self.flat.init[name])
+                        for name, width in self.flat.state_vars.items()
+                    ]
+                ),
+                0,
+            )
+        return self._init
+
+    def trans(self, frame: int) -> int:
+        """``T(frame → frame+1) ∧ C(frame)``."""
+        literal = self._trans.get(frame)
+        if literal is None:
+            exprs = [
+                bv_eq(
+                    bv_var(f"{name}#{frame + 1}", self.flat.state_vars[name]),
+                    _at(next_expr, frame),
+                )
+                for name, next_expr in self.flat.next.items()
+            ]
+            exprs.extend(_at(c, frame) for c in self.flat.constraints)
+            literal = self._trans[frame] = self.solver.literal_for(bool_and(*exprs))
+        return literal
+
+    def constraints(self, frame: int) -> int:
+        """``C(frame)``."""
+        literal = self._constraints.get(frame)
+        if literal is None:
+            literal = self._constraints[frame] = self.literal(
+                bool_and(*self.flat.constraints), frame
+            )
+        return literal
+
+    def prop(self, name: str, frame: int) -> int:
+        """``P(frame)`` of the named property."""
+        literal = self._props.get((name, frame))
+        if literal is None:
+            expr = self.flat.property_by_name(name).expr
+            literal = self._props[(name, frame)] = self.literal(expr, frame)
+        return literal
+
+    def distinct(self, i: int, j: int) -> int:
+        """The states of frames ``i`` and ``j`` differ (simple-path condition)."""
+        literal = self._distinct.get((i, j))
+        if literal is None:
+            literal = self._distinct[(i, j)] = self.solver.literal_for(
+                bool_or(
+                    *[
+                        bv_ne(bv_var(f"{name}#{i}", width), bv_var(f"{name}#{j}", width))
+                        for name, width in self.flat.state_vars.items()
+                    ]
+                )
+            )
+        return literal
+
+    # -- deciding --------------------------------------------------------------
+    def decide(self, literals: List[int]) -> Tuple[str, str]:
+        """Check the conjunction of ``literals``; HOLDS iff unsatisfiable."""
+        outcome = self.solver.check(assumptions=literals)
+        if outcome == BVResult.SAT:
+            return FAILED, ""
+        if outcome != BVResult.UNSAT:
+            return UNDECIDED, "solver gave up"
+        if not self.solver.failed_assumptions:
+            # the definitions alone were refuted: nothing this session
+            # answers can be trusted any more
+            self.inconsistent = True
+            return UNDECIDED, "validation session is inconsistent"
+        return HOLDS, ""
+
+    def should_drop(self) -> bool:
+        """Whether the session must be dropped (inconsistent or bloated).
+
+        Called after every safety validation; the first call that finds
+        anything blasted records the size the growth limit is measured from.
+        """
+        size = self.solver.solver.num_vars + self.solver.solver.num_clauses
+        if not self.baseline:
+            self.baseline = size
+        return self.inconsistent or size > _SESSION_GROWTH_LIMIT * self.baseline
+
+
+#: system -> its validation session; weak keys so designs built on the fly
+#: do not accumulate, and the session holds no reference to its system
+_SESSIONS: "weakref.WeakKeyDictionary[TransitionSystem, _Session]" = (
+    weakref.WeakKeyDictionary()
+)
+_SESSIONS_LOCK = threading.Lock()
+
+
+def _session_for(system: TransitionSystem) -> _Session:
+    """Return (building if needed) the validation session of a design."""
+    fingerprint = system.fingerprint()
+    with _SESSIONS_LOCK:
+        session = _SESSIONS.get(system)
+        if session is None or session.fingerprint != fingerprint:
+            session = _SESSIONS[system] = _Session(system, fingerprint)
+            _telemetry.counter("certs.sessions.built")
+        return session
+
+
+def _drop_session(system: TransitionSystem, session: _Session) -> None:
+    with _SESSIONS_LOCK:
+        if _SESSIONS.get(system) is session:
+            del _SESSIONS[system]
+            _telemetry.counter("certs.sessions.dropped")
+
+
+def _forget_sessions() -> None:
+    """A forked child starts afresh: a parent thread may hold any lock."""
+    global _SESSIONS, _SESSIONS_LOCK
+    _SESSIONS = weakref.WeakKeyDictionary()
+    _SESSIONS_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_sessions)
+
+
 class CertificateValidator:
     """Discharges certificate obligations against one transition system.
 
@@ -129,8 +329,7 @@ class CertificateValidator:
                 f"expected one of {REPLAY_BACKENDS}"
             )
         self.system = system
-        self.flat = system.flattened()
-        self.flat.validate()
+        self.flat = _session_for(system).flat
         self.timeout = timeout
         self.replay_backend = replay_backend
         self.crosscheck_cycles = crosscheck_cycles
@@ -150,10 +349,8 @@ class CertificateValidator:
             try:
                 if kind == WITNESS:
                     result = self._validate_witness(certificate)
-                elif kind == INDUCTIVE:
-                    result = self._validate_inductive(certificate)
-                elif kind == K_INDUCTIVE:
-                    result = self._validate_k_inductive(certificate)
+                elif kind in (INDUCTIVE, K_INDUCTIVE):
+                    result = self._validate_safety(certificate)
                 else:
                     result = ValidationResult(
                         False, str(kind), "", reason=f"unknown certificate kind {kind!r}"
@@ -263,66 +460,44 @@ class CertificateValidator:
         return None
 
     # ------------------------------------------------------------------
-    # expression stamping (independent of the engines' frame encoder)
+    # safety certificates, on the design's warm session
     # ------------------------------------------------------------------
+    def _validate_safety(self, certificate) -> ValidationResult:
+        session = _session_for(self.system)
+        with session.lock:
+            session.solver.set_deadline(self._deadline)
+            try:
+                if certificate.kind == INDUCTIVE:
+                    return self._validate_inductive(session, certificate)
+                return self._validate_k_inductive(session, certificate)
+            finally:
+                if session.should_drop():
+                    _drop_session(self.system, session)
+
     @staticmethod
-    def _at(expr: Expr, frame: int) -> Expr:
-        return rename(expr, lambda name: f"{name}#{frame}")
-
-    def _init_expr(self) -> Expr:
-        return bool_and(
-            *[
-                bv_eq(bv_var(name, width), self.flat.init[name])
-                for name, width in self.flat.state_vars.items()
-            ]
-        )
-
-    def _trans_exprs(self, frame: int) -> List[Expr]:
-        """Transition from ``frame`` to ``frame + 1`` plus constraints at ``frame``."""
-        exprs = []
-        for name, next_expr in self.flat.next.items():
-            target = bv_var(f"{name}#{frame + 1}", self.flat.state_vars[name])
-            exprs.append(bv_eq(target, self._at(next_expr, frame)))
-        exprs.extend(self._at(constraint, frame) for constraint in self.flat.constraints)
-        return exprs
-
-    def _constraints_at(self, frame: int) -> List[Expr]:
-        return [self._at(constraint, frame) for constraint in self.flat.constraints]
-
-    def _unsat(self, exprs: List[Expr]) -> str:
-        """Check a conjunction with a fresh solver; HOLDS iff unsatisfiable."""
-        solver = BVSolver()
-        solver.set_deadline(self._deadline)
-        for expr in exprs:
-            solver.assert_expr(expr)
-        outcome = solver.check()
-        if outcome == BVResult.UNSAT:
-            return HOLDS
-        if outcome == BVResult.SAT:
-            return FAILED
-        return UNDECIDED
-
-    def _check_state_expr(self, expr: Expr, label: str) -> Optional[str]:
+    def _check_state_expr(flat: TransitionSystem, expr: Expr, label: str) -> Optional[str]:
         """Reject invariants mentioning signals that are not state variables."""
         for var in collect_vars(expr):
-            if var.name not in self.flat.state_vars:
+            if var.name not in flat.state_vars:
                 return f"{label} mentions non-state signal {var.name!r}"
-            if var.width != self.flat.state_vars[var.name]:
+            if var.width != flat.state_vars[var.name]:
                 return (
                     f"{label} uses {var.name!r} with width {var.width}, "
-                    f"declared {self.flat.state_vars[var.name]}"
+                    f"declared {flat.state_vars[var.name]}"
                 )
         return None
 
     # ------------------------------------------------------------------
     # inductive invariants
     # ------------------------------------------------------------------
-    def _validate_inductive(self, certificate: InductiveCertificate) -> ValidationResult:
+    def _validate_inductive(
+        self, session: _Session, certificate: InductiveCertificate
+    ) -> ValidationResult:
         result = ValidationResult(
             False, INDUCTIVE, certificate.property_name, engine=certificate.engine
         )
         try:
-            prop = self.flat.property_by_name(certificate.property_name)
+            prop = session.flat.property_by_name(certificate.property_name)
         except KeyError:
             result.reason = f"design declares no property {certificate.property_name!r}"
             result.obligations.append(Obligation("property-exists", FAILED))
@@ -332,44 +507,35 @@ class CertificateValidator:
             result.reason = "invariant is not a 1-bit expression"
             result.obligations.append(Obligation("well-formed", FAILED, result.reason))
             return result
-        complaint = self._check_state_expr(invariant, "invariant")
+        complaint = self._check_state_expr(session.flat, invariant, "invariant")
         if complaint is not None:
             result.reason = complaint
             result.obligations.append(Obligation("well-formed", FAILED, complaint))
             return result
         result.obligations.append(Obligation("well-formed", HOLDS))
 
+        inv = session.literal(invariant, 0)
         checks = [
-            (
-                "init",  # Init ∧ C ⊆ Inv
-                [self._at(self._init_expr(), 0)]
-                + self._constraints_at(0)
-                + [self._at(bool_not(invariant), 0)],
-            ),
-            (
-                "consecution",  # Inv ∧ C ∧ T ⊆ Inv′
-                [self._at(invariant, 0)]
-                + self._trans_exprs(0)
-                + [self._at(bool_not(invariant), 1)],
-            ),
-            (
-                "property",  # Inv ∧ C ⊆ P
-                [self._at(invariant, 0)]
-                + self._constraints_at(0)
-                + [self._at(bool_not(prop.expr), 0)],
-            ),
+            # Init ∧ C ⊆ Inv
+            ("init", [session.init(), session.constraints(0), -inv]),
+            # Inv ∧ C ∧ T ⊆ Inv′
+            ("consecution", [inv, session.trans(0), -session.literal(invariant, 1)]),
+            # Inv ∧ C ⊆ P
+            ("property", [inv, session.constraints(0), -session.prop(prop.name, 0)]),
         ]
-        return self._discharge(result, checks)
+        return self._discharge(session, result, checks)
 
     # ------------------------------------------------------------------
     # k-induction
     # ------------------------------------------------------------------
-    def _validate_k_inductive(self, certificate: KInductiveCertificate) -> ValidationResult:
+    def _validate_k_inductive(
+        self, session: _Session, certificate: KInductiveCertificate
+    ) -> ValidationResult:
         result = ValidationResult(
             False, K_INDUCTIVE, certificate.property_name, engine=certificate.engine
         )
         try:
-            prop = self.flat.property_by_name(certificate.property_name)
+            prop = session.flat.property_by_name(certificate.property_name)
         except KeyError:
             result.reason = f"design declares no property {certificate.property_name!r}"
             result.obligations.append(Obligation("property-exists", FAILED))
@@ -382,7 +548,7 @@ class CertificateValidator:
             complaint = (
                 "auxiliary invariant is not a 1-bit expression"
                 if invariant.width != 1
-                else self._check_state_expr(invariant, "auxiliary invariant")
+                else self._check_state_expr(session.flat, invariant, "auxiliary invariant")
             )
             if complaint is not None:
                 result.reason = complaint
@@ -391,73 +557,60 @@ class CertificateValidator:
         result.obligations.append(Obligation("well-formed", HOLDS))
 
         k = certificate.k
-        aux = bool_and(*certificate.invariants) if certificate.invariants else TRUE
+        aux_expr = bool_and(*certificate.invariants)
+
+        def aux(frame: int) -> List[int]:
+            if not certificate.invariants:
+                return []
+            return [session.literal(aux_expr, frame)]
+
         checks = []
         if certificate.invariants:
+            # Init ∧ C ⊆ A
             checks.append(
-                (
-                    "aux-init",  # Init ∧ C ⊆ A
-                    [self._at(self._init_expr(), 0)]
-                    + self._constraints_at(0)
-                    + [self._at(bool_not(aux), 0)],
-                )
+                ("aux-init", [session.init(), session.constraints(0), -aux(0)[0]])
             )
+            # A ∧ C ∧ T ⊆ A′
             checks.append(
-                (
-                    "aux-consecution",  # A ∧ C ∧ T ⊆ A′
-                    [self._at(aux, 0)]
-                    + self._trans_exprs(0)
-                    + [self._at(bool_not(aux), 1)],
-                )
+                ("aux-consecution", aux(0) + [session.trans(0), -aux(1)[0]])
             )
 
         # base: from reset, P holds in frames 0 .. k-1
-        base: List[Expr] = [self._at(self._init_expr(), 0)]
-        for frame in range(k - 1):
-            base.extend(self._trans_exprs(frame))
-        base.extend(self._constraints_at(k - 1))
-        base.append(
-            bool_not(bool_and(*[self._at(prop.expr, frame) for frame in range(k)]))
-        )
+        base = [session.init()]
+        base.extend(session.trans(frame) for frame in range(k - 1))
+        base.append(session.constraints(k - 1))
+        base.append(-session.all_of([session.prop(prop.name, f) for f in range(k)]))
         checks.append(("base", base))
 
         # step: k consecutive (P ∧ A)-frames force P in frame k
-        step: List[Expr] = []
+        step: List[int] = []
         for frame in range(k):
-            step.append(self._at(prop.expr, frame))
-            step.append(self._at(aux, frame))
-            step.extend(self._trans_exprs(frame))
-        step.append(self._at(aux, k))
-        step.extend(self._constraints_at(k))
+            step.append(session.prop(prop.name, frame))
+            step.extend(aux(frame))
+            step.append(session.trans(frame))
+        step.extend(aux(k))
+        step.append(session.constraints(k))
         if certificate.simple_path:
-            step.extend(self._simple_path_exprs(k))
-        step.append(self._at(bool_not(prop.expr), k))
+            step.extend(
+                session.distinct(i, j)
+                for i in range(k + 1)
+                for j in range(i + 1, k + 1)
+            )
+        step.append(-session.prop(prop.name, k))
         checks.append(("step", step))
-        return self._discharge(result, checks)
-
-    def _simple_path_exprs(self, last_frame: int) -> List[Expr]:
-        """Pairwise-distinct state constraints over frames 0 .. last_frame."""
-        exprs = []
-        for i in range(last_frame + 1):
-            for j in range(i + 1, last_frame + 1):
-                differences = [
-                    bv_ne(
-                        bv_var(f"{name}#{i}", width),
-                        bv_var(f"{name}#{j}", width),
-                    )
-                    for name, width in self.flat.state_vars.items()
-                ]
-                exprs.append(bool_or(*differences))
-        return exprs
+        return self._discharge(session, result, checks)
 
     # ------------------------------------------------------------------
     def _discharge(
-        self, result: ValidationResult, checks: List[Tuple[str, List[Expr]]]
+        self,
+        session: _Session,
+        result: ValidationResult,
+        checks: List[Tuple[str, List[int]]],
     ) -> ValidationResult:
         all_hold = True
-        for name, exprs in checks:
-            outcome = self._unsat(exprs)
-            result.obligations.append(Obligation(name, outcome))
+        for name, literals in checks:
+            outcome, note = session.decide(literals)
+            result.obligations.append(Obligation(name, outcome, note))
             if outcome != HOLDS:
                 all_hold = False
                 if not result.reason:
@@ -475,8 +628,9 @@ class CertificateValidator:
 # result-level entry points
 # ---------------------------------------------------------------------------
 
-#: which certificate kinds can justify which verdict
-_KINDS_FOR_STATUS = {
+#: which certificate kinds can justify which verdict (a witness can never be
+#: served for SAFE, an invariant never for UNSAFE)
+KINDS_FOR_STATUS = {
     "unsafe": (WITNESS,),
     "safe": (INDUCTIVE, K_INDUCTIVE),
 }
@@ -508,39 +662,51 @@ def validate_result(
 ) -> ValidationResult:
     """Validate the certificate attached to a :class:`VerificationResult`.
 
-    A definitive verdict without a certificate, or with a certificate kind
-    that cannot justify the claimed status (a witness for SAFE, an invariant
-    for UNSAFE), fails validation outright.
+    A definitive verdict without a certificate, with a certificate kind that
+    cannot justify the claimed status (a witness for SAFE, an invariant for
+    UNSAFE), or with a certificate for another property than the verdict
+    claims, fails validation outright.
     """
     status = getattr(result, "status", None)
     certificate = getattr(result, "certificate", None)
-    allowed = _KINDS_FOR_STATUS.get(status)
+    claimed = getattr(result, "property_name", "")
+    engine = getattr(result, "engine", "")
+    allowed = KINDS_FOR_STATUS.get(status)
     if allowed is None:
         return ValidationResult(
             False,
             "",
-            getattr(result, "property_name", ""),
-            engine=getattr(result, "engine", ""),
+            claimed,
+            engine=engine,
             reason=f"status {status!r} is not a certifiable definitive verdict",
         )
     if certificate is None:
         return ValidationResult(
             False,
             "",
-            getattr(result, "property_name", ""),
-            engine=getattr(result, "engine", ""),
+            claimed,
+            engine=engine,
             reason=f"no certificate attached to the {status} verdict",
         )
-    if getattr(certificate, "kind", None) not in allowed:
+    kind = getattr(certificate, "kind", None)
+    if kind not in allowed:
         return ValidationResult(
             False,
-            str(getattr(certificate, "kind", None)),
-            getattr(result, "property_name", ""),
-            engine=getattr(result, "engine", ""),
-            reason=(
-                f"certificate kind {getattr(certificate, 'kind', None)!r} cannot "
-                f"justify a {status} verdict"
-            ),
+            str(kind),
+            claimed,
+            engine=engine,
+            reason=f"certificate kind {kind!r} cannot justify a {status} verdict",
+        )
+    proven = getattr(certificate, "property_name", None)
+    if proven != claimed:
+        reason = f"the certificate is for {proven!r}, the verdict claims {claimed!r}"
+        return ValidationResult(
+            False,
+            str(kind),
+            claimed,
+            engine=engine,
+            obligations=[Obligation("property-matches", FAILED, reason)],
+            reason=reason,
         )
     return validate_certificate(
         system,

@@ -405,25 +405,6 @@ class _AigTemplateBuilder:
         )
 
 
-def _system_fingerprint(system: TransitionSystem) -> int:
-    """A cheap content hash of a design, used to invalidate cached templates.
-
-    Expression nodes cache their hashes, so this is O(number of declared
-    signals), not O(expression size).
-    """
-    return hash(
-        (
-            tuple(system.inputs.items()),
-            tuple(system.state_vars.items()),
-            tuple(sorted((name, system.init[name]) for name in system.init)),
-            tuple(sorted((name, system.next[name]) for name in system.next)),
-            tuple(system.constraints),
-            tuple((prop.name, prop.expr) for prop in system.properties),
-            tuple(system.wires.items()),
-        )
-    )
-
-
 #: system -> (fingerprint, flattened system); shared by the template library
 #: and by the expression-level engines (abstract interpretation, IMPACT,
 #: predicate abstraction, kIkI's invariant pruning), so a design is flattened
@@ -442,7 +423,7 @@ def flattened_cached(system: TransitionSystem) -> TransitionSystem:
     fingerprint invalidates the entry if the design object is mutated
     between calls.
     """
-    fingerprint = _system_fingerprint(system)
+    fingerprint = system.fingerprint()
     entry = _FLAT_SYSTEMS.get(system)
     if entry is not None and entry[0] == fingerprint:
         return entry[1]
@@ -468,7 +449,7 @@ class TemplateLibrary:
 
     def __init__(self, system: TransitionSystem, representation: str) -> None:
         self.representation = representation
-        self.fingerprint = _system_fingerprint(system)
+        self.fingerprint = system.fingerprint()
         with _telemetry.span(
             "encoding.blast",
             design=getattr(system, "name", "?"),
@@ -510,7 +491,7 @@ def template_library(system: TransitionSystem, representation: str) -> TemplateL
         per_system = {}
         _TEMPLATE_LIBRARIES[system] = per_system
     library = per_system.get(representation)
-    if library is None or library.fingerprint != _system_fingerprint(system):
+    if library is None or library.fingerprint != system.fingerprint():
         _telemetry.counter("encoding.template_library.miss")
         library = TemplateLibrary(system, representation)
         per_system[representation] = library

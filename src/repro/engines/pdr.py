@@ -370,7 +370,7 @@ class PDREngine(Engine):
         induction queries that admitted the cubes) and excludes every bad
         state for every input valuation (the blocking loop left no
         ``F ∧ ¬P`` model) — exactly the obligations the independent
-        certificate validator re-checks with fresh SAT queries.
+        certificate validator re-checks with its own SAT queries.
         """
         clauses = []
         for level in range(fixpoint_at, len(self._frames)):

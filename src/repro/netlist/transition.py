@@ -166,6 +166,25 @@ class TransitionSystem:
                 return prop
         raise KeyError(name)
 
+    def fingerprint(self) -> int:
+        """A cheap content hash, used to invalidate memos keyed by this object.
+
+        Expression nodes cache their hashes, so this is O(number of declared
+        signals), not O(expression size).  The value is only stable within
+        one process (string hashes are salted per interpreter).
+        """
+        return hash(
+            (
+                tuple(self.inputs.items()),
+                tuple(self.state_vars.items()),
+                tuple(sorted(self.init.items())),
+                tuple(sorted(self.next.items())),
+                tuple(self.constraints),
+                tuple((prop.name, prop.expr) for prop in self.properties),
+                tuple(self.wires.items()),
+            )
+        )
+
     # ------------------------------------------------------------------
     # wire elimination and flattening
     # ------------------------------------------------------------------

@@ -21,7 +21,8 @@ from repro.certs import (
 )
 from repro.certs.exprjson import ExprJsonError
 from repro.engines import Status, make_engine
-from repro.exprs import TRUE, bool_and, bv_const, bv_ule, bv_var
+from repro.engines.result import VerificationResult
+from repro.exprs import TRUE, bool_and, bv_const, bv_ule, bv_ult, bv_var
 
 
 def _verify(engine_name, design, **options):
@@ -237,6 +238,48 @@ def test_certificate_kind_must_match_status():
     validation = validate_result(system, result)
     assert not validation.ok
     assert "cannot justify" in validation.reason
+
+
+def _mac16_with_unsafe_property():
+    system = get_benchmark("mac16").load()
+    system.add_property("cnt_below_5", bv_ult(system.var("cnt"), bv_const(5, 4)))
+    system.validate()
+    return system
+
+
+@pytest.mark.parametrize("kind", ["witness", "inductive", "k-inductive"])
+def test_certificate_for_another_property_fails_validation(kind):
+    """A verdict is only validated by a certificate for the property it claims."""
+    system = _mac16_with_unsafe_property()
+    if kind == "witness":
+        # cnt_below_5's genuine witness offered for the safe cnt_in_range
+        result = make_engine("bmc", system, max_bound=10).verify("cnt_below_5", timeout=30)
+        claimed = "cnt_in_range"
+    elif kind == "inductive":
+        # a lying engine backs its SAFE claim for the unsafe cnt_below_5 with
+        # a genuine invariant of cnt_le_9
+        result = VerificationResult(
+            Status.SAFE,
+            "liar",
+            "cnt_le_9",
+            certificate=InductiveCertificate(
+                "cnt_le_9", "liar", bv_ule(bv_var("cnt", 4), bv_const(9, 4))
+            ),
+        )
+        claimed = "cnt_below_5"
+    else:
+        # cnt_le_9's genuine k-inductive claim offered for cnt_in_range
+        result = make_engine("k-induction", system).verify("cnt_le_9", timeout=30)
+        claimed = "cnt_in_range"
+    assert result.certificate.kind == kind
+    assert validate_certificate(system, result.certificate).ok
+    result.property_name = claimed
+    validation = validate_result(system, result)
+    assert not validation.ok
+    assert validation.property_name == claimed
+    assert [(o.name, o.outcome) for o in validation.obligations] == [
+        ("property-matches", "failed")
+    ]
 
 
 def test_missing_certificate_fails_validation():
