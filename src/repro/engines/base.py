@@ -119,11 +119,12 @@ class EngineCapabilities:
     engines that terminate with a definitive answer on every finite-state
     design given enough resources.
 
-    ``cost`` is the engine's scheduling tier: ``"cheap"`` engines (bounded
-    refuters, abstract interpretation) answer or give up within a small
-    budget, ``"medium"`` engines (k-induction-family provers) usually settle
-    within a moderate one, ``"heavy"`` engines (fixpoint provers) may need
-    the full budget.  The budget-ladder scheduler of
+    ``cost`` is the engine's scheduling tier: ``"cheap"`` engines (random
+    simulation, abstract interpretation) answer or give up within
+    milliseconds, ``"medium"`` engines (the k-induction family, and BMC,
+    whose work is k-induction's base case) usually settle within a
+    moderate budget, ``"heavy"`` engines (fixpoint provers) may need the
+    full budget.  The budget-ladder scheduler of
     :mod:`repro.engines.portfolio` maps tiers onto rungs: cheap engines run
     first at a small budget and the ladder escalates tier by tier.
     """

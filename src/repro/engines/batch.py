@@ -38,7 +38,6 @@ from repro.engines.portfolio import (
     LadderRung,
     VerificationTask,
     default_budget_ladder,
-    learn_priors,
     warm_task_templates,
 )
 from repro.engines.registry import make_engine
@@ -453,8 +452,7 @@ class BatchRunner:
         Search-depth cap routed to every engine of the ladder.
     ladder:
         The rung schedule each worker escalates through (default: the
-        cost-tier ladder of :func:`default_budget_ladder`, ordered by
-        priors learned from local ``BENCH_*.json`` reports).
+        cost-tier ladder of :func:`default_budget_ladder`).
     on_event:
         Optional callback receiving progress dicts (``hit``/``scheduled``/
         ``result``/``stored``/``supervision`` events).
@@ -477,7 +475,6 @@ class BatchRunner:
         bound: Optional[int] = None,
         representation: str = "word",
         ladder: Optional[Sequence[LadderRung]] = None,
-        priors: Optional[Dict[str, Dict[str, float]]] = None,
         on_event: Optional[Callable[[Dict[str, object]], None]] = None,
         warm_templates: bool = True,
         retry: Optional[RetryPolicy] = None,
@@ -490,10 +487,8 @@ class BatchRunner:
         self.bound = bound
         self.representation = representation
         if ladder is None:
-            if priors is None:
-                priors = learn_priors()
             ladder = default_budget_ladder(
-                (representation,), bound=bound, timeout=timeout, priors=priors
+                (representation,), bound=bound, timeout=timeout
             )
         self.ladder = tuple(ladder)
         self.on_event = on_event

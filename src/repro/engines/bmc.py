@@ -49,7 +49,7 @@ class BMCEngine(Engine):
 
     name = "bmc"
     capabilities = EngineCapabilities(
-        can_prove=False, can_refute=True, representations=("word", "bit"), cost="cheap"
+        can_prove=False, can_refute=True, representations=("word", "bit"), cost="medium"
     )
 
     def __init__(

@@ -268,8 +268,8 @@ DEFAULT_RUNG_FRACTIONS = {"cheap": 0.10, "medium": 0.30}
 MIN_RUNG_BUDGET = 0.5
 
 
-def learn_priors(paths: Optional[Sequence[str]] = None) -> Dict[str, Dict[str, float]]:
-    """Learn engine priors from past ``BENCH_*.json`` reports.
+def learn_priors(paths: Sequence[str]) -> Dict[str, Dict[str, float]]:
+    """Learn engine priors from the benchmark reports at ``paths``.
 
     Scans benchmark reports (portfolio singles, certification sweeps,
     incremental verdict sweeps, serve sweeps) for per-engine run outcomes
@@ -278,13 +278,11 @@ def learn_priors(paths: Optional[Sequence[str]] = None) -> Dict[str, Dict[str, f
     rung — lower is better: historically fast engines that actually reach
     verdicts launch first.  Missing or unreadable reports contribute
     nothing; with no data the returned dict is empty and the ladder keeps
-    registration order.
+    its default order.  The caller names the reports: nothing in the
+    package reads whatever happens to lie in the working directory.
     """
-    import glob as glob_module
     import json
 
-    if paths is None:
-        paths = sorted(glob_module.glob("BENCH_*.json"))
     samples: Dict[str, List[Tuple[float, bool]]] = {}
 
     from repro.engines.registry import ENGINE_REGISTRY
@@ -375,12 +373,15 @@ def default_budget_ladder(
     """Build the default budget ladder from the engines' declared cost tiers.
 
     Ladder-flagged engines are grouped by
-    :attr:`repro.engines.base.EngineCapabilities.cost` — cheap refuters
-    (BMC, abstract interpretation) first at a small slice of the budget,
-    the k-induction-family provers next, the fixpoint provers last with
-    everything that remains.  ``priors`` (see :func:`learn_priors`) order
-    the configurations within each rung by historical score; empty tiers
-    are skipped.
+    :attr:`repro.engines.base.EngineCapabilities.cost` — interval abstract
+    interpretation and random simulation first at a small slice of the
+    budget, the k-induction family and BMC (k-induction's base case) next,
+    the fixpoint provers last with everything that remains:
+    ``[absint, rsim] -> [k-induction, kiki, bmc] -> [interpolation, pdr]``.
+    Within a rung, engines that can prove run before refute-only ones,
+    otherwise in registration order; ``priors`` (see :func:`learn_priors`),
+    when the caller passes them, order each rung by historical score
+    first.  Empty tiers are skipped.
     """
     from repro.engines.base import EngineCapabilities
 
@@ -388,6 +389,7 @@ def default_budget_ladder(
         tier: [] for tier in EngineCapabilities.COST_TIERS
     }
     order: Dict[str, int] = {}
+    refute_only: Dict[str, bool] = {}
     for representation in representations:
         for registration in list_engines(ladder_only=True):
             if representation not in registration.capabilities.representations:
@@ -398,11 +400,12 @@ def default_budget_ladder(
             config = PortfolioConfig.of(registration.name, **options)
             tiers[registration.capabilities.cost].append(config)
             order[config.label] = len(order)
+            refute_only[config.label] = not registration.capabilities.can_prove
 
-    def sort_key(config: PortfolioConfig) -> Tuple[float, int]:
+    def sort_key(config: PortfolioConfig) -> Tuple[float, bool, int]:
         prior = (priors or {}).get(config.engine)
         score = prior["score"] if prior else float("inf")
-        return (score, order[config.label])
+        return (score, refute_only[config.label], order[config.label])
 
     populated = [
         (tier, configs) for tier, configs in tiers.items() if configs
@@ -614,9 +617,9 @@ class PortfolioRunner:
         Budget-ladder mode (mutually exclusive with ``configs`` and
         ``cross_check``): a sequence of :class:`LadderRung` (see
         :func:`default_budget_ladder`).  Instead of fanning every
-        configuration out at once, the rungs run in order — cheap refuters
-        at a small budget first, escalating to the provers only when a rung
-        ends without a definitive answer — with per-rung cancellation.
+        configuration out at once, the rungs run in order — the cheap
+        tier at a small budget first, escalating only when a rung ends
+        without a definitive answer — with per-rung cancellation.
         ``timeout`` still bounds the whole ladder.
     retry:
         :class:`repro.engines.supervision.RetryPolicy` for workers that die

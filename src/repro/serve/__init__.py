@@ -1,7 +1,7 @@
 """Verification-as-a-service: a long-lived server over the batch machinery.
 
-The batch runner amortizes warm state (blasted frame templates, learned
-priors, the certificate store) over one sweep; :mod:`repro.serve` amortizes
+The batch runner amortizes warm state (blasted frame templates, the
+certificate store) over one sweep; :mod:`repro.serve` amortizes
 it over *a process lifetime*.  A :class:`repro.serve.server.VerifyServer`
 listens on a unix socket (or TCP), admits requests through a bounded
 priority queue, coalesces identical in-flight queries by cache key, runs

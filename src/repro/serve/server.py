@@ -1,7 +1,7 @@
 """The long-lived verification server: warm state + admission + supervision.
 
 One :class:`VerifyServer` process keeps everything that is expensive to
-build — blasted frame-template libraries, learned engine priors, the
+build — blasted frame-template libraries and the
 validated-certificate cache — warm across requests, so the marginal cost of
 a repeated query is one re-validation instead of one verification.  Around
 that warm core sit the robustness mechanisms this module exists for:
@@ -52,7 +52,6 @@ from repro.engines.batch import run_supervised_unit
 from repro.engines.portfolio import (
     VerificationTask,
     default_budget_ladder,
-    learn_priors,
     warm_task_templates,
 )
 from repro.engines.result import Status, VerificationResult
@@ -245,7 +244,6 @@ class VerifyServer:
             max_concurrency=config.max_workers,
             target_latency_s=config.target_latency_s,
         )
-        self.priors = learn_priors()
         self.inflight: Dict[str, _Work] = {}
         self.active = 0
         self.draining = False
@@ -768,7 +766,6 @@ class VerifyServer:
                 (work.representation,),
                 bound=work.bound,
                 timeout=timeout,
-                priors=self.priors,
             )
             result, _outcome = run_supervised_unit(
                 work.task,

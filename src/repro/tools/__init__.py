@@ -27,9 +27,8 @@ software-netlist in which bit-level operations are havocked
 limited bit-vector support and reproduces the *wrong results* the paper
 reports for them on bit-manipulating designs, without making the underlying
 engines unsound.
+
+The tool catalog lives in :mod:`repro.tools.catalog`; importing this package
+loads none of it, so the command-line front ends here start without
+importing every engine and the Verilog frontend.
 """
-
-from repro.tools.catalog import TOOLS, ToolConfig, available_tools, run_tool
-from repro.tools.approximations import havoc_bitlevel_ops
-
-__all__ = ["TOOLS", "ToolConfig", "available_tools", "run_tool", "havoc_bitlevel_ops"]

@@ -986,7 +986,7 @@ def write_certify_report(
 # ---------------------------------------------------------------------------
 
 #: designs raced ladder-vs-fanout (a mix where different rungs decide:
-#: BMC refutes daio/tlc in the cheap rung, absint proves huffman_dec there,
+#: rsim refutes daio/tlc in the cheap rung, absint proves huffman_dec there,
 #: buffalloc needs the k-induction-family rung)
 DEFAULT_LADDER_BENCHMARKS = ["daio", "tlc", "huffman_dec", "buffalloc"]
 
@@ -1063,9 +1063,8 @@ def run_ladder_section(
     names: List[str], bound: int, timeout: float, jobs: Optional[int]
 ) -> List[Dict]:
     """Race the budget ladder against the all-at-once fan-out per design."""
-    from repro.engines.portfolio import default_budget_ladder, learn_priors
+    from repro.engines.portfolio import default_budget_ladder
 
-    priors = learn_priors()
     rows = []
     for name in names:
         benchmark = get_benchmark(name)
@@ -1077,9 +1076,7 @@ def run_ladder_section(
             expected=benchmark.expected,
         ).run(task)
         ladder = PortfolioRunner(
-            ladder=default_budget_ladder(
-                bound=bound, timeout=timeout, priors=priors
-            ),
+            ladder=default_budget_ladder(bound=bound, timeout=timeout),
             timeout=timeout,
             max_workers=jobs,
             expected=benchmark.expected,
@@ -1488,7 +1485,7 @@ def write_faults_report(
             "rates": CHAOS_RATES,
         },
         # "chaos_sweeps", not "sweeps": the serve report uses "sweeps" for a
-        # mapping and learn_priors scans every BENCH_*.json it finds
+        # mapping and learn_priors reads that key from every report it gets
         "chaos_sweeps": sweeps,
         "hang_interrupt_demo": hang_demo,
         "summary": {
@@ -1857,9 +1854,13 @@ def run_serve_soak(
         kill_row["error"] = "run B server never opened its socket"
     else:
         client = ServeClient(socket_path=sock)
-        client.submit({"design": "mac16", "representation": "bit",
+        # slow requests: rsim is word-level only, so on the bit encoding
+        # k-induction must unroll to daio's and tlc's deep bugs, which takes
+        # seconds; the ladder settles the suite's other queries before the
+        # kill below, leaving nothing in flight to journal
+        client.submit({"design": "daio", "representation": "bit",
                        "bound": 120, "deadline_s": 120})
-        client.submit({"design": "huffman_dec", "representation": "bit",
+        client.submit({"design": "tlc", "representation": "bit",
                        "bound": 120, "deadline_s": 120})
         time.sleep(0.5)
         try:
@@ -2027,12 +2028,13 @@ FLEET_MEMBER_RATES = "repl-link-drop=0.25,heartbeat-blackout=0.15"
 FLEET_ROUTER_RATES = "router-partition=0.2"
 #: phase-1 sanity sweep through the router (fast, definitive designs)
 FLEET_SANITY_DESIGNS = ["daio", "rcu", "fifo", "iqueue", "arbiter", "tlc"]
-#: phase-2 slow queries in flight when the primary is SIGKILLed
+#: phase-2 slow queries in flight when the primary is SIGKILLed: rsim is
+#: word-level only, so on the bit encoding k-induction must unroll to daio's
+#: and tlc's deep bugs, which takes seconds (the ladder settles every other
+#: suite query before the kill); the two keys shard to different members
 FLEET_SLOW_QUERIES = [
-    {"design": "mac16", "representation": "word", "bound": 96},
-    {"design": "mac16", "representation": "bit", "bound": 96},
-    {"design": "huffman_enc", "representation": "word", "bound": 96},
-    {"design": "huffman_dec", "representation": "word", "bound": 96},
+    {"design": "daio", "representation": "bit", "bound": 96},
+    {"design": "tlc", "representation": "bit", "bound": 96},
 ]
 
 
@@ -2699,8 +2701,8 @@ def write_kernels_report(
             "lanes": lanes,
             "compiler": " ".join(compiler) if compiler else None,
         },
-        # "kernel_tiers", not "sweeps"/"portfolio"/...: learn_priors scans
-        # every BENCH_*.json for those keys and these rows are not engine runs
+        # "kernel_tiers", not "sweeps"/"portfolio"/...: learn_priors reads
+        # those keys from every report it gets and these rows are not engine runs
         "kernel_tiers": tier_rows,
         "rsim_falsification": rsim_rows,
         "summary": {

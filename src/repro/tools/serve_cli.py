@@ -1,8 +1,8 @@
 """The ``repro-serve`` command-line front end: run a verify server.
 
 Start a long-lived verification server on a unix socket (or TCP port) and
-keep warm state — frame-template blasts, learned priors, the certificate
-cache — alive across requests::
+keep warm state — frame-template blasts and the certificate cache — alive
+across requests::
 
     repro-serve --socket /tmp/repro.sock --cache-dir .repro-cache \\
         --journal .repro-serve/journal.jsonl

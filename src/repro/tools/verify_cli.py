@@ -1,31 +1,37 @@
 """The ``repro-verify`` command-line front end.
 
 One entry point over the whole engine zoo: point it at one or more suite
-designs (by name) or Verilog/AIGER files, pick a single engine
-(``--engine``), the process-parallel portfolio (``--portfolio``), the
-budget-ladder scheduler (``--ladder``) or the batch sweep (``--batch``),
-and read the verdicts off a result table::
+designs (by name) or Verilog/AIGER files and read the verdicts off a result
+table.  With no mode flag one query runs the cheap-first budget ladder
+in-process, one engine at a time; ``--engine`` runs a single engine,
+``--portfolio`` races engines in worker processes, ``--ladder`` races each
+rung of the ladder in worker processes, and ``--batch`` sweeps many
+queries::
 
+    repro-verify daio --certify --save-certificate daio.cert.json
     repro-verify daio --portfolio --timeout 60
     repro-verify daio --ladder --timeout 60
     repro-verify designs/fifo.v --engine pdr --bound 32
     repro-verify counter.aag --engine k-induction
-    repro-verify daio --certify --save-certificate daio.cert.json
     repro-verify --batch --cache-dir .repro-cache --timeout 60
     repro-verify daio tlc rcu --batch --cache-dir .repro-cache
     repro-verify --list-engines
     repro-verify --list-designs
 
-``--ladder`` replaces the all-at-once fan-out with the budget ladder: cheap
-refuters (BMC, abstract interpretation) race first at a small budget and the
-scheduler escalates to the provers only when a rung stays inconclusive, with
-per-rung cancellation; engine order within a rung follows priors learned
-from local ``BENCH_*.json`` reports.  ``--batch`` verifies many designs ×
-properties through one warm process pool (one worker per *property*),
-serving and filling the certificate-keyed result cache when ``--cache-dir``
-is given.  ``--cache-dir`` also works for single queries: a cached verdict
-is served after independent re-validation of its certificate, and new
-definitive verdicts are validated, minimized and stored.
+With no mode flag the CLI walks the ladder of
+:func:`repro.engines.portfolio.default_budget_ladder` —
+``[absint, rsim] -> [k-induction, kiki, bmc] -> [interpolation, pdr]`` —
+in the CLI process and stops at the first definitive answer: random
+simulation refutes the shallow bugs and interval analysis or k-induction
+proves most safe designs in milliseconds, so a query starts no worker
+process and pays for no race.  Engines and the SAT solver check the
+deadline cooperatively, as under ``--engine``.  ``--batch`` verifies many
+designs × properties through one warm process pool (one worker per
+*property*), serving and filling the certificate-keyed result cache when
+``--cache-dir`` is given.  ``--cache-dir`` also works for single queries: a
+cached verdict is served after independent re-validation of its
+certificate, and new definitive verdicts are validated, minimized and
+stored.
 
 With ``--certify`` the final verdict's certificate (UNSAFE witness or SAFE
 invariant, see :mod:`repro.certs`) is validated by the independent checker
@@ -62,11 +68,13 @@ from repro.engines import (
     Status,
     VerificationResult,
     VerificationTask,
+    default_budget_ladder,
     default_portfolio_configs,
     get_registration,
     list_engines,
     make_engine,
 )
+from repro.engines.batch import run_sequential_ladder
 from repro.engines.portfolio import bound_options
 from repro.jsonio import write_text_atomic
 from repro.obs import log as _log
@@ -171,6 +179,12 @@ def _print_single(result: VerificationResult, verbose: bool = False) -> None:
     print(_row(result.engine, result.status, result.runtime, note))
     if verbose:
         _print_solver_stats(result.detail.get("solver_stats"))
+    attempts = result.detail.get("ladder_attempts")
+    if attempts is not None:
+        rung = result.detail.get("ladder_rung")
+        tried = ", ".join(f"{a['config']} {a['status']}" for a in attempts)
+        decided = f"decided at rung {rung}" if rung is not None else "no rung decided"
+        print(f"ladder: {decided} ({tried})")
     if result.counterexample is not None:
         print(
             f"\ncounterexample: {result.counterexample.length} cycles "
@@ -274,7 +288,9 @@ def _save_certificate(path: str, task: VerificationTask, result) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-verify",
-        description="verify a hardware design with one engine or the parallel portfolio",
+        description="verify a hardware design: the cheap-first budget ladder "
+                    "in-process by default, or one engine, the parallel "
+                    "portfolio, the forked ladder or a batch sweep",
     )
     parser.add_argument(
         "target", nargs="*",
@@ -289,9 +305,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--ladder", action="store_true",
-        help="budget-ladder scheduling: cheap refuters first at a small "
-             "budget, escalating to provers rung by rung (instead of the "
-             "all-at-once fan-out)",
+        help="race each rung of the budget ladder in worker processes, "
+             "escalating rung by rung (the default runs the same ladder "
+             "in-process, one engine at a time)",
     )
     parser.add_argument(
         "--batch", action="store_true",
@@ -313,13 +329,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="search-depth cap routed to each engine "
                              "(max_bound/max_k/max_depth/max_frames)")
     parser.add_argument("--representation", default=None, choices=["word", "bit"],
-                        help="frame encoding (default word; in portfolio mode "
-                             "narrows the fan-out to this representation)")
+                        help="frame encoding (default word; narrows the "
+                             "portfolio and the ladder to this representation)")
     parser.add_argument("--representations", nargs="*", default=["word"],
                         choices=["word", "bit"], metavar="REP",
-                        help="representations fanned out in portfolio mode")
+                        help="representations the portfolio races and the "
+                             "ladder runs")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="portfolio worker-process cap (default: one per configuration)")
+                        help="worker-process cap of --portfolio, --ladder and "
+                             "--batch (default: one per configuration)")
     parser.add_argument("--cross-check", action="store_true",
                         help="portfolio mode: let all workers finish and flag "
                              "disagreeing definitive answers as WRONG")
@@ -388,10 +406,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     ]
     if len(modes) > 1:
         parser.error(f"{' and '.join(modes)} are mutually exclusive")
-    if args.cross_check and (args.ladder or args.batch):
-        # the ladder/batch schedulers stop at the first definitive answer;
+    if args.cross_check and not args.portfolio:
+        # every other mode stops at the first definitive answer;
         # cross-check adjudication needs the all-at-once fan-out
         parser.error("--cross-check requires the all-at-once --portfolio")
+    if args.jobs is not None and not (args.portfolio or args.ladder or args.batch):
+        parser.error(
+            "--jobs caps the worker processes of --portfolio, --ladder or "
+            "--batch; without a mode flag, and with --engine, a query "
+            "runs in-process"
+        )
     if args.batch and (args.certify or args.save_certificate):
         parser.error(
             "--certify/--save-certificate are per-query; --batch validates "
@@ -409,16 +433,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         with _telemetry.recording() as recorder:
             try:
                 with _telemetry.span(
-                    "cli.verify", mode=(modes[0] if modes else "--portfolio")
+                    "cli.verify", mode=(modes[0] if modes else "sequential-ladder")
                 ):
-                    return _dispatch(parser, args, modes)
+                    return _dispatch(parser, args)
             finally:
                 write_trace(recorder, args.trace, meta={"tool": "repro-verify"})
                 _log.info(f"wrote trace {args.trace}")
-    return _dispatch(parser, args, modes)
+    return _dispatch(parser, args)
 
 
-def _dispatch(parser: argparse.ArgumentParser, args, modes: List[str]) -> int:
+def _dispatch(parser: argparse.ArgumentParser, args) -> int:
     """Run the selected driver; factored out so --trace can wrap it."""
     if args.server:
         if not args.target:
@@ -438,8 +462,6 @@ def _dispatch(parser: argparse.ArgumentParser, args, modes: List[str]) -> int:
         parser.error("a target design is required (or --list-engines/--list-designs)")
     if len(args.target) > 1:
         parser.error("multiple targets need --batch")
-    if not modes:
-        args.portfolio = True  # the portfolio is the default driver
 
     task = _resolve_task(args.target[0])
     expected = args.expected
@@ -462,23 +484,13 @@ def _dispatch(parser: argparse.ArgumentParser, args, modes: List[str]) -> int:
         if property_name is not None:
             lookup = cache.lookup(system, property_name, representation)
             if lookup.hit:
-                result = lookup.result
-                result.status = _classify(result.status, expected)
                 _log.info(
                     f"cache hit for {task.name!r} (key {lookup.key[:12]}..., "
                     f"certificate re-validated in {lookup.runtime_s:.3f}s)"
                 )
-                _print_single(result, verbose=args.verbose)
-                if args.certify:
-                    # --certify promises the per-obligation report and its
-                    # demotion semantics on every run, hit or miss
-                    result.status = _certify(
-                        task, result, result.status, args.timeout,
-                        fast_replay=args.fast_replay,
-                    )
-                if args.save_certificate:
-                    _save_certificate(args.save_certificate, task, result)
-                return _EXIT_CODES.get(result.status, 1)
+                # --certify promises the per-obligation report and its
+                # demotion semantics on every run, hit or miss
+                return _report_single(args, task, lookup.result, expected)
             note = " (stale entry dropped)" if lookup.demoted else ""
             _log.info(f"cache miss for {task.name!r}{note}; verifying")
 
@@ -513,22 +525,35 @@ def _dispatch(parser: argparse.ArgumentParser, args, modes: List[str]) -> int:
             f"(timeout {args.timeout:g}s)"
         )
         result = engine.verify(args.property_name, timeout=args.timeout)
-        result.status = _classify(result.status, expected)
-        _print_single(result, verbose=args.verbose)
-        if args.certify:
-            result.status = _certify(
-                task, result, result.status, args.timeout,
-                fast_replay=args.fast_replay,
-            )
-        if args.save_certificate:
-            _save_certificate(args.save_certificate, task, result)
-        _store_in_cache(cache, task, result, representation)
-        return _EXIT_CODES.get(result.status, 1)
+        return _report_single(args, task, result, expected, cache, representation)
 
     # --representation (the single-engine spelling) narrows the portfolio too
     representations = (
         [args.representation] if args.representation else args.representations
     )
+
+    if not (args.portfolio or args.ladder):
+        # no mode flag: the ladder in this process, one engine at a
+        # time, so a query starts no worker process and stops at the first
+        # definitive answer of the cheapest rung that has one
+        try:
+            system = task.load()
+        except Exception as error:  # noqa: BLE001 - loader/parse failures
+            _log.error(f"error: cannot load {task.name!r}: {error}")
+            return 1
+        ladder = default_budget_ladder(
+            representations=representations,
+            bound=args.bound,
+            timeout=args.timeout,
+        )
+        _log.info(
+            f"budget ladder in-process on {task.name!r} "
+            f"(timeout {args.timeout:g}s): {_schedule(ladder)}"
+        )
+        result = run_sequential_ladder(
+            system, args.property_name, ladder, timeout=args.timeout
+        )
+        return _report_single(args, task, result, expected, cache, representation)
 
     def on_event(event: Dict[str, object]) -> None:
         kind = event.pop("event")
@@ -541,13 +566,10 @@ def _dispatch(parser: argparse.ArgumentParser, args, modes: List[str]) -> int:
         )
 
     if args.ladder:
-        from repro.engines import default_budget_ladder, learn_priors
-
         ladder = default_budget_ladder(
             representations=representations,
             bound=args.bound,
             timeout=args.timeout,
-            priors=learn_priors(),
         )
         runner = PortfolioRunner(
             ladder=ladder,
@@ -556,11 +578,9 @@ def _dispatch(parser: argparse.ArgumentParser, args, modes: List[str]) -> int:
             expected=expected,
             on_event=on_event,
         )
-        schedule = " -> ".join(
-            f"[{', '.join(rung.labels)}]" for rung in ladder
-        )
         _log.info(
-            f"budget ladder on {task.name!r} (timeout {args.timeout:g}s): {schedule}"
+            f"budget ladder on {task.name!r} (timeout {args.timeout:g}s): "
+            f"{_schedule(ladder)}"
         )
     else:
         configs = default_portfolio_configs(
@@ -599,6 +619,33 @@ def _dispatch(parser: argparse.ArgumentParser, args, modes: List[str]) -> int:
         _save_certificate(args.save_certificate, task, result)
     _store_in_cache(cache, task, result, representation)
     return _EXIT_CODES.get(final_status, 1)
+
+
+def _schedule(ladder) -> str:
+    """One line naming each rung's configurations, cheapest rung first."""
+    return " -> ".join(f"[{', '.join(rung.labels)}]" for rung in ladder)
+
+
+def _report_single(
+    args, task: VerificationTask, result: VerificationResult, expected,
+    cache=None, representation: str = "word",
+) -> int:
+    """Classify, print, certify, save and cache one in-process verdict.
+
+    Shared by ``--engine``, the in-process ladder and cache hits (which pass no
+    cache, so a served verdict is not stored again); returns the exit code.
+    """
+    result.status = _classify(result.status, expected)
+    _print_single(result, verbose=args.verbose)
+    if args.certify:
+        result.status = _certify(
+            task, result, result.status, args.timeout,
+            fast_replay=args.fast_replay,
+        )
+    if args.save_certificate:
+        _save_certificate(args.save_certificate, task, result)
+    _store_in_cache(cache, task, result, representation)
+    return _EXIT_CODES.get(result.status, 1)
 
 
 def _store_in_cache(cache, task, result, representation: str) -> None:

@@ -12,16 +12,9 @@ Verilog RTL into
 * an executable Python model of the same program
   (:class:`repro.v2c.softnetlist.SoftwareNetlist`) used by the software-level
   verification engines and by the equivalence cross-checks of Section III.C.
+
+Import the submodules directly: the simulator needs only
+:mod:`repro.v2c.softnetlist`, and loading this package imports neither the
+C generator nor the property instrumentation (which pulls in the SVA and
+Verilog frontends).
 """
-
-from repro.v2c.softnetlist import SoftwareNetlist, SoftwareNetlistError
-from repro.v2c.codegen import CCodeGenerator, generate_c
-from repro.v2c.instrument import instrument_properties
-
-__all__ = [
-    "SoftwareNetlist",
-    "SoftwareNetlistError",
-    "CCodeGenerator",
-    "generate_c",
-    "instrument_properties",
-]

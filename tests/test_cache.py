@@ -303,7 +303,14 @@ def test_default_ladder_orders_cost_tiers():
     ladder = default_budget_ladder(bound=40, timeout=60)
     assert [rung.tier for rung in ladder] == ["cheap", "medium", "heavy"]
     cheap = {config.engine for config in ladder[0].configs}
-    assert cheap == {"rsim", "bmc", "absint"}
+    assert cheap == {"rsim", "absint"}
+    # within a rung provers run before refute-only engines, otherwise in
+    # registration order: BMC is k-induction's base case, so it goes last
+    assert [[config.engine for config in rung.configs] for rung in ladder] == [
+        ["absint", "rsim"],
+        ["k-induction", "kiki", "bmc"],
+        ["interpolation", "pdr"],
+    ]
     # non-final rungs are budgeted, the last rung takes what remains
     assert all(rung.budget is not None for rung in ladder[:-1])
     assert ladder[-1].budget is None
@@ -327,6 +334,43 @@ def test_priors_reorder_a_rung(tmp_path):
     ladder = default_budget_ladder(bound=40, timeout=60, priors=priors)
     heavy = [config.engine for config in ladder[-1].configs]
     assert heavy.index("pdr") < heavy.index("interpolation")
+
+
+def test_ladder_does_not_depend_on_the_working_directory(tmp_path, monkeypatch):
+    """A BENCH_*.json lying in the cwd must not reorder any entry point's ladder."""
+    report = {
+        "portfolio": [
+            {
+                "singles": {
+                    "bmc[word]": {"runtime_s": 0.001, "status": "unsafe"},
+                    "k-induction[word]": {"runtime_s": 9.0, "status": "safe"},
+                }
+            }
+        ]
+    }
+    holding = tmp_path / "holding"
+    empty = tmp_path / "empty"
+    holding.mkdir()
+    empty.mkdir()
+    (holding / "BENCH_fake.json").write_text(json.dumps(report))
+
+    def labels(ladder):
+        return [list(rung.labels) for rung in ladder]
+
+    built = {}
+    for name, directory in (("holding", holding), ("empty", empty)):
+        monkeypatch.chdir(directory)
+        built[name] = (
+            labels(default_budget_ladder(bound=40, timeout=60)),
+            labels(BatchRunner(timeout=60, bound=40).ladder),
+        )
+    assert built["holding"] == built["empty"]
+    # read explicitly, the same report does reorder the medium rung
+    priors = learn_priors([str(holding / "BENCH_fake.json")])
+    reordered = labels(default_budget_ladder(bound=40, timeout=60, priors=priors))
+    assert reordered[1][0] == "bmc[word]" != built["empty"][0][1][0]
+    with pytest.raises(TypeError):
+        learn_priors()
 
 
 def test_ladder_runner_decides_daio_in_cheap_rung():
@@ -415,6 +459,44 @@ def test_verify_cli_rejects_cross_check_with_ladder_or_batch(capsys):
             main(["daio", mode, "--cross-check"])
         assert excinfo.value.code == 2
         assert "--cross-check" in capsys.readouterr().err
+    # with no mode flag a query runs in-process: nothing to cross-check or cap
+    for flag in (["--cross-check"], ["--jobs", "2"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["daio", *flag])
+        assert excinfo.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
+
+def test_verify_cli_without_mode_flag_runs_in_process(tmp_path, monkeypatch, capsys):
+    """No mode flag: the ladder runs in the CLI process and names its decider."""
+    import multiprocessing
+
+    from repro.obs.export import lint_trace, load_trace
+    from repro.tools.verify_cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a query with no mode flag started a child process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    trace_path = str(tmp_path / "daio.jsonl")
+    assert main(["daio", "--certify", "--trace", trace_path]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[2].split()[:2] == ["rsim", "unsafe"]
+    assert "ladder: decided at rung 0" in out and "VALIDATED" in out
+    assert main(["fifo", "--certify"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[2].split()[:2] == ["k-induction", "safe"]
+    assert "ladder: decided at rung 1" in out
+    assert not multiprocessing.active_children()
+
+    trace = load_trace(trace_path)
+    assert lint_trace(trace) == []
+    assert {span["pid"] for span in trace.spans} == {os.getpid()}
+    root = next(span for span in trace.spans if span["name"] == "cli.verify")
+    assert root["attrs"]["mode"] == "sequential-ladder"
+    attempts = [s["attrs"]["config"] for s in trace.spans if s["name"] == "ladder.attempt"]
+    assert attempts == ["absint[word]", "rsim[word]"]
 
 
 def test_file_task_memo_invalidates_on_edit(tmp_path):

@@ -1,6 +1,7 @@
 """Certificates: serialization, independent validation, adjudication, exit codes."""
 
 import json
+import os
 
 import pytest
 
@@ -331,7 +332,46 @@ def test_cli_exit_codes(capsys):
     assert main(["daio", "--engine", "oracle", "--timeout", "10"]) == 2
     # 3: inconclusive (bmc cannot refute within a tiny bound)
     assert main(["huffman_dec", "--engine", "bmc", "--bound", "3"]) == 3
+    # no mode flag: the in-process ladder
+    assert main(["daio", "--certify"]) == 0
+    assert main(["huffman_dec", "--certify"]) == 0
     capsys.readouterr()
+    # 3: the budget expires before any rung decides.  A fresh process, as
+    # the CLI runs: this one may hold mac16's blast warm from other tests,
+    # and warm k-induction proves it within the budget
+    expired = _fresh_python("-m", "repro.tools.verify_cli", "mac16", "--timeout", "0.01")
+    assert expired.returncode == 3, expired.stdout + expired.stderr
+
+
+def _fresh_python(*args):
+    """Run ``python *args`` in a fresh interpreter over this checkout's src."""
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_cli_import_loads_no_frontend_or_serving_code():
+    """Start-up pays only for the verdict path, not the dormant clusters."""
+    unwanted = (
+        "repro.verilog", "repro.sva", "repro.tools.catalog", "repro.serve",
+        "repro.kernels",
+    )
+    probe = (
+        "import sys, repro.tools.verify_cli\n"
+        f"unwanted = {unwanted!r}\n"
+        "print(sorted(m for m in sys.modules if m.startswith(unwanted)))\n"
+    )
+    completed = _fresh_python("-c", probe)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"
 
 
 def test_cli_certify_demotes_unvalidated_verdict(capsys):

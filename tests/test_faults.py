@@ -161,11 +161,14 @@ def test_batch_worker_kill_is_retried_then_succeeds():
 
 
 def test_batch_hard_wedge_is_killed_at_the_attempt_deadline_then_retried():
+    # the wedge sits at a SAT search checkpoint: k-induction reaches one on
+    # buffalloc (the site of repro-bench's hang demo too), while rsim
+    # answers daio with no SAT search at all
     with plan_installed(FaultPlan(seed=0, rates={HANG_HARD: 1.0})):
         runner = BatchRunner(timeout=60, bound=80, attempt_timeout=3.0)
-        report = runner.run([BatchItem.benchmark("daio")])
+        report = runner.run([BatchItem.benchmark("buffalloc")])
     row = report.items[0]
-    assert row.status == Status.UNSAFE
+    assert row.status == Status.SAFE
     states = [a["state"] for a in row.supervision["attempts"]]
     assert "timed-out" in states  # the wedged attempt was reaped externally
     assert row.supervision["state"] == "done"
