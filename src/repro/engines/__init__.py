@@ -48,7 +48,6 @@ from repro.engines.portfolio import (
     default_budget_ladder,
     default_portfolio_configs,
     learn_priors,
-    run_portfolio,
 )
 from repro.engines.batch import BatchItem, BatchReport, BatchRunner
 from repro.engines.supervision import (
@@ -89,7 +88,6 @@ __all__ = [
     "default_budget_ladder",
     "default_portfolio_configs",
     "learn_priors",
-    "run_portfolio",
     "BatchItem",
     "BatchReport",
     "BatchRunner",

@@ -14,11 +14,12 @@ The serving workload of the ROADMAP is not "one design, one query" but a
 * each item is first looked up in the certificate-keyed
   :class:`repro.cache.ResultCache` (when one is attached): hits are served
   from the parent after independent re-validation, only misses reach the
-  pool;
-* pool workers run the *sequential* budget ladder
-  (:func:`run_sequential_ladder`): with the pool already saturating the
-  cores on batch parallelism, racing engines per item would oversubscribe —
-  instead each worker escalates cheap → medium → heavy in-process and stops
+  pool, which is one :meth:`WorkerSupervisor.run_map`;
+* pool workers run the budget ladder (:func:`run_sequential_ladder`, the
+  package's one ladder loop, which bare ``repro-verify`` queries also run
+  in-process): with the pool already saturating the cores on batch
+  parallelism, racing engines per item would oversubscribe — instead each
+  worker escalates cheap → medium → heavy one engine at a time and stops
   at the first definitive answer;
 * definitive results flow back to the parent, are validated, minimized and
   stored into the cache, so the *next* sweep over the same designs is all
@@ -54,7 +55,7 @@ from repro.obs import telemetry as _telemetry
 
 
 # ---------------------------------------------------------------------------
-# the sequential in-process budget ladder (one batch worker = one item)
+# the budget ladder: one engine at a time, in the calling process
 # ---------------------------------------------------------------------------
 
 
@@ -292,11 +293,12 @@ class BatchReport:
 
 
 def _batch_worker(
-    payload: Tuple[int, VerificationTask, Optional[str], Tuple[LadderRung, ...], Optional[float]],
+    payload: Tuple[
+        int, VerificationTask, Optional[str], Tuple[LadderRung, ...], Optional[float], bool
+    ],
 ) -> Tuple[int, VerificationResult]:
     """Run one unit of work (sequential ladder) in a pool process."""
-    index, task, property_name, rungs, timeout = payload[:5]
-    certify = bool(payload[5]) if len(payload) > 5 else False
+    index, task, property_name, rungs, timeout, certify = payload
     start = time.monotonic()
     try:
         with _telemetry.span(
@@ -476,7 +478,6 @@ class BatchRunner:
         representation: str = "word",
         ladder: Optional[Sequence[LadderRung]] = None,
         on_event: Optional[Callable[[Dict[str, object]], None]] = None,
-        warm_templates: bool = True,
         retry: Optional[RetryPolicy] = None,
         attempt_timeout: Optional[float] = None,
         certify: bool = False,
@@ -492,7 +493,6 @@ class BatchRunner:
             )
         self.ladder = tuple(ladder)
         self.on_event = on_event
-        self.warm_templates = warm_templates
         self.retry = retry
         self.attempt_timeout = attempt_timeout
         self.certify = certify
@@ -534,7 +534,7 @@ class BatchRunner:
 
     def _prewarm(self, units: Sequence[Tuple[VerificationTask, str, Optional[str]]]) -> None:
         """Blast every task's template library once, before forking the pool."""
-        if not self.warm_templates or self._context.get_start_method() != "fork":
+        if self._context.get_start_method() != "fork":
             return
         seen = set()
         for task, _, _ in units:

@@ -6,15 +6,20 @@ prover is fastest varies per design (Figures 3–5).  A *portfolio* exploits
 exactly that: run several engine configurations concurrently on the same
 verification task and take the first definitive answer.
 
-:class:`PortfolioRunner` fans the configurations out as worker *processes*
-(``multiprocessing``; the engines are CPU-bound pure Python, so threads would
-serialize on the GIL), streams per-worker lifecycle events and statistics
-back over a queue, cancels the losers as soon as one worker returns a
-definitive SAFE/UNSAFE answer, and aggregates everything into a
-:class:`PortfolioResult`.  A *cross-check* mode instead lets every worker
-finish and reports :data:`repro.engines.result.Status.WRONG` when two
-definitive answers disagree — the "wrong result" category of the paper's
-figures, applied to our own engines.
+:class:`PortfolioRunner` races the configurations as worker *processes*
+(the engines are CPU-bound pure Python, so threads would serialize on the
+GIL), one unit each of :meth:`repro.engines.supervision.WorkerSupervisor.run_map`
+— the process primitive the batch pool and ``repro-serve`` use too.  The
+first definitive answer aborts the map, which cancels the losers, and
+everything is aggregated into a :class:`PortfolioResult`.  A *cross-check*
+mode instead lets every worker finish and reports
+:data:`repro.engines.result.Status.WRONG` when two definitive answers
+disagree and certificate validation cannot settle it — the "wrong result"
+category of the paper's figures, applied to our own engines.
+
+The module also builds the cheap-first budget ladder
+(:func:`default_budget_ladder`), which one function walks:
+:func:`repro.engines.batch.run_sequential_ladder`.
 
 Workers receive a picklable :class:`VerificationTask` (a suite benchmark
 name, a Verilog/AIGER file path, or a transition system) and rebuild the
@@ -26,18 +31,21 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
-import queue as queue_module
+import threading
 import time
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engines.registry import list_engines, make_engine
 from repro.engines.result import Counterexample, Status, VerificationResult
-from repro.engines.supervision import RetryPolicy, WorkerSupervisor
-from repro.faults import injection as _fault_injection
+from repro.engines.supervision import (
+    CRASHED,
+    DONE,
+    RetryPolicy,
+    SupervisedOutcome,
+    WorkerSupervisor,
+)
 from repro.netlist import TransitionSystem
 from repro.obs import telemetry as _telemetry
 
@@ -158,8 +166,8 @@ def warm_task_templates(
     resolves repeated loads to the same instance (benchmarks via the
     memoized suite loader, files via the stamped per-task memo, systems by
     identity) — so workers forked after this call find the parent's warm
-    blast in copy-on-write memory.  Shared by the portfolio fan-out, the
-    ladder and the batch pool.  Best-effort: failures are ignored, a worker
+    blast in copy-on-write memory.  Shared by the portfolio race, the batch
+    pool and the serve layer.  Best-effort: failures are ignored, a worker
     that cannot build templates reports its own error through the normal
     result channel.
     """
@@ -245,10 +253,10 @@ class LadderRung:
     """One rung of a budget ladder: a config group and its wall-clock budget.
 
     ``budget`` is the rung's wall-clock allowance in seconds (``None``:
-    whatever remains of the overall portfolio budget — the usual choice for
-    the final rung).  Rungs run in order; each is raced as its own
-    mini-portfolio with per-rung cancellation, and the ladder escalates only
-    when a rung ends without a definitive answer.
+    whatever remains of the overall budget — the usual choice for the final
+    rung).  :func:`repro.engines.batch.run_sequential_ladder` runs the rungs
+    in order, one configuration at a time, and escalates only when a rung
+    ends without a definitive answer.
     """
 
     configs: Tuple[PortfolioConfig, ...]
@@ -264,7 +272,8 @@ class LadderRung:
 #: tier always receives whatever remains
 DEFAULT_RUNG_FRACTIONS = {"cheap": 0.10, "medium": 0.30}
 
-#: floor (seconds) under which a rung budget is not worth a process launch
+#: floor (seconds) of a non-final rung's budget: a short overall timeout
+#: still leaves the cheap engines time to answer
 MIN_RUNG_BUDGET = 0.5
 
 
@@ -428,12 +437,11 @@ def default_budget_ladder(
 # ---------------------------------------------------------------------------
 
 
-#: worker states in a finished portfolio
-DONE = "done"  # posted a result
-CANCELLED = "cancelled"  # terminated after another worker won
-TIMED_OUT = "timed-out"  # terminated at the portfolio deadline
-SKIPPED = "skipped"  # never started (a winner emerged first)
-CRASHED = "crashed"  # process died without posting a result
+#: worker states in a finished portfolio: the supervision states ``done``
+#: (posted a result), ``cancelled`` (stopped after another worker won),
+#: ``timed-out`` (killed past its deadline) and ``crashed`` (died without
+#: posting a result), plus ``skipped`` (never started: a winner came first)
+SKIPPED = "skipped"
 
 
 @dataclass
@@ -446,7 +454,8 @@ class WorkerOutcome:
     state: str
     result: Optional[VerificationResult] = None
     runtime: float = 0.0
-    #: process attempts this configuration consumed (retries increment it)
+    #: process attempts this configuration consumed (0 when skipped; retries
+    #: increment it)
     attempts: int = 1
     #: True when the outcome was produced in-process after pool degradation
     degraded: bool = False
@@ -506,43 +515,31 @@ class PortfolioResult:
 
 
 # ---------------------------------------------------------------------------
-# the worker process
+# the race unit
 # ---------------------------------------------------------------------------
 
 
-def _portfolio_worker(
-    index: int,
-    config: PortfolioConfig,
-    task: VerificationTask,
-    property_name: Optional[str],
-    timeout: Optional[float],
-    events: "multiprocessing.Queue",
-    attempt: int = 0,
-) -> None:
-    """Run one engine configuration and stream lifecycle events back.
+def _run_config(
+    payload: Tuple[int, PortfolioConfig, VerificationTask, Optional[str], Optional[float]],
+) -> VerificationResult:
+    """Run one engine configuration: the work of one supervised race unit.
 
-    When the parent was recording telemetry, the forked worker swaps in a
-    fresh recorder and ships its exported span subtree on
-    ``result.telemetry["trace"]``; the parent stitches it under the
-    worker's parent-side span.
+    A loader or engine failure comes back as an ``ERROR`` result (the crash
+    category of the paper), so a configuration that cannot run still
+    reports instead of being retried as a dead worker.
     """
+    _, config, task, property_name, timeout = payload
     start = time.monotonic()
-    _fault_injection.set_attempt(attempt)
-    _telemetry.child_begin()
     try:
-        with _telemetry.span(
-            "worker.config", label=config.label, attempt=attempt
-        ) as worker_span:
-            system = task.load()
+        with _telemetry.span("worker.config", label=config.label) as config_span:
             engine = make_engine(
                 config.engine,
-                system,
+                task.load(),
                 ignore_unknown_options=True,
                 **config.options_dict,
             )
-            events.put(("started", index, {"pid": os.getpid(), "label": config.label}))
             result = engine.verify(property_name, timeout=timeout)
-            worker_span.set_outcome(result.status)
+            config_span.set_outcome(result.status)
     except Exception as error:  # noqa: BLE001 - crash category of the paper
         result = VerificationResult(
             Status.ERROR,
@@ -551,27 +548,30 @@ def _portfolio_worker(
             runtime=time.monotonic() - start,
             reason=f"{type(error).__name__}: {error}",
         )
-    trace = _telemetry.child_export()
-    if trace is not None:
-        telemetry = dict(result.telemetry or {})
-        telemetry["trace"] = trace
-        result.telemetry = telemetry
-    # Queue.put serializes in a background feeder thread, so a pickling
-    # failure would be swallowed there and the result silently lost; probe
-    # the pickle here and strip the engine-specific payload if needed.
-    try:
-        pickle.dumps(result)
-    except Exception:  # pragma: no cover - unpicklable engine detail
-        result = VerificationResult(
-            result.status,
-            result.engine,
-            result.property_name,
-            runtime=result.runtime,
-            cpu_time=result.cpu_time,
-            reason=result.reason or "detail dropped (not picklable)",
-            telemetry=result.telemetry,  # JSON-safe primitives, always pickles
-        )
-    events.put(("result", index, result))
+    return result
+
+
+def _worker_outcome(
+    config: PortfolioConfig, outcome: SupervisedOutcome
+) -> WorkerOutcome:
+    """Map one supervised unit onto the portfolio's worker taxonomy.
+
+    A unit that never launched an attempt was ``skipped``; any other keeps
+    its supervision state (``done``, ``cancelled``, ``timed-out`` or
+    ``crashed``).  Attempts, wall time and degradation come from the
+    attempt log.
+    """
+    state = outcome.state if outcome.attempts else SKIPPED
+    return WorkerOutcome(
+        config.label,
+        config.engine,
+        config.options_dict,
+        state,
+        result=outcome.value if state == DONE else None,
+        runtime=sum(attempt["runtime_s"] for attempt in outcome.attempts),
+        attempts=len(outcome.attempts),
+        degraded=outcome.degraded,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -580,16 +580,24 @@ def _portfolio_worker(
 
 
 class PortfolioRunner:
-    """Race engine configurations in worker processes.
+    """Race engine configurations in supervised worker processes.
+
+    Each configuration is one unit of :meth:`WorkerSupervisor.run_map`,
+    which owns every process concern: deadlines, terminate-then-SIGKILL
+    escalation, retries of workers that die without reporting, the
+    in-process fallback once spawning fails, and the per-attempt trace
+    spans.  The runner sees each answer through run_map's ``accept`` hook;
+    the first definitive one sets the map's ``abort`` event, so the losers
+    end ``cancelled`` (running) or ``skipped`` (never started).
 
     Parameters
     ----------
     configs:
-        The configurations to fan out (default:
+        The configurations to race (default:
         :func:`default_portfolio_configs`).
     timeout:
         Overall wall-clock budget in seconds for the whole portfolio; each
-        worker also receives it as its engine budget.
+        worker's engine receives what is left of it.
     max_workers:
         Concurrent process cap (default: one process per configuration, so
         the race is decided by the OS scheduler even when configurations
@@ -604,36 +612,25 @@ class PortfolioRunner:
         definitive portfolio answer contradicting it is reported as
         ``Status.WRONG`` — the harness-side classification of the paper.
     on_event:
-        Optional callback receiving progress dicts
-        (``{"event": "started"|"result"|..., "label": ..., ...}``) as they
-        stream in from the workers.
-    warm_templates:
-        Pre-blast the frame templates of the task in the *parent* process
-        before forking (default True).  Workers inherit the warmed caches via
-        copy-on-write, so N workers share one blast instead of re-blasting N
-        times.  No-op under the ``spawn`` start method (workers warm their
-        own caches there).
-    ladder:
-        Budget-ladder mode (mutually exclusive with ``configs`` and
-        ``cross_check``): a sequence of :class:`LadderRung` (see
-        :func:`default_budget_ladder`).  Instead of fanning every
-        configuration out at once, the rungs run in order — the cheap
-        tier at a small budget first, escalating only when a rung ends
-        without a definitive answer — with per-rung cancellation.
-        ``timeout`` still bounds the whole ladder.
+        Optional callback receiving progress dicts: one ``result`` event
+        per reporting worker (``{"event": "result", "label": ...,
+        "status": ..., ...}``) plus the supervisor's own events
+        (``attempt``, ``retry``, ``aborted``, ...) tagged with the
+        configuration's label.
     retry:
         :class:`repro.engines.supervision.RetryPolicy` for workers that die
         without reporting: the crashed configuration is relaunched with
-        exponential backoff while the portfolio's remaining budget allows
-        (default: one retry).
+        exponential backoff while its budget allows (default: one retry).
     certify:
         Accept a definitive worker answer only when its certificate passes
-        independent validation (:func:`repro.certs.validate_result`); an
-        uncertified claim is excluded from winning and recorded under
-        ``detail["certification"]``.
+        independent validation (:func:`repro.certs.validate_result`).  Each
+        claim is validated once, in the parent, as it arrives; an
+        uncertified claim cannot end the race, is excluded from winning and
+        is recorded under ``detail["certification"]``.
     """
 
-    #: extra wall-clock grace before force-terminating workers at the deadline
+    #: grace past a worker's deadline before it is stopped, and between the
+    #: stop's SIGTERM and SIGKILL
     GRACE_SECONDS = 2.0
 
     def __init__(
@@ -644,31 +641,12 @@ class PortfolioRunner:
         cross_check: bool = False,
         expected: Optional[str] = None,
         on_event: Optional[Callable[[Dict[str, object]], None]] = None,
-        poll_interval: float = 0.05,
-        warm_templates: bool = True,
-        ladder: Optional[Sequence[LadderRung]] = None,
         retry: Optional[RetryPolicy] = None,
         certify: bool = False,
     ) -> None:
-        self.ladder = list(ladder) if ladder is not None else None
-        if self.ladder is not None:
-            if cross_check:
-                raise ValueError(
-                    "budget-ladder scheduling cancels rung by rung and is "
-                    "incompatible with cross_check (which needs every worker "
-                    "to finish)"
-                )
-            if configs is not None:
-                raise ValueError("pass either configs or ladder, not both")
-            if not self.ladder or not any(rung.configs for rung in self.ladder):
-                raise ValueError("ladder needs at least one configuration")
-            self.configs = [
-                config for rung in self.ladder for config in rung.configs
-            ]
-        else:
-            self.configs = (
-                list(configs) if configs is not None else default_portfolio_configs()
-            )
+        self.configs = (
+            list(configs) if configs is not None else default_portfolio_configs()
+        )
         if not self.configs:
             raise ValueError("portfolio needs at least one configuration")
         self.timeout = timeout
@@ -676,8 +654,6 @@ class PortfolioRunner:
         self.cross_check = cross_check
         self.expected = expected
         self.on_event = on_event
-        self.poll_interval = poll_interval
-        self.warm_templates = warm_templates
         self.retry = retry if retry is not None else RetryPolicy()
         self.certify = certify
         start_methods = multiprocessing.get_all_start_methods()
@@ -689,11 +665,13 @@ class PortfolioRunner:
     def _prewarm(self, task: VerificationTask) -> None:
         """Blast the task's frame templates once, in the parent, before forking.
 
-        Every representation the configuration fan-out uses is warmed, so the
+        Every representation the configurations use is warmed, so the
         forked workers find their ``(system, representation)`` template
-        library already built in inherited (copy-on-write) memory.
+        library already built in inherited (copy-on-write) memory.  No-op
+        under the ``spawn`` start method (workers warm their own caches
+        there).
         """
-        if not self.warm_templates or self._context.get_start_method() != "fork":
+        if self._context.get_start_method() != "fork":
             return
         warm_task_templates(
             task,
@@ -709,442 +687,120 @@ class PortfolioRunner:
         task: VerificationTask,
         property_name: Optional[str] = None,
     ) -> PortfolioResult:
-        """Run the portfolio (all-at-once or ladder) on ``task``."""
-        if self.ladder is not None:
-            with _telemetry.span(
-                "portfolio.ladder", task=task.name, rungs=len(self.ladder)
-            ) as ladder_span:
-                result = self._run_ladder(task, property_name)
-                ladder_span.set_outcome(result.status)
-                return result
+        """Race the configurations on ``task``; first definitive answer wins."""
         with _telemetry.span(
             "portfolio.run", task=task.name, configs=len(self.configs)
         ) as run_span:
-            result = self._run_fanout(task, property_name)
+            result = self._race(task, property_name)
             run_span.set_outcome(result.status)
             return result
 
-    def _run_fanout(
+    def _race(
         self,
         task: VerificationTask,
-        property_name: Optional[str] = None,
+        property_name: Optional[str],
     ) -> PortfolioResult:
-        """Race every configuration at once; first definitive answer wins."""
         start = time.monotonic()
         self._prewarm(task)
         deadline = start + self.timeout if self.timeout is not None else None
-        events: "multiprocessing.Queue" = self._context.Queue()
-
-        outcomes = [
-            WorkerOutcome(config.label, config.engine, config.options_dict, SKIPPED)
-            for config in self.configs
-        ]
-        processes: Dict[int, multiprocessing.Process] = {}
-        launched: Dict[int, float] = {}
-        finished = 0
-        winner_index: Optional[int] = None
         supervisor = WorkerSupervisor(
             self._context, retry=self.retry, grace=self.GRACE_SECONDS
         )
-        launch_queue = deque(range(len(self.configs)))
-        attempts: Dict[int, int] = {}
-        not_before: Dict[int, float] = {}
-        retry_pending: set = set()
-        degraded = False
+        abort = threading.Event()
+        winner_index: Optional[int] = None
+        verdicts: Dict[int, Dict[str, object]] = {}
 
         def emit(event: str, **payload) -> None:
             if self.on_event is not None:
                 self.on_event({"event": event, **payload})
 
-        # parent-side trace assembly: one explicit-parent span per launched
-        # worker attempt (workers overlap, so the thread stack cannot hold
-        # them); a reporting worker's exported subtree is stitched under its
-        # span, and cancels/kills — where the worker ships nothing — are
-        # recorded by the parent-side span alone
-        recorder = _telemetry.get_recorder()
-        fanout_parent = recorder.current_span() if recorder is not None else None
-        worker_spans: Dict[int, object] = {}
+        def verdict(index: int, result: VerificationResult) -> Dict[str, object]:
+            """Independent validation of one definitive claim, run once."""
+            if index not in verdicts:
+                from repro.certs import validate_result
 
-        def begin_worker_span(index: int, attempt: int, pid=None) -> None:
-            if recorder is None:
-                return
-            worker_spans[index] = recorder.start_span(
-                "portfolio.worker",
-                parent=fanout_parent,
-                label=self.configs[index].label,
-                attempt=attempt,
-                **({"worker_pid": pid} if pid is not None else {}),
-            )
-
-        def end_worker_span(index: int, state: str, result=None) -> None:
-            _telemetry.counter(f"portfolio.worker.{state}")
-            if recorder is None:
-                return
-            span = worker_spans.pop(index, None)
-            if span is None:
-                return
-            trace = (result.telemetry or {}).get("trace") if result is not None else None
-            if trace:
-                recorder.attach(trace, span)
-            span.finish(outcome=state)
-
-        def launch_until_full() -> None:
-            nonlocal degraded
-            rotations = 0
-            while launch_queue and len(processes) < self.max_workers and not degraded:
-                now = time.monotonic()
-                index = launch_queue[0]
-                if not_before.get(index, 0.0) > now:
-                    # retry backoff not elapsed: rotate so others can launch
-                    launch_queue.rotate(-1)
-                    rotations += 1
-                    if rotations >= len(launch_queue):
-                        break
-                    continue
-                launch_queue.popleft()
-                remaining = None if deadline is None else max(0.0, deadline - now)
-                process = supervisor.spawn(
-                    _portfolio_worker,
-                    args=(
-                        index,
-                        self.configs[index],
-                        task,
-                        property_name,
-                        remaining,
-                        events,
-                        attempts.get(index, 0),
-                    ),
-                )
-                if process is None:
-                    launch_queue.appendleft(index)
-                    if not supervisor.pool_healthy:
-                        degraded = True
-                        emit("pool-unhealthy", error=supervisor.last_spawn_error)
-                    break
-                processes[index] = process
-                launched[index] = time.monotonic()
-                retry_pending.discard(index)
-                outcomes[index].state = CANCELLED  # running; refined on completion
-                outcomes[index].attempts = attempts.get(index, 0) + 1
-                begin_worker_span(index, attempts.get(index, 0), pid=process.pid)
-
-        def reap_death(index: int) -> None:
-            """A worker died without reporting: retry under budget or retire."""
-            nonlocal finished
-            outcomes[index].state = CRASHED
-            outcomes[index].runtime = time.monotonic() - launched[index]
-            end_worker_span(index, CRASHED)
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if winner_index is None and self.retry.should_retry(
-                CRASHED, attempts.get(index, 0), remaining
-            ):
-                attempts[index] = attempts.get(index, 0) + 1
-                not_before[index] = time.monotonic() + self.retry.backoff(
-                    attempts[index]
-                )
-                retry_pending.add(index)
-                supervisor.retries_launched += 1
-                launch_queue.append(index)
-                emit(
-                    "retry",
-                    label=outcomes[index].label,
-                    attempt=attempts[index],
-                )
-            else:
-                finished += 1
-                emit("crashed", label=outcomes[index].label)
-
-        launch_until_full()
-
-        while finished < len(self.configs) and (processes or launch_queue):
-            if deadline is not None and time.monotonic() > deadline + self.GRACE_SECONDS:
-                break
-            if degraded and not processes:
-                break  # the degraded in-process drain below takes over
-            try:
-                kind, index, payload = events.get(timeout=self.poll_interval)
-            except queue_module.Empty:
-                # reap workers that died without posting a result
-                for index, process in list(processes.items()):
-                    if not process.is_alive():
-                        process.join()
-                        del processes[index]
-                        if outcomes[index].result is None:
-                            reap_death(index)
-                launch_until_full()
-                continue
-            if kind == "started":
-                emit("started", label=payload["label"], pid=payload["pid"])
-                continue
-            # kind == "result"
-            result: VerificationResult = payload
-            # a result can land after the reap branch already marked the
-            # worker CRASHED (queue feeder raced the process exit): upgrade
-            # the outcome but do not count the worker as finished twice —
-            # unless a retry is still pending, in which case this result
-            # settles the unit and the retry is withdrawn
-            first_report = outcomes[index].result is None and (
-                outcomes[index].state != CRASHED or index in retry_pending
-            )
-            if index in retry_pending:
-                retry_pending.discard(index)
                 try:
-                    launch_queue.remove(index)
-                except ValueError:
-                    pass
-            outcomes[index].result = result
-            outcomes[index].state = DONE
-            outcomes[index].runtime = time.monotonic() - launched[index]
-            end_worker_span(index, DONE, result=result)
-            if first_report:
-                finished += 1
-            process = processes.pop(index, None)
-            if process is not None:
-                process.join(timeout=self.GRACE_SECONDS)
-                if process.is_alive():  # pragma: no cover - defensive
-                    supervisor.stop(process)
+                    validation = validate_result(
+                        task.load(), result, timeout=self.timeout
+                    )
+                    certified, reason = validation.ok, validation.reason
+                except Exception as error:  # noqa: BLE001 - unchecked = uncertified
+                    certified, reason = False, f"{type(error).__name__}: {error}"
+                verdicts[index] = {
+                    "claimed": result.status,
+                    "certified": certified,
+                    "reason": reason,
+                }
+            return verdicts[index]
+
+        def accept(payload, result: VerificationResult) -> None:
+            # every answer is accepted as the unit's own; only a definitive
+            # one (certified, under certify) ends the race
+            nonlocal winner_index
+            index = payload[0]
             emit(
                 "result",
-                label=outcomes[index].label,
+                label=self.configs[index].label,
                 status=result.status,
-                runtime=outcomes[index].runtime,
+                runtime=result.runtime,
                 detail=dict(result.detail),
             )
-            if result.is_definitive and not self.cross_check:
+            if (
+                result.is_definitive
+                and not self.cross_check
+                and winner_index is None
+                and (not self.certify or verdict(index, result)["certified"])
+            ):
                 winner_index = index
-                break
-            launch_until_full()
+                abort.set()
 
-        # record results that raced the cancellation before terminating losers
-        while True:
-            try:
-                kind, index, payload = events.get_nowait()
-            except queue_module.Empty:
-                break
-            if kind != "result" or outcomes[index].result is not None:
-                continue
-            outcomes[index].result = payload
-            outcomes[index].state = DONE
-            outcomes[index].runtime = time.monotonic() - launched[index]
-            end_worker_span(index, DONE, result=payload)
-            finished += 1
-            process = processes.pop(index, None)
-            if process is not None:
-                process.join(timeout=self.GRACE_SECONDS)
+        def rebudget(payload, allowance: Optional[float]):
+            # the budget covers the whole race: a configuration queued
+            # behind max_workers gets what is left, not a fresh allowance
+            if deadline is not None:
+                left = max(0.0, deadline - time.monotonic())
+                allowance = left if allowance is None else min(allowance, left)
+            return payload[:4] + (allowance,)
 
-        # cancel everything still in flight, escalating terminate → SIGKILL so
-        # a SIGTERM-ignoring worker can never leak past the driver as a zombie
-        deadline_hit = deadline is not None and time.monotonic() >= deadline
-        for index, process in processes.items():
-            supervisor.stop(process)
-            if outcomes[index].result is None:
-                outcomes[index].state = TIMED_OUT if winner_index is None and deadline_hit else CANCELLED
-                outcomes[index].runtime = time.monotonic() - launched[index]
-                emit("cancelled", label=outcomes[index].label, state=outcomes[index].state)
-                end_worker_span(index, outcomes[index].state)
-        events.close()
-        events.cancel_join_thread()
+        def forward(event: Dict[str, object]) -> None:
+            if "unit" in event:
+                event["label"] = self.configs[event.pop("unit")].label
+            emit(event.pop("event"), **event)
 
-        if degraded and winner_index is None:
-            # spawning is broken: give every unanswered configuration its
-            # shot in-process, sequentially, until one answers definitively —
-            # a degraded portfolio still serves every query
-            for index, outcome in enumerate(outcomes):
-                if outcome.result is not None:
-                    continue
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    break
-                t0 = time.monotonic()
-                _fault_injection.set_attempt(attempts.get(index, 0))
-                begin_worker_span(index, attempts.get(index, 0))
-                degraded_span = worker_spans.get(index)
-                try:
-                    system = task.load()
-                    engine = make_engine(
-                        self.configs[index].engine,
-                        system,
-                        ignore_unknown_options=True,
-                        **self.configs[index].options_dict,
-                    )
-                    if recorder is not None and degraded_span is not None:
-                        with recorder.under(degraded_span):
-                            result = engine.verify(property_name, timeout=remaining)
-                    else:
-                        result = engine.verify(property_name, timeout=remaining)
-                except Exception as error:  # noqa: BLE001 - crash category
-                    result = VerificationResult(
-                        Status.ERROR,
-                        self.configs[index].engine,
-                        property_name or "",
-                        runtime=time.monotonic() - t0,
-                        reason=f"{type(error).__name__}: {error}",
-                    )
-                finally:
-                    _fault_injection.set_attempt(0)
-                outcome.result = result
-                outcome.state = DONE
-                outcome.degraded = True
-                outcome.runtime = time.monotonic() - t0
-                end_worker_span(index, DONE)
-                emit(
-                    "degraded",
-                    label=outcome.label,
-                    status=result.status,
-                    runtime=outcome.runtime,
-                )
-                if result.is_definitive and not self.cross_check:
-                    winner_index = index
-                    break
-
+        outcomes = supervisor.run_map(
+            [
+                (index, config, task, property_name, self.timeout)
+                for index, config in enumerate(self.configs)
+            ],
+            _run_config,
+            jobs=self.max_workers,
+            timeout=self.timeout,
+            rebudget=rebudget,
+            accept=accept,
+            on_event=forward,
+            kill_grace=self.GRACE_SECONDS,
+            abort=abort,
+        )
+        workers = [
+            _worker_outcome(config, outcome)
+            for config, outcome in zip(self.configs, outcomes)
+        ]
         supervision = {
             "spawned": supervisor.spawned,
             "spawn_failures": supervisor.spawn_failures,
             "retries": supervisor.retries_launched,
             "kills": supervisor.kills,
-            "degraded": degraded,
+            "degraded": not supervisor.pool_healthy,
         }
         return self._aggregate(
-            task, property_name, outcomes, winner_index, start, supervision
+            task,
+            property_name,
+            workers,
+            winner_index,
+            start,
+            supervision,
+            verdict,
         )
-
-    # ------------------------------------------------------------------
-    def _run_ladder(
-        self,
-        task: VerificationTask,
-        property_name: Optional[str],
-    ) -> PortfolioResult:
-        """Escalate through the budget ladder instead of fanning out at once.
-
-        Each rung is raced as its own mini-portfolio (first definitive
-        answer cancels the rung's losers); the ladder stops at the first
-        rung that produces a definitive (or expected-contradicting WRONG)
-        answer and only then escalates to the next, more expensive tier.
-        The aggregated result carries every rung's workers plus a
-        ``detail["ladder"]`` record with per-rung wall/CPU accounting —
-        on tasks a cheap rung decides, total CPU is a fraction of the
-        all-at-once fan-out's.
-        """
-        assert self.ladder is not None
-        start = time.monotonic()
-        self._prewarm(task)
-        deadline = start + self.timeout if self.timeout is not None else None
-
-        all_workers: List[WorkerOutcome] = []
-        rung_rows: List[Dict[str, object]] = []
-        decided_rung: Optional[int] = None
-        final: Optional[PortfolioResult] = None
-        for index, rung in enumerate(self.ladder):
-            remaining = (
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-            if remaining is not None and remaining <= 0:
-                break
-            budget = rung.budget
-            if budget is None:
-                budget = remaining
-            elif remaining is not None:
-                budget = min(budget, remaining)
-            child = PortfolioRunner(
-                configs=rung.configs,
-                timeout=budget,
-                max_workers=self.max_workers,
-                expected=self.expected,
-                on_event=self._rung_event(index, rung),
-                poll_interval=self.poll_interval,
-                warm_templates=False,  # warmed once above
-                retry=self.retry,
-                certify=self.certify,
-            )
-            rung_start = time.monotonic()
-            with _telemetry.span(
-                "ladder.rung", rung=index, tier=rung.tier
-            ) as rung_span:
-                result = child.run(task, property_name)
-                rung_span.set_outcome(result.status)
-            rung_wall = time.monotonic() - rung_start
-            rung_cpu = sum(_worker_cpu(outcome) for outcome in result.workers)
-            all_workers.extend(result.workers)
-            rung_rows.append(
-                {
-                    "rung": index,
-                    "tier": rung.tier,
-                    "configs": list(rung.labels),
-                    "budget_s": None if budget is None else round(budget, 6),
-                    "wall_s": round(rung_wall, 6),
-                    "cpu_s": round(rung_cpu, 6),
-                    "status": result.status,
-                    "winner": result.winner,
-                }
-            )
-            if result.is_definitive or result.status == Status.WRONG:
-                decided_rung = index
-                final = result
-                break
-
-        runtime = time.monotonic() - start
-        cpu_s = sum(_worker_cpu(outcome) for outcome in all_workers)
-        ladder_detail: Dict[str, object] = {
-            "rungs": rung_rows,
-            "decided_rung": decided_rung,
-            "schedule": [list(rung.labels) for rung in self.ladder],
-        }
-        if final is not None:
-            detail = dict(final.detail)
-            detail["ladder"] = ladder_detail
-            detail["cpu_s"] = round(cpu_s, 6)
-            return PortfolioResult(
-                final.status,
-                final.property_name,
-                runtime,
-                winner=final.winner,
-                winner_engine=final.winner_engine,
-                counterexample=final.counterexample,
-                workers=all_workers,
-                detail=detail,
-                reason=final.reason
-                or f"decided at ladder rung {decided_rung}",
-                certificate=final.certificate,
-            )
-
-        # no rung reached a definitive answer: summarize like the fan-out
-        finished = [outcome for outcome in all_workers if outcome.result is not None]
-        statuses = [outcome.result.status for outcome in finished]
-        if any(status == Status.UNKNOWN for status in statuses):
-            status = Status.UNKNOWN
-        elif statuses and all(status == Status.ERROR for status in statuses):
-            status = Status.ERROR
-        else:
-            status = Status.TIMEOUT
-        return PortfolioResult(
-            status,
-            self._property_name(property_name, finished),
-            runtime,
-            workers=all_workers,
-            detail={
-                "task": task.name,
-                "configs": [outcome.label for outcome in all_workers],
-                "worker_statuses": {
-                    outcome.label: outcome.status for outcome in all_workers
-                },
-                "ladder": ladder_detail,
-                "cpu_s": round(cpu_s, 6),
-            },
-            reason="no ladder rung reached a definitive answer",
-        )
-
-    def _rung_event(
-        self, index: int, rung: LadderRung
-    ) -> Optional[Callable[[Dict[str, object]], None]]:
-        if self.on_event is None:
-            return None
-
-        def forward(event: Dict[str, object]) -> None:
-            self.on_event({**event, "rung": index, "tier": rung.tier})
-
-        return forward
 
     # ------------------------------------------------------------------
     def _aggregate(
@@ -1154,7 +810,8 @@ class PortfolioRunner:
         outcomes: List[WorkerOutcome],
         winner_index: Optional[int],
         start: float,
-        supervision: Optional[Dict[str, object]] = None,
+        supervision: Dict[str, object],
+        verdict: Callable[[int, VerificationResult], Dict[str, object]],
     ) -> PortfolioResult:
         runtime = time.monotonic() - start
         detail: Dict[str, object] = {
@@ -1162,17 +819,16 @@ class PortfolioRunner:
             "configs": [outcome.label for outcome in outcomes],
             "worker_statuses": {outcome.label: outcome.status for outcome in outcomes},
             "cross_check": self.cross_check,
-            # CPU the fan-out spent: each worker's measured process time
-            # (wall for workers that never reported), compared against
-            # ladder CPU by the serve bench
+            # CPU the race spent: each worker's measured process time (wall
+            # for workers that never reported), compared against the
+            # in-process ladder's CPU by the serve bench
             "cpu_s": round(sum(_worker_cpu(outcome) for outcome in outcomes), 6),
+            "supervision": supervision,
         }
-        if supervision is not None:
-            detail["supervision"] = supervision
 
         definitive = [
-            outcome
-            for outcome in outcomes
+            index
+            for index, outcome in enumerate(outcomes)
             if outcome.result is not None and outcome.result.is_definitive
         ]
 
@@ -1180,52 +836,32 @@ class PortfolioRunner:
         # independent validator accepts — a liar is excluded from winning and
         # its rejection recorded, never silently dropped
         if self.certify and definitive:
-            certification: Dict[str, Dict[str, object]] = {}
-            certified: List[WorkerOutcome] = []
-            try:
-                system = task.load()
-            except Exception as error:  # noqa: BLE001 - loader failures
-                detail["certification"] = {
-                    "error": f"{type(error).__name__}: {error}"
-                }
-                system = None
-            if system is not None:
-                from repro.certs import validate_result
-
-                for outcome in definitive:
-                    validation = validate_result(
-                        system, outcome.result, timeout=self.timeout
-                    )
-                    certification[outcome.label] = {
-                        "claimed": outcome.result.status,
-                        "certified": validation.ok,
-                        "reason": validation.reason,
-                    }
-                    if validation.ok:
-                        certified.append(outcome)
-                detail["certification"] = certification
-                if winner_index is not None and outcomes[winner_index] not in certified:
-                    winner_index = None
-                definitive = certified
+            detail["certification"] = {
+                outcomes[index].label: verdict(index, outcomes[index].result)
+                for index in definitive
+            }
+            definitive = [
+                index
+                for index in definitive
+                if verdict(index, outcomes[index].result)["certified"]
+            ]
 
         # cross-check: disagreeing definitive answers are adjudicated by
         # validating the workers' certificates with the independent checker;
         # only an undecidable disagreement remains a wrong result
-        statuses = {outcome.result.status for outcome in definitive}
+        statuses = {outcomes[index].result.status for index in definitive}
         if len(statuses) > 1:
             detail["disagreement"] = {
-                outcome.label: outcome.result.status for outcome in definitive
+                outcomes[index].label: outcomes[index].result.status
+                for index in definitive
             }
-            adjudicated = self._adjudicate(task, definitive, detail)
-            if adjudicated is not None:
-                winner_index = next(
-                    index for index, outcome in enumerate(outcomes) if outcome is adjudicated
-                )
-                definitive = [adjudicated]
-            else:
+            adjudicated = self._adjudicate(outcomes, definitive, detail, verdict)
+            if adjudicated is None:
                 return PortfolioResult(
                     Status.WRONG,
-                    self._property_name(property_name, definitive),
+                    self._property_name(
+                        property_name, [outcomes[index] for index in definitive]
+                    ),
                     runtime,
                     workers=outcomes,
                     detail=detail,
@@ -1234,13 +870,12 @@ class PortfolioRunner:
                         "answers and certificate validation could not adjudicate"
                     ),
                 )
+            winner_index = adjudicated
+            definitive = [adjudicated]
 
         if winner_index is None and definitive:
             # cross-check mode: the earliest definitive finisher is the winner
-            winner_index = min(
-                (index for index, outcome in enumerate(outcomes) if outcome in definitive),
-                key=lambda index: outcomes[index].runtime,
-            )
+            winner_index = min(definitive, key=lambda index: outcomes[index].runtime)
 
         if winner_index is not None:
             winning = outcomes[winner_index]
@@ -1295,47 +930,36 @@ class PortfolioRunner:
             reason="no portfolio configuration reached a definitive answer",
         )
 
+    @staticmethod
     def _adjudicate(
-        self,
-        task: VerificationTask,
-        definitive: List[WorkerOutcome],
+        outcomes: List[WorkerOutcome],
+        definitive: List[int],
         detail: Dict[str, object],
-    ) -> Optional[WorkerOutcome]:
+        verdict: Callable[[int, VerificationResult], Dict[str, object]],
+    ) -> Optional[int]:
         """Decide a definitive-answer disagreement by validating certificates.
 
         Every disagreeing worker's certificate is checked by the independent
-        validator (:func:`repro.certs.validate_result`).  If exactly one
-        claimed status survives validation, the fastest worker holding a
-        validated certificate of that status wins; otherwise (no certificate
-        validates, or — which would indicate a validator bug — both sides
-        validate) adjudication abstains and the caller reports WRONG.  The
-        per-worker verdicts are recorded under ``detail["adjudication"]``.
+        validator (through ``verdict``, which validates each claim once).
+        If exactly one claimed status survives validation, the fastest
+        worker holding a validated certificate of that status wins;
+        otherwise (no certificate validates, or — which would indicate a
+        validator bug — both sides validate) adjudication abstains and the
+        caller reports WRONG.  The per-worker verdicts are recorded under
+        ``detail["adjudication"]``.
         """
-        from repro.certs import validate_result
-
-        try:
-            system = task.load()
-        except Exception as error:  # noqa: BLE001 - loader failures abstain
-            detail["adjudication"] = {"error": f"{type(error).__name__}: {error}"}
+        detail["adjudication"] = {
+            outcomes[index].label: verdict(index, outcomes[index].result)
+            for index in definitive
+        }
+        validated = [
+            index
+            for index in definitive
+            if verdict(index, outcomes[index].result)["certified"]
+        ]
+        if len({outcomes[index].result.status for index in validated}) != 1:
             return None
-        verdicts: Dict[str, Dict[str, object]] = {}
-        validated: List[WorkerOutcome] = []
-        for outcome in definitive:
-            # validation runs in the parent after the race; bound it by the
-            # same per-run budget the workers had
-            validation = validate_result(system, outcome.result, timeout=self.timeout)
-            verdicts[outcome.label] = {
-                "claimed": outcome.result.status,
-                "certified": validation.ok,
-                "reason": validation.reason,
-            }
-            if validation.ok:
-                validated.append(outcome)
-        detail["adjudication"] = verdicts
-        validated_statuses = {outcome.result.status for outcome in validated}
-        if len(validated_statuses) != 1:
-            return None
-        return min(validated, key=lambda outcome: outcome.runtime)
+        return min(validated, key=lambda index: outcomes[index].runtime)
 
     @staticmethod
     def _property_name(
@@ -1348,11 +972,3 @@ class PortfolioRunner:
                 return outcome.result.property_name
         return ""
 
-
-def run_portfolio(
-    task: VerificationTask,
-    property_name: Optional[str] = None,
-    **runner_options,
-) -> PortfolioResult:
-    """Convenience wrapper: build a :class:`PortfolioRunner` and run it once."""
-    return PortfolioRunner(**runner_options).run(task, property_name)

@@ -1,23 +1,28 @@
 """Supervised worker execution: deadlines, kill escalation, retries, fallback.
 
-The portfolio and batch drivers both delegate their process hygiene to a
-:class:`WorkerSupervisor`:
+:meth:`WorkerSupervisor.run_map` is the one process primitive of the
+package: the portfolio race, the batch pool and every ``repro-serve``
+computation run their workers through it, and so share its process
+hygiene:
 
 * **spawn health** — process launches go through :meth:`WorkerSupervisor.spawn`,
   which counts consecutive failures; after :data:`~WorkerSupervisor.UNHEALTHY_AFTER`
-  of them the pool is declared unhealthy and the drivers degrade to
+  of them the pool is declared unhealthy and the map degrades to
   in-process sequential execution, so a query always gets an answer;
 * **stop escalation** — :meth:`WorkerSupervisor.stop` terminates, waits a
   grace period, then SIGKILLs and reaps, so a SIGTERM-ignoring worker can
   never leak as a zombie past the driver;
-* **supervised retries** — :meth:`WorkerSupervisor.run_map` runs a batch of
-  payloads with a per-attempt deadline and retries ``crashed``/``timed-out``
-  attempts with exponential backoff under the unit's remaining budget.
+* **supervised retries** — each payload runs with a per-attempt deadline,
+  and ``crashed``/``timed-out`` attempts are retried with exponential
+  backoff under the unit's remaining budget;
+* **cancellation** — an ``abort`` event ends the whole map; the portfolio
+  sets it when its first definitive answer arrives, the serve layer when
+  the last client of a computation disconnects.
 
 Attempt states are part of the public outcome taxonomy: ``done``,
 ``crashed`` (process died without reporting), ``timed-out`` (killed at the
-attempt deadline), ``degraded`` (ran in-process after the pool went
-unhealthy) — a fault is never a silent skip.
+attempt deadline), ``cancelled`` (stopped by ``abort``), ``degraded`` (ran
+in-process after the pool went unhealthy) — a fault is never a silent skip.
 """
 
 from __future__ import annotations
@@ -347,14 +352,18 @@ class WorkerSupervisor:
         ``timed-out`` (retried under the remaining budget; the rejected
         value is kept as the unit's fallback answer if every retry fails).
         If spawning goes unhealthy, the remaining units run in-process
-        (``degraded`` state) so the map always completes.
+        (``degraded`` state) so the map always completes; ``accept`` sees
+        those answers too, but they are final — a rejection is recorded on
+        the attempt, not retried.
 
-        ``abort`` (a :class:`threading.Event`, settable from another thread)
-        cancels the whole map cooperatively: at the next poll tick every
-        active worker is kill-escalated and every unfinished unit is
-        finalized in the ``cancelled`` state.  This is how the serve layer
-        tears a computation down when its last waiting client disconnects —
-        the cancellation is an explicit outcome, never a leaked process.
+        ``abort`` (a :class:`threading.Event`, settable from another thread
+        or from ``accept``) cancels the whole map cooperatively: at the next
+        poll tick every active worker is kill-escalated and every unfinished
+        unit is finalized in the ``cancelled`` state (a unit that never
+        launched has no attempt).  The portfolio sets it on its first
+        definitive answer; the serve layer sets it to tear a computation
+        down when its last waiting client disconnects — the cancellation is
+        an explicit outcome, never a leaked process.
 
         ``stall`` (another settable event) declares the *current attempts*
         wedged without cancelling the map: every active worker is
@@ -492,19 +501,20 @@ class WorkerSupervisor:
                         value = worker(payload)
                 else:
                     value = worker(payload)
-                record_attempt(index, DEGRADED)
-                end_attempt_span(index, DEGRADED)
-                finalize(index, DONE, value=value)
-                outcomes[index].degraded = True
             except Exception as error:  # noqa: BLE001 - reported, never silent
                 reason = f"{type(error).__name__}: {error}"
                 record_attempt(index, CRASHED, reason)
                 end_attempt_span(index, CRASHED)
                 finalize(index, CRASHED, reason=reason)
-                outcomes[index].degraded = True
+            else:
+                rejection = accept(slot.payload, value) if accept is not None else None
+                record_attempt(index, DEGRADED, rejection or "")
+                end_attempt_span(index, DEGRADED)
+                finalize(index, DONE, value=value)
             finally:
                 set_progress_sink(None)
                 _fault_injection.set_attempt(0)
+            outcomes[index].degraded = True
             emit("degraded", unit=index, state=outcomes[index].state)
 
         while pending or active:
@@ -611,8 +621,9 @@ class WorkerSupervisor:
                 )
 
             if degraded and pending and len(active) == 0:
-                # pool is gone: drain the queue in-process, sequentially
-                while pending:
+                # pool is gone: drain the queue in-process, sequentially,
+                # until the caller aborts the map
+                while pending and not (abort is not None and abort.is_set()):
                     run_degraded(pending.popleft())
                 continue
 
@@ -650,9 +661,7 @@ class WorkerSupervisor:
                     emit("progress", unit=index, attempt=slot.attempt, **doc)
                     continue
                 slot.close_conn()
-                # (status, value) pre-telemetry, (status, value, trace) now
-                status, value = message[0], message[1]
-                trace = message[2] if len(message) > 2 else None
+                status, value, trace = message
                 process = active.pop(index, None)
                 if process is not None:
                     self.stop(process, grace=self.grace)

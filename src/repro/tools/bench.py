@@ -43,11 +43,11 @@ explicitly).
 
 ``--serve`` measures the query-serving hot path: the whole suite is swept
 twice through the :class:`repro.engines.batch.BatchRunner` against one
-certificate cache — the cold pass runs the sequential budget ladder per item
-and fills the cache, the warm pass must be answered entirely by re-validated
-cache hits — then the budget-ladder scheduler is raced against the
-all-at-once fan-out (wall and total worker CPU), and SAFE certificates are
-minimized with before/after validation timings.  ``BENCH_serve.json`` gates
+certificate cache — the cold pass runs the budget ladder per item and fills
+the cache, the warm pass must be answered entirely by re-validated cache
+hits — then the in-process budget ladder is compared with the all-at-once
+portfolio race (wall and CPU), and SAFE certificates are minimized with
+before/after validation timings.  ``BENCH_serve.json`` gates
 on: 100 % cold/warm verdict agreement, an all-hit warm sweep at >= 3x the
 cold wall clock, ladder CPU <= fan-out CPU wherever a cheap rung decides,
 and minimized certificates validating no slower than their originals.
@@ -985,9 +985,9 @@ def write_certify_report(
 # serve mode (--serve): cache sweeps, ladder vs fan-out, minimization
 # ---------------------------------------------------------------------------
 
-#: designs raced ladder-vs-fanout (a mix where different rungs decide:
-#: rsim refutes daio/tlc in the cheap rung, absint proves huffman_dec there,
-#: buffalloc needs the k-induction-family rung)
+#: designs of the ladder-vs-fanout comparison (a mix where different rungs
+#: decide: rsim refutes daio/tlc in the cheap rung, absint proves
+#: huffman_dec there, buffalloc needs the k-induction-family rung)
 DEFAULT_LADDER_BENCHMARKS = ["daio", "tlc", "huffman_dec", "buffalloc"]
 
 #: (design, engine) pairs whose SAFE certificates carry droppable conjuncts
@@ -1062,7 +1062,14 @@ def run_serve_sweeps(
 def run_ladder_section(
     names: List[str], bound: int, timeout: float, jobs: Optional[int]
 ) -> List[Dict]:
-    """Race the budget ladder against the all-at-once fan-out per design."""
+    """The in-process budget ladder against the all-at-once race, per design.
+
+    The ladder runs as a bare ``repro-verify`` query runs it
+    (:func:`repro.engines.batch.run_sequential_ladder`, one engine at a time
+    in this process), so its CPU is this process's CPU time across the call;
+    the race's CPU is its workers' summed process time.
+    """
+    from repro.engines.batch import run_sequential_ladder
     from repro.engines.portfolio import default_budget_ladder
 
     rows = []
@@ -1075,20 +1082,15 @@ def run_ladder_section(
             max_workers=jobs,
             expected=benchmark.expected,
         ).run(task)
-        ladder = PortfolioRunner(
-            ladder=default_budget_ladder(bound=bound, timeout=timeout),
-            timeout=timeout,
-            max_workers=jobs,
-            expected=benchmark.expected,
-        ).run(task)
-        ladder_detail = ladder.detail.get("ladder", {})
-        decided_rung = ladder_detail.get("decided_rung")
-        rung_rows = ladder_detail.get("rungs", [])
-        decided_tier = (
-            rung_rows[decided_rung]["tier"]
-            if decided_rung is not None and decided_rung < len(rung_rows)
-            else None
-        )
+        rungs = default_budget_ladder(bound=bound, timeout=timeout)
+        system = task.load()
+        wall0, cpu0 = time.monotonic(), time.process_time()
+        ladder = run_sequential_ladder(system, None, rungs, timeout=timeout)
+        ladder_wall = time.monotonic() - wall0
+        ladder_cpu = time.process_time() - cpu0
+        attempts = ladder.detail.get("ladder_attempts", [])
+        decided_rung = ladder.detail.get("ladder_rung")
+        decided_tier = rungs[decided_rung].tier if decided_rung is not None else None
         # the CPU gate only applies where the *cheap* tier decided: a design
         # escalated to the provers pays the cheap rung's probe as overhead
         cheap_decided = decided_tier == "cheap"
@@ -1103,18 +1105,17 @@ def run_ladder_section(
             },
             "ladder": {
                 "status": ladder.status,
-                "winner": ladder.winner,
-                "wall_s": round(ladder.runtime, 6),
-                "cpu_s": ladder.detail.get("cpu_s"),
+                "winner": attempts[-1]["config"] if ladder.is_definitive else None,
+                "wall_s": round(ladder_wall, 6),
+                "cpu_s": round(ladder_cpu, 6),
                 "decided_rung": decided_rung,
                 "decided_tier": decided_tier,
-                "rungs": rung_rows,
+                "attempts": attempts,
             },
             "verdicts_match": fanout.status == ladder.status,
             "cheap_rung_decided": cheap_decided,
             "ladder_cpu_within_fanout": (
-                ladder.detail.get("cpu_s", 0.0)
-                <= fanout.detail.get("cpu_s", 0.0)
+                ladder_cpu <= fanout.detail.get("cpu_s", 0.0)
             ),
         }
         rows.append(row)
@@ -2941,8 +2942,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--serve", action="store_true",
         help="serving mode: cold/warm cache sweeps over the suite through the "
-             "batch runner, budget-ladder vs all-at-once fan-out races, and "
-             "SAFE-certificate minimization timings",
+             "batch runner, the in-process budget ladder vs the all-at-once "
+             "portfolio race, and SAFE-certificate minimization timings",
     )
     parser.add_argument(
         "--faults", action="store_true",

@@ -4,13 +4,11 @@ One entry point over the whole engine zoo: point it at one or more suite
 designs (by name) or Verilog/AIGER files and read the verdicts off a result
 table.  With no mode flag one query runs the cheap-first budget ladder
 in-process, one engine at a time; ``--engine`` runs a single engine,
-``--portfolio`` races engines in worker processes, ``--ladder`` races each
-rung of the ladder in worker processes, and ``--batch`` sweeps many
-queries::
+``--portfolio`` races engines in worker processes, and ``--batch`` sweeps
+many queries::
 
     repro-verify daio --certify --save-certificate daio.cert.json
     repro-verify daio --portfolio --timeout 60
-    repro-verify daio --ladder --timeout 60
     repro-verify designs/fifo.v --engine pdr --bound 32
     repro-verify counter.aag --engine k-induction
     repro-verify --batch --cache-dir .repro-cache --timeout 60
@@ -25,27 +23,33 @@ in the CLI process and stops at the first definitive answer: random
 simulation refutes the shallow bugs and interval analysis or k-induction
 proves most safe designs in milliseconds, so a query starts no worker
 process and pays for no race.  Engines and the SAT solver check the
-deadline cooperatively, as under ``--engine``.  ``--batch`` verifies many
-designs × properties through one warm process pool (one worker per
-*property*), serving and filling the certificate-keyed result cache when
-``--cache-dir`` is given.  ``--cache-dir`` also works for single queries: a
-cached verdict is served after independent re-validation of its
-certificate, and new definitive verdicts are validated, minimized and
-stored.
+deadline cooperatively, as under ``--engine``.  ``--portfolio`` races every
+portfolio engine at once, one supervised worker process each, and cancels
+the losers at the first definitive answer (``--cross-check`` lets them all
+finish and adjudicates disagreements by certificate).  ``--batch``
+verifies many designs × properties through one warm process pool (one
+worker per *property*, each running the same ladder), serving and filling
+the certificate-keyed result cache when ``--cache-dir`` is given.
+``--cache-dir`` also works for single queries: a cached verdict is served
+after independent re-validation of its certificate, and new definitive
+verdicts are validated, minimized and stored.
 
 With ``--certify`` the final verdict's certificate (UNSAFE witness or SAFE
 invariant, see :mod:`repro.certs`) is validated by the independent checker
 and the per-obligation outcomes are printed; a definitive verdict whose
-certificate fails validation is demoted to WRONG.  ``--save-certificate``
-writes the certificate JSON (witnesses additionally get an AIGER ``.cex``
-stimulus next to it).
+certificate fails validation is demoted to WRONG.  Under ``--portfolio``
+every definitive claim is also validated as it arrives, so a forged
+certificate cannot end the race.  ``--save-certificate`` writes the
+certificate JSON (witnesses additionally get an AIGER ``.cex`` stimulus
+next to it).
 
 Exit codes (CI-gateable): 0 for a (validated, under ``--certify``) definitive
 answer consistent with the known ground truth, 2 for a WRONG result, 3 for
-ERROR/UNKNOWN/TIMEOUT, 1 for usage or configuration errors.  ``--batch``
-applies the same contract per item: any WRONG — and, with ``--cache-dir``,
-any definitive item whose certificate was not independently validated —
-exits 2, any inconclusive item exits 3.
+ERROR/UNKNOWN/TIMEOUT, 1 for usage or configuration errors (an unknown or
+conflicting flag included).  ``--batch`` applies the same contract per
+item: any WRONG — and, with ``--cache-dir``, any definitive item whose
+certificate was not independently validated — exits 2, any inconclusive
+item exits 3.
 
 ``--server`` turns the CLI into a thin client of a running ``repro-serve``
 instance (same exit codes; admission rejections exit 1).
@@ -285,12 +289,24 @@ def _save_certificate(path: str, task: VerificationTask, result) -> None:
         print(f"wrote AIGER stimulus {cex_path}")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with the documented usage-error exit code: 1, not 2.
+
+    Exit code 2 means a WRONG verdict, so an unknown or conflicting flag
+    must not read as one.
+    """
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="repro-verify",
         description="verify a hardware design: the cheap-first budget ladder "
                     "in-process by default, or one engine, the parallel "
-                    "portfolio, the forked ladder or a batch sweep",
+                    "portfolio or a batch sweep",
     )
     parser.add_argument(
         "target", nargs="*",
@@ -302,12 +318,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--portfolio", action="store_true",
         help="race the portfolio engines in parallel worker processes",
-    )
-    parser.add_argument(
-        "--ladder", action="store_true",
-        help="race each rung of the budget ladder in worker processes, "
-             "escalating rung by rung (the default runs the same ladder "
-             "in-process, one engine at a time)",
     )
     parser.add_argument(
         "--batch", action="store_true",
@@ -336,8 +346,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="representations the portfolio races and the "
                              "ladder runs")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="worker-process cap of --portfolio, --ladder and "
-                             "--batch (default: one per configuration)")
+                        help="worker-process cap of --portfolio (default: one "
+                             "per configuration) and --batch (default: one "
+                             "per CPU)")
     parser.add_argument("--cross-check", action="store_true",
                         help="portfolio mode: let all workers finish and flag "
                              "disagreeing definitive answers as WRONG")
@@ -399,7 +410,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name, chosen in (
             ("--engine", bool(args.engine)),
             ("--portfolio", args.portfolio),
-            ("--ladder", args.ladder),
             ("--batch", args.batch),
         )
         if chosen
@@ -410,11 +420,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # every other mode stops at the first definitive answer;
         # cross-check adjudication needs the all-at-once fan-out
         parser.error("--cross-check requires the all-at-once --portfolio")
-    if args.jobs is not None and not (args.portfolio or args.ladder or args.batch):
+    if args.jobs is not None and not (args.portfolio or args.batch):
         parser.error(
-            "--jobs caps the worker processes of --portfolio, --ladder or "
-            "--batch; without a mode flag, and with --engine, a query "
-            "runs in-process"
+            "--jobs caps the worker processes of --portfolio or --batch; "
+            "without a mode flag, and with --engine, a query runs in-process"
         )
     if args.batch and (args.certify or args.save_certificate):
         parser.error(
@@ -532,7 +541,7 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         [args.representation] if args.representation else args.representations
     )
 
-    if not (args.portfolio or args.ladder):
+    if not args.portfolio:
         # no mode flag: the ladder in this process, one engine at a
         # time, so a query starts no worker process and stops at the first
         # definitive answer of the cheapest rung that has one
@@ -558,57 +567,29 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
     def on_event(event: Dict[str, object]) -> None:
         kind = event.pop("event")
         label = event.pop("label", "")
-        rung = event.pop("rung", None)
-        prefix = f"rung {rung} " if rung is not None else ""
         extras = ", ".join(f"{key}={value}" for key, value in event.items() if value)
         _log.verbose(
-            f"  [{time.strftime('%H:%M:%S')}] {prefix}{kind:9s} {label:24s} {extras}"
+            f"  [{time.strftime('%H:%M:%S')}] {kind:9s} {label:24s} {extras}"
         )
 
-    if args.ladder:
-        ladder = default_budget_ladder(
-            representations=representations,
-            bound=args.bound,
-            timeout=args.timeout,
-        )
-        runner = PortfolioRunner(
-            ladder=ladder,
-            timeout=args.timeout,
-            max_workers=args.jobs,
-            expected=expected,
-            on_event=on_event,
-        )
-        _log.info(
-            f"budget ladder on {task.name!r} (timeout {args.timeout:g}s): "
-            f"{_schedule(ladder)}"
-        )
-    else:
-        configs = default_portfolio_configs(
-            representations=representations, bound=args.bound
-        )
-        runner = PortfolioRunner(
-            configs=configs,
-            timeout=args.timeout,
-            max_workers=args.jobs,
-            cross_check=args.cross_check,
-            expected=expected,
-            on_event=on_event,
-        )
-        _log.info(
-            f"racing {len(configs)} configurations on {task.name!r} "
-            f"(timeout {args.timeout:g}s{', cross-check' if args.cross_check else ''})"
-        )
+    configs = default_portfolio_configs(
+        representations=representations, bound=args.bound
+    )
+    runner = PortfolioRunner(
+        configs=configs,
+        timeout=args.timeout,
+        max_workers=args.jobs,
+        cross_check=args.cross_check,
+        expected=expected,
+        on_event=on_event,
+        certify=args.certify,
+    )
+    _log.info(
+        f"racing {len(configs)} configurations on {task.name!r} "
+        f"(timeout {args.timeout:g}s{', cross-check' if args.cross_check else ''})"
+    )
     result = runner.run(task, args.property_name)
     _print_portfolio(result, verbose=args.verbose)
-    if args.ladder:
-        ladder_detail = result.detail.get("ladder", {})
-        decided = ladder_detail.get("decided_rung")
-        cpu = result.detail.get("cpu_s")
-        print(
-            f"ladder: decided at rung {decided}, total worker CPU {cpu}s"
-            if decided is not None
-            else f"ladder: no rung decided, total worker CPU {cpu}s"
-        )
     final_status = result.status
     if args.certify:
         final_status = _certify(

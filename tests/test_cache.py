@@ -9,6 +9,7 @@ independent validator on every suite design.
 
 import json
 import os
+import time
 
 import pytest
 
@@ -374,24 +375,26 @@ def test_ladder_does_not_depend_on_the_working_directory(tmp_path, monkeypatch):
 
 
 def test_ladder_runner_decides_daio_in_cheap_rung():
-    runner = PortfolioRunner(
-        ladder=default_budget_ladder(bound=80, timeout=120),
+    cpu0 = time.process_time()
+    result = run_sequential_ladder(
+        load_system("daio"),
+        None,
+        default_budget_ladder(bound=80, timeout=120),
         timeout=120,
-        expected=Status.UNSAFE,
     )
-    result = runner.run(VerificationTask.benchmark("daio"))
+    ladder_cpu = time.process_time() - cpu0
     assert result.status == Status.UNSAFE
-    detail = result.detail["ladder"]
-    assert detail["decided_rung"] == 0
-    # the cheap rung never launched the provers: total CPU stays below what
-    # the all-at-once fan-out burns on its cancelled k-induction/pdr workers
+    assert result.detail["ladder_rung"] == 0
+    # the cheap rung never ran the provers: the ladder's CPU stays below
+    # what the all-at-once fan-out burns on its cancelled k-induction/pdr
+    # workers
     fanout = PortfolioRunner(
         configs=default_portfolio_configs(bound=80),
         timeout=120,
         expected=Status.UNSAFE,
     ).run(VerificationTask.benchmark("daio"))
     assert fanout.status == Status.UNSAFE
-    assert result.detail["cpu_s"] <= fanout.detail["cpu_s"]
+    assert ladder_cpu <= fanout.detail["cpu_s"]
 
 
 def test_sequential_ladder_reports_attempts():
@@ -438,6 +441,30 @@ def test_verify_cli_portfolio_representations_cache_roundtrip(tmp_path, capsys):
     assert "cache hit" in capsys.readouterr().err
 
 
+def test_verify_cli_portfolio_certify_validates_claims_in_the_race(
+    monkeypatch, capsys
+):
+    """--portfolio --certify certifies claims inside the race and still prints
+    the obligation report."""
+    from repro.tools import verify_cli
+
+    results = []
+
+    class RecordingRunner(verify_cli.PortfolioRunner):
+        def run(self, task, property_name=None):
+            results.append(super().run(task, property_name))
+            return results[-1]
+
+    monkeypatch.setattr(verify_cli, "PortfolioRunner", RecordingRunner)
+    argv = ["daio", "--portfolio", "--bound", "80", "--timeout", "60", "--certify"]
+    assert verify_cli.main(argv) == 0
+    (result,) = results
+    assert result.status == Status.UNSAFE
+    assert result.detail["certification"][result.winner]["certified"] is True
+    out = capsys.readouterr().out
+    assert "certification:" in out and "VALIDATED" in out
+
+
 def test_verify_cli_batch_respects_property_scope(tmp_path, capsys):
     from repro.tools.verify_cli import main
 
@@ -454,17 +481,22 @@ def test_verify_cli_batch_respects_property_scope(tmp_path, capsys):
 def test_verify_cli_rejects_cross_check_with_ladder_or_batch(capsys):
     from repro.tools.verify_cli import main
 
-    for mode in ("--ladder", "--batch"):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["daio", mode, "--cross-check"])
-        assert excinfo.value.code == 2
-        assert "--cross-check" in capsys.readouterr().err
+    # usage errors exit 1: exit code 2 is reserved for a WRONG verdict
+    with pytest.raises(SystemExit) as excinfo:
+        main(["daio", "--batch", "--cross-check"])
+    assert excinfo.value.code == 1
+    assert "--cross-check" in capsys.readouterr().err
     # with no mode flag a query runs in-process: nothing to cross-check or cap
     for flag in (["--cross-check"], ["--jobs", "2"]):
         with pytest.raises(SystemExit) as excinfo:
             main(["daio", *flag])
-        assert excinfo.value.code == 2
+        assert excinfo.value.code == 1
         assert flag[0] in capsys.readouterr().err
+    # an unknown flag is a usage error, not a WRONG verdict
+    with pytest.raises(SystemExit) as excinfo:
+        main(["daio", "--ladder"])
+    assert excinfo.value.code == 1
+    assert "--ladder" in capsys.readouterr().err
 
 
 def test_verify_cli_without_mode_flag_runs_in_process(tmp_path, monkeypatch, capsys):
@@ -571,7 +603,7 @@ def test_verify_cli_rejects_certify_with_batch(capsys):
 
     with pytest.raises(SystemExit) as excinfo:
         main(["daio", "--batch", "--certify"])
-    assert excinfo.value.code == 2
+    assert excinfo.value.code == 1
     assert "--certify" in capsys.readouterr().err
 
 

@@ -243,6 +243,41 @@ def test_portfolio_certify_refuses_forged_certificate_without_going_wrong():
     assert any(not row["certified"] for row in certification.values())
 
 
+def test_portfolio_certify_race_outlives_a_forged_claim():
+    """An uncertified claim is recorded and the race goes on to a real winner."""
+    runner = PortfolioRunner(
+        configs=[
+            PortfolioConfig.of("oracle", claim=Status.SAFE),
+            PortfolioConfig.of("bmc", max_bound=80),
+        ],
+        timeout=60,
+        certify=True,
+    )
+    result = runner.run(VerificationTask.benchmark("daio"))
+    assert result.status == Status.UNSAFE
+    assert result.winner == "bmc[word]"
+    certification = result.detail["certification"]
+    assert certification["oracle[word]"]["certified"] is False
+    assert certification["bmc[word]"]["certified"] is True
+
+
+def test_portfolio_spawn_failures_degrade_and_stop_at_the_winner():
+    """In-process execution still ends the race at its first definitive answer."""
+    with plan_installed(FaultPlan(seed=0, rates={SPAWN_FAIL: 1.0})):
+        runner = PortfolioRunner(
+            configs=[
+                PortfolioConfig.of("bmc", max_bound=80),
+                PortfolioConfig.of("pdr"),
+            ],
+            timeout=60,
+        )
+        result = runner.run(VerificationTask.benchmark("daio"))
+    assert result.status == Status.UNSAFE
+    assert result.winner == "bmc[word]"
+    assert result.worker("bmc[word]").degraded
+    assert result.worker("pdr[word]").state == "skipped"
+
+
 def test_portfolio_slow_start_losers_are_cancelled():
     with plan_installed(FaultPlan(seed=0, rates={"slow-start": 1.0}, slow_start_s=5.0)):
         runner = PortfolioRunner(

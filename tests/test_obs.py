@@ -10,6 +10,7 @@ import pytest
 from repro.benchmarks import get_benchmark
 from repro.engines import make_engine
 from repro.engines.batch import BatchItem, BatchRunner
+from repro.engines.portfolio import PortfolioConfig, PortfolioRunner, VerificationTask
 from repro.engines.supervision import RetryPolicy, WorkerSupervisor
 from repro.faults import injection
 from repro.obs import log as obslog
@@ -196,6 +197,38 @@ def test_batch_sweep_trace_reconstructs_the_decision_path(tmp_path):
     assert summary["roots"] == 1
     assert summary["processes"] >= 2
     assert summary["phases"]["batch.unit"]["count"] == 2
+
+def test_portfolio_race_trace_has_one_unit_per_configuration(tmp_path):
+    configs = [PortfolioConfig.of("bmc", max_bound=80), PortfolioConfig.of("pdr")]
+    with telemetry.recording() as recorder:
+        result = PortfolioRunner(configs=configs, timeout=60).run(
+            VerificationTask.benchmark("daio")
+        )
+    assert result.status == "unsafe" and result.winner == "bmc[word]"
+    path = str(tmp_path / "race.jsonl")
+    write_trace(recorder, path)
+    trace = load_trace(path)
+    assert lint_trace(trace) == []
+    by_id = {s["id"]: s for s in trace.spans}
+    run = next(s for s in trace.spans if s["name"] == "portfolio.run")
+    units = {
+        s["attrs"]["unit"]: s
+        for s in trace.spans
+        if s["name"] == "supervisor.unit" and s["parent"] == run["id"]
+    }
+    assert sorted(units) == [0, 1]
+    # the winner's engine run is stitched under its own attempt
+    cursor = next(
+        s for s in trace.spans
+        if s["name"] == "worker.config" and s["attrs"]["label"] == "bmc[word]"
+    )
+    while cursor["name"] != "supervisor.attempt":
+        cursor = by_id[cursor["parent"]]
+    assert cursor["parent"] == units[0]["id"]
+    assert units[0]["outcome"] == "done"
+    # the loser was stopped by the winner, not run to completion
+    assert units[1]["outcome"] in ("cancelled", "skipped")
+    assert result.worker("pdr[word]").state in ("cancelled", "skipped")
 
 # ---------------------------------------------------------------------------
 # sinks: JSONL, lint, Chrome export, CLI
