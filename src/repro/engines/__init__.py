@@ -16,82 +16,64 @@ predicate abstr.    :mod:`repro.engines.predabs`                  CPAChecker pre
 abstract interp.    :mod:`repro.engines.absint`                   Astrée
 kIkI                :mod:`repro.engines.kiki`                     2LS
 ==================  ============================================  ==============================
+
+Every public name below is importable from the package, but the package
+imports nothing up front: :data:`_EXPORTS` maps each name to its submodule,
+which is imported on first access.  A bare ``repro-verify`` query therefore
+loads the ladder and the engines it runs, not the portfolio race, the
+supervisor or the batch pool.
 """
 
-from repro.engines.result import Status, VerificationResult, Counterexample
-from repro.engines.base import Engine, EngineCapabilities, EngineOptionError
-from repro.engines.encoding import FrameEncoder
-from repro.engines.bmc import BMCEngine
-from repro.engines.kinduction import KInductionEngine
-from repro.engines.interpolation import InterpolationEngine
-from repro.engines.pdr import PDREngine
-from repro.engines.impact import ImpactEngine
-from repro.engines.predabs import PredicateAbstractionEngine
-from repro.engines.absint import AbstractInterpretationEngine
-from repro.engines.kiki import KikiEngine
-from repro.engines.oracle import OracleEngine
-from repro.engines.rsim import RandomSimulationEngine
-from repro.engines.registry import (
-    ENGINE_REGISTRY,
-    EngineRegistration,
-    get_registration,
-    list_engines,
-    make_engine,
-)
-from repro.engines.portfolio import (
-    LadderRung,
-    PortfolioConfig,
-    PortfolioResult,
-    PortfolioRunner,
-    VerificationTask,
-    WorkerOutcome,
-    default_budget_ladder,
-    default_portfolio_configs,
-    learn_priors,
-)
-from repro.engines.batch import BatchItem, BatchReport, BatchRunner
-from repro.engines.supervision import (
-    RetryPolicy,
-    SupervisedOutcome,
-    WorkerSupervisor,
-)
+import importlib
 
-__all__ = [
-    "Status",
-    "VerificationResult",
-    "Counterexample",
-    "Engine",
-    "EngineCapabilities",
-    "EngineOptionError",
-    "FrameEncoder",
-    "BMCEngine",
-    "KInductionEngine",
-    "InterpolationEngine",
-    "PDREngine",
-    "ImpactEngine",
-    "PredicateAbstractionEngine",
-    "AbstractInterpretationEngine",
-    "KikiEngine",
-    "OracleEngine",
-    "RandomSimulationEngine",
-    "ENGINE_REGISTRY",
-    "EngineRegistration",
-    "get_registration",
-    "list_engines",
-    "make_engine",
-    "LadderRung",
-    "PortfolioConfig",
-    "PortfolioResult",
-    "PortfolioRunner",
-    "VerificationTask",
-    "WorkerOutcome",
-    "default_budget_ladder",
-    "default_portfolio_configs",
-    "learn_priors",
-    "BatchItem",
-    "BatchReport",
-    "BatchRunner",
-    "RetryPolicy",
-    "SupervisedOutcome",
-    "WorkerSupervisor",
-]
+#: public name -> submodule of :mod:`repro.engines` that defines it
+_EXPORTS = {
+    "Status": "result",
+    "VerificationResult": "result",
+    "Counterexample": "result",
+    "Engine": "base",
+    "EngineCapabilities": "base",
+    "EngineOptionError": "base",
+    "FrameEncoder": "encoding",
+    "BMCEngine": "bmc",
+    "KInductionEngine": "kinduction",
+    "InterpolationEngine": "interpolation",
+    "PDREngine": "pdr",
+    "ImpactEngine": "impact",
+    "PredicateAbstractionEngine": "predabs",
+    "AbstractInterpretationEngine": "absint",
+    "KikiEngine": "kiki",
+    "OracleEngine": "oracle",
+    "RandomSimulationEngine": "rsim",
+    "ENGINE_REGISTRY": "registry",
+    "EngineRegistration": "registry",
+    "get_registration": "registry",
+    "list_engines": "registry",
+    "make_engine": "registry",
+    "LadderRung": "ladder",
+    "PortfolioConfig": "ladder",
+    "VerificationTask": "ladder",
+    "default_budget_ladder": "ladder",
+    "default_portfolio_configs": "ladder",
+    "learn_priors": "ladder",
+    "PortfolioResult": "portfolio",
+    "PortfolioRunner": "portfolio",
+    "WorkerOutcome": "portfolio",
+    "BatchItem": "batch",
+    "BatchReport": "batch",
+    "BatchRunner": "batch",
+    "RetryPolicy": "supervision",
+    "SupervisedOutcome": "supervision",
+    "WorkerSupervisor": "supervision",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.certs import InductiveCertificate
-from repro.engines.base import Engine, EngineCapabilities
+from repro.engines.base import Engine
 from repro.engines.encoding import flattened_cached
 from repro.engines.result import Budget, Status, VerificationResult
 from repro.exprs import TRUE, Expr, bv_const, bv_var, bool_and
@@ -317,9 +317,6 @@ class AbstractInterpretationEngine(Engine):
     """Interval analysis of the software-netlist."""
 
     name = "abstract-interpretation"
-    capabilities = EngineCapabilities(
-        can_prove=True, can_refute=False, representations=("word",), cost="cheap"
-    )
 
     def __init__(
         self,

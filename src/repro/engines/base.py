@@ -9,9 +9,11 @@ paper compares — implements the same contract, :class:`Engine`:
   :class:`repro.engines.result.VerificationResult`,
 * declared :class:`EngineCapabilities` (can it *prove* safety, can it
   *refute* with a counterexample, which design representations does it
-  accept) so that drivers — the registry, the ``repro-verify`` CLI and the
-  process-based portfolio of :mod:`repro.engines.portfolio` — can select and
-  combine engines without knowing their internals.
+  accept), held by the engine's registration in :mod:`repro.engines.registry`,
+  so that the ``repro-verify`` CLI, the budget ladder of
+  :mod:`repro.engines.ladder` and the process-based portfolio of
+  :mod:`repro.engines.portfolio` can select and combine engines without
+  importing them or knowing their internals.
 
 This mirrors the architecture of portfolio verifiers such as CPAchecker,
 where many analyses sit behind one algorithm interface and a driver races or
@@ -124,9 +126,9 @@ class EngineCapabilities:
     milliseconds, ``"medium"`` engines (the k-induction family, and BMC,
     whose work is k-induction's base case) usually settle within a
     moderate budget, ``"heavy"`` engines (fixpoint provers) may need the
-    full budget.  The budget-ladder scheduler of
-    :mod:`repro.engines.portfolio` maps tiers onto rungs: cheap engines run
-    first at a small budget and the ladder escalates tier by tier.
+    full budget.  The budget ladder of :mod:`repro.engines.ladder` maps
+    tiers onto rungs: cheap engines run first at a small budget and the
+    ladder escalates tier by tier.
     """
 
     COST_TIERS = ("cheap", "medium", "heavy")
@@ -149,19 +151,33 @@ class EngineCapabilities:
         return f"{'+'.join(verbs) or 'none'} [{','.join(self.representations)}]"
 
 
+class _RegisteredCapabilities:
+    """``Engine.capabilities``: read from the engine's registration.
+
+    The registry holds the one copy of every engine's capabilities, so the
+    ladder and the CLI can read them without importing the engine and the
+    class can never drift from them.
+    """
+
+    def __get__(self, instance, owner) -> EngineCapabilities:
+        from repro.engines.registry import get_registration
+
+        return get_registration(owner.name).capabilities
+
+
 class Engine(ABC):
     """Abstract base class of all verification engines.
 
-    Subclasses must set the class attributes :attr:`name` (the canonical
-    engine name used by the registry) and :attr:`capabilities`, accept the
-    design as the first positional constructor argument, and implement
-    :meth:`verify`.
+    Subclasses must set the class attribute :attr:`name` (a name or alias
+    of the engine's registration in :mod:`repro.engines.registry`, which
+    declares its :attr:`capabilities`), accept the design as the first
+    positional constructor argument, and implement :meth:`verify`.
     """
 
     #: canonical engine name (registry key, ``VerificationResult.engine``)
     name: str = ""
     #: what the engine can conclude; see :class:`EngineCapabilities`
-    capabilities: EngineCapabilities = EngineCapabilities(False, False)
+    capabilities = _RegisteredCapabilities()
 
     def __init__(self, system: TransitionSystem) -> None:
         self.system = system

@@ -7,23 +7,27 @@ The serving workload of the ROADMAP is not "one design, one query" but a
 * items are expanded to one unit of work per ``(design, property)`` — a
   multi-property design is sharded one worker per *property*, so its
   properties verify concurrently while sharing the design's blast;
-* the parent pre-blasts every task's frame-template library once and then
-  forks the pool, so all workers inherit the warm blasts via copy-on-write
-  (same mechanism as the portfolio pre-warm, amortized over the whole
-  batch instead of one query);
+* the parent imports the ladder's engines and pre-blasts every task's
+  frame-template library once and then forks the pool, so all workers
+  inherit both via copy-on-write (same mechanism as the portfolio pre-warm,
+  amortized over the whole batch instead of one query);
 * each item is first looked up in the certificate-keyed
   :class:`repro.cache.ResultCache` (when one is attached): hits are served
   from the parent after independent re-validation, only misses reach the
   pool, which is one :meth:`WorkerSupervisor.run_map`;
-* pool workers run the budget ladder (:func:`run_sequential_ladder`, the
-  package's one ladder loop, which bare ``repro-verify`` queries also run
-  in-process): with the pool already saturating the cores on batch
-  parallelism, racing engines per item would oversubscribe — instead each
-  worker escalates cheap → medium → heavy one engine at a time and stops
-  at the first definitive answer;
+* pool workers run the budget ladder
+  (:func:`repro.engines.ladder.run_sequential_ladder`, the package's one
+  ladder loop, which bare ``repro-verify`` queries also run in-process):
+  with the pool already saturating the cores on batch parallelism, racing
+  engines per item would oversubscribe — instead each worker escalates
+  cheap → medium → heavy one engine at a time and stops at the first
+  definitive answer;
 * definitive results flow back to the parent, are validated, minimized and
   stored into the cache, so the *next* sweep over the same designs is all
   hits.
+
+The module holds only the pool; the ladder it runs lives in
+:mod:`repro.engines.ladder`.
 """
 
 from __future__ import annotations
@@ -35,142 +39,22 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engines.portfolio import (
+from repro.engines.ladder import (
     LadderRung,
     VerificationTask,
     default_budget_ladder,
+    run_sequential_ladder,
     warm_task_templates,
 )
-from repro.engines.registry import make_engine
-from repro.engines.result import Budget, Status, VerificationResult
+from repro.engines.result import Status, VerificationResult
 from repro.engines.supervision import (
     CANCELLED as _UNIT_CANCELLED,
     TIMED_OUT as _UNIT_TIMED_OUT,
     RetryPolicy,
     SupervisedOutcome,
     WorkerSupervisor,
-    report_progress,
 )
 from repro.obs import telemetry as _telemetry
-
-
-# ---------------------------------------------------------------------------
-# the budget ladder: one engine at a time, in the calling process
-# ---------------------------------------------------------------------------
-
-
-def run_sequential_ladder(
-    system,
-    property_name: Optional[str],
-    rungs: Sequence[LadderRung],
-    timeout: Optional[float] = None,
-    certify: bool = False,
-) -> VerificationResult:
-    """Escalate through the ladder rungs one engine at a time, in-process.
-
-    Every configuration of a rung runs with the rung's remaining budget
-    (clipped to the overall ``timeout``); the first definitive answer wins
-    and the attempt log is recorded under ``detail["ladder_attempts"]``.
-    Engine crashes are recorded and skipped — the batch counterpart of the
-    portfolio's crash category.  With ``certify`` a definitive answer is
-    accepted only if its certificate passes independent validation; a claim
-    that fails (a lying or fault-injected engine) is recorded as an
-    ``uncertified`` attempt and the ladder escalates past it.
-    """
-    budget = Budget(timeout)
-    attempts: List[Dict[str, object]] = []
-    saw_unknown = False
-    for rung_index, rung in enumerate(rungs):
-        rung_deadline = (
-            None if rung.budget is None else time.monotonic() + rung.budget
-        )
-        for config in rung.configs:
-            remaining = budget.remaining()
-            if remaining is not None and remaining <= 0:
-                break
-            allowance = remaining
-            if rung_deadline is not None:
-                rung_left = rung_deadline - time.monotonic()
-                if rung_left <= 0:
-                    break
-                allowance = (
-                    rung_left if allowance is None else min(allowance, rung_left)
-                )
-            t0 = time.monotonic()
-            # a rung landing is a liveness milestone: under supervision it
-            # streams to the waiting client as a progress frame
-            report_progress(
-                milestone=True, phase="rung", rung=rung_index, config=config.label
-            )
-            try:
-                with _telemetry.span(
-                    "ladder.attempt", config=config.label, rung=rung_index
-                ) as attempt_span:
-                    engine = make_engine(
-                        config.engine,
-                        system,
-                        ignore_unknown_options=True,
-                        **config.options_dict,
-                    )
-                    result = engine.verify(property_name, timeout=allowance)
-                    attempt_span.set_outcome(result.status)
-            except Exception as error:  # noqa: BLE001 - crash category
-                attempts.append(
-                    {
-                        "config": config.label,
-                        "rung": rung_index,
-                        "status": Status.ERROR,
-                        "runtime_s": round(time.monotonic() - t0, 6),
-                        "reason": f"{type(error).__name__}: {error}",
-                    }
-                )
-                continue
-            attempts.append(
-                {
-                    "config": config.label,
-                    "rung": rung_index,
-                    "status": result.status,
-                    "runtime_s": round(time.monotonic() - t0, 6),
-                }
-            )
-            if result.status == Status.UNKNOWN:
-                saw_unknown = True
-            if result.is_definitive and certify:
-                from repro.certs import validate_result
-
-                validation = validate_result(system, result, timeout=allowance)
-                if not validation.ok:
-                    attempts[-1]["status"] = "uncertified"
-                    attempts[-1]["reason"] = (
-                        f"certificate rejected: {validation.reason}"
-                    )
-                    continue
-                result.detail["certified"] = True
-            if result.is_definitive:
-                result.detail["ladder_rung"] = rung_index
-                result.detail["ladder_attempts"] = attempts
-                # keep result.runtime as the deciding engine's own time —
-                # consumers (learn_priors) attribute it to that engine, so it
-                # must not absorb earlier rungs' failed probes; the whole
-                # ladder's elapsed time is reported separately
-                result.detail["ladder_wall_s"] = round(budget.elapsed(), 6)
-                return result
-        if budget.expired():
-            break
-    status = Status.UNKNOWN if saw_unknown else Status.TIMEOUT
-    if attempts and all(a["status"] == Status.ERROR for a in attempts):
-        status = Status.ERROR
-    resolved_property = property_name or (
-        system.properties[0].name if system.properties else ""
-    )
-    return VerificationResult(
-        status,
-        "ladder",
-        resolved_property,
-        runtime=budget.elapsed(),
-        detail={"ladder_attempts": attempts},
-        reason="no ladder configuration reached a definitive answer",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +338,8 @@ class BatchRunner:
         Search-depth cap routed to every engine of the ladder.
     ladder:
         The rung schedule each worker escalates through (default: the
-        cost-tier ladder of :func:`default_budget_ladder`).
+        cost-tier ladder of
+        :func:`repro.engines.ladder.default_budget_ladder`).
     on_event:
         Optional callback receiving progress dicts (``hit``/``scheduled``/
         ``result``/``stored``/``supervision`` events).
@@ -466,7 +351,8 @@ class BatchRunner:
         budget); a wedged worker is killed this long after launch.
     certify:
         Accept a definitive ladder answer only when its certificate passes
-        independent validation (see :func:`run_sequential_ladder`).
+        independent validation (see
+        :func:`repro.engines.ladder.run_sequential_ladder`).
     """
 
     def __init__(
@@ -533,16 +419,17 @@ class BatchRunner:
         return units
 
     def _prewarm(self, units: Sequence[Tuple[VerificationTask, str, Optional[str]]]) -> None:
-        """Blast every task's template library once, before forking the pool."""
+        """Warm the parent once before forking the pool: engines and templates."""
         if self._context.get_start_method() != "fork":
             return
+        configs = [config for rung in self.ladder for config in rung.configs]
         seen = set()
         for task, _, _ in units:
             key = (task.kind, id(task.spec) if task.kind == "system" else task.spec)
             if key in seen:
                 continue
             seen.add(key)
-            warm_task_templates(task, (self.representation,))
+            warm_task_templates(task, configs)
 
     # ------------------------------------------------------------------
     def run(self, items: Sequence[BatchItem]) -> BatchReport:

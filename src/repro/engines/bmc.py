@@ -22,7 +22,7 @@ import time
 from typing import Optional
 
 from repro.certs import witness_from_counterexample
-from repro.engines.base import Engine, EngineCapabilities
+from repro.engines.base import Engine
 from repro.engines.encoding import FrameEncoder
 from repro.engines.result import Budget, Status, VerificationResult
 from repro.netlist import TransitionSystem
@@ -48,9 +48,6 @@ class BMCEngine(Engine):
     """
 
     name = "bmc"
-    capabilities = EngineCapabilities(
-        can_prove=False, can_refute=True, representations=("word", "bit"), cost="medium"
-    )
 
     def __init__(
         self,

@@ -45,10 +45,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.aig import AIG, aig_from_transition_system
-from repro.aig.graph import aig_is_negated
 from repro.exprs import Expr, bv_eq, bv_var, evaluate
 from repro.exprs.substitute import rename
 from repro.netlist import TransitionSystem
@@ -57,6 +55,9 @@ from repro.obs import telemetry as _telemetry
 from repro.sat.cnf import CNF
 from repro.sat.tseitin import TseitinEncoder
 from repro.smt import BitBlaster, BVSolver
+
+if TYPE_CHECKING:  # the AIG is imported on the bit path only
+    from repro.aig import AIG
 
 
 def frame_name(name: str, frame: int) -> str:
@@ -358,7 +359,7 @@ class _AigTemplateBuilder:
 
         def resolved(literal: int) -> int:
             sat = mapping[literal & ~1]
-            return -sat if aig_is_negated(literal) else sat
+            return -sat if literal & 1 else sat
 
         for node in _aig_cone(aig, roots):
             left, right = aig.ands[node]
@@ -459,6 +460,8 @@ class TemplateLibrary:
             self.aig: Optional[AIG] = None
             self._property_templates: Dict[str, FrameTemplate] = {}
             if representation == "bit":
+                from repro.aig import aig_from_transition_system
+
                 self.aig = aig_from_transition_system(system)
                 self._builder = _AigTemplateBuilder(self.flat, self.aig)
                 self.trans_template = self._builder.trans_template()
@@ -535,6 +538,8 @@ class FrameEncoder:
             self.flat = system.flattened()
             self.flat.validate()
             if representation == "bit":
+                from repro.aig import aig_from_transition_system
+
                 self._aig = aig_from_transition_system(system)
 
     # ------------------------------------------------------------------
@@ -811,7 +816,7 @@ class FrameEncoder:
                 sat = mapping.get(base)
                 if sat is None:
                     return None
-            return -sat if aig_is_negated(literal) else sat
+            return -sat if literal & 1 else sat
 
         target = aig_literal & ~1
         if target != 0 and target not in mapping:

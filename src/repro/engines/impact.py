@@ -31,7 +31,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.certs import InductiveCertificate, witness_from_counterexample
-from repro.engines.base import Engine, EngineCapabilities
+from repro.engines.base import Engine
 from repro.engines.encoding import FrameEncoder, flattened_cached
 from repro.engines.result import Budget, Status, VerificationResult
 from repro.exprs import Expr, TRUE, bool_and, bool_not, bool_or, bv_var, simplify
@@ -44,9 +44,6 @@ class ImpactEngine(Engine):
     """IMPACT-style lazy interpolation on the software-netlist."""
 
     name = "impact"
-    capabilities = EngineCapabilities(
-        can_prove=True, can_refute=True, representations=("word",)
-    )
 
     def __init__(
         self,

@@ -33,12 +33,12 @@ somewhere" disjunction enters each query as an assumption literal.  The A/B
 partition of each query is expressed as clause-id sets over the cumulative
 database; unsatisfiability under assumptions yields a resolution chain over
 the failed assumptions (:attr:`repro.sat.solver.Solver.assumption_core_chain`)
-which the :class:`repro.sat.Interpolator` completes against the assumption
-literals' virtual unit clauses.  Learned clauses are implied by the clause
-database alone (activation is assumption-based), so everything the solver
-learned about the transition relation in earlier iterations keeps pruning
-the later ones.  The legacy path (``persistent_session=False``) builds a
-fresh solver per bounded check.
+which the :class:`repro.sat.interpolate.Interpolator` completes against the
+assumption literals' virtual unit clauses.  Learned clauses are implied by
+the clause database alone (activation is assumption-based), so everything
+the solver learned about the transition relation in earlier iterations
+keeps pruning the later ones.  The legacy path
+(``persistent_session=False``) builds a fresh solver per bounded check.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import time
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.certs import InductiveCertificate, witness_from_counterexample
-from repro.engines.base import Engine, EngineCapabilities
+from repro.engines.base import Engine
 from repro.engines.encoding import FrameEncoder, flattened_cached, frame_name
 from repro.engines.result import Budget, Status, VerificationResult
 from repro.exprs import (
@@ -184,9 +184,6 @@ class InterpolationEngine(Engine):
     """McMillan-style interpolation model checker."""
 
     name = "interpolation"
-    capabilities = EngineCapabilities(
-        can_prove=True, can_refute=True, representations=("word", "bit"), complete=True
-    )
 
     def __init__(
         self,

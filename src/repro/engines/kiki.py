@@ -21,7 +21,7 @@ import time
 from typing import List, Optional
 
 from repro.engines.absint import AbstractInterpretationEngine
-from repro.engines.base import Engine, EngineCapabilities
+from repro.engines.base import Engine
 from repro.engines.encoding import FrameEncoder, flattened_cached
 from repro.engines.kinduction import KInductionEngine
 from repro.engines.result import Budget, Status, VerificationResult
@@ -35,9 +35,6 @@ class KikiEngine(Engine):
     """BMC + k-induction + k-invariant combination."""
 
     name = "kiki"
-    capabilities = EngineCapabilities(
-        can_prove=True, can_refute=True, representations=("word", "bit"), complete=True, cost="medium"
-    )
 
     def __init__(
         self,

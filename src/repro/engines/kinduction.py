@@ -27,7 +27,7 @@ import time
 from typing import Iterable, List, Optional, Tuple
 
 from repro.certs import KInductiveCertificate, witness_from_counterexample
-from repro.engines.base import Engine, EngineCapabilities
+from repro.engines.base import Engine
 from repro.engines.encoding import FrameEncoder
 from repro.engines.result import Budget, Status, VerificationResult
 from repro.exprs import Expr, bool_or, bv_ne
@@ -41,9 +41,6 @@ class KInductionEngine(Engine):
     """Incremental k-induction engine."""
 
     name = "k-induction"
-    capabilities = EngineCapabilities(
-        can_prove=True, can_refute=True, representations=("word", "bit"), complete=True, cost="medium"
-    )
 
     def __init__(
         self,

@@ -17,7 +17,7 @@ import time
 from typing import Optional
 
 from repro.certs import InductiveCertificate, Witness
-from repro.engines.base import Engine, EngineCapabilities
+from repro.engines.base import Engine
 from repro.engines.result import Counterexample, Status, VerificationResult
 from repro.exprs import TRUE
 from repro.netlist import TransitionSystem
@@ -27,9 +27,6 @@ class OracleEngine(Engine):
     """Returns a fixed verdict — for certification and cross-check testing."""
 
     name = "oracle"
-    capabilities = EngineCapabilities(
-        can_prove=True, can_refute=True, representations=("word", "bit"), cost="cheap"
-    )
 
     def __init__(
         self,

@@ -21,7 +21,7 @@ import time
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.certs import InductiveCertificate, witness_from_counterexample
-from repro.engines.base import Engine, EngineCapabilities
+from repro.engines.base import Engine
 from repro.engines.bmc import BMCEngine
 from repro.engines.encoding import FrameEncoder, frame_name
 from repro.engines.result import Budget, Counterexample, Status, VerificationResult
@@ -40,9 +40,6 @@ class PDREngine(Engine):
     """Incremental IC3/PDR over the register bits of the design."""
 
     name = "pdr"
-    capabilities = EngineCapabilities(
-        can_prove=True, can_refute=True, representations=("word", "bit"), complete=True
-    )
 
     def __init__(
         self,

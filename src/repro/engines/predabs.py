@@ -25,7 +25,7 @@ import time
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.certs import InductiveCertificate, witness_from_counterexample
-from repro.engines.base import Engine, EngineCapabilities
+from repro.engines.base import Engine
 from repro.engines.encoding import FrameEncoder, flattened_cached
 from repro.engines.result import Budget, Counterexample, Status, VerificationResult
 from repro.exprs import (
@@ -51,9 +51,6 @@ class PredicateAbstractionEngine(Engine):
     """Boolean predicate abstraction with interpolant-based refinement."""
 
     name = "predicate-abstraction"
-    capabilities = EngineCapabilities(
-        can_prove=True, can_refute=True, representations=("word",)
-    )
 
     def __init__(
         self,

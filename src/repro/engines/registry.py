@@ -1,7 +1,14 @@
-"""Registry of engines by name, used by the CLI, portfolio and bench harness.
+"""Registry of engines by name, used by the CLI, ladder, portfolio and bench.
 
-Each engine is registered once, as an :class:`EngineRegistration` carrying
-its canonical name, accepted aliases, capabilities and a one-line summary.
+Each engine is declared here once, as an :class:`EngineRegistration`
+carrying its canonical name, accepted aliases, a one-line summary, its
+portfolio and ladder flags and its :class:`EngineCapabilities` — the one
+copy of them (``Engine.capabilities`` reads it back from here).  The
+registration names the engine's module and class instead of holding the
+class: :attr:`EngineRegistration.engine_class` imports the module on first
+use, so building the ladder, the portfolio fan-out or ``--list-engines``
+imports no engine, and a query imports only the engines it runs.
+
 Drivers look engines up with :func:`get_registration` / :func:`make_engine`
 and enumerate them with :func:`list_engines`; options are validated against
 the engine's declared constructor signature so a typo'd or misrouted option
@@ -11,20 +18,11 @@ an opaque ``TypeError`` from deep inside a constructor.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Type
 
-from repro.engines.absint import AbstractInterpretationEngine
 from repro.engines.base import Engine, EngineCapabilities, EngineOptionError
-from repro.engines.bmc import BMCEngine
-from repro.engines.impact import ImpactEngine
-from repro.engines.interpolation import InterpolationEngine
-from repro.engines.kiki import KikiEngine
-from repro.engines.kinduction import KInductionEngine
-from repro.engines.oracle import OracleEngine
-from repro.engines.pdr import PDREngine
-from repro.engines.predabs import PredicateAbstractionEngine
-from repro.engines.rsim import RandomSimulationEngine
 from repro.netlist import TransitionSystem
 
 
@@ -32,13 +30,17 @@ from repro.netlist import TransitionSystem
 class EngineRegistration:
     """Metadata for one registered engine.
 
-    The registration is callable with the constructor signature of the engine
+    ``module`` and ``class_name`` locate the engine class inside
+    :mod:`repro.engines`; it is imported on first use.  The registration is
+    callable with the constructor signature of the engine
     (``registration(system, **options)``), so code that used to treat the
     registry as a name -> constructor map keeps working.
     """
 
     name: str
-    engine_class: Type[Engine]
+    module: str
+    class_name: str
+    capabilities: EngineCapabilities
     aliases: Tuple[str, ...] = ()
     summary: str = ""
     #: included in the default process-parallel portfolio
@@ -51,8 +53,10 @@ class EngineRegistration:
         return self.portfolio if self.ladder is None else self.ladder
 
     @property
-    def capabilities(self) -> EngineCapabilities:
-        return self.engine_class.capabilities
+    def engine_class(self) -> Type[Engine]:
+        """The engine class, importing its module on first use."""
+        module = importlib.import_module(f"repro.engines.{self.module}")
+        return getattr(module, self.class_name)
 
     @property
     def option_names(self) -> Tuple[str, ...]:
@@ -65,51 +69,79 @@ class EngineRegistration:
 _REGISTRATIONS: List[EngineRegistration] = [
     EngineRegistration(
         "bmc",
-        BMCEngine,
+        "bmc",
+        "BMCEngine",
+        EngineCapabilities(
+            can_prove=False, can_refute=True, representations=("word", "bit"), cost="medium"
+        ),
         summary="incremental bounded model checking (refutation only)",
         portfolio=True,
     ),
     EngineRegistration(
         "k-induction",
-        KInductionEngine,
+        "kinduction",
+        "KInductionEngine",
+        EngineCapabilities(
+            can_prove=True, can_refute=True, representations=("word", "bit"), complete=True, cost="medium"
+        ),
         aliases=("kind", "kinduction"),
         summary="k-induction with optional simple-path constraints",
         portfolio=True,
     ),
     EngineRegistration(
         "interpolation",
-        InterpolationEngine,
+        "interpolation",
+        "InterpolationEngine",
+        EngineCapabilities(
+            can_prove=True, can_refute=True, representations=("word", "bit"), complete=True
+        ),
         aliases=("itp",),
         summary="McMillan-style interpolation-based reachability",
         portfolio=True,
     ),
     EngineRegistration(
         "pdr",
-        PDREngine,
+        "pdr",
+        "PDREngine",
+        EngineCapabilities(
+            can_prove=True, can_refute=True, representations=("word", "bit"), complete=True
+        ),
         aliases=("ic3",),
         summary="IC3/PDR over the register bits",
         portfolio=True,
     ),
     EngineRegistration(
         "kiki",
-        KikiEngine,
+        "kiki",
+        "KikiEngine",
+        EngineCapabilities(
+            can_prove=True, can_refute=True, representations=("word", "bit"), complete=True, cost="medium"
+        ),
         summary="kIkI: BMC + k-induction + interval k-invariants (2LS)",
         portfolio=True,
     ),
     EngineRegistration(
         "impact",
-        ImpactEngine,
+        "impact",
+        "ImpactEngine",
+        EngineCapabilities(can_prove=True, can_refute=True, representations=("word",)),
         summary="lazy abstraction with interpolants (IMPACT/IMPARA)",
     ),
     EngineRegistration(
         "predabs",
-        PredicateAbstractionEngine,
+        "predabs",
+        "PredicateAbstractionEngine",
+        EngineCapabilities(can_prove=True, can_refute=True, representations=("word",)),
         aliases=("predicate-abstraction",),
         summary="Boolean predicate abstraction with CEGAR",
     ),
     EngineRegistration(
         "absint",
-        AbstractInterpretationEngine,
+        "absint",
+        "AbstractInterpretationEngine",
+        EngineCapabilities(
+            can_prove=True, can_refute=False, representations=("word",), cost="cheap"
+        ),
         aliases=("abstract-interpretation", "intervals"),
         summary="interval abstract interpretation (may raise false alarms)",
         # not raced by the all-at-once portfolio (too incomplete to spend a
@@ -118,7 +150,11 @@ _REGISTRATIONS: List[EngineRegistration] = [
     ),
     EngineRegistration(
         "rsim",
-        RandomSimulationEngine,
+        "rsim",
+        "RandomSimulationEngine",
+        EngineCapabilities(
+            can_prove=False, can_refute=True, representations=("word",), cost="cheap"
+        ),
         aliases=("random-sim", "random-simulation"),
         summary="bit-parallel random-simulation falsification (refutation only)",
         # not worth a portfolio process (BMC subsumes it there), but the
@@ -128,7 +164,11 @@ _REGISTRATIONS: List[EngineRegistration] = [
     ),
     EngineRegistration(
         "oracle",
-        OracleEngine,
+        "oracle",
+        "OracleEngine",
+        EngineCapabilities(
+            can_prove=True, can_refute=True, representations=("word", "bit"), cost="cheap"
+        ),
         summary="fault injection: claims a fixed verdict with a forged certificate",
     ),
 ]
@@ -185,11 +225,11 @@ def make_engine(
     pass one shared option bag to heterogeneous engines, keeping only what
     each engine understands).
     """
-    registration = get_registration(name)
-    accepted = registration.engine_class.validate_options(
+    engine_class = get_registration(name).engine_class
+    accepted = engine_class.validate_options(
         options, ignore_unknown=ignore_unknown_options
     )
-    return registration.engine_class(system, **accepted)
+    return engine_class(system, **accepted)
 
 
 __all__ = [

@@ -23,7 +23,7 @@ import time
 from typing import Optional
 
 from repro.certs import witness_from_counterexample
-from repro.engines.base import Engine, EngineCapabilities
+from repro.engines.base import Engine
 from repro.engines.result import Budget, Counterexample, Status, VerificationResult
 from repro.netlist import TransitionSystem
 from repro.netlist.bitsim import PackedSimulator, SimulationMismatch
@@ -51,9 +51,6 @@ class RandomSimulationEngine(Engine):
     """
 
     name = "rsim"
-    capabilities = EngineCapabilities(
-        can_prove=False, can_refute=True, representations=("word",), cost="cheap"
-    )
 
     def __init__(
         self,

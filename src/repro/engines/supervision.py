@@ -23,6 +23,11 @@ Attempt states are part of the public outcome taxonomy: ``done``,
 ``crashed`` (process died without reporting), ``timed-out`` (killed at the
 attempt deadline), ``cancelled`` (stopped by ``abort``), ``degraded`` (ran
 in-process after the pool went unhealthy) — a fault is never a silent skip.
+
+Workers stream liveness through :func:`repro.obs.telemetry.report_progress`,
+which lives outside this module: the in-process ladder
+(:mod:`repro.engines.ladder`) reports rung landings without importing the
+supervisor or :mod:`multiprocessing`.
 """
 
 from __future__ import annotations
@@ -44,51 +49,6 @@ CRASHED = "crashed"
 TIMED_OUT = "timed-out"
 DEGRADED = "degraded"
 CANCELLED = "cancelled"
-
-
-# ---------------------------------------------------------------------------
-# progress reporting — the worker-side half of streamed liveness
-# ---------------------------------------------------------------------------
-
-#: thread-local progress sink: inside a worker process it forwards over the
-#: attempt's result pipe; in degraded in-process execution it forwards to the
-#: supervisor's event callback directly.  Thread-local because the serve
-#: layer runs several degraded units on different threads of one process.
-_PROGRESS = threading.local()
-
-#: floor between forwarded progress reports, so a tight bound loop cannot
-#: flood the result pipe
-PROGRESS_MIN_INTERVAL_S = 0.05
-
-
-def set_progress_sink(sink: Optional[Callable[[dict], None]]) -> None:
-    """Install (or clear) this thread's progress sink."""
-    _PROGRESS.sink = sink
-    _PROGRESS.last = 0.0
-
-
-def report_progress(**fields) -> None:
-    """Report one unit of forward progress (ladder rung, bound reached).
-
-    Called from engine/ladder code running under supervision.  A no-op
-    without a sink (one thread-local read), so unsupervised execution pays
-    nothing.  Reports are rate-limited to one per
-    :data:`PROGRESS_MIN_INTERVAL_S` unless marked ``milestone=True`` —
-    rung landings are milestones, per-bound ticks are not.
-    """
-    sink = getattr(_PROGRESS, "sink", None)
-    if sink is None:
-        return
-    now = time.monotonic()
-    if not fields.pop("milestone", False):
-        if now - getattr(_PROGRESS, "last", 0.0) < PROGRESS_MIN_INTERVAL_S:
-            return
-    _PROGRESS.last = now
-    try:
-        sink(dict(fields))
-    except Exception:
-        # a dead pipe must never crash the computation it reports on
-        set_progress_sink(None)
 
 
 @dataclass(frozen=True)
@@ -152,12 +112,12 @@ def _span_progress_hook(name: str, attrs: dict) -> None:
 
     The PR-8 span stream already marks every unit of search progress
     (``engine.bmc.bound``, ``engine.kinduction.k``, …); forwarding those
-    span starts through :func:`report_progress` gives liveness for free
-    wherever tracing is on, with no per-engine plumbing.
+    span starts through :func:`repro.obs.telemetry.report_progress` gives
+    liveness for free wherever tracing is on, with no per-engine plumbing.
     """
     if not name.startswith("engine."):
         return
-    report_progress(
+    _telemetry.report_progress(
         phase="bound",
         span=name,
         **{
@@ -200,7 +160,7 @@ def _run_attempt(worker, payload, attempt, conn) -> None:
     def _pipe_progress(doc: dict) -> None:
         conn.send(("progress", doc))
 
-    set_progress_sink(_pipe_progress)
+    _telemetry.set_progress_sink(_pipe_progress)
     _telemetry.set_span_hook(_span_progress_hook)
     try:
         with _telemetry.span("worker.attempt", attempt=attempt):
@@ -211,7 +171,7 @@ def _run_attempt(worker, payload, attempt, conn) -> None:
         status = "error"
     finally:
         _telemetry.set_span_hook(None)
-        set_progress_sink(None)
+        _telemetry.set_progress_sink(None)
     trace = _telemetry.child_export()
     try:
         conn.send((status, value, trace))
@@ -373,9 +333,9 @@ class WorkerSupervisor:
         its liveness window.
 
         Workers stream ``("progress", doc)`` messages over their result
-        pipes (see :func:`report_progress`); each is surfaced as a
-        ``progress`` event through ``on_event`` with the unit and attempt
-        attached.
+        pipes (see :func:`repro.obs.telemetry.report_progress`); each is
+        surfaced as a ``progress`` event through ``on_event`` with the unit
+        and attempt attached.
         """
 
         def emit(event: str, **fields) -> None:
@@ -490,7 +450,7 @@ class WorkerSupervisor:
             _fault_injection.set_attempt(slot.attempt)
             begin_attempt_span(index, slot.attempt)
             degraded_span = attempt_spans.get(index)
-            set_progress_sink(
+            _telemetry.set_progress_sink(
                 lambda doc: emit(
                     "progress", unit=index, attempt=slot.attempt, **doc
                 )
@@ -512,7 +472,7 @@ class WorkerSupervisor:
                 end_attempt_span(index, DEGRADED)
                 finalize(index, DONE, value=value)
             finally:
-                set_progress_sink(None)
+                _telemetry.set_progress_sink(None)
                 _fault_injection.set_attempt(0)
             outcomes[index].degraded = True
             emit("degraded", unit=index, state=outcomes[index].state)

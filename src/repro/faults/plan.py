@@ -9,7 +9,6 @@ which is what makes a chaos sweep debuggable.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -127,6 +126,8 @@ class FaultPlan:
         if self.first_attempt_only and attempt > 0:
             return False
         if rate < 1.0:
+            import hashlib  # only a draw needs it, not every process
+
             digest = hashlib.sha256(
                 f"{self.seed}|{kind}|{key}|{attempt}".encode("utf-8")
             ).digest()

@@ -38,7 +38,7 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 #: trace document format tag (JSONL header and subtree payloads)
 TRACE_FORMAT = "repro-trace-v1"
@@ -388,6 +388,52 @@ def set_span_hook(hook) -> None:
     """Install (or clear, with ``None``) the process-wide span-start hook."""
     global _SPAN_HOOK
     _SPAN_HOOK = hook
+
+
+# ---------------------------------------------------------------------------
+# progress reporting — the worker-side half of streamed liveness
+# ---------------------------------------------------------------------------
+
+#: thread-local progress sink: inside a supervised worker process it forwards
+#: over the attempt's result pipe; in degraded in-process execution it
+#: forwards to the supervisor's event callback directly.  Thread-local because
+#: the serve layer runs several degraded units on different threads of one
+#: process.
+_PROGRESS = threading.local()
+
+#: floor between forwarded progress reports, so a tight bound loop cannot
+#: flood the result pipe
+PROGRESS_MIN_INTERVAL_S = 0.05
+
+
+def set_progress_sink(sink: Optional[Callable[[dict], None]]) -> None:
+    """Install (or clear, with ``None``) this thread's progress sink."""
+    _PROGRESS.sink = sink
+    _PROGRESS.last = 0.0
+
+
+def report_progress(**fields) -> None:
+    """Report one unit of forward progress (ladder rung, bound reached).
+
+    Called from engine/ladder code running under supervision.  A no-op
+    without a sink (one thread-local read), so unsupervised execution pays
+    nothing.  Reports are rate-limited to one per
+    :data:`PROGRESS_MIN_INTERVAL_S` unless marked ``milestone=True`` —
+    rung landings are milestones, per-bound ticks are not.
+    """
+    sink = getattr(_PROGRESS, "sink", None)
+    if sink is None:
+        return
+    now = time.monotonic()
+    if not fields.pop("milestone", False):
+        if now - getattr(_PROGRESS, "last", 0.0) < PROGRESS_MIN_INTERVAL_S:
+            return
+    _PROGRESS.last = now
+    try:
+        sink(dict(fields))
+    except Exception:
+        # a dead pipe must never crash the computation it reports on
+        set_progress_sink(None)
 
 
 def enabled() -> bool:

@@ -11,39 +11,7 @@ satisfiability, just as the tools compared in the paper do (ABC, EBMC, CBMC,
 * :mod:`repro.sat.tseitin` — Tseitin encoding of propositional circuits,
 * :mod:`repro.sat.interpolate` — Craig interpolation from logged resolution
   proofs using McMillan's labelling rules.
+
+The package imports none of them: import the submodule you need, so an
+engine that never interpolates never loads :mod:`repro.sat.interpolate`.
 """
-
-from repro.sat.cnf import CNF, neg, var_of, sign_of
-from repro.sat.solver import Solver, SolverInterrupted, SolverResult
-from repro.sat.tseitin import TseitinEncoder
-from repro.sat.interpolate import (
-    Interpolator,
-    ItpNode,
-    itp_and,
-    itp_or,
-    itp_lit,
-    itp_const,
-    itp_evaluate,
-    itp_variables,
-    itp_size,
-)
-
-__all__ = [
-    "CNF",
-    "neg",
-    "var_of",
-    "sign_of",
-    "Solver",
-    "SolverInterrupted",
-    "SolverResult",
-    "TseitinEncoder",
-    "Interpolator",
-    "ItpNode",
-    "itp_and",
-    "itp_or",
-    "itp_lit",
-    "itp_const",
-    "itp_evaluate",
-    "itp_variables",
-    "itp_size",
-]

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional
 from repro.cache import ResultCache
 from repro.cache.key import cache_key
 from repro.engines.batch import run_supervised_unit
-from repro.engines.portfolio import (
+from repro.engines.ladder import (
     VerificationTask,
     default_budget_ladder,
     warm_task_templates,
@@ -755,7 +755,6 @@ class VerifyServer:
             self.counters["computations"] += 1
             _telemetry.counter("serve.computations")
             system = work.task.load()
-            warm_task_templates(work.task, (work.representation,))
             if self.cache is not None:
                 lookup = self.cache.lookup(
                     system, work.property_name, work.representation
@@ -766,6 +765,11 @@ class VerifyServer:
                 (work.representation,),
                 bound=work.bound,
                 timeout=timeout,
+            )
+            # the worker forks from here: it inherits the ladder's engines
+            # and the task's blasted templates from this process
+            warm_task_templates(
+                work.task, [config for rung in rungs for config in rung.configs]
             )
             result, _outcome = run_supervised_unit(
                 work.task,

@@ -36,7 +36,8 @@ class BVSolver:
     ----------
     proof:
         Enable resolution-proof logging in the underlying SAT solver so that
-        interpolants can be extracted (see :class:`repro.sat.Interpolator`).
+        interpolants can be extracted (see
+        :class:`repro.sat.interpolate.Interpolator`).
     """
 
     def __init__(self, proof: bool = False) -> None:

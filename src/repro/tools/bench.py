@@ -104,13 +104,13 @@ from repro.engines.interpolation import InterpolationEngine
 from repro.engines.kiki import KikiEngine
 from repro.engines.kinduction import KInductionEngine
 from repro.engines.pdr import PDREngine
-from repro.engines.portfolio import (
+from repro.engines.ladder import (
     PortfolioConfig,
-    PortfolioRunner,
     VerificationTask,
     bound_options,
     default_portfolio_configs,
 )
+from repro.engines.portfolio import PortfolioRunner
 from repro.engines.registry import list_engines, make_engine
 from repro.engines.result import Status
 from repro.jsonio import write_json_atomic
@@ -1065,12 +1065,11 @@ def run_ladder_section(
     """The in-process budget ladder against the all-at-once race, per design.
 
     The ladder runs as a bare ``repro-verify`` query runs it
-    (:func:`repro.engines.batch.run_sequential_ladder`, one engine at a time
+    (:func:`repro.engines.ladder.run_sequential_ladder`, one engine at a time
     in this process), so its CPU is this process's CPU time across the call;
     the race's CPU is its workers' summed process time.
     """
-    from repro.engines.batch import run_sequential_ladder
-    from repro.engines.portfolio import default_budget_ladder
+    from repro.engines.ladder import default_budget_ladder, run_sequential_ladder
 
     rows = []
     for name in names:

@@ -17,12 +17,15 @@ many queries::
     repro-verify --list-designs
 
 With no mode flag the CLI walks the ladder of
-:func:`repro.engines.portfolio.default_budget_ladder` —
+:func:`repro.engines.ladder.default_budget_ladder` —
 ``[absint, rsim] -> [k-induction, kiki, bmc] -> [interpolation, pdr]`` —
 in the CLI process and stops at the first definitive answer: random
 simulation refutes the shallow bugs and interval analysis or k-induction
 proves most safe designs in milliseconds, so a query starts no worker
-process and pays for no race.  Engines and the SAT solver check the
+process and pays for no race.  It imports no more than it runs: the
+ladder, the engines the ladder reaches and the certificate validator —
+the portfolio race, the process supervisor and the batch pool load only
+under ``--portfolio`` and ``--batch``.  Engines and the SAT solver check the
 deadline cooperatively, as under ``--engine``.  ``--portfolio`` races every
 portfolio engine at once, one supervised worker process each, and cancels
 the losers at the first definitive answer (``--cross-check`` lets them all
@@ -46,7 +49,8 @@ next to it).
 Exit codes (CI-gateable): 0 for a (validated, under ``--certify``) definitive
 answer consistent with the known ground truth, 2 for a WRONG result, 3 for
 ERROR/UNKNOWN/TIMEOUT, 1 for usage or configuration errors (an unknown or
-conflicting flag included).  ``--batch`` applies the same contract per
+conflicting flag, a malformed number or address, or a ``--property`` the
+design does not declare included).  ``--batch`` applies the same contract per
 item: any WRONG — and, with ``--cache-dir``, any definitive item whose
 certificate was not independently validated — exits 2, any inconclusive
 item exits 3.
@@ -61,14 +65,12 @@ import argparse
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.benchmarks import BENCHMARKS, get_benchmark
 from repro.certs import Witness, dumps as certificate_dumps, validate_result
 from repro.engines import (
     EngineOptionError,
-    PortfolioResult,
-    PortfolioRunner,
     Status,
     VerificationResult,
     VerificationTask,
@@ -78,11 +80,13 @@ from repro.engines import (
     list_engines,
     make_engine,
 )
-from repro.engines.batch import run_sequential_ladder
-from repro.engines.portfolio import bound_options
+from repro.engines.ladder import bound_options, run_sequential_ladder
 from repro.jsonio import write_text_atomic
 from repro.obs import log as _log
 from repro.obs import telemetry as _telemetry
+
+if TYPE_CHECKING:  # the race is imported under --portfolio only
+    from repro.engines.portfolio import PortfolioResult
 
 #: exit codes by final status (0 = validated expected verdict, 2 = WRONG,
 #: 3 = inconclusive/error), so CI scripts can gate on the result category
@@ -115,6 +119,16 @@ def _resolve_task(target: str) -> VerificationTask:
         f"error: {target!r} is neither a suite design nor a .v/.sv/.aag file; "
         f"suite designs: {', '.join(BENCHMARKS)}"
     )
+
+
+def _check_property(parser, task: VerificationTask, system, property_name) -> None:
+    """Reject a ``--property`` the design does not declare: a usage error."""
+    names = [prop.name for prop in system.properties]
+    if property_name is not None and property_name not in names:
+        parser.error(
+            f"design {task.name!r} has no property {property_name!r}; "
+            f"its properties: {', '.join(names) or '(none)'}"
+        )
 
 
 def _print_engine_table() -> None:
@@ -435,6 +449,22 @@ def main(argv: Optional[List[str]] = None) -> int:
             "--server is a thin client: the server picks the driver and "
             "handles certificates (run it with --cache-dir/--certify)"
         )
+    if not args.timeout > 0:
+        parser.error(f"--timeout must be positive, not {args.timeout:g}")
+    if args.bound is not None and args.bound < 0:
+        parser.error(f"--bound must be 0 or more, not {args.bound}")
+    if args.jobs is not None and args.jobs < 1:
+        parser.error(f"--jobs must be 1 or more, not {args.jobs}")
+    if (
+        args.server
+        and ":" in args.server
+        and not os.path.exists(args.server)
+        and not args.server.rpartition(":")[2].isdigit()
+    ):
+        parser.error(
+            f"--server {args.server!r} is neither an existing unix socket "
+            "path nor HOST:PORT with a numeric port"
+        )
 
     if args.trace:
         from repro.obs.export import write_trace
@@ -465,7 +495,7 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         cache = ResultCache(args.cache_dir, validation_timeout=args.timeout)
 
     if args.batch:
-        return _run_batch(args, cache)
+        return _run_batch(parser, args, cache)
 
     if not args.target:
         parser.error("a target design is required (or --list-engines/--list-designs)")
@@ -476,17 +506,19 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
     expected = args.expected
     if expected is None and task.kind == "benchmark":
         expected = get_benchmark(task.spec).expected
+    try:
+        system = task.load()
+    except Exception as error:  # noqa: BLE001 - loader/parse failures
+        _log.error(f"error: cannot load {task.name!r}: {error}")
+        return 1
+    # checked once, before any engine runs or any worker forks
+    _check_property(parser, task, system, args.property_name)
 
     # one representation is the cache identity of the query: --representation
     # wins, else the first portfolio representation — lookup and store must
     # agree or repeated queries would never hit
     representation = args.representation or args.representations[0]
     if cache is not None:
-        try:
-            system = task.load()
-        except Exception as error:  # noqa: BLE001 - loader/parse failures
-            _log.error(f"error: cannot load {task.name!r}: {error}")
-            return 1
         property_name = args.property_name or (
             system.properties[0].name if system.properties else None
         )
@@ -521,13 +553,9 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         if args.representation:
             options["representation"] = args.representation
         try:
-            system = task.load()
             engine = make_engine(args.engine, system, **options)
         except EngineOptionError as error:
             _log.error(f"error: {error}")
-            return 1
-        except Exception as error:  # noqa: BLE001 - loader/parse failures
-            _log.error(f"error: cannot load {task.name!r}: {error}")
             return 1
         _log.info(
             f"verifying {task.name!r} with engine {args.engine} "
@@ -545,11 +573,6 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         # no mode flag: the ladder in this process, one engine at a
         # time, so a query starts no worker process and stops at the first
         # definitive answer of the cheapest rung that has one
-        try:
-            system = task.load()
-        except Exception as error:  # noqa: BLE001 - loader/parse failures
-            _log.error(f"error: cannot load {task.name!r}: {error}")
-            return 1
         ladder = default_budget_ladder(
             representations=representations,
             bound=args.bound,
@@ -571,6 +594,8 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         _log.verbose(
             f"  [{time.strftime('%H:%M:%S')}] {kind:9s} {label:24s} {extras}"
         )
+
+    from repro.engines.portfolio import PortfolioRunner
 
     configs = default_portfolio_configs(
         representations=representations, bound=args.bound
@@ -745,9 +770,9 @@ def _run_server_client(args) -> int:
     return 3 if inconclusive else 0
 
 
-def _run_batch(args, cache) -> int:
+def _run_batch(parser, args, cache) -> int:
     """The ``--batch`` driver: a warm-pool sweep over many designs."""
-    from repro.engines import BatchItem, BatchRunner
+    from repro.engines.batch import BatchItem, BatchRunner
 
     targets = args.target or list(BENCHMARKS)
     items = [
@@ -758,6 +783,13 @@ def _run_batch(args, cache) -> int:
         )
         for target in targets
     ]
+    if args.property_name is not None:
+        for item in items:
+            try:
+                system = item.task.load()
+            except Exception:  # noqa: BLE001 - reported as the item's ERROR
+                continue
+            _check_property(parser, item.task, system, args.property_name)
     representation = args.representation or args.representations[0]
 
     def on_event(event: Dict[str, object]) -> None:

@@ -28,7 +28,7 @@ from repro.engines import (
     learn_priors,
     make_engine,
 )
-from repro.engines.batch import run_sequential_ladder
+from repro.engines.ladder import run_sequential_ladder
 from repro.exprs import TRUE, bv_const
 
 
@@ -446,16 +446,18 @@ def test_verify_cli_portfolio_certify_validates_claims_in_the_race(
 ):
     """--portfolio --certify certifies claims inside the race and still prints
     the obligation report."""
+    from repro.engines import portfolio
     from repro.tools import verify_cli
 
     results = []
 
-    class RecordingRunner(verify_cli.PortfolioRunner):
+    class RecordingRunner(portfolio.PortfolioRunner):
         def run(self, task, property_name=None):
             results.append(super().run(task, property_name))
             return results[-1]
 
-    monkeypatch.setattr(verify_cli, "PortfolioRunner", RecordingRunner)
+    # verify_cli imports the race under --portfolio only, from its module
+    monkeypatch.setattr(portfolio, "PortfolioRunner", RecordingRunner)
     argv = ["daio", "--portfolio", "--bound", "80", "--timeout", "60", "--certify"]
     assert verify_cli.main(argv) == 0
     (result,) = results
@@ -497,6 +499,57 @@ def test_verify_cli_rejects_cross_check_with_ladder_or_batch(capsys):
         main(["daio", "--ladder"])
     assert excinfo.value.code == 1
     assert "--ladder" in capsys.readouterr().err
+
+
+def test_verify_cli_unknown_property_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """Every mode rejects an undeclared --property before any engine runs
+    or any worker forks, and names the design's properties."""
+    import multiprocessing
+
+    from repro.engines.base import Engine
+    from repro.tools.verify_cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an unknown property reached an engine or a worker")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(Engine, "__init__", refuse)
+    cache_dir = str(tmp_path / "cache")
+    for argv, named in (
+        (["daio", "--property", "nope"], "no_overrun"),
+        (["daio", "--portfolio", "--property", "nope"], "no_overrun"),
+        (["daio", "--engine", "bmc", "--property", "nope"], "no_overrun"),
+        (["daio", "--cache-dir", cache_dir, "--property", "nope"], "no_overrun"),
+        (["daio", "mac16", "--batch", "--property", "nope"], "no_overrun"),
+        # --batch checks every target, not just the first
+        (["mac16", "daio", "--batch", "--property", "cnt_le_9"], "no_overrun"),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 1, argv
+        err = capsys.readouterr().err
+        assert "has no property" in err and named in err, argv
+
+
+def test_verify_cli_rejects_malformed_numbers_and_addresses(capsys):
+    from repro.tools.verify_cli import main
+
+    for argv, flag in (
+        (["daio", "--timeout", "0"], "--timeout"),
+        (["daio", "--timeout", "-1"], "--timeout"),
+        (["daio", "--bound", "-3"], "--bound"),
+        (["daio", "--portfolio", "--jobs", "0"], "--jobs"),
+        (["daio", "--batch", "--jobs", "0"], "--jobs"),
+        (["daio", "--server", "foo:bar"], "--server"),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 1, argv
+        assert flag in capsys.readouterr().err, argv
+    # a zero depth cap is a valid query: interval analysis needs no unrolling
+    assert main(["huffman_dec", "--bound", "0"]) == 0
+    capsys.readouterr()
 
 
 def test_verify_cli_without_mode_flag_runs_in_process(tmp_path, monkeypatch, capsys):

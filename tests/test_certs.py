@@ -359,19 +359,48 @@ def _fresh_python(*args):
 
 
 def test_cli_import_loads_no_frontend_or_serving_code():
-    """Start-up pays only for the verdict path, not the dormant clusters."""
+    """Start-up and a bare query pay only for the verdict path.
+
+    A bare ``repro-verify D --certify`` loads the ladder, the engines it
+    runs and the validator: not the dormant clusters, not the process
+    race, supervisor or pool, and not the engines no rung reaches.  rsim decides daio,
+    absint huffman_dec and k-induction mac16.
+    """
     unwanted = (
         "repro.verilog", "repro.sva", "repro.tools.catalog", "repro.serve",
         "repro.kernels",
+        "multiprocessing", "pickle", "socket", "subprocess", "hashlib",
+        "repro.engines.portfolio", "repro.engines.supervision",
+        "repro.engines.batch", "repro.engines.interpolation",
+        "repro.engines.pdr", "repro.engines.impact", "repro.engines.predabs",
+        "repro.engines.oracle", "repro.sat.interpolate", "repro.aig",
+        "repro.obs.export", "repro.cache",
     )
     probe = (
-        "import sys, repro.tools.verify_cli\n"
+        "import contextlib, io, sys\n"
+        "from repro.tools.verify_cli import main\n"
         f"unwanted = {unwanted!r}\n"
-        "print(sorted(m for m in sys.modules if m.startswith(unwanted)))\n"
+        "prefixes = tuple(name + '.' for name in unwanted)\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m in unwanted or m.startswith(prefixes))\n"
+        "print(loaded())\n"
+        "for design in ('daio', 'huffman_dec', 'mac16'):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main([design, '--certify'])\n"
+        "    print(design, code, out.getvalue().splitlines()[2].split()[0])\n"
+        "print(loaded())\n"
     )
     completed = _fresh_python("-c", probe)
     assert completed.returncode == 0, completed.stderr
-    assert completed.stdout.strip() == "[]"
+    assert completed.stdout.splitlines() == [
+        "[]",
+        "daio 0 rsim",
+        "huffman_dec 0 abstract-interpretation",
+        "mac16 0 k-induction",
+        "[]",
+    ]
 
 
 def test_cli_certify_demotes_unvalidated_verdict(capsys):

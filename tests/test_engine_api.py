@@ -1,5 +1,9 @@
 """Unified engine API: registry metadata, option routing, capabilities."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.benchmarks import load_system
@@ -62,6 +66,37 @@ def test_capability_declarations():
     assert get_registration("bmc").capabilities.can_refute
     assert get_registration("pdr").capabilities.can_prove
     assert not get_registration("absint").capabilities.can_refute
+
+
+def test_every_registered_engine_resolves_in_a_fresh_interpreter():
+    """The registry imports each engine module on first use.
+
+    Other tests of this process have imported every engine already, so
+    only a fresh interpreter catches a registration naming the wrong module
+    or class.  Every name and alias makes its engine, and each class
+    reports exactly the capabilities its registration declares.
+    """
+    probe = (
+        "from repro.benchmarks import load_system\n"
+        "from repro.engines import list_engines, make_engine\n"
+        "system = load_system('huffman_dec')\n"
+        "for registration in list_engines():\n"
+        "    for name in (registration.name, *registration.aliases):\n"
+        "        engine = make_engine(name, system)\n"
+        "        assert type(engine) is registration.engine_class, name\n"
+        "        assert engine.capabilities == registration.capabilities, name\n"
+        "    print(registration.name, registration.engine_class.__name__)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert [line.split()[0] for line in completed.stdout.splitlines()] == CANONICAL
 
 
 def test_alias_lookup(design):

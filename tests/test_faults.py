@@ -11,7 +11,8 @@ from repro.benchmarks import get_benchmark
 from repro.cache import QUARANTINE_DIR, ResultCache
 from repro.engines import Status, VerificationTask, make_engine
 from repro.engines.batch import BatchItem, BatchRunner
-from repro.engines.portfolio import PortfolioConfig, PortfolioRunner, learn_priors
+from repro.engines.ladder import PortfolioConfig, learn_priors
+from repro.engines.portfolio import PortfolioRunner
 from repro.engines.supervision import RetryPolicy, WorkerSupervisor
 from repro.faults import (
     CERT_FORGE,
