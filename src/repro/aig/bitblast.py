@@ -241,7 +241,10 @@ def aig_from_transition_system(system: TransitionSystem) -> AIG:
 
     Properties become *bad* outputs (the negation of each property), matching
     the HWMCC convention that a bad output asserted in some reachable state
-    means the property fails.
+    means the property fails.  Environment constraints become invariant
+    constraints that hold in every cycle; each bad output is also gated by
+    them, so a file writer that drops the constraint section still flags
+    no violation in a cycle that breaks them.
     """
     flat = system.flattened()
     aig = AIG(name=flat.name)
@@ -270,7 +273,9 @@ def aig_from_transition_system(system: TransitionSystem) -> AIG:
 
     constraint_lit = aig.TRUE
     for constraint in flat.constraints:
-        constraint_lit = aig.add_and(constraint_lit, blaster.blast_bool(constraint))
+        literal = blaster.blast_bool(constraint)
+        aig.constraints.append(literal)
+        constraint_lit = aig.add_and(constraint_lit, literal)
 
     for prop in flat.properties:
         good = blaster.blast_bool(prop.expr)

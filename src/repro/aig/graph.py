@@ -54,6 +54,9 @@ class AIG:
         self.outputs: List[Tuple[str, AigerLiteral]] = []
         #: bad-state outputs (property violations), as in AIGER 1.9
         self.bad: List[Tuple[str, AigerLiteral]] = []
+        #: invariant constraints, as in AIGER 1.9: every cycle of a trace
+        #: must satisfy each of them
+        self.constraints: List[AigerLiteral] = []
         # and gates: output literal -> (left literal, right literal)
         self.ands: Dict[AigerLiteral, Tuple[AigerLiteral, AigerLiteral]] = {}
         # structural hashing: (left, right) -> output literal

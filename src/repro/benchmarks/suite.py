@@ -15,11 +15,9 @@ the cycle at which the bug manifests (DAIO at cycle 64 and the traffic-light
 controller at cycle 65, as in Section IV of the paper), so a harness can
 classify engine answers as correct, wrong or inconclusive.
 
-Expected verdicts refer to the word-level semantics (the default
-``representation="word"``).  Note one representation caveat inherited from
-the AIG lowering: environment constraints are folded into the *bad* output,
-i.e. enforced only at the property frame in the bit-level flow, so benchmarks
-relying on constraints (``fifo``) are only meaningful at the word level.
+Expected verdicts hold for both representations: the bit-level flow stamps
+environment constraints (``fifo``) on every frame, as the word-level one
+does.
 """
 
 from __future__ import annotations

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.certs import InductiveCertificate
 from repro.engines.base import Engine
 from repro.engines.encoding import flattened_cached
 from repro.engines.result import Budget, Status, VerificationResult
 from repro.exprs import TRUE, Expr, bv_const, bv_var, bool_and
-from repro.exprs.nodes import Const, Op, Var, mask, to_signed
+from repro.exprs.nodes import Const, Op, Var, mask
 from repro.netlist import TransitionSystem
 
 

@@ -7,13 +7,9 @@ exactly the limitation the paper's unbounded techniques remove — so the
 stand-alone engine returns ``UNKNOWN`` when no violation is found within the
 bound.
 
-With ``persistent_session=True`` (the default) one solver serves the whole
-deepening run: each bound extends the unrolling of the previous one, so the
-learned clauses, variable activities and saved phases accumulated at bound
-``k`` accelerate the check at ``k + 1``.  The legacy path
-(``persistent_session=False``) rebuilds a fresh solver per bound — the
-quadratic re-encode/re-solve behaviour of a non-incremental implementation —
-and is kept for cross-checking and as the benchmark baseline.
+One solver serves the whole deepening run: each bound extends the unrolling
+of the previous one, so the learned clauses, variable activities and saved
+phases accumulated at bound ``k`` accelerate the check at ``k + 1``.
 """
 
 from __future__ import annotations
@@ -42,9 +38,6 @@ class BMCEngine(Engine):
         Deepest unrolling to try.
     representation:
         ``"word"`` or ``"bit"`` (see :class:`repro.engines.encoding.FrameEncoder`).
-    persistent_session:
-        Reuse one solver across all bounds (default).  ``False`` rebuilds a
-        fresh solver per bound (cross-check / benchmark baseline).
     """
 
     name = "bmc"
@@ -54,14 +47,10 @@ class BMCEngine(Engine):
         system: TransitionSystem,
         max_bound: int = 128,
         representation: str = "word",
-        incremental_template: bool = True,
-        persistent_session: bool = True,
     ) -> None:
         super().__init__(system)
         self.max_bound = max_bound
         self.representation = representation
-        self.incremental_template = incremental_template
-        self.persistent_session = persistent_session
 
     def verify(
         self, property_name: Optional[str] = None, timeout: Optional[float] = None
@@ -80,18 +69,10 @@ class BMCEngine(Engine):
                         stats.add(encoder.solver.stats)
                     bound_span.set_outcome("timeout")
                     return self._timeout(property_name, budget, bound, stats)
-                if self.persistent_session:
-                    if encoder is None:
-                        encoder = self._new_encoder(budget)
-                        encoder.assert_init(0)
-                else:
-                    # legacy: a fresh solver per bound, re-unrolled from scratch
-                    if encoder is not None:
-                        stats.add(encoder.solver.stats)
-                    encoder = self._new_encoder(budget)
+                if encoder is None:
+                    encoder = FrameEncoder(self.system, representation=self.representation)
+                    encoder.solver.set_deadline(budget.deadline)
                     encoder.assert_init(0)
-                    for frame in range(bound):
-                        encoder.assert_trans(frame)
                 property_literal = encoder.property_literal(property_name, bound)
                 outcome = encoder.solver.check(assumptions=[-property_literal])
                 if outcome == BVResult.SAT:
@@ -111,8 +92,7 @@ class BMCEngine(Engine):
                     stats.add(encoder.solver.stats)
                     bound_span.set_outcome("timeout")
                     return self._timeout(property_name, budget, bound, stats)
-                if self.persistent_session:
-                    encoder.assert_trans(bound)
+                encoder.assert_trans(bound)
 
         if encoder is not None:
             stats.add(encoder.solver.stats)
@@ -126,15 +106,6 @@ class BMCEngine(Engine):
         )
 
     # ------------------------------------------------------------------
-    def _new_encoder(self, budget: Budget) -> FrameEncoder:
-        encoder = FrameEncoder(
-            self.system,
-            representation=self.representation,
-            incremental_template=self.incremental_template,
-        )
-        encoder.solver.set_deadline(budget.deadline)
-        return encoder
-
     def _timeout(
         self, property_name: str, budget: Budget, bound: int, stats: SolverStats
     ) -> VerificationResult:

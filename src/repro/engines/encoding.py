@@ -19,26 +19,24 @@ Template-based incremental unrolling
 
 Unrolling dominates the run time of every engine in the paper's comparison:
 BMC, k-induction, interpolation, kIkI and PDR all instantiate the transition
-relation once per time frame.  The historical ("legacy") path rebuilt the
-frame-stamped expression tree with :func:`repro.exprs.substitute.rename` and
-re-ran the whole Tseitin bit-blast for every frame.
+relation once per time frame.  Rebuilding the frame-stamped expression tree
+and re-running the Tseitin bit-blast for every frame would make that cost
+grow with the expression size at every bound.
 
-The default path instead bit-blasts the flattened transition relation (and
-each property) exactly *once* into a :class:`FrameTemplate` — a normalized CNF
+The encoder instead bit-blasts the flattened transition relation (and each
+property) exactly *once* into a :class:`FrameTemplate` — a normalized CNF
 fragment plus a symbol table classifying every template variable as a
 current-state bit, next-state bit, input bit or internal gate output.  Frame
 ``k`` is then instantiated by remapping template literals through a per-frame
 offset table (pure integer arithmetic, no expression traversal, no dict-keyed
 expression-cache lookups) and bulk-loading the remapped clauses with
 :meth:`repro.sat.solver.Solver.add_clauses_mapped`.  Templates are cached per
-``(system, representation)`` so repeated encoder constructions (for example
-the per-iteration encoders of the interpolation engine) reuse both the
-flattened system and the blasted CNF.
-
-The legacy path remains available behind ``incremental_template=False`` for
-cross-checking; the two paths are equisatisfiable frame by frame and produce
-identical verdicts (asserted by ``tests/test_template_equisat.py`` and by
-``python -m repro.tools.bench``).
+``(system, representation)`` so repeated encoder constructions (the base and
+step sessions of k-induction, PDR's counterexample replay, the sessions of
+the refinement engines) reuse both the flattened system and the blasted CNF.
+This is the only unrolling path; the certificate validator
+(:mod:`repro.certs`), which stamps frames its own way, is the independent
+check on it.
 """
 
 from __future__ import annotations
@@ -367,12 +365,18 @@ class _AigTemplateBuilder:
         return resolved
 
     def trans_template(self) -> FrameTemplate:
-        """Capture the latch-update cones plus next-state equalities."""
+        """Capture the latch-update cones, next-state equalities and the
+        invariant constraints of the current frame (as the word-level
+        template asserts ``C`` on every frame)."""
         cnf, encoder, mapping, cur, inp = self._fresh()
         aig = self.aig
         resolved = self._encode_cone(
-            encoder, mapping, [latch.next_literal for latch in aig.latches]
+            encoder,
+            mapping,
+            [latch.next_literal for latch in aig.latches] + aig.constraints,
         )
+        for constraint in aig.constraints:
+            encoder.add_clause([resolved(constraint)])
         next_bits: Dict[str, List[int]] = {
             name: [0] * width for name, width in self.flat.state_vars.items()
         }
@@ -441,7 +445,7 @@ class TemplateLibrary:
     """The one-time blasting artifacts of a ``(system, representation)`` pair.
 
     Holds the flattened system, the transition-relation template and lazily
-    built per-property templates (plus the AIG for the bit-level flow).
+    built per-property templates.
     Obtained through :func:`template_library`, which memoizes per system so
     that every engine and every encoder instance built on the same design
     shares the same blast; a content fingerprint invalidates the cache if
@@ -457,13 +461,13 @@ class TemplateLibrary:
             representation=representation,
         ):
             self.flat = flattened_cached(system)
-            self.aig: Optional[AIG] = None
             self._property_templates: Dict[str, FrameTemplate] = {}
             if representation == "bit":
                 from repro.aig import aig_from_transition_system
 
-                self.aig = aig_from_transition_system(system)
-                self._builder = _AigTemplateBuilder(self.flat, self.aig)
+                self._builder = _AigTemplateBuilder(
+                    self.flat, aig_from_transition_system(system)
+                )
                 self.trans_template = self._builder.trans_template()
             else:
                 self._builder = None
@@ -506,10 +510,8 @@ def template_library(system: TransitionSystem, representation: str) -> TemplateL
 class FrameEncoder:
     """Unrolls a transition system into a :class:`repro.smt.BVSolver`.
 
-    With ``incremental_template=True`` (the default) frames are instantiated
-    from cached :class:`FrameTemplate` objects by literal remapping; with
-    ``False`` the legacy per-frame expression re-blast is used.  The two paths
-    are frame-by-frame equisatisfiable.
+    Frames are instantiated from the cached :class:`FrameTemplate` objects of
+    the design's :class:`TemplateLibrary` by literal remapping.
     """
 
     def __init__(
@@ -518,29 +520,15 @@ class FrameEncoder:
         solver: Optional[BVSolver] = None,
         proof: bool = False,
         representation: str = "word",
-        incremental_template: bool = True,
     ) -> None:
         if representation not in ("word", "bit"):
             raise ValueError("representation must be 'word' or 'bit'")
         self.system = system
         self.representation = representation
-        self.incremental_template = bool(incremental_template)
         self.solver = solver if solver is not None else BVSolver(proof=proof)
-        self._aig: Optional[AIG] = None
-        self._aig_frame_literals: Dict[int, Dict[int, int]] = {}
-        self._library: Optional[TemplateLibrary] = None
+        self._library = template_library(system, representation)
+        self.flat = self._library.flat
         self._property_literal_cache: Dict[Tuple[str, int], int] = {}
-        if self.incremental_template:
-            self._library = template_library(system, representation)
-            self.flat = self._library.flat
-            self._aig = self._library.aig
-        else:
-            self.flat = system.flattened()
-            self.flat.validate()
-            if representation == "bit":
-                from repro.aig import aig_from_transition_system
-
-                self._aig = aig_from_transition_system(system)
 
     # ------------------------------------------------------------------
     # naming helpers
@@ -560,9 +548,6 @@ class FrameEncoder:
         """State variable name -> width map of the flattened system."""
         return dict(self.flat.state_vars)
 
-    def input_vars(self) -> Dict[str, int]:
-        return dict(self.flat.inputs)
-
     # ------------------------------------------------------------------
     # word-level constraint building
     # ------------------------------------------------------------------
@@ -572,24 +557,6 @@ class FrameEncoder:
         for name, init in self.flat.init.items():
             exprs.append(bv_eq(self.var_at(name, frame), init))
         return exprs
-
-    def trans_exprs(self, frame: int) -> List[Expr]:
-        """Transition constraints from ``frame`` to ``frame + 1``."""
-        exprs = []
-        for name, next_expr in self.flat.next.items():
-            stamped = self.rename_to_frame(next_expr, frame)
-            exprs.append(bv_eq(self.var_at(name, frame + 1), stamped))
-        for constraint in self.flat.constraints:
-            exprs.append(self.rename_to_frame(constraint, frame))
-        return exprs
-
-    def property_expr(self, property_name: str, frame: int) -> Expr:
-        """The (flattened) property expression stamped at ``frame``."""
-        prop = self.flat.property_by_name(property_name)
-        return self.rename_to_frame(prop.expr, frame)
-
-    def constraint_exprs(self, frame: int) -> List[Expr]:
-        return [self.rename_to_frame(c, frame) for c in self.flat.constraints]
 
     # ------------------------------------------------------------------
     # template instantiation
@@ -683,15 +650,9 @@ class FrameEncoder:
         With ``guard`` the constraints are activation-guarded (see
         :meth:`new_activation`).
         """
-        if self.representation == "bit" and self.incremental_template:
-            start = self.solver.solver.num_clauses
-            self._assert_bit_init_direct(frame, guard)
-            return start, self.solver.solver.num_clauses
         if self.representation == "bit":
-            if guard is not None:
-                raise ValueError("guarded init requires incremental_template")
             start = self.solver.solver.num_clauses
-            self._assert_aig_init(frame)
+            self._assert_bit_init(frame, guard)
             return start, self.solver.solver.num_clauses
         if guard is not None:
             return self.solver.assert_exprs_guarded(self.init_exprs(frame), guard)
@@ -717,41 +678,25 @@ class FrameEncoder:
         """
         if self.solver.solver.stats.conflicts:
             self.solver.solver.reset_activity()
-        if self.incremental_template:
-            assert self._library is not None
-            start = self.solver.solver.num_clauses
-            self._stamp(self._library.trans_template, frame, guard=guard)
-            return start, self.solver.solver.num_clauses
-        if self.representation == "bit":
-            if guard is not None:
-                raise ValueError("guarded frames require incremental_template")
-            start = self.solver.solver.num_clauses
-            self._assert_aig_trans(frame)
-            return start, self.solver.solver.num_clauses
-        if guard is not None:
-            return self.solver.assert_exprs_guarded(self.trans_exprs(frame), guard)
-        return self.solver.assert_exprs(self.trans_exprs(frame))
+        start = self.solver.solver.num_clauses
+        self._stamp(self._library.trans_template, frame, guard=guard)
+        return start, self.solver.solver.num_clauses
 
     def property_literal(self, property_name: str, frame: int) -> int:
         """Return a SAT literal equivalent to the property holding at ``frame``."""
-        if self.incremental_template:
-            assert self._library is not None
-            key = (property_name, frame)
-            cached = self._property_literal_cache.get(key)
-            if cached is not None:
-                return cached
-            template = self._library.property_template(property_name)
-            table = self._stamp(template, frame)
-            output = template.output
-            assert output is not None
-            literal = table[output] if output > 0 else -table[-output]
-            self._property_literal_cache[key] = literal
-            return literal
-        if self.representation == "bit":
-            return self._aig_property_literal(property_name, frame)
-        return self.solver.literal_for(self.property_expr(property_name, frame))
+        key = (property_name, frame)
+        cached = self._property_literal_cache.get(key)
+        if cached is not None:
+            return cached
+        template = self._library.property_template(property_name)
+        table = self._stamp(template, frame)
+        output = template.output
+        assert output is not None
+        literal = table[output] if output > 0 else -table[-output]
+        self._property_literal_cache[key] = literal
+        return literal
 
-    def _assert_bit_init_direct(self, frame: int, guard: Optional[int] = None) -> None:
+    def _assert_bit_init(self, frame: int, guard: Optional[int] = None) -> None:
         """Unit-clause the reset values onto the frame-stamped register bits."""
         blaster = self.solver.blaster
         sat = self.solver.solver
@@ -764,108 +709,6 @@ class FrameEncoder:
                     sat.add_clause([wanted])
                 else:
                     sat.add_clause([-guard, wanted])
-
-    # ------------------------------------------------------------------
-    # AIG (bit-level) legacy encoding
-    # ------------------------------------------------------------------
-    def _aig_frame(self, frame: int) -> Dict[int, int]:
-        """Return (creating if needed) the leaf mapping of one time frame.
-
-        The mapping takes AIG node literals (even literals) to SAT literals.
-        Inputs and latches are mapped eagerly to frame-stamped bit variables;
-        AND gates are encoded lazily, cone by cone, in :meth:`_aig_literal_at`
-        so that only the logic actually referenced by an assertion enters the
-        clause database (this also keeps the clause partitions of the
-        interpolation engine free of accidental sharing).
-        """
-        cached = self._aig_frame_literals.get(frame)
-        if cached is not None:
-            return cached
-        aig = self._aig
-        assert aig is not None
-        blaster = self.solver.blaster
-        mapping: Dict[int, int] = {0: blaster.encoder.false_lit}
-        for literal in aig.inputs:
-            name = aig.input_names[literal]
-            base, index = name.rsplit("[", 1)
-            bit_index = int(index[:-1])
-            width = self.flat.inputs[base]
-            bits = blaster.bits_of_var(frame_name(base, frame), width)
-            mapping[literal] = bits[bit_index]
-        for latch in aig.latches:
-            base, index = latch.name.rsplit("[", 1)
-            bit_index = int(index[:-1])
-            width = self.flat.state_vars[base]
-            bits = blaster.bits_of_var(frame_name(base, frame), width)
-            mapping[latch.literal] = bits[bit_index]
-        self._aig_frame_literals[frame] = mapping
-        return mapping
-
-    def _aig_literal_at(self, aig_literal: int, frame: int) -> int:
-        """Encode (lazily) the cone of an AIG literal at a frame; return its SAT literal."""
-        aig = self._aig
-        assert aig is not None
-        mapping = self._aig_frame(frame)
-        encoder = self.solver.blaster.encoder
-
-        def resolved(literal: int) -> Optional[int]:
-            base = literal & ~1
-            if base == 0:
-                sat = encoder.false_lit
-            else:
-                sat = mapping.get(base)
-                if sat is None:
-                    return None
-            return -sat if literal & 1 else sat
-
-        target = aig_literal & ~1
-        if target != 0 and target not in mapping:
-            # iterative post-order encoding of the AND cone
-            stack = [target]
-            while stack:
-                node = stack[-1]
-                if node in mapping:
-                    stack.pop()
-                    continue
-                left, right = aig.ands[node]
-                pending = [
-                    child & ~1
-                    for child in (left, right)
-                    if (child & ~1) != 0 and (child & ~1) not in mapping
-                ]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                stack.pop()
-                mapping[node] = encoder.and_gate([resolved(left), resolved(right)])
-        result = resolved(aig_literal)
-        assert result is not None
-        return result
-
-    def _assert_aig_init(self, frame: int) -> None:
-        aig = self._aig
-        assert aig is not None
-        solver = self.solver.solver
-        for latch in aig.latches:
-            sat_literal = self._aig_literal_at(latch.literal, frame)
-            solver.add_clause([sat_literal if latch.reset else -sat_literal])
-
-    def _assert_aig_trans(self, frame: int) -> None:
-        aig = self._aig
-        assert aig is not None
-        encoder = self.solver.blaster.encoder
-        for latch in aig.latches:
-            next_sat = self._aig_literal_at(latch.next_literal, frame)
-            current_next = self._aig_literal_at(latch.literal, frame + 1)
-            encoder.assert_equal(current_next, next_sat)
-
-    def _aig_property_literal(self, property_name: str, frame: int) -> int:
-        aig = self._aig
-        assert aig is not None
-        for name, bad_literal in aig.bad:
-            if name == property_name:
-                return -self._aig_literal_at(bad_literal, frame)
-        raise KeyError(f"property {property_name!r} not found in the AIG")
 
     # ------------------------------------------------------------------
     # model extraction

@@ -15,14 +15,13 @@ over the registers.  The engine
    node is *covered*; the accumulated labels then form a candidate invariant
    which is certified inductive before declaring the design safe.
 
-With ``persistent_session=True`` (the default) the engine no longer allocates
-throwaway solvers inside its refinement loop: one predicate solver answers
-every label/coverage query under per-query activation literals, one
-incremental encoder serves all path-feasibility checks (frames are only ever
-extended), and one proof-logging encoder hosts every cut interpolant — the
-A/B split at a cut is expressed by *recoloring* the cumulative clause-id sets
-per query, so the unrolled frames are stamped exactly once per run no matter
-how many cuts are interpolated.
+The engine allocates no throwaway solvers inside its refinement loop: one
+predicate solver answers every label/coverage query under per-query
+activation literals, one incremental encoder serves all path-feasibility
+checks (frames are only ever extended), and one proof-logging encoder hosts
+every cut interpolant — the A/B split at a cut is expressed by *recoloring*
+the cumulative clause-id sets per query, so the unrolled frames are stamped
+exactly once per run no matter how many cuts are interpolated.
 """
 
 from __future__ import annotations
@@ -33,8 +32,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.certs import InductiveCertificate, witness_from_counterexample
 from repro.engines.base import Engine
 from repro.engines.encoding import FrameEncoder, flattened_cached
+from repro.engines.interpolation import init_state_expr, itp_to_state_expr
 from repro.engines.result import Budget, Status, VerificationResult
-from repro.exprs import Expr, TRUE, bool_and, bool_not, bool_or, bv_var, simplify
+from repro.exprs import Expr, TRUE, bool_and, bool_not, bool_or, simplify
 from repro.netlist import TransitionSystem
 from repro.sat.interpolate import Interpolator
 from repro.smt import BVResult, BVSolver
@@ -50,13 +50,11 @@ class ImpactEngine(Engine):
         system: TransitionSystem,
         max_depth: int = 48,
         representation: str = "word",
-        persistent_session: bool = True,
     ) -> None:
         super().__init__(system)
         self.flat = flattened_cached(system)
         self.max_depth = max_depth
         self.representation = representation
-        self.persistent_session = persistent_session
         self._reset_sessions()
 
     # ------------------------------------------------------------------
@@ -83,8 +81,7 @@ class ImpactEngine(Engine):
         start = time.monotonic()
         self._reset_sessions()
 
-        init_label = self._init_expr()
-        labels: List[Expr] = [init_label]
+        labels: List[Expr] = [init_state_expr(self.flat)]
 
         for depth in range(0, self.max_depth + 1):
             if budget.expired():
@@ -160,37 +157,22 @@ class ImpactEngine(Engine):
         return total.as_dict()
 
     # ------------------------------------------------------------------
-    def _init_expr(self) -> Expr:
-        return bool_and(
-            *[
-                bv_var(name, width).eq(self.flat.init[name])
-                for name, width in self.flat.state_vars.items()
-            ]
-        )
-
     def _predicate_query(self, exprs: List[Expr], budget: Budget) -> str:
         """SAT-check a conjunction of state predicates.
 
-        Session mode routes every call through one reused solver (guarded by
-        a throwaway activation literal, retired right after); legacy mode
-        builds a fresh solver per call.
+        Every call goes through one reused solver, guarded by a throwaway
+        activation literal that is retired right after the check.
         """
-        if self.persistent_session:
-            if self._query_solver is None:
-                self._query_solver = BVSolver()
-            solver = self._query_solver
-            solver.set_deadline(budget.deadline)
-            activation = solver.new_activation()
-            for expr in exprs:
-                solver.assert_guarded(expr, activation)
-            outcome = solver.check(assumptions=[activation])
-            solver.retire(activation)
-            return outcome
-        solver = BVSolver()
+        if self._query_solver is None:
+            self._query_solver = BVSolver()
+        solver = self._query_solver
         solver.set_deadline(budget.deadline)
+        activation = solver.new_activation()
         for expr in exprs:
-            solver.assert_expr(expr)
-        return solver.check()
+            solver.assert_guarded(expr, activation)
+        outcome = solver.check(assumptions=[activation])
+        solver.retire(activation)
+        return outcome
 
     def _label_admits_violation(self, label: Expr, property_name: str, budget: Budget) -> bool:
         prop = self.flat.property_by_name(property_name)
@@ -202,24 +184,17 @@ class ImpactEngine(Engine):
     def _path_feasible(
         self, property_name: str, depth: int, budget: Budget
     ) -> Tuple[Optional[bool], Optional[object]]:
-        if self.persistent_session:
-            if self._path_encoder is None:
-                self._path_encoder = FrameEncoder(
-                    self.system, representation=self.representation
-                )
-                self._path_encoder.assert_init(0)
-                self._path_frames = 0
-            encoder = self._path_encoder
-            encoder.solver.set_deadline(budget.deadline)
-            while self._path_frames < depth:
-                encoder.assert_trans(self._path_frames)
-                self._path_frames += 1
-        else:
-            encoder = FrameEncoder(self.system, representation=self.representation)
-            encoder.solver.set_deadline(budget.deadline)
-            encoder.assert_init(0)
-            for frame in range(depth):
-                encoder.assert_trans(frame)
+        if self._path_encoder is None:
+            self._path_encoder = FrameEncoder(
+                self.system, representation=self.representation
+            )
+            self._path_encoder.assert_init(0)
+            self._path_frames = 0
+        encoder = self._path_encoder
+        encoder.solver.set_deadline(budget.deadline)
+        while self._path_frames < depth:
+            encoder.assert_trans(self._path_frames)
+            self._path_frames += 1
         literal = encoder.property_literal(property_name, depth)
         outcome = encoder.solver.check(assumptions=[-literal])
         if outcome == BVResult.SAT:
@@ -267,16 +242,13 @@ class ImpactEngine(Engine):
     ) -> Optional[Expr]:
         """Interpolant at position ``cut`` of the infeasible error path of length ``depth``.
 
-        Session mode: the A/B partition is *recolored* per query over the
-        cumulative clause database — ``Init`` and frames ``< cut`` (and any
-        property cone stamped at a frame ``< cut``) are A, everything else is
-        B, and the negated property at ``depth`` enters as a B-side
-        assumption literal.  Since frames only share the state bits at their
+        The A/B partition is *recolored* per query over the cumulative clause
+        database — ``Init`` and frames ``< cut`` (and any property cone
+        stamped at a frame ``< cut``) are A, everything else is B, and the
+        negated property at ``depth`` enters as a B-side assumption literal.  Since frames only share the state bits at their
         boundary, the shared variables of the partition are exactly the
         frame-``cut`` state bits.
         """
-        if not self.persistent_session:
-            return self._cut_interpolant_fresh(property_name, depth, cut, budget)
         encoder = self._itp_session()
         solver = encoder.solver
         solver.set_deadline(budget.deadline)
@@ -297,44 +269,7 @@ class ImpactEngine(Engine):
             sat, a_ids, b_ids, assumptions=[(-literal, "B")]
         )
         node = interpolator.compute()
-        return simplify(self._itp_to_state_expr(node, encoder, cut))
-
-    def _cut_interpolant_fresh(
-        self, property_name: str, depth: int, cut: int, budget: Budget
-    ) -> Optional[Expr]:
-        """The legacy query: one throwaway proof solver per cut."""
-        encoder = FrameEncoder(self.system, proof=True, representation=self.representation)
-        solver = encoder.solver
-        solver.set_deadline(budget.deadline)
-        sat_solver = solver.solver
-
-        a_start = sat_solver.num_clauses
-        encoder.assert_init(0)
-        for frame in range(cut):
-            encoder.assert_trans(frame)
-        a_end = sat_solver.num_clauses
-
-        solver.blaster.clear_cache()
-
-        b_start = sat_solver.num_clauses
-        for frame in range(cut, depth):
-            encoder.assert_trans(frame)
-        literal = encoder.property_literal(property_name, depth)
-        sat_solver.add_clause([-literal])
-        b_end = sat_solver.num_clauses
-
-        outcome = solver.check()
-        if outcome != BVResult.UNSAT:
-            return None
-        interpolator = Interpolator(sat_solver, range(a_start, a_end), range(b_start, b_end))
-        node = interpolator.compute()
-        return simplify(self._itp_to_state_expr(node, encoder, cut))
-
-    def _itp_to_state_expr(self, node, encoder: FrameEncoder, frame: int) -> Expr:
-        from repro.engines.interpolation import InterpolationEngine
-
-        helper = InterpolationEngine(self.system, representation=self.representation)
-        return helper._itp_to_state_expr(node, encoder, frame=frame)
+        return simplify(itp_to_state_expr(node, encoder, cut))
 
     # ------------------------------------------------------------------
     def _covered(self, labels: List[Expr], depth: int, budget: Budget) -> bool:
@@ -354,33 +289,27 @@ class ImpactEngine(Engine):
             return False
         # Init => R  (Init is the first disjunct, so this holds by construction,
         # but check anyway for robustness)
-        if self._predicate_query([self._init_expr(), bool_not(candidate)], budget) != BVResult.UNSAT:
+        init = init_state_expr(self.flat)
+        if self._predicate_query([init, bool_not(candidate)], budget) != BVResult.UNSAT:
             return False
         # R ∧ T => R'
-        if self.persistent_session:
-            if self._step_encoder is None:
-                self._step_encoder = FrameEncoder(
-                    self.system, representation=self.representation
-                )
-                self._step_encoder.assert_trans(0)
-            encoder = self._step_encoder
-            encoder.solver.set_deadline(budget.deadline)
-            activation = encoder.new_activation()
-            encoder.solver.assert_guarded(
-                encoder.rename_to_frame(candidate, 0), activation
+        if self._step_encoder is None:
+            self._step_encoder = FrameEncoder(
+                self.system, representation=self.representation
             )
-            encoder.solver.assert_guarded(
-                encoder.rename_to_frame(bool_not(candidate), 1), activation
-            )
-            outcome = encoder.solver.check(assumptions=[activation])
-            encoder.retire(activation)
-            return outcome == BVResult.UNSAT
-        encoder = FrameEncoder(self.system, representation=self.representation)
+            self._step_encoder.assert_trans(0)
+        encoder = self._step_encoder
         encoder.solver.set_deadline(budget.deadline)
-        encoder.solver.assert_expr(encoder.rename_to_frame(candidate, 0))
-        encoder.assert_trans(0)
-        encoder.solver.assert_expr(encoder.rename_to_frame(bool_not(candidate), 1))
-        return encoder.solver.check() == BVResult.UNSAT
+        activation = encoder.new_activation()
+        encoder.solver.assert_guarded(
+            encoder.rename_to_frame(candidate, 0), activation
+        )
+        encoder.solver.assert_guarded(
+            encoder.rename_to_frame(bool_not(candidate), 1), activation
+        )
+        outcome = encoder.solver.check(assumptions=[activation])
+        encoder.retire(activation)
+        return outcome == BVResult.UNSAT
 
     def _timeout(self, property_name: str, budget: Budget, depth: int) -> VerificationResult:
         return VerificationResult(

@@ -24,8 +24,7 @@ Figure 4 of the paper.
 Persistent sessions
 -------------------
 
-With ``persistent_session=True`` (the default, requires the template path)
-*one* proof-logging solver serves every iteration at every depth: the
+*One* proof-logging solver serves every iteration at every depth: the
 unrolled transition frames and property cones are stamped once and only
 extended as the depth grows, the frontier ``R`` is asserted under an
 activation literal and retracted when replaced, and the per-depth "bad
@@ -37,18 +36,17 @@ which the :class:`repro.sat.interpolate.Interpolator` completes against the
 assumption literals' virtual unit clauses.  Learned clauses are implied by
 the clause database alone (activation is assumption-based), so everything
 the solver learned about the transition relation in earlier iterations
-keeps pruning the later ones.  The legacy path
-(``persistent_session=False``) builds a fresh solver per bounded check.
+keeps pruning the later ones.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.certs import InductiveCertificate, witness_from_counterexample
 from repro.engines.base import Engine
-from repro.engines.encoding import FrameEncoder, flattened_cached, frame_name
+from repro.engines.encoding import FrameEncoder, flattened_cached
 from repro.engines.result import Budget, Status, VerificationResult
 from repro.exprs import (
     Expr,
@@ -68,6 +66,59 @@ from repro.sat.solver import SolverStats
 from repro.smt import BVResult, BVSolver
 
 
+def init_state_expr(flat: TransitionSystem) -> Expr:
+    """The initial state as a predicate over the unstamped state variables."""
+    return bool_and(
+        *[
+            bv_var(name, width).eq(flat.init[name])
+            for name, width in flat.state_vars.items()
+        ]
+    )
+
+
+def itp_to_state_expr(node: ItpNode, encoder: FrameEncoder, frame: int) -> Expr:
+    """Convert an interpolant over frame-``frame`` state bits into an expression
+    over the unstamped state variables."""
+    bit_map = encoder.solver.blaster.bit_map()
+    state_widths = encoder.state_vars()
+    suffix = f"@{frame}"
+
+    true_var = abs(encoder.solver.blaster.true_lit)
+
+    def convert(n: ItpNode) -> Expr:
+        if n.kind == "const":
+            return TRUE if n.value else FALSE
+        if n.kind == "lit":
+            variable = abs(n.lit)
+            if variable == true_var:
+                # the shared constant-true variable
+                return TRUE if n.lit > 0 else FALSE
+            mapped = bit_map.get(variable)
+            if mapped is None:
+                raise RuntimeError(
+                    "interpolant mentions an internal solver variable; "
+                    "the A/B sharing barrier was violated"
+                )
+            name, bit_index = mapped
+            if not name.endswith(suffix):
+                raise RuntimeError(
+                    f"interpolant variable {name!r} is not a frame-{frame} state bit"
+                )
+            base = name[: -len(suffix)]
+            if base not in state_widths:
+                raise RuntimeError(
+                    f"interpolant variable {name!r} does not map to a state variable"
+                )
+            bit = bv_extract(bv_var(base, state_widths[base]), bit_index, bit_index)
+            return bit if n.lit > 0 else bool_not(bit)
+        children = [convert(child) for child in n.args]
+        if n.kind == "and":
+            return bool_and(*children)
+        return bool_or(*children)
+
+    return convert(node)
+
+
 class _InterpolationSession:
     """One persistent proof-logging solver shared by every bounded check.
 
@@ -81,10 +132,7 @@ class _InterpolationSession:
 
     def __init__(self, engine: "InterpolationEngine", property_name: str, budget: Budget) -> None:
         self.encoder = FrameEncoder(
-            engine.system,
-            proof=True,
-            representation=engine.representation,
-            incremental_template=True,
+            engine.system, proof=True, representation=engine.representation
         )
         self.solver = self.encoder.solver
         self.solver.set_deadline(budget.deadline)
@@ -192,16 +240,12 @@ class InterpolationEngine(Engine):
         max_depth: int = 64,
         max_iterations: int = 200,
         representation: str = "word",
-        incremental_template: bool = True,
-        persistent_session: bool = True,
     ) -> None:
         super().__init__(system)
         self.initial_depth = max(1, initial_depth)
         self.max_depth = max_depth
         self.max_iterations = max_iterations
         self.representation = representation
-        self.incremental_template = incremental_template
-        self.persistent_session = persistent_session
 
     # ------------------------------------------------------------------
     def verify(
@@ -212,11 +256,7 @@ class InterpolationEngine(Engine):
         start = time.monotonic()
         self._stats = SolverStats()
         self._fixpoint_solver: Optional[BVSolver] = None
-        # the session layer needs the template path (the legacy re-blast has
-        # no A/B sharing barrier across queries)
-        session: Optional[_InterpolationSession] = None
-        if self.persistent_session and self.incremental_template:
-            session = _InterpolationSession(self, property_name, budget)
+        session = _InterpolationSession(self, property_name, budget)
 
         # the iteration below only examines frames >= 1, so the initial state
         # itself is checked once up front
@@ -242,7 +282,7 @@ class InterpolationEngine(Engine):
                     iteration=iterations,
                 ) as iteration_span:
                     outcome, interpolant_expr, cex = self._bounded_check(
-                        property_name, frontier, depth, budget, session
+                        property_name, frontier, depth, session
                     )
                     iteration_span.set_outcome(outcome)
                 if outcome == "timeout":
@@ -273,7 +313,10 @@ class InterpolationEngine(Engine):
                     # image of its predecessor and the new interpolant folded
                     # back into R at the fixpoint
                     invariant = simplify(
-                        bool_or(self._init_state_expr(), *reached_disjuncts)
+                        bool_or(
+                            init_state_expr(flattened_cached(self.system)),
+                            *reached_disjuncts,
+                        )
                     )
                     self._fold_stats(session)
                     return VerificationResult(
@@ -305,47 +348,20 @@ class InterpolationEngine(Engine):
         )
 
     # ------------------------------------------------------------------
-    def _fold_stats(self, session: Optional[_InterpolationSession]) -> None:
-        if session is not None:
-            self._stats.add(session.sat.stats)
+    def _fold_stats(self, session: _InterpolationSession) -> None:
+        self._stats.add(session.sat.stats)
         if self._fixpoint_solver is not None:
             self._stats.add(self._fixpoint_solver.stats)
             self._fixpoint_solver = None
 
     # ------------------------------------------------------------------
-    def _init_state_expr(self) -> Expr:
-        """The initial state as a predicate over the unstamped state variables."""
-        flat = flattened_cached(self.system)
-        return bool_and(
-            *[
-                bv_var(name, width).eq(flat.init[name])
-                for name, width in flat.state_vars.items()
-            ]
-        )
-
-    # ------------------------------------------------------------------
     def _check_initial_state(
-        self,
-        property_name: str,
-        budget: Budget,
-        session: Optional[_InterpolationSession],
+        self, property_name: str, budget: Budget, session: _InterpolationSession
     ) -> Optional[VerificationResult]:
         """Return an UNSAFE/TIMEOUT result if the property already fails at cycle 0."""
-        if session is not None:
-            encoder = session.encoder
-            outcome = session.check_initial()
-        else:
-            encoder = FrameEncoder(
-                self.system,
-                representation=self.representation,
-                incremental_template=self.incremental_template,
-            )
-            encoder.solver.set_deadline(budget.deadline)
-            encoder.assert_init(0)
-            literal = encoder.property_literal(property_name, 0)
-            outcome = encoder.solver.check(assumptions=[-literal])
+        outcome = session.check_initial()
         if outcome == BVResult.SAT:
-            cex = encoder.extract_counterexample(property_name, 0)
+            cex = session.encoder.extract_counterexample(property_name, 0)
             return VerificationResult(
                 Status.UNSAFE,
                 self.name,
@@ -357,8 +373,6 @@ class InterpolationEngine(Engine):
             )
         if outcome == BVResult.UNKNOWN:
             return self._timeout(property_name, budget, 0, 0)
-        if session is None:
-            self._stats.add(encoder.solver.stats)
         return None
 
     # ------------------------------------------------------------------
@@ -367,8 +381,7 @@ class InterpolationEngine(Engine):
         property_name: str,
         frontier: Optional[Expr],
         depth: int,
-        budget: Budget,
-        session: Optional[_InterpolationSession],
+        session: _InterpolationSession,
     ) -> Tuple[str, Optional[Expr], Optional[object]]:
         """One interpolation query.
 
@@ -376,152 +389,35 @@ class InterpolationEngine(Engine):
         ``"sat"``, ``"unsat"`` or ``"timeout"``.  The interpolant is an
         expression over the *unstamped* state variables.
         """
-        if session is not None:
-            outcome, node = session.bounded_check(frontier, depth)
-            if outcome == BVResult.SAT:
-                cex = session.encoder.extract_counterexample(property_name, depth)
-                return "sat", None, cex
-            if outcome == BVResult.UNKNOWN:
-                return "timeout", None, None
-            interpolant = self._itp_to_state_expr(node, session.encoder, frame=1)
-            return "unsat", simplify(interpolant), None
-        return self._bounded_check_fresh(property_name, frontier, depth, budget)
-
-    def _bounded_check_fresh(
-        self,
-        property_name: str,
-        frontier: Optional[Expr],
-        depth: int,
-        budget: Budget,
-    ) -> Tuple[str, Optional[Expr], Optional[object]]:
-        """The legacy query: a throwaway proof solver per bounded check."""
-        encoder = FrameEncoder(
-            self.system,
-            proof=True,
-            representation=self.representation,
-            incremental_template=self.incremental_template,
-        )
-        solver = encoder.solver
-        solver.set_deadline(budget.deadline)
-        sat_solver = solver.solver
-
-        # ---- A part: frontier at frame 0 and the first transition
-        a_start = sat_solver.num_clauses
-        if frontier is None:
-            encoder.assert_init(0)
-        else:
-            solver.assert_expr(encoder.rename_to_frame(frontier, 0))
-        encoder.assert_trans(0)
-        a_end = sat_solver.num_clauses
-
-        # barrier: B must not share internal Tseitin/gate nodes with A
-        solver.blaster.clear_cache()
-
-        # ---- B part: remaining transitions and the negated property
-        b_start = sat_solver.num_clauses
-        bad_literals = []
-        for frame in range(1, depth):
-            encoder.assert_trans(frame)
-        for frame in range(1, depth + 1):
-            bad_literals.append(-encoder.property_literal(property_name, frame))
-        sat_solver.add_clause(bad_literals)
-        b_end = sat_solver.num_clauses
-
-        outcome = solver.check()
+        outcome, node = session.bounded_check(frontier, depth)
         if outcome == BVResult.SAT:
-            cex = encoder.extract_counterexample(property_name, depth)
-            self._stats.add(sat_solver.stats)
+            cex = session.encoder.extract_counterexample(property_name, depth)
             return "sat", None, cex
         if outcome == BVResult.UNKNOWN:
-            self._stats.add(sat_solver.stats)
             return "timeout", None, None
-
-        interpolator = Interpolator(
-            sat_solver, range(a_start, a_end), range(b_start, b_end)
-        )
-        node = interpolator.compute()
-        interpolant = self._itp_to_state_expr(node, encoder, frame=1)
-        self._stats.add(sat_solver.stats)
+        interpolant = itp_to_state_expr(node, session.encoder, frame=1)
         return "unsat", simplify(interpolant), None
-
-    # ------------------------------------------------------------------
-    def _itp_to_state_expr(self, node: ItpNode, encoder: FrameEncoder, frame: int) -> Expr:
-        """Convert an interpolant over frame-``frame`` state bits into an expression
-        over the unstamped state variables."""
-        bit_map = encoder.solver.blaster.bit_map()
-        state_widths = encoder.state_vars()
-        suffix = f"@{frame}"
-
-        true_var = abs(encoder.solver.blaster.true_lit)
-
-        def convert(n: ItpNode) -> Expr:
-            if n.kind == "const":
-                return TRUE if n.value else FALSE
-            if n.kind == "lit":
-                variable = abs(n.lit)
-                if variable == true_var:
-                    # the shared constant-true variable
-                    return TRUE if n.lit > 0 else FALSE
-                mapped = bit_map.get(variable)
-                if mapped is None:
-                    raise RuntimeError(
-                        "interpolant mentions an internal solver variable; "
-                        "the A/B sharing barrier was violated"
-                    )
-                name, bit_index = mapped
-                if not name.endswith(suffix):
-                    raise RuntimeError(
-                        f"interpolant variable {name!r} is not a frame-{frame} state bit"
-                    )
-                base = name[: -len(suffix)]
-                if base not in state_widths:
-                    raise RuntimeError(
-                        f"interpolant variable {name!r} does not map to a state variable"
-                    )
-                bit = bv_extract(bv_var(base, state_widths[base]), bit_index, bit_index)
-                return bit if n.lit > 0 else bool_not(bit)
-            children = [convert(child) for child in n.args]
-            if n.kind == "and":
-                return bool_and(*children)
-            return bool_or(*children)
-
-        return convert(node)
 
     def _implies_reached(
         self, interpolant: Expr, reached: List[Expr], budget: Budget
     ) -> bool:
         """Check whether the new interpolant is already covered (fixpoint test).
 
-        Under persistent sessions the cover checks share one solver: each
-        query's constraints are guarded by a throwaway activation literal and
-        retired immediately, so the blasted predicates (and anything learned
-        about them) are reused across the fixpoint tests of a run.
+        The cover checks share one solver: each query's constraints are
+        guarded by a throwaway activation literal and retired immediately, so
+        the blasted predicates (and anything learned about them) are reused
+        across the fixpoint tests of a run.
         """
-        flat = flattened_cached(self.system)
-        init_expr = bool_and(
-            *[
-                bv_var(name, width).eq(flat.init[name])
-                for name, width in flat.state_vars.items()
-            ]
-        )
-        covered = bool_or(init_expr, *reached)
-        if self.persistent_session:
-            if self._fixpoint_solver is None:
-                self._fixpoint_solver = BVSolver()
-            solver = self._fixpoint_solver
-            solver.set_deadline(budget.deadline)
-            activation = solver.new_activation()
-            solver.assert_guarded(interpolant, activation)
-            solver.assert_guarded(bool_not(covered), activation)
-            outcome = solver.check(assumptions=[activation])
-            solver.retire(activation)
-            return outcome == BVResult.UNSAT
-        solver = BVSolver()
+        covered = bool_or(init_state_expr(flattened_cached(self.system)), *reached)
+        if self._fixpoint_solver is None:
+            self._fixpoint_solver = BVSolver()
+        solver = self._fixpoint_solver
         solver.set_deadline(budget.deadline)
-        solver.assert_expr(interpolant)
-        solver.assert_expr(bool_not(covered))
-        outcome = solver.check()
-        self._stats.add(solver.stats)
+        activation = solver.new_activation()
+        solver.assert_guarded(interpolant, activation)
+        solver.assert_guarded(bool_not(covered), activation)
+        outcome = solver.check(assumptions=[activation])
+        solver.retire(activation)
         return outcome == BVResult.UNSAT
 
     def _timeout(

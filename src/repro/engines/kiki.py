@@ -42,19 +42,11 @@ class KikiEngine(Engine):
         max_k: int = 64,
         simple_path: bool = False,
         representation: str = "word",
-        use_intervals: bool = True,
-        incremental_template: bool = True,
-        persistent_session: bool = True,
-        sim_filter: bool = True,
     ) -> None:
         super().__init__(system)
         self.max_k = max_k
         self.simple_path = simple_path
         self.representation = representation
-        self.use_intervals = use_intervals
-        self.incremental_template = incremental_template
-        self.persistent_session = persistent_session
-        self.sim_filter = sim_filter
         self._sim_dropped = 0
 
     def verify(
@@ -67,24 +59,19 @@ class KikiEngine(Engine):
         self._sim_dropped = 0
 
         # phase 1: infer interval invariants (cheap, template-based)
-        invariants: List[Expr] = []
-        interval_detail = {}
-        if self.use_intervals:
-            with _telemetry.span("engine.kiki.intervals"):
-                analysis = AbstractInterpretationEngine(self.system)
-                intervals = analysis.compute_invariants(budget)
-                invariants = analysis.invariant_exprs(intervals)
-            interval_detail = {
-                "interval_invariants": len(invariants),
-            }
-            if budget.expired():
-                return VerificationResult(
-                    Status.TIMEOUT,
-                    self.name,
-                    property_name,
-                    runtime=budget.elapsed(),
-                    detail=interval_detail,
-                )
+        with _telemetry.span("engine.kiki.intervals"):
+            analysis = AbstractInterpretationEngine(self.system)
+            intervals = analysis.compute_invariants(budget)
+            invariants = analysis.invariant_exprs(intervals)
+        interval_detail = {"interval_invariants": len(invariants)}
+        if budget.expired():
+            return VerificationResult(
+                Status.TIMEOUT,
+                self.name,
+                property_name,
+                runtime=budget.elapsed(),
+                detail=interval_detail,
+            )
 
         # phase 2: the invariants must themselves be inductive to be assumed
         # in the step case; the interval fixpoint guarantees this, but a
@@ -103,8 +90,6 @@ class KikiEngine(Engine):
             simple_path=self.simple_path,
             representation=self.representation,
             strengthening_invariants=invariants,
-            incremental_template=self.incremental_template,
-            persistent_session=self.persistent_session,
         )
         result = engine.verify(property_name, timeout=budget.remaining())
         # the inner engine's certificate (witness or k-inductive claim with
@@ -141,94 +126,66 @@ class KikiEngine(Engine):
     def _certified_invariants(self, invariants: List[Expr], budget: Budget) -> List[Expr]:
         """Keep only invariants that hold initially and are jointly inductive.
 
-        With ``persistent_session`` the whole pruning loop runs on *one*
-        solver: the transition relation is stamped once, each iteration's
-        candidate set is asserted under a fresh activation literal, and
-        dropping invariants retracts the group instead of rebuilding the
-        solver — the learned clauses about the (unchanging) transition
-        relation survive every iteration.  The legacy path rebuilds a fresh
-        encoder per iteration.
+        The whole pruning loop runs on *one* solver: the transition relation
+        is stamped once, each iteration's candidate set is asserted under a
+        fresh activation literal, and dropping invariants retracts the group
+        instead of rebuilding the solver — the learned clauses about the
+        (unchanging) transition relation survive every iteration.
         """
         if not invariants:
             return []
-        certified = list(invariants)
         from repro.exprs import bool_and, bool_not, evaluate
 
         flat = flattened_cached(self.system)
         init_env = {name: evaluate(expr, {}) for name, expr in flat.init.items()}
-        certified = [inv for inv in certified if evaluate(inv, init_env) == 1]
+        certified = [inv for inv in invariants if evaluate(inv, init_env) == 1]
+        if not certified:
+            return []
 
         # cheap bit-parallel screen: a candidate false on any *sampled*
         # reachable state cannot be an invariant, so drop it before the SAT
         # loop pays induction queries for it (strictly sound — the screen can
         # only remove candidates the solver would have had to drop anyway)
-        if self.sim_filter and certified:
-            from repro.netlist.bitsim import ReachabilitySampler
+        from repro.netlist.bitsim import ReachabilitySampler
 
-            sampler = ReachabilitySampler(self.system)
-            certified, self._sim_dropped = sampler.screen_invariants(certified)
+        sampler = ReachabilitySampler(self.system)
+        certified, self._sim_dropped = sampler.screen_invariants(certified)
+        if not certified:
+            return []
 
-        session: Optional[FrameEncoder] = None
-        if self.persistent_session and certified:
-            session = FrameEncoder(
-                self.system,
-                representation=self.representation,
-                incremental_template=self.incremental_template,
-            )
-            session.solver.set_deadline(budget.deadline)
-            session.assert_trans(0)
-
+        encoder = FrameEncoder(self.system, representation=self.representation)
+        solver = encoder.solver
+        solver.set_deadline(budget.deadline)
+        encoder.assert_trans(0)
         try:
             while certified:
                 if budget.expired():
                     return []
-                if session is not None:
-                    encoder = session
-                    activation = encoder.new_activation()
-                    solver = encoder.solver
-                    for invariant in certified:
-                        solver.assert_guarded(
-                            encoder.rename_to_frame(invariant, 0), activation
-                        )
-                    conjunction = bool_and(
-                        *[encoder.rename_to_frame(inv, 1) for inv in certified]
+                activation = encoder.new_activation()
+                for invariant in certified:
+                    solver.assert_guarded(
+                        encoder.rename_to_frame(invariant, 0), activation
                     )
-                    solver.assert_guarded(bool_not(conjunction), activation)
-                    outcome = solver.check(assumptions=[activation])
-                else:
-                    encoder = FrameEncoder(
-                        self.system,
-                        representation=self.representation,
-                        incremental_template=self.incremental_template,
-                    )
-                    encoder.solver.set_deadline(budget.deadline)
-                    for invariant in certified:
-                        encoder.solver.assert_expr(encoder.rename_to_frame(invariant, 0))
-                    encoder.assert_trans(0)
-                    conjunction = bool_and(
-                        *[encoder.rename_to_frame(inv, 1) for inv in certified]
-                    )
-                    encoder.solver.assert_expr(bool_not(conjunction))
-                    outcome = encoder.solver.check()
+                conjunction = bool_and(
+                    *[encoder.rename_to_frame(inv, 1) for inv in certified]
+                )
+                solver.assert_guarded(bool_not(conjunction), activation)
+                outcome = solver.check(assumptions=[activation])
                 if outcome == BVResult.UNSAT:
                     return certified
                 if outcome == BVResult.UNKNOWN:
                     return []
                 # drop the invariants violated in the counterexample to induction
-                surviving = []
-                for invariant in certified:
-                    value = encoder.solver.value_of_expr(
-                        encoder.rename_to_frame(invariant, 1)
-                    )
-                    if value == 1:
-                        surviving.append(invariant)
-                if session is not None:
-                    encoder.retire(activation)
+                surviving = [
+                    invariant
+                    for invariant in certified
+                    if solver.value_of_expr(encoder.rename_to_frame(invariant, 1)) == 1
+                ]
+                encoder.retire(activation)
                 if len(surviving) == len(certified):
                     # no progress (should not happen); give up on strengthening
                     return []
                 certified = surviving
             return certified
         finally:
-            if session is not None:
-                self._certification_stats = session.solver.stats
+            self._certification_stats = solver.stats

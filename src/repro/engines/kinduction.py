@@ -12,13 +12,9 @@ behavioural differences visible in Figure 3 of the paper.
 The engine can also be strengthened with externally supplied invariants
 (used by the kIkI combination of :mod:`repro.engines.kiki`).
 
-With ``persistent_session=True`` (the default) the base and step solvers live
-for the whole run: bound ``k + 1`` extends the unrollings of bound ``k``, so
-the conflict clauses, VSIDS activities and saved phases learned at earlier
-bounds keep working at the deeper ones.  The legacy path
-(``persistent_session=False``) rebuilds both solvers from scratch at every
-``k`` — what a non-incremental implementation does — and is kept for
-cross-checking and as the benchmark baseline.
+The base and step solvers live for the whole run: bound ``k + 1`` extends
+the unrollings of bound ``k``, so the conflict clauses, VSIDS activities and
+saved phases learned at earlier bounds keep working at the deeper ones.
 """
 
 from __future__ import annotations
@@ -49,15 +45,11 @@ class KInductionEngine(Engine):
         simple_path: bool = True,
         representation: str = "word",
         strengthening_invariants: Optional[Iterable[Expr]] = None,
-        incremental_template: bool = True,
-        persistent_session: bool = True,
     ) -> None:
         super().__init__(system)
         self.max_k = max_k
         self.simple_path = simple_path
         self.representation = representation
-        self.incremental_template = incremental_template
-        self.persistent_session = persistent_session
         #: extra invariants over (unstamped) state variables assumed in every frame
         self.strengthening_invariants: List[Expr] = list(strengthening_invariants or [])
 
@@ -70,10 +62,7 @@ class KInductionEngine(Engine):
         start = time.monotonic()
         self._stats = SolverStats()
 
-        base: Optional[FrameEncoder] = None
-        step: Optional[FrameEncoder] = None
-        if self.persistent_session:
-            base, step = self._fresh_pair(budget)
+        base, step = self._fresh_pair(budget)
 
         for k in range(self.max_k + 1):
             with _telemetry.span("engine.kinduction.k", k=k) as bound_span:
@@ -81,15 +70,6 @@ class KInductionEngine(Engine):
                     self._retire_pair(base, step)
                     bound_span.set_outcome("timeout")
                     return self._timeout(property_name, budget, k)
-
-                if not self.persistent_session:
-                    # legacy: rebuild both solvers from scratch and re-unroll the
-                    # whole prefix — identical queries, no learned-clause reuse
-                    self._retire_pair(base, step)
-                    base, step = self._fresh_pair(budget)
-                    for frame in range(k):
-                        base.assert_trans(frame)
-                    self._extend_step(step, k, property_name)
 
                 # ---- base case: a violation within k steps of the initial state?
                 base_property = base.property_literal(property_name, k)
@@ -113,8 +93,7 @@ class KInductionEngine(Engine):
                     return self._timeout(property_name, budget, k)
 
                 # ---- step case: P in frames 0..k implies P in frame k+1
-                if self.persistent_session:
-                    self._extend_step_frame(step, k, property_name)
+                self._extend_step_frame(step, k, property_name)
                 step_property_next = step.property_literal(property_name, k + 1)
                 outcome = step.solver.check(assumptions=[-step_property_next])
                 if outcome == BVResult.UNSAT:
@@ -145,8 +124,7 @@ class KInductionEngine(Engine):
                     return self._timeout(property_name, budget, k)
 
                 # neither case concluded: deepen the unrolling
-                if self.persistent_session:
-                    base.assert_trans(k)
+                base.assert_trans(k)
 
         self._retire_pair(base, step)
         return VerificationResult(
@@ -163,27 +141,18 @@ class KInductionEngine(Engine):
     # ------------------------------------------------------------------
     def _fresh_pair(self, budget: Budget) -> Tuple[FrameEncoder, FrameEncoder]:
         """Build the base-case and step-case encoders."""
-        base = FrameEncoder(
-            self.system,
-            representation=self.representation,
-            incremental_template=self.incremental_template,
-        )
+        base = FrameEncoder(self.system, representation=self.representation)
         base.solver.set_deadline(budget.deadline)
         base.assert_init(0)
-        step = FrameEncoder(
-            self.system,
-            representation=self.representation,
-            incremental_template=self.incremental_template,
-        )
+        step = FrameEncoder(self.system, representation=self.representation)
         step.solver.set_deadline(budget.deadline)
         self._assert_invariants(step, 0)
         return base, step
 
-    def _retire_pair(self, base: Optional[FrameEncoder], step: Optional[FrameEncoder]) -> None:
+    def _retire_pair(self, base: FrameEncoder, step: FrameEncoder) -> None:
         """Fold the encoders' solver counters into the run totals."""
         for encoder in (base, step):
-            if encoder is not None:
-                self._stats.add(encoder.solver.stats)
+            self._stats.add(encoder.solver.stats)
 
     def _extend_step_frame(self, step: FrameEncoder, k: int, property_name: str) -> None:
         """Grow the step-case window by one frame (frame ``k`` -> ``k + 1``)."""
@@ -193,11 +162,6 @@ class KInductionEngine(Engine):
             self._assert_simple_path(step, k + 1)
         step_property_now = step.property_literal(property_name, k)
         step.solver.solver.add_clause([step_property_now])  # assume P at frame k
-
-    def _extend_step(self, step: FrameEncoder, k: int, property_name: str) -> None:
-        """Build the whole step-case window 0..k+1 (legacy per-k rebuild)."""
-        for frame in range(k + 1):
-            self._extend_step_frame(step, frame, property_name)
 
     # ------------------------------------------------------------------
     def _assert_invariants(self, encoder: FrameEncoder, frame: int) -> None:

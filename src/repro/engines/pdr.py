@@ -47,16 +47,11 @@ class PDREngine(Engine):
         max_frames: int = 200,
         representation: str = "word",
         generalize_passes: int = 1,
-        incremental_template: bool = True,
-        sim_filter: bool = True,
     ) -> None:
         super().__init__(system)
         self.max_frames = max_frames
         self.representation = representation
         self.generalize_passes = generalize_passes
-        self.incremental_template = incremental_template
-        self.sim_filter = sim_filter
-        self._sampler = None
         self._sim_skips = 0
 
     # ------------------------------------------------------------------
@@ -79,11 +74,7 @@ class PDREngine(Engine):
 
     # ------------------------------------------------------------------
     def _run(self, property_name: str, budget: Budget, start: float) -> VerificationResult:
-        encoder = FrameEncoder(
-            self.system,
-            representation=self.representation,
-            incremental_template=self.incremental_template,
-        )
+        encoder = FrameEncoder(self.system, representation=self.representation)
         solver = encoder.solver
         solver.set_deadline(budget.deadline)
         self._encoder = encoder
@@ -93,12 +84,10 @@ class PDREngine(Engine):
         self._state_widths = dict(flat.state_vars)
         self._init_values = {name: evaluate(expr, {}) for name, expr in flat.init.items()}
 
-        self._sim_skips = 0
-        self._sampler = None
-        if self.sim_filter:
-            from repro.netlist.bitsim import ReachabilitySampler
+        from repro.netlist.bitsim import ReachabilitySampler
 
-            self._sampler = ReachabilitySampler(self.system)
+        self._sim_skips = 0
+        self._sampler = ReachabilitySampler(self.system)
 
         # transition relation between frame 0 (current) and frame 1 (next)
         encoder.assert_trans(0)
@@ -345,7 +334,7 @@ class PDREngine(Engine):
                 # query and keep the literal (purely a query-saving heuristic;
                 # the kept cube is strictly stronger, so soundness is
                 # unaffected either way)
-                if self._sampler is not None and self._sampler.satisfies_cube(candidate):
+                if self._sampler.satisfies_cube(candidate):
                     self._sim_skips += 1
                     continue
                 if self._relative_induction_query(candidate, level) is None:
@@ -401,7 +390,6 @@ class PDREngine(Engine):
             self.system,
             max_bound=self._frame_count + 1,
             representation=self.representation,
-            incremental_template=self.incremental_template,
         )
         result = bmc.verify(property_name, timeout=self._budget.remaining())
         return result.counterexample

@@ -22,7 +22,7 @@ shows (CPAChecker times out on two benchmarks).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.certs import InductiveCertificate, witness_from_counterexample
 from repro.engines.base import Engine
@@ -59,7 +59,6 @@ class PredicateAbstractionEngine(Engine):
         max_refinements: int = 20,
         max_predicates: int = 64,
         representation: str = "word",
-        persistent_session: bool = True,
     ) -> None:
         super().__init__(system)
         self.flat = flattened_cached(system)
@@ -67,15 +66,13 @@ class PredicateAbstractionEngine(Engine):
         self.max_refinements = max_refinements
         self.max_predicates = max_predicates
         self.representation = representation
-        self.persistent_session = persistent_session
         self._reset_sessions()
 
     # ------------------------------------------------------------------
     def _reset_sessions(self) -> None:
-        """Drop the per-run solver sessions (see the class docstring).
+        """Drop the per-run solver sessions.
 
-        With ``persistent_session`` the engine reuses, across its whole
-        exploration: one solver for the "abstract state admits a violation"
+        The engine reuses, across its whole exploration: one solver for the "abstract state admits a violation"
         queries (the negated property is asserted once, each state constraint
         comes and goes under an activation literal), one encoder for
         successor enumeration per predicate set (the transition relation is
@@ -279,24 +276,17 @@ class PredicateAbstractionEngine(Engine):
     def _admits_violation(
         self, predicates: List[Expr], state: AbstractState, property_expr: Expr, budget: Budget
     ) -> Optional[bool]:
-        if self.persistent_session:
-            # one solver for every admits-violation query of the run: ¬P is
-            # asserted permanently, the state constraint is guarded per call
-            if self._admits_solver is None:
-                self._admits_solver = BVSolver()
-                self._admits_solver.assert_expr(bool_not(property_expr))
-            solver = self._admits_solver
-            solver.set_deadline(budget.deadline)
-            activation = solver.new_activation()
-            solver.assert_guarded(self._state_constraint(predicates, state), activation)
-            outcome = solver.check(assumptions=[activation])
-            solver.retire(activation)
-        else:
-            solver = BVSolver()
-            solver.set_deadline(budget.deadline)
-            solver.assert_expr(self._state_constraint(predicates, state))
-            solver.assert_expr(bool_not(property_expr))
-            outcome = solver.check()
+        # one solver for every admits-violation query of the run: ¬P is
+        # asserted permanently, the state constraint is guarded per call
+        if self._admits_solver is None:
+            self._admits_solver = BVSolver()
+            self._admits_solver.assert_expr(bool_not(property_expr))
+        solver = self._admits_solver
+        solver.set_deadline(budget.deadline)
+        activation = solver.new_activation()
+        solver.assert_guarded(self._state_constraint(predicates, state), activation)
+        outcome = solver.check(assumptions=[activation])
+        solver.retire(activation)
         if outcome == BVResult.UNKNOWN:
             return None
         return outcome == BVResult.SAT
@@ -307,62 +297,42 @@ class PredicateAbstractionEngine(Engine):
         """Enumerate the abstract successors of one abstract state.
 
         This is the hot loop of Boolean predicate abstraction: one SAT-based
-        image computation per reachable abstract state.  Session mode stamps
-        the transition relation and blasts the successor predicates *once per
-        predicate set*; each source state then only contributes a guarded
-        state constraint and guarded blocking clauses, all retracted when its
-        enumeration finishes.  Legacy mode rebuilds encoder + transition per
-        state.
+        image computation per reachable abstract state.  The transition
+        relation is stamped and the successor predicates are blasted *once
+        per predicate set*; each source state then only contributes a
+        guarded state constraint and guarded blocking clauses, all retracted
+        when its enumeration finishes.
         """
-        if self.persistent_session:
-            key = tuple(predicates)
-            if self._succ_encoder is None or self._succ_predicates != key:
-                encoder = FrameEncoder(self.system, representation=self.representation)
-                encoder.assert_trans(0)
-                self._succ_encoder = encoder
-                self._succ_literals = [
-                    encoder.solver.literal_for(encoder.rename_to_frame(predicate, 1))
-                    for predicate in predicates
-                ]
-                self._succ_predicates = key
-            encoder = self._succ_encoder
-            solver = encoder.solver
-            solver.set_deadline(budget.deadline)
-            successor_literals = self._succ_literals
-            activation = solver.new_activation()
-            solver.assert_guarded(
-                encoder.rename_to_frame(self._state_constraint(predicates, state), 0),
-                activation,
-            )
-            assumptions = [activation]
-        else:
+        key = tuple(predicates)
+        if self._succ_encoder is None or self._succ_predicates != key:
             encoder = FrameEncoder(self.system, representation=self.representation)
-            solver = encoder.solver
-            solver.set_deadline(budget.deadline)
-            solver.assert_expr(
-                encoder.rename_to_frame(self._state_constraint(predicates, state), 0)
-            )
             encoder.assert_trans(0)
-            successor_literals = [
-                solver.literal_for(encoder.rename_to_frame(predicate, 1))
+            self._succ_encoder = encoder
+            self._succ_literals = [
+                encoder.solver.literal_for(encoder.rename_to_frame(predicate, 1))
                 for predicate in predicates
             ]
-            activation = None
-            assumptions = []
+            self._succ_predicates = key
+        encoder = self._succ_encoder
+        solver = encoder.solver
+        solver.set_deadline(budget.deadline)
+        successor_literals = self._succ_literals
+        activation = solver.new_activation()
+        solver.assert_guarded(
+            encoder.rename_to_frame(self._state_constraint(predicates, state), 0),
+            activation,
+        )
         successors: List[AbstractState] = []
         while True:
             if budget.expired():
-                if activation is not None:
-                    solver.retire(activation)
+                solver.retire(activation)
                 return None
-            outcome = solver.check(assumptions=assumptions)
+            outcome = solver.check(assumptions=[activation])
             if outcome == BVResult.UNKNOWN:
-                if activation is not None:
-                    solver.retire(activation)
+                solver.retire(activation)
                 return None
             if outcome == BVResult.UNSAT:
-                if activation is not None:
-                    solver.retire(activation)
+                solver.retire(activation)
                 return successors
             assignment = tuple(
                 solver.solver.model_value(literal) for literal in successor_literals
@@ -375,13 +345,9 @@ class PredicateAbstractionEngine(Engine):
                 for literal, value in zip(successor_literals, assignment)
             ]
             if not blocking:
-                if activation is not None:
-                    solver.retire(activation)
+                solver.retire(activation)
                 return successors
-            if activation is not None:
-                solver.solver.add_clause([-activation] + blocking)
-            else:
-                solver.solver.add_clause(blocking)
+            solver.solver.add_clause([-activation] + blocking)
 
     # ------------------------------------------------------------------
     # concretization and refinement
@@ -389,53 +355,37 @@ class PredicateAbstractionEngine(Engine):
     def _replay(
         self, property_name: str, depth: int, budget: Budget
     ) -> Tuple[Optional[bool], Optional[Counterexample]]:
-        if self.persistent_session:
-            # one Init-rooted unrolling for every replay; frames only extend
-            # (extra frames beyond this query's depth cannot constrain it —
-            # the transition relation is total), the per-depth bad disjunction
-            # is guarded and retired after the query
-            if self._replay_encoder is None:
-                self._replay_encoder = FrameEncoder(
-                    self.system, representation=self.representation
-                )
-                self._replay_encoder.assert_init(0)
-                self._replay_frames = 0
-            encoder = self._replay_encoder
-            encoder.solver.set_deadline(budget.deadline)
-            while self._replay_frames < depth:
-                encoder.assert_trans(self._replay_frames)
-                self._replay_frames += 1
-            bad_literals = [
-                -encoder.property_literal(property_name, frame)
-                for frame in range(depth + 1)
-            ]
-            activation = encoder.new_activation()
-            encoder.solver.solver.add_clause([-activation] + bad_literals)
-            outcome = encoder.solver.check(assumptions=[activation])
-            result: Tuple[Optional[bool], Optional[Counterexample]]
-            if outcome == BVResult.UNKNOWN:
-                result = None, None
-            elif outcome == BVResult.SAT:
-                result = True, encoder.extract_counterexample(property_name, depth)
-            else:
-                result = False, None
-            encoder.retire(activation)
-            return result
-        encoder = FrameEncoder(self.system, representation=self.representation)
+        # one Init-rooted unrolling for every replay; frames only extend
+        # (extra frames beyond this query's depth cannot constrain it — the
+        # transition relation is total), the per-depth bad disjunction is
+        # guarded and retired after the query
+        if self._replay_encoder is None:
+            self._replay_encoder = FrameEncoder(
+                self.system, representation=self.representation
+            )
+            self._replay_encoder.assert_init(0)
+            self._replay_frames = 0
+        encoder = self._replay_encoder
         encoder.solver.set_deadline(budget.deadline)
-        encoder.assert_init(0)
-        bad_literals = []
-        for frame in range(depth):
-            bad_literals.append(-encoder.property_literal(property_name, frame))
-            encoder.assert_trans(frame)
-        bad_literals.append(-encoder.property_literal(property_name, depth))
-        encoder.solver.solver.add_clause(bad_literals)
-        outcome = encoder.solver.check()
+        while self._replay_frames < depth:
+            encoder.assert_trans(self._replay_frames)
+            self._replay_frames += 1
+        bad_literals = [
+            -encoder.property_literal(property_name, frame)
+            for frame in range(depth + 1)
+        ]
+        activation = encoder.new_activation()
+        encoder.solver.solver.add_clause([-activation] + bad_literals)
+        outcome = encoder.solver.check(assumptions=[activation])
+        result: Tuple[Optional[bool], Optional[Counterexample]]
         if outcome == BVResult.UNKNOWN:
-            return None, None
-        if outcome == BVResult.SAT:
-            return True, encoder.extract_counterexample(property_name, depth)
-        return False, None
+            result = None, None
+        elif outcome == BVResult.SAT:
+            result = True, encoder.extract_counterexample(property_name, depth)
+        else:
+            result = False, None
+        encoder.retire(activation)
+        return result
 
     def _refine(
         self, property_name: str, depth: int, budget: Budget
@@ -449,9 +399,7 @@ class PredicateAbstractionEngine(Engine):
 
         if self._refine_helper is None:
             self._refine_helper = ImpactEngine(
-                self.system,
-                representation=self.representation,
-                persistent_session=self.persistent_session,
+                self.system, representation=self.representation
             )
         helper = self._refine_helper
         new_predicates: List[Expr] = []

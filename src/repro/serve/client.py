@@ -131,6 +131,15 @@ class ServeClient:
             raise ProtocolError(f"server sent no hello frame: {self.hello!r}")
 
     def close(self) -> None:
+        # shut the connection down before closing it: a process forked from
+        # this one (a worker of a pool or of an in-process server) holds a
+        # copy of the socket, and close() alone would keep the server from
+        # seeing EOF until that copy is gone
+        if self._socket is not None:
+            try:
+                self._socket.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
         for closer in (self._stream, self._socket):
             if closer is None:
                 continue

@@ -23,9 +23,7 @@ class BitBlaster:
 
     Variable bits are allocated once per variable name and reused, so that two
     expressions mentioning the same variable constrain the same SAT variables.
-    Gate-level structural hashing lives in the Tseitin encoder; it can be
-    reset with :meth:`clear_cache` to create a sharing barrier (needed when a
-    clause partition for interpolation must only share variable bits).
+    Gate-level structural hashing lives in the Tseitin encoder.
     """
 
     def __init__(self, sink) -> None:
@@ -45,19 +43,6 @@ class BitBlaster:
     def true_lit(self) -> int:
         """The literal constrained to true."""
         return self._encoder.true_lit
-
-    def clear_cache(self) -> None:
-        """Drop gate and expression caches, keeping variable-bit allocations.
-
-        After the call, newly blasted expressions will not share internal
-        Tseitin variables with previously blasted ones; only named variable
-        bits remain common.  Interpolation-based engines use this to ensure
-        the A/B partitions only share state-variable bits.
-        """
-        true_lit = self._encoder._true_lit
-        self._encoder._cache = {}
-        self._encoder._true_lit = true_lit
-        self._expr_cache = {}
 
     def bits_of_var(self, name: str, width: int) -> List[int]:
         """Return (allocating if necessary) the literal vector of a variable."""

@@ -1,45 +1,21 @@
-"""Benchmarking harness for the template-unrolling subsystem.
+"""Correctness gates and measurements over the benchmark suite.
 
-Run with ``python -m repro.tools.bench`` (or the ``repro-bench`` console
-script).  For each selected benchmark the harness unrolls BMC to a fixed
-depth twice — once through the :class:`repro.engines.encoding.FrameTemplate`
-fast path and once through the legacy per-frame re-blast
-(``incremental_template=False``) — timing the *encode* phase (transition /
-property instantiation) separately from the *solve* phase (the SAT checks),
-and asserting that the two paths return identical verdicts.  A second section
-runs the unbounded engines (k-induction, interpolation, kIkI, PDR) end to end
-on both paths.
+Run with ``python -m repro.tools.bench MODE`` (or the ``repro-bench``
+console script).  Every run selects exactly one mode; each mode writes its
+``BENCH_*.json`` report and exits non-zero unless its gates hold.
 
-Results are written to ``BENCH_unroll.json`` so that successive performance
-PRs have a trajectory to compare against: the ``summary`` section records the
-per-benchmark encode+solve speedups, the count of benchmarks at or above the
-3x target, and whether every verdict pair matched.
-
-``--portfolio`` switches the harness into portfolio mode: every default
-portfolio configuration is first timed *individually* on each design, then
-the process-parallel :class:`repro.engines.portfolio.PortfolioRunner` races
+``--portfolio`` times the portfolio: every default portfolio configuration
+is first timed *individually* on each design, then the process-parallel :class:`repro.engines.portfolio.PortfolioRunner` races
 them, and ``BENCH_portfolio.json`` records the portfolio wall-clock against
 the fastest and slowest *winning* single engine per design.
 
-``--certify`` switches into certification mode: every engine of the zoo runs
-on every suite design, each definitive verdict's certificate (UNSAFE witness
+``--certify`` is the certification mode: every engine of the zoo runs on
+every suite design, each definitive verdict's certificate (UNSAFE witness
 / SAFE invariant, see :mod:`repro.certs`) is validated by the independent
 checker, and a cross-check portfolio with an injected wrong-verdict engine
 demonstrates certificate-based adjudication.  ``BENCH_certify.json`` records
 the per-design validation statistics; the run fails unless every definitive
 verdict is correct *and* independently validated.
-
-``--incremental`` measures the persistent solver sessions: k-induction is
-profiled bound by bound (per-bound wall clock and ``SolverStats`` deltas) in
-three modes — **session** (one persistent solver, templates), **template**
-(template stamping but a fresh solver per bound) and **legacy** (fresh
-solver, per-frame re-blast) — kIkI is timed end to end in the same modes, and
-a verdict sweep runs the converted engines on all suite designs with
-``persistent_session`` on and off.  ``BENCH_incremental.json`` records the
-speedups; the run fails on any session-vs-legacy verdict mismatch.  By
-default the per-bound rows are aggregated into compact per-design summaries;
-``--full`` keeps the raw per-bound data (``--summary`` spells the default
-explicitly).
 
 ``--serve`` measures the query-serving hot path: the whole suite is swept
 twice through the :class:`repro.engines.batch.BatchRunner` against one
@@ -98,12 +74,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.benchmarks import benchmark_names, get_benchmark
 from repro.certs import validate_result
-from repro.engines.bmc import BMCEngine
-from repro.engines.encoding import FrameEncoder
-from repro.engines.interpolation import InterpolationEngine
-from repro.engines.kiki import KikiEngine
-from repro.engines.kinduction import KInductionEngine
-from repro.engines.pdr import PDREngine
 from repro.engines.ladder import (
     PortfolioConfig,
     VerificationTask,
@@ -116,174 +86,10 @@ from repro.engines.result import Status
 from repro.jsonio import write_json_atomic
 from repro.obs import log as _log
 from repro.obs import telemetry as _telemetry
-from repro.smt import BVResult
 
-#: default designs for the deep-unroll comparison (encode-dominated datapaths)
-DEFAULT_BMC_BENCHMARKS = ["mac16", "barrel16", "huffman_enc", "daio"]
-#: default designs for the end-to-end engine comparison (small control logic)
-DEFAULT_ENGINE_BENCHMARKS = ["huffman_dec", "proc3", "buffalloc", "arbiter"]
 #: default designs for the portfolio-vs-single comparison: a mix where the
 #: fastest winner differs (BMC refutes daio/tlc, the provers win the rest)
 DEFAULT_PORTFOLIO_BENCHMARKS = ["daio", "tlc", "buffalloc", "huffman_dec"]
-
-ENGINE_FACTORIES = {
-    "k-induction": lambda system, template: KInductionEngine(
-        system, max_k=16, incremental_template=template
-    ),
-    "interpolation": lambda system, template: InterpolationEngine(
-        system, incremental_template=template
-    ),
-    "kiki": lambda system, template: KikiEngine(
-        system, max_k=16, incremental_template=template
-    ),
-    "pdr": lambda system, template: PDREngine(system, incremental_template=template),
-}
-
-
-def profile_bmc_unroll(
-    system,
-    property_name: Optional[str],
-    depth: int,
-    representation: str,
-    incremental_template: bool,
-) -> Dict[str, object]:
-    """Unroll BMC to ``depth``, timing encode and solve separately.
-
-    Mirrors :class:`repro.engines.bmc.BMCEngine` exactly (same queries in the
-    same order) so the verdict comparison is meaningful, but keeps its own
-    stopwatch around the encode calls (``assert_trans`` / ``property_literal``)
-    versus the solve calls (``check``).
-    """
-    start = time.monotonic()
-    encoder = FrameEncoder(
-        system,
-        representation=representation,
-        incremental_template=incremental_template,
-    )
-    encoder.assert_init(0)
-    setup_s = time.monotonic() - start
-    if property_name is None:
-        property_name = system.properties[0].name
-
-    encode_s = 0.0
-    solve_s = 0.0
-    verdict = "unknown"
-    bound_reached = depth
-    for bound in range(depth + 1):
-        t0 = time.monotonic()
-        literal = encoder.property_literal(property_name, bound)
-        encode_s += time.monotonic() - t0
-        t0 = time.monotonic()
-        outcome = encoder.solver.check(assumptions=[-literal])
-        solve_s += time.monotonic() - t0
-        if outcome == BVResult.SAT:
-            verdict = "unsafe"
-            bound_reached = bound
-            break
-        t0 = time.monotonic()
-        encoder.assert_trans(bound)
-        encode_s += time.monotonic() - t0
-    sat_solver = encoder.solver.solver
-    return {
-        "verdict": verdict,
-        "bound": bound_reached,
-        "setup_s": round(setup_s, 6),
-        "encode_s": round(encode_s, 6),
-        "solve_s": round(solve_s, 6),
-        "total_s": round(setup_s + encode_s + solve_s, 6),
-        "clauses": sat_solver.num_clauses,
-        "vars": sat_solver.num_vars,
-        "solver_stats": sat_solver.stats.as_dict(),
-    }
-
-
-def _best_of(runs: List[Dict[str, object]]) -> Dict[str, object]:
-    """Keep the fastest run (by encode+solve) — standard noise reduction."""
-    return min(runs, key=lambda r: r["encode_s"] + r["solve_s"])
-
-
-def run_bmc_section(
-    names: List[str], depth: int, representation: str, repeats: int = 3
-) -> List[Dict]:
-    rows = []
-    for name in names:
-        benchmark = get_benchmark(name)
-        system = benchmark.load()
-        template = _best_of(
-            [
-                profile_bmc_unroll(system, None, depth, representation, True)
-                for _ in range(repeats)
-            ]
-        )
-        legacy = _best_of(
-            [
-                profile_bmc_unroll(system, None, depth, representation, False)
-                for _ in range(repeats)
-            ]
-        )
-        speedup = (
-            legacy["encode_s"] + legacy["solve_s"]
-        ) / max(1e-9, template["encode_s"] + template["solve_s"])
-        row = {
-            "benchmark": name,
-            "representation": representation,
-            "depth": depth,
-            "template": template,
-            "legacy": legacy,
-            "encode_solve_speedup": round(speedup, 2),
-            "verdicts_match": (template["verdict"], template["bound"])
-            == (legacy["verdict"], legacy["bound"]),
-        }
-        rows.append(row)
-        _log.info(
-            f"bmc {name:12s} depth={depth} [{representation}] "
-            f"template={row['template']['total_s']:.3f}s "
-            f"legacy={row['legacy']['total_s']:.3f}s "
-            f"speedup={row['encode_solve_speedup']:.2f}x "
-            f"verdict={template['verdict']} "
-            f"{'OK' if row['verdicts_match'] else 'MISMATCH'}"
-        )
-    return rows
-
-
-def run_engine_section(names: List[str], engines: List[str], timeout: float) -> List[Dict]:
-    rows = []
-    for name in names:
-        benchmark = get_benchmark(name)
-        for engine_name in engines:
-            factory = ENGINE_FACTORIES[engine_name]
-            outcomes = {}
-            for template in (True, False):
-                system = benchmark.load()
-                t0 = time.monotonic()
-                result = factory(system, template).verify(timeout=timeout)
-                outcomes["template" if template else "legacy"] = {
-                    "status": result.status,
-                    "runtime_s": round(time.monotonic() - t0, 6),
-                    "solver_stats": result.detail.get("solver_stats"),
-                }
-            speedup = outcomes["legacy"]["runtime_s"] / max(
-                1e-9, outcomes["template"]["runtime_s"]
-            )
-            row = {
-                "engine": engine_name,
-                "benchmark": name,
-                "representation": "word",
-                "template": outcomes["template"],
-                "legacy": outcomes["legacy"],
-                "speedup": round(speedup, 2),
-                "verdicts_match": outcomes["template"]["status"]
-                == outcomes["legacy"]["status"],
-                "expected": benchmark.expected,
-            }
-            rows.append(row)
-            _log.info(
-                f"eng {engine_name:13s} {name:12s} "
-                f"template={row['template']['runtime_s']:.3f}s/{row['template']['status']} "
-                f"legacy={row['legacy']['runtime_s']:.3f}s/{row['legacy']['status']} "
-                f"{'OK' if row['verdicts_match'] else 'MISMATCH'}"
-            )
-    return rows
 
 
 def run_portfolio_section(
@@ -498,442 +304,6 @@ def run_adjudication_demo(design: str, bound: int, timeout: float) -> Dict[str, 
         "adjudication": result.detail.get("adjudication"),
         "adjudicated_correctly": adjudicated,
     }
-
-
-# ---------------------------------------------------------------------------
-# incremental-session mode (--incremental)
-# ---------------------------------------------------------------------------
-
-#: mode name -> (incremental_template, persistent_session)
-INCREMENTAL_MODES = {
-    "session": (True, True),
-    "template": (True, False),
-    "legacy": (False, False),
-}
-
-#: default designs for the incremental-session comparison: the two unsafe
-#: designs drive k-induction/kIkI through every bound (their bugs are beyond
-#: the depth cap, so the sliding window deepens to max_k), huffman_enc is the
-#: solver-bound datapath of BENCH_unroll, mac16 the encode-bound one
-DEFAULT_INCREMENTAL_BENCHMARKS = ["daio", "tlc", "huffman_enc", "mac16"]
-
-#: engines of the session-vs-legacy verdict sweep (all converted engines)
-SWEEP_ENGINES = ["bmc", "k-induction", "kiki", "interpolation", "predabs"]
-
-
-def profile_kinduction_incremental(
-    system, property_name: Optional[str], depth: int, mode: str, timeout: float
-) -> Dict[str, object]:
-    """Profile k-induction bound by bound in one incremental mode.
-
-    Mirrors :class:`repro.engines.kinduction.KInductionEngine` exactly (same
-    queries in the same order, through the engine's own session helpers) but
-    keeps a per-bound stopwatch and snapshots the ``SolverStats`` deltas each
-    bound contributes.
-    """
-    from repro.engines.kinduction import KInductionEngine
-    from repro.engines.result import Budget
-    from repro.sat.solver import SolverStats
-
-    template, persistent = INCREMENTAL_MODES[mode]
-    if property_name is None:
-        property_name = system.properties[0].name
-    engine = KInductionEngine(
-        system,
-        max_k=depth,
-        incremental_template=template,
-        persistent_session=persistent,
-    )
-    engine._stats = SolverStats()
-    budget = Budget(timeout)
-    start = time.monotonic()
-
-    def totals(base, step) -> Dict[str, int]:
-        snapshot = SolverStats()
-        snapshot.add(engine._stats)
-        for encoder in (base, step):
-            if encoder is not None:
-                snapshot.add(encoder.solver.stats)
-        return snapshot.as_dict()
-
-    base = step = None
-    if persistent:
-        base, step = engine._fresh_pair(budget)
-    per_bound: List[Dict[str, object]] = []
-    previous = totals(base, step)
-    verdict = "unknown"
-    k_reached = depth
-    for k in range(depth + 1):
-        if budget.expired():
-            verdict = "timeout"
-            k_reached = k
-            break
-        t0 = time.monotonic()
-        if not persistent:
-            engine._retire_pair(base, step)
-            base, step = engine._fresh_pair(budget)
-            for frame in range(k):
-                base.assert_trans(frame)
-            engine._extend_step(step, k, property_name)
-        base_property = base.property_literal(property_name, k)
-        outcome = base.solver.check(assumptions=[-base_property])
-        concluded = None
-        if outcome == BVResult.SAT:
-            concluded = ("unsafe", k)
-        elif outcome == BVResult.UNKNOWN:
-            concluded = ("timeout", k)
-        if concluded is None:
-            if persistent:
-                engine._extend_step_frame(step, k, property_name)
-            step_property = step.property_literal(property_name, k + 1)
-            outcome = step.solver.check(assumptions=[-step_property])
-            if outcome == BVResult.UNSAT:
-                concluded = ("safe", k + 1)
-            elif outcome == BVResult.UNKNOWN:
-                concluded = ("timeout", k)
-            elif persistent:
-                base.assert_trans(k)
-        wall = time.monotonic() - t0
-        current = totals(base, step)
-        deltas = {
-            key: (
-                max(previous.get(key, 0), value)
-                if key == "max_decision_level"
-                else value - previous.get(key, 0)
-            )
-            for key, value in current.items()
-        }
-        previous = current
-        per_bound.append({"k": k, "wall_s": round(wall, 6), "stats": deltas})
-        if concluded is not None:
-            verdict, k_reached = concluded
-            break
-    engine._retire_pair(base, step)
-    return {
-        "mode": mode,
-        "verdict": verdict,
-        "k": k_reached,
-        "total_s": round(time.monotonic() - start, 6),
-        "solver_stats": engine._stats.as_dict(),
-        "per_bound": per_bound,
-    }
-
-
-def profile_bmc_incremental(
-    system, property_name: Optional[str], depth: int, mode: str, timeout: float
-) -> Dict[str, object]:
-    """Profile BMC bound by bound in one incremental mode.
-
-    Mirrors :class:`repro.engines.bmc.BMCEngine`: the session mode extends a
-    single solver, the template/legacy modes rebuild (with and without frame
-    templates) and re-unroll from scratch at every bound.
-    """
-    from repro.engines.result import Budget
-    from repro.sat.solver import SolverStats
-
-    template, persistent = INCREMENTAL_MODES[mode]
-    if property_name is None:
-        property_name = system.properties[0].name
-    budget = Budget(timeout)
-    start = time.monotonic()
-    totals = SolverStats()
-
-    def snapshot(encoder) -> Dict[str, int]:
-        current = SolverStats()
-        current.add(totals)
-        if encoder is not None:
-            current.add(encoder.solver.solver.stats)
-        return current.as_dict()
-
-    def fresh():
-        encoder = FrameEncoder(
-            system, incremental_template=template
-        )
-        encoder.solver.set_deadline(budget.deadline)
-        encoder.assert_init(0)
-        return encoder
-
-    encoder = None
-    per_bound: List[Dict[str, object]] = []
-    previous = snapshot(None)
-    verdict = "unknown"
-    bound_reached = depth
-    for bound in range(depth + 1):
-        if budget.expired():
-            verdict = "timeout"
-            bound_reached = bound
-            break
-        t0 = time.monotonic()
-        if persistent:
-            if encoder is None:
-                encoder = fresh()
-        else:
-            if encoder is not None:
-                totals.add(encoder.solver.solver.stats)
-            encoder = fresh()
-            for frame in range(bound):
-                encoder.assert_trans(frame)
-        literal = encoder.property_literal(property_name, bound)
-        outcome = encoder.solver.check(assumptions=[-literal])
-        if outcome == BVResult.SAT:
-            verdict = "unsafe"
-            bound_reached = bound
-        elif outcome == BVResult.UNKNOWN:
-            verdict = "timeout"
-            bound_reached = bound
-        elif persistent:
-            encoder.assert_trans(bound)
-        wall = time.monotonic() - t0
-        current = snapshot(encoder)
-        deltas = {
-            key: (
-                max(previous.get(key, 0), value)
-                if key == "max_decision_level"
-                else value - previous.get(key, 0)
-            )
-            for key, value in current.items()
-        }
-        previous = current
-        per_bound.append({"bound": bound, "wall_s": round(wall, 6), "stats": deltas})
-        if verdict != "unknown":
-            break
-    if encoder is not None:
-        totals.add(encoder.solver.solver.stats)
-    return {
-        "mode": mode,
-        "verdict": verdict,
-        "bound": bound_reached,
-        "total_s": round(time.monotonic() - start, 6),
-        "solver_stats": totals.as_dict(),
-        "per_bound": per_bound,
-    }
-
-
-def run_incremental_bmc_section(
-    names: List[str], depth: int, timeout: float
-) -> List[Dict]:
-    rows = []
-    for name in names:
-        benchmark = get_benchmark(name)
-        modes: Dict[str, Dict[str, object]] = {}
-        for mode in INCREMENTAL_MODES:
-            system = benchmark.load()
-            modes[mode] = profile_bmc_incremental(system, None, depth, mode, timeout)
-        session_s = modes["session"]["total_s"]
-        row = {
-            "benchmark": name,
-            "depth": depth,
-            "modes": modes,
-            "speedup_session_vs_legacy": round(
-                modes["legacy"]["total_s"] / max(1e-9, session_s), 2
-            ),
-            "speedup_session_vs_template": round(
-                modes["template"]["total_s"] / max(1e-9, session_s), 2
-            ),
-            "verdicts_match": len(
-                {(m["verdict"], m["bound"]) for m in modes.values()}
-            ) == 1,
-        }
-        rows.append(row)
-        _log.info(
-            f"bmc  {name:12s} depth={depth} "
-            f"session={modes['session']['total_s']:.3f}s "
-            f"template={modes['template']['total_s']:.3f}s "
-            f"legacy={modes['legacy']['total_s']:.3f}s "
-            f"speedup={row['speedup_session_vs_legacy']:.2f}x "
-            f"conflicts session/legacy="
-            f"{modes['session']['solver_stats']['conflicts']}/"
-            f"{modes['legacy']['solver_stats']['conflicts']} "
-            f"{'OK' if row['verdicts_match'] else 'MISMATCH'}"
-        )
-    return rows
-
-
-def run_incremental_kinduction_section(
-    names: List[str], depth: int, timeout: float
-) -> List[Dict]:
-    rows = []
-    for name in names:
-        benchmark = get_benchmark(name)
-        modes: Dict[str, Dict[str, object]] = {}
-        for mode in INCREMENTAL_MODES:
-            system = benchmark.load()
-            modes[mode] = profile_kinduction_incremental(
-                system, None, depth, mode, timeout
-            )
-        session_s = modes["session"]["total_s"]
-        row = {
-            "benchmark": name,
-            "depth": depth,
-            "modes": modes,
-            "speedup_session_vs_legacy": round(
-                modes["legacy"]["total_s"] / max(1e-9, session_s), 2
-            ),
-            "speedup_session_vs_template": round(
-                modes["template"]["total_s"] / max(1e-9, session_s), 2
-            ),
-            "verdicts_match": len(
-                {(m["verdict"], m["k"]) for m in modes.values()}
-            ) == 1,
-        }
-        rows.append(row)
-        _log.info(
-            f"kind {name:12s} depth={depth} "
-            f"session={modes['session']['total_s']:.3f}s "
-            f"template={modes['template']['total_s']:.3f}s "
-            f"legacy={modes['legacy']['total_s']:.3f}s "
-            f"speedup={row['speedup_session_vs_legacy']:.2f}x "
-            f"verdict={modes['session']['verdict']} "
-            f"{'OK' if row['verdicts_match'] else 'MISMATCH'}"
-        )
-    return rows
-
-
-def run_incremental_kiki_section(
-    names: List[str], depth: int, timeout: float
-) -> List[Dict]:
-    from repro.engines.kiki import KikiEngine
-
-    rows = []
-    for name in names:
-        benchmark = get_benchmark(name)
-        modes: Dict[str, Dict[str, object]] = {}
-        for mode, (template, persistent) in INCREMENTAL_MODES.items():
-            system = benchmark.load()
-            t0 = time.monotonic()
-            result = KikiEngine(
-                system,
-                max_k=depth,
-                incremental_template=template,
-                persistent_session=persistent,
-            ).verify(timeout=timeout)
-            modes[mode] = {
-                "status": result.status,
-                "k": result.detail.get("k", result.detail.get("max_k")),
-                "runtime_s": round(time.monotonic() - t0, 6),
-                "solver_stats": result.detail.get("solver_stats"),
-            }
-        session_s = modes["session"]["runtime_s"]
-        row = {
-            "benchmark": name,
-            "depth": depth,
-            "modes": modes,
-            "speedup_session_vs_legacy": round(
-                modes["legacy"]["runtime_s"] / max(1e-9, session_s), 2
-            ),
-            "verdicts_match": len({m["status"] for m in modes.values()}) == 1,
-        }
-        rows.append(row)
-        _log.info(
-            f"kiki {name:12s} depth={depth} "
-            f"session={modes['session']['runtime_s']:.3f}s "
-            f"legacy={modes['legacy']['runtime_s']:.3f}s "
-            f"speedup={row['speedup_session_vs_legacy']:.2f}x "
-            f"{'OK' if row['verdicts_match'] else 'MISMATCH'}"
-        )
-    return rows
-
-
-def run_incremental_sweep(bound: int, timeout: float) -> List[Dict]:
-    """Session vs legacy verdicts for every converted engine on every design."""
-    rows = []
-    for name in benchmark_names():
-        benchmark = get_benchmark(name)
-        engines: Dict[str, Dict[str, object]] = {}
-        for engine_name in SWEEP_ENGINES:
-            outcomes = {}
-            for label, persistent in (("session", True), ("legacy", False)):
-                system = benchmark.load()
-                t0 = time.monotonic()
-                result = make_engine(
-                    engine_name,
-                    system,
-                    ignore_unknown_options=True,
-                    persistent_session=persistent,
-                    **bound_options(bound),
-                ).verify(timeout=timeout)
-                outcomes[label] = {
-                    "status": result.status,
-                    "runtime_s": round(time.monotonic() - t0, 6),
-                }
-            engines[engine_name] = {
-                **outcomes,
-                "verdicts_match": outcomes["session"]["status"]
-                == outcomes["legacy"]["status"],
-            }
-        matches = sum(1 for row in engines.values() if row["verdicts_match"])
-        rows.append({"benchmark": name, "engines": engines, "matches": matches})
-        _log.info(
-            f"swp  {name:12s} {matches}/{len(SWEEP_ENGINES)} engines "
-            f"session==legacy"
-        )
-    return rows
-
-
-def write_incremental_report(
-    kind_rows: List[Dict],
-    kiki_rows: List[Dict],
-    bmc_rows: List[Dict],
-    sweep_rows: List[Dict],
-    out: str,
-    depth: int,
-    timeout: float,
-) -> bool:
-    """Write ``BENCH_incremental.json``; True when every verdict pair matched."""
-    all_match = (
-        all(row["verdicts_match"] for row in kind_rows + kiki_rows + bmc_rows)
-        and all(
-            engine["verdicts_match"]
-            for row in sweep_rows
-            for engine in row["engines"].values()
-        )
-    )
-    at_or_above_2x = sum(
-        1
-        for row in kind_rows + kiki_rows
-        if row["speedup_session_vs_legacy"] >= 2.0
-    )
-    conflict_rows = {
-        row["benchmark"]: {
-            "session": row["modes"]["session"]["solver_stats"]["conflicts"],
-            "legacy": row["modes"]["legacy"]["solver_stats"]["conflicts"],
-        }
-        for row in bmc_rows
-    }
-    report = {
-        "meta": {
-            "tool": "repro.tools.bench --incremental",
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "depth": depth,
-            "timeout_s": timeout,
-        },
-        "kinduction": kind_rows,
-        "kiki": kiki_rows,
-        "bmc": bmc_rows,
-        "verdict_sweep": sweep_rows,
-        "summary": {
-            "kinduction_speedups_session_vs_legacy": {
-                row["benchmark"]: row["speedup_session_vs_legacy"] for row in kind_rows
-            },
-            "kiki_speedups_session_vs_legacy": {
-                row["benchmark"]: row["speedup_session_vs_legacy"] for row in kiki_rows
-            },
-            "bmc_speedups_session_vs_legacy": {
-                row["benchmark"]: row["speedup_session_vs_legacy"] for row in bmc_rows
-            },
-            "runs_at_or_above_2x": at_or_above_2x,
-            "bmc_conflicts_session_vs_legacy": conflict_rows,
-            "all_verdicts_match": all_match,
-        },
-    }
-    write_json_atomic(out, report)
-    print(
-        f"\nwrote {out}: {at_or_above_2x}/{len(kind_rows) + len(kiki_rows)} "
-        f"engine runs at >=2x session-vs-legacy, verdicts "
-        f"{'all match' if all_match else 'MISMATCH'}"
-    )
-    return all_match
 
 
 def write_certify_report(
@@ -1258,40 +628,6 @@ def write_serve_report(
         f"{'OK' if ok else 'FAIL'}"
     )
     return ok
-
-
-def compact_incremental_rows(rows: List[Dict]) -> List[Dict]:
-    """Aggregate per-bound profiles into one row per (design, mode).
-
-    The full per-bound data of ``BENCH_incremental.json`` runs to thousands
-    of lines; the summary keeps, per mode, the bound count, total wall
-    clock and the summed headline solver counters (``--full`` restores the
-    raw rows).
-    """
-    compact = []
-    for row in rows:
-        new_row = dict(row)
-        modes = {}
-        for mode, profile in row.get("modes", {}).items():
-            new_profile = dict(profile)
-            per_bound = new_profile.pop("per_bound", None)
-            if per_bound:
-                totals: Dict[str, int] = {}
-                for entry in per_bound:
-                    for key in ("conflicts", "propagations", "decisions"):
-                        totals[key] = totals.get(key, 0) + entry["stats"].get(key, 0)
-                new_profile["per_bound_summary"] = {
-                    "bounds": len(per_bound),
-                    "wall_s": round(
-                        sum(entry["wall_s"] for entry in per_bound), 6
-                    ),
-                    **totals,
-                }
-            modes[mode] = new_profile
-        if modes:
-            new_row["modes"] = modes
-        compact.append(new_row)
-    return compact
 
 
 # ---------------------------------------------------------------------------
@@ -2910,18 +2246,17 @@ def write_obs_report(
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
-        description="time template vs legacy unrolling, or the parallel portfolio",
+        description="run one correctness gate or measurement over the "
+                    "benchmark suite (pick exactly one mode)",
     )
     parser.add_argument(
         "--out", default=None,
-        help="output JSON path (default BENCH_unroll.json, or BENCH_portfolio.json "
-             "in --portfolio mode)",
+        help="output JSON path (default: the mode's BENCH_*.json)",
     )
     parser.add_argument(
-        "--depth", type=int, default=None,
-        help="BMC unroll depth / portfolio search-depth cap "
-             "(default 32, or 80 in --portfolio mode so the cycle-64/65 bugs "
-             "of the unsafe designs stay reachable)",
+        "--depth", type=int, default=80,
+        help="search-depth cap routed to each engine (default 80, so the "
+             "cycle-64/65 bugs of the unsafe designs stay reachable)",
     )
     parser.add_argument(
         "--portfolio", action="store_true",
@@ -2931,12 +2266,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--certify", action="store_true",
         help="certification mode: validate every definitive verdict's certificate "
              "on the benchmark suite and demo cross-check adjudication",
-    )
-    parser.add_argument(
-        "--incremental", action="store_true",
-        help="incremental-session mode: per-bound k-induction/kIkI timings for "
-             "the persistent-session vs template vs legacy solver lifecycles, "
-             "plus a session-vs-legacy verdict sweep over the whole suite",
     )
     parser.add_argument(
         "--serve", action="store_true",
@@ -3021,57 +2350,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="--serve: certificate cache directory (default: a fresh "
              "temporary directory, so the first sweep is genuinely cold)",
     )
-    summary_group = parser.add_mutually_exclusive_group()
-    summary_group.add_argument(
-        "--summary", action="store_true",
-        help="--incremental: aggregate per-bound rows into one compact row "
-             "per (design, mode) — this is the default",
-    )
-    summary_group.add_argument(
-        "--full", action="store_true",
-        help="--incremental: keep the raw per-bound rows instead of the "
-             "compact per-design aggregates",
-    )
-    parser.add_argument(
-        "--representation", default="word", choices=["word", "bit"],
-        help="frame encoding for the BMC section",
-    )
     parser.add_argument(
         "--benchmarks", nargs="*", default=None,
-        help=f"benchmarks for the BMC section (default: {' '.join(DEFAULT_BMC_BENCHMARKS)})",
-    )
-    parser.add_argument(
-        "--engine-benchmarks", nargs="*", default=None,
-        help="benchmarks for the engine section",
-    )
-    parser.add_argument(
-        "--engines", nargs="*", default=list(ENGINE_FACTORIES),
-        choices=list(ENGINE_FACTORIES),
-        help="unbounded engines to compare end to end",
+        help="suite designs to run (default: the mode's own selection)",
     )
     parser.add_argument(
         "--timeout", type=float, default=30.0, help="per engine-run timeout (s)"
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=3,
-        help="BMC section repetitions per path (fastest run kept)",
-    )
-    parser.add_argument(
-        "--skip-engines", action="store_true", help="only run the BMC section"
     )
     _log.add_verbosity_flags(parser)
     args = parser.parse_args(argv)
     _log.configure_from_args(args)
 
     modes = (
-        args.portfolio, args.certify, args.incremental, args.serve,
-        args.faults, args.serve_soak, args.fleet_soak, args.kernels, args.obs,
+        args.portfolio, args.certify, args.serve, args.faults,
+        args.serve_soak, args.fleet_soak, args.kernels, args.obs,
     )
-    if sum(map(bool, modes)) > 1:
+    if sum(map(bool, modes)) != 1:
         parser.error(
-            "--portfolio, --certify, --incremental, --serve, --faults, "
-            "--serve-soak, --fleet-soak, --kernels and --obs are mutually "
-            "exclusive"
+            "pick exactly one mode: --portfolio, --certify, --serve, --faults, "
+            "--serve-soak, --fleet-soak, --kernels or --obs"
         )
 
     if args.fleet_soak:
@@ -3093,15 +2390,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if write_server_report(soak, out, args.timeout, trace_out) else 1
 
     if args.obs:
-        bound = args.depth if args.depth is not None else 80
         names = args.benchmarks if args.benchmarks else DEFAULT_OBS_BENCHMARKS
         unknown = [n for n in names if n not in benchmark_names()]
         if unknown:
             parser.error(f"unknown benchmarks: {', '.join(unknown)}")
         trace_out = args.trace_out or "BENCH_obs_trace.jsonl"
-        section = run_obs_section(names, bound, args.timeout, args.jobs, trace_out)
+        section = run_obs_section(names, args.depth, args.timeout, args.jobs, trace_out)
         out = args.out or "BENCH_obs.json"
-        return 0 if write_obs_report(section, out, bound, args.timeout) else 1
+        return 0 if write_obs_report(section, out, args.depth, args.timeout) else 1
 
     if args.kernels:
         names = args.benchmarks if args.benchmarks else benchmark_names()
@@ -3123,7 +2419,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
 
     if args.faults:
-        bound = args.depth if args.depth is not None else 80
         names = args.benchmarks if args.benchmarks else DEFAULT_FAULTS_BENCHMARKS
         unknown = [n for n in names if n not in benchmark_names()]
         if unknown:
@@ -3141,19 +2436,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             sweeps.append(
                 run_chaos_sweep(
-                    seed, names, bound, args.timeout, args.jobs, cache_dir
+                    seed, names, args.depth, args.timeout, args.jobs, cache_dir
                 )
             )
         hang_demo = run_hang_interrupt_demo(args.timeout)
         out = args.out or "BENCH_faults.json"
         return (
             0
-            if write_faults_report(sweeps, hang_demo, out, bound, args.timeout)
+            if write_faults_report(sweeps, hang_demo, out, args.depth, args.timeout)
             else 1
         )
 
     if args.serve:
-        bound = args.depth if args.depth is not None else 80
         names = args.benchmarks if args.benchmarks else benchmark_names()
         unknown = [n for n in names if n not in benchmark_names()]
         if unknown:
@@ -3165,13 +2459,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
             cache_dir = tempfile.mkdtemp(prefix="repro-serve-cache-")
         sweep_data = run_serve_sweeps(
-            names, bound, args.timeout, args.jobs, cache_dir
+            names, args.depth, args.timeout, args.jobs, cache_dir
         )
         ladder_names = [
             n for n in DEFAULT_LADDER_BENCHMARKS if n in names
         ] or names[:4]
         ladder_rows = run_ladder_section(
-            ladder_names, bound, args.timeout, args.jobs
+            ladder_names, args.depth, args.timeout, args.jobs
         )
         minimize_cases = [
             (n, engine) for n, engine in DEFAULT_MINIMIZE_CASES if n in names
@@ -3181,101 +2475,33 @@ def main(argv: Optional[List[str]] = None) -> int:
         return (
             0
             if write_serve_report(
-                sweep_data, ladder_rows, minimize_rows, out, bound, args.timeout
-            )
-            else 1
-        )
-
-    if args.incremental:
-        depth = args.depth if args.depth is not None else 32
-        names = args.benchmarks if args.benchmarks else DEFAULT_INCREMENTAL_BENCHMARKS
-        unknown = [n for n in names if n not in benchmark_names()]
-        if unknown:
-            parser.error(f"unknown benchmarks: {', '.join(unknown)}")
-        kind_rows = run_incremental_kinduction_section(names, depth, args.timeout)
-        kiki_rows = run_incremental_kiki_section(names, depth, args.timeout)
-        bmc_rows = run_incremental_bmc_section(names, depth, args.timeout)
-        sweep_rows = run_incremental_sweep(min(depth, 8), args.timeout)
-        if not args.full:
-            kind_rows = compact_incremental_rows(kind_rows)
-            kiki_rows = compact_incremental_rows(kiki_rows)
-            bmc_rows = compact_incremental_rows(bmc_rows)
-        out = args.out or "BENCH_incremental.json"
-        return (
-            0
-            if write_incremental_report(
-                kind_rows, kiki_rows, bmc_rows, sweep_rows, out, depth, args.timeout
+                sweep_data, ladder_rows, minimize_rows, out, args.depth, args.timeout
             )
             else 1
         )
 
     if args.portfolio:
-        depth = args.depth if args.depth is not None else 80
         names = args.benchmarks if args.benchmarks else DEFAULT_PORTFOLIO_BENCHMARKS
         unknown = [n for n in names if n not in benchmark_names()]
         if unknown:
             parser.error(f"unknown benchmarks: {', '.join(unknown)}")
-        rows = run_portfolio_section(names, depth, args.timeout, jobs=args.jobs)
+        rows = run_portfolio_section(names, args.depth, args.timeout, jobs=args.jobs)
         out = args.out or "BENCH_portfolio.json"
-        return 0 if write_portfolio_report(rows, out, depth, args.timeout) else 1
+        return 0 if write_portfolio_report(rows, out, args.depth, args.timeout) else 1
 
-    if args.certify:
-        bound = args.depth if args.depth is not None else 80
-        names = args.benchmarks if args.benchmarks else benchmark_names()
-        unknown = [n for n in names if n not in benchmark_names()]
-        if unknown:
-            parser.error(f"unknown benchmarks: {', '.join(unknown)}")
-        rows = run_certify_section(names, bound, args.timeout)
-        # inject the liar on the first unsafe design (fallback: the first)
-        demo_design = next(
-            (n for n in names if get_benchmark(n).expected == Status.UNSAFE), names[0]
-        )
-        adjudication = run_adjudication_demo(demo_design, bound, args.timeout)
-        out = args.out or "BENCH_certify.json"
-        return 0 if write_certify_report(rows, adjudication, out, bound, args.timeout) else 1
-
-    args.depth = args.depth if args.depth is not None else 32
-    args.out = args.out or "BENCH_unroll.json"
-    bmc_names = args.benchmarks if args.benchmarks else DEFAULT_BMC_BENCHMARKS
-    engine_names = (
-        args.engine_benchmarks if args.engine_benchmarks else DEFAULT_ENGINE_BENCHMARKS
-    )
-    unknown = [n for n in bmc_names + engine_names if n not in benchmark_names()]
+    # the one mode left: --certify
+    names = args.benchmarks if args.benchmarks else benchmark_names()
+    unknown = [n for n in names if n not in benchmark_names()]
     if unknown:
         parser.error(f"unknown benchmarks: {', '.join(unknown)}")
-
-    bmc_rows = run_bmc_section(
-        bmc_names, args.depth, args.representation, repeats=max(1, args.repeats)
+    rows = run_certify_section(names, args.depth, args.timeout)
+    # inject the liar on the first unsafe design (fallback: the first)
+    demo_design = next(
+        (n for n in names if get_benchmark(n).expected == Status.UNSAFE), names[0]
     )
-    engine_rows = [] if args.skip_engines else run_engine_section(
-        engine_names, args.engines, args.timeout
-    )
-
-    speedups = {row["benchmark"]: row["encode_solve_speedup"] for row in bmc_rows}
-    all_match = all(row["verdicts_match"] for row in bmc_rows + engine_rows)
-    report = {
-        "meta": {
-            "tool": "repro.tools.bench",
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "depth": args.depth,
-            "representation": args.representation,
-        },
-        "bmc_unroll": bmc_rows,
-        "engines": engine_rows,
-        "summary": {
-            "bmc_encode_solve_speedups": speedups,
-            "benchmarks_at_or_above_3x": sum(1 for s in speedups.values() if s >= 3.0),
-            "all_verdicts_match": all_match,
-        },
-    }
-    write_json_atomic(args.out, report)
-    print(
-        f"\nwrote {args.out}: "
-        f"{report['summary']['benchmarks_at_or_above_3x']}/{len(speedups)} BMC "
-        f"benchmarks at >=3x, verdicts {'all match' if all_match else 'MISMATCH'}"
-    )
-    return 0 if all_match else 1
+    adjudication = run_adjudication_demo(demo_design, args.depth, args.timeout)
+    out = args.out or "BENCH_certify.json"
+    return 0 if write_certify_report(rows, adjudication, out, args.depth, args.timeout) else 1
 
 
 if __name__ == "__main__":

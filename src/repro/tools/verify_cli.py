@@ -352,13 +352,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--bound", type=int, default=None,
                         help="search-depth cap routed to each engine "
                              "(max_bound/max_k/max_depth/max_frames)")
-    parser.add_argument("--representation", default=None, choices=["word", "bit"],
-                        help="frame encoding (default word; narrows the "
-                             "portfolio and the ladder to this representation)")
-    parser.add_argument("--representations", nargs="*", default=["word"],
+    parser.add_argument("--representation", nargs="+", default=None,
                         choices=["word", "bit"], metavar="REP",
-                        help="representations the portfolio races and the "
-                             "ladder runs")
+                        help="frame encoding(s) the ladder runs and the "
+                             "portfolio races (default word); --engine, "
+                             "--batch and --server take exactly one")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker-process cap of --portfolio (default: one "
                              "per configuration) and --batch (default: one "
@@ -455,6 +453,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"--bound must be 0 or more, not {args.bound}")
     if args.jobs is not None and args.jobs < 1:
         parser.error(f"--jobs must be 1 or more, not {args.jobs}")
+    # the ladder and the portfolio run several representations; a single
+    # engine, a batch sweep and a server query each key exactly one
+    single = [flag for flag in modes if flag != "--portfolio"]
+    if args.server:
+        single.append("--server")
+    if single and args.representation and len(args.representation) > 1:
+        parser.error(
+            f"{single[0]} takes exactly one --representation, not "
+            f"{' '.join(args.representation)}"
+        )
     if (
         args.server
         and ":" in args.server
@@ -514,10 +522,10 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
     # checked once, before any engine runs or any worker forks
     _check_property(parser, task, system, args.property_name)
 
-    # one representation is the cache identity of the query: --representation
-    # wins, else the first portfolio representation — lookup and store must
-    # agree or repeated queries would never hit
-    representation = args.representation or args.representations[0]
+    # the first representation is the cache identity of the query: lookup
+    # and store must agree or repeated queries would never hit
+    representations = args.representation or ["word"]
+    representation = representations[0]
     if cache is not None:
         property_name = args.property_name or (
             system.properties[0].name if system.properties else None
@@ -551,7 +559,7 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
                 )
             )
         if args.representation:
-            options["representation"] = args.representation
+            options["representation"] = representation
         try:
             engine = make_engine(args.engine, system, **options)
         except EngineOptionError as error:
@@ -563,11 +571,6 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         )
         result = engine.verify(args.property_name, timeout=args.timeout)
         return _report_single(args, task, result, expected, cache, representation)
-
-    # --representation (the single-engine spelling) narrows the portfolio too
-    representations = (
-        [args.representation] if args.representation else args.representations
-    )
 
     if not args.portfolio:
         # no mode flag: the ladder in this process, one engine at a
@@ -702,7 +705,7 @@ def _run_server_client(args) -> int:
         if args.property_name:
             request["property"] = args.property_name
         if args.representation:
-            request["representation"] = args.representation
+            request["representation"] = args.representation[0]
         if args.bound is not None:
             request["bound"] = args.bound
         if args.priority:
@@ -790,7 +793,7 @@ def _run_batch(parser, args, cache) -> int:
             except Exception:  # noqa: BLE001 - reported as the item's ERROR
                 continue
             _check_property(parser, item.task, system, args.property_name)
-    representation = args.representation or args.representations[0]
+    representation = args.representation[0] if args.representation else "word"
 
     def on_event(event: Dict[str, object]) -> None:
         if args.quiet:

@@ -427,18 +427,56 @@ def test_verify_cli_single_query_cache(tmp_path, capsys):
 
 
 def test_verify_cli_portfolio_representations_cache_roundtrip(tmp_path, capsys):
-    """Lookup and store must key the same representation (--representations)."""
+    """Lookup and store must key the same representation (--representation)."""
     from repro.tools.verify_cli import main
 
     cache_dir = str(tmp_path / "cache")
     argv = [
-        "daio", "--portfolio", "--representations", "word",
+        "daio", "--portfolio", "--representation", "word",
         "--bound", "80", "--cache-dir", cache_dir,
     ]
     assert main(argv) == 0
     assert "cached under key" in capsys.readouterr().out
     assert main(argv) == 0
     assert "cache hit" in capsys.readouterr().err
+
+
+def test_verify_cli_one_representation_flag(tmp_path, capsys):
+    """One --representation flag: an empty list, the old plural spelling and
+    a second representation for a one-representation mode are usage
+    errors, and an --engine query is cached under the representation it ran."""
+    from repro.tools.verify_cli import main
+
+    for argv in (
+        ["daio", "--representation"],
+        ["daio", "--representations"],
+        ["daio", "--portfolio", "--representations"],
+        ["daio", "--batch", "--representations"],
+        ["daio", "--engine", "rsim", "--representations", "bit"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 1, argv
+        assert "--representation" in capsys.readouterr().err, argv
+    for mode in (["--engine", "bmc"], ["--batch"], ["--server", str(tmp_path / "sock")]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["daio", *mode, "--representation", "word", "bit"])
+        assert excinfo.value.code == 1, mode
+        assert "exactly one --representation" in capsys.readouterr().err, mode
+
+    cache_dir = str(tmp_path / "cache")
+    argv = [
+        "rcu", "--engine", "k-induction", "--representation", "bit",
+        "--cache-dir", cache_dir,
+    ]
+    assert main(argv) == 0
+    assert "cached under key" in capsys.readouterr().out
+    cache = ResultCache(cache_dir)
+    system = load_system("rcu")
+    prop = system.properties[0].name
+    entry = cache.store_backend.load(cache.key_for(system, prop, "bit"))
+    assert entry is not None and entry.representation == "bit"
+    assert cache.store_backend.load(cache.key_for(system, prop, "word")) is None
 
 
 def test_verify_cli_portfolio_certify_validates_claims_in_the_race(

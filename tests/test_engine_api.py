@@ -14,6 +14,7 @@ from repro.engines import (
     list_engines,
     make_engine,
 )
+from repro.engines.encoding import FrameEncoder
 from repro.engines.registry import ENGINE_REGISTRY
 
 
@@ -116,6 +117,18 @@ def test_unknown_option_raises_engine_option_error(design):
     message = str(excinfo.value)
     assert "max_k" in message
     assert "max_bound" in message  # the error names the supported options
+
+
+@pytest.mark.parametrize(
+    "option", ["incremental_template", "persistent_session", "sim_filter", "use_intervals"]
+)
+def test_removed_encoding_switches_are_rejected(design, option):
+    """Every engine has one encoding path: none takes a switch to another."""
+    for registration in list_engines():
+        with pytest.raises(EngineOptionError, match=option):
+            make_engine(registration.name, design, **{option: False})
+    with pytest.raises(TypeError):
+        FrameEncoder(design, **{option: True})
 
 
 def test_option_routing_drops_unknown_options(design):

@@ -394,8 +394,10 @@ def test_server_disconnect_cancels_and_accounting_balances(tmp_path):
     )
     with _RunningServer(config) as server:
         abandoner = ServeClient(socket_path=config.socket_path)
+        # bit-level daio to bound 96 needs seconds of k-induction, so the
+        # query is still running when the server reads the client's EOF
         abandoner.submit(
-            {"design": "mac16", "representation": "bit", "bound": 96}
+            {"design": "daio", "representation": "bit", "bound": 96}
         )
         abandoner.close()  # walk away without reading the result
         with ServeClient(socket_path=config.socket_path) as client:
@@ -405,6 +407,39 @@ def test_server_disconnect_cancels_and_accounting_balances(tmp_path):
     counters = server.counters
     assert counters["cancelled"] == 1
     # every accept resolved: answered + cancelled covers all of them
+    assert counters["accepted"] == counters["answered"] + counters["cancelled"]
+
+
+def test_client_close_reaches_the_server_while_a_fork_holds_the_socket(tmp_path):
+    """A process forked after connecting inherits the client's socket (as
+    the server's own workers do when client and server share a process):
+    closing the client must still end the connection, so its abandoned
+    query is cancelled instead of computed to the end."""
+    config = ServerConfig(
+        socket_path=_sock(tmp_path),
+        max_workers=1,
+        default_deadline_s=120.0,
+    )
+    with _RunningServer(config) as server:
+        abandoner = ServeClient(socket_path=config.socket_path)
+        abandoner.submit(
+            {"design": "daio", "representation": "bit", "bound": 96}
+        )
+        child = os.fork()
+        if child == 0:  # holds the inherited socket until killed
+            time.sleep(60)
+            os._exit(0)
+        try:
+            abandoner.close()
+            with ServeClient(socket_path=config.socket_path) as client:
+                reply = client.verify(design="proc3", representation="word")
+                assert reply["status"] == Status.SAFE
+                client.drain()
+        finally:
+            os.kill(child, 9)
+            os.waitpid(child, 0)
+    counters = server.counters
+    assert counters["cancelled"] == 1
     assert counters["accepted"] == counters["answered"] + counters["cancelled"]
 
 

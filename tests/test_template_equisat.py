@@ -1,24 +1,28 @@
-"""Template path vs legacy path: identical verdicts frame for frame.
+"""The template encoding against ground truth and the certificate validator.
 
-The CNF-template fast path (``incremental_template=True``, the default) must
-be equisatisfiable with the legacy per-frame re-blast at every depth, for both
-the word-level and the bit-level representations.  These tests run BMC (and a
-couple of unbounded engines) both ways and require identical verdicts and
-bounds — on safe, unsafe and constrained designs.
+Frame-template stamping (:mod:`repro.engines.encoding`) is the only way the
+engines unroll a design.  Its referee is not a second encoder but the
+suite's known verdicts plus :func:`repro.certs.validate_result`: at both the
+word and the bit level, BMC must not refute a design within a bound its bug
+lies beyond, a real bug must come back at its exact cycle with a witness
+that replays, and every proof must carry a certificate the independent
+validator accepts.
 """
 
 import pytest
 
 from repro.benchmarks import get_benchmark, load_system
+from repro.certs import validate_result
 from repro.engines.bmc import BMCEngine
 from repro.engines.encoding import FrameEncoder, template_library
 from repro.engines.kinduction import KInductionEngine
 from repro.engines.pdr import PDREngine
+from repro.engines.registry import make_engine
 from repro.exprs import bv_const, bv_ne
 from repro.netlist import TransitionSystem
 
-#: three suite designs plus depth; daio/tlc stay UNKNOWN at these bounds,
-#: exercising the full unroll on both paths
+#: three safe suite designs plus daio, whose bug lies at cycle 64: all stay
+#: UNKNOWN at bound 5, exercising the full unroll on both representations
 EQUISAT_BENCHMARKS = ["huffman_dec", "daio", "fifo", "arbiter"]
 REPRESENTATIONS = ["word", "bit"]
 
@@ -32,70 +36,65 @@ def _tiny_unsafe() -> TransitionSystem:
     return ts
 
 
-def _bmc_outcome(system, representation, template, max_bound=5):
-    engine = BMCEngine(
-        system,
-        max_bound=max_bound,
-        representation=representation,
-        incremental_template=template,
-    )
-    result = engine.verify(timeout=60)
-    cex_len = result.counterexample.length if result.counterexample else None
-    # solver_stats legitimately differ between the encodings: drop them
-    detail = {k: v for k, v in result.detail.items() if k != "solver_stats"}
-    return result.status, detail, cex_len
+def _bmc(system, representation, max_bound=5):
+    engine = BMCEngine(system, max_bound=max_bound, representation=representation)
+    return engine.verify(timeout=60)
+
+
+def _assert_validates(system, result):
+    validation = validate_result(system, result, timeout=60)
+    assert validation.ok, validation.reason
 
 
 @pytest.mark.parametrize("name", EQUISAT_BENCHMARKS)
 @pytest.mark.parametrize("representation", REPRESENTATIONS)
 def test_bmc_equisat_on_benchmarks(name, representation):
-    system = load_system(name)
-    template = _bmc_outcome(system, representation, True)
-    legacy = _bmc_outcome(system, representation, False)
-    assert template == legacy
+    result = _bmc(load_system(name), representation)
+    assert result.status == "unknown", result.detail
+    assert result.detail["bound_reached"] == 5
 
 
 @pytest.mark.parametrize("representation", REPRESENTATIONS)
 def test_bmc_equisat_unsafe_counterexample(representation):
     system = _tiny_unsafe()
-    template = _bmc_outcome(system, representation, True, max_bound=6)
-    legacy = _bmc_outcome(system, representation, False, max_bound=6)
-    assert template == legacy
-    assert template[0] == "unsafe"
-    assert template[1]["bound"] == 3
+    result = _bmc(system, representation, max_bound=6)
+    assert result.status == "unsafe"
+    assert result.detail["bound"] == 3
+    assert result.counterexample.length == 4  # cycles 0..3
+    _assert_validates(system, result)
 
 
 @pytest.mark.parametrize("name", ["huffman_enc", "rcu", "iqueue"])
 @pytest.mark.parametrize("representation", REPRESENTATIONS)
 def test_kinduction_equisat(name, representation):
-    outcomes = {}
-    for template in (True, False):
-        system = load_system(name)
-        result = KInductionEngine(
-            system,
-            max_k=8,
-            representation=representation,
-            incremental_template=template,
-        ).verify(timeout=60)
-        detail = {k: v for k, v in result.detail.items() if k != "solver_stats"}
-        outcomes[template] = (result.status, detail)
-    assert outcomes[True] == outcomes[False]
-    assert outcomes[True][0] == get_benchmark(name).expected
+    system = load_system(name)
+    result = KInductionEngine(
+        system, max_k=8, representation=representation
+    ).verify(timeout=60)
+    assert result.status == get_benchmark(name).expected
+    _assert_validates(system, result)
 
 
 @pytest.mark.parametrize("representation", REPRESENTATIONS)
 def test_pdr_equisat(representation):
-    outcomes = {}
-    for template in (True, False):
-        system = load_system("huffman_dec")
-        result = PDREngine(
-            system,
-            representation=representation,
-            incremental_template=template,
-        ).verify(timeout=60)
-        outcomes[template] = (result.status, result.detail.get("frames"))
-    assert outcomes[True] == outcomes[False]
-    assert outcomes[True][0] == "safe"
+    system = load_system("huffman_dec")
+    result = PDREngine(system, representation=representation).verify(timeout=60)
+    assert result.status == "safe"
+    _assert_validates(system, result)
+
+
+@pytest.mark.parametrize("engine_name", ["bmc", "k-induction", "kiki", "pdr", "interpolation"])
+def test_bit_level_engines_respect_constraints_on_every_frame(engine_name):
+    """fifo is safe only under its environment constraints: the bit-level
+    encoding must enforce them on every frame, not just the property's."""
+    system = load_system("fifo")
+    options = {"max_bound": 20} if engine_name == "bmc" else {}
+    result = make_engine(
+        engine_name, system, representation="bit", **options
+    ).verify(timeout=60)
+    assert result.status in ("safe", "unknown"), result.detail
+    if result.is_definitive:
+        _assert_validates(system, result)
 
 
 def test_template_library_is_cached_per_system():
@@ -111,22 +110,21 @@ def test_template_library_is_cached_per_system():
 def test_template_cache_invalidated_on_mutation():
     """Mutating a design between runs must not reuse the stale template."""
     system = _tiny_unsafe()
-    unsafe = _bmc_outcome(system, "word", True, max_bound=6)
-    assert unsafe[0] == "unsafe"
+    unsafe = _bmc(system, "word", max_bound=6)
+    assert unsafe.status == "unsafe"
     # retarget the counter to hold its value: the property becomes invariant
     system.set_next("c", system.var("c"))
-    fixed = _bmc_outcome(system, "word", True, max_bound=6)
-    legacy = _bmc_outcome(system, "word", False, max_bound=6)
-    assert fixed == legacy
-    assert fixed[0] == "unknown"
+    fixed = _bmc(system, "word", max_bound=6)
+    assert fixed.status == "unknown"
+    assert fixed.detail["bound_reached"] == 6
 
 
 def test_template_cache_sees_added_property():
     system = _tiny_unsafe()
-    encoder = FrameEncoder(system, incremental_template=True)
+    encoder = FrameEncoder(system)
     encoder.property_literal("p", 0)
     system.add_property("p2", bv_ne(system.var("c"), bv_const(7, 3)))
-    fresh = FrameEncoder(system, incremental_template=True)
+    fresh = FrameEncoder(system)
     assert fresh.property_literal("p2", 0)  # must not raise KeyError
 
 
@@ -157,7 +155,7 @@ def test_template_structure():
 
 def test_property_literal_cached_per_frame():
     system = load_system("arbiter")
-    encoder = FrameEncoder(system, incremental_template=True)
+    encoder = FrameEncoder(system)
     encoder.assert_init(0)
     first = encoder.property_literal("one_hot_grant", 0)
     clauses_after = encoder.solver.solver.num_clauses
