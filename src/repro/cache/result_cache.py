@@ -14,7 +14,10 @@ validated certificates.  The contract:
 * only definitive verdicts carrying certificates that the validator accepts
   are stored, and SAFE certificates are shrunk first
   (:mod:`repro.cache.minimize`) so the re-validation on future hits stays
-  fast.
+  fast;
+* lifetime hit/miss/store counters of every process sharing the root live in
+  ``counters.json`` plus an append-only ``counters.log``
+  (:class:`PersistentCounters`).
 
 Re-validating is much cheaper than re-verifying: the engine searched for the
 invariant or trace, the validator only checks it (a handful of SAT queries
@@ -37,6 +40,11 @@ from repro.engines.result import Status, VerificationResult
 from repro.jsonio import write_json_atomic
 from repro.netlist import TransitionSystem
 from repro.obs import telemetry as _telemetry
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX: appends go unlocked
+    fcntl = None
 
 
 @dataclass
@@ -67,17 +75,37 @@ class CacheStoreOutcome:
     validate_minimized_s: Optional[float] = None
 
 
+#: once ``counters.log`` grows past this many bytes (about a hundred bumps)
+#: the bumping process folds it into ``counters.json``
+COUNTERS_FOLD_BYTES = 4096
+
+
+def _lock(fd: int, exclusive: bool = False) -> None:
+    """``flock`` one descriptor; closing it releases the lock."""
+    if fcntl is not None:
+        fcntl.flock(fd, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+
+
 class PersistentCounters:
-    """Lifetime cache counters persisted next to the entries.
+    """Lifetime cache counters shared by every process using one cache root.
 
     The in-memory counters on :class:`ResultCache` reset with every process;
-    these survive in ``<root>/counters.json`` (atomic writes, tolerant of a
-    missing or corrupt file) so ``repro-cache stats`` can report hit/miss/
-    re-validation totals across the cache's whole life, not just the current
-    CLI invocation.
+    these survive on disk so ``repro-cache stats`` can report hit/miss/
+    re-validation totals across the cache's whole life.  The totals are
+    ``<root>/counters.json`` plus ``<root>/counters.log``:
+
+    * :meth:`bump` appends one line of deltas to the log, a single
+      ``O_APPEND`` write under a shared ``flock``, so processes sharing the
+      root never overwrite each other's counts;
+    * once the log passes :data:`COUNTERS_FOLD_BYTES`, the bumping process
+      folds it into ``counters.json`` under an exclusive lock;
+    * :meth:`as_dict` sums the two under a shared lock.
+
+    A missing or corrupt ``counters.json`` and a torn log line read as zero.
     """
 
     FILENAME = "counters.json"
+    LOG_FILENAME = "counters.log"
     FIELDS = (
         "hits",
         "misses",
@@ -89,28 +117,68 @@ class PersistentCounters:
 
     def __init__(self, root: str) -> None:
         self.path = os.path.join(root, self.FILENAME)
-        self.values: Dict[str, int] = {name: 0 for name in self.FIELDS}
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                loaded = json.load(handle)
-            for name in self.FIELDS:
-                value = loaded.get(name)
-                if isinstance(value, int) and value >= 0:
-                    self.values[name] = value
-        except (OSError, ValueError):
-            pass  # fresh cache or corrupt counter file: start from zero
+        self.log_path = os.path.join(root, self.LOG_FILENAME)
 
     def bump(self, **deltas: int) -> None:
-        for name, delta in deltas.items():
-            if delta:
-                self.values[name] = self.values.get(name, 0) + delta
+        """Add ``deltas`` to the lifetime totals: one appended log line."""
+        changed = {name: delta for name, delta in deltas.items() if delta}
+        if not changed:
+            return
+        line = json.dumps(changed, separators=(",", ":")) + "\n"
         try:
-            write_json_atomic(self.path, self.values)
+            fd = os.open(self.log_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+            try:
+                _lock(fd)
+                os.write(fd, line.encode("ascii"))
+                size = os.fstat(fd).st_size
+            finally:
+                os.close(fd)
+            if size > COUNTERS_FOLD_BYTES:
+                self._fold()
         except OSError:  # pragma: no cover - read-only cache directory
             pass
 
+    def _fold(self) -> None:
+        with open(self.log_path, "r+b") as log:
+            _lock(log.fileno(), exclusive=True)
+            if os.fstat(log.fileno()).st_size <= COUNTERS_FOLD_BYTES:
+                return  # another process folded it while we waited
+            write_json_atomic(self.path, self._totals(log.read()))
+            # a crash between the rename above and this truncate counts the
+            # folded lines twice: an over-count, never a lost update
+            log.truncate(0)
+
+    def _totals(self, log: bytes) -> Dict[str, int]:
+        try:
+            with open(self.path, "r", encoding="utf-8") as handle:
+                rows = [json.load(handle)]
+        except (OSError, ValueError):
+            rows = []  # fresh cache or corrupt counter file: start from zero
+        # the piece after the last newline is empty or a torn append
+        for line in log.split(b"\n")[:-1]:
+            try:
+                rows.append(json.loads(line))
+            except ValueError:
+                continue
+        values = {name: 0 for name in self.FIELDS}
+        for row in rows:
+            if not isinstance(row, dict):
+                continue
+            for name in self.FIELDS:
+                value = row.get(name)
+                if isinstance(value, int) and value >= 0:
+                    values[name] += value
+        return values
+
     def as_dict(self) -> Dict[str, int]:
-        return dict(self.values)
+        """The lifetime totals: ``counters.json`` plus the unfolded log."""
+        try:
+            log = open(self.log_path, "rb")
+        except OSError:
+            return self._totals(b"")  # no log yet: the base is the total
+        with log:
+            _lock(log.fileno())
+            return self._totals(log.read())
 
 
 class ResultCache:

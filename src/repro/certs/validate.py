@@ -3,7 +3,9 @@
 The validator deliberately shares no code with the producing engines: it
 never touches :class:`repro.engines.encoding.FrameEncoder`, the frame
 templates or any engine module.  Witnesses are replayed *concretely* through
-the reference simulator (:func:`repro.netlist.simulate.replay`); safety
+the reference simulator (:func:`repro.netlist.simulate.replay`), and a
+witness must keep the design's environment constraints at every cycle up to
+its violation (a path that breaks an assumption is no counterexample); safety
 certificates are discharged as SAT queries over expressions the validator
 stamps itself (``name#frame``):
 
@@ -393,17 +395,22 @@ class CertificateValidator:
         # replay the full trace and evaluate the *claimed* property per cycle
         # (another property failing earlier must not mask the violation)
         if self.replay_backend == "packed":
-            observed_cycle = self._packed_replay(result, witness, prop.name)
+            broken_cycle, observed_cycle = self._packed_replay(
+                result, witness, prop.name
+            )
             if result.failed_obligations():
                 return result
         else:
-            trace = replay(self.system, witness.input_sequence())
-            observed_cycle = None
-            for step in trace.steps:
-                env = {**step.state, **step.inputs, **step.wires}
-                if evaluate(prop.expr, env) == 0:
-                    observed_cycle = step.cycle
-                    break
+            broken_cycle, observed_cycle = self._scalar_replay(witness, prop.expr)
+        if broken_cycle is not None:
+            result.reason = (
+                f"the witness breaks an environment constraint at cycle "
+                f"{broken_cycle}, before {witness.property_name!r} is violated"
+            )
+            result.obligations.append(
+                Obligation("constraints-hold", FAILED, result.reason)
+            )
+            return result
         if observed_cycle is None:
             result.reason = (
                 f"replay never violates {witness.property_name!r} "
@@ -411,23 +418,42 @@ class CertificateValidator:
             )
             result.obligations.append(Obligation("violation-reached", FAILED, result.reason))
             return result
+        result.obligations.append(Obligation("constraints-hold", HOLDS))
         note = f"violated at cycle {observed_cycle} (claimed {witness.violation_cycle})"
         result.obligations.append(Obligation("violation-reached", HOLDS, note))
         result.ok = True
         result.reason = note
         return result
 
+    def _scalar_replay(
+        self, witness: Witness, prop: Expr
+    ) -> Tuple[Optional[int], Optional[int]]:
+        """Replay the witness through the reference interpreter.
+
+        Returns ``(broken, violated)``: ``broken`` is the first cycle at
+        which an environment constraint fails and ``violated`` the first at
+        which ``prop`` evaluates to 0.  Only the earlier of the two is set
+        (a constraint failing in the violating cycle counts as earlier);
+        the other, or both if neither happens, is ``None``.
+        """
+        constraints = self.system.constraints
+        for step in replay(self.system, witness.input_sequence()).steps:
+            env = {**step.state, **step.inputs, **step.wires}
+            if constraints and not all(evaluate(c, env) for c in constraints):
+                return step.cycle, None
+            if evaluate(prop, env) == 0:
+                return None, step.cycle
+        return None, None
+
     def _packed_replay(
         self, result: ValidationResult, witness: Witness, property_name: str
-    ) -> Optional[int]:
+    ) -> Tuple[Optional[int], Optional[int]]:
         """Replay the witness bit-parallel; cross-check a prefix scalar.
 
         Appends the ``replay-crosscheck`` obligation to ``result`` and
-        returns the first cycle at which the claimed property evaluates to 0
-        (``None`` if it never does).  The property is read off the raw truth
-        plane rather than the constraint-alive mask so the packed path agrees
-        exactly with the scalar path above, which also ignores constraints
-        during witness replay.
+        returns ``(broken, violated)`` like :meth:`_scalar_replay`, read off
+        the run's constraint-alive mask and the claimed property's truth
+        plane.
         """
         from repro.netlist.bitsim import (
             PackedSimulator,
@@ -446,7 +472,7 @@ class CertificateValidator:
             result.obligations.append(
                 Obligation("replay-crosscheck", FAILED, str(mismatch))
             )
-            return None
+            return None, None
         result.obligations.append(
             Obligation(
                 "replay-crosscheck",
@@ -455,9 +481,11 @@ class CertificateValidator:
             )
         )
         for cycle in range(run.cycles):
+            if (run.alive[cycle] & 1) == 0:
+                return cycle, None
             if (run.prop_values[cycle][property_name] & 1) == 0:
-                return cycle
-        return None
+                return None, cycle
+        return None, None
 
     # ------------------------------------------------------------------
     # safety certificates, on the design's warm session

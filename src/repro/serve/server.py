@@ -156,6 +156,9 @@ class _Work:
         self.bound = bound
         self.priority = priority
         self.waiters: List[_Waiter] = []
+        #: admission already looked this query up; journal-recovered work
+        #: is looked up when it runs
+        self.looked_up = False
         self.abort = threading.Event()
         #: liveness kill switch: set by the monitor when streamed progress
         #: goes silent past the window; the supervisor kills and retries
@@ -246,6 +249,8 @@ class VerifyServer:
         )
         self.inflight: Dict[str, _Work] = {}
         self.active = 0
+        #: requests inside :meth:`_admit`; a drain waits for them too
+        self.admitting = 0
         self.draining = False
         self.recovery_report: Optional[dict] = None
         self.counters: Dict[str, int] = {
@@ -374,7 +379,7 @@ class VerifyServer:
 
     async def _drained(self) -> None:
         """Wait until every admitted request has been answered."""
-        while len(self.queue) > 0 or self.active > 0 or self.inflight:
+        while self.queue or self.active or self.inflight or self.admitting:
             self._work_done.clear()
             await self._work_done.wait()
 
@@ -575,7 +580,12 @@ class VerifyServer:
             await conn.send({"ok": True, "op": "draining"})
             self.request_shutdown()
         elif op == OP_VERIFY:
-            await self._admit(conn, request)
+            self.admitting += 1
+            try:
+                await self._admit(conn, request)
+            finally:
+                self.admitting -= 1
+                self._work_done.set()
         else:
             self.counters["bad_requests"] += 1
             await conn.send({"ok": False, "error": f"unknown op {op!r}"})
@@ -599,30 +609,62 @@ class VerifyServer:
                  "reason": "draining"}
             )
             return
+        recorder = _telemetry.get_recorder()
+        span = (
+            recorder.start_span(
+                "serve.admit", parent=self._server_span, request=request_id
+            )
+            if recorder is not None
+            else None
+        )
         try:
             task = _task_from_request(request)
-            # loading + key hashing is CPU work: keep it off the event loop
-            system = await asyncio.to_thread(task.load)
-            property_name = _resolve_property(system, request.get("property"))
             representation = str(
                 request.get("representation", self.config.representation)
             )
-            key = await asyncio.to_thread(
-                cache_key, system, property_name, representation
+            # the one executor hop: loading, key hashing and a hit's
+            # re-validation are CPU work, kept off the event loop
+            property_name, key, hit = await asyncio.to_thread(
+                self._look_up, span, task, request.get("property"), representation
             )
         except Exception as error:  # noqa: BLE001 - reply, don't die
+            if span is not None:
+                span.finish(outcome="bad-request")
             self.counters["bad_requests"] += 1
             await conn.send(
                 {"ok": False, "op": "rejected", "id": request_id,
                  "reason": f"bad request: {error}"}
             )
             return
+        if span is not None:
+            span.finish(outcome="hit" if hit is not None else "miss")
 
         deadline_s = request.get("deadline_s", self.config.default_deadline_s)
         deadline = (
             time.monotonic() + float(deadline_s) if deadline_s else None
         )
         waiter = _Waiter(request_id, conn, deadline)
+
+        bound = request.get("bound")
+        work = _Work(
+            key,
+            task,
+            property_name,
+            representation,
+            int(bound) if isinstance(bound, int) else None,
+            priority_value(request.get("priority")),
+        )
+        work.looked_up = True
+        work.waiters.append(waiter)
+        if hit is not None:
+            # a re-validated hit is answered here: no queue, no dispatcher
+            self.counters["accepted"] += 1
+            self.counters["computations"] += 1
+            _telemetry.counter("serve.accepted")
+            _telemetry.counter("serve.computations")
+            await self._accept(conn, request_id, request, key, coalesced=False)
+            await self._answer(work, hit, "cache")
+            return
 
         existing = self.inflight.get(key)
         if existing is not None and not existing.cancelled and not existing.done:
@@ -637,25 +679,9 @@ class VerifyServer:
             self.counters["accepted"] += 1
             self.counters["coalesced"] += 1
             _telemetry.counter("serve.coalesced")
-            if self.journal is not None:
-                self.journal.accept(request_id, _journal_doc(request))
-                await self.replication.wait_synced()
-            await conn.send(
-                {"ok": True, "op": "accepted", "id": request_id,
-                 "key": key, "coalesced": True}
-            )
+            await self._accept(conn, request_id, request, key, coalesced=True)
             return
 
-        bound = request.get("bound")
-        work = _Work(
-            key,
-            task,
-            property_name,
-            representation,
-            int(bound) if isinstance(bound, int) else None,
-            priority_value(request.get("priority")),
-        )
-        work.waiters.append(waiter)
         if not self.queue.try_put(work, work.priority):
             self.counters["rejected_overloaded"] += 1
             _telemetry.counter("serve.rejected_overloaded")
@@ -669,6 +695,29 @@ class VerifyServer:
         self.counters["accepted"] += 1
         _telemetry.counter("serve.accepted")
         _telemetry.gauge("serve.queue_depth", len(self.queue))
+        await self._accept(conn, request_id, request, key, coalesced=False)
+
+    def _look_up(self, span, task: VerificationTask, prop, representation: str):
+        """Admission's executor hop: load the design, resolve the property and
+        look the query up.  Returns ``(property, key, hit result or None)``;
+        a hit has been re-validated against the loaded design."""
+        with _under(span):
+            system = task.load()
+            prop = _resolve_property(system, prop)
+            if self.cache is None:
+                return prop, cache_key(system, prop, representation), None
+            lookup = self.cache.lookup(system, prop, representation)
+            return prop, lookup.key, lookup.result if lookup.hit else None
+
+    async def _accept(
+        self,
+        conn: _Connection,
+        request_id: str,
+        request: dict,
+        key: str,
+        coalesced: bool,
+    ) -> None:
+        """Journal one accept, then tell the client."""
         if self.journal is not None:
             self.journal.accept(request_id, _journal_doc(request))
             # sync level: the accept a client sees is one a standby can
@@ -676,7 +725,7 @@ class VerifyServer:
             await self.replication.wait_synced()
         await conn.send(
             {"ok": True, "op": "accepted", "id": request_id,
-             "key": key, "coalesced": False}
+             "key": key, "coalesced": coalesced}
         )
 
     # ------------------------------------------------------------------
@@ -689,11 +738,11 @@ class VerifyServer:
             except QueueClosed:
                 return
             _telemetry.gauge("serve.queue_depth", len(self.queue))
-            if work.cancelled:
-                continue
             while self.active >= self.throttle.concurrency:
                 self._slot_free.clear()
                 await self._slot_free.wait()
+            if work.cancelled:  # its waiters may leave while it waits
+                continue
             self.active += 1
             asyncio.create_task(self._run_work(work))
 
@@ -745,17 +794,11 @@ class VerifyServer:
 
     def _compute(self, work: _Work, timeout: Optional[float]):
         """Run one computation in this executor thread (workers fork from here)."""
-        recorder = _telemetry.get_recorder()
-        scope = (
-            recorder.under(work.span)
-            if recorder is not None and work.span is not None
-            else contextlib.nullcontext()
-        )
-        with scope:
+        with _under(work.span):
             self.counters["computations"] += 1
             _telemetry.counter("serve.computations")
             system = work.task.load()
-            if self.cache is not None:
+            if self.cache is not None and not work.looked_up:
                 lookup = self.cache.lookup(
                     system, work.property_name, work.representation
                 )
@@ -976,6 +1019,14 @@ class VerifyServer:
 # ---------------------------------------------------------------------------
 # request helpers
 # ---------------------------------------------------------------------------
+
+
+def _under(span):
+    """Make ``span`` the current parent in this thread while recording."""
+    recorder = _telemetry.get_recorder()
+    if recorder is None or span is None:
+        return contextlib.nullcontext()
+    return recorder.under(span)
 
 
 def _task_from_request(request: dict) -> VerificationTask:

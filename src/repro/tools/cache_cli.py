@@ -14,7 +14,8 @@ Subcommands
 ``stats``
     Print the store's entry count, byte size, caps, quarantine backlog, and
     the lifetime serving counters (hits, misses, stores, demotions,
-    revalidation outcomes) persisted in ``counters.json`` at the cache root.
+    revalidation outcomes) of every process that used the cache: the sum of
+    ``counters.json`` and the unfolded ``counters.log`` at the cache root.
 
 ``evict``
     Apply ``--max-entries``/``--max-bytes`` LRU caps once, printing the

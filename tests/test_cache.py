@@ -80,6 +80,21 @@ def test_key_changes_when_design_mutates():
     assert cache_key(constrained, prop) != reference
 
 
+def test_key_memo_follows_in_place_mutation():
+    """Keys are memoized per live design: mutating the same object after
+    hashing it must still change its key."""
+    system = load_system("huffman_dec")
+    prop = system.properties[0].name
+    reference = cache_key(system, prop)
+    assert cache_key(system, prop) == reference
+    system.add_constraint(TRUE)
+    constrained = cache_key(system, prop)
+    assert constrained != reference
+    name, expr = next(iter(system.init.items()))
+    system.set_init(name, expr + bv_const(1, expr.width))
+    assert cache_key(system, prop) not in (reference, constrained)
+
+
 # ---------------------------------------------------------------------------
 # the cache proper: store, hit after re-validation, stale-miss
 # ---------------------------------------------------------------------------
@@ -197,6 +212,63 @@ def test_forged_invariant_fails_revalidation_and_is_demoted(tmp_path):
     assert cache.stats()["demotions"] == 1
     # the demotion deleted the forgery: the next lookup is a plain miss
     assert cache.lookup(system, result.property_name, "word").reason == "absent"
+
+
+def test_lifetime_counters_add_up_across_instances(tmp_path):
+    """Two caches on one root stand for two processes sharing a cache
+    directory: they interleave a store and hits, one of them folds the
+    counters log, and a third instance sees every count."""
+    system, result = _verify("huffman_dec")
+    prop = result.property_name
+    first, second = ResultCache(str(tmp_path)), ResultCache(str(tmp_path))
+    assert not first.lookup(system, prop).hit
+    assert second.store(system, prop, "word", result).stored
+    hits = 0
+    while not os.path.exists(first.persistent.path):  # only a fold writes it
+        for cache in (first, second):
+            assert cache.lookup(system, prop).hit
+            hits += 1
+        assert hits < 1000  # every hit appends a line; a fold comes soon
+    assert first.lookup(system, prop).hit  # into the emptied log
+    hits += 1
+    assert ResultCache(str(tmp_path)).persistent.as_dict() == {
+        "hits": hits,
+        "misses": 1,
+        "stores": 1,
+        "demotions": 0,
+        "revalidations_ok": hits,
+        "revalidations_failed": 0,
+    }
+
+
+def _bump_counters(root, rounds):
+    from repro.cache.result_cache import PersistentCounters
+
+    counters = PersistentCounters(root)
+    for _ in range(rounds):
+        counters.bump(hits=1, revalidations_ok=1)
+    os._exit(0)
+
+
+def test_lifetime_counters_lose_no_update_under_concurrent_processes(tmp_path):
+    import multiprocessing
+
+    from repro.cache.result_cache import PersistentCounters
+
+    root = str(tmp_path)
+    context = multiprocessing.get_context("fork")
+    workers = [
+        context.Process(target=_bump_counters, args=(root, 300)) for _ in range(4)
+    ]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=60.0)
+        assert worker.exitcode == 0
+    totals = PersistentCounters(root).as_dict()
+    # 1,200 bumps are far past the fold size: folds raced the appends
+    assert os.path.exists(os.path.join(root, PersistentCounters.FILENAME))
+    assert totals["hits"] == totals["revalidations_ok"] == 1200
 
 
 def test_entry_under_wrong_key_does_not_impersonate(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -147,6 +148,37 @@ def test_witness_for_unknown_property_fails():
     renamed = Witness("no_such_property", "bmc", result.certificate.inputs)
     validation = validate_certificate(system, renamed)
     assert not validation.ok
+
+
+@pytest.mark.parametrize("backend", ["scalar", "packed"])
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        # pops the empty FIFO at cycle 0, so count wraps to 15
+        ({"put": 0, "get": 1}, {"put": 0, "get": 0}),
+        # pushes into the full FIFO at cycle 8
+        tuple({"put": 1, "get": 0} for _ in range(10)),
+    ],
+    ids=["pop-empty", "push-full"],
+)
+def test_witness_breaking_a_constraint_fails(inputs, backend):
+    """A path that breaks an environment assumption is no counterexample,
+    although fifo's property fails at its last cycle."""
+    system = get_benchmark("fifo").load()
+    witness = Witness("no_overflow", "hand", inputs)
+    validation = validate_certificate(system, witness, replay_backend=backend)
+    assert not validation.ok
+    assert [o.name for o in validation.failed_obligations()] == ["constraints-hold"]
+
+
+def test_certified_word_bit_race_on_fifo_is_safe(capsys):
+    from repro.tools.verify_cli import main
+
+    argv = ["fifo", "--portfolio", "--representation", "word", "bit", "--certify"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^portfolio\s+safe\s", out, re.MULTILINE), out
+    assert "VALIDATED" in out
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import asyncio
 
 import pytest
 
+from repro.cache import cache_key
 from repro.cache.store import CacheEntry, CertificateStore, StoreLock
 from repro.benchmarks import load_system
 from repro.engines import Status, make_engine
@@ -466,6 +467,104 @@ def test_server_recovery_nacks_journaled_orphans(tmp_path):
     report = RequestJournal(journal_path).replay()
     assert report.open_requests == {}
     assert server.counters["recovered_nacked"] == 1
+
+
+def _wait_for(condition, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def _store_proc3(cache_dir, document_text):
+    """Store the fixture's validated proc3 verdict under its query's key."""
+    system = load_system("proc3")
+    key = cache_key(system, system.properties[0].name, "word")
+    return CertificateStore(cache_dir).save(_clone_entry(document_text, key))
+
+
+def test_warm_hit_is_answered_under_full_load(tmp_path):
+    """A hit is answered at admission: with the only computation slot and
+    the whole queue held by slow cold queries it still gets a validated
+    cache answer, not ``rejected: overloaded``."""
+    config = ServerConfig(
+        socket_path=_sock(tmp_path),
+        cache_dir=str(tmp_path / "cache"),
+        max_workers=1,
+        max_queue=1,
+        default_deadline_s=120.0,
+    )
+    with _RunningServer(config) as server:
+        with ServeClient(socket_path=config.socket_path) as client:
+            cold = client.verify(design="proc3", representation="word")
+            assert cold["source"] == "computed"
+            slow = ServeClient(socket_path=config.socket_path)
+            # bit-level daio to bound 96 needs seconds of k-induction: it
+            # holds the slot, the dispatcher holds the next query while it
+            # waits for the slot, and the third fills the queue
+            slow.submit({"design": "daio", "representation": "bit", "bound": 96})
+            _wait_for(lambda: server.active == 1)
+            for design in ("tlc", "mac16"):
+                slow.submit({"design": design, "representation": "bit", "bound": 96})
+            _wait_for(lambda: len(server.queue) == 1)
+            warm = client.verify(design="proc3", representation="word")
+            assert warm["source"] == "cache"
+            assert warm["validated"] is True
+            assert len(server.queue) == 1 and server.active == 1
+            slow.close()
+            client.drain()
+    counters = server.counters
+    assert counters["rejected_overloaded"] == 0
+    assert counters["accepted"] == counters["answered"] + counters["cancelled"]
+
+
+def test_tampered_entry_is_demoted_at_admission_and_computed_once(
+    tmp_path, proc3_entry_json
+):
+    cache_dir = str(tmp_path / "cache")
+    path = _store_proc3(cache_dir, proc3_entry_json)
+    with open(path, "r", encoding="utf-8") as handle:
+        document = json.load(handle)
+    document["status"] = Status.UNSAFE  # an invariant cannot justify it
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle)
+
+    config = ServerConfig(socket_path=_sock(tmp_path), cache_dir=cache_dir)
+    with _RunningServer(config) as server:
+        with ServeClient(socket_path=config.socket_path) as client:
+            reply = client.verify(design="proc3", representation="word")
+            assert reply["status"] == Status.SAFE
+            assert reply["source"] == "computed"
+            cache = client.stats()["cache"]
+            client.drain()
+    # one lookup per request: admission demoted the entry, the computation
+    # did not look the query up a second time
+    assert cache["demotions"] == 1 and cache["misses"] == 1
+    assert cache["hits"] == 0 and cache["stores"] == 1
+    assert server.counters["computations"] == 1
+
+
+def test_requeued_recovery_consults_the_cache(tmp_path, proc3_entry_json):
+    cache_dir = str(tmp_path / "cache")
+    _store_proc3(cache_dir, proc3_entry_json)
+    journal_path = str(tmp_path / "journal.jsonl")
+    dead = RequestJournal(journal_path)
+    dead.accept("orphan", {"design": "proc3"})
+    dead.close()
+
+    config = ServerConfig(
+        socket_path=_sock(tmp_path),
+        cache_dir=cache_dir,
+        journal_path=journal_path,
+        recover="requeue",
+    )
+    with _RunningServer(config) as server:
+        with ServeClient(socket_path=config.socket_path) as client:
+            client.drain()  # a drain answers the requeued recovery first
+    assert server.counters["recovered_requeued"] == 1
+    assert server.counters["answered"] == 1
+    assert server.cache.hits == 1 and server.cache.misses == 0
+    assert server.cache.stores == 0
 
 
 def test_server_rejects_unknown_design_without_dying(tmp_path):
