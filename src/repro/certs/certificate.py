@@ -8,7 +8,7 @@ engines attach to their :class:`repro.engines.result.VerificationResult`:
 
 * :class:`Witness` — an UNSAFE verdict ships the input trace that drives the
   design from reset into the violation; it is replayed *concretely* through
-  :func:`repro.netlist.simulate.replay`.
+  :meth:`repro.netlist.simulate.Simulator.advance`.
 * :class:`InductiveCertificate` — a SAFE verdict ships a one-step inductive
   invariant ``Inv`` (PDR frame clauses, the interpolation fixpoint ``R``,
   IMPACT's covered labels, predicate-abstraction's reachable abstract states,

@@ -3,11 +3,12 @@
 The validator deliberately shares no code with the producing engines: it
 never touches :class:`repro.engines.encoding.FrameEncoder`, the frame
 templates or any engine module.  Witnesses are replayed *concretely* through
-the reference simulator (:func:`repro.netlist.simulate.replay`), and a
-witness must keep the design's environment constraints at every cycle up to
-its violation (a path that breaks an assumption is no counterexample); safety
-certificates are discharged as SAT queries over expressions the validator
-stamps itself (``name#frame``):
+the reference simulator's compiled step
+(:meth:`repro.netlist.simulate.Simulator.advance`), and a witness must keep
+the design's environment constraints at every cycle up to its violation (the
+``constraints-hold`` obligation: a path that breaks an assumption is no
+counterexample); safety certificates are discharged as SAT queries over
+expressions the validator stamps itself (``name#frame``):
 
 * inductive invariant ``Inv`` — ``Init ∧ C ⊆ Inv``, ``Inv ∧ C ∧ T ⊆ Inv′``
   and ``Inv ∧ C ⊆ P`` (``C`` are the design's environment constraints, which
@@ -76,11 +77,10 @@ from repro.exprs import (
     bv_ne,
     bv_var,
     collect_vars,
-    evaluate,
 )
 from repro.exprs.substitute import rename
 from repro.netlist import TransitionSystem
-from repro.netlist.simulate import replay
+from repro.netlist.simulate import Simulator
 from repro.obs import telemetry as _telemetry
 from repro.smt import BVResult, BVSolver
 
@@ -132,14 +132,6 @@ class ValidationResult:
             "reason": self.reason,
             "runtime_s": round(self.runtime, 6),
         }
-
-
-#: witness replay backends: the scalar reference interpreter, or the
-#: bit-parallel packed simulator cross-checked against it
-REPLAY_BACKENDS = ("scalar", "packed")
-
-#: how many leading cycles of a packed replay are re-run scalar by default
-DEFAULT_CROSSCHECK_CYCLES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -308,33 +300,12 @@ os.register_at_fork(after_in_child=_forget_sessions)
 
 
 class CertificateValidator:
-    """Discharges certificate obligations against one transition system.
+    """Discharges certificate obligations against one transition system."""
 
-    ``replay_backend`` selects how witnesses are replayed: ``"scalar"``
-    (default) uses the reference interpreter; ``"packed"`` uses the
-    bit-parallel simulator and adds a ``replay-crosscheck`` obligation that
-    re-runs the first ``crosscheck_cycles`` cycles through the scalar
-    interpreter and fails on any per-cycle divergence — the packed verdict
-    is never trusted without scalar agreement on the checked prefix.
-    """
-
-    def __init__(
-        self,
-        system: TransitionSystem,
-        timeout: Optional[float] = None,
-        replay_backend: str = "scalar",
-        crosscheck_cycles: int = DEFAULT_CROSSCHECK_CYCLES,
-    ) -> None:
-        if replay_backend not in REPLAY_BACKENDS:
-            raise ValueError(
-                f"unknown replay backend {replay_backend!r}; "
-                f"expected one of {REPLAY_BACKENDS}"
-            )
+    def __init__(self, system: TransitionSystem, timeout: Optional[float] = None) -> None:
         self.system = system
         self.flat = _session_for(system).flat
         self.timeout = timeout
-        self.replay_backend = replay_backend
-        self.crosscheck_cycles = crosscheck_cycles
         self._deadline: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -394,14 +365,7 @@ class CertificateValidator:
 
         # replay the full trace and evaluate the *claimed* property per cycle
         # (another property failing earlier must not mask the violation)
-        if self.replay_backend == "packed":
-            broken_cycle, observed_cycle = self._packed_replay(
-                result, witness, prop.name
-            )
-            if result.failed_obligations():
-                return result
-        else:
-            broken_cycle, observed_cycle = self._scalar_replay(witness, prop.expr)
+        broken_cycle, observed_cycle = self._replay(witness, prop.name)
         if broken_cycle is not None:
             result.reason = (
                 f"the witness breaks an environment constraint at cycle "
@@ -425,66 +389,24 @@ class CertificateValidator:
         result.reason = note
         return result
 
-    def _scalar_replay(
-        self, witness: Witness, prop: Expr
+    def _replay(
+        self, witness: Witness, property_name: str
     ) -> Tuple[Optional[int], Optional[int]]:
-        """Replay the witness through the reference interpreter.
+        """Replay the witness through the design's compiled step.
 
         Returns ``(broken, violated)``: ``broken`` is the first cycle at
         which an environment constraint fails and ``violated`` the first at
-        which ``prop`` evaluates to 0.  Only the earlier of the two is set
+        which the named property fails.  Only the earlier of the two is set
         (a constraint failing in the violating cycle counts as earlier);
         the other, or both if neither happens, is ``None``.
         """
-        constraints = self.system.constraints
-        for step in replay(self.system, witness.input_sequence()).steps:
-            env = {**step.state, **step.inputs, **step.wires}
-            if constraints and not all(evaluate(c, env) for c in constraints):
-                return step.cycle, None
-            if evaluate(prop, env) == 0:
-                return None, step.cycle
-        return None, None
-
-    def _packed_replay(
-        self, result: ValidationResult, witness: Witness, property_name: str
-    ) -> Tuple[Optional[int], Optional[int]]:
-        """Replay the witness bit-parallel; cross-check a prefix scalar.
-
-        Appends the ``replay-crosscheck`` obligation to ``result`` and
-        returns ``(broken, violated)`` like :meth:`_scalar_replay`, read off
-        the run's constraint-alive mask and the claimed property's truth
-        plane.
-        """
-        from repro.netlist.bitsim import (
-            PackedSimulator,
-            SimulationMismatch,
-            crosscheck_lane,
-        )
-
-        simulator = PackedSimulator(self.system, lanes=1)
-        run = simulator.replay(witness.input_sequence())
-        try:
-            compared = crosscheck_lane(
-                self.system, run, lane=0, cycles=self.crosscheck_cycles
-            )
-        except SimulationMismatch as mismatch:
-            result.reason = f"packed/scalar replay divergence: {mismatch}"
-            result.obligations.append(
-                Obligation("replay-crosscheck", FAILED, str(mismatch))
-            )
-            return None, None
-        result.obligations.append(
-            Obligation(
-                "replay-crosscheck",
-                HOLDS,
-                f"first {compared} cycles agree with the scalar interpreter",
-            )
-        )
-        for cycle in range(run.cycles):
-            if (run.alive[cycle] & 1) == 0:
-                return cycle, None
-            if (run.prop_values[cycle][property_name] & 1) == 0:
-                return None, cycle
+        simulator = Simulator(self.system)
+        for inputs in witness.inputs:
+            values = simulator.advance(inputs)
+            if not all(values.constraints):
+                return values.cycle, None
+            if not values.properties[property_name]:
+                return None, values.cycle
         return None, None
 
     # ------------------------------------------------------------------
@@ -668,25 +590,15 @@ def validate_certificate(
     system: TransitionSystem,
     certificate,
     timeout: Optional[float] = None,
-    replay_backend: str = "scalar",
-    crosscheck_cycles: int = DEFAULT_CROSSCHECK_CYCLES,
 ) -> ValidationResult:
     """Validate one certificate against a design."""
-    validator = CertificateValidator(
-        system,
-        timeout=timeout,
-        replay_backend=replay_backend,
-        crosscheck_cycles=crosscheck_cycles,
-    )
-    return validator.validate(certificate)
+    return CertificateValidator(system, timeout=timeout).validate(certificate)
 
 
 def validate_result(
     system: TransitionSystem,
     result,
     timeout: Optional[float] = None,
-    replay_backend: str = "scalar",
-    crosscheck_cycles: int = DEFAULT_CROSSCHECK_CYCLES,
 ) -> ValidationResult:
     """Validate the certificate attached to a :class:`VerificationResult`.
 
@@ -736,10 +648,4 @@ def validate_result(
             obligations=[Obligation("property-matches", FAILED, reason)],
             reason=reason,
         )
-    return validate_certificate(
-        system,
-        certificate,
-        timeout=timeout,
-        replay_backend=replay_backend,
-        crosscheck_cycles=crosscheck_cycles,
-    )
+    return validate_certificate(system, certificate, timeout=timeout)

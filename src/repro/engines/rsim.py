@@ -9,8 +9,9 @@ milliseconds — before any SAT machinery is even constructed — which is why i
 sits on the budget ladder's cheap rung.
 
 Trust: a packed hit is never reported directly.  The violating lane's input
-sequence is re-replayed through the scalar reference interpreter and must
-violate the same property at the same cycle; disagreement raises
+sequence is replayed through the scalar reference simulator and must keep
+every environment constraint and violate the same property at the same
+cycle; disagreement raises
 :class:`~repro.netlist.bitsim.SimulationMismatch` (the cross-checked-verdict
 pattern), so a packed-simulation bug surfaces as a hard error, not a wrong
 verdict.  Runs that find nothing return UNKNOWN — random simulation can
@@ -124,27 +125,30 @@ class RandomSimulationEngine(Engine):
 
     # ------------------------------------------------------------------
     def _scalar_confirm(self, property_name, inputs, cycle) -> None:
-        """Replay the violating lane through the reference interpreter.
+        """Replay the violating lane through the reference simulator.
 
-        The packed hit must reproduce exactly — the *claimed* property first
-        fails at the *claimed* cycle — before it is allowed to become a
-        verdict (cross-checked-verdict pattern: the fast path cannot change
-        an answer, only find it faster).
+        The packed hit must reproduce exactly — the lane keeps every
+        environment constraint through the claimed cycle, and the *claimed*
+        property first fails at the *claimed* cycle — before it is allowed
+        to become a verdict (cross-checked-verdict pattern: the fast path
+        cannot change an answer, only find it faster).
         """
-        from repro.exprs import evaluate
-
-        prop = self.system.property_by_name(property_name)
         simulator = Simulator(self.system)
         first_failure: Optional[int] = None
-        for index, step_inputs in enumerate(inputs):
-            env = simulator._environment(step_inputs)
-            if evaluate(prop.expr, env) == 0:
-                first_failure = index
+        for step_inputs in inputs:
+            values = simulator.advance(step_inputs)
+            if not all(values.constraints):
+                raise SimulationMismatch(
+                    f"{self.system.name}: packed violation of {property_name!r} at "
+                    f"cycle {cycle} breaks an environment constraint at cycle "
+                    f"{values.cycle} in the scalar simulator"
+                )
+            if not values.properties[property_name]:
+                first_failure = values.cycle
                 break
-            simulator.step(step_inputs)
         if first_failure != cycle:
             raise SimulationMismatch(
                 f"{self.system.name}: packed violation of {property_name!r} at "
-                f"cycle {cycle} did not reproduce in the scalar interpreter "
+                f"cycle {cycle} did not reproduce in the scalar simulator "
                 f"(scalar first failure: {first_failure})"
             )

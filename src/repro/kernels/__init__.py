@@ -4,11 +4,11 @@ Tiering, fastest first, every step gated so verdicts can never change:
 
 1. **compiled** — the C step function built through ``v2c/codegen.py``,
    loaded over ctypes, replay loop in C.  Spot-checked per cycle against the
-   scalar interpreter (:class:`~repro.kernels.ckernel.CompiledKernel.replay_checked`);
+   scalar simulator (:class:`~repro.kernels.ckernel.CompiledKernel.replay_checked`);
    unavailable without a compiler, for >64-bit designs, or on any mismatch.
 2. **packed** — the pure-Python bit-parallel simulator
    (:mod:`repro.netlist.bitsim`), itself cross-checked lane-by-lane.
-3. **scalar** — the reference interpreter (:mod:`repro.netlist.simulate`),
+3. **scalar** — the reference simulator (:mod:`repro.netlist.simulate`),
    the semantics all faster tiers are judged against.
 
 :func:`checked_replay` walks that ladder for one input sequence and reports
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.exprs import evaluate
 from repro.netlist import TransitionSystem
 from repro.obs import telemetry as _telemetry
 from repro.netlist.simulate import Simulator
@@ -90,16 +89,13 @@ def _scalar_replay(
     tiers: a violation only counts while every environment constraint has
     held up to and including its cycle."""
     simulator = Simulator(system)
-    alive = True
-    for cycle, inputs in enumerate(input_sequence):
-        env = simulator._environment(inputs)
-        if alive and any(evaluate(c, env) == 0 for c in system.constraints):
-            alive = False
-        if alive:
-            for prop in system.properties:
-                if evaluate(prop.expr, env) == 0:
-                    return ReplayOutcome("scalar", cycle, prop.name, [])
-        simulator.step(inputs)
+    for inputs in input_sequence:
+        values = simulator.advance(inputs)
+        if not all(values.constraints):
+            break
+        violated = values.violated_property
+        if violated is not None:
+            return ReplayOutcome("scalar", values.cycle, violated, [])
     return ReplayOutcome("scalar", None, None, [])
 
 

@@ -4,7 +4,7 @@
 the on-disk cache on first use) and exposes the C replay loop to Python.  The
 native tier is gated by the repo's cross-checked-verdict pattern:
 :meth:`CompiledKernel.replay_checked` spot-checks the compiled trace against
-the scalar reference interpreter cycle by cycle on a prefix of the run, and
+the scalar reference simulator cycle by cycle on a prefix of the run, and
 any divergence raises :class:`KernelMismatch` — callers treat that exactly
 like :class:`~repro.kernels.build.KernelUnavailable` and fall back to the
 pure-Python tiers, so a miscompiled (or fault-injected) kernel can slow a
@@ -26,7 +26,7 @@ from repro.v2c.softnetlist import SoftwareNetlist
 from repro.kernels.build import KernelUnavailable, build_kernel
 
 #: how many leading cycles of every checked replay are re-run in the scalar
-#: interpreter (register values and property verdicts compared bit-exactly)
+#: simulator (registers, property and constraint verdicts compared bit-exactly)
 DEFAULT_CROSSCHECK_CYCLES = 8
 
 
@@ -156,8 +156,9 @@ class CompiledKernel:
         """Replay with the cross-checked-verdict gate engaged.
 
         The first ``crosscheck_cycles`` cycles of the compiled trace are
-        re-executed in the scalar reference interpreter and compared register
-        for register and property for property; any divergence — including
+        re-executed in the scalar reference simulator and compared register
+        for register, property for property and constraint for constraint;
+        any divergence — including
         one injected by the ``kernel-miscompile`` chaos fault — raises
         :class:`KernelMismatch` so the caller falls back to pure Python.
         """
@@ -177,22 +178,18 @@ class CompiledKernel:
     ) -> None:
         end = min(cycles, run.cycles, len(run.states))
         simulator = Simulator(self.system)
-        from repro.exprs import evaluate
-
         for cycle in range(end):
-            inputs = input_sequence[cycle]
-            scalar_state = simulator.state
+            values = simulator.advance(input_sequence[cycle])
             for name in self.register_order:
-                if run.states[cycle][name] != scalar_state[name]:
+                if run.states[cycle][name] != values.state[name]:
                     raise KernelMismatch(
                         f"{self.system.name}: compiled register {name!r} diverged at "
                         f"cycle {cycle}: kernel {run.states[cycle][name]}, "
-                        f"scalar {scalar_state[name]}"
+                        f"scalar {values.state[name]}"
                     )
-            env = simulator._environment(inputs)
             scalar_mask = 0
             for bit, assertion in enumerate(self.netlist.assertions):
-                if evaluate(assertion.expr, env) == 0:
+                if not values.properties[assertion.name]:
                     scalar_mask |= 1 << bit
             if run.viol_masks[cycle] != scalar_mask:
                 raise KernelMismatch(
@@ -200,7 +197,16 @@ class CompiledKernel:
                     f"cycle {cycle}: kernel mask {run.viol_masks[cycle]:#x}, "
                     f"scalar mask {scalar_mask:#x}"
                 )
-            simulator.step(inputs)
+            scalar_cmask = 0
+            for bit, value in enumerate(values.constraints):
+                if not value:
+                    scalar_cmask |= 1 << bit
+            if run.cviol_masks[cycle] != scalar_cmask:
+                raise KernelMismatch(
+                    f"{self.system.name}: compiled constraint verdicts diverged at "
+                    f"cycle {cycle}: kernel mask {run.cviol_masks[cycle]:#x}, "
+                    f"scalar mask {scalar_cmask:#x}"
+                )
 
 
 def _forged(run: KernelRun, property_names: List[str]) -> KernelRun:
@@ -208,7 +214,7 @@ def _forged(run: KernelRun, property_names: List[str]) -> KernelRun:
 
     The forgery flips the verdict: a spurious violation is claimed at cycle 0
     and any real violations are erased — wrong in a way the per-cycle prefix
-    cross-check detects deterministically (the scalar interpreter disagrees
+    cross-check detects deterministically (the scalar simulator disagrees
     about cycle 0 already).
     """
     if not property_names or not run.viol_masks:

@@ -11,12 +11,13 @@ from repro.netlist.transition import (
     TransitionSystem,
     TransitionSystemError,
 )
-from repro.netlist.simulate import Simulator, Trace, TraceStep
+from repro.netlist.simulate import CycleValues, Simulator, Trace, TraceStep
 
 __all__ = [
     "SafetyProperty",
     "TransitionSystem",
     "TransitionSystemError",
+    "CycleValues",
     "Simulator",
     "Trace",
     "TraceStep",

@@ -1,15 +1,15 @@
 """Bit-parallel (bit-plane) packed simulation of a transition system.
 
-The scalar reference simulator (:mod:`repro.netlist.simulate`) evaluates one
-input vector per expression-tree walk — a pure-Python interpreter loop that
-floors witness replay, random falsification and invariant filtering.  This
-module escapes that floor without leaving Python: every signal of width ``w``
-is represented *transposed*, as a tuple of ``w`` Python ints (bit planes)
-where bit ``i`` of plane ``b`` carries bit ``b`` of lane ``i``'s value.  One
-bitwise int operation then advances all lanes at once — 64 by default, or any
-wider word for parameter sweeps — and the per-design step function is emitted
-once as straight-line Python source (no per-node dispatch, common
-subexpressions bound to temporaries) and ``compile()``d.
+The scalar reference simulator (:mod:`repro.netlist.simulate`) steps one
+input vector per call of its compiled step function.  Random falsification
+and invariant filtering want many vectors at once, so this module packs
+them: every signal of width ``w`` is represented *transposed*, as a tuple of
+``w`` Python ints (bit planes) where bit ``i`` of plane ``b`` carries bit
+``b`` of lane ``i``'s value.  One bitwise int operation then advances all
+lanes at once — 64 by default, or any wider word for parameter sweeps — and
+the per-design step function is emitted once as straight-line Python source
+(no per-node dispatch, common subexpressions bound to temporaries) and
+``compile()``d.
 
 Lowering follows the classic bit-parallel recipes: ripple carry/borrow for
 add/sub/compares, shift-and-add multiplication, barrel shifters muxed on the
@@ -17,7 +17,7 @@ shift amount's planes, sign-plane flips for the signed comparisons, and a
 per-lane transpose fallback for the (rare) division operators.
 
 The packed tier is gated by the repo's cross-checked-verdict pattern: lanes
-are spot-checked against the scalar interpreter and any divergence raises
+are spot-checked against the scalar simulator and any divergence raises
 :class:`SimulationMismatch` — the fast path can never silently change an
 answer.
 """
@@ -28,7 +28,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.exprs import evaluate
 from repro.exprs.nodes import Const, Expr, Op, Var, mask, to_unsigned
 from repro.netlist.simulate import Simulator
 from repro.netlist.transition import TransitionSystem
@@ -631,10 +630,10 @@ class PackedRun:
 class PackedSimulator:
     """Evaluates 64 (or ``lanes``) independent input vectors per operation.
 
-    The packed simulator shares its evaluation order with the scalar
-    :class:`repro.v2c.softnetlist.SoftwareNetlist` (the single scalar oracle of
-    the fast tiers): wires in topological order, properties and constraints on
-    the pre-update state, registers updated simultaneously.
+    The packed simulator shares its semantics with the scalar
+    :class:`repro.netlist.simulate.Simulator`, which every cross-check runs:
+    wires in dependency order, properties and constraints on the pre-update
+    state, registers updated simultaneously.
     """
 
     def __init__(self, system: TransitionSystem, lanes: int = DEFAULT_LANES) -> None:
@@ -814,36 +813,45 @@ def crosscheck_lane(
     lane: int,
     cycles: Optional[int] = None,
 ) -> int:
-    """Replay one lane scalar and compare states + property values per cycle.
+    """Replay one lane scalar and compare it with the packed run per cycle.
 
-    Returns the number of cycles compared; raises :class:`SimulationMismatch`
-    on the first divergence.  This is the hard gate of the cross-checked-
-    verdict pattern: packed results are only trusted where a lane agrees with
-    the scalar interpreter.
+    Compares the registers, every property value and the constraint-alive
+    bit: the lane is alive at cycle ``c`` iff every environment constraint
+    held at every cycle up to ``c``.  Returns the number of cycles compared;
+    raises :class:`SimulationMismatch` on the first divergence.  This is the
+    hard gate of the cross-checked-verdict pattern: packed results are only
+    trusted where a lane agrees with the scalar simulator.
     """
     end = run.cycles if cycles is None else min(cycles, run.cycles)
     simulator = Simulator(system)
+    alive = 1
     for cycle in range(end):
         inputs = {
             name: unpack_lane(planes, lane) for name, planes in run.inputs[cycle].items()
         }
+        values = simulator.advance(inputs)
         expected = run.lane_state(cycle, lane)
-        for name, value in simulator.state.items():
+        for name, value in values.state.items():
             if expected[name] != value:
                 raise SimulationMismatch(
                     f"{system.name}: lane {lane} register {name!r} diverged at "
                     f"cycle {cycle}: packed {expected[name]}, scalar {value}"
                 )
-        env = simulator._environment(inputs)
-        for prop in system.properties:
-            packed_value = (run.prop_values[cycle][prop.name] >> lane) & 1
-            scalar_value = 1 if evaluate(prop.expr, env) else 0
+        for name, scalar_value in values.properties.items():
+            packed_value = (run.prop_values[cycle][name] >> lane) & 1
             if packed_value != scalar_value:
                 raise SimulationMismatch(
-                    f"{system.name}: lane {lane} property {prop.name!r} diverged "
+                    f"{system.name}: lane {lane} property {name!r} diverged "
                     f"at cycle {cycle}: packed {packed_value}, scalar {scalar_value}"
                 )
-        simulator.step(inputs)
+        if not all(values.constraints):
+            alive = 0
+        packed_alive = (run.alive[cycle] >> lane) & 1
+        if packed_alive != alive:
+            raise SimulationMismatch(
+                f"{system.name}: lane {lane} constraint-alive bit diverged at "
+                f"cycle {cycle}: packed {packed_alive}, scalar {alive}"
+            )
     return end
 
 

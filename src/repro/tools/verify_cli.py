@@ -244,20 +244,11 @@ def _classify(status: str, expected: Optional[str]) -> str:
     return status
 
 
-def _certify(
-    task: VerificationTask,
-    result,
-    status: str,
-    timeout: float,
-    fast_replay: bool = False,
-) -> str:
+def _certify(task: VerificationTask, result, status: str, timeout: float) -> str:
     """Validate the final certificate; demote an unvalidated definitive verdict.
 
     ``result`` is the engine or portfolio result carrying ``certificate``;
-    returns the (possibly demoted) final status.  With ``fast_replay``
-    witnesses are replayed through the bit-parallel simulator, gated by the
-    validator's ``replay-crosscheck`` obligation against the scalar
-    interpreter.
+    returns the (possibly demoted) final status.
     """
     if status not in Status.DEFINITIVE:
         print("\ncertification: skipped (no definitive verdict)")
@@ -267,12 +258,7 @@ def _certify(
     except Exception as error:  # noqa: BLE001 - loader failures
         print(f"\ncertification: cannot reload {task.name!r}: {error}")
         return Status.WRONG
-    validation = validate_result(
-        system,
-        result,
-        timeout=timeout,
-        replay_backend="packed" if fast_replay else "scalar",
-    )
+    validation = validate_result(system, result, timeout=timeout)
     print("\ncertification:")
     for obligation in validation.obligations:
         note = f"  ({obligation.note})" if obligation.note else ""
@@ -369,11 +355,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--certify", action="store_true",
                         help="validate the verdict's certificate with the independent "
                              "checker; unvalidated definitive verdicts become WRONG")
-    parser.add_argument("--fast-replay", action="store_true",
-                        help="replay witnesses through the bit-parallel packed "
-                             "simulator instead of the scalar interpreter; the "
-                             "validator cross-checks the first cycles scalar "
-                             "and fails on any divergence")
     parser.add_argument("--save-certificate", metavar="PATH", default=None,
                         help="write the certificate JSON to PATH (witnesses also "
                              "get an AIGER .cex stimulus next to it)")
@@ -620,10 +601,7 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
     _print_portfolio(result, verbose=args.verbose)
     final_status = result.status
     if args.certify:
-        final_status = _certify(
-            task, result, final_status, args.timeout,
-            fast_replay=args.fast_replay,
-        )
+        final_status = _certify(task, result, final_status, args.timeout)
     if args.save_certificate:
         _save_certificate(args.save_certificate, task, result)
     _store_in_cache(cache, task, result, representation)
@@ -647,10 +625,7 @@ def _report_single(
     result.status = _classify(result.status, expected)
     _print_single(result, verbose=args.verbose)
     if args.certify:
-        result.status = _certify(
-            task, result, result.status, args.timeout,
-            fast_replay=args.fast_replay,
-        )
+        result.status = _certify(task, result, result.status, args.timeout)
     if args.save_certificate:
         _save_certificate(args.save_certificate, task, result)
     _store_in_cache(cache, task, result, representation)

@@ -9,11 +9,12 @@ Verilog RTL into
   top-level step function corresponds to one clock cycle, with the safety
   properties instrumented as assertions and the primary inputs assigned
   non-deterministic values, and
-* an executable Python model of the same program
-  (:class:`repro.v2c.softnetlist.SoftwareNetlist`) used by the software-level
-  verification engines and by the equivalence cross-checks of Section III.C.
+* a Python model of the same program
+  (:class:`repro.v2c.softnetlist.SoftwareNetlist`: wire assignments in
+  dependency order, assertions, register updates) from which the C
+  generator and the packed simulator are built.
 
-Import the submodules directly: the simulator needs only
+Import the submodules directly: the packed simulator needs only
 :mod:`repro.v2c.softnetlist`, and loading this package imports neither the
 C generator nor the property instrumentation (which pulls in the SVA and
 Verilog frontends).

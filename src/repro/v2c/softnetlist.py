@@ -1,4 +1,4 @@
-"""Executable software-netlist model.
+"""Software-netlist program model.
 
 The software-netlist is the program view of the circuit: a state structure
 (one field per register, nested following the module hierarchy), an input
@@ -7,22 +7,24 @@ updates every register exactly once — one call per clock cycle, as described
 in Section III.A of the paper.
 
 The Python model here has the same structure as the generated C program (the
-two are produced from the same transition system) and is what the
-software-level verification engines and the equivalence cross-checks execute.
+two are produced from the same transition system): the wire assignments in
+dependency order, the assertions and the register updates.  The C code
+generator and the packed simulator (:mod:`repro.netlist.bitsim`) are built
+from it; every cross-check executes the reference simulator
+(:class:`repro.netlist.simulate.Simulator`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping
 
 from repro.exprs import Expr, collect_vars, evaluate
-from repro.exprs.nodes import to_unsigned
 from repro.netlist import TransitionSystem
 
 
 class SoftwareNetlistError(Exception):
-    """Raised for malformed software netlists or bad step inputs."""
+    """Raised for malformed software netlists."""
 
 
 @dataclass
@@ -100,64 +102,6 @@ class SoftwareNetlist:
         for name in self.registers:
             steps.append(AssignmentStep(name, self.system.next[name], "register"))
         return steps
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def initial_state(self) -> Dict[str, int]:
-        """Return the reset state of the program (one entry per register)."""
-        return dict(self.initial_values)
-
-    def step(
-        self, state: Mapping[str, int], inputs: Optional[Mapping[str, int]] = None
-    ) -> Tuple[Dict[str, int], Dict[str, int], List[str]]:
-        """Execute one call of the top-level step function.
-
-        Returns ``(next_state, combinational_values, violated_assertions)``.
-        The assertion check happens on the pre-update state together with the
-        cycle's inputs and combinational values, exactly like the ``assert``
-        statements placed before the register updates in the generated C.
-        """
-        inputs = inputs or {}
-        env: Dict[str, int] = {}
-        for name, width in self.registers.items():
-            if name not in state:
-                raise SoftwareNetlistError(f"missing register value {name!r}")
-            env[name] = to_unsigned(int(state[name]), width)
-        for name, width in self.inputs.items():
-            env[name] = to_unsigned(int(inputs.get(name, 0)), width)
-
-        next_state: Dict[str, int] = {}
-        for step_assignment in self.assignments:
-            value = evaluate(step_assignment.expr, env)
-            if step_assignment.kind == "wire":
-                env[step_assignment.target] = value
-            else:
-                next_state[step_assignment.target] = value
-
-        violated = [
-            assertion.name
-            for assertion in self.assertions
-            if evaluate(assertion.expr, env) == 0
-        ]
-        combinational = {name: env[name] for name in self.wire_order}
-        return next_state, combinational, violated
-
-    def run(
-        self,
-        input_sequence: Sequence[Mapping[str, int]],
-        stop_on_violation: bool = True,
-    ) -> Tuple[List[Dict[str, int]], Optional[str], Optional[int]]:
-        """Run from reset; returns (state trace, first violated assertion, cycle)."""
-        state = self.initial_state()
-        states = [dict(state)]
-        for cycle, inputs in enumerate(input_sequence):
-            state, _, violated = self.step(state, inputs)
-            states.append(dict(state))
-            if violated:
-                if stop_on_violation:
-                    return states, violated[0], cycle
-        return states, None, None
 
     # ------------------------------------------------------------------
     # structure queries used by the C code generator

@@ -2,7 +2,7 @@
 
 The packed simulator (:mod:`repro.netlist.bitsim`) is a raw-speed tier, so
 every test here is a cross-check: packed lanes against the scalar reference
-interpreter, per-operator plane lowering against :func:`repro.exprs.evaluate`,
+simulator, per-operator plane lowering against :func:`repro.exprs.evaluate`,
 the rsim falsifier's witnesses against the independent certificate validator,
 and both scalar simulators (word-level netlist vs AIG graph) against each
 other — one scalar oracle, agreed on by every representation.
@@ -15,7 +15,6 @@ import pytest
 from repro.aig import aig_from_transition_system
 from repro.benchmarks import benchmark_names, get_benchmark, load_system
 from repro.certs import validate_result
-from repro.certs.validate import CertificateValidator
 from repro.engines import Status, make_engine
 from repro.exprs import (
     bv_add,
@@ -271,9 +270,8 @@ def test_rsim_finds_and_certifies_suite_bugs(design):
     assert result.status == Status.UNSAFE
     assert result.detail["scalar_confirmed"] is True
     assert result.counterexample.length - 1 == benchmark.bug_cycle
-    for backend in ("scalar", "packed"):
-        validation = validate_result(system, result, replay_backend=backend)
-        assert validation.ok, (backend, validation.reason)
+    validation = validate_result(system, result)
+    assert validation.ok, validation.reason
 
 
 @pytest.mark.parametrize("design", ["buffalloc", "fifo"])
@@ -288,30 +286,6 @@ def test_rsim_cannot_prove():
 
     capabilities = get_registration("rsim").capabilities
     assert capabilities.can_refute and not capabilities.can_prove
-
-
-# ---------------------------------------------------------------------------
-# the validator's pluggable replay backend (--fast-replay)
-# ---------------------------------------------------------------------------
-
-
-def test_validator_packed_backend_adds_crosscheck_obligation():
-    system = load_system("daio")
-    result = make_engine("bmc", system, max_bound=70).verify(timeout=90)
-    assert result.status == Status.UNSAFE
-    packed = validate_result(system, result, replay_backend="packed")
-    assert packed.ok
-    outcomes = {o.name: o.outcome for o in packed.obligations}
-    assert outcomes["replay-crosscheck"] == "holds"
-    assert outcomes["violation-reached"] == "holds"
-    scalar = validate_result(system, result, replay_backend="scalar")
-    assert scalar.ok
-    assert "replay-crosscheck" not in {o.name for o in scalar.obligations}
-
-
-def test_validator_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="replay backend"):
-        CertificateValidator(load_system("daio"), replay_backend="warp")
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +319,9 @@ def test_aig_and_netlist_simulators_agree(design):
     bad_values = aig.simulate(aig_sequence)
     scalar = Simulator(system)
     for cycle, inputs in enumerate(word_sequence):
-        env = scalar._environment(inputs)
+        values = scalar.advance(inputs)
         for prop in system.properties:
-            violated = evaluate(prop.expr, env) == 0
+            violated = values.properties[prop.name] == 0
             assert bad_values[cycle][prop.name] == violated, (
                 f"{design}:{prop.name} diverges at cycle {cycle}"
             )
-        scalar.step(inputs)

@@ -150,7 +150,6 @@ def test_witness_for_unknown_property_fails():
     assert not validation.ok
 
 
-@pytest.mark.parametrize("backend", ["scalar", "packed"])
 @pytest.mark.parametrize(
     "inputs",
     [
@@ -161,12 +160,12 @@ def test_witness_for_unknown_property_fails():
     ],
     ids=["pop-empty", "push-full"],
 )
-def test_witness_breaking_a_constraint_fails(inputs, backend):
+def test_witness_breaking_a_constraint_fails(inputs):
     """A path that breaks an environment assumption is no counterexample,
     although fifo's property fails at its last cycle."""
     system = get_benchmark("fifo").load()
     witness = Witness("no_overflow", "hand", inputs)
-    validation = validate_certificate(system, witness, replay_backend=backend)
+    validation = validate_certificate(system, witness)
     assert not validation.ok
     assert [o.name for o in validation.failed_obligations()] == ["constraints-hold"]
 

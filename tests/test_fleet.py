@@ -11,12 +11,11 @@ unix sockets inside the test process, with real supervised verifications
 behind them.
 """
 
-import asyncio
-import os
 import threading
 import time
 
 import pytest
+from serve_harness import RunningServer
 
 from repro.engines import Status
 from repro.engines.supervision import RetryPolicy, WorkerSupervisor
@@ -30,7 +29,6 @@ from repro.serve import (
     ServeClient,
     ServerConfig,
     VerifyRouter,
-    VerifyServer,
 )
 from repro.serve.protocol import format_addr, parse_addr
 
@@ -38,54 +36,6 @@ from repro.serve.protocol import format_addr, parse_addr
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-
-class _RunningServer:
-    """A VerifyServer running its asyncio loop in a daemon thread."""
-
-    def __init__(self, config):
-        self.server = VerifyServer(config)
-        self.thread = threading.Thread(
-            target=lambda: asyncio.run(self.server.serve_forever()), daemon=True
-        )
-
-    def __enter__(self):
-        self.thread.start()
-        deadline = time.monotonic() + 30.0
-        while not os.path.exists(self.server.config.socket_path):
-            if time.monotonic() > deadline:
-                raise RuntimeError("server never opened its socket")
-            time.sleep(0.02)
-        return self.server
-
-    def __exit__(self, *exc_info):
-        self.server.request_shutdown()
-        self.thread.join(timeout=60.0)
-        return False
-
-
-class _RunningRouter:
-    """A VerifyRouter running its asyncio loop in a daemon thread."""
-
-    def __init__(self, config):
-        self.router = VerifyRouter(config)
-        self.thread = threading.Thread(
-            target=lambda: asyncio.run(self.router.serve_forever()), daemon=True
-        )
-
-    def __enter__(self):
-        self.thread.start()
-        deadline = time.monotonic() + 30.0
-        while not os.path.exists(self.router.config.socket_path):
-            if time.monotonic() > deadline:
-                raise RuntimeError("router never opened its socket")
-            time.sleep(0.02)
-        return self.router
-
-    def __exit__(self, *exc_info):
-        self.router.request_shutdown()
-        self.thread.join(timeout=60.0)
-        return False
 
 
 def _sock(tmp_path, name):
@@ -156,11 +106,11 @@ def test_parse_addr_specs():
 
 def test_replication_streams_journal_to_standby(tmp_path):
     primary_config = _primary_config(tmp_path, sync_level="sync")
-    with _RunningServer(primary_config) as primary:
+    with RunningServer(primary_config) as primary:
         standby_config = _standby_config(
             tmp_path, f"unix:{primary_config.socket_path}"
         )
-        with _RunningServer(standby_config) as standby:
+        with RunningServer(standby_config) as standby:
             _wait_for(
                 lambda: standby.replica.connected,
                 what="standby subscription",
@@ -195,11 +145,11 @@ def test_replication_link_drop_resyncs_via_snapshot(tmp_path):
     primary_config = _primary_config(tmp_path)
     plan = FaultPlan(seed=7, rates={REPL_LINK_DROP: 1.0})
     with plan_installed(plan):
-        with _RunningServer(primary_config) as primary:
+        with RunningServer(primary_config) as primary:
             standby_config = _standby_config(
                 tmp_path, f"unix:{primary_config.socket_path}"
             )
-            with _RunningServer(standby_config) as standby:
+            with RunningServer(standby_config) as standby:
                 _wait_for(
                     lambda: standby.replica.connected,
                     what="standby subscription",
@@ -230,7 +180,7 @@ def test_standby_promotes_and_requeues_open_requests(tmp_path):
     standby_config = _standby_config(
         tmp_path, f"unix:{tmp_path / 'never-there.sock'}"
     )
-    with _RunningServer(standby_config) as standby:
+    with RunningServer(standby_config) as standby:
         # before promotion the standby holds the fort but admits nothing
         with ServeClient(
             socket_path=standby_config.socket_path, reconnect=False
@@ -275,7 +225,7 @@ def test_router_routes_heartbeats_and_coalesces(tmp_path):
         cache_dir=str(tmp_path / "cache-b"),
         journal_path=str(tmp_path / "b.journal"),
     )
-    with _RunningServer(config_a), _RunningServer(config_b):
+    with RunningServer(config_a), RunningServer(config_b):
         router_config = RouterConfig(
             socket_path=_sock(tmp_path, "router.sock"),
             members=[
@@ -284,7 +234,7 @@ def test_router_routes_heartbeats_and_coalesces(tmp_path):
             ],
             heartbeat_interval_s=0.1,
         )
-        with _RunningRouter(router_config) as router:
+        with RunningServer(router_config, VerifyRouter) as router:
             _wait_for(
                 lambda: all(m.healthy for m in router.members),
                 what="both members healthy",
@@ -340,12 +290,12 @@ def test_router_routes_heartbeats_and_coalesces(tmp_path):
 def test_router_role_gates_member_addresses(tmp_path):
     """The router must serve via whichever member address says role=primary."""
     primary_config = _primary_config(tmp_path)
-    with _RunningServer(primary_config):
+    with RunningServer(primary_config):
         standby_config = _standby_config(
             tmp_path, f"unix:{primary_config.socket_path}",
             takeover_after_s=3600.0,  # never promotes during the test
         )
-        with _RunningServer(standby_config):
+        with RunningServer(standby_config):
             # the member's *first* address points at the standby: the hello
             # role gate must skip it and connect to the real primary
             router_config = RouterConfig(
@@ -359,7 +309,7 @@ def test_router_role_gates_member_addresses(tmp_path):
                 ],
                 heartbeat_interval_s=0.1,
             )
-            with _RunningRouter(router_config) as router:
+            with RunningServer(router_config, VerifyRouter) as router:
                 _wait_for(
                     lambda: router.members[0].healthy, what="member healthy"
                 )
@@ -380,9 +330,9 @@ def test_router_role_gates_member_addresses(tmp_path):
 
 def test_client_reconnects_and_resubmits_across_server_restart(tmp_path):
     config = _primary_config(tmp_path)
-    running = _RunningServer(config)
+    running = RunningServer(config)
     running.__enter__()
-    second = _RunningServer(_primary_config(tmp_path))
+    second = RunningServer(_primary_config(tmp_path))
     client = ServeClient(socket_path=config.socket_path, timeout=60.0)
     try:
         assert client.verify(design="daio", bound=70)["status"] == Status.UNSAFE
@@ -415,7 +365,7 @@ def test_client_reconnects_and_resubmits_across_server_restart(tmp_path):
 
 def test_progress_frames_stream_to_waiting_clients(tmp_path):
     config = _primary_config(tmp_path, progress_interval_s=0.2)
-    with _RunningServer(config):
+    with RunningServer(config):
         frames = []
         with ServeClient(
             socket_path=config.socket_path, reconnect=False
@@ -474,7 +424,7 @@ def test_wedged_request_killed_by_liveness_monitor(tmp_path):
     # setting the stall event
     plan = FaultPlan(seed=3, rates={HANG_HARD: 1.0})
     with plan_installed(plan):
-        with _RunningServer(config) as server:
+        with RunningServer(config) as server:
             with ServeClient(
                 socket_path=config.socket_path, reconnect=False, timeout=120.0
             ) as client:
@@ -494,7 +444,7 @@ def test_wedged_request_killed_by_liveness_monitor(tmp_path):
 
 def test_heartbeat_and_status_ops(tmp_path):
     config = _primary_config(tmp_path)
-    with _RunningServer(config):
+    with RunningServer(config):
         with ServeClient(
             socket_path=config.socket_path, reconnect=False
         ) as client:

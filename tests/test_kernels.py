@@ -170,6 +170,27 @@ def test_kernel_miscompile_fault_raises_mismatch():
 
 
 @needs_cc
+def test_constraint_blind_kernel_raises_mismatch(monkeypatch, fresh_tier):
+    """A kernel that reports every environment constraint as held is caught
+    by the prefix check, which reads constraints off the scalar simulator."""
+    system = load_system("fifo")
+    # pops the empty FIFO at cycle 0
+    sequence = [{"put": 0, "get": 1}] + _workload(system, seed=67)
+    kernel = kernels.get_kernel(system)
+    assert kernel.replay(sequence).cviol_masks[0]
+    honest = CompiledKernel.replay
+
+    def blind(self, *args, **kwargs):
+        run = honest(self, *args, **kwargs)
+        run.cviol_masks = [0] * len(run.cviol_masks)
+        return run
+
+    monkeypatch.setattr(CompiledKernel, "replay", blind)
+    with pytest.raises(KernelMismatch, match="constraint"):
+        kernel.replay_checked(sequence)
+
+
+@needs_cc
 @pytest.mark.parametrize("design", ["daio", "huffman_dec"])
 def test_kernel_miscompile_fault_demotes_not_lies(design):
     """Under a 100% miscompile fault the tier ladder falls back to packed and

@@ -18,6 +18,7 @@ import time
 import asyncio
 
 import pytest
+from serve_harness import RunningServer
 
 from repro.cache import cache_key
 from repro.cache.store import CacheEntry, CertificateStore, StoreLock
@@ -32,7 +33,6 @@ from repro.serve import (
     ServeClient,
     ServeError,
     ServerConfig,
-    VerifyServer,
 )
 from repro.serve import journal as journal_mod
 from repro.serve.protocol import (
@@ -290,34 +290,6 @@ def test_throttle_idle_windows_decay_stale_ewma_toward_target():
 # ---------------------------------------------------------------------------
 
 
-class _RunningServer:
-    """A VerifyServer running its asyncio loop in a daemon thread."""
-
-    def __init__(self, config):
-        self.server = VerifyServer(config)
-        self.thread = threading.Thread(
-            target=lambda: asyncio.run(self.server.serve_forever()), daemon=True
-        )
-
-    def __enter__(self):
-        self.thread.start()
-        deadline = time.monotonic() + 30.0
-        while not os.path.exists(self.server.config.socket_path):
-            if time.monotonic() > deadline:
-                raise RuntimeError("server never opened its socket")
-            time.sleep(0.02)
-        return self.server
-
-    def __exit__(self, *exc_info):
-        self.server.request_shutdown()
-        self.thread.join(timeout=60.0)
-        return False
-
-    def join(self):
-        self.thread.join(timeout=60.0)
-        assert not self.thread.is_alive()
-
-
 def _sock(tmp_path, name="serve.sock"):
     # AF_UNIX paths are length-limited; pytest tmp dirs stay well under it
     return str(tmp_path / name)
@@ -330,7 +302,7 @@ def test_server_cold_computed_then_warm_cache_hit(tmp_path):
         journal_path=str(tmp_path / "journal.jsonl"),
         default_deadline_s=120.0,
     )
-    with _RunningServer(config) as server:
+    with RunningServer(config) as server:
         with ServeClient(socket_path=config.socket_path) as client:
             assert client.hello["protocol"] == PROTOCOL
             cold = client.verify(design="daio", representation="word", bound=70)
@@ -370,7 +342,7 @@ def test_server_coalesces_identical_concurrent_queries(tmp_path):
                 design="mac16", representation="bit", bound=96
             )
 
-    with _RunningServer(config) as server:
+    with RunningServer(config) as server:
         threads = [threading.Thread(target=one, args=(i,)) for i in range(clients)]
         for thread in threads:
             thread.start()
@@ -393,7 +365,7 @@ def test_server_disconnect_cancels_and_accounting_balances(tmp_path):
         max_workers=1,
         default_deadline_s=120.0,
     )
-    with _RunningServer(config) as server:
+    with RunningServer(config) as server:
         abandoner = ServeClient(socket_path=config.socket_path)
         # bit-level daio to bound 96 needs seconds of k-induction, so the
         # query is still running when the server reads the client's EOF
@@ -421,7 +393,7 @@ def test_client_close_reaches_the_server_while_a_fork_holds_the_socket(tmp_path)
         max_workers=1,
         default_deadline_s=120.0,
     )
-    with _RunningServer(config) as server:
+    with RunningServer(config) as server:
         abandoner = ServeClient(socket_path=config.socket_path)
         abandoner.submit(
             {"design": "daio", "representation": "bit", "bound": 96}
@@ -458,7 +430,7 @@ def test_server_recovery_nacks_journaled_orphans(tmp_path):
         journal_path=journal_path,
         recover="nack",
     )
-    with _RunningServer(config) as server:
+    with RunningServer(config) as server:
         with ServeClient(socket_path=config.socket_path) as client:
             stats = client.stats()
             assert stats["counters"]["recovered_nacked"] == 1
@@ -494,7 +466,7 @@ def test_warm_hit_is_answered_under_full_load(tmp_path):
         max_queue=1,
         default_deadline_s=120.0,
     )
-    with _RunningServer(config) as server:
+    with RunningServer(config) as server:
         with ServeClient(socket_path=config.socket_path) as client:
             cold = client.verify(design="proc3", representation="word")
             assert cold["source"] == "computed"
@@ -530,7 +502,7 @@ def test_tampered_entry_is_demoted_at_admission_and_computed_once(
         json.dump(document, handle)
 
     config = ServerConfig(socket_path=_sock(tmp_path), cache_dir=cache_dir)
-    with _RunningServer(config) as server:
+    with RunningServer(config) as server:
         with ServeClient(socket_path=config.socket_path) as client:
             reply = client.verify(design="proc3", representation="word")
             assert reply["status"] == Status.SAFE
@@ -558,7 +530,7 @@ def test_requeued_recovery_consults_the_cache(tmp_path, proc3_entry_json):
         journal_path=journal_path,
         recover="requeue",
     )
-    with _RunningServer(config) as server:
+    with RunningServer(config) as server:
         with ServeClient(socket_path=config.socket_path) as client:
             client.drain()  # a drain answers the requeued recovery first
     assert server.counters["recovered_requeued"] == 1
@@ -569,7 +541,7 @@ def test_requeued_recovery_consults_the_cache(tmp_path, proc3_entry_json):
 
 def test_server_rejects_unknown_design_without_dying(tmp_path):
     config = ServerConfig(socket_path=_sock(tmp_path))
-    with _RunningServer(config) as server:
+    with RunningServer(config) as server:
         with ServeClient(socket_path=config.socket_path) as client:
             with pytest.raises(ServeError) as excinfo:
                 client.verify(design="no-such-design")
