@@ -22,7 +22,6 @@ does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.exprs import (
@@ -47,10 +46,10 @@ from repro.exprs import (
     bool_not,
 )
 from repro.netlist import TransitionSystem
+from repro.records import Frozen
 
 
-@dataclass(frozen=True)
-class Benchmark:
+class Benchmark(Frozen):
     """One design of the suite with its ground truth.
 
     ``expected`` is ``"safe"`` or ``"unsafe"``; for unsafe designs
@@ -59,12 +58,21 @@ class Benchmark:
     two design families of the paper's evaluation.
     """
 
-    name: str
-    description: str
-    expected: str
-    build: Callable[[], TransitionSystem]
-    bug_cycle: Optional[int] = None
-    category: str = "control"
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        expected: str,
+        build: Callable[[], TransitionSystem],
+        bug_cycle: Optional[int] = None,
+        category: str = "control",
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "build", build)
+        object.__setattr__(self, "bug_cycle", bug_cycle)
+        object.__setattr__(self, "category", category)
 
     def load(self) -> TransitionSystem:
         """Build a fresh instance of the design."""

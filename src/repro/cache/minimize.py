@@ -15,7 +15,6 @@ the same validator) and strictly cheaper to re-validate.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -163,7 +162,7 @@ def _minimize_inductive(
         )
 
     def rebuild(remaining: List[Expr]) -> InductiveCertificate:
-        return dataclasses.replace(certificate, invariant=join_conjuncts(remaining))
+        return certificate.replace(invariant=join_conjuncts(remaining))
 
     remaining, checks = _greedy_drop(
         system, conjuncts, rebuild, timeout, max_checks
@@ -190,7 +189,7 @@ def _minimize_k_inductive(
         )
 
     def rebuild(remaining: List[Expr]) -> KInductiveCertificate:
-        return dataclasses.replace(certificate, invariants=tuple(remaining))
+        return certificate.replace(invariants=tuple(remaining))
 
     deadline = None if timeout is None else time.monotonic() + timeout
     remaining = invariants

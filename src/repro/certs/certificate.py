@@ -27,12 +27,11 @@ to external AIGER simulators.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.certs.exprjson import ExprJsonError, expr_from_json, expr_to_json
 from repro.exprs import Expr
+from repro.records import Frozen
 
 FORMAT = "repro-cert-v1"
 
@@ -46,8 +45,7 @@ class CertificateError(ValueError):
     """Raised when a certificate document is malformed."""
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Frozen):
     """An input-trace witness for an UNSAFE verdict.
 
     ``inputs[i]`` fully valuates every primary input at cycle ``i`` (the
@@ -56,11 +54,30 @@ class Witness:
     ``len(inputs) - 1``, counting from reset.
     """
 
-    property_name: str
-    engine: str
-    inputs: Tuple[Mapping[str, int], ...]
-
     kind = WITNESS
+
+    def __init__(
+        self, property_name: str, engine: str, inputs: Tuple[Mapping[str, int], ...]
+    ) -> None:
+        object.__setattr__(self, "property_name", property_name)
+        object.__setattr__(self, "engine", engine)
+        object.__setattr__(self, "inputs", inputs)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Witness:
+            return NotImplemented
+        return (self.property_name, self.engine, self.inputs) == (
+            other.property_name, other.engine, other.inputs,
+        )
+
+    def replace(self, **changes) -> "Witness":
+        """A copy with the given fields changed."""
+        return Witness(
+            changes.pop("property_name", self.property_name),
+            changes.pop("engine", self.engine),
+            changes.pop("inputs", self.inputs),
+            **changes,
+        )
 
     @property
     def length(self) -> int:
@@ -106,15 +123,31 @@ class Witness:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class InductiveCertificate:
+class InductiveCertificate(Frozen):
     """A one-step inductive invariant certifying a SAFE verdict."""
 
-    property_name: str
-    engine: str
-    invariant: Expr
-
     kind = INDUCTIVE
+
+    def __init__(self, property_name: str, engine: str, invariant: Expr) -> None:
+        object.__setattr__(self, "property_name", property_name)
+        object.__setattr__(self, "engine", engine)
+        object.__setattr__(self, "invariant", invariant)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not InductiveCertificate:
+            return NotImplemented
+        return (self.property_name, self.engine, self.invariant) == (
+            other.property_name, other.engine, other.invariant,
+        )
+
+    def replace(self, **changes) -> "InductiveCertificate":
+        """A copy with the given fields changed."""
+        return InductiveCertificate(
+            changes.pop("property_name", self.property_name),
+            changes.pop("engine", self.engine),
+            changes.pop("invariant", self.invariant),
+            **changes,
+        )
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -126,8 +159,7 @@ class InductiveCertificate:
         }
 
 
-@dataclass(frozen=True)
-class KInductiveCertificate:
+class KInductiveCertificate(Frozen):
     """A k-induction certificate for a SAFE verdict.
 
     The claim: with the auxiliary ``invariants`` (each jointly inductive,
@@ -138,13 +170,39 @@ class KInductiveCertificate:
     induction window pairwise distinct).
     """
 
-    property_name: str
-    engine: str
-    k: int
-    simple_path: bool = False
-    invariants: Tuple[Expr, ...] = ()
-
     kind = K_INDUCTIVE
+
+    def __init__(
+        self,
+        property_name: str,
+        engine: str,
+        k: int,
+        simple_path: bool = False,
+        invariants: Tuple[Expr, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "property_name", property_name)
+        object.__setattr__(self, "engine", engine)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "simple_path", simple_path)
+        object.__setattr__(self, "invariants", invariants)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not KInductiveCertificate:
+            return NotImplemented
+        return (self.property_name, self.engine, self.k, self.simple_path, self.invariants) == (
+            other.property_name, other.engine, other.k, other.simple_path, other.invariants,
+        )
+
+    def replace(self, **changes) -> "KInductiveCertificate":
+        """A copy with the given fields changed."""
+        return KInductiveCertificate(
+            changes.pop("property_name", self.property_name),
+            changes.pop("engine", self.engine),
+            changes.pop("k", self.k),
+            changes.pop("simple_path", self.simple_path),
+            changes.pop("invariants", self.invariants),
+            **changes,
+        )
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -169,6 +227,8 @@ def certificate_to_json(certificate) -> Dict[str, object]:
 
 def dumps(certificate, indent: Optional[int] = 2) -> str:
     """Serialize a certificate to a JSON string."""
+    import json  # only saving or caching a certificate needs it, not a verdict
+
     return json.dumps(certificate_to_json(certificate), indent=indent) + "\n"
 
 
@@ -222,6 +282,8 @@ def certificate_from_json(document: Mapping[str, object]):
 
 def loads(text: str):
     """Parse a certificate from a JSON string."""
+    import json
+
     return certificate_from_json(json.loads(text))
 
 

@@ -58,7 +58,6 @@ import os
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.certs.certificate import (
@@ -94,30 +93,43 @@ UNDECIDED = "undecided"  # solver gave up (deadline) or the session broke
 _SESSION_GROWTH_LIMIT = 8
 
 
-@dataclass
 class Obligation:
     """One discharged (or failed) proof obligation."""
 
-    name: str
-    outcome: str
-    note: str = ""
+    __slots__ = ("name", "outcome", "note")
+
+    def __init__(self, name: str, outcome: str, note: str = "") -> None:
+        self.name = name
+        self.outcome = outcome
+        self.note = note
 
     @property
     def holds(self) -> bool:
         return self.outcome == HOLDS
 
 
-@dataclass
 class ValidationResult:
     """The outcome of validating one certificate against one design."""
 
-    ok: bool
-    kind: str
-    property_name: str
-    engine: str = ""
-    obligations: List[Obligation] = field(default_factory=list)
-    reason: str = ""
-    runtime: float = 0.0
+    __slots__ = ("ok", "kind", "property_name", "engine", "obligations", "reason", "runtime")
+
+    def __init__(
+        self,
+        ok: bool,
+        kind: str,
+        property_name: str,
+        engine: str = "",
+        obligations: Optional[List[Obligation]] = None,
+        reason: str = "",
+        runtime: float = 0.0,
+    ) -> None:
+        self.ok = ok
+        self.kind = kind
+        self.property_name = property_name
+        self.engine = engine
+        self.obligations = [] if obligations is None else obligations
+        self.reason = reason
+        self.runtime = runtime
 
     def failed_obligations(self) -> List[Obligation]:
         return [o for o in self.obligations if not o.holds]

@@ -19,7 +19,6 @@ k-induction — mirroring how 2LS combines k-induction with k-invariants.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.certs import InductiveCertificate
@@ -29,15 +28,21 @@ from repro.engines.result import Budget, Status, VerificationResult
 from repro.exprs import TRUE, Expr, bv_const, bv_var, bool_and
 from repro.exprs.nodes import Const, Op, Var, mask
 from repro.netlist import TransitionSystem
+from repro.records import Frozen
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Frozen):
     """An unsigned interval ``[lo, hi]`` over ``width`` bits."""
 
-    lo: int
-    hi: int
-    width: int
+    def __init__(self, lo: int, hi: int, width: int) -> None:
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "width", width)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Interval:
+            return NotImplemented
+        return (self.lo, self.hi, self.width) == (other.lo, other.hi, other.width)
 
     @staticmethod
     def top(width: int) -> "Interval":

@@ -23,16 +23,15 @@ sequences them.
 from __future__ import annotations
 
 import functools
-import inspect
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.engines.result import VerificationResult
 from repro.faults import injection as _fault_injection
 from repro.netlist import TransitionSystem
 from repro.obs import telemetry as _telemetry
+from repro.records import Frozen
 
 
 class EngineOptionError(ValueError):
@@ -109,8 +108,7 @@ def _instrument_verify(inner):
     return verify
 
 
-@dataclass(frozen=True)
-class EngineCapabilities:
+class EngineCapabilities(Frozen):
     """What an engine can conclude and on which design representations.
 
     ``can_prove``/``can_refute`` describe the *definitive* answers the engine
@@ -133,12 +131,20 @@ class EngineCapabilities:
 
     COST_TIERS = ("cheap", "medium", "heavy")
 
-    can_prove: bool
-    can_refute: bool
-    representations: Tuple[str, ...] = ("word",)
-    complete: bool = False
-    #: scheduling tier used by the budget ladder ("cheap"/"medium"/"heavy")
-    cost: str = "heavy"
+    def __init__(
+        self,
+        can_prove: bool,
+        can_refute: bool,
+        representations: Tuple[str, ...] = ("word",),
+        complete: bool = False,
+        cost: str = "heavy",
+    ) -> None:
+        object.__setattr__(self, "can_prove", can_prove)
+        object.__setattr__(self, "can_refute", can_refute)
+        object.__setattr__(self, "representations", representations)
+        object.__setattr__(self, "complete", complete)
+        #: scheduling tier used by the budget ladder ("cheap"/"medium"/"heavy")
+        object.__setattr__(self, "cost", cost)
 
     @property
     def cost_rank(self) -> int:
@@ -212,17 +218,10 @@ class Engine(ABC):
     @classmethod
     def option_names(cls) -> Tuple[str, ...]:
         """The keyword options the engine constructor accepts (besides the design)."""
-        parameters = inspect.signature(cls.__init__).parameters
-        names = []
-        for index, (name, parameter) in enumerate(parameters.items()):
-            if index < 2:  # self, system
-                continue
-            if parameter.kind in (
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                inspect.Parameter.KEYWORD_ONLY,
-            ):
-                names.append(name)
-        return tuple(names)
+        code = cls.__init__.__code__
+        # the named parameters lead co_varnames: positional ones, then
+        # keyword-only ones; skip self and system
+        return code.co_varnames[2 : code.co_argcount + code.co_kwonlyargcount]
 
     @classmethod
     def validate_options(

@@ -42,7 +42,6 @@ check on it.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exprs import Expr, bv_eq, bv_var, evaluate
@@ -50,6 +49,7 @@ from repro.exprs.substitute import rename
 from repro.netlist import TransitionSystem
 from repro.engines.result import Counterexample
 from repro.obs import telemetry as _telemetry
+from repro.records import Frozen
 from repro.sat.cnf import CNF
 from repro.sat.tseitin import TseitinEncoder
 from repro.smt import BitBlaster, BVSolver
@@ -71,8 +71,7 @@ def frame_name(name: str, frame: int) -> str:
 RoleEntry = Tuple[str, int, Tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class FrameTemplate:
+class FrameTemplate(Frozen):
     """A bit-blasted, frame-independent CNF fragment.
 
     A template is produced once per transition system (per representation) and
@@ -102,20 +101,35 @@ class FrameTemplate:
     property template).
     """
 
-    num_vars: int
-    named_count: int
-    cur: Tuple[RoleEntry, ...]
-    nxt: Tuple[RoleEntry, ...]
-    inp: Tuple[RoleEntry, ...]
-    internal: Tuple[int, ...]
-    gate_clauses: Tuple[Tuple[int, ...], ...]
-    #: two-literal gate clauses, pre-split so stamping can bulk-register them
-    #: in the solver's binary watch lists without per-clause length dispatch
-    gate_binary: Tuple[Tuple[int, int], ...]
-    boundary_clauses: Tuple[Tuple[int, ...], ...]
-    true_var: Optional[int] = None
-    #: distinguished output literal (property templates)
-    output: Optional[int] = None
+    def __init__(
+        self,
+        num_vars: int,
+        named_count: int,
+        cur: Tuple[RoleEntry, ...],
+        nxt: Tuple[RoleEntry, ...],
+        inp: Tuple[RoleEntry, ...],
+        internal: Tuple[int, ...],
+        gate_clauses: Tuple[Tuple[int, ...], ...],
+        gate_binary: Tuple[Tuple[int, int], ...],
+        boundary_clauses: Tuple[Tuple[int, ...], ...],
+        true_var: Optional[int] = None,
+        output: Optional[int] = None,
+    ) -> None:
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "named_count", named_count)
+        object.__setattr__(self, "cur", cur)
+        object.__setattr__(self, "nxt", nxt)
+        object.__setattr__(self, "inp", inp)
+        object.__setattr__(self, "internal", internal)
+        object.__setattr__(self, "gate_clauses", gate_clauses)
+        #: two-literal gate clauses, pre-split so stamping can bulk-register
+        #: them in the solver's binary watch lists without per-clause length
+        #: dispatch
+        object.__setattr__(self, "gate_binary", gate_binary)
+        object.__setattr__(self, "boundary_clauses", boundary_clauses)
+        object.__setattr__(self, "true_var", true_var)
+        #: distinguished output literal (property templates)
+        object.__setattr__(self, "output", output)
 
     @property
     def num_clauses(self) -> int:

@@ -16,7 +16,6 @@ paper's Figure 5.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import List, Optional
 
@@ -96,7 +95,7 @@ class KikiEngine(Engine):
         # the strengthening invariants) is re-tagged as ours
         certificate = result.certificate
         if certificate is not None:
-            certificate = dataclasses.replace(certificate, engine=self.name)
+            certificate = certificate.replace(engine=self.name)
         detail = {
             **result.detail,
             **interval_detail,

@@ -26,7 +26,6 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engines.base import EngineCapabilities
@@ -39,6 +38,7 @@ from repro.engines.registry import (
 from repro.engines.result import Budget, Status, VerificationResult
 from repro.netlist import TransitionSystem
 from repro.obs import telemetry as _telemetry
+from repro.records import Frozen
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +72,7 @@ def _file_stamp(path: str) -> Optional[Tuple[int, int]]:
         return None
 
 
-@dataclass(frozen=True)
-class VerificationTask:
+class VerificationTask(Frozen):
     """A picklable description of *what* to verify.
 
     ``kind`` selects the loader: a suite ``"benchmark"`` by name, a
@@ -82,9 +81,15 @@ class VerificationTask:
     under the default ``fork`` start method on POSIX).
     """
 
-    kind: str
-    spec: object
-    name: str = ""
+    def __init__(self, kind: str, spec: object, name: str = "") -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not VerificationTask:
+            return NotImplemented
+        return (self.kind, self.spec, self.name) == (other.kind, other.spec, other.name)
 
     @staticmethod
     def benchmark(name: str) -> "VerificationTask":
@@ -179,12 +184,17 @@ def warm_task_templates(
         pass
 
 
-@dataclass(frozen=True)
-class PortfolioConfig:
+class PortfolioConfig(Frozen):
     """One engine configuration: a ladder attempt or a portfolio racer."""
 
-    engine: str
-    options: Tuple[Tuple[str, object], ...] = ()
+    def __init__(self, engine: str, options: Tuple[Tuple[str, object], ...] = ()) -> None:
+        object.__setattr__(self, "engine", engine)
+        object.__setattr__(self, "options", options)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not PortfolioConfig:
+            return NotImplemented
+        return (self.engine, self.options) == (other.engine, other.options)
 
     @staticmethod
     def of(engine: str, **options) -> "PortfolioConfig":
@@ -247,8 +257,7 @@ def default_portfolio_configs(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LadderRung:
+class LadderRung(Frozen):
     """One rung of a budget ladder: a config group and its wall-clock budget.
 
     ``budget`` is the rung's wall-clock allowance in seconds (``None``:
@@ -258,9 +267,17 @@ class LadderRung:
     definitive answer.
     """
 
-    configs: Tuple[PortfolioConfig, ...]
-    budget: Optional[float] = None
-    tier: str = ""
+    def __init__(
+        self, configs: Tuple[PortfolioConfig, ...], budget: Optional[float] = None, tier: str = ""
+    ) -> None:
+        object.__setattr__(self, "configs", configs)
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "tier", tier)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not LadderRung:
+            return NotImplemented
+        return (self.configs, self.budget, self.tier) == (other.configs, other.budget, other.tier)
 
     @property
     def labels(self) -> Tuple[str, ...]:

@@ -19,15 +19,14 @@ an opaque ``TypeError`` from deep inside a constructor.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Type
 
 from repro.engines.base import Engine, EngineCapabilities, EngineOptionError
 from repro.netlist import TransitionSystem
+from repro.records import Frozen
 
 
-@dataclass(frozen=True)
-class EngineRegistration:
+class EngineRegistration(Frozen):
     """Metadata for one registered engine.
 
     ``module`` and ``class_name`` locate the engine class inside
@@ -37,16 +36,27 @@ class EngineRegistration:
     registry as a name -> constructor map keeps working.
     """
 
-    name: str
-    module: str
-    class_name: str
-    capabilities: EngineCapabilities
-    aliases: Tuple[str, ...] = ()
-    summary: str = ""
-    #: included in the default process-parallel portfolio
-    portfolio: bool = False
-    #: scheduled by the default budget ladder (None: same as ``portfolio``)
-    ladder: Optional[bool] = None
+    def __init__(
+        self,
+        name: str,
+        module: str,
+        class_name: str,
+        capabilities: EngineCapabilities,
+        aliases: Tuple[str, ...] = (),
+        summary: str = "",
+        portfolio: bool = False,
+        ladder: Optional[bool] = None,
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "class_name", class_name)
+        object.__setattr__(self, "capabilities", capabilities)
+        object.__setattr__(self, "aliases", aliases)
+        object.__setattr__(self, "summary", summary)
+        #: included in the default process-parallel portfolio
+        object.__setattr__(self, "portfolio", portfolio)
+        #: scheduled by the default budget ladder (None: same as ``portfolio``)
+        object.__setattr__(self, "ladder", ladder)
 
     @property
     def in_ladder(self) -> bool:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 
@@ -29,7 +28,6 @@ class Status:
     DEFINITIVE = (SAFE, UNSAFE)
 
 
-@dataclass
 class Counterexample:
     """A finite input/state trace demonstrating a property violation.
 
@@ -37,8 +35,16 @@ class Counterexample:
     property evaluates to false in the last step.
     """
 
-    property_name: str
-    steps: List[Dict[str, int]] = field(default_factory=list)
+    __slots__ = ("property_name", "steps")
+
+    def __init__(self, property_name: str, steps: Optional[List[Dict[str, int]]] = None) -> None:
+        self.property_name = property_name
+        self.steps = [] if steps is None else steps
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Counterexample:
+            return NotImplemented
+        return (self.property_name, self.steps) == (other.property_name, other.steps)
 
     @property
     def length(self) -> int:
@@ -63,29 +69,52 @@ class Counterexample:
         return sequence
 
 
-@dataclass
 class VerificationResult:
     """The outcome of running one engine on one verification task."""
 
-    status: str
-    engine: str
-    property_name: str = ""
-    runtime: float = 0.0
-    #: CPU seconds consumed by the verify call (``time.process_time`` delta
-    #: taken by the engine base-class wrapper; 0.0 for hand-built results)
-    cpu_time: float = 0.0
-    counterexample: Optional[Counterexample] = None
-    #: engine-specific detail: k for k-induction, frame count for PDR, ...
-    detail: Dict[str, object] = field(default_factory=dict)
-    reason: str = ""
-    #: checkable certificate backing a definitive verdict: a
-    #: :class:`repro.certs.Witness` for UNSAFE, an inductive or k-inductive
-    #: certificate for SAFE (see :mod:`repro.certs`)
-    certificate: Optional[object] = None
-    #: telemetry attached when recording is on: counter deltas for this
-    #: verify call, and — on supervised/portfolio results — the worker's
-    #: exported span subtree under the ``"trace"`` key
-    telemetry: Optional[Dict[str, object]] = None
+    __slots__ = (
+        "status", "engine", "property_name", "runtime", "cpu_time", "counterexample",
+        "detail", "reason", "certificate", "telemetry",
+    )
+
+    def __init__(
+        self,
+        status: str,
+        engine: str,
+        property_name: str = "",
+        runtime: float = 0.0,
+        cpu_time: float = 0.0,
+        counterexample: Optional[Counterexample] = None,
+        detail: Optional[Dict[str, object]] = None,
+        reason: str = "",
+        certificate: Optional[object] = None,
+        telemetry: Optional[Dict[str, object]] = None,
+    ) -> None:
+        self.status = status
+        self.engine = engine
+        self.property_name = property_name
+        self.runtime = runtime
+        #: CPU seconds consumed by the verify call (``time.process_time``
+        #: delta taken by the engine base-class wrapper; 0.0 for hand-built
+        #: results)
+        self.cpu_time = cpu_time
+        self.counterexample = counterexample
+        #: engine-specific detail: k for k-induction, frame count for PDR, ...
+        self.detail = {} if detail is None else detail
+        self.reason = reason
+        #: checkable certificate backing a definitive verdict: a
+        #: :class:`repro.certs.Witness` for UNSAFE, an inductive or
+        #: k-inductive certificate for SAFE (see :mod:`repro.certs`)
+        self.certificate = certificate
+        #: telemetry attached when recording is on: counter deltas for this
+        #: verify call, and — on supervised/portfolio results — the worker's
+        #: exported span subtree under the ``"trace"`` key
+        self.telemetry = telemetry
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not VerificationResult:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
     def is_definitive(self) -> bool:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import signal
 import time
 from typing import Optional
 
@@ -115,6 +114,8 @@ def on_engine_start(engine, property_name: Optional[str]) -> None:
     if plan.decide(CRASH, key, _ATTEMPT):
         raise InjectedFault(f"injected crash in {key}")
     if plan.decide(WORKER_KILL, key, _ATTEMPT) and os.getpid() != plan.protected_pid:
+        import signal  # only a chaos run kills; a verdict process never loads it
+
         os.kill(os.getpid(), signal.SIGKILL)
     hard = plan.decide(HANG_HARD, key, _ATTEMPT)
     if hard or plan.decide(HANG, key, _ATTEMPT):

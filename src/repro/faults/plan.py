@@ -9,7 +9,6 @@ which is what makes a chaos sweep debuggable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 #: raise an exception inside ``engine.verify`` (the ERROR outcome category)
@@ -80,7 +79,6 @@ class InjectedFault(RuntimeError):
     """An exception crash deliberately raised by the fault plan."""
 
 
-@dataclass
 class FaultPlan:
     """Deterministic, seeded decisions about which faults fire where.
 
@@ -105,15 +103,26 @@ class FaultPlan:
         driver itself.
     """
 
-    seed: int = 0
-    rates: Dict[str, float] = field(default_factory=dict)
-    slow_start_s: float = 0.2
-    first_attempt_only: bool = True
-    protected_pid: Optional[int] = None
-    #: faults this plan instance has fired, for reporting ("kind@key" tags);
-    #: per-process — a worker's log dies with the worker, the observable
-    #: effect must come back through the outcome taxonomy instead
-    fired: List[str] = field(default_factory=list)
+    __slots__ = ("seed", "rates", "slow_start_s", "first_attempt_only", "protected_pid", "fired")
+
+    def __init__(
+        self,
+        seed: int = 0,
+        rates: Optional[Dict[str, float]] = None,
+        slow_start_s: float = 0.2,
+        first_attempt_only: bool = True,
+        protected_pid: Optional[int] = None,
+        fired: Optional[List[str]] = None,
+    ) -> None:
+        self.seed = seed
+        self.rates = {} if rates is None else rates
+        self.slow_start_s = slow_start_s
+        self.first_attempt_only = first_attempt_only
+        self.protected_pid = protected_pid
+        #: faults this plan instance has fired, for reporting ("kind@key"
+        #: tags); per-process — a worker's log dies with the worker, the
+        #: observable effect must come back through the outcome taxonomy
+        self.fired = [] if fired is None else fired
 
     def rate(self, kind: str) -> float:
         return float(self.rates.get(kind, 0.0))

@@ -10,7 +10,6 @@ same directory and ``os.replace``-ing it over the target is atomic on POSIX.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 
@@ -35,6 +34,8 @@ def write_text_atomic(path: str, text: str) -> str:
 
 def write_json_atomic(path: str, document: object, indent: int = 2) -> str:
     """Serialize ``document`` and write it to ``path`` atomically."""
+    import json  # a verdict process writes no JSON unless asked to
+
     return write_text_atomic(
         path, json.dumps(document, indent=indent, default=str) + "\n"
     )

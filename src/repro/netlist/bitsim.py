@@ -25,7 +25,6 @@ answer.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exprs.nodes import Const, Expr, Op, Var, mask, to_unsigned
@@ -578,16 +577,17 @@ def _compile_step(netlist: SoftwareNetlist, lane_mask: int) -> Callable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class PackedViolation:
     """First property violation observed by a packed run."""
 
-    property_name: str
-    cycle: int
-    lane: int
+    __slots__ = ("property_name", "cycle", "lane")
+
+    def __init__(self, property_name: str, cycle: int, lane: int) -> None:
+        self.property_name = property_name
+        self.cycle = cycle
+        self.lane = lane
 
 
-@dataclass
 class PackedRun:
     """Everything a packed multi-lane run recorded.
 
@@ -597,12 +597,23 @@ class PackedRun:
     environment constraints held through cycle ``c``.
     """
 
-    lanes: int
-    inputs: List[Dict[str, Planes]] = field(default_factory=list)
-    states: List[Dict[str, Planes]] = field(default_factory=list)
-    prop_values: List[Dict[str, int]] = field(default_factory=list)
-    alive: List[int] = field(default_factory=list)
-    violation: Optional[PackedViolation] = None
+    __slots__ = ("lanes", "inputs", "states", "prop_values", "alive", "violation")
+
+    def __init__(
+        self,
+        lanes: int,
+        inputs: Optional[List[Dict[str, Planes]]] = None,
+        states: Optional[List[Dict[str, Planes]]] = None,
+        prop_values: Optional[List[Dict[str, int]]] = None,
+        alive: Optional[List[int]] = None,
+        violation: Optional[PackedViolation] = None,
+    ) -> None:
+        self.lanes = lanes
+        self.inputs = [] if inputs is None else inputs
+        self.states = [] if states is None else states
+        self.prop_values = [] if prop_values is None else prop_values
+        self.alive = [] if alive is None else alive
+        self.violation = violation
 
     @property
     def cycles(self) -> int:

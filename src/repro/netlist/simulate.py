@@ -29,7 +29,6 @@ from __future__ import annotations
 import os
 import threading
 import weakref
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.exprs import evaluate
@@ -37,14 +36,22 @@ from repro.exprs.nodes import Const, Expr, Op, Var, mask
 from repro.netlist.transition import TransitionSystem, TransitionSystemError
 
 
-@dataclass
 class TraceStep:
     """Signal valuation of one clock cycle."""
 
-    cycle: int
-    inputs: Dict[str, int] = field(default_factory=dict)
-    state: Dict[str, int] = field(default_factory=dict)
-    wires: Dict[str, int] = field(default_factory=dict)
+    __slots__ = ("cycle", "inputs", "state", "wires")
+
+    def __init__(
+        self,
+        cycle: int,
+        inputs: Optional[Dict[str, int]] = None,
+        state: Optional[Dict[str, int]] = None,
+        wires: Optional[Dict[str, int]] = None,
+    ) -> None:
+        self.cycle = cycle
+        self.inputs = {} if inputs is None else inputs
+        self.state = {} if state is None else state
+        self.wires = {} if wires is None else wires
 
     def value(self, name: str) -> int:
         """Return the value of any signal recorded in this step."""
@@ -54,12 +61,16 @@ class TraceStep:
         raise KeyError(name)
 
 
-@dataclass
 class Trace:
     """A sequence of trace steps, optionally ending in a property violation."""
 
-    steps: List[TraceStep] = field(default_factory=list)
-    violated_property: Optional[str] = None
+    __slots__ = ("steps", "violated_property")
+
+    def __init__(
+        self, steps: Optional[List[TraceStep]] = None, violated_property: Optional[str] = None
+    ) -> None:
+        self.steps = [] if steps is None else steps
+        self.violated_property = violated_property
 
     def __len__(self) -> int:
         return len(self.steps)

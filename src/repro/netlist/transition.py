@@ -18,7 +18,6 @@ variables, inputs and wires of the system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.exprs import (
@@ -30,24 +29,21 @@ from repro.exprs import (
     substitute,
 )
 from repro.exprs.nodes import Var
+from repro.records import Frozen
 
 
 class TransitionSystemError(Exception):
     """Raised when a transition system is malformed."""
 
 
-@dataclass(frozen=True)
-class SafetyProperty:
+class SafetyProperty(Frozen):
     """A named safety property: ``expr`` must be true in every reachable state."""
 
-    name: str
-    expr: Expr
-
-    def __post_init__(self):
-        if self.expr.width != 1:
-            raise TransitionSystemError(
-                f"property {self.name!r} must be a 1-bit expression"
-            )
+    def __init__(self, name: str, expr: Expr) -> None:
+        if expr.width != 1:
+            raise TransitionSystemError(f"property {name!r} must be a 1-bit expression")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "expr", expr)
 
 
 class TransitionSystem:

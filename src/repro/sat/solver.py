@@ -26,7 +26,6 @@ this reproduction are sized so that a pure-Python solver handles them.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.sat.cnf import CNF, var_of
@@ -52,38 +51,57 @@ class SolverInterrupted(Exception):
     """
 
 
-@dataclass
 class SolverStats:
     """Counters describing the work performed by the solver."""
 
-    decisions: int = 0
-    conflicts: int = 0
-    propagations: int = 0
-    restarts: int = 0
-    learned_clauses: int = 0
-    max_decision_level: int = 0
-    #: learned-clause database reductions performed (see Solver._reduce_db)
-    reduce_db: int = 0
-    #: learned clauses deleted by database reductions
-    deleted_clauses: int = 0
-    #: literals removed from learned clauses by self-subsuming minimization
-    minimized_literals: int = 0
-    #: activation literals permanently retired (see Solver.retire_activation)
-    retired_activations: int = 0
-    #: learned clauses garbage-collected because they depended on a retired guard
-    retired_clauses: int = 0
+    __slots__ = (
+        "decisions", "conflicts", "propagations", "restarts", "learned_clauses",
+        "max_decision_level", "reduce_db", "deleted_clauses", "minimized_literals",
+        "retired_activations", "retired_clauses",
+    )
+
+    def __init__(
+        self,
+        decisions: int = 0,
+        conflicts: int = 0,
+        propagations: int = 0,
+        restarts: int = 0,
+        learned_clauses: int = 0,
+        max_decision_level: int = 0,
+        reduce_db: int = 0,
+        deleted_clauses: int = 0,
+        minimized_literals: int = 0,
+        retired_activations: int = 0,
+        retired_clauses: int = 0,
+    ) -> None:
+        self.decisions = decisions
+        self.conflicts = conflicts
+        self.propagations = propagations
+        self.restarts = restarts
+        self.learned_clauses = learned_clauses
+        self.max_decision_level = max_decision_level
+        #: learned-clause database reductions performed (see Solver._reduce_db)
+        self.reduce_db = reduce_db
+        #: learned clauses deleted by database reductions
+        self.deleted_clauses = deleted_clauses
+        #: literals removed from learned clauses by self-subsuming minimization
+        self.minimized_literals = minimized_literals
+        #: activation literals permanently retired (see Solver.retire_activation)
+        self.retired_activations = retired_activations
+        #: learned clauses garbage-collected because they depended on a retired guard
+        self.retired_clauses = retired_clauses
 
     def as_dict(self) -> Dict[str, int]:
         """The counters as a plain dict (JSON reports, CLI output)."""
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def add(self, other: "SolverStats") -> None:
         """Accumulate another solver's counters into this one."""
-        for key, value in asdict(other).items():
-            if key == "max_decision_level":
-                self.max_decision_level = max(self.max_decision_level, value)
+        for name in self.__slots__:
+            if name == "max_decision_level":
+                self.max_decision_level = max(self.max_decision_level, other.max_decision_level)
             else:
-                setattr(self, key, getattr(self, key) + value)
+                setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 def luby(index: int) -> int:

@@ -117,18 +117,22 @@ class ServeClient:
         return False
 
     def _connect(self) -> None:
-        if self._socket_path:
-            self._socket = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._socket.settimeout(self._timeout)
-            self._socket.connect(self._socket_path)
-        else:
-            self._socket = socket.create_connection(
-                (self._host, self._port), timeout=self._timeout
-            )
-        self._stream = self._socket.makefile("rwb")
-        self.hello = self._read()
-        if not isinstance(self.hello, dict) or "protocol" not in self.hello:
-            raise ProtocolError(f"server sent no hello frame: {self.hello!r}")
+        try:
+            if self._socket_path:
+                self._socket = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                self._socket.settimeout(self._timeout)
+                self._socket.connect(self._socket_path)
+            else:
+                self._socket = socket.create_connection(
+                    (self._host, self._port), timeout=self._timeout
+                )
+            self._stream = self._socket.makefile("rwb")
+            self.hello = self._read()
+            if not isinstance(self.hello, dict) or "protocol" not in self.hello:
+                raise ProtocolError(f"server sent no hello frame: {self.hello!r}")
+        except BaseException:
+            self.close()  # a failed connect must not leak its socket
+            raise
 
     def close(self) -> None:
         # shut the connection down before closing it: a process forked from

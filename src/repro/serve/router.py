@@ -67,7 +67,7 @@ from repro.serve.protocol import (
     read_frame,
     write_frame,
 )
-from repro.serve.server import _resolve_property, _task_from_request
+from repro.serve.server import _resolve_property, _task_from_request, set_event_threadsafe
 
 log = logging.getLogger("repro.serve.router")
 
@@ -250,13 +250,15 @@ class VerifyRouter:
         self._shutdown = asyncio.Event()
         self._member_state_changed = asyncio.Event()
         self._router_span = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started_at = time.monotonic()
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def request_shutdown(self) -> None:
-        self._shutdown.set()
+        """Start the drain; safe to call from any thread."""
+        set_event_threadsafe(self._loop, self._shutdown)
 
     async def serve_forever(self) -> None:
         recorder = _telemetry.get_recorder()
@@ -268,6 +270,7 @@ class VerifyRouter:
                 members=[m.name for m in self.members],
             )
         loop = asyncio.get_running_loop()
+        self._loop = loop
         for signum in (signal.SIGTERM, signal.SIGINT):
             with contextlib.suppress(NotImplementedError, RuntimeError):
                 loop.add_signal_handler(signum, self.request_shutdown)

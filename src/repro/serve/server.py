@@ -200,6 +200,27 @@ class _Connection:
             return False
 
 
+def set_event_threadsafe(loop: Optional[asyncio.AbstractEventLoop], event: asyncio.Event) -> None:
+    """Set ``event``, whose waiters run on ``loop``, from any thread.
+
+    Setting an event wakes its waiters through their loop, which only the
+    loop's own thread may touch, so a call from another thread hops through
+    ``call_soon_threadsafe``.  A loop that is not running yet, or already
+    closed, has no waiter to wake, and the event is set directly.
+    """
+    try:
+        running = asyncio.get_running_loop()
+    except RuntimeError:
+        running = None
+    if loop is not None and loop is not running:
+        try:
+            loop.call_soon_threadsafe(event.set)
+            return
+        except RuntimeError:  # the loop is closed
+            pass
+    event.set()
+
+
 class VerifyServer:
     """See the module docstring; one instance = one serving process."""
 
@@ -285,7 +306,8 @@ class VerifyServer:
     # lifecycle
     # ------------------------------------------------------------------
     def request_shutdown(self) -> None:
-        self._shutdown.set()
+        """Start the drain; safe to call from any thread."""
+        set_event_threadsafe(self._loop, self._shutdown)
 
     async def serve_forever(self) -> None:
         """Recover the journal, listen, serve until a drain, then shut down."""

@@ -16,7 +16,6 @@ from it; every cross-check executes the reference simulator
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping
 
 from repro.exprs import Expr, collect_vars, evaluate
@@ -27,21 +26,25 @@ class SoftwareNetlistError(Exception):
     """Raised for malformed software netlists."""
 
 
-@dataclass
 class AssignmentStep:
     """One straight-line assignment of the step function."""
 
-    target: str
-    expr: Expr
-    kind: str  # 'wire' | 'register'
+    __slots__ = ("target", "expr", "kind")
+
+    def __init__(self, target: str, expr: Expr, kind: str) -> None:
+        self.target = target
+        self.expr = expr
+        self.kind = kind  # 'wire' | 'register'
 
 
-@dataclass
 class AssertionPoint:
     """An instrumented assertion checked each cycle before the state update."""
 
-    name: str
-    expr: Expr
+    __slots__ = ("name", "expr")
+
+    def __init__(self, name: str, expr: Expr) -> None:
+        self.name = name
+        self.expr = expr
 
 
 class SoftwareNetlist:

@@ -190,12 +190,10 @@ def test_flipped_status_cannot_justify_and_is_demoted(tmp_path):
 
 def test_forged_invariant_fails_revalidation_and_is_demoted(tmp_path):
     """A syntactically fine but wrong certificate is caught by the validator."""
-    import dataclasses
-
     system, result = _verify("huffman_dec")
     cache = ResultCache(str(tmp_path))
     key = cache.key_for(system, result.property_name, "word")
-    forged = dataclasses.replace(result.certificate, invariant=TRUE)
+    forged = result.certificate.replace(invariant=TRUE)
     cache.store_backend.save(
         CacheEntry(
             key=key,
@@ -313,8 +311,6 @@ def test_minimized_invariants_validate_on_every_safe_suite_design(design):
 
 def test_minimization_shrinks_a_padded_invariant():
     """Redundant conjuncts injected into a real invariant are dropped."""
-    import dataclasses
-
     from repro.exprs import bool_and
 
     system, result = _verify("huffman_dec")
@@ -325,9 +321,7 @@ def test_minimization_shrinks_a_padded_invariant():
     from repro.exprs import bv_ule, bv_var
 
     pad = bv_ule(bv_var(state, width), bv_const((1 << width) - 1, width))
-    padded = dataclasses.replace(
-        certificate, invariant=bool_and(certificate.invariant, pad, pad)
-    )
+    padded = certificate.replace(invariant=bool_and(certificate.invariant, pad, pad))
     assert validate_certificate(system, padded).ok
     minimization = minimize_certificate(system, padded)
     assert minimization.dropped >= 1

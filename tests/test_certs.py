@@ -395,7 +395,9 @@ def test_cli_import_loads_no_frontend_or_serving_code():
     A bare ``repro-verify D --certify`` loads the ladder, the engines it
     runs and the validator: not the dormant clusters, not the process
     race, supervisor or pool, and not the engines no rung reaches.  rsim decides daio,
-    absint huffman_dec and k-induction mac16.
+    absint huffman_dec and k-induction mac16.  Its records are plain
+    classes, so neither ``dataclasses`` nor ``inspect`` loads, and ``json``
+    and ``signal`` load only where a certificate is saved or a fault kills.
     """
     unwanted = (
         "repro.verilog", "repro.sva", "repro.tools.catalog", "repro.serve",
@@ -406,6 +408,7 @@ def test_cli_import_loads_no_frontend_or_serving_code():
         "repro.engines.pdr", "repro.engines.impact", "repro.engines.predabs",
         "repro.engines.oracle", "repro.sat.interpolate", "repro.aig",
         "repro.obs.export", "repro.cache",
+        "dataclasses", "inspect", "json", "signal",
     )
     probe = (
         "import contextlib, io, sys\n"

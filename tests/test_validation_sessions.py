@@ -11,7 +11,6 @@ one takes its session with it; and the two guards
 it.
 """
 
-import dataclasses
 import gc
 import os
 import random
@@ -138,7 +137,7 @@ def _good_and_forged():
             {"step"},
         ),
         "wrong-property": (
-            dataclasses.replace(invariant, property_name="cnt_below_5", engine="forger"),
+            invariant.replace(property_name="cnt_below_5", engine="forger"),
             {"property"},
         ),
     }
