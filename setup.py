@@ -1,5 +1,5 @@
 """Setup shim so that editable installs work with the offline legacy toolchain."""
-from setuptools import find_packages, setup
+from setuptools import find_namespace_packages, setup
 
 setup(
     name="repro-hw-unbounded",
@@ -9,7 +9,8 @@ setup(
         "software analyzers': SAT-based word/bit-level model checking engines"
     ),
     package_dir={"": "src"},
-    packages=find_packages("src"),
+    # src/repro has no __init__.py, so plain find_packages finds nothing
+    packages=find_namespace_packages("src", include=["repro", "repro.*"]),
     python_requires=">=3.9",
     extras_require={"dev": ["pytest"]},
     entry_points={
@@ -17,7 +18,6 @@ setup(
             "repro-bench = repro.tools.bench:main",
             "repro-cache = repro.tools.cache_cli:main",
             "repro-serve = repro.tools.serve_cli:main",
-            "repro-serve-router = repro.tools.router_cli:main",
             "repro-trace = repro.tools.trace_cli:main",
             "repro-verify = repro.tools.verify_cli:main",
         ]

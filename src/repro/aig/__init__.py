@@ -3,20 +3,19 @@
 The bit-level flow of the paper synthesizes Verilog with Yosys into BLIF and
 hands the bit-level netlist to ABC.  This package provides the equivalent
 substrate: the word-level transition system is bit-blasted into an
-and-inverter graph with latches, which can be exported in AIGER (ASCII) and
-BLIF formats and is the representation on which the "bit-level" engine
+and-inverter graph with latches, which can be exported in ASCII AIGER
+format and is the representation on which the "bit-level" engine
 configurations (the ABC stand-ins) operate.
 """
 
 from repro.aig.graph import AIG, AigerLiteral
 from repro.aig.bitblast import aig_from_transition_system
-from repro.aig.formats import write_aiger, write_blif, read_aiger
+from repro.aig.formats import write_aiger, read_aiger
 
 __all__ = [
     "AIG",
     "AigerLiteral",
     "aig_from_transition_system",
     "write_aiger",
-    "write_blif",
     "read_aiger",
 ]

@@ -3,8 +3,8 @@
 Every register bit becomes a latch, every input bit a primary input, and the
 word-level next-state/property expressions are lowered to AND/inverter gates.
 The result is the bit-level netlist on which the ABC-style engines operate and
-which the BLIF/AIGER writers serialize (standing in for the Yosys → BLIF →
-ABC flow of the paper).
+which the AIGER writer serializes (standing in for the Yosys → BLIF → ABC
+flow of the paper).
 """
 
 from __future__ import annotations

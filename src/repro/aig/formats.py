@@ -1,16 +1,16 @@
-"""Serialization of the sequential AIG in AIGER (ASCII) and BLIF formats.
+"""Serialization of the sequential AIG in the ASCII AIGER format.
 
-The paper's bit-level flow passes BLIF from Yosys to ABC; HWMCC benchmarks are
-distributed as AIGER.  The writers here produce both formats from the AIG so
-that the artefacts of the reproduction can be inspected with standard tools,
-and a small AIGER (ASCII) reader round-trips the output for testing.
+HWMCC benchmarks are distributed as AIGER.  :func:`write_aiger` exports a
+bit-blasted design so it can be inspected with standard tools, and
+:func:`read_aiger` parses ASCII AIGER (``aag``) input, which
+``repro-verify FILE.aag`` lifts to a transition system and verifies.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from repro.aig.graph import AIG, aig_is_negated, aig_negate, aig_node
+from repro.aig.graph import AIG
 
 
 def write_aiger(aig: AIG) -> str:
@@ -134,82 +134,3 @@ def read_aiger(text: str) -> AIG:
     for index, literal in enumerate(bad_literals):
         aig.add_bad(symbols.get(f"b{index}", f"b{index}"), remap(literal))
     return aig
-
-
-def _blif_literal_name(aig: AIG, literal: int, names: Dict[int, str]) -> Tuple[str, bool]:
-    """Return the BLIF net name of a literal and whether it is negated."""
-    node_literal = literal & ~1
-    return names[node_literal], aig_is_negated(literal)
-
-
-def write_blif(aig: AIG, model_name: str = "") -> str:
-    """Serialize the AIG as a BLIF model (one ``.names`` table per AND gate).
-
-    Latches become ``.latch`` statements with their reset values; bad-state
-    outputs are emitted as ordinary outputs prefixed ``bad_`` (the convention
-    the ABC flow of the paper uses when reading back Yosys output).
-    """
-    model_name = model_name or aig.name or "top"
-    names: Dict[int, str] = {0: "const0"}
-    for index, literal in enumerate(aig.inputs):
-        names[literal] = aig.input_names.get(literal, f"pi{index}")
-    for index, latch in enumerate(aig.latches):
-        names[latch.literal] = latch.name or f"latch{index}"
-    for index, output in enumerate(aig.ands):
-        names[output] = f"n{aig_node(output)}"
-
-    def net_of(literal: int) -> str:
-        """Return a net name carrying the value of ``literal`` (inserting inverters)."""
-        if literal == AIG.FALSE:
-            return "const0"
-        if literal == AIG.TRUE:
-            return "const1"
-        base = names[literal & ~1]
-        if not aig_is_negated(literal):
-            return base
-        return f"{base}_n"
-
-    lines = [f".model {model_name}"]
-    input_names = [names[lit] for lit in aig.inputs]
-    lines.append(".inputs " + " ".join(input_names) if input_names else ".inputs")
-    output_entries = [(f"bad_{name}", lit) for name, lit in aig.bad] + list(aig.outputs)
-    lines.append(".outputs " + " ".join(name for name, _ in output_entries))
-
-    lines.append(".names const0")  # constant zero: empty table
-    lines.append(".names const1")
-    lines.append("1")
-
-    inverted_emitted = set()
-
-    def ensure_inverter(literal: int, body: List[str]) -> None:
-        if not aig_is_negated(literal):
-            return
-        base_literal = literal & ~1
-        if base_literal in inverted_emitted:
-            return
-        inverted_emitted.add(base_literal)
-        if base_literal == 0:
-            return
-        base = names[base_literal]
-        body.append(f".names {base} {base}_n")
-        body.append("0 1")
-
-    body: List[str] = []
-    for output, (left, right) in aig.ands.items():
-        ensure_inverter(left, body)
-        ensure_inverter(right, body)
-        body.append(f".names {net_of(left)} {net_of(right)} {names[output]}")
-        body.append("11 1")
-
-    for latch in aig.latches:
-        ensure_inverter(latch.next_literal, body)
-        body.append(f".latch {net_of(latch.next_literal)} {names[latch.literal]} re clk {int(latch.reset)}")
-
-    for name, literal in output_entries:
-        ensure_inverter(literal, body)
-        body.append(f".names {net_of(literal)} {name}")
-        body.append("1 1")
-
-    lines.extend(body)
-    lines.append(".end")
-    return "\n".join(lines) + "\n"

@@ -110,25 +110,3 @@ def _digest(system: TransitionSystem, property_name: str, representation: str) -
     payload = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-
-#: format tag for compiled-kernel cache keys (bumped with the kernel ABI)
-KERNEL_KEY_FORMAT = "repro-kernel-key-v1"
-
-
-def kernel_key(system: TransitionSystem, abi_version: int) -> str:
-    """The on-disk build-cache key of one design's compiled step kernel.
-
-    Unlike :func:`cache_key` this covers *all* properties (the kernel checks
-    every assertion in one step call) plus the C ABI version, so an ABI bump
-    or any semantic change to any property forces a rebuild.
-    """
-    document = {
-        "format": KERNEL_KEY_FORMAT,
-        "abi": abi_version,
-        "properties": sorted(
-            (prop.name, expr_to_json(prop.expr)) for prop in system.properties
-        ),
-        "system": system_to_canonical_json(system),
-    }
-    payload = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -500,8 +500,7 @@ class WorkerSupervisor:
                 break
             if stall is not None and stall.is_set():
                 # liveness window expired: the active attempts are wedged.
-                # Kill them and retire as timed-out — retries (possibly on
-                # another member, via the serve layer) stay available.
+                # Kill them and retire as timed-out — retries stay available.
                 stall.clear()
                 stalled = list(active.items())
                 for index, process in stalled:

@@ -26,15 +26,10 @@ from repro.faults.plan import (
     CRASH,
     HANG,
     HANG_HARD,
-    HEARTBEAT_BLACKOUT,
     JOURNAL_TORN,
-    KERNEL_MISCOMPILE,
     QUEUE_FLOOD,
-    REPL_LINK_DROP,
-    ROUTER_PARTITION,
     SLOW_START,
     SPAWN_FAIL,
-    STALE_STANDBY,
     WORKER_KILL,
     FaultPlan,
     InjectedFault,
@@ -202,17 +197,6 @@ def fail_spawn(key: str) -> bool:
     return plan is not None and plan.decide(SPAWN_FAIL, key, _ATTEMPT)
 
 
-def forge_kernel_output(key: str) -> bool:
-    """Whether a compiled kernel's replay output should be corrupted at ``key``.
-
-    Consulted by :meth:`repro.kernels.ckernel.CompiledKernel.replay_checked`
-    *before* its scalar cross-check runs, so a fired fault exercises the full
-    detect-and-fall-back path rather than bypassing it.
-    """
-    plan = _PLAN
-    return plan is not None and plan.decide(KERNEL_MISCOMPILE, key, _ATTEMPT)
-
-
 def client_disconnect(key: str) -> bool:
     """Whether a soak client should hang up mid-request at site ``key``.
 
@@ -229,54 +213,6 @@ def queue_flood(key: str) -> bool:
     """Whether the soak harness should fire an extra flood burst at ``key``."""
     plan = _PLAN
     return plan is not None and plan.decide(QUEUE_FLOOD, key, _ATTEMPT)
-
-
-def drop_replication_link(key: str) -> bool:
-    """Whether the primary should sever one standby's replication stream.
-
-    Consulted by :class:`repro.serve.replica.ReplicationManager` before
-    sending a ``repl-append``: a fired fault closes the subscriber's
-    connection instead, so the standby must detect the loss, resubscribe,
-    and resync from a fresh snapshot without ever wedging the primary.
-    """
-    plan = _PLAN
-    return plan is not None and plan.decide(REPL_LINK_DROP, key, _ATTEMPT)
-
-
-def stale_standby(key: str) -> bool:
-    """Whether a standby should ack a replicated record without persisting it.
-
-    Consulted by :class:`repro.serve.replica.StandbyReplica` per applied
-    record: a fired fault leaves the standby's journal missing that record,
-    so a later takeover happens with a stale tail — the router-level
-    resubmission path (idempotent by request id) must still get every
-    accepted client request answered.
-    """
-    plan = _PLAN
-    return plan is not None and plan.decide(STALE_STANDBY, key, _ATTEMPT)
-
-
-def router_partition(key: str) -> bool:
-    """Whether the router should be partitioned from a member for a window.
-
-    Consulted by the router's per-member connection loop: a fired fault
-    drops the member connection and refuses to reconnect for a short window,
-    after which routing must heal without losing any in-flight request.
-    """
-    plan = _PLAN
-    return plan is not None and plan.decide(ROUTER_PARTITION, key, _ATTEMPT)
-
-
-def heartbeat_blackout(key: str) -> bool:
-    """Whether a member should silently drop one heartbeat request.
-
-    Consulted by the server's ``heartbeat`` op handler: a fired fault sends
-    no reply at all, so the router counts a miss; enough consecutive misses
-    mark the member down and re-route around it, and the member must be
-    restored once heartbeats flow again.
-    """
-    plan = _PLAN
-    return plan is not None and plan.decide(HEARTBEAT_BLACKOUT, key, _ATTEMPT)
 
 
 def torn_journal_append(path: str, key: str) -> bool:

@@ -29,9 +29,6 @@ CACHE_CORRUPT = "cache-corrupt"
 CACHE_TRUNCATE = "cache-truncate"
 #: flip the engine's verdict and attach a forged certificate (the liar)
 CERT_FORGE = "cert-forge"
-#: corrupt a compiled kernel's replay output (the scalar cross-check must
-#: catch it and demote the query to the pure-Python tier, never change it)
-KERNEL_MISCOMPILE = "kernel-miscompile"
 #: serve: the client hangs up mid-request (the server must cancel cleanly)
 CLIENT_DISCONNECT = "client-disconnect"
 #: serve: a burst of extra requests beyond the admission cap (the server
@@ -40,19 +37,6 @@ QUEUE_FLOOD = "queue-flood"
 #: serve: tear the tail off a just-appended journal record (simulates a
 #: crash mid-append; recovery must skip the torn line, never refuse to start)
 JOURNAL_TORN = "journal-torn"
-#: fleet: sever a primary->standby replication stream mid-flight (the
-#: standby must resubscribe and resync from a fresh snapshot, never wedge)
-REPL_LINK_DROP = "repl-link-drop"
-#: fleet: a standby acks a replicated record without persisting it, then
-#: takes over with a stale journal tail (the router's resubmit path must
-#: still get every client answered)
-STALE_STANDBY = "stale-standby"
-#: fleet: the router loses a member's connection and cannot reconnect for a
-#: window (a network partition; routing must fail over and then heal)
-ROUTER_PARTITION = "router-partition"
-#: fleet: a member silently drops heartbeat requests (the router must mark
-#: it down on misses and recover it when heartbeats resume)
-HEARTBEAT_BLACKOUT = "heartbeat-blackout"
 
 FAULT_KINDS = (
     CRASH,
@@ -64,14 +48,9 @@ FAULT_KINDS = (
     CACHE_CORRUPT,
     CACHE_TRUNCATE,
     CERT_FORGE,
-    KERNEL_MISCOMPILE,
     CLIENT_DISCONNECT,
     QUEUE_FLOOD,
     JOURNAL_TORN,
-    REPL_LINK_DROP,
-    STALE_STANDBY,
-    ROUTER_PARTITION,
-    HEARTBEAT_BLACKOUT,
 )
 
 

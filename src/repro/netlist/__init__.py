@@ -2,7 +2,7 @@
 
 The transition system is the central intermediate representation of the tool
 flow: the Verilog synthesizer produces it, the bit-level flow bit-blasts it to
-an AIG, the v2c backend prints it as a software-netlist in ANSI-C, and the
+an AIG, the packed simulator runs it as a software-netlist, and the
 verification engines analyse it directly.
 """
 

@@ -14,8 +14,8 @@ the compiled step is tested against.
 The simulator is used to
 
 * replay counterexample traces (the certificate validator's witness check),
-* confirm the fast tiers: rsim's packed hits, the packed lane cross-check
-  (:func:`repro.netlist.bitsim.crosscheck_lane`) and the compiled kernels,
+* confirm the packed tier: rsim's packed hits and the packed lane
+  cross-check (:func:`repro.netlist.bitsim.crosscheck_lane`),
 * cross-validate the bit-level lifting of a design (the paper's Section
   III.C equivalence argument: bugs must manifest in the same clock cycle in
   both models).

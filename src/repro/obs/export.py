@@ -96,34 +96,6 @@ def write_trace(
     return write_text_atomic(path, trace_lines(recorder, meta))
 
 
-def trace_document_lines(trace: Trace) -> str:
-    """Serialize an in-memory :class:`Trace` back to the JSONL document."""
-    header = dict(trace.header) or {
-        "type": "header",
-        "format": TRACE_FORMAT,
-        "created": round(time.time(), 3),
-        "pid": 0,
-        "dropped_spans": 0,
-    }
-    header["type"] = "header"
-    lines = [json.dumps(header, default=str)]
-    for span in trace.spans:
-        row = {"type": "span", **span}
-        lines.append(json.dumps(row, default=str))
-    lines.append(
-        json.dumps(
-            {"type": "metrics", "counters": trace.counters, "gauges": trace.gauges},
-            default=str,
-        )
-    )
-    return "\n".join(lines) + "\n"
-
-
-def write_trace_document(trace: Trace, path: str) -> str:
-    """Atomically write an in-memory :class:`Trace` to ``path`` (JSONL)."""
-    return write_text_atomic(path, trace_document_lines(trace))
-
-
 # ---------------------------------------------------------------------------
 # loading
 # ---------------------------------------------------------------------------
@@ -154,113 +126,6 @@ def load_trace(path: str) -> Trace:
                     f"{path}:{line_no}: unknown line type {kind!r}"
                 )
     return trace
-
-
-# ---------------------------------------------------------------------------
-# cross-box stitching
-# ---------------------------------------------------------------------------
-
-
-def stitch_traces(traces: List[Trace], request_attr: str = "request") -> Trace:
-    """Merge per-box traces into one fleet trace, stitched by request id.
-
-    Every box in a fleet (router, each member) writes its own trace.  The
-    spans that touched one logical request all carry the same id in
-    ``attrs[request_attr]`` — the router's ``router.request`` span and the
-    member's ``serve.request`` span share the forward id.  The stitch:
-
-    - remaps span ids so the union is collision-free (parents follow);
-    - for each request id seen in **more than one** source trace, creates
-      one synthetic ``fleet.request`` root spanning the earliest start to
-      the latest end, and re-parents each box's *local root* of that
-      request's subtree (the request-tagged span whose parent is untagged
-      or absent) under it — so ``repro-trace tree`` shows the request's
-      full cross-box story;
-    - sums counters (gauges: last write wins).
-
-    The result passes :func:`lint_trace` if the inputs did.
-    """
-    stitched = Trace(
-        header={
-            "type": "header",
-            "format": TRACE_FORMAT,
-            "created": round(time.time(), 3),
-            "pid": 0,
-            "dropped_spans": sum(
-                int(trace.header.get("dropped_spans", 0) or 0)
-                for trace in traces
-            ),
-            "stitched_from": len(traces),
-        }
-    )
-    next_id = 1
-    #: request id -> list of (trace_index, new-id span dict)
-    tagged: Dict[str, List[tuple]] = {}
-    for trace_index, trace in enumerate(traces):
-        id_map: Dict[int, int] = {}
-        for span in trace.spans:
-            old_id = span.get("id")
-            if isinstance(old_id, int):
-                id_map[old_id] = next_id
-                next_id += 1
-        for span in trace.spans:
-            row = dict(span)
-            row["id"] = id_map.get(row.get("id"), row.get("id"))
-            parent = row.get("parent")
-            row["parent"] = id_map.get(parent) if parent is not None else None
-            stitched.spans.append(row)
-            request_id = (row.get("attrs") or {}).get(request_attr)
-            if isinstance(request_id, str) and request_id:
-                tagged.setdefault(request_id, []).append((trace_index, row))
-        for name, value in trace.counters.items():
-            stitched.counters[name] = stitched.counters.get(name, 0) + value
-        stitched.gauges.update(trace.gauges)
-
-    by_id = {span["id"]: span for span in stitched.spans}
-    for request_id, members in sorted(tagged.items()):
-        if len({trace_index for trace_index, _ in members}) < 2:
-            continue  # a purely local request needs no synthetic root
-        spans = [span for _, span in members]
-        # the local root of the request on each box: its parent either does
-        # not exist here or is a span not tagged with this request id
-        local_roots = []
-        for span in spans:
-            parent = by_id.get(span.get("parent"))
-            if parent is None or (parent.get("attrs") or {}).get(
-                request_attr
-            ) != request_id:
-                local_roots.append(span)
-        if not local_roots:
-            continue
-        starts = [float(span.get("start", 0.0) or 0.0) for span in local_roots]
-        ends = [
-            float(span.get("start", 0.0) or 0.0)
-            + float(span.get("wall_s", 0.0) or 0.0)
-            for span in local_roots
-        ]
-        root = {
-            "id": next_id,
-            "parent": None,
-            "name": "fleet.request",
-            "pid": 0,
-            "start": min(starts),
-            "wall_s": max(0.0, max(ends) - min(starts)),
-            "cpu_s": 0.0,
-            "outcome": "stitched",
-            "attrs": {
-                request_attr: request_id,
-                "boxes": sorted(
-                    {int(span.get("pid", 0) or 0) for span in local_roots}
-                ),
-                "spans": len(spans),
-            },
-        }
-        next_id += 1
-        stitched.spans.append(root)
-        by_id[root["id"]] = root
-        for span in local_roots:
-            span["parent"] = root["id"]
-    return stitched
 
 
 # ---------------------------------------------------------------------------

@@ -27,26 +27,33 @@ frame, or re-encode them into CNF/AIG form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
+from repro.records import Frozen
 from repro.sat.cnf import var_of
 from repro.sat.solver import Solver
 
 
-@dataclass(frozen=True)
-class ItpNode:
+class ItpNode(Frozen):
     """A node of an interpolant formula.
 
     ``kind`` is one of ``"const"``, ``"lit"``, ``"and"``, ``"or"``.
     For ``const`` the payload is ``value``; for ``lit`` it is ``lit`` (a
-    DIMACS literal); for the connectives it is ``args``.
+    DIMACS literal); for the connectives it is ``args``.  Nodes compare and
+    hash by identity: no walker keys a memo by node structure.
     """
 
-    kind: str
-    value: bool = False
-    lit: int = 0
-    args: Tuple["ItpNode", ...] = ()
+    def __init__(
+        self,
+        kind: str,
+        value: bool = False,
+        lit: int = 0,
+        args: Tuple["ItpNode", ...] = (),
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "lit", lit)
+        object.__setattr__(self, "args", args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.kind == "const":

@@ -8,15 +8,14 @@ server that interleaves other frames is handled).  Use one client per
 thread for concurrency — that is exactly how the soak harness generates
 load.
 
-Failover: the client remembers every submitted-but-unanswered request (its
-ids are journaled server-side the moment they were accepted).  When the
-connection dies — reset, refused, EOF mid-frame — it reconnects with
+Reconnects: the client remembers every submitted-but-unanswered request
+(its ids are journaled server-side the moment they were accepted).  When
+the connection dies — reset, refused, EOF mid-frame — it reconnects with
 bounded exponential backoff and resubmits exactly those pending ids, so a
-server restart, a standby takeover, or a router failover is one transparent
-hiccup instead of an exception.  Resubmission is idempotent: the id is
-unchanged, so a journal-recovering or coalescing server folds the
-resubmitted request into work it already knows.  Set ``reconnect=False``
-for the old fail-fast behavior.
+server restart is one transparent hiccup instead of an exception.
+Resubmission is idempotent: the id is unchanged, so a journal-recovering or
+coalescing server folds the resubmitted request into work it already
+knows.  Set ``reconnect=False`` to fail fast instead.
 """
 
 from __future__ import annotations
@@ -61,10 +60,6 @@ _RETRYABLE = (
     ProtocolError,
     OSError,
 )
-
-#: rejection reasons worth waiting out with a backoff-and-resubmit: a
-#: standby answers ``standby`` until its takeover window promotes it
-_RETRYABLE_REJECTIONS = ("standby",)
 
 
 class ServeClient:
@@ -247,7 +242,6 @@ class ServeClient:
         request_id = request["id"]
         self._pending[request_id] = request
         sent = False
-        rejections = 0
         while True:
             try:
                 if not sent:
@@ -258,24 +252,6 @@ class ServeClient:
                 if isinstance(error, ConnectionClosed):
                     self._recover(error)
                     sent = True  # _recover resubmitted every pending id
-                    continue
-                reply = error.reply or {}
-                if (
-                    self.reconnect
-                    and reply.get("reason") in _RETRYABLE_REJECTIONS
-                    and rejections + 1 < self.max_retries
-                ):
-                    # a standby holds the fort before takeover: back off
-                    # until promotion opens admissions
-                    rejections += 1
-                    time.sleep(
-                        min(
-                            self.backoff_s * self.backoff_factor ** rejections,
-                            self.max_backoff_s,
-                        )
-                    )
-                    self._pending[request_id] = request
-                    sent = False
                     continue
                 self._pending.pop(request_id, None)
                 raise
@@ -297,23 +273,6 @@ class ServeClient:
                     # copy (if any) was consumed above; nothing to wait on
                     raise
                 self._recover(error)
-            except ServeError as error:
-                reply = error.reply or {}
-                if (
-                    self.reconnect
-                    and reply.get("reason") in _RETRYABLE_REJECTIONS
-                    and reply.get("id") == request_id
-                ):
-                    # the failover target is still a standby; resubmit once
-                    # it promotes
-                    request = self._pending.get(request_id)
-                    if request is None:
-                        raise
-                    time.sleep(min(self.backoff_s * 4, self.max_backoff_s))
-                    self._pending[request_id] = request
-                    self._send(request)
-                    continue
-                raise
             except _RETRYABLE as error:
                 self._recover(error)
 
@@ -331,13 +290,9 @@ class ServeClient:
         return self._read_until("stats")["stats"]
 
     def status(self) -> dict:
-        """The richer ``status`` document (role, replication, counters)."""
+        """The richer ``status`` document (stats, uptime, telemetry)."""
         self._send({"op": OP_STATUS})
         return self._read_until("status")["status"]
-
-    def heartbeat(self) -> dict:
-        self._send({"op": "heartbeat"})
-        return self._read_until("heartbeat-reply")
 
     def drain(self) -> dict:
         """Ask the server to drain and shut down gracefully."""

@@ -24,7 +24,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.faults import injection as _fault_injection
 from repro.jsonio import write_text_atomic
@@ -77,9 +77,6 @@ class RequestJournal:
         #: in-flight append atomic with respect to the replay-then-rename,
         #: so compaction can never drop a record landing concurrently
         self._lock = threading.RLock()
-        #: replication hook: called with each serialized record line after
-        #: it is durably appended (the primary streams these to standbys)
-        self.on_record: Optional[Callable[[str], None]] = None
 
     # ------------------------------------------------------------------
     def _open(self):
@@ -111,35 +108,6 @@ class RequestJournal:
                 # the tear truncated the file under our append handle; reopen
                 # so the next append lands at the (new) end, not in a hole
                 self.close()
-        if self.on_record is not None:
-            self.on_record(line)
-
-    def append_raw(self, line: str) -> None:
-        """Append one already-serialized record (standby replication apply)."""
-        with self._lock:
-            handle = self._open()
-            handle.write(line.rstrip("\n") + "\n")
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-            self.appends += 1
-
-    def read_text(self) -> str:
-        """The journal's current bytes (a replication snapshot)."""
-        with self._lock:
-            if self._handle is not None and not self._handle.closed:
-                self._handle.flush()
-            try:
-                with open(self.path, "r", encoding="utf-8") as handle:
-                    return handle.read()
-            except OSError:
-                return ""
-
-    def reset(self, text: str) -> None:
-        """Atomically replace the journal (installing a replication snapshot)."""
-        with self._lock:
-            self.close()
-            write_text_atomic(self.path, text)
 
     def accept(self, request_id: str, request: dict) -> None:
         """Journal one admitted request *before* the accept reply is sent."""

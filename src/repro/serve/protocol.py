@@ -39,14 +39,6 @@ OP_PING = "ping"
 OP_STATS = "stats"
 OP_DRAIN = "drain"
 OP_STATUS = "status"
-OP_HEARTBEAT = "heartbeat"
-
-#: replication operations (standby <-> primary, over the same framing)
-OP_REPL_SUBSCRIBE = "repl-subscribe"
-OP_REPL_SNAPSHOT = "repl-snapshot"
-OP_REPL_APPEND = "repl-append"
-OP_REPL_ACK = "repl-ack"
-OP_REPL_HEARTBEAT = "repl-heartbeat"
 
 #: server -> client liveness frames for a long-running request
 OP_PROGRESS = "progress"
@@ -127,8 +119,8 @@ def write_frame_blocking(stream, document: object) -> None:
 
 
 # ---------------------------------------------------------------------------
-# address specs — one textual form shared by the router, the standby
-# replica, and the CLIs: ``unix:/path``, a bare path, or ``host:port``
+# address specs — how ``repro-serve --status`` names a server:
+# ``unix:/path``, a bare path, or ``host:port``
 # ---------------------------------------------------------------------------
 
 
@@ -149,17 +141,3 @@ def parse_addr(spec: str) -> tuple:
     if sep and port.isdigit() and "/" not in port:
         return None, host or "127.0.0.1", int(port)
     return spec, None, 0
-
-
-def format_addr(socket_path=None, host=None, port=0) -> str:
-    if socket_path:
-        return f"unix:{socket_path}"
-    return f"{host}:{port}"
-
-
-async def open_addr(spec: str):
-    """Open an asyncio connection to an address spec; ``(reader, writer)``."""
-    socket_path, host, port = parse_addr(spec)
-    if socket_path:
-        return await asyncio.open_unix_connection(socket_path)
-    return await asyncio.open_connection(host, port)

@@ -43,7 +43,7 @@ import signal
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cache import ResultCache
@@ -57,16 +57,12 @@ from repro.engines.ladder import (
 from repro.engines.result import Status, VerificationResult
 from repro.obs import log as _log
 from repro.obs import telemetry as _telemetry
-from repro.faults import injection as _fault_injection
 from repro.serve import journal as journal_mod
 from repro.serve.journal import RequestJournal
 from repro.serve.protocol import (
     OP_DRAIN,
-    OP_HEARTBEAT,
     OP_PING,
     OP_PROGRESS,
-    OP_REPL_ACK,
-    OP_REPL_SUBSCRIBE,
     OP_STATS,
     OP_STATUS,
     OP_VERIFY,
@@ -75,7 +71,6 @@ from repro.serve.protocol import (
     read_frame,
     write_frame,
 )
-from repro.serve.replica import ReplicationManager, StandbyReplica
 from repro.serve.queues import BoundedPriorityQueue, QueueClosed, priority_value
 from repro.serve.throttle import AdaptiveThrottle
 
@@ -103,19 +98,6 @@ class ServerConfig:
     recover: str = "nack"
     trace_path: Optional[str] = None
     fsync_journal: bool = False
-    #: fleet role: a ``primary`` serves; a ``standby`` follows ``primary_addr``
-    #: via journal replication and serves only after takeover
-    role: str = "primary"
-    #: stable member name for status/heartbeat/trace stitching
-    server_id: Optional[str] = None
-    #: address spec of the primary this standby follows (``unix:...``/host:port)
-    primary_addr: Optional[str] = None
-    #: continuous primary unreachability after which the standby promotes
-    takeover_after_s: float = 3.0
-    #: replication sync level: ``async`` or ``sync`` (ack-before-accept)
-    sync_level: str = "async"
-    #: sync level's bounded wait before degrading to async for one accept
-    sync_timeout_s: float = 2.0
     #: cadence of ``progress`` liveness frames to waiting clients (0 = off)
     progress_interval_s: float = 2.0
     #: a running request with no computation progress for this long is
@@ -227,39 +209,15 @@ class VerifyServer:
     def __init__(self, config: ServerConfig) -> None:
         if not config.socket_path and not config.host:
             raise ValueError("server needs a unix socket path or a TCP host")
-        if config.role not in ("primary", "standby"):
-            raise ValueError(f"unknown role {config.role!r}")
-        if config.role == "standby" and not config.primary_addr:
-            raise ValueError("a standby needs primary_addr to follow")
         self.config = config
-        self.role = config.role
-        self.server_id = config.server_id or (
-            config.socket_path or f"{config.host}:{config.port}"
-        )
+        #: the listen address names this server in status documents and spans
+        self.server_id = config.socket_path or f"{config.host}:{config.port}"
         self.cache = (
             ResultCache(config.cache_dir) if config.cache_dir else None
         )
         self.journal = (
             RequestJournal(config.journal_path, fsync=config.fsync_journal)
             if config.journal_path
-            else None
-        )
-        #: every server can feed standbys; the journal hook streams records
-        self.replication = ReplicationManager(
-            self,
-            sync_level=config.sync_level,
-            sync_timeout_s=config.sync_timeout_s,
-        )
-        if self.journal is not None:
-            self.journal.on_record = self.replication.publish
-        self.replica = (
-            StandbyReplica(
-                self,
-                config.primary_addr,
-                takeover_after_s=config.takeover_after_s,
-                name=self.server_id,
-            )
-            if self.role == "standby"
             else None
         )
         self.queue = BoundedPriorityQueue(config.max_queue)
@@ -285,13 +243,8 @@ class VerifyServer:
             "recovered_nacked": 0,
             "recovered_requeued": 0,
             "bad_requests": 0,
-            "rejected_standby": 0,
-            "takeovers": 0,
-            "takeover_requeued": 0,
             "progress_frames": 0,
             "wedged_kills": 0,
-            "heartbeats": 0,
-            "heartbeats_blacked_out": 0,
         }
         self._shutdown = asyncio.Event()
         self._slot_free = asyncio.Event()
@@ -318,14 +271,10 @@ class VerifyServer:
                 pid=os.getpid(),
                 protocol=PROTOCOL,
                 server_id=self.server_id,
-                role=self.role,
             )
         loop = asyncio.get_running_loop()
         self._loop = loop
-        self.replication.start(loop)
-        if self.role == "primary":
-            self._recover()
-        # a standby's journal is a replica: recovery happens at promote()
+        self._recover()
         for signum in (signal.SIGTERM, signal.SIGINT):
             with contextlib.suppress(NotImplementedError, RuntimeError):
                 loop.add_signal_handler(signum, self.request_shutdown)
@@ -343,24 +292,12 @@ class VerifyServer:
             where = f"{self.config.host}:{self.config.port}"
         dispatcher = asyncio.create_task(self._dispatch())
         monitor = asyncio.create_task(self._monitor())
-        replica_task = (
-            asyncio.create_task(self.replica.run())
-            if self.replica is not None
-            else None
-        )
-        _log.info(
-            f"repro-serve [{self.role}] {self.server_id!r} listening on "
-            f"{where} ({PROTOCOL})"
-        )
+        _log.info(f"repro-serve listening on {where} ({PROTOCOL})")
         await self._shutdown.wait()
         _log.info("repro-serve draining: admissions closed")
         self.draining = True
         self._listener.close()
         await self._listener.wait_closed()
-        if replica_task is not None:
-            replica_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await replica_task
         await self._drained()
         self.queue.close()
         await dispatcher
@@ -434,53 +371,6 @@ class VerifyServer:
             )
         _telemetry.counter("serve.recovered_open", len(report.open_requests))
 
-    async def promote(self, reason: str = "") -> None:
-        """Standby takeover: become primary, requeue the replicated journal.
-
-        Every accepted-but-unanswered request in the replica journal is
-        requeued as a waiterless recovery computation (the verdict lands in
-        the shared cache), so clients resubmitting through the router — by
-        the same journaled request id — coalesce onto work that is already
-        running instead of starting over.  Admissions open the moment the
-        role flips.
-        """
-        if self.role == "primary":
-            return
-        self.role = "primary"
-        self.counters["takeovers"] += 1
-        _telemetry.counter("serve.takeovers")
-        _log.info(
-            f"takeover: {self.server_id!r} promoting to primary"
-            + (f" ({reason})" if reason else "")
-        )
-        if self.journal is None:
-            return
-        report = self.journal.replay()
-        self.recovery_report = report.to_json()
-        requeued = 0
-        for request_id, request in report.open_requests.items():
-            work = self._work_from_request(request) if request.get("design") else None
-            if work is not None:
-                existing = self.inflight.get(work.key)
-                if existing is not None and not existing.done:
-                    self.journal.finish(request_id, journal_mod.REQUEUED)
-                    continue
-                work.recovered = True
-                if self.queue.try_put(work, work.priority):
-                    self.inflight[work.key] = work
-                    self.counters["accepted"] += 1
-                    self.counters["takeover_requeued"] += 1
-                    requeued += 1
-                    self.journal.finish(request_id, journal_mod.REQUEUED)
-                    continue
-            self.counters["recovered_nacked"] += 1
-            self.journal.finish(request_id, journal_mod.NACKED)
-        _telemetry.counter("serve.takeover_requeued", requeued)
-        _log.info(
-            f"takeover complete: {requeued} open request(s) requeued, "
-            f"{report.torn_lines} torn line(s)"
-        )
-
     def _work_from_request(self, request: dict) -> Optional[_Work]:
         """Rebuild a :class:`_Work` from a journaled request document."""
         try:
@@ -514,7 +404,6 @@ class VerifyServer:
                 "op": "hello",
                 "protocol": PROTOCOL,
                 "pid": os.getpid(),
-                "role": self.role,
                 "server_id": self.server_id,
             }
         )
@@ -544,7 +433,6 @@ class VerifyServer:
 
     def _forget_connection(self, conn: _Connection) -> None:
         """Client gone: cancel its stakes; abort orphaned computations."""
-        self.replication.drop_connection(conn)
         for request_id, work in list(conn.requests.items()):
             work.waiters = [w for w in work.waiters if w.conn is not conn]
             self.counters["cancelled"] += 1
@@ -568,36 +456,6 @@ class VerifyServer:
             await conn.send({"ok": True, "op": "stats", "stats": self.stats()})
         elif op == OP_STATUS:
             await conn.send({"ok": True, "op": "status", "status": self.status_doc()})
-        elif op == OP_HEARTBEAT:
-            self.counters["heartbeats"] += 1
-            if _fault_injection.heartbeat_blackout(
-                f"{self.server_id}:{self.counters['heartbeats']}"
-            ):
-                # chaos: say nothing at all — the router must count a miss
-                self.counters["heartbeats_blacked_out"] += 1
-                return
-            await conn.send(
-                {
-                    "ok": True,
-                    "op": "heartbeat-reply",
-                    "id": request.get("id"),
-                    "role": self.role,
-                    "server_id": self.server_id,
-                    "draining": self.draining,
-                    "queue_depth": len(self.queue),
-                    "active": self.active,
-                    "concurrency": self.throttle.concurrency,
-                    "repl_lag": self.replication.lag(),
-                    "accepted": self.counters["accepted"],
-                    "answered": self.counters["answered"],
-                    "cancelled": self.counters["cancelled"],
-                    "uptime_s": round(time.monotonic() - self._started_at, 3),
-                }
-            )
-        elif op == OP_REPL_SUBSCRIBE:
-            await self.replication.handle_subscribe(conn, request)
-        elif op == OP_REPL_ACK:
-            self.replication.handle_ack(conn, request)
         elif op == OP_DRAIN:
             await conn.send({"ok": True, "op": "draining"})
             self.request_shutdown()
@@ -614,15 +472,6 @@ class VerifyServer:
 
     async def _admit(self, conn: _Connection, request: dict) -> None:
         request_id = str(request.get("id") or f"req-{uuid.uuid4().hex[:12]}")
-        if self.role != "primary":
-            self.counters["rejected_standby"] += 1
-            _telemetry.counter("serve.rejected_standby")
-            await conn.send(
-                {"ok": False, "op": "rejected", "id": request_id,
-                 "reason": "standby",
-                 "primary": self.config.primary_addr or ""}
-            )
-            return
         if self.draining:
             self.counters["rejected_draining"] += 1
             _telemetry.counter("serve.rejected_draining")
@@ -742,9 +591,6 @@ class VerifyServer:
         """Journal one accept, then tell the client."""
         if self.journal is not None:
             self.journal.accept(request_id, _journal_doc(request))
-            # sync level: the accept a client sees is one a standby can
-            # already honor after takeover
-            await self.replication.wait_synced()
         await conn.send(
             {"ok": True, "op": "accepted", "id": request_id,
              "key": key, "coalesced": coalesced}
@@ -782,8 +628,6 @@ class VerifyServer:
                     property=work.property_name,
                     waiters=len(work.waiters),
                     server_id=self.server_id,
-                    # the cross-box stitch key: one request id names this
-                    # computation on every box that touched it
                     request=(work.waiters[0].request_id if work.waiters else ""),
                     requests=[w.request_id for w in work.waiters],
                 )
@@ -991,7 +835,6 @@ class VerifyServer:
         document = {
             "protocol": PROTOCOL,
             "pid": os.getpid(),
-            "role": self.role,
             "server_id": self.server_id,
             "draining": self.draining,
             "counters": dict(self.counters),
@@ -1017,21 +860,20 @@ class VerifyServer:
         return document
 
     def status_doc(self) -> dict:
-        """The ``status`` op's richer document: stats + replication + telemetry.
+        """The ``status`` op's richer document: stats + uptime + telemetry.
 
         Lifetime accept/answer/cancel counters come straight from
-        ``counters``; the telemetry counter snapshot (when a recorder is
-        recording) adds the cross-subsystem view the PR-8 spans feed.
+        ``counters``; the telemetry snapshot (when a recorder is recording)
+        adds the span count and the cross-subsystem counters and gauges.
         """
         document = self.stats()
         document["uptime_s"] = round(time.monotonic() - self._started_at, 3)
-        document["replication"] = self.replication.status()
-        if self.replica is not None:
-            document["standby"] = self.replica.status()
         recorder = _telemetry.get_recorder()
         if recorder is not None:
             snapshot = recorder.snapshot()
             document["telemetry"] = {
+                "spans": snapshot.get("spans", 0),
+                "dropped_spans": snapshot.get("dropped_spans", 0),
                 "counters": snapshot.get("counters", {}),
                 "gauges": snapshot.get("gauges", {}),
             }

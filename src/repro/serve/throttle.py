@@ -112,8 +112,3 @@ class AdaptiveThrottle:
             "adjustments": self.adjustments,
             "idle_windows": self.idle_windows,
         }
-
-
-#: historical name for the controller (Scrapy heritage); kept as an alias so
-#: docs and operator muscle memory both resolve
-AutoThrottle = AdaptiveThrottle

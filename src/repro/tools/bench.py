@@ -48,21 +48,6 @@ then SIGKILLed mid-flight and restarted on the same journal, which must
 NACK every accepted-but-unanswered request.  ``BENCH_server.json`` gates on
 all of it: every accept answered-or-cleanly-rejected, zero WRONG verdicts,
 zero leaked processes, zero orphan spans, full journal recovery.
-
-``--kernels`` measures the raw-speed replay tiers: per design, one random
-workload (``--lanes`` sequences x ``--cycles`` cycles) is replayed through
-the tree-walking reference interpreter (an :func:`repro.exprs.evaluate`
-cycle loop), the compiled scalar simulator (:mod:`repro.netlist.simulate`,
-timed but not gated), the bit-parallel packed simulator
-(:mod:`repro.netlist.bitsim`) and the compiled C kernel
-(:mod:`repro.kernels`), with input marshalling excluded from the timed
-region so the numbers compare steady-state stepping throughput.
-``BENCH_kernels.json`` gates on: packed >= ``--packed-gate`` x interpreter
-on at least 3 designs, compiled >= ``--kernel-gate`` x packed on at least 3
-designs (waived when no C compiler is available), 100 % verdict agreement
-between :func:`repro.kernels.checked_replay` and the scalar reference, and
-the rsim falsifier finding and validating a witness on every unsafe suite
-design.
 """
 
 from __future__ import annotations
@@ -85,7 +70,6 @@ from repro.engines.ladder import (
 from repro.engines.portfolio import PortfolioRunner
 from repro.engines.registry import list_engines, make_engine
 from repro.engines.result import Status
-from repro.exprs import evaluate
 from repro.jsonio import write_json_atomic
 from repro.obs import log as _log
 from repro.obs import telemetry as _telemetry
@@ -1357,752 +1341,6 @@ def write_server_report(
 
 
 # ---------------------------------------------------------------------------
-# --fleet-soak: failover soak over a primary + hot standby + router fleet
-# ---------------------------------------------------------------------------
-
-#: chaos installed in each *member*: replication-link drops and heartbeat
-#: blackouts must be absorbed, not amplified
-FLEET_MEMBER_RATES = "repl-link-drop=0.25,heartbeat-blackout=0.15"
-#: chaos installed in the *router*: reconnect attempts sporadically refused
-FLEET_ROUTER_RATES = "router-partition=0.2"
-#: phase-1 sanity sweep through the router (fast, definitive designs)
-FLEET_SANITY_DESIGNS = ["daio", "rcu", "fifo", "iqueue", "arbiter", "tlc"]
-#: phase-2 slow queries in flight when the primary is SIGKILLed: rsim is
-#: word-level only, so on the bit encoding k-induction must unroll to daio's
-#: and tlc's deep bugs, which takes seconds (the ladder settles every other
-#: suite query before the kill); the two keys shard to different members
-FLEET_SLOW_QUERIES = [
-    {"design": "daio", "representation": "bit", "bound": 96},
-    {"design": "tlc", "representation": "bit", "bound": 96},
-]
-
-
-def _start_fleet_router(args_list: List[str]) -> "subprocess.Popen":
-    import subprocess
-    import sys
-
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.tools.router_cli", *args_list],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-        start_new_session=True,
-    )
-
-
-def _fleet_reply_gate(
-    design: str, reply: Dict[str, object], wrong: List[str], unvalidated: List[str]
-) -> None:
-    """Classify one reply against ground truth + the certification gate."""
-    if _soak_classify(design, reply) == Status.WRONG:
-        wrong.append(f"{design}: {reply.get('status')}")
-    if (
-        str(reply.get("status")) in Status.DEFINITIVE
-        and reply.get("validated") is not True
-    ):
-        unvalidated.append(f"{design}: validated={reply.get('validated')!r}")
-
-
-def run_fleet_soak(
-    seed: int, timeout: float, workdir: str
-) -> Dict[str, object]:
-    """Fleet failover soak: two shards, a hot standby, a router, one SIGKILL.
-
-    Topology: member ``box-a`` (primary, ``--sync-level sync``) streams its
-    journal to hot standby ``box-a2`` (same certificate cache dir); member
-    ``box-b`` serves the other shard solo; a ``repro-serve-router`` fronts
-    both, with ``box-a2`` registered as box-a's failover address.  All four
-    run as subprocesses in their own sessions (the leak oracle) with
-    member/router chaos rates installed.
-
-    Phase 1 drives a sanity sweep and a cross-client coalescing pair
-    through the router under replication-link, heartbeat-blackout and
-    router-partition faults.  Phase 2 submits slow queries, waits for them
-    to be accepted (sync level: the standby already holds their journal
-    records), SIGKILLs the primary's whole process group mid-computation,
-    and requires every accepted request to be answered exactly once by the
-    promoted standby or by failover routing — zero lost, zero duplicates.
-    After a graceful fleet drain the surviving members' counters must
-    balance (``accepted == answered + cancelled``), every definitive
-    verdict must have been certificate-validated, no process group may
-    survive, and the stitched cross-box trace must lint clean.
-    """
-    import signal as signal_module
-    import threading
-
-    from repro.obs.export import (
-        lint_trace, load_trace, stitch_traces, write_trace_document,
-    )
-    from repro.serve.client import ServeClient, ServeError
-
-    sock_a = os.path.join(workdir, "a.sock")
-    sock_a2 = os.path.join(workdir, "a2.sock")
-    sock_b = os.path.join(workdir, "b.sock")
-    sock_router = os.path.join(workdir, "router.sock")
-    cache_a = os.path.join(workdir, "cache_a")
-    cache_b = os.path.join(workdir, "cache_b")
-    trace_a2 = os.path.join(workdir, "trace_a2.jsonl")
-    trace_b = os.path.join(workdir, "trace_b.jsonl")
-    trace_router = os.path.join(workdir, "trace_router.jsonl")
-    stitched_path = os.path.join(workdir, "trace_fleet.jsonl")
-    row: Dict[str, object] = {"seed": seed}
-    deadline_s = max(120.0, timeout * 3)
-
-    primary = _start_soak_server([
-        "--socket", sock_a, "--cache-dir", cache_a,
-        "--journal", os.path.join(workdir, "a.journal"),
-        "--server-id", "box-a", "--sync-level", "sync",
-        "--workers", "1:2", "--max-queue", "16", "--certify",
-        "--default-deadline", str(deadline_s),
-        "--progress-interval", "1.0",
-        "--chaos", str(seed), "--chaos-rates", FLEET_MEMBER_RATES, "-q",
-    ])
-    standby = _start_soak_server([
-        "--socket", sock_a2, "--cache-dir", cache_a,
-        "--journal", os.path.join(workdir, "a2.journal"),
-        "--server-id", "box-a2", "--standby-of", f"unix:{sock_a}",
-        "--takeover-after", "1.5", "--trace", trace_a2,
-        "--workers", "1:2", "--max-queue", "16", "--certify",
-        "--default-deadline", str(deadline_s),
-        "--progress-interval", "1.0", "-q",
-    ])
-    solo = _start_soak_server([
-        "--socket", sock_b, "--cache-dir", cache_b,
-        "--journal", os.path.join(workdir, "b.journal"),
-        "--server-id", "box-b", "--trace", trace_b,
-        "--workers", "1:2", "--max-queue", "16", "--certify",
-        "--default-deadline", str(deadline_s),
-        "--progress-interval", "1.0",
-        "--chaos", str(seed + 1), "--chaos-rates", FLEET_MEMBER_RATES, "-q",
-    ])
-    pgids = {"box-a": primary.pid, "box-a2": standby.pid, "box-b": solo.pid}
-    if not all(_soak_wait_socket(s) for s in (sock_a, sock_a2, sock_b)):
-        for proc in (primary, standby, solo):
-            proc.kill()
-        row["error"] = "a fleet member never opened its socket"
-        row["ok"] = False
-        return row
-
-    router = _start_fleet_router([
-        "--socket", sock_router,
-        "--member", f"box-a=unix:{sock_a},standby=unix:{sock_a2}",
-        "--member", f"box-b=unix:{sock_b}",
-        "--heartbeat-interval", "0.25", "--trace", trace_router,
-        "--chaos", str(seed), "--chaos-rates", FLEET_ROUTER_RATES, "-q",
-    ])
-    pgids["router"] = router.pid
-    if not _soak_wait_socket(sock_router):
-        for proc in (primary, standby, solo, router):
-            proc.kill()
-        row["error"] = "router never opened its socket"
-        row["ok"] = False
-        return row
-    time.sleep(1.0)  # let the standby subscribe and the heartbeats settle
-
-    wrong: List[str] = []
-    unvalidated: List[str] = []
-    _log.verbose(f"fleet soak seed {seed}: fleet up (router pid {router.pid})")
-
-    # ----- phase 1: sanity sweep + cross-client coalescing under chaos ---
-    progress_frames: List[str] = []
-    with ServeClient(socket_path=sock_router, timeout=deadline_s) as client:
-        client.on_progress = lambda frame: progress_frames.append(
-            str(frame.get("kind"))
-        )
-        for design in FLEET_SANITY_DESIGNS:
-            reply = client.verify(
-                design=design, representation="word", bound=64,
-                deadline_s=deadline_s,
-            )
-            _fleet_reply_gate(design, reply, wrong, unvalidated)
-
-    barrier = threading.Barrier(2)
-    pair_replies: List[Dict[str, object]] = []
-    pair_lock = threading.Lock()
-
-    def pair_client() -> None:
-        with ServeClient(socket_path=sock_router, timeout=deadline_s) as c:
-            barrier.wait()
-            accepted = c.submit(
-                {"design": "barrel16", "representation": "word", "bound": 80,
-                 "deadline_s": deadline_s}
-            )
-            reply = c.result(accepted["id"])
-            with pair_lock:
-                pair_replies.append(reply)
-
-    pair_threads = [threading.Thread(target=pair_client) for _ in range(2)]
-    for thread in pair_threads:
-        thread.start()
-    for thread in pair_threads:
-        thread.join(timeout=deadline_s)
-    for reply in pair_replies:
-        _fleet_reply_gate("barrel16", reply, wrong, unvalidated)
-    with ServeClient(socket_path=sock_router, timeout=30.0) as client:
-        router_status_mid = client.status()
-    row["phase1"] = {
-        "sanity_queries": len(FLEET_SANITY_DESIGNS),
-        "pair_replies": len(pair_replies),
-        "router_coalesced": router_status_mid["counters"]["coalesced"],
-        "progress_frames_seen": len(progress_frames),
-        "progress_kinds": sorted(set(progress_frames)),
-        "ok": (
-            len(pair_replies) == 2
-            and len(progress_frames) >= 1
-        ),
-    }
-    _log.verbose("fleet soak: phase 1 done")
-
-    # ----- phase 2: SIGKILL the primary mid-computation ------------------
-    killed_row: Dict[str, object] = {}
-    results: Dict[str, Dict[str, object]] = {}
-    result_lock = threading.Lock()
-    submit_client = ServeClient(socket_path=sock_router, timeout=deadline_s)
-    submitted: List[Tuple[str, str]] = []  # (design, request id)
-    accepted_members: List[str] = []
-    for query in FLEET_SLOW_QUERIES:
-        accepted = submit_client.submit(dict(query, deadline_s=deadline_s))
-        submitted.append((str(query["design"]), accepted["id"]))
-        accepted_members.append(str(accepted.get("member", "?")))
-    time.sleep(0.6)  # let the computations start on the primary
-    try:
-        os.killpg(pgids["box-a"], signal_module.SIGKILL)
-    except ProcessLookupError:
-        pass
-    primary.wait(timeout=30)  # reap: a zombie would fool the leak oracle
-    kill_t0 = time.monotonic()
-
-    def read_result(design: str, request_id: str) -> None:
-        reply = submit_client.result(request_id)
-        with result_lock:
-            results[request_id] = dict(reply, _design=design)
-
-    # results come back in completion order on the one connection; read
-    # them sequentially (the client parks out-of-order frames by id)
-    reader_errors: List[str] = []
-    for design, request_id in submitted:
-        try:
-            read_result(design, request_id)
-        except (ServeError, OSError) as error:
-            reader_errors.append(f"{request_id}: {error}")
-    failover_wall = time.monotonic() - kill_t0
-    submit_client.close()
-    for reply in results.values():
-        _fleet_reply_gate(str(reply["_design"]), reply, wrong, unvalidated)
-    killed_row["submitted"] = len(submitted)
-    killed_row["answered"] = len(results)
-    killed_row["routed_to"] = sorted(set(accepted_members))
-    killed_row["reader_errors"] = reader_errors
-    killed_row["failover_wall_s"] = round(failover_wall, 3)
-    killed_row["client_reconnects"] = submit_client.reconnects
-    killed_row["zero_lost"] = len(results) == len(submitted)
-    killed_row["zero_duplicates"] = len(results) == len(
-        {rid for _, rid in submitted}
-    )
-    killed_row["primary_group_gone"] = _soak_group_gone(pgids["box-a"])
-    killed_row["ok"] = (
-        killed_row["zero_lost"]
-        and killed_row["zero_duplicates"]
-        and not reader_errors
-        and killed_row["primary_group_gone"]
-    )
-    row["phase2_kill"] = killed_row
-    _log.verbose(
-        f"fleet soak: phase 2 done ({len(results)}/{len(submitted)} answered "
-        f"{failover_wall:.1f}s after SIGKILL)"
-    )
-
-    # ----- drain: accounting on the survivors, then shut the fleet down --
-    member_counters: Dict[str, Dict[str, object]] = {}
-    accounting_ok = True
-    takeover_seen = False
-    for name, sock in (("box-a2", sock_a2), ("box-b", sock_b)):
-        try:
-            with ServeClient(
-                socket_path=sock, timeout=30.0, reconnect=False
-            ) as client:
-                status = client.status()
-                client.drain()
-        except (ServeError, OSError) as error:
-            member_counters[name] = {"error": str(error)}
-            accounting_ok = False
-            continue
-        counters = status["counters"]
-        member_counters[name] = {
-            "role": status.get("role"),
-            "accepted": counters["accepted"],
-            "answered": counters["answered"],
-            "cancelled": counters["cancelled"],
-            "takeovers": counters.get("takeovers", 0),
-            "takeover_requeued": counters.get("takeover_requeued", 0),
-            "wedged_kills": counters.get("wedged_kills", 0),
-            "heartbeats": counters.get("heartbeats", 0),
-            "heartbeats_blacked_out": counters.get("heartbeats_blacked_out", 0),
-            "repl_link_drops": (status.get("replication") or {}).get(
-                "link_drops", 0
-            ),
-            "balanced": counters["accepted"]
-            == counters["answered"] + counters["cancelled"],
-        }
-        accounting_ok = accounting_ok and bool(
-            member_counters[name]["balanced"]
-        )
-        if counters.get("takeovers"):
-            takeover_seen = True
-    row["members"] = member_counters
-    row["accounting_ok"] = accounting_ok
-    row["takeover_seen"] = takeover_seen
-
-    try:
-        with ServeClient(
-            socket_path=sock_router, timeout=30.0, reconnect=False
-        ) as client:
-            router_final = client.status()
-            client.drain()
-        row["router"] = {
-            "counters": router_final["counters"],
-            "members": [
-                {k: m[k] for k in ("name", "healthy", "connects", "partitions",
-                                   "resubmitted")}
-                for m in router_final["members"]
-            ],
-        }
-    except (ServeError, OSError) as error:
-        row["router"] = {"error": str(error)}
-
-    exits = {}
-    for name, proc in (("box-a2", standby), ("box-b", solo), ("router", router)):
-        try:
-            exits[name] = proc.wait(timeout=deadline_s)
-        except Exception:  # noqa: BLE001 - timeout: count it as a leak
-            proc.kill()
-            exits[name] = None
-    row["drain_exit_codes"] = exits
-    leaks = {
-        name: not _soak_group_gone(pgid) for name, pgid in pgids.items()
-    }
-    row["leaked_groups"] = {name: leaked for name, leaked in leaks.items() if leaked}
-    zero_leaks = not row["leaked_groups"]
-
-    # ----- stitch the surviving boxes' traces and lint the union ---------
-    stitch_row: Dict[str, object] = {}
-    try:
-        traces = [load_trace(p) for p in (trace_a2, trace_b, trace_router)]
-        stitched = stitch_traces(traces)
-        write_trace_document(stitched, stitched_path)
-        problems = lint_trace(stitched)
-        fleet_roots = sum(
-            1 for span in stitched.spans if span.get("name") == "fleet.request"
-        )
-        stitch_row = {
-            "traces": 3,
-            "spans": len(stitched.spans),
-            "cross_box_requests": fleet_roots,
-            "problems": problems,
-            "ok": not problems and fleet_roots >= 1,
-        }
-    except (OSError, ValueError) as error:
-        stitch_row = {"error": str(error), "ok": False}
-    row["stitched_trace"] = stitch_row
-    row["_stitched_path"] = stitched_path
-
-    row["wrong_verdicts"] = wrong
-    row["unvalidated_verdicts"] = unvalidated
-    row["ok"] = (
-        bool(row["phase1"]["ok"])
-        and bool(killed_row.get("ok"))
-        and accounting_ok
-        and takeover_seen
-        and zero_leaks
-        and bool(stitch_row.get("ok"))
-        and exits.get("box-a2") == 0
-        and exits.get("box-b") == 0
-        and exits.get("router") == 0
-        and not wrong
-        and not unvalidated
-    )
-    _log.info(
-        f"fleet soak seed {seed}: "
-        f"{killed_row.get('answered', 0)}/{killed_row.get('submitted', 0)} "
-        f"answered after SIGKILL ({killed_row.get('failover_wall_s', '?')}s), "
-        f"takeover {'seen' if takeover_seen else 'MISSING'}, "
-        f"accounting {'ok' if accounting_ok else 'BROKEN'}, "
-        f"leaks {'none' if zero_leaks else 'PRESENT'}, "
-        f"stitched trace {'clean' if stitch_row.get('ok') else 'DIRTY'}, "
-        f"{'OK' if row['ok'] else 'FAILED'}"
-    )
-    return row
-
-
-def write_fleet_report(
-    soak: Dict[str, object], out: str, timeout: float, trace_out: Optional[str]
-) -> bool:
-    """Write ``BENCH_fleet.json``; True when every fleet gate held."""
-    stitched_path = soak.pop("_stitched_path", None)
-    all_ok = bool(soak.get("ok"))
-    report = {
-        "config": {
-            "mode": "fleet-soak",
-            "cpus": os.cpu_count(),
-            "timeout_s": timeout,
-            "seed": soak.get("seed"),
-            "member_chaos_rates": FLEET_MEMBER_RATES,
-            "router_chaos_rates": FLEET_ROUTER_RATES,
-            "python": platform.python_version(),
-        },
-        "tool": "repro.tools.bench --fleet-soak",
-        "soak": soak,
-        "summary": {
-            "failover_zero_lost": bool(
-                soak.get("phase2_kill", {}).get("zero_lost")
-            ),
-            "failover_zero_duplicates": bool(
-                soak.get("phase2_kill", {}).get("zero_duplicates")
-            ),
-            "failover_wall_s": soak.get("phase2_kill", {}).get(
-                "failover_wall_s"
-            ),
-            "takeover_seen": bool(soak.get("takeover_seen")),
-            "fleet_accounting_ok": bool(soak.get("accounting_ok")),
-            "zero_wrong_verdicts": not soak.get("wrong_verdicts"),
-            "all_verdicts_certificate_validated": not soak.get(
-                "unvalidated_verdicts"
-            ),
-            "zero_leaked_process_groups": not soak.get("leaked_groups"),
-            "stitched_trace_clean": bool(
-                soak.get("stitched_trace", {}).get("ok")
-            ),
-            "cross_box_requests_stitched": soak.get("stitched_trace", {}).get(
-                "cross_box_requests"
-            ),
-            "all_ok": all_ok,
-        },
-    }
-    write_json_atomic(out, report)
-    if (
-        trace_out
-        and isinstance(stitched_path, str)
-        and os.path.exists(stitched_path)
-    ):
-        import shutil
-
-        shutil.copyfile(stitched_path, trace_out)
-        print(f"stitched fleet trace copied to {trace_out}")
-    summary = report["summary"]
-    print(
-        f"\nwrote {out}: failover "
-        f"{'zero-lost' if summary['failover_zero_lost'] else 'LOST REQUESTS'}/"
-        f"{'zero-dup' if summary['failover_zero_duplicates'] else 'DUPLICATES'} "
-        f"in {summary['failover_wall_s']}s, takeover "
-        f"{'seen' if summary['takeover_seen'] else 'MISSING'}, accounting "
-        f"{'ok' if summary['fleet_accounting_ok'] else 'BROKEN'}, verdicts "
-        f"{'validated' if summary['all_verdicts_certificate_validated'] else 'UNVALIDATED'}, "
-        f"leaks {'none' if summary['zero_leaked_process_groups'] else 'LEAKED'}, "
-        f"stitched trace "
-        f"{'clean' if summary['stitched_trace_clean'] else 'DIRTY'}"
-    )
-    return all_ok
-
-
-# ---------------------------------------------------------------------------
-# --kernels: the raw-speed replay tiers (interpreter / scalar / packed / C)
-# ---------------------------------------------------------------------------
-
-
-def _random_workload(system, cycles: int, lanes: int, seed: int = 2016):
-    """``lanes`` independent random input sequences of ``cycles`` cycles."""
-    import random as random_module
-
-    rng = random_module.Random(seed)
-    return [
-        [
-            {name: rng.getrandbits(width) for name, width in system.inputs.items()}
-            for _ in range(cycles)
-        ]
-        for _ in range(lanes)
-    ]
-
-
-def _interpreter_run(system, wire_order, sequence) -> None:
-    """Replay one sequence through the tree-walking reference interpreter.
-
-    Each cycle walks the expression trees with :func:`repro.exprs.evaluate`:
-    the wires in dependency order, then every property, constraint and
-    next-state function.
-    """
-    state = {name: evaluate(expr, {}) for name, expr in system.init.items()}
-    for inputs in sequence:
-        env = {**state, **inputs}
-        for name in wire_order:
-            env[name] = evaluate(system.wires[name], env)
-        for prop in system.properties:
-            evaluate(prop.expr, env)
-        for constraint in system.constraints:
-            evaluate(constraint, env)
-        state = {name: evaluate(expr, env) for name, expr in system.next.items()}
-
-
-def run_kernels_section(
-    names: List[str], cycles: int, lanes: int, repeats: int = 3
-) -> List[Dict]:
-    """Time the replay tiers per design on one identical random workload.
-
-    Methodology: the workload is ``lanes`` independent input sequences of
-    ``cycles`` cycles each.  Input marshalling (packing bit planes, flattening
-    the C input array) happens once *outside* the timed region, so the numbers
-    compare steady-state stepping throughput — the regime that matters for the
-    rsim falsifier and bulk witness replay, where one packing is amortized
-    over many runs.  The interpreter tier walks every sequence's expression
-    trees with :func:`repro.exprs.evaluate` (:func:`_interpreter_run`), the
-    baseline the packed gate is calibrated against; the compiled scalar tier
-    steps every sequence through the
-    :class:`~repro.netlist.simulate.Simulator` and is reported, not gated;
-    the packed tier runs all ``lanes`` sequences in one bit-parallel pass;
-    the C tier runs the C replay loop once per sequence.  The interpreter is
-    timed once, as when the gate was calibrated, and the other tiers keep
-    their best of ``repeats`` runs.
-
-    Each row also records a verdict-agreement check: a sample of the
-    sequences is replayed through :func:`repro.kernels.checked_replay` (the
-    production tier ladder) and through the pure scalar reference, and the
-    (first violation cycle, property) pairs must match exactly.
-    """
-    from repro.kernels import _scalar_replay, checked_replay, get_kernel
-    from repro.kernels.build import KernelUnavailable, compiler_available
-    from repro.netlist.bitsim import PackedSimulator, pack_values
-    from repro.netlist.simulate import replay
-    from repro.v2c.softnetlist import SoftwareNetlist
-
-    rows: List[Dict] = []
-    for name in names:
-        system = get_benchmark(name).load()
-        sequences = _random_workload(system, cycles, lanes)
-
-        wire_order = SoftwareNetlist(system).wire_order
-        start = time.perf_counter()
-        for sequence in sequences:
-            _interpreter_run(system, wire_order, sequence)
-        interpreter_s = time.perf_counter() - start
-
-        def _scalar_pass():
-            for sequence in sequences:
-                replay(system, sequence)
-
-        compiled_scalar_s = min(_timed(_scalar_pass) for _ in range(repeats))
-
-        packed = PackedSimulator(system, lanes=lanes)
-        planes = [
-            {
-                input_name: pack_values(
-                    [sequence[cycle][input_name] for sequence in sequences], width
-                )
-                for input_name, width in system.inputs.items()
-            }
-            for cycle in range(cycles)
-        ]
-        packed_s = min(
-            _timed(lambda: packed.run(planes, stop_on_violation=False, record=False))
-            for _ in range(repeats)
-        )
-
-        kernel_s = None
-        kernel_error = ""
-        if compiler_available():
-            try:
-                kernel = get_kernel(system)
-                import ctypes
-
-                n_regs = max(1, len(kernel.register_order))
-                flats = [kernel._pack_inputs(sequence) for sequence in sequences]
-
-                def _kernel_pass():
-                    state = (ctypes.c_uint64 * n_regs)()
-                    for flat in flats:
-                        kernel._kinit(state)
-                        kernel._kreplay(state, flat, cycles, 0, None)
-
-                kernel_s = min(_timed(_kernel_pass) for _ in range(repeats))
-            except KernelUnavailable as error:
-                kernel_error = str(error)
-
-        backend = None
-        verdicts_agree = True
-        demotions: List[str] = []
-        for sequence in sequences[: min(4, lanes)]:
-            reference = _scalar_replay(system, sequence)
-            outcome = checked_replay(system, sequence)
-            backend = outcome.backend
-            demotions.extend(outcome.demotions)
-            if (outcome.first_violation, outcome.violated_property) != (
-                reference.first_violation,
-                reference.violated_property,
-            ):
-                verdicts_agree = False
-
-        row = {
-            "design": name,
-            "cycles": cycles,
-            "lanes": lanes,
-            "interpreter_s": round(interpreter_s, 6),
-            "compiled_scalar_s": round(compiled_scalar_s, 6),
-            "packed_s": round(packed_s, 6),
-            "kernel_s": round(kernel_s, 6) if kernel_s is not None else None,
-            "packed_speedup": (
-                round(interpreter_s / packed_s, 2) if packed_s else None
-            ),
-            "kernel_speedup_vs_packed": (
-                round(packed_s / kernel_s, 2) if kernel_s else None
-            ),
-            "checked_replay_backend": backend,
-            "demotions": demotions,
-            "verdicts_agree": verdicts_agree,
-        }
-        if kernel_error:
-            row["kernel_error"] = kernel_error
-        rows.append(row)
-        kernel_note = (
-            f"kernel {row['kernel_speedup_vs_packed']}x packed"
-            if kernel_s
-            else "kernel unavailable"
-        )
-        _log.info(
-            f"kernels {name:14s} interpreter {interpreter_s:8.3f}s  compiled "
-            f"scalar {compiled_scalar_s:8.4f}s  packed {packed_s:8.4f}s "
-            f"({row['packed_speedup']}x)  {kernel_note}  "
-            f"verdicts {'agree' if verdicts_agree else 'DIVERGE'}"
-        )
-    return rows
-
-
-def _timed(thunk) -> float:
-    start = time.perf_counter()
-    thunk()
-    return time.perf_counter() - start
-
-
-def run_kernels_rsim_section(names: List[str], timeout: float) -> List[Dict]:
-    """Run the rsim falsifier on the suite's unsafe designs, validating witnesses."""
-    from repro.engines.rsim import RandomSimulationEngine
-
-    rows: List[Dict] = []
-    for name in names:
-        benchmark = get_benchmark(name)
-        if benchmark.expected != Status.UNSAFE:
-            continue
-        system = benchmark.load()
-        start = time.perf_counter()
-        result = RandomSimulationEngine(system).verify(timeout=timeout)
-        wall = time.perf_counter() - start
-        validated = False
-        if result.status == Status.UNSAFE and result.certificate is not None:
-            validation = validate_result(system, result)
-            validated = validation.ok
-        row = {
-            "design": name,
-            "status": str(result.status),
-            "wall_s": round(wall, 6),
-            "violation_cycle": result.detail.get("violation_cycle"),
-            "vectors": result.detail.get("vectors"),
-            "witness_validated": validated,
-            "found_and_validated": result.status == Status.UNSAFE and validated,
-        }
-        rows.append(row)
-        _log.info(
-            f"rsim    {name:14s} {result.status:8s} in {wall:.3f}s "
-            f"(cycle {row['violation_cycle']}, {row['vectors']} vectors), "
-            f"witness {'validated' if validated else 'NOT VALIDATED'}"
-        )
-    return rows
-
-
-def write_kernels_report(
-    tier_rows: List[Dict],
-    rsim_rows: List[Dict],
-    out: str,
-    cycles: int,
-    lanes: int,
-    packed_gate: float,
-    kernel_gate: float,
-) -> bool:
-    from repro.kernels.build import find_compiler
-
-    compiler = find_compiler()
-    packed_hits = sum(
-        1
-        for row in tier_rows
-        if row["packed_speedup"] is not None and row["packed_speedup"] >= packed_gate
-    )
-    kernel_hits = sum(
-        1
-        for row in tier_rows
-        if row["kernel_speedup_vs_packed"] is not None
-        and row["kernel_speedup_vs_packed"] >= kernel_gate
-    )
-    all_agree = all(row["verdicts_agree"] for row in tier_rows)
-    rsim_ok = all(row["found_and_validated"] for row in rsim_rows) and bool(rsim_rows)
-    # with no compiler the kernel tier is legitimately absent and its gate is
-    # waived — the degradation itself is what the no-cc CI leg checks
-    kernel_gate_waived = compiler is None
-    gates = {
-        "packed_gate": {
-            "threshold": packed_gate,
-            "designs_at_or_above": packed_hits,
-            "required": 3,
-            "ok": packed_hits >= 3,
-        },
-        "kernel_gate": {
-            "threshold": kernel_gate,
-            "designs_at_or_above": kernel_hits,
-            "required": 3,
-            "waived_no_compiler": kernel_gate_waived,
-            "ok": kernel_gate_waived or kernel_hits >= 3,
-        },
-        "verdict_agreement": {"ok": all_agree},
-        "rsim_falsification": {"ok": rsim_ok},
-    }
-    all_ok = all(gate["ok"] for gate in gates.values())
-    report = {
-        "config": {
-            "mode": "kernels",
-            "cpus": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "cycles": cycles,
-            "lanes": lanes,
-            "compiler": " ".join(compiler) if compiler else None,
-        },
-        # "kernel_tiers", not "sweeps"/"portfolio"/...: learn_priors reads
-        # those keys from every report it gets and these rows are not engine runs
-        "kernel_tiers": tier_rows,
-        "rsim_falsification": rsim_rows,
-        "summary": {
-            "designs": len(tier_rows),
-            "packed_designs_at_gate": packed_hits,
-            "kernel_designs_at_gate": kernel_hits if not kernel_gate_waived else None,
-            "all_verdicts_agree": all_agree,
-            "rsim_bugs_found": sum(
-                1 for row in rsim_rows if row["status"] == Status.UNSAFE
-            ),
-            "rsim_all_validated": rsim_ok,
-            "gates": gates,
-            "all_ok": all_ok,
-        },
-    }
-    write_json_atomic(out, report)
-    summary = report["summary"]
-    print(
-        f"\nwrote {out}: packed >= {packed_gate:g}x on "
-        f"{packed_hits}/{len(tier_rows)} designs, kernel >= {kernel_gate:g}x "
-        f"packed on {kernel_hits}/{len(tier_rows)}"
-        f"{' (gate waived: no compiler)' if kernel_gate_waived else ''}, "
-        f"verdicts {'all agree' if all_agree else 'DIVERGE'}, rsim "
-        f"{summary['rsim_bugs_found']} bug(s) "
-        f"{'validated' if rsim_ok else 'NOT VALIDATED'} -> "
-        f"{'OK' if all_ok else 'FAILED'}"
-    )
-    return all_ok
-
-
-# ---------------------------------------------------------------------------
 # observability mode: telemetry overhead gates (--obs)
 # ---------------------------------------------------------------------------
 
@@ -2321,17 +1559,8 @@ def main(argv: Optional[List[str]] = None) -> int:
              "leaked processes and clean traces",
     )
     parser.add_argument(
-        "--fleet-soak", action="store_true",
-        help="fleet failover soak: primary + journal-replicated hot standby "
-             "+ solo shard behind a repro-serve-router, SIGKILL the primary "
-             "mid-computation; gates on zero lost / zero duplicate replies, "
-             "fleet-wide accept accounting, certificate-validated verdicts, "
-             "zero leaked process groups and a clean stitched cross-box "
-             "trace",
-    )
-    parser.add_argument(
         "--seed", type=int, default=0,
-        help="--serve-soak/--fleet-soak: chaos seed (default 0)",
+        help="--serve-soak: chaos seed (default 0)",
     )
     parser.add_argument(
         "--seeds", type=int, default=3,
@@ -2348,31 +1577,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--trace-out", default=None,
         help="--obs: path for the exported trace "
              "(default BENCH_obs_trace.jsonl)",
-    )
-    parser.add_argument(
-        "--kernels", action="store_true",
-        help="raw-speed mode: time the scalar / bit-parallel packed / "
-             "compiled-C replay tiers on identical random workloads, check "
-             "tier verdict agreement, and run the rsim falsifier on the "
-             "unsafe designs with packed-replay witness validation",
-    )
-    parser.add_argument(
-        "--cycles", type=int, default=64,
-        help="--kernels: cycles per replay sequence (default 64)",
-    )
-    parser.add_argument(
-        "--lanes", type=int, default=64,
-        help="--kernels: parallel sequences / packed lanes (default 64)",
-    )
-    parser.add_argument(
-        "--packed-gate", type=float, default=20.0,
-        help="--kernels: required packed-vs-interpreter speedup on >= 3 "
-             "designs (default 20)",
-    )
-    parser.add_argument(
-        "--kernel-gate", type=float, default=5.0,
-        help="--kernels: required compiled-vs-packed speedup on >= 3 designs "
-             "(default 5; waived when no C compiler is available)",
     )
     parser.add_argument(
         "--jobs", type=int, default=None,
@@ -2396,22 +1600,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     modes = (
         args.portfolio, args.certify, args.serve, args.faults,
-        args.serve_soak, args.fleet_soak, args.kernels, args.obs,
+        args.serve_soak, args.obs,
     )
     if sum(map(bool, modes)) != 1:
         parser.error(
             "pick exactly one mode: --portfolio, --certify, --serve, --faults, "
-            "--serve-soak, --fleet-soak, --kernels or --obs"
+            "--serve-soak or --obs"
         )
-
-    if args.fleet_soak:
-        import tempfile
-
-        workdir = tempfile.mkdtemp(prefix="repro-fleet-", dir="/tmp")
-        soak = run_fleet_soak(args.seed, args.timeout, workdir)
-        out = args.out or "BENCH_fleet.json"
-        trace_out = args.trace_out or "BENCH_fleet_trace.jsonl"
-        return 0 if write_fleet_report(soak, out, args.timeout, trace_out) else 1
 
     if args.serve_soak:
         import tempfile
@@ -2431,25 +1626,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         section = run_obs_section(names, args.depth, args.timeout, args.jobs, trace_out)
         out = args.out or "BENCH_obs.json"
         return 0 if write_obs_report(section, out, args.depth, args.timeout) else 1
-
-    if args.kernels:
-        names = args.benchmarks if args.benchmarks else benchmark_names()
-        unknown = [n for n in names if n not in benchmark_names()]
-        if unknown:
-            parser.error(f"unknown benchmarks: {', '.join(unknown)}")
-        if args.cycles < 1 or args.lanes < 1:
-            parser.error("--cycles and --lanes must be >= 1")
-        tier_rows = run_kernels_section(names, args.cycles, args.lanes)
-        rsim_rows = run_kernels_rsim_section(names, args.timeout)
-        out = args.out or "BENCH_kernels.json"
-        return (
-            0
-            if write_kernels_report(
-                tier_rows, rsim_rows, out, args.cycles, args.lanes,
-                args.packed_gate, args.kernel_gate,
-            )
-            else 1
-        )
 
     if args.faults:
         names = args.benchmarks if args.benchmarks else DEFAULT_FAULTS_BENCHMARKS

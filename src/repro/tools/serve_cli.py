@@ -19,19 +19,10 @@ is written.
 ``--chaos SEED`` installs a seeded fault plan (see :mod:`repro.faults`) in
 the server process — soak-harness only; the rates come from
 ``--chaos-rates kind=rate,...`` and cover both the classic execution faults
-(worker kills, hangs, cache tampering) and the server-site kinds
-(``journal-torn``, ``repl-link-drop``, ``stale-standby``,
-``heartbeat-blackout``).
+(worker kills, hangs, cache tampering) and the server-site ``journal-torn``.
 
-Fleet mode: ``--standby-of unix:/path/or/host:port`` starts this process as
-a hot standby — it follows the named primary's journal stream, rejects
-client requests with reason ``standby``, and promotes itself after
-``--takeover-after`` seconds of primary unreachability (recovering the
-replicated journal with ``--recover requeue`` semantics by default).  On a
-primary, ``--sync-level sync`` holds each accept reply until a standby has
-acknowledged the journal record.  ``repro-serve --status TARGET`` prints a
-one-shot fleet health report of a running member or router instead of
-starting anything.
+``repro-serve --status TARGET`` prints a one-shot health report of a running
+server instead of starting anything.
 """
 
 from __future__ import annotations
@@ -64,7 +55,7 @@ def _parse_rates(spec: Optional[str]) -> dict:
 
 
 def _print_status(target: str) -> int:
-    """One-shot fleet health report of a running member or router."""
+    """One-shot health report of a running server."""
     from repro.serve.client import ServeClient
     from repro.serve.protocol import parse_addr
 
@@ -79,8 +70,7 @@ def _print_status(target: str) -> int:
         print(f"{target}: unreachable ({error})", file=sys.stderr)
         return 1
 
-    role = status.get("role", "?")
-    print(f"{target}: role={role} uptime={status.get('uptime_s', 0):.1f}s")
+    print(f"{target}: uptime={status.get('uptime_s', 0):.1f}s")
     counters = status.get("counters", {})
     if counters:
         lifetime = " ".join(
@@ -89,45 +79,12 @@ def _print_status(target: str) -> int:
             if name in counters
         )
         print(f"  lifetime: {lifetime}")
-    if role == "router":
-        for member in status.get("members", []):
-            health = member.get("health") or {}
-            state = "up" if member.get("healthy") else "DOWN"
-            print(
-                f"  member {member['name']}: {state}"
-                f" addr={member.get('connected_addr') or member.get('addr')}"
-                f" inflight={member.get('inflight', 0)}"
-                f" queue={health.get('queue_depth', '?')}"
-                f" repl_lag={health.get('repl_lag', '?')}"
-            )
-        return 0
     throttle = status.get("throttle") or {}
     print(
         f"  queue={status.get('queue_depth', '?')}"
         f" active={status.get('active', '?')}"
         f" concurrency={throttle.get('concurrency', '?')}"
     )
-    replication = status.get("replication") or {}
-    if replication:
-        print(
-            f"  replication: sync_level={replication.get('sync_level')}"
-            f" seq={replication.get('seq')}"
-            f" lag={replication.get('lag')}"
-            f" sync_timeouts={replication.get('sync_timeouts')}"
-        )
-        for standby in replication.get("standbys", []):
-            print(
-                f"    standby {standby.get('name')}:"
-                f" acked={standby.get('acked')} lag={standby.get('lag')}"
-            )
-    standby = status.get("standby") or {}
-    if standby:
-        print(
-            f"  following {standby.get('primary')}:"
-            f" connected={standby.get('connected')}"
-            f" applied_seq={standby.get('applied_seq')}"
-            f" promoted={standby.get('promoted')}"
-        )
     telemetry = status.get("telemetry") or {}
     wedged = counters.get("wedged_kills")
     if wedged:
@@ -154,7 +111,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     where.add_argument(
         "--status", metavar="TARGET", default=None,
-        help="print the status of a running server/router at TARGET "
+        help="print the status of a running server at TARGET "
              "(unix:PATH or HOST:PORT) and exit",
     )
     parser.add_argument(
@@ -168,10 +125,9 @@ def main(argv: Optional[List[str]] = None) -> int:
              "unanswered requests are recovered per --recover",
     )
     parser.add_argument(
-        "--recover", choices=("nack", "requeue"), default=None,
+        "--recover", choices=("nack", "requeue"), default="nack",
         help="journal recovery policy: close open requests as nacked "
-             "(default) or recompute them into the cache (default for "
-             "--standby-of: a takeover that nacks is not a takeover)",
+             "(default) or recompute them into the cache",
     )
     parser.add_argument(
         "--max-queue", type=int, default=16, metavar="N",
@@ -211,36 +167,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--trace", metavar="FILE", default=None,
         help="write a repro-trace-v1 JSONL of the server's whole life on "
              "drain; lint it with repro-trace lint --expect-clean",
-    )
-    parser.add_argument(
-        "--server-id", metavar="NAME", default=None,
-        help="stable member name for status/heartbeat/trace stitching "
-             "(default: the listen address)",
-    )
-    parser.add_argument(
-        "--standby-of", metavar="ADDR", default=None,
-        help="run as a hot standby of the primary at ADDR (unix:PATH or "
-             "HOST:PORT): follow its journal stream, promote on silence",
-    )
-    parser.add_argument(
-        "--takeover-after", type=float, default=3.0, metavar="S",
-        help="standby only: promote after S seconds of continuous primary "
-             "unreachability (default 3)",
-    )
-    parser.add_argument(
-        "--sync-level", choices=("async", "sync"), default="async",
-        help="primary only: 'sync' holds each accept reply until a standby "
-             "acked the journal record (default async)",
-    )
-    parser.add_argument(
-        "--sync-timeout", type=float, default=2.0, metavar="S",
-        help="sync-level sync: degrade to async after waiting S seconds "
-             "for a standby ack (default 2)",
-    )
-    parser.add_argument(
-        "--progress-interval", type=float, default=2.0, metavar="S",
-        help="stream a liveness/progress frame to waiting clients at "
-             "least every S seconds per request (default 2)",
     )
     parser.add_argument(
         "--progress-timeout", type=float, default=None, metavar="S",
@@ -286,17 +212,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         default_deadline_s=args.default_deadline,
         attempt_timeout_s=args.attempt_timeout,
         certify=args.certify,
-        recover=args.recover
-        or ("requeue" if args.standby_of else "nack"),
+        recover=args.recover,
         trace_path=args.trace,
         fsync_journal=args.fsync_journal,
-        role="standby" if args.standby_of else "primary",
-        server_id=args.server_id,
-        primary_addr=args.standby_of,
-        takeover_after_s=args.takeover_after,
-        sync_level=args.sync_level,
-        sync_timeout_s=args.sync_timeout,
-        progress_interval_s=args.progress_interval,
         progress_timeout_s=args.progress_timeout,
     )
 

@@ -9,9 +9,6 @@ Subcommands:
 * ``flame FILE -o OUT.json`` — Chrome ``trace_event`` export for
   ``chrome://tracing`` / Perfetto flamegraph viewing.
 * ``tree FILE`` — indented span tree on stdout (quick terminal look).
-* ``stitch FILE [FILE ...] -o OUT`` — merge per-box fleet traces into one
-  document, grouping cross-box spans under synthetic ``fleet.request``
-  roots keyed by their shared request-id attribute.
 """
 
 from __future__ import annotations
@@ -26,10 +23,8 @@ from repro.obs.export import (
     Trace,
     lint_trace,
     load_trace,
-    stitch_traces,
     summarize_trace,
     write_chrome_trace,
-    write_trace_document,
 )
 
 
@@ -145,26 +140,6 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# stitch
-# ---------------------------------------------------------------------------
-
-
-def _cmd_stitch(args: argparse.Namespace) -> int:
-    traces = [_load(path) for path in args.traces]
-    stitched = stitch_traces(traces, request_attr=args.request_attr)
-    fleet_roots = sum(
-        1 for span in stitched.spans if span.get("name") == "fleet.request"
-    )
-    write_trace_document(stitched, args.out)
-    log.info(
-        f"stitched {len(traces)} trace(s): {len(stitched.spans)} spans, "
-        f"{fleet_roots} cross-box request(s) -> {args.out}"
-    )
-    print(args.out)
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
@@ -201,17 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree = sub.add_parser("tree", help="indented span tree")
     p_tree.add_argument("trace", help="trace file (JSONL)")
     p_tree.set_defaults(func=_cmd_tree)
-
-    p_stitch = sub.add_parser(
-        "stitch", help="merge per-box fleet traces by request id"
-    )
-    p_stitch.add_argument("traces", nargs="+", help="trace files to merge")
-    p_stitch.add_argument("-o", "--out", required=True,
-                          help="output path for the stitched document")
-    p_stitch.add_argument("--request-attr", default="request",
-                          help="span attribute carrying the cross-box "
-                               "request id (default 'request')")
-    p_stitch.set_defaults(func=_cmd_stitch)
     return parser
 
 

@@ -705,8 +705,7 @@ def _run_server_client(args) -> int:
     )
     _log.info(
         f"connected to {args.server} ({client.hello.get('protocol')}, "
-        f"server pid {client.hello.get('pid')}, "
-        f"role {client.hello.get('role', 'primary')})"
+        f"server pid {client.hello.get('pid')})"
     )
     wrong = False
     inconclusive = False

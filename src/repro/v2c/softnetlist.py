@@ -6,12 +6,10 @@ structure, and a *step function* that computes the combinational signals and
 updates every register exactly once — one call per clock cycle, as described
 in Section III.A of the paper.
 
-The Python model here has the same structure as the generated C program (the
-two are produced from the same transition system): the wire assignments in
-dependency order, the assertions and the register updates.  The C code
-generator and the packed simulator (:mod:`repro.netlist.bitsim`) are built
-from it; every cross-check executes the reference simulator
-(:class:`repro.netlist.simulate.Simulator`).
+The Python model here is that program: the wire assignments in dependency
+order, the assertions and the register updates.  The packed simulator
+(:mod:`repro.netlist.bitsim`) is built from it; every cross-check executes
+the reference simulator (:class:`repro.netlist.simulate.Simulator`).
 """
 
 from __future__ import annotations
@@ -105,31 +103,3 @@ class SoftwareNetlist:
         for name in self.registers:
             steps.append(AssignmentStep(name, self.system.next[name], "register"))
         return steps
-
-    # ------------------------------------------------------------------
-    # structure queries used by the C code generator
-    # ------------------------------------------------------------------
-    def hierarchy(self) -> Dict:
-        """Return the register hierarchy as nested dicts keyed by path component.
-
-        Dotted names produced by the synthesizer (``u_fifo.count``) become
-        nested structure members, which is how the generated C retains the
-        module hierarchy of the RTL.
-        """
-        tree: Dict = {}
-        for name, width in self.registers.items():
-            parts = name.split(".")
-            node = tree
-            for part in parts[:-1]:
-                node = node.setdefault(part, {})
-            node[parts[-1]] = width
-        return tree
-
-    def stats(self) -> Dict[str, int]:
-        """Return program-size statistics."""
-        return {
-            "inputs": len(self.inputs),
-            "registers": len(self.registers),
-            "wire_assignments": len(self.wire_order),
-            "assertions": len(self.assertions),
-        }

@@ -10,8 +10,7 @@ objects, one per module instance, with
   carried over for the synthesizer.
 
 The synthesizer (:mod:`repro.synth`) consumes this tree to build the flat
-word-level transition system; the v2c backend uses the same tree to lay out
-the hierarchical state structure of the software-netlist.
+word-level transition system.
 """
 
 from __future__ import annotations

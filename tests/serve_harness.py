@@ -1,7 +1,7 @@
-"""One harness for the in-process server tests (``test_serve``, ``test_fleet``).
+"""The harness for the in-process server tests (``test_serve``).
 
-A :class:`~repro.serve.VerifyServer` or :class:`~repro.serve.VerifyRouter`
-runs its asyncio loop in a daemon thread of the test process.
+A :class:`~repro.serve.VerifyServer` runs its asyncio loop in a daemon
+thread of the test process.
 """
 
 import asyncio
@@ -15,7 +15,7 @@ READY_TIMEOUT_S = 30.0
 
 
 class RunningServer:
-    """A server (or router) serving on its unix socket from a daemon thread.
+    """A server serving on its unix socket from a daemon thread.
 
     Entering returns once a client can connect and read the hello frame.
     The socket path appears when the listener binds, which is before it
@@ -24,8 +24,8 @@ class RunningServer:
     fails the wait at once with its exception.
     """
 
-    def __init__(self, config, service=VerifyServer):
-        self.server = service(config)
+    def __init__(self, config):
+        self.server = VerifyServer(config)
         self.error = None
         self.thread = threading.Thread(target=self._serve, daemon=True)
 

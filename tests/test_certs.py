@@ -437,6 +437,29 @@ def test_cli_import_loads_no_frontend_or_serving_code():
     ]
 
 
+def test_interpolating_engines_load_no_dataclasses():
+    """A query that reaches interpolation or impact builds interpolant
+    nodes, which are plain records too: neither ``dataclasses`` nor
+    ``inspect`` loads."""
+    probe = (
+        "import contextlib, io, sys\n"
+        "from repro.tools.verify_cli import main\n"
+        "for engine in ('interpolation', 'impact'):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(['huffman_dec', '--engine', engine, '--certify'])\n"
+        "    print(engine, code, out.getvalue().splitlines()[2].split()[1])\n"
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+    )
+    completed = _fresh_python("-c", probe)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.splitlines() == [
+        "interpolation 0 safe",
+        "impact 0 safe",
+        "[]",
+    ]
+
+
 def test_cli_certify_demotes_unvalidated_verdict(capsys):
     from repro.tools.verify_cli import main
 

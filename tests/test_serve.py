@@ -24,6 +24,10 @@ from repro.cache import cache_key
 from repro.cache.store import CacheEntry, CertificateStore, StoreLock
 from repro.benchmarks import load_system
 from repro.engines import Status, make_engine
+from repro.engines.supervision import RetryPolicy, WorkerSupervisor
+from repro.faults.injection import plan_installed
+from repro.faults.plan import HANG_HARD, FaultPlan
+from repro.obs import telemetry
 from repro.serve import (
     AdaptiveThrottle,
     BoundedPriorityQueue,
@@ -38,10 +42,12 @@ from repro.serve import journal as journal_mod
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     encode_frame,
+    parse_addr,
     read_frame_blocking,
     write_frame_blocking,
 )
 from repro.serve.queues import QueueClosed, priority_value
+from repro.tools import serve_cli
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +76,17 @@ def test_frame_rejects_garbage_and_oversize():
     frame = encode_frame({"op": "ping"})
     with pytest.raises(ProtocolError):
         read_frame_blocking(io.BytesIO(frame[:-4]))
+
+
+def test_parse_addr_specs():
+    assert parse_addr("unix:/tmp/x.sock") == ("/tmp/x.sock", None, 0)
+    assert parse_addr("/tmp/plain.sock") == ("/tmp/plain.sock", None, 0)
+    assert parse_addr("tcp:127.0.0.1:7411") == (None, "127.0.0.1", 7411)
+    assert parse_addr("10.0.0.5:7411") == (None, "10.0.0.5", 7411)
+    # a colon inside a path is not a port
+    assert parse_addr("/tmp/dir:with/colon.sock") == (
+        "/tmp/dir:with/colon.sock", None, 0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +567,161 @@ def test_server_rejects_unknown_design_without_dying(tmp_path):
             assert client.ping()["op"] == "pong"
             client.drain()
     assert server.counters["bad_requests"] == 1
+
+
+def _journaled_config(tmp_path, **overrides):
+    options = dict(
+        socket_path=_sock(tmp_path),
+        cache_dir=str(tmp_path / "cache"),
+        journal_path=str(tmp_path / "journal.jsonl"),
+        default_deadline_s=120.0,
+    )
+    options.update(overrides)
+    return ServerConfig(**options)
+
+
+def test_status_op(tmp_path):
+    config = _journaled_config(tmp_path)
+    with RunningServer(config):
+        with ServeClient(
+            socket_path=config.socket_path, reconnect=False
+        ) as client:
+            client.verify(design="daio", bound=70)
+            status = client.status()
+            assert status["server_id"] == config.socket_path
+            assert status["counters"]["answered"] == 1
+            assert status["uptime_s"] > 0
+
+
+def test_status_cli_counts_recorded_spans(tmp_path, capsys):
+    """``repro-serve --status`` reports the span count the server recorded."""
+    config = ServerConfig(socket_path=_sock(tmp_path))
+    with telemetry.recording() as recorder:
+        with RunningServer(config):
+            with ServeClient(
+                socket_path=config.socket_path, reconnect=False
+            ) as client:
+                client.verify(design="daio", bound=70)
+            spans = recorder.snapshot()["spans"]
+            assert serve_cli.main(["--status", config.socket_path]) == 0
+    assert spans > 0
+    line = next(
+        line for line in capsys.readouterr().out.splitlines()
+        if "telemetry:" in line
+    )
+    assert int(line.split()[1]) >= spans
+
+
+# ---------------------------------------------------------------------------
+# client failover: reconnect with resubmit
+# ---------------------------------------------------------------------------
+
+
+def test_client_reconnects_and_resubmits_across_server_restart(tmp_path):
+    config = _journaled_config(tmp_path)
+    running = RunningServer(config)
+    running.__enter__()
+    second = RunningServer(config)
+    client = ServeClient(socket_path=config.socket_path, timeout=60.0)
+    try:
+        assert client.verify(design="daio", bound=70)["status"] == Status.UNSAFE
+        # take the server down; the journal and cache survive on disk
+        running.__exit__(None, None, None)
+
+        def restart_soon():
+            time.sleep(0.3)
+            second.__enter__()
+
+        restarter = threading.Thread(target=restart_soon, daemon=True)
+        restarter.start()
+        # the very next call rides the backoff loop onto the new process,
+        # resubmitting the pending id it could not deliver
+        reply = client.verify(design="daio", bound=70)
+        assert reply["status"] == Status.UNSAFE
+        assert reply["source"] == "cache"
+        assert client.reconnects >= 1
+        assert client.resubmitted >= 1
+        restarter.join()
+    finally:
+        client.close()
+        second.__exit__(None, None, None)
+
+
+# ---------------------------------------------------------------------------
+# streamed liveness
+# ---------------------------------------------------------------------------
+
+
+def test_progress_frames_stream_to_waiting_clients(tmp_path):
+    config = _journaled_config(tmp_path, progress_interval_s=0.2)
+    with RunningServer(config):
+        frames = []
+        with ServeClient(
+            socket_path=config.socket_path, reconnect=False
+        ) as client:
+            client.on_progress = frames.append
+            reply = client.verify(design="daio", bound=70)
+            assert reply["status"] == Status.UNSAFE
+        # every computation announces at least its attempt start
+        assert frames, "no progress frames during a computation"
+        kinds = {frame.get("kind") for frame in frames}
+        assert "attempt" in kinds or "progress" in kinds
+        assert all(frame["op"] == "progress" for frame in frames)
+        assert all("elapsed_s" in frame for frame in frames)
+
+
+def _sleepy_worker(payload):
+    time.sleep(120.0)
+    return payload
+
+
+def test_run_map_stall_event_kills_and_retires_attempt():
+    supervisor = WorkerSupervisor(
+        multiprocessing.get_context("fork"),
+        retry=RetryPolicy(max_attempts=1, backoff_s=0.01),
+    )
+    stall = threading.Event()
+    events = []
+
+    def trip_stall():
+        time.sleep(0.5)
+        stall.set()
+
+    threading.Thread(target=trip_stall, daemon=True).start()
+    t0 = time.monotonic()
+    outcomes = supervisor.run_map(
+        ["unit"], _sleepy_worker, jobs=1, timeout=120.0,
+        stall=stall, on_event=events.append,
+    )
+    wall = time.monotonic() - t0
+    assert outcomes[0].state == "timed-out"
+    assert "liveness" in outcomes[0].reason
+    assert wall < 60.0  # the stall kill, not the budget, ended the attempt
+    assert any(e["event"] == "stall-killed" for e in events)
+    assert not stall.is_set()  # one kill per trip: the event was consumed
+
+
+def test_wedged_request_killed_by_liveness_monitor(tmp_path):
+    """No progress inside the window -> wedged -> killed -> retried clean."""
+    config = _journaled_config(tmp_path, progress_timeout_s=1.0)
+    # hang-hard wedges the first attempt's SAT search unconditionally (on
+    # buffalloc k-induction's search reaches the wedge's checkpoint; rsim
+    # answers daio with no search); the only thing that can end it is the
+    # server's liveness monitor noticing the silent progress stream and
+    # setting the stall event
+    plan = FaultPlan(seed=3, rates={HANG_HARD: 1.0})
+    with plan_installed(plan):
+        with RunningServer(config) as server:
+            with ServeClient(
+                socket_path=config.socket_path, reconnect=False, timeout=120.0
+            ) as client:
+                reply = client.verify(design="buffalloc", bound=70, deadline_s=90.0)
+                # the retried attempt ran clean and still answered correctly
+                assert reply["status"] == Status.SAFE
+            assert server.counters["wedged_kills"] >= 1
+            assert server.counters["accepted"] == (
+                server.counters["answered"] + server.counters["cancelled"]
+            )
 
 
 # ---------------------------------------------------------------------------
