@@ -21,14 +21,39 @@ expressions the validator stamps itself (``name#frame``):
 Each obligation is recorded separately so a failed validation names exactly
 which proof step broke.
 
+Each obligation is discharged on its own cone of influence, which the
+validator derives itself and never takes from the engines.  The roots are
+the variables of the property, of the environment constraints and of every
+certificate invariant; the cone is the set of state variables they reach,
+closed over the next-state functions.  ``Init``, ``T(i→i+1)`` and the
+simple-path ``distinct(i, j)`` are built over the cone's state variables
+only.  This is sound:
+
+* A dropped conjunct ``x′ = f(s, i)`` or ``x = init`` constrains an ``x``
+  outside the cone, and nothing that is kept reads ``x``: given any
+  assignment to the kept variables, the dropped conjuncts can be satisfied
+  by computing each outside register forward from frame 0.  Dropping them
+  is therefore equisatisfiable, and every obligation without simple paths
+  decides exactly as on the whole design.
+* With simple paths, ``distinct`` ranges over the *closed* cone.  The
+  obligations then form a k-induction proof on the cone system, whose
+  traces are exactly the projections of the design's traces (the
+  constraints and the property read only the cone), so the property holds
+  on the design iff it holds on the cone system.
+* A ``distinct`` over the property's own variables alone would be unsound:
+  those need not form a closed system, and a window whose property
+  variables repeat can still be a real path of the design.
+
+Witness replay still runs on the whole design.
+
 The SAT queries run on one long-lived validation session per design
-(:class:`_Session`): a :class:`~repro.smt.BVSolver` plus the design-side
-formulas, memoized per frame — the flattened design, ``Init@0``,
-``T(i→i+1) ∧ C(i)``, ``C(i)`` and ``P(i)``.  Design formulas and each
-certificate's formulas are only ever *blasted* to literals (Tseitin gate
-definitions), never asserted, and an obligation is decided as
-``check(assumptions=literals)``: it holds iff the check is UNSAT.  A warm
-session decides exactly what a fresh solver would:
+(:class:`_Session`): a :class:`~repro.smt.BVSolver` plus the flattened
+design, its cones and the design-side formulas memoized per cone and
+frame — ``Init@0``, ``T(i→i+1) ∧ C(i)``, ``C(i)`` and ``P(i)``.  Design
+formulas and each certificate's formulas are only ever *blasted* to
+literals (Tseitin gate definitions), never asserted, and an obligation is
+decided as ``check(assumptions=literals)``: it holds iff the check is
+UNSAT.  A warm session decides exactly what a fresh solver would:
 
 * the clause database only ever holds gate definitions and the
   constant-true unit;
@@ -58,7 +83,7 @@ import os
 import threading
 import time
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.certs.certificate import (
     INDUCTIVE,
@@ -155,12 +180,17 @@ def _at(expr: Expr, frame: int) -> Expr:
     return rename(expr, lambda name: f"{name}#{frame}")
 
 
+#: the state variables of a cone of influence, in declaration order
+Cone = Tuple[str, ...]
+
+
 class _Session:
     """The warm SAT side of validation for one design.
 
     Holds the flattened design, one :class:`BVSolver` whose clause database
-    only ever receives gate definitions, and the literals of the design-side
-    formulas memoized per frame.  Callers hold :attr:`lock` while using it.
+    only ever receives gate definitions, the cones of influence it has
+    computed, and the literals of the design-side formulas memoized per
+    cone and frame.  Callers hold :attr:`lock` while using it.
     """
 
     def __init__(self, system: TransitionSystem, fingerprint: int) -> None:
@@ -173,11 +203,43 @@ class _Session:
         self.baseline = 0
         #: set when a check refuted the definitions themselves
         self.inconsistent = False
-        self._init: Optional[int] = None
-        self._trans: Dict[int, int] = {}
+        self._roots: Dict[str, FrozenSet[str]] = {}
+        self._cones: Dict[FrozenSet[str], Cone] = {}
+        self._init: Dict[Cone, int] = {}
+        self._trans: Dict[Tuple[Cone, int], int] = {}
         self._constraints: Dict[int, int] = {}
         self._props: Dict[Tuple[str, int], int] = {}
-        self._distinct: Dict[Tuple[int, int], int] = {}
+        self._distinct: Dict[Tuple[Cone, int, int], int] = {}
+
+    # -- cones of influence ----------------------------------------------------
+    def roots(self, property_name: str) -> FrozenSet[str]:
+        """The signals the named property and the constraints read."""
+        roots = self._roots.get(property_name)
+        if roots is None:
+            prop = self.flat.property_by_name(property_name)
+            roots = self._roots[property_name] = frozenset(
+                var.name
+                for expr in [prop.expr, *self.flat.constraints]
+                for var in collect_vars(expr)
+            )
+        return roots
+
+    def cone(self, roots: FrozenSet[str]) -> Cone:
+        """The state variables ``roots`` reach, closed over the next-state functions."""
+        cone = self._cones.get(roots)
+        if cone is None:
+            reached: Set[str] = set()
+            stack = list(roots)
+            while stack:
+                name = stack.pop()
+                if name not in reached:
+                    reached.add(name)
+                    if name in self.flat.next:
+                        stack.extend(v.name for v in collect_vars(self.flat.next[name]))
+            cone = self._cones[roots] = tuple(
+                name for name in self.flat.state_vars if name in reached
+            )
+        return cone
 
     # -- formulas as literals ------------------------------------------------
     def literal(self, expr: Expr, frame: int) -> int:
@@ -188,33 +250,38 @@ class _Session:
         """A literal for the conjunction of ``literals``."""
         return self.solver.blaster.encoder.and_gate(literals)
 
-    def init(self) -> int:
-        """``Init@0``."""
-        if self._init is None:
-            self._init = self.literal(
+    def init(self, cone: Cone) -> int:
+        """``Init@0`` of the cone's state variables."""
+        literal = self._init.get(cone)
+        if literal is None:
+            state_vars = self.flat.state_vars
+            literal = self._init[cone] = self.literal(
                 bool_and(
                     *[
-                        bv_eq(bv_var(name, width), self.flat.init[name])
-                        for name, width in self.flat.state_vars.items()
+                        bv_eq(bv_var(name, state_vars[name]), self.flat.init[name])
+                        for name in cone
                     ]
                 ),
                 0,
             )
-        return self._init
+        return literal
 
-    def trans(self, frame: int) -> int:
-        """``T(frame → frame+1) ∧ C(frame)``."""
-        literal = self._trans.get(frame)
+    def trans(self, cone: Cone, frame: int) -> int:
+        """``T(frame → frame+1) ∧ C(frame)`` of the cone's state variables."""
+        literal = self._trans.get((cone, frame))
         if literal is None:
+            state_vars = self.flat.state_vars
             exprs = [
                 bv_eq(
-                    bv_var(f"{name}#{frame + 1}", self.flat.state_vars[name]),
-                    _at(next_expr, frame),
+                    bv_var(f"{name}#{frame + 1}", state_vars[name]),
+                    _at(self.flat.next[name], frame),
                 )
-                for name, next_expr in self.flat.next.items()
+                for name in cone
             ]
             exprs.extend(_at(c, frame) for c in self.flat.constraints)
-            literal = self._trans[frame] = self.solver.literal_for(bool_and(*exprs))
+            literal = self._trans[(cone, frame)] = self.solver.literal_for(
+                bool_and(*exprs)
+            )
         return literal
 
     def constraints(self, frame: int) -> int:
@@ -234,15 +301,19 @@ class _Session:
             literal = self._props[(name, frame)] = self.literal(expr, frame)
         return literal
 
-    def distinct(self, i: int, j: int) -> int:
-        """The states of frames ``i`` and ``j`` differ (simple-path condition)."""
-        literal = self._distinct.get((i, j))
+    def distinct(self, cone: Cone, i: int, j: int) -> int:
+        """The cone's states at frames ``i`` and ``j`` differ (simple-path condition)."""
+        literal = self._distinct.get((cone, i, j))
         if literal is None:
-            literal = self._distinct[(i, j)] = self.solver.literal_for(
+            state_vars = self.flat.state_vars
+            literal = self._distinct[(cone, i, j)] = self.solver.literal_for(
                 bool_or(
                     *[
-                        bv_ne(bv_var(f"{name}#{i}", width), bv_var(f"{name}#{j}", width))
-                        for name, width in self.flat.state_vars.items()
+                        bv_ne(
+                            bv_var(f"{name}#{i}", state_vars[name]),
+                            bv_var(f"{name}#{j}", state_vars[name]),
+                        )
+                        for name in cone
                     ]
                 )
             )
@@ -437,8 +508,14 @@ class CertificateValidator:
                     _drop_session(self.system, session)
 
     @staticmethod
-    def _check_state_expr(flat: TransitionSystem, expr: Expr, label: str) -> Optional[str]:
-        """Reject invariants mentioning signals that are not state variables."""
+    def _check_state_expr(
+        flat: TransitionSystem, expr: Expr, label: str, support: Set[str]
+    ) -> Optional[str]:
+        """Reject invariants mentioning signals that are not state variables.
+
+        The names of the state variables ``expr`` reads are added to
+        ``support``, the roots of the obligation's cone.
+        """
         for var in collect_vars(expr):
             if var.name not in flat.state_vars:
                 return f"{label} mentions non-state signal {var.name!r}"
@@ -447,6 +524,7 @@ class CertificateValidator:
                     f"{label} uses {var.name!r} with width {var.width}, "
                     f"declared {flat.state_vars[var.name]}"
                 )
+            support.add(var.name)
         return None
 
     # ------------------------------------------------------------------
@@ -469,19 +547,24 @@ class CertificateValidator:
             result.reason = "invariant is not a 1-bit expression"
             result.obligations.append(Obligation("well-formed", FAILED, result.reason))
             return result
-        complaint = self._check_state_expr(session.flat, invariant, "invariant")
+        support = set(session.roots(prop.name))
+        complaint = self._check_state_expr(session.flat, invariant, "invariant", support)
         if complaint is not None:
             result.reason = complaint
             result.obligations.append(Obligation("well-formed", FAILED, complaint))
             return result
         result.obligations.append(Obligation("well-formed", HOLDS))
 
+        cone = session.cone(frozenset(support))
         inv = session.literal(invariant, 0)
         checks = [
             # Init ∧ C ⊆ Inv
-            ("init", [session.init(), session.constraints(0), -inv]),
+            ("init", [session.init(cone), session.constraints(0), -inv]),
             # Inv ∧ C ∧ T ⊆ Inv′
-            ("consecution", [inv, session.trans(0), -session.literal(invariant, 1)]),
+            (
+                "consecution",
+                [inv, session.trans(cone, 0), -session.literal(invariant, 1)],
+            ),
             # Inv ∧ C ⊆ P
             ("property", [inv, session.constraints(0), -session.prop(prop.name, 0)]),
         ]
@@ -506,11 +589,14 @@ class CertificateValidator:
             result.reason = f"k must be >= 1, got {certificate.k}"
             result.obligations.append(Obligation("well-formed", FAILED, result.reason))
             return result
+        support = set(session.roots(prop.name))
         for invariant in certificate.invariants:
             complaint = (
                 "auxiliary invariant is not a 1-bit expression"
                 if invariant.width != 1
-                else self._check_state_expr(session.flat, invariant, "auxiliary invariant")
+                else self._check_state_expr(
+                    session.flat, invariant, "auxiliary invariant", support
+                )
             )
             if complaint is not None:
                 result.reason = complaint
@@ -519,6 +605,7 @@ class CertificateValidator:
         result.obligations.append(Obligation("well-formed", HOLDS))
 
         k = certificate.k
+        cone = session.cone(frozenset(support))
         aux_expr = bool_and(*certificate.invariants)
 
         def aux(frame: int) -> List[int]:
@@ -530,16 +617,16 @@ class CertificateValidator:
         if certificate.invariants:
             # Init ∧ C ⊆ A
             checks.append(
-                ("aux-init", [session.init(), session.constraints(0), -aux(0)[0]])
+                ("aux-init", [session.init(cone), session.constraints(0), -aux(0)[0]])
             )
             # A ∧ C ∧ T ⊆ A′
             checks.append(
-                ("aux-consecution", aux(0) + [session.trans(0), -aux(1)[0]])
+                ("aux-consecution", aux(0) + [session.trans(cone, 0), -aux(1)[0]])
             )
 
         # base: from reset, P holds in frames 0 .. k-1
-        base = [session.init()]
-        base.extend(session.trans(frame) for frame in range(k - 1))
+        base = [session.init(cone)]
+        base.extend(session.trans(cone, frame) for frame in range(k - 1))
         base.append(session.constraints(k - 1))
         base.append(-session.all_of([session.prop(prop.name, f) for f in range(k)]))
         checks.append(("base", base))
@@ -549,12 +636,14 @@ class CertificateValidator:
         for frame in range(k):
             step.append(session.prop(prop.name, frame))
             step.extend(aux(frame))
-            step.append(session.trans(frame))
+            step.append(session.trans(cone, frame))
         step.extend(aux(k))
         step.append(session.constraints(k))
         if certificate.simple_path:
+            # over the closed cone: the step is then a k-induction step of
+            # the cone system (see the module docstring)
             step.extend(
-                session.distinct(i, j)
+                session.distinct(cone, i, j)
                 for i in range(k + 1)
                 for j in range(i + 1, k + 1)
             )

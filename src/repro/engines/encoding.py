@@ -37,6 +37,19 @@ the refinement engines) reuse both the flattened system and the blasted CNF.
 This is the only unrolling path; the certificate validator
 (:mod:`repro.certs`), which stamps frames its own way, is the independent
 check on it.
+
+Cone of influence
+-----------------
+
+:func:`cone_of_influence` slices a design to what one property can observe:
+the property, every environment constraint, and the state variables and
+inputs they read, closed over the next-state functions.  The three places
+that build engines (:func:`repro.engines.ladder.run_sequential_ladder`,
+the portfolio's race unit and ``repro-verify --engine``) hand the engine
+the cone, so flattening, templates and every engine's own analysis see
+only that slice; they validate the verdict against the whole design and
+widen a witness to all of its inputs (:func:`widen_witness`).  The
+validator computes its own cones and never reads these.
 """
 
 from __future__ import annotations
@@ -44,10 +57,11 @@ from __future__ import annotations
 import weakref
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.exprs import Expr, bv_eq, bv_var, evaluate
+from repro.certs.certificate import WITNESS
+from repro.exprs import Expr, bv_eq, bv_var, collect_vars, evaluate
 from repro.exprs.substitute import rename
 from repro.netlist import TransitionSystem
-from repro.engines.result import Counterexample
+from repro.engines.result import Counterexample, VerificationResult
 from repro.obs import telemetry as _telemetry
 from repro.records import Frozen
 from repro.sat.cnf import CNF
@@ -336,7 +350,10 @@ class _AigTemplateBuilder:
     """Shared scaffolding for capturing AIG cones as frame templates."""
 
     def __init__(self, flat: TransitionSystem, aig: AIG) -> None:
-        self.flat = flat
+        # widths only: the builder lives in a library memo keyed by the
+        # design, which may be ``flat`` itself (see TemplateLibrary)
+        self.inputs = dict(flat.inputs)
+        self.state_vars = dict(flat.state_vars)
         self.aig = aig
 
     def _fresh(self) -> Tuple[CNF, TseitinEncoder, Dict[int, int], List[RoleEntry], List[RoleEntry]]:
@@ -345,14 +362,14 @@ class _AigTemplateBuilder:
         encoder = TseitinEncoder(cnf)
         mapping: Dict[int, int] = {0: encoder.false_lit}
         aig = self.aig
-        input_bits: Dict[str, List[int]] = {name: [0] * width for name, width in self.flat.inputs.items()}
+        input_bits: Dict[str, List[int]] = {name: [0] * width for name, width in self.inputs.items()}
         for literal in aig.inputs:
             base, index = aig.input_names[literal].rsplit("[", 1)
             bit_index = int(index[:-1])
             var = encoder.new_var()
             mapping[literal] = var
             input_bits[base][bit_index] = var
-        latch_bits: Dict[str, List[int]] = {name: [0] * width for name, width in self.flat.state_vars.items()}
+        latch_bits: Dict[str, List[int]] = {name: [0] * width for name, width in self.state_vars.items()}
         for latch in aig.latches:
             base, index = latch.name.rsplit("[", 1)
             bit_index = int(index[:-1])
@@ -392,7 +409,7 @@ class _AigTemplateBuilder:
         for constraint in aig.constraints:
             encoder.add_clause([resolved(constraint)])
         next_bits: Dict[str, List[int]] = {
-            name: [0] * width for name, width in self.flat.state_vars.items()
+            name: [0] * width for name, width in self.state_vars.items()
         }
         for latch in aig.latches:
             base, index = latch.name.rsplit("[", 1)
@@ -430,9 +447,9 @@ class _AigTemplateBuilder:
 #: once per process instead of once per engine construction — in a portfolio
 #: worker forked after the parent pre-warm, the flatten arrives via
 #: copy-on-write exactly like the blasted templates do
-_FLAT_SYSTEMS: "weakref.WeakKeyDictionary[TransitionSystem, Tuple[int, TransitionSystem]]" = (
-    weakref.WeakKeyDictionary()
-)
+_FLAT_SYSTEMS: (
+    "weakref.WeakKeyDictionary[TransitionSystem, Tuple[int, Optional[TransitionSystem]]]"
+) = weakref.WeakKeyDictionary()
 
 
 def flattened_cached(system: TransitionSystem) -> TransitionSystem:
@@ -445,21 +462,123 @@ def flattened_cached(system: TransitionSystem) -> TransitionSystem:
     fingerprint = system.fingerprint()
     entry = _FLAT_SYSTEMS.get(system)
     if entry is not None and entry[0] == fingerprint:
-        return entry[1]
+        return system if entry[1] is None else entry[1]
     flat = system.flattened()
     flat.validate()
+    _remember_flat(system, fingerprint, flat)
+    return flat
+
+
+def _remember_flat(
+    system: TransitionSystem, fingerprint: int, flat: TransitionSystem
+) -> None:
+    # a design that is its own flattening is recorded as None: a value
+    # referring to its weak key would keep the key alive forever
     try:
-        _FLAT_SYSTEMS[system] = (fingerprint, flat)
+        _FLAT_SYSTEMS[system] = (fingerprint, None if flat is system else flat)
     except TypeError:  # pragma: no cover - non-weakrefable subclass
         pass
-    return flat
+
+
+#: system -> (fingerprint, {property name -> cone}); weak keys and a content
+#: check, exactly like the flattening memo
+_CONES: (
+    "weakref.WeakKeyDictionary[TransitionSystem, Tuple[int, Dict[str, TransitionSystem]]]"
+) = weakref.WeakKeyDictionary()
+
+
+def cone_of_influence(
+    system: TransitionSystem, property_name: Optional[str]
+) -> TransitionSystem:
+    """Return the (memoized) slice of a design that can affect one property.
+
+    The slice keeps the property, every environment constraint (dropping
+    one could only admit spurious counterexamples) and the state variables
+    and inputs they read, closed transitively over the next-state
+    functions.  Nothing it keeps reads anything it drops, so the property
+    holds on the design iff it holds on the slice, and a certificate found
+    on the slice names only signals of the design.
+    ``None`` names the first property; a design without properties has
+    nothing to slice for and is returned whole, so an engine run on it
+    reports that itself.
+
+    The result is flattened and validated, and its flattening is itself.
+    When nothing can be dropped it is the flattened design itself.  Like
+    :func:`flattened_cached` the result is shared and read-only.
+    """
+    if property_name is None:
+        if not system.properties:
+            return flattened_cached(system)
+        property_name = system.properties[0].name
+    fingerprint = system.fingerprint()
+    entry = _CONES.get(system)
+    if entry is None or entry[0] != fingerprint:
+        entry = (fingerprint, {})
+        try:
+            _CONES[system] = entry
+        except TypeError:  # pragma: no cover - non-weakrefable subclass
+            pass
+    cone = entry[1].get(property_name)
+    if cone is None:
+        cone = entry[1][property_name] = _slice(flattened_cached(system), property_name)
+    return cone
+
+
+def _slice(flat: TransitionSystem, property_name: str) -> TransitionSystem:
+    """Build the cone of one property of a flattened design."""
+    prop = flat.property_by_name(property_name)
+    support = set()
+    stack = [
+        var.name for expr in [prop.expr, *flat.constraints] for var in collect_vars(expr)
+    ]
+    while stack:
+        name = stack.pop()
+        if name not in support:
+            support.add(name)
+            if name in flat.next:
+                stack.extend(var.name for var in collect_vars(flat.next[name]))
+    if support.issuperset(flat.state_vars) and support.issuperset(flat.inputs):
+        cone = flat
+    else:
+        cone = TransitionSystem(flat.name)
+        cone.source = flat.source
+        cone.inputs = {
+            name: width for name, width in flat.inputs.items() if name in support
+        }
+        cone.state_vars = {
+            name: width for name, width in flat.state_vars.items() if name in support
+        }
+        cone.init = {name: flat.init[name] for name in cone.state_vars}
+        cone.next = {name: flat.next[name] for name in cone.state_vars}
+        cone.constraints = list(flat.constraints)
+        cone.properties = [prop]
+        cone.validate()
+    _remember_flat(cone, cone.fingerprint(), cone)
+    return cone
+
+
+def widen_witness(
+    result: VerificationResult, system: TransitionSystem
+) -> VerificationResult:
+    """Valuate a cone run's witness over every input of the queried design.
+
+    Inputs outside the cone cannot affect the violation; they read 0, as
+    unconstrained inputs always do in a witness.
+    """
+    certificate = result.certificate
+    if getattr(certificate, "kind", None) == WITNESS:
+        zeros = dict.fromkeys(system.inputs, 0)
+        result.certificate = certificate.replace(
+            inputs=tuple({**zeros, **step} for step in certificate.inputs)
+        )
+    return result
 
 
 class TemplateLibrary:
     """The one-time blasting artifacts of a ``(system, representation)`` pair.
 
-    Holds the flattened system, the transition-relation template and lazily
-    built per-property templates.
+    Holds the flattened system (weakly: see :attr:`flat`), the
+    transition-relation template and lazily built per-property templates.
     Obtained through :func:`template_library`, which memoizes per system so
     that every engine and every encoder instance built on the same design
     shares the same blast; a content fingerprint invalidates the cache if
@@ -474,18 +593,28 @@ class TemplateLibrary:
             design=getattr(system, "name", "?"),
             representation=representation,
         ):
-            self.flat = flattened_cached(system)
+            flat = flattened_cached(system)
+            # held weakly: a cone of influence is its own flattening, and the
+            # library memo keyed by it must not keep it alive; the design
+            # (and through the flattening memo its flattening) outlives
+            # every use of the library
+            self._flat = weakref.ref(flat)
             self._property_templates: Dict[str, FrameTemplate] = {}
             if representation == "bit":
                 from repro.aig import aig_from_transition_system
 
                 self._builder = _AigTemplateBuilder(
-                    self.flat, aig_from_transition_system(system)
+                    flat, aig_from_transition_system(system)
                 )
                 self.trans_template = self._builder.trans_template()
             else:
                 self._builder = None
-                self.trans_template = _build_word_trans_template(self.flat)
+                self.trans_template = _build_word_trans_template(flat)
+
+    @property
+    def flat(self) -> TransitionSystem:
+        """The flattened design (alive as long as the design is)."""
+        return self._flat()
 
     def property_template(self, property_name: str) -> FrameTemplate:
         template = self._property_templates.get(property_name)

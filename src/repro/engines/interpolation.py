@@ -273,9 +273,26 @@ class InterpolationEngine(Engine):
             frontier: Optional[Expr] = None  # None means "Init"
             while True:
                 iterations += 1
-                if budget.expired() or iterations > self.max_iterations:
+                if budget.expired():
                     self._fold_stats(session)
                     return self._timeout(property_name, budget, depth, iterations)
+                if iterations > self.max_iterations:
+                    self._fold_stats(session)
+                    return VerificationResult(
+                        Status.UNKNOWN,
+                        self.name,
+                        property_name,
+                        runtime=time.monotonic() - start,
+                        detail={
+                            "depth": depth,
+                            "iterations": iterations - 1,
+                            "solver_stats": self._stats.as_dict(),
+                        },
+                        reason=(
+                            f"max_iterations={self.max_iterations} reached "
+                            "without a fixpoint"
+                        ),
+                    )
                 with _telemetry.span(
                     "engine.interpolation.iteration",
                     depth=depth,

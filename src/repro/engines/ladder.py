@@ -158,9 +158,10 @@ def warm_task_templates(
 ) -> None:
     """Prepare the calling process to fork workers that run ``configs``.
 
-    Imports every configuration's engine module and blasts the task's
-    frame-template library for every representation the configurations
-    use.  The template cache is keyed by system instance, and every task
+    Imports every configuration's engine module and blasts, for every
+    representation the configurations use, the frame-template library of
+    each property's cone of influence — the design the engines run on.
+    The cone and template caches are keyed by system instance, and every task
     kind resolves repeated loads to the same instance (benchmarks via the
     memoized suite loader, files via the stamped per-task memo, systems by
     identity) — so workers forked after this call find both the engine code
@@ -171,15 +172,16 @@ def warm_task_templates(
     normal result channel.
     """
     try:
-        from repro.engines.encoding import template_library
+        from repro.engines.encoding import cone_of_influence, template_library
 
         for config in configs:
             get_registration(config.engine).engine_class  # imports the module
         system = task.load()
-        for representation in sorted({config.representation for config in configs}):
-            library = template_library(system, representation)
-            for prop in library.flat.properties:
-                library.property_template(prop.name)
+        representations = sorted({config.representation for config in configs})
+        for prop in system.properties:
+            cone = cone_of_influence(system, prop.name)
+            for representation in representations:
+                template_library(cone, representation).property_template(prop.name)
     except Exception:  # noqa: BLE001 - warm-up is best effort
         pass
 
@@ -466,7 +468,14 @@ def run_sequential_ladder(
     accepted only if its certificate passes independent validation; a claim
     that fails (a lying or fault-injected engine) is recorded as an
     ``uncertified`` attempt and the ladder escalates past it.
+
+    Engines run on the property's cone of influence
+    (:func:`repro.engines.encoding.cone_of_influence`; ``None`` means the
+    first property), while certificates are validated against ``system``
+    itself and witnesses valuate all of its inputs.
     """
+    from repro.engines.encoding import cone_of_influence, widen_witness
+
     budget = Budget(timeout)
     attempts: List[Dict[str, object]] = []
     saw_unknown = False
@@ -498,11 +507,13 @@ def run_sequential_ladder(
                 ) as attempt_span:
                     engine = make_engine(
                         config.engine,
-                        system,
+                        cone_of_influence(system, property_name),
                         ignore_unknown_options=True,
                         **config.options_dict,
                     )
-                    result = engine.verify(property_name, timeout=allowance)
+                    result = widen_witness(
+                        engine.verify(property_name, timeout=allowance), system
+                    )
                     attempt_span.set_outcome(result.status)
             except Exception as error:  # noqa: BLE001 - crash category
                 attempts.append(

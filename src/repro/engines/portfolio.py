@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.engines.encoding import cone_of_influence, widen_witness
 from repro.engines.ladder import (
     PortfolioConfig,
     VerificationTask,
@@ -145,6 +146,8 @@ def _run_config(
 ) -> VerificationResult:
     """Run one engine configuration: the work of one supervised race unit.
 
+    The engine runs on the property's cone of influence (``None`` means
+    the first property), and a witness valuates every input of the design.
     A loader or engine failure comes back as an ``ERROR`` result (the crash
     category of the paper), so a configuration that cannot run still
     reports instead of being retried as a dead worker.
@@ -153,13 +156,16 @@ def _run_config(
     start = time.monotonic()
     try:
         with _telemetry.span("worker.config", label=config.label) as config_span:
+            system = task.load()
             engine = make_engine(
                 config.engine,
-                task.load(),
+                cone_of_influence(system, property_name),
                 ignore_unknown_options=True,
                 **config.options_dict,
             )
-            result = engine.verify(property_name, timeout=timeout)
+            result = widen_witness(
+                engine.verify(property_name, timeout=timeout), system
+            )
             config_span.set_outcome(result.status)
     except Exception as error:  # noqa: BLE001 - crash category of the paper
         result = VerificationResult(

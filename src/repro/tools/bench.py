@@ -53,11 +53,12 @@ zero leaked processes, zero orphan spans, full journal recovery.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.benchmarks import benchmark_names, get_benchmark
 from repro.certs import validate_result
@@ -1514,6 +1515,27 @@ def write_obs_report(
     return all_ok
 
 
+@contextlib.contextmanager
+def mode_workdir(prefix: str, given: Optional[str] = None) -> Iterator[str]:
+    """Yield ``given``, or a fresh directory removed when the mode ends.
+
+    The fresh directory lives under the platform's temporary directory,
+    which honours ``TMPDIR``.  A directory the caller named is the caller's
+    to keep.
+    """
+    if given is not None:
+        yield given
+        return
+    import shutil
+    import tempfile
+
+    path = tempfile.mkdtemp(prefix=prefix)
+    try:
+        yield path
+    finally:
+        shutil.rmtree(path, ignore_errors=True)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
@@ -1584,8 +1606,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--cache-dir", default=None,
-        help="--serve: certificate cache directory (default: a fresh "
-             "temporary directory, so the first sweep is genuinely cold)",
+        help="--serve and --faults: certificate cache directory (default: a "
+             "fresh temporary directory, removed at the end, so the first "
+             "sweep is genuinely cold)",
     )
     parser.add_argument(
         "--benchmarks", nargs="*", default=None,
@@ -1609,13 +1632,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
 
     if args.serve_soak:
-        import tempfile
-
-        workdir = tempfile.mkdtemp(prefix="repro-soak-", dir="/tmp")
-        soak = run_serve_soak(args.seed, args.timeout, workdir)
         out = args.out or "BENCH_server.json"
         trace_out = args.trace_out or "BENCH_server_trace.jsonl"
-        return 0 if write_server_report(soak, out, args.timeout, trace_out) else 1
+        # the report copies run A's trace out of the work directory
+        with mode_workdir("repro-soak-") as workdir:
+            soak = run_serve_soak(args.seed, args.timeout, workdir)
+            return 0 if write_server_report(soak, out, args.timeout, trace_out) else 1
 
     if args.obs:
         names = args.benchmarks if args.benchmarks else DEFAULT_OBS_BENCHMARKS
@@ -1634,20 +1656,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"unknown benchmarks: {', '.join(unknown)}")
         if args.seeds < 1:
             parser.error("--seeds must be >= 1")
-        import tempfile
-
         sweeps = []
-        for seed in range(args.seeds):
-            cache_dir = (
-                os.path.join(args.cache_dir, f"seed{seed}")
-                if args.cache_dir is not None
-                else tempfile.mkdtemp(prefix=f"repro-chaos-cache-{seed}-")
-            )
-            sweeps.append(
-                run_chaos_sweep(
-                    seed, names, args.depth, args.timeout, args.jobs, cache_dir
+        with mode_workdir("repro-chaos-cache-", args.cache_dir) as root:
+            for seed in range(args.seeds):
+                cache_dir = os.path.join(root, f"seed{seed}")
+                sweeps.append(
+                    run_chaos_sweep(
+                        seed, names, args.depth, args.timeout, args.jobs, cache_dir
+                    )
                 )
-            )
         hang_demo = run_hang_interrupt_demo(args.timeout)
         out = args.out or "BENCH_faults.json"
         return (
@@ -1661,15 +1678,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         unknown = [n for n in names if n not in benchmark_names()]
         if unknown:
             parser.error(f"unknown benchmarks: {', '.join(unknown)}")
-        if args.cache_dir is not None:
-            cache_dir = args.cache_dir
-        else:
-            import tempfile
-
-            cache_dir = tempfile.mkdtemp(prefix="repro-serve-cache-")
-        sweep_data = run_serve_sweeps(
-            names, args.depth, args.timeout, args.jobs, cache_dir
-        )
+        with mode_workdir("repro-serve-cache-", args.cache_dir) as cache_dir:
+            sweep_data = run_serve_sweeps(
+                names, args.depth, args.timeout, args.jobs, cache_dir
+            )
         ladder_names = [
             n for n in DEFAULT_LADDER_BENCHMARKS if n in names
         ] or names[:4]

@@ -541,8 +541,13 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
             )
         if args.representation:
             options["representation"] = representation
+        # the engine runs on the property's cone of influence; certification,
+        # the saved certificate and the cache see the whole design
+        from repro.engines.encoding import cone_of_influence, widen_witness
+
+        cone = cone_of_influence(system, args.property_name)
         try:
-            engine = make_engine(args.engine, system, **options)
+            engine = make_engine(args.engine, cone, **options)
         except EngineOptionError as error:
             _log.error(f"error: {error}")
             return 1
@@ -550,7 +555,9 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
             f"verifying {task.name!r} with engine {args.engine} "
             f"(timeout {args.timeout:g}s)"
         )
-        result = engine.verify(args.property_name, timeout=args.timeout)
+        result = widen_witness(
+            engine.verify(args.property_name, timeout=args.timeout), system
+        )
         return _report_single(args, task, result, expected, cache, representation)
 
     if not args.portfolio:

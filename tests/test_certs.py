@@ -367,10 +367,14 @@ def test_cli_exit_codes(capsys):
     assert main(["daio", "--certify"]) == 0
     assert main(["huffman_dec", "--certify"]) == 0
     capsys.readouterr()
-    # 3: the budget expires before any rung decides.  A fresh process, as
-    # the CLI runs: this one may hold mac16's blast warm from other tests,
-    # and warm k-induction proves it within the budget
-    expired = _fresh_python("-m", "repro.tools.verify_cli", "mac16", "--timeout", "0.01")
+    # 3: the budget expires before any rung decides.  At bit level the
+    # ladder has no cheap rung (absint and rsim are word-level only), and
+    # tlc's first decision takes seconds of unrolling to its cycle-65 bug,
+    # so 10 ms never suffice.  A fresh process, as the CLI runs
+    expired = _fresh_python(
+        "-m", "repro.tools.verify_cli", "tlc", "--representation", "bit",
+        "--timeout", "0.01",
+    )
     assert expired.returncode == 3, expired.stdout + expired.stderr
 
 

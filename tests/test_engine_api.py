@@ -153,3 +153,13 @@ def test_registration_is_callable_like_a_constructor(design):
     assert engine.max_bound == 3
     result = engine.verify(timeout=10)
     assert result.engine == "bmc"
+
+
+def test_interpolation_iteration_cap_is_unknown_not_timeout():
+    """Running out of ``max_iterations`` is inconclusive; TIMEOUT means an
+    expired budget, and this run has 30 s left."""
+    engine = make_engine("interpolation", load_system("daio"), max_iterations=3)
+    result = engine.verify(timeout=30)
+    assert result.status == "unknown"
+    assert "max_iterations=3" in result.reason
+    assert result.detail["iterations"] == 3
