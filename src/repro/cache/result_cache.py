@@ -10,7 +10,8 @@ validated certificates.  The contract:
   against the queried design by the independent
   :class:`repro.certs.CertificateValidator` before the verdict is served.  A
   hit is a validated certificate; an entry that fails re-validation (corrupt,
-  tampered, or wrong) is deleted and reported as a miss;
+  tampered, or wrong) is deleted and reported as a miss, while one whose
+  re-validation is undecided (out of time) is a plain miss and stays;
 * only definitive verdicts carrying certificates that the validator accepts
   are stored, and SAFE certificates are shrunk first
   (:mod:`repro.cache.minimize`) so the re-validation on future hits stays
@@ -280,6 +281,13 @@ class ResultCache:
             validation = validate_certificate(
                 system, entry.certificate, timeout=self.validation_timeout
             )
+            if validation.undecided:
+                # the deadline, not the certificate, stopped the check
+                return miss(
+                    f"re-validation undecided: {validation.reason}",
+                    entry=entry,
+                    validation=validation,
+                )
             if not validation.ok:
                 self.store_backend.delete(key)
                 return miss(
@@ -445,7 +453,9 @@ class ResultCache:
         For each key: an undecodable document is quarantined (by the load
         path), an entry whose certificate cannot justify its verdict or
         fails independent re-validation against its design is pruned
-        (``prune=False`` only reports).  ``resolve`` maps an entry to its
+        (``prune=False`` only reports), and an entry whose re-validation is
+        undecided (out of time) is kept and listed as ``undecided``; any of
+        the three makes the store not clean.  ``resolve`` maps an entry to its
         :class:`~repro.netlist.TransitionSystem`; the default resolver
         loads suite benchmarks by the recorded design name — entries whose
         design it cannot resolve get the structural checks only and are
@@ -459,6 +469,7 @@ class ResultCache:
             "ok": 0,
             "pruned": [],
             "quarantined": [],
+            "undecided": [],
             "unresolved": [],
         }
         for key in list(self.store_backend.keys()):
@@ -491,6 +502,9 @@ class ResultCache:
             validation = validate_certificate(
                 system, entry.certificate, timeout=self.validation_timeout
             )
+            if validation.undecided:
+                report["undecided"].append({"key": key, "reason": validation.reason})
+                continue
             if not validation.ok:
                 fail(f"re-validation failed: {validation.reason}")
                 continue
@@ -499,7 +513,9 @@ class ResultCache:
         report["entries"] = len(self.store_backend)
         report["bytes"] = self.store_backend.total_bytes()
         report["quarantine_backlog"] = len(self.store_backend.quarantine_keys())
-        report["clean"] = not report["pruned"] and not report["quarantined"]
+        report["clean"] = not (
+            report["pruned"] or report["quarantined"] or report["undecided"]
+        )
         return report
 
     # ------------------------------------------------------------------

@@ -159,6 +159,13 @@ class ValidationResult:
     def failed_obligations(self) -> List[Obligation]:
         return [o for o in self.obligations if not o.holds]
 
+    @property
+    def undecided(self) -> bool:
+        """Not decided either way: some obligation is undecided (the solver
+        gave up, say at the deadline) and none failed."""
+        outcomes = {o.outcome for o in self.obligations}
+        return UNDECIDED in outcomes and FAILED not in outcomes
+
     def to_json(self) -> Dict[str, object]:
         return {
             "ok": self.ok,

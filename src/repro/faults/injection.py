@@ -216,14 +216,16 @@ def queue_flood(key: str) -> bool:
 
 
 def torn_journal_append(path: str, key: str) -> bool:
-    """Tear the tail off the journal record just appended to ``path``.
+    """Tear the tail off the journal write just appended to ``path``.
 
-    Consulted by :meth:`repro.serve.journal.RequestJournal.append` after the
-    line hits the file: a fired fault truncates the file mid-line, exactly
+    Consulted by :meth:`repro.serve.journal.RequestJournal._append` after the
+    write hits the file: a fired fault truncates the file mid-line, exactly
     what a crash between ``write`` and completing the record leaves behind.
-    Recovery must tolerate the torn tail (skip it, count it) — the journaled
-    request it belonged to then reads as never-accepted, which is safe: the
-    client never got an accept reply either.
+    Recovery must tolerate the torn tail (skip it, count it).  A torn accept
+    reads as never-accepted, which is safe: the client never got an accept
+    reply either.  A torn close (the last record of an accept-and-close
+    write) leaves its accept open, which a restart NACKs: at least once,
+    never silently lost.
     """
     plan = _PLAN
     if plan is None or not plan.decide(JOURNAL_TORN, key, _ATTEMPT):

@@ -8,12 +8,13 @@ journal is the whole mechanism: an append-only JSONL file with one
 outcome.  An id with an ``accept`` but no ``close`` is exactly the set of
 requests a crash may have swallowed.
 
-Records are appended with a single ``write()`` of one line plus a flush, so
-the only possible corruption is a torn *tail* (the crash happened mid
-append).  Recovery parses line by line and tolerates garbage anywhere: a
-torn or undecodable line is counted and skipped, never fatal — a journal
-must not be able to wedge the server it exists to protect.  Compaction
-(dropping closed pairs) rewrites the file atomically via
+Each append is a single ``write()`` of whole lines plus a flush, so the
+only possible corruption is a torn *tail* (the crash happened mid append).
+A request answered at admission writes its ``accept`` and ``close`` lines
+in one append.  Recovery parses line by line and tolerates garbage
+anywhere: a torn or undecodable line is counted and skipped, never fatal —
+a journal must not be able to wedge the server it exists to protect.
+Compaction (dropping closed pairs) rewrites the file atomically via
 :func:`repro.jsonio.write_text_atomic`.
 """
 
@@ -58,6 +59,17 @@ class RecoveryReport:
         }
 
 
+def _accept_record(request_id: str, request: dict) -> dict:
+    return {"op": "accept", "id": request_id, "request": request}
+
+
+def _close_record(request_id: str, outcome: str, status: Optional[str]) -> dict:
+    record = {"op": "close", "id": request_id, "outcome": outcome}
+    if status is not None:
+        record["status"] = status
+    return record
+
+
 class RequestJournal:
     """Append-only accept/close journal at ``path``.
 
@@ -92,17 +104,27 @@ class RequestJournal:
             if self._handle is not None and not self._handle.closed:
                 self._handle.close()
 
-    def _append(self, record: dict, key: str) -> None:
-        record["format"] = JOURNAL_FORMAT
-        record["t"] = time.time()
-        line = json.dumps(record, separators=(",", ":"))
+    def _append(self, records: List[dict], key: str) -> None:
+        """Append ``records``, one line each, in one ``write()`` and one flush.
+
+        :attr:`appends` counts records, not writes.  ``key`` names the
+        fault site: a ``journal-torn`` fault tears the tail of this write,
+        that is, its last record.
+        """
+        now = time.time()
+        for record in records:
+            record["format"] = JOURNAL_FORMAT
+            record["t"] = now
+        text = "".join(
+            json.dumps(record, separators=(",", ":")) + "\n" for record in records
+        )
         with self._lock:
             handle = self._open()
-            handle.write(line + "\n")
+            handle.write(text)
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())
-            self.appends += 1
+            self.appends += len(records)
             if _fault_injection.torn_journal_append(self.path, key):
                 self.torn_injected += 1
                 # the tear truncated the file under our append handle; reopen
@@ -111,18 +133,29 @@ class RequestJournal:
 
     def accept(self, request_id: str, request: dict) -> None:
         """Journal one admitted request *before* the accept reply is sent."""
-        self._append(
-            {"op": "accept", "id": request_id, "request": request}, request_id
-        )
+        self._append([_accept_record(request_id, request)], request_id)
 
     def finish(
         self, request_id: str, outcome: str, status: Optional[str] = None
     ) -> None:
         """Journal one request's final outcome (answered/cancelled/nacked)."""
-        record = {"op": "close", "id": request_id, "outcome": outcome}
-        if status is not None:
-            record["status"] = status
-        self._append(record, request_id)
+        self._append([_close_record(request_id, outcome, status)], request_id)
+
+    def accept_and_finish(
+        self,
+        request_id: str,
+        request: dict,
+        outcome: str,
+        status: Optional[str] = None,
+    ) -> None:
+        """Journal a request decided at admission: accept and close in one append."""
+        self._append(
+            [
+                _accept_record(request_id, request),
+                _close_record(request_id, outcome, status),
+            ],
+            request_id,
+        )
 
     # ------------------------------------------------------------------
     def replay(self) -> RecoveryReport:

@@ -89,8 +89,9 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[object]:
     return _parse_payload(body[:length])
 
 
-async def write_frame(writer: asyncio.StreamWriter, document: object) -> None:
-    writer.write(encode_frame(document))
+async def write_frame(writer: asyncio.StreamWriter, *documents: object) -> None:
+    """Write ``documents`` as consecutive frames in one transport write."""
+    writer.write(b"".join(encode_frame(document) for document in documents))
     await writer.drain()
 
 

@@ -31,7 +31,14 @@ that warm core sit the robustness mechanisms this module exists for:
 
 The supervised computations run in worker *processes* (via
 :func:`repro.engines.batch.run_supervised_unit`), driven from executor
-threads; the asyncio loop only ever does protocol and bookkeeping work.
+threads.  Everything else runs on the asyncio loop: protocol and
+bookkeeping work, and admission's look-up, which loads the design, hashes
+the cache key and re-validates a hit's certificate on the design's warm
+validation session.  A hit is therefore answered in the loop turn that
+read its request, with one journal append and one reply write.  A design's
+first look-up in a server lifetime also builds its validation session
+there, holding up other clients once (1.2–28 ms per suite design on a
+2-CPU box).
 """
 
 from __future__ import annotations
@@ -170,12 +177,13 @@ class _Connection:
         self.requests: Dict[str, _Work] = {}
         self.alive = True
 
-    async def send(self, document: dict) -> bool:
+    async def send(self, *documents: dict) -> bool:
+        """Send ``documents`` as consecutive frames in one transport write."""
         if not self.alive:
             return False
         try:
             async with self.send_lock:
-                await write_frame(self.writer, document)
+                await write_frame(self.writer, *documents)
             return True
         except (ConnectionError, OSError):
             self.alive = False
@@ -493,10 +501,8 @@ class VerifyServer:
             representation = str(
                 request.get("representation", self.config.representation)
             )
-            # the one executor hop: loading, key hashing and a hit's
-            # re-validation are CPU work, kept off the event loop
-            property_name, key, hit = await asyncio.to_thread(
-                self._look_up, span, task, request.get("property"), representation
+            property_name, key, hit = self._look_up(
+                span, task, request.get("property"), representation
             )
         except Exception as error:  # noqa: BLE001 - reply, don't die
             if span is not None:
@@ -509,6 +515,10 @@ class VerifyServer:
             return
         if span is not None:
             span.finish(outcome="hit" if hit is not None else "miss")
+        if hit is not None:
+            # a re-validated hit is answered here: no queue, no dispatcher
+            await self._answer_hit(conn, request_id, request, key, hit)
+            return
 
         deadline_s = request.get("deadline_s", self.config.default_deadline_s)
         deadline = (
@@ -527,15 +537,6 @@ class VerifyServer:
         )
         work.looked_up = True
         work.waiters.append(waiter)
-        if hit is not None:
-            # a re-validated hit is answered here: no queue, no dispatcher
-            self.counters["accepted"] += 1
-            self.counters["computations"] += 1
-            _telemetry.counter("serve.accepted")
-            _telemetry.counter("serve.computations")
-            await self._accept(conn, request_id, request, key, coalesced=False)
-            await self._answer(work, hit, "cache")
-            return
 
         existing = self.inflight.get(key)
         if existing is not None and not existing.cancelled and not existing.done:
@@ -569,9 +570,10 @@ class VerifyServer:
         await self._accept(conn, request_id, request, key, coalesced=False)
 
     def _look_up(self, span, task: VerificationTask, prop, representation: str):
-        """Admission's executor hop: load the design, resolve the property and
-        look the query up.  Returns ``(property, key, hit result or None)``;
-        a hit has been re-validated against the loaded design."""
+        """Admission's look-up, on the event loop: load the design, resolve
+        the property and look the query up.  Returns ``(property, key, hit
+        result or None)``; a hit has been re-validated against the loaded
+        design.  It never awaits, so no other request interleaves with it."""
         with _under(span):
             system = task.load()
             prop = _resolve_property(system, prop)
@@ -591,9 +593,30 @@ class VerifyServer:
         """Journal one accept, then tell the client."""
         if self.journal is not None:
             self.journal.accept(request_id, _journal_doc(request))
+        await conn.send(_accepted_doc(request_id, key, coalesced))
+
+    async def _answer_hit(
+        self,
+        conn: _Connection,
+        request_id: str,
+        request: dict,
+        key: str,
+        result: VerificationResult,
+    ) -> None:
+        """Answer a re-validated hit in the turn that admitted it: its accept
+        and close go to the journal in one append before any frame, and its
+        ``accepted`` and ``result`` frames go out in one write."""
+        for name in ("accepted", "computations", "answered"):
+            self.counters[name] += 1
+            _telemetry.counter(f"serve.{name}")
+        if self.journal is not None:
+            self.journal.accept_and_finish(
+                request_id, _journal_doc(request), journal_mod.ANSWERED,
+                status=result.status,
+            )
         await conn.send(
-            {"ok": True, "op": "accepted", "id": request_id,
-             "key": key, "coalesced": coalesced}
+            _accepted_doc(request_id, key, coalesced=False),
+            dict(self._result_doc(key, result, "cache", 1), id=request_id),
         )
 
     # ------------------------------------------------------------------
@@ -707,6 +730,24 @@ class VerifyServer:
         work.done = True
         waiters = list(work.waiters)
         work.waiters.clear()
+        reply_base = self._result_doc(work.key, result, source, len(waiters))
+        for waiter in waiters:
+            waiter.conn.requests.pop(waiter.request_id, None)
+            self.counters["answered"] += 1
+            _telemetry.counter("serve.answered")
+            if self.journal is not None:
+                self.journal.finish(
+                    waiter.request_id, journal_mod.ANSWERED, status=result.status
+                )
+            await waiter.conn.send(dict(reply_base, id=waiter.request_id))
+        if work.recovered and not waiters:
+            # a requeued recovery has no client; the verdict went to the cache
+            self.counters["answered"] += 1
+
+    def _result_doc(
+        self, key: str, result: VerificationResult, source: str, audience: int
+    ) -> dict:
+        """The ``result`` frame for one answered query, without its ``id``."""
         validated = None
         if source == "cache":
             validated = True
@@ -720,34 +761,23 @@ class VerifyServer:
                     or result.detail.get("validation", {}).get("ok")
                 )
             ) or None
-        reply_base = {
+        document = {
             "ok": True,
             "op": "result",
-            "key": work.key,
+            "key": key,
             "status": result.status,
             "engine": result.engine,
             "property": result.property_name,
             "runtime_s": round(result.runtime or 0.0, 6),
             "source": source,
             "reason": result.reason or "",
-            "coalesced_with": len(waiters),
+            "coalesced_with": audience,
         }
         if validated is not None:
-            reply_base["validated"] = validated
+            document["validated"] = validated
         if result.counterexample is not None:
-            reply_base["counterexample_steps"] = len(result.counterexample.steps)
-        for waiter in waiters:
-            waiter.conn.requests.pop(waiter.request_id, None)
-            self.counters["answered"] += 1
-            _telemetry.counter("serve.answered")
-            if self.journal is not None:
-                self.journal.finish(
-                    waiter.request_id, journal_mod.ANSWERED, status=result.status
-                )
-            await waiter.conn.send(dict(reply_base, id=waiter.request_id))
-        if work.recovered and not waiters:
-            # a requeued recovery has no client; the verdict went to the cache
-            self.counters["answered"] += 1
+            document["counterexample_steps"] = len(result.counterexample.steps)
+        return document
 
     # ------------------------------------------------------------------
     # streamed progress and liveness
@@ -914,6 +944,11 @@ def _resolve_property(system, property_name) -> str:
     if not properties:
         raise ValueError(f"design {system.name!r} declares no properties")
     return properties[0].name
+
+
+def _accepted_doc(request_id: str, key: str, coalesced: bool) -> dict:
+    return {"ok": True, "op": "accepted", "id": request_id,
+            "key": key, "coalesced": coalesced}
 
 
 def _journal_doc(request: dict) -> dict:

@@ -6,7 +6,8 @@ Subcommands
 ``fsck``
     Re-validate every entry with the independent certificate validator
     (:func:`repro.certs.validate_certificate`), prune entries that fail,
-    quarantine entries that no longer decode, and report.  With
+    quarantine entries that no longer decode, keep entries whose
+    re-validation ran out of time (listed as undecided), and report.  With
     ``--expect-clean`` the exit code gates on a healthy store — the CI
     chaos-smoke job tampers a store on purpose and asserts that one fsck
     finds everything and a second one comes back clean.
@@ -48,10 +49,13 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
             f"checked {report['checked']} entries: {report['ok']} ok, "
             f"{len(report['pruned'])} pruned, "
             f"{len(report['quarantined'])} quarantined, "
+            f"{len(report['undecided'])} undecided, "
             f"{len(report['unresolved'])} unresolved"
         )
         for row in report["pruned"]:
             print(f"  pruned {row['key'][:16]}…: {row['reason']}")
+        for row in report["undecided"]:
+            print(f"  undecided {row['key'][:16]}… (kept): {row['reason']}")
         for key in report["quarantined"]:
             print(f"  quarantined {key[:16]}…")
         print(

@@ -521,7 +521,11 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
                 # --certify promises the per-obligation report and its
                 # demotion semantics on every run, hit or miss
                 return _report_single(args, task, lookup.result, expected)
-            note = " (stale entry dropped)" if lookup.demoted else ""
+            note = ""
+            if lookup.demoted:
+                note = " (stale entry dropped)"
+            elif lookup.entry is not None:
+                note = f" ({lookup.reason}; entry kept)"
             _log.info(f"cache miss for {task.name!r}{note}; verifying")
 
     if args.engine:

@@ -212,6 +212,38 @@ def test_forged_invariant_fails_revalidation_and_is_demoted(tmp_path):
     assert cache.lookup(system, result.property_name, "word").reason == "absent"
 
 
+def test_undecided_revalidation_keeps_the_entry(tmp_path, monkeypatch):
+    """A re-validation that runs out of time says nothing against the
+    certificate: the lookup is a plain miss that keeps the entry, and fsck
+    keeps it too, lists it as undecided and reports the store not clean."""
+    from repro.certs import validate as validate_mod
+
+    system, result = _verify("huffman_dec")
+    cache = ResultCache(str(tmp_path))
+    prop = result.property_name
+    assert cache.store(system, prop, "word", result, design="huffman_dec").stored
+    key, path = _stored_entry_path(cache, system, prop)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            validate_mod._Session,
+            "decide",
+            lambda self, literals: (validate_mod.UNDECIDED, "solver gave up"),
+        )
+        lookup = cache.lookup(system, prop, "word")
+        assert not lookup.hit and not lookup.demoted
+        assert lookup.reason.startswith("re-validation undecided")
+        assert os.path.exists(path)
+        report = cache.fsck()
+        assert [row["key"] for row in report["undecided"]] == [key]
+        assert report["pruned"] == [] and report["ok"] == 0
+        assert not report["clean"]
+        assert os.path.exists(path)
+    lifetime = cache.persistent.as_dict()
+    assert (lifetime["misses"], lifetime["demotions"]) == (1, 0)
+    assert lifetime["revalidations_failed"] == 0
+    assert cache.lookup(system, prop, "word").hit
+
+
 def test_lifetime_counters_add_up_across_instances(tmp_path):
     """Two caches on one root stand for two processes sharing a cache
     directory: they interleave a store and hits, one of them folds the

@@ -30,6 +30,7 @@ from repro.engines.ladder import (
     run_sequential_ladder,
     warm_task_templates,
 )
+from repro.engines.portfolio import PortfolioRunner
 from repro.exprs import bool_implies, bool_not, bv_const, bv_eq, bv_ite, bv_ne
 from repro.netlist import TransitionSystem
 from repro.obs import telemetry
@@ -152,16 +153,39 @@ def test_cones_and_their_templates_die_with_their_design():
     assert cone_ref() is None
 
 
-def test_warm_task_templates_blasts_each_cone_before_a_fork():
-    task = VerificationTask.benchmark("mac16")
+def _warm_for_the_ladder(task):
     warm_task_templates(task, [PortfolioConfig.of("k-induction")])
-    system = task.load()
-    with telemetry.recording() as recorder:
-        for prop in system.properties:
-            library = template_library(cone_of_influence(system, prop.name), "word")
-            library.property_template(prop.name)
-    assert recorder.counters.get("encoding.template_library.hit") == 2
-    assert "encoding.template_library.miss" not in recorder.counters
+    return ("word",)
+
+
+def _warm_for_a_portfolio(task):
+    runner = PortfolioRunner(
+        configs=[
+            PortfolioConfig.of("bmc", representation="word", max_bound=8),
+            PortfolioConfig.of("k-induction", representation="bit", max_k=8),
+        ],
+        timeout=30,
+    )
+    runner._prewarm(task)
+    return ("word", "bit")
+
+
+def test_warm_task_templates_blasts_each_cone_before_a_fork():
+    # a fresh mac16 per input: its two properties read only the 4-bit
+    # counter, so each cone is a strict slice, and no earlier test warmed it
+    for warm in (_warm_for_the_ladder, _warm_for_a_portfolio):
+        system = load_system("mac16")
+        representations = warm(VerificationTask.system(system))
+        with telemetry.recording() as recorder:
+            for prop in system.properties:
+                cone = cone_of_influence(system, prop.name)
+                assert len(cone.state_vars) < len(system.state_vars)
+                for representation in representations:
+                    library = template_library(cone, representation)
+                    assert prop.name in library._property_templates
+        expected = len(system.properties) * len(representations)
+        assert recorder.counters.get("encoding.template_library.hit") == expected
+        assert "encoding.template_library.miss" not in recorder.counters
 
 
 # ---------------------------------------------------------------------------

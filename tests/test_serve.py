@@ -39,6 +39,7 @@ from repro.serve import (
     ServerConfig,
 )
 from repro.serve import journal as journal_mod
+from repro.serve import server as server_mod
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     encode_frame,
@@ -505,6 +506,38 @@ def test_warm_hit_is_answered_under_full_load(tmp_path):
     counters = server.counters
     assert counters["rejected_overloaded"] == 0
     assert counters["accepted"] == counters["answered"] + counters["cancelled"]
+
+
+def test_warm_hits_are_answered_on_the_loop(tmp_path, monkeypatch):
+    """A hit makes no executor hop and journals its accept and its close:
+    two records per hit, none left open."""
+    config = _journaled_config(tmp_path)
+    hops = []
+    to_thread = asyncio.to_thread
+
+    async def counting_to_thread(func, *args, **kwargs):
+        hops.append(func)
+        return await to_thread(func, *args, **kwargs)
+
+    hits = 5
+    with RunningServer(config) as server:
+        with ServeClient(socket_path=config.socket_path, reconnect=False) as client:
+            cold = client.verify(design="proc3", representation="word")
+            assert cold["source"] == "computed"
+            appends = server.journal.appends
+            monkeypatch.setattr(server_mod.asyncio, "to_thread", counting_to_thread)
+            replies = [
+                client.verify(design="proc3", representation="word")
+                for _ in range(hits)
+            ]
+            assert hops == []
+            assert all(reply["source"] == "cache" for reply in replies)
+            assert all(reply["validated"] is True for reply in replies)
+            assert server.journal.appends == appends + 2 * hits
+            report = RequestJournal(config.journal_path).replay()
+            assert report.open_requests == {}
+            assert report.closed == 1 + hits
+            client.drain()
 
 
 def test_tampered_entry_is_demoted_at_admission_and_computed_once(
