@@ -5,9 +5,9 @@ interpolation, IMPACT, predicate abstraction).  Frame retraction through
 :class:`repro.engines.encoding.FrameEncoder` activation guards must actually
 detach a frame's constraints; across the whole benchmark suite no engine
 may contradict a design's known verdict, and every definitive answer must
-carry a certificate the independent validator accepts; and a portfolio
-still answers correctly after its pre-warm (what the pre-warm blasts is
-pinned in ``test_cone_of_influence``).
+carry a certificate the independent validator accepts; and the portfolio
+pre-warm must make workers inherit the parent's blasted templates (what
+it blasts for each property's cone is pinned in ``test_cone_of_influence``).
 """
 
 import pytest
@@ -15,7 +15,7 @@ import pytest
 from repro.benchmarks import benchmark_names, get_benchmark, load_system_cached
 from repro.certs import validate_result
 from repro.engines.bmc import BMCEngine
-from repro.engines.encoding import FrameEncoder
+from repro.engines.encoding import FrameEncoder, template_library
 from repro.engines.impact import ImpactEngine
 from repro.engines.interpolation import InterpolationEngine
 from repro.engines.kiki import KikiEngine
@@ -191,6 +191,28 @@ def test_cached_loader_returns_shared_instance():
     assert first is second
     # the portfolio task loader resolves to the same shared instance
     assert VerificationTask.benchmark("arbiter").load() is first
+
+
+def test_prewarm_builds_templates_in_parent():
+    runner = PortfolioRunner(
+        configs=[
+            PortfolioConfig.of("bmc", representation="word", max_bound=8),
+            PortfolioConfig.of("k-induction", representation="bit", max_k=8),
+        ],
+        timeout=30,
+    )
+    task = VerificationTask.benchmark("huffman_dec")
+    runner._prewarm(task)
+    system = load_system_cached("huffman_dec")
+    # both representations were blasted on the shared instance: further
+    # lookups return the already-built libraries (no rebuild)
+    word = template_library(system, "word")
+    bit = template_library(system, "bit")
+    assert template_library(system, "word") is word
+    assert template_library(system, "bit") is bit
+    # property templates were warmed too
+    prop = system.properties[0].name
+    assert word.property_template(prop) is word.property_template(prop)
 
 
 def test_portfolio_with_prewarm_still_correct():
