@@ -15,7 +15,6 @@ setup(
     extras_require={"dev": ["pytest"]},
     entry_points={
         "console_scripts": [
-            "repro-bench = repro.tools.bench:main",
             "repro-cache = repro.tools.cache_cli:main",
             "repro-serve = repro.tools.serve_cli:main",
             "repro-trace = repro.tools.trace_cli:main",

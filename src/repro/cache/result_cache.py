@@ -224,8 +224,14 @@ class ResultCache:
         system: TransitionSystem,
         property_name: str,
         representation: str = "word",
+        timeout: Optional[float] = None,
     ) -> CacheLookup:
-        """Look one query up; a hit is served only after re-validation."""
+        """Look one query up; a hit is served only after re-validation.
+
+        ``timeout`` bounds this call's re-validation in place of the cache's
+        ``validation_timeout``; a re-validation it stops is a plain miss
+        that keeps the entry.
+        """
         start = time.monotonic()
         key = self.key_for(system, property_name, representation)
         with _telemetry.span(
@@ -279,7 +285,9 @@ class ResultCache:
                 )
 
             validation = validate_certificate(
-                system, entry.certificate, timeout=self.validation_timeout
+                system,
+                entry.certificate,
+                timeout=self.validation_timeout if timeout is None else timeout,
             )
             if validation.undecided:
                 # the deadline, not the certificate, stopped the check

@@ -91,7 +91,6 @@ class BatchItemResult:
     #: "cache" for hits, the deciding engine name for pool runs
     source: str
     runtime_s: float
-    cache_key: Optional[str] = None
     #: True iff the verdict is backed by an independently validated
     #: certificate (always true for cache hits; true for stored results)
     validated: bool = False
@@ -108,24 +107,6 @@ class BatchItemResult:
         if self.expected is None or self.status not in Status.DEFINITIVE:
             return None
         return self.status == self.expected
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "design": self.design,
-            "property": self.property_name,
-            "status": self.status,
-            "source": self.source,
-            "runtime_s": round(self.runtime_s, 6),
-            "cache_key": self.cache_key,
-            "validated": self.validated,
-            "stored": self.stored,
-            "rung": self.rung,
-            "expected": self.expected,
-            "correct": self.correct,
-            "reason": self.reason,
-            "minimization": self.minimization,
-            "supervision": self.supervision,
-        }
 
 
 @dataclass
@@ -154,20 +135,6 @@ class BatchReport:
     def verdicts(self) -> Dict[Tuple[str, str], str]:
         return {
             (item.design, item.property_name): item.status for item in self.items
-        }
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "wall_s": round(self.wall_s, 6),
-            "workers": self.workers,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "demotions": self.demotions,
-            "retries": self.retries,
-            "degraded": self.degraded,
-            "all_definitive": self.all_definitive,
-            "all_correct": self.all_correct,
-            "items": [item.to_json() for item in self.items],
         }
 
 
@@ -470,7 +437,6 @@ class BatchRunner:
                     status=lookup.result.status,
                     source="cache",
                     runtime_s=lookup.runtime_s,
-                    cache_key=lookup.key,
                     validated=True,
                     expected=expected,
                     reason=lookup.result.reason,
@@ -590,7 +556,6 @@ class BatchRunner:
             outcome = self.cache.store(
                 system, property_name, self.representation, result, design=task.name
             )
-            row.cache_key = outcome.key
             row.stored = outcome.stored
             row.validated = outcome.stored
             if outcome.minimization is not None:

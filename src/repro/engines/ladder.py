@@ -298,15 +298,20 @@ MIN_RUNG_BUDGET = 0.5
 def learn_priors(paths: Sequence[str]) -> Dict[str, Dict[str, float]]:
     """Learn engine priors from the benchmark reports at ``paths``.
 
-    Scans benchmark reports (portfolio singles, certification sweeps,
-    incremental verdict sweeps, serve sweeps) for per-engine run outcomes
-    and aggregates them into ``{engine: {runs, definitive_rate,
+    Scans ``BENCH_*.json``-shaped reports (portfolio singles, certification
+    sweeps, incremental verdict sweeps, serve sweeps) for per-engine run
+    outcomes and aggregates them into ``{engine: {runs, definitive_rate,
     mean_runtime_s, score}}``.  ``score`` orders engines within a ladder
     rung — lower is better: historically fast engines that actually reach
     verdicts launch first.  Missing or unreadable reports contribute
     nothing; with no data the returned dict is empty and the ladder keeps
     its default order.  The caller names the reports: nothing in the
     package reads whatever happens to lie in the working directory.
+
+    Nothing in the package writes such reports any more.  The one caller is
+    perfbench's ladder probe (``perfbench/workloads.py``), which globs an
+    empty working directory; this function and ``default_budget_ladder``'s
+    ``priors`` can go once that probe stops importing them.
     """
     import json
 

@@ -15,8 +15,9 @@ installed every injection point is a no-op.
 Every injected fault must surface in the normal outcome taxonomy — a crashed
 worker as ``crashed``, a wedge as ``timed-out`` or a cooperative
 ``TIMEOUT``, a forged certificate as a rejected/adjudicated claim — never as
-a silent skip; ``repro-bench --faults`` sweeps seeded plans and gates on
-exactly that.
+a silent skip.  The chaos sweeps of ``tests/test_faults.py`` run seeded
+plans through certified batch sweeps and gate on exactly that, and
+``tests/test_serve_soak.py`` runs one inside a live server.
 """
 
 from repro.faults.plan import (

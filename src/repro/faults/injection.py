@@ -22,12 +22,10 @@ from repro.faults.plan import (
     CACHE_CORRUPT,
     CACHE_TRUNCATE,
     CERT_FORGE,
-    CLIENT_DISCONNECT,
     CRASH,
     HANG,
     HANG_HARD,
     JOURNAL_TORN,
-    QUEUE_FLOOD,
     SLOW_START,
     SPAWN_FAIL,
     WORKER_KILL,
@@ -195,24 +193,6 @@ def fail_spawn(key: str) -> bool:
     """Whether a supervised process spawn should fail at site ``key``."""
     plan = _PLAN
     return plan is not None and plan.decide(SPAWN_FAIL, key, _ATTEMPT)
-
-
-def client_disconnect(key: str) -> bool:
-    """Whether a soak client should hang up mid-request at site ``key``.
-
-    Consulted by the serve-soak harness (the *client* side of the chaos):
-    a fired fault sends the request and closes the connection without
-    reading the reply, so the server must detect the disconnect and cancel
-    or complete the computation without wedging or leaking.
-    """
-    plan = _PLAN
-    return plan is not None and plan.decide(CLIENT_DISCONNECT, key, _ATTEMPT)
-
-
-def queue_flood(key: str) -> bool:
-    """Whether the soak harness should fire an extra flood burst at ``key``."""
-    plan = _PLAN
-    return plan is not None and plan.decide(QUEUE_FLOOD, key, _ATTEMPT)
 
 
 def torn_journal_append(path: str, key: str) -> bool:

@@ -29,11 +29,6 @@ CACHE_CORRUPT = "cache-corrupt"
 CACHE_TRUNCATE = "cache-truncate"
 #: flip the engine's verdict and attach a forged certificate (the liar)
 CERT_FORGE = "cert-forge"
-#: serve: the client hangs up mid-request (the server must cancel cleanly)
-CLIENT_DISCONNECT = "client-disconnect"
-#: serve: a burst of extra requests beyond the admission cap (the server
-#: must answer with explicit ``overloaded`` rejections, never queue unbounded)
-QUEUE_FLOOD = "queue-flood"
 #: serve: tear the tail off a just-appended journal record (simulates a
 #: crash mid-append; recovery must skip the torn line, never refuse to start)
 JOURNAL_TORN = "journal-torn"
@@ -48,8 +43,6 @@ FAULT_KINDS = (
     CACHE_CORRUPT,
     CACHE_TRUNCATE,
     CERT_FORGE,
-    CLIENT_DISCONNECT,
-    QUEUE_FLOOD,
     JOURNAL_TORN,
 )
 

@@ -1,11 +1,11 @@
 """Atomic small-file writes for reports and certificates.
 
-Every JSON artifact the toolchain writes (``BENCH_*.json`` reports,
-certificate documents, cache entries) is consumed later by other runs —
-``learn_priors`` reads benchmark reports, the cache re-validates entries —
-so a torn write from a crashed or killed process must never leave a
-half-document behind under the final name.  Writing to a temp file in the
-same directory and ``os.replace``-ing it over the target is atomic on POSIX.
+Every file the toolchain writes for a later run (certificate documents,
+cache counters, the compacted request journal, telemetry traces) is read
+back by other runs, so a torn write from a crashed or killed process must
+never leave a half-document behind under the final name.  Writing to a
+temp file in the same directory and ``os.replace``-ing it over the target
+is atomic on POSIX.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Shared leveled progress logging for the CLIs (zero-dependency).
 
-``repro-verify``, ``repro-bench`` and ``repro-cache`` historically narrated
-progress through unconditional ``print()`` calls, which made ``--batch``
-sweeps unreadable in CI and impossible to silence.  This module gives the
-three CLIs one verbosity dial:
+``repro-verify`` and ``repro-cache`` historically narrated progress through
+unconditional ``print()`` calls, which made ``--batch`` sweeps unreadable in
+CI and impossible to silence.  This module gives the CLIs one verbosity
+dial:
 
 * **result tables and machine-readable output stay on stdout** — they are
   the tools' contract and are never filtered here;

@@ -38,7 +38,8 @@ validation session.  A hit is therefore answered in the loop turn that
 read its request, with one journal append and one reply write.  A design's
 first look-up in a server lifetime also builds its validation session
 there, holding up other clients once (1.2–28 ms per suite design on a
-2-CPU box).
+2-CPU box).  A re-validation that would hold the loop longer is cut off
+at :data:`LOOKUP_TIMEOUT_S` and the query computed like a miss.
 """
 
 from __future__ import annotations
@@ -80,6 +81,12 @@ from repro.serve.protocol import (
 )
 from repro.serve.queues import BoundedPriorityQueue, QueueClosed, priority_value
 from repro.serve.throttle import AdaptiveThrottle
+
+#: how long admission's look-up may spend re-validating a hit on the event
+#: loop.  The suite's slowest first look-up takes 28 ms; a look-up that runs
+#: out of time is a plain miss, computed in the executor like any other, and
+#: the computation's store replaces the slow entry.
+LOOKUP_TIMEOUT_S = 0.25
 
 
 @dataclass
@@ -579,7 +586,9 @@ class VerifyServer:
             prop = _resolve_property(system, prop)
             if self.cache is None:
                 return prop, cache_key(system, prop, representation), None
-            lookup = self.cache.lookup(system, prop, representation)
+            lookup = self.cache.lookup(
+                system, prop, representation, timeout=LOOKUP_TIMEOUT_S
+            )
             return prop, lookup.key, lookup.result if lookup.hit else None
 
     async def _accept(

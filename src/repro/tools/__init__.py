@@ -10,8 +10,6 @@ console script         module
                        shrink the certificate cache
 ``repro-trace``        :mod:`repro.tools.trace_cli`: summarize, lint and
                        convert telemetry traces
-``repro-bench``        :mod:`repro.tools.bench`: correctness gates over
-                       the benchmark suite
 =====================  ==================================================
 
 The engines stand in for the tools the paper compares (ABC, EBMC, CBMC,

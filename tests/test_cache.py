@@ -328,13 +328,31 @@ SAFE_DESIGNS = [
     if benchmark.expected == Status.SAFE
 ]
 
+#: the ladder's certificate of every safe design, plus certificates that
+#: carry droppable conjuncts: kIkI's strengthening invariants (which usually
+#: all drop once k is found) and one of PDR's frame-clause invariants
+MINIMIZATION_CASES = [pytest.param(name, None, id=name) for name in SAFE_DESIGNS] + [
+    pytest.param(name, engine, id=f"{name}-{engine}")
+    for name, engine in (
+        ("huffman_dec", "kiki"),
+        ("rcu", "kiki"),
+        ("arbiter", "kiki"),
+        ("proc3", "pdr"),
+    )
+]
 
-@pytest.mark.parametrize("design", SAFE_DESIGNS)
-def test_minimized_invariants_validate_on_every_safe_suite_design(design):
+
+@pytest.mark.parametrize("design, engine", MINIMIZATION_CASES)
+def test_minimized_invariants_validate_on_every_safe_suite_design(design, engine):
     system = load_system(design)
-    ladder = default_budget_ladder(bound=40, timeout=60)
-    result = run_sequential_ladder(system, None, ladder, timeout=60)
+    if engine is None:
+        ladder = default_budget_ladder(bound=40, timeout=60)
+        result = run_sequential_ladder(system, None, ladder, timeout=60)
+    else:
+        result = make_engine(engine, system).verify(timeout=60)
     assert result.status == Status.SAFE, (design, result.status)
+    validation = validate_certificate(system, result.certificate)
+    assert validation.ok, (design, validation.reason)
     minimization = minimize_certificate(system, result.certificate, timeout=60)
     assert minimization.size <= minimization.original_size
     validation = validate_certificate(system, minimization.certificate)
@@ -366,22 +384,21 @@ def test_minimization_shrinks_a_padded_invariant():
 
 
 def test_batch_cold_then_warm_all_hits(tmp_path):
-    items = [
-        BatchItem.benchmark("daio"),
-        BatchItem.benchmark("huffman_dec"),
-        BatchItem.benchmark("mac16"),  # multi-property: sharded per property
-    ]
+    """The whole suite, swept twice against one cache: 14 queries, since
+    multi-property designs shard one unit per property."""
+    items = [BatchItem.benchmark(name) for name in sorted(BENCHMARKS)]
     cache = ResultCache(str(tmp_path))
     cold = BatchRunner(cache=cache, timeout=90, bound=80, jobs=2).run(items)
-    assert len(cold.items) == 4  # mac16 contributes two (design, property) units
-    assert cold.cache_hits == 0 and cold.cache_misses == 4
+    assert len(cold.items) == 14
+    assert cold.cache_hits == 0 and cold.cache_misses == 14
     assert cold.all_definitive and cold.all_correct
     assert all(item.stored for item in cold.items)
 
     warm_cache = ResultCache(str(tmp_path))
     warm = BatchRunner(cache=warm_cache, timeout=90, bound=80, jobs=2).run(items)
-    assert warm.cache_hits == 4 and warm.cache_misses == 0
+    assert warm.cache_hits == 14 and warm.cache_misses == 0
     assert all(item.source == "cache" and item.validated for item in warm.items)
+    assert warm.all_correct
     assert warm.verdicts() == cold.verdicts()
 
 

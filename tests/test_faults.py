@@ -163,7 +163,7 @@ def test_batch_worker_kill_is_retried_then_succeeds():
 
 def test_batch_hard_wedge_is_killed_at_the_attempt_deadline_then_retried():
     # the wedge sits at a SAT search checkpoint: k-induction reaches one on
-    # buffalloc (the site of repro-bench's hang demo too), while rsim
+    # buffalloc (the site of the in-process hang test too), while rsim
     # answers daio with no SAT search at all
     with plan_installed(FaultPlan(seed=0, rates={HANG_HARD: 1.0})):
         runner = BatchRunner(timeout=60, bound=80, attempt_timeout=3.0)
@@ -197,6 +197,57 @@ def test_batch_certify_rejects_forged_certificates_and_recovers():
     assert row.status == Status.UNSAFE  # retry converged on the truth
     assert row.correct is True
     assert row.supervision["retried"]
+
+
+#: per-kind firing rates of a chaos sweep: the destructive kinds fire often
+#: enough that every sweep meets them, and the plan's first-attempt-only
+#: draws let supervised retries run clean, so the sweep still converges
+CHAOS_RATES = {
+    "crash": 0.35,
+    "slow-start": 0.5,
+    "worker-kill": 0.35,
+    "hang": 0.25,
+    "hang-hard": 0.25,
+    "spawn-fail": 0.15,
+    "cert-forge": 0.3,
+    "cache-corrupt": 0.5,
+    "cache-truncate": 0.5,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chaos_sweep_converges_leaks_nothing_and_heals_its_cache(seed, tmp_path):
+    """A seeded plan of every execution fault over a certified batch sweep
+    of one refutation (daio) and one proof (buffalloc): each query still
+    ends with a correct, definitive verdict, no worker process outlives the
+    sweep, and ``fsck`` heals whatever the tamper faults left in the cache,
+    so a second pass comes back clean."""
+    before = {child.pid for child in multiprocessing.active_children()}
+    with plan_installed(FaultPlan(seed=seed, rates=dict(CHAOS_RATES))):
+        runner = BatchRunner(
+            cache=ResultCache(str(tmp_path), validation_timeout=60),
+            timeout=60,
+            bound=80,
+            certify=True,
+            attempt_timeout=15.0,
+        )
+        report = runner.run([BatchItem.benchmark("daio"), BatchItem.benchmark("buffalloc")])
+    assert report.all_correct, report.verdicts()
+    assert report.all_definitive, report.verdicts()
+
+    deadline = time.monotonic() + 5.0
+    spawned = [
+        child
+        for child in multiprocessing.active_children()
+        if child.pid not in before
+    ]
+    for child in spawned:
+        child.join(max(0.0, deadline - time.monotonic()))
+    assert [child.pid for child in spawned if child.is_alive()] == []
+
+    heal = ResultCache(str(tmp_path), validation_timeout=60)
+    heal.fsck()
+    assert heal.fsck()["clean"]
 
 
 # ---------------------------------------------------------------------------

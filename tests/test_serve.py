@@ -23,6 +23,7 @@ from serve_harness import RunningServer
 from repro.cache import cache_key
 from repro.cache.store import CacheEntry, CertificateStore, StoreLock
 from repro.benchmarks import load_system
+from repro.certs import KInductiveCertificate
 from repro.engines import Status, make_engine
 from repro.engines.supervision import RetryPolicy, WorkerSupervisor
 from repro.faults.injection import plan_installed
@@ -537,6 +538,49 @@ def test_warm_hits_are_answered_on_the_loop(tmp_path, monkeypatch):
             report = RequestJournal(config.journal_path).replay()
             assert report.open_requests == {}
             assert report.closed == 1 + hits
+            client.drain()
+
+
+def test_a_slow_revalidation_does_not_stall_other_clients(tmp_path):
+    """A hit is re-validated on the event loop, so admission caps its time.
+    buffalloc's property is 16-inductive with no strengthening, a valid
+    certificate that takes seconds to re-check cold: its look-up runs out
+    of time and is a plain miss, computed off the loop while another
+    client's ping is answered, and the computation's store replaces the
+    slow entry, so the next request is a validated hit."""
+    cache_dir = str(tmp_path / "cache")
+    system = load_system("buffalloc")
+    CertificateStore(cache_dir).save(
+        CacheEntry(
+            key=cache_key(system, "conservation", "word"),
+            status=Status.SAFE,
+            property_name="conservation",
+            engine="k-induction",
+            representation="word",
+            certificate=KInductiveCertificate("conservation", "k-induction", 16),
+            design="buffalloc",
+        )
+    )
+    config = ServerConfig(socket_path=_sock(tmp_path), cache_dir=cache_dir)
+    replies = []
+    with RunningServer(config):
+        with ServeClient(socket_path=config.socket_path, reconnect=False) as pinger, \
+                ServeClient(socket_path=config.socket_path, reconnect=False) as client:
+            first = threading.Thread(
+                target=lambda: replies.append(client.verify(design="buffalloc"))
+            )
+            first.start()
+            time.sleep(0.1)  # the first request is inside its look-up
+            start = time.monotonic()
+            assert pinger.ping()["op"] == "pong"
+            assert time.monotonic() - start < 0.5
+            first.join(timeout=60.0)
+            assert not first.is_alive()
+            assert replies[0]["status"] == Status.SAFE
+            assert replies[0]["source"] == "computed"
+            second = client.verify(design="buffalloc")
+            assert second["source"] == "cache"
+            assert second["validated"] is True
             client.drain()
 
 
