@@ -3,12 +3,14 @@
 The batch runner amortizes warm state (blasted frame templates, the
 certificate store) over one sweep; :mod:`repro.serve` amortizes
 it over *a process lifetime*.  A :class:`repro.serve.server.VerifyServer`
-listens on a unix socket (or TCP), admits requests through a bounded
-priority queue, coalesces identical in-flight queries by cache key, runs
-each computation through the supervised single-unit pipeline
+listens on a unix socket (or TCP) and answers a cache hit at admission.
+A miss coalesces with an identical in-flight query by cache key or waits
+in a bounded FIFO queue for one of at most ``max_workers`` computation
+slots; each computation runs through the supervised single-unit pipeline
 (:func:`repro.engines.batch.run_supervised_unit`) with the request deadline
-threaded all the way into the solver's cooperative interrupt, and journals
-every accepted request so a crash can never silently swallow one.
+threaded all the way into the solver's cooperative interrupt.  Every
+accepted request is journaled, and a restarted server NACKs the ones a
+crash left unanswered, so a crash can never silently swallow one.
 
 Wire protocol: ``repro-serve-v1`` (length-prefixed JSON lines, see
 :mod:`repro.serve.protocol`).  Clients: :class:`repro.serve.client.ServeClient`
@@ -18,15 +20,12 @@ or ``repro-verify --server``.
 from repro.serve.client import ConnectionClosed, ServeClient, ServeError
 from repro.serve.journal import RequestJournal
 from repro.serve.protocol import PROTOCOL, ProtocolError, parse_addr
-from repro.serve.queues import PRIORITIES, BoundedPriorityQueue
+from repro.serve.queues import BoundedQueue
 from repro.serve.server import ServerConfig, VerifyServer
-from repro.serve.throttle import AdaptiveThrottle
 
 __all__ = [
     "PROTOCOL",
-    "PRIORITIES",
-    "AdaptiveThrottle",
-    "BoundedPriorityQueue",
+    "BoundedQueue",
     "ConnectionClosed",
     "ProtocolError",
     "RequestJournal",

@@ -13,9 +13,11 @@ Reconnects: the client remembers every submitted-but-unanswered request
 the connection dies — reset, refused, EOF mid-frame — it reconnects with
 bounded exponential backoff and resubmits exactly those pending ids, so a
 server restart is one transparent hiccup instead of an exception.
-Resubmission is idempotent: the id is unchanged, so a journal-recovering or
-coalescing server folds the resubmitted request into work it already
-knows.  Set ``reconnect=False`` to fail fast instead.
+Resubmission is idempotent: the id is unchanged, so a coalescing server
+folds the resubmitted request into work it already knows, and a restarted
+server, which NACKed the id on recovery, answers it afresh (from the cache
+if the verdict landed there).  Set ``reconnect=False`` to fail fast
+instead.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from repro.serve.protocol import (
     OP_PING,
     OP_PROGRESS,
     OP_STATS,
-    OP_STATUS,
     OP_VERIFY,
     ProtocolError,
     read_frame_blocking,
@@ -288,11 +289,6 @@ class ServeClient:
     def stats(self) -> dict:
         self._send({"op": OP_STATS})
         return self._read_until("stats")["stats"]
-
-    def status(self) -> dict:
-        """The richer ``status`` document (stats, uptime, telemetry)."""
-        self._send({"op": OP_STATUS})
-        return self._read_until("status")["status"]
 
     def drain(self) -> dict:
         """Ask the server to drain and shut down gracefully."""

@@ -1,9 +1,9 @@
 """Crash-safe write-ahead journal of accepted verification requests.
 
 The server's durability contract is *no silent loss*: every request it has
-told a client "accepted" is either answered, cleanly rejected, or — after a
-crash — discovered by the restarted server and NACKed (or requeued).  The
-journal is the whole mechanism: an append-only JSONL file with one
+told a client "accepted" is either answered, cancelled because its client
+left, or — after a crash — discovered by the restarted server and NACKed.
+The journal is the whole mechanism: an append-only JSONL file with one
 ``accept`` record per admitted request and one ``close`` record per final
 outcome.  An id with an ``accept`` but no ``close`` is exactly the set of
 requests a crash may have swallowed.
@@ -35,10 +35,8 @@ JOURNAL_FORMAT = "repro-serve-journal-v1"
 
 #: close outcomes
 ANSWERED = "answered"
-REJECTED = "rejected"
 CANCELLED = "cancelled"
 NACKED = "nacked"
-REQUEUED = "requeued"
 
 
 @dataclass

@@ -38,7 +38,6 @@ OP_VERIFY = "verify"
 OP_PING = "ping"
 OP_STATS = "stats"
 OP_DRAIN = "drain"
-OP_STATUS = "status"
 
 #: server -> client liveness frames for a long-running request
 OP_PROGRESS = "progress"

@@ -1,64 +1,45 @@
-"""Bounded priority admission queue for the verify server.
+"""Bounded FIFO admission queue for the verify server.
 
 Admission control is the load-shedding half of the server's robustness
 story: a queue that grows without bound converts overload into unbounded
 latency for *everyone* and an eventual OOM kill; a bounded queue converts
 it into an explicit, immediate ``rejected: overloaded`` reply for the
-*marginal* request while every admitted request keeps its latency.  The
-queue is priority-ordered (interactive requests overtake bulk sweeps) with
-FIFO order inside one priority class.
+*marginal* request while every admitted request keeps its latency.  Queued
+misses run in arrival order; cache hits never enter the queue.
 """
 
 from __future__ import annotations
 
 import asyncio
-import heapq
-from typing import List, Optional, Tuple
-
-#: priority classes, lower number = served first
-PRIORITIES = {"interactive": 0, "batch": 1, "bulk": 2}
-DEFAULT_PRIORITY = "batch"
-
-
-def priority_value(name: Optional[str]) -> int:
-    """Map a request's priority label to its queue rank (unknown = bulk)."""
-    if name is None:
-        return PRIORITIES[DEFAULT_PRIORITY]
-    return PRIORITIES.get(str(name), PRIORITIES["bulk"])
+from collections import deque
+from typing import Deque, List
 
 
 class QueueClosed(RuntimeError):
     """Raised to getters when the queue is closed and drained."""
 
 
-class BoundedPriorityQueue:
-    """An asyncio priority queue that *rejects* instead of blocking when full.
+class BoundedQueue:
+    """An asyncio FIFO queue that *rejects* instead of blocking when full.
 
     ``try_put`` is the admission decision: it never awaits, returning
     ``False`` when the queue is at capacity so the caller can send the
     overload rejection while the event loop stays responsive.  ``get``
-    awaits the highest-priority item; a monotonic sequence number breaks
-    ties so equal-priority items leave in arrival order and comparison
-    never reaches the (uncomparable) items themselves.
+    awaits the oldest item.
     """
 
     def __init__(self, maxsize: int) -> None:
         if maxsize < 1:
             raise ValueError("queue capacity must be at least 1")
         self.maxsize = maxsize
-        self._heap: List[Tuple[int, int, object]] = []
-        self._seq = 0
+        self._items: Deque[object] = deque()
         self._closed = False
         self._waiters: List[asyncio.Future] = []
         self.admitted = 0
         self.rejected = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
+        return len(self._items)
 
     def _wake_one(self) -> None:
         while self._waiters:
@@ -67,22 +48,21 @@ class BoundedPriorityQueue:
                 waiter.set_result(None)
                 return
 
-    def try_put(self, item: object, priority: int = 1) -> bool:
+    def try_put(self, item: object) -> bool:
         """Admit ``item`` or refuse immediately; never blocks."""
-        if self._closed or len(self._heap) >= self.maxsize:
+        if self._closed or len(self._items) >= self.maxsize:
             self.rejected += 1
             return False
-        self._seq += 1
-        heapq.heappush(self._heap, (priority, self._seq, item))
+        self._items.append(item)
         self.admitted += 1
         self._wake_one()
         return True
 
     async def get(self) -> object:
-        """Await the best item; raises :class:`QueueClosed` once closed+empty."""
+        """Await the oldest item; raises :class:`QueueClosed` once closed+empty."""
         while True:
-            if self._heap:
-                return heapq.heappop(self._heap)[2]
+            if self._items:
+                return self._items.popleft()
             if self._closed:
                 raise QueueClosed()
             waiter = asyncio.get_running_loop().create_future()
@@ -100,8 +80,3 @@ class BoundedPriorityQueue:
             if not waiter.done():
                 waiter.set_result(None)
         self._waiters.clear()
-
-    def drain_items(self) -> List[object]:
-        """Remove and return everything still queued (priority order)."""
-        items = [heapq.heappop(self._heap)[2] for _ in range(len(self._heap))]
-        return items

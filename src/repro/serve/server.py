@@ -6,25 +6,23 @@ validated-certificate cache — warm across requests, so the marginal cost of
 a repeated query is one re-validation instead of one verification.  Around
 that warm core sit the robustness mechanisms this module exists for:
 
-* **admission control** — a bounded priority queue
-  (:class:`repro.serve.queues.BoundedPriorityQueue`); when it is full the
-  marginal request gets an immediate ``rejected: overloaded`` reply instead
-  of unbounded queueing;
+* **admission control** — a bounded FIFO queue
+  (:class:`repro.serve.queues.BoundedQueue`) in front of at most
+  ``max_workers`` concurrent computations; when it is full the marginal
+  request gets an immediate ``rejected: overloaded`` reply instead of
+  unbounded queueing;
 * **coalescing** — identical in-flight queries (same cache key) share one
   computation; N clients, one supervised run, one cache store;
 * **deadline propagation** — a request's ``deadline_s`` becomes the
   supervised unit's wall budget, which the ladder threads into every
   engine's timeout and the SAT solver's cooperative interrupt;
-* **adaptive throttling** — observed computation latency steers the number
-  of concurrently supervised units
-  (:class:`repro.serve.throttle.AdaptiveThrottle`);
 * **cancellation** — a client disconnect removes its waiter; when a
   computation has no waiters left its abort event fires and the supervisor
   reaps the worker;
 * **crash safety** — every accepted request is journaled before the accept
   reply (:class:`repro.serve.journal.RequestJournal`); a restarted server
-  replays the journal and NACKs (or requeues) accepted-but-unanswered
-  requests, so an accept can never be silently lost;
+  replays the journal and NACKs accepted-but-unanswered requests, so an
+  accept can never be silently lost;
 * **graceful drain** — SIGTERM/SIGINT (or the ``drain`` op) stops
   admissions, finishes everything accepted, compacts the journal and writes
   the telemetry trace before exit.
@@ -72,21 +70,23 @@ from repro.serve.protocol import (
     OP_PING,
     OP_PROGRESS,
     OP_STATS,
-    OP_STATUS,
     OP_VERIFY,
     PROTOCOL,
     ProtocolError,
     read_frame,
     write_frame,
 )
-from repro.serve.queues import BoundedPriorityQueue, QueueClosed, priority_value
-from repro.serve.throttle import AdaptiveThrottle
+from repro.serve.queues import BoundedQueue, QueueClosed
 
 #: how long admission's look-up may spend re-validating a hit on the event
 #: loop.  The suite's slowest first look-up takes 28 ms; a look-up that runs
 #: out of time is a plain miss, computed in the executor like any other, and
 #: the computation's store replaces the slow entry.
 LOOKUP_TIMEOUT_S = 0.25
+
+#: a running computation sends its waiters a ``progress`` frame at least
+#: this often, so a client can tell a long proof from a dead server
+PROGRESS_INTERVAL_S = 2.0
 
 
 @dataclass
@@ -99,21 +99,13 @@ class ServerConfig:
     cache_dir: Optional[str] = None
     journal_path: Optional[str] = None
     max_queue: int = 16
-    min_workers: int = 1
+    #: at most this many computations run at once
     max_workers: int = 2
-    target_latency_s: float = 10.0
     default_deadline_s: float = 120.0
     attempt_timeout_s: Optional[float] = None
-    representation: str = "word"
     certify: bool = False
-    #: what to do with journaled accepted-but-unanswered requests on start:
-    #: ``"nack"`` closes them as nacked (clients resubmit), ``"requeue"``
-    #: recomputes them waiterless so the verdict lands in the cache
-    recover: str = "nack"
     trace_path: Optional[str] = None
     fsync_journal: bool = False
-    #: cadence of ``progress`` liveness frames to waiting clients (0 = off)
-    progress_interval_s: float = 2.0
     #: a running request with no computation progress for this long is
     #: declared wedged: its workers are killed and retried (None = off)
     progress_timeout_s: Optional[float] = None
@@ -143,18 +135,13 @@ class _Work:
         property_name: str,
         representation: str,
         bound: Optional[int],
-        priority: int,
     ) -> None:
         self.key = key
         self.task = task
         self.property_name = property_name
         self.representation = representation
         self.bound = bound
-        self.priority = priority
         self.waiters: List[_Waiter] = []
-        #: admission already looked this query up; journal-recovered work
-        #: is looked up when it runs
-        self.looked_up = False
         self.abort = threading.Event()
         #: liveness kill switch: set by the monitor when streamed progress
         #: goes silent past the window; the supervisor kills and retries
@@ -162,7 +149,6 @@ class _Work:
         self.running = False
         self.cancelled = False
         self.done = False
-        self.recovered = False
         self.span = None
         self.admitted_t = time.monotonic()
         self.started_t: Optional[float] = None
@@ -224,8 +210,10 @@ class VerifyServer:
     def __init__(self, config: ServerConfig) -> None:
         if not config.socket_path and not config.host:
             raise ValueError("server needs a unix socket path or a TCP host")
+        if config.max_workers < 1:
+            raise ValueError("max_workers must be at least 1")
         self.config = config
-        #: the listen address names this server in status documents and spans
+        #: the listen address names this server in stats documents and spans
         self.server_id = config.socket_path or f"{config.host}:{config.port}"
         self.cache = (
             ResultCache(config.cache_dir) if config.cache_dir else None
@@ -235,12 +223,7 @@ class VerifyServer:
             if config.journal_path
             else None
         )
-        self.queue = BoundedPriorityQueue(config.max_queue)
-        self.throttle = AdaptiveThrottle(
-            min_concurrency=config.min_workers,
-            max_concurrency=config.max_workers,
-            target_latency_s=config.target_latency_s,
-        )
+        self.queue = BoundedQueue(config.max_queue)
         self.inflight: Dict[str, _Work] = {}
         self.active = 0
         #: requests inside :meth:`_admit`; a drain waits for them too
@@ -256,7 +239,6 @@ class VerifyServer:
             "rejected_overloaded": 0,
             "rejected_draining": 0,
             "recovered_nacked": 0,
-            "recovered_requeued": 0,
             "bad_requests": 0,
             "progress_frames": 0,
             "wedged_kills": 0,
@@ -358,55 +340,24 @@ class VerifyServer:
             await self._work_done.wait()
 
     def _recover(self) -> None:
-        """Replay the journal; NACK or requeue accepted-but-unanswered requests."""
+        """Replay the journal and NACK every accepted-but-unanswered request.
+
+        A client that never got its ``result`` resubmits under the same id;
+        the warm cache makes the retry cheap.
+        """
         if self.journal is None:
             return
         report = self.journal.replay()
         self.recovery_report = report.to_json()
-        for request_id, request in report.open_requests.items():
-            if self.config.recover == "requeue" and request.get("design"):
-                work = self._work_from_request(request)
-                if work is not None:
-                    work.recovered = True
-                    if self.queue.try_put(work, work.priority):
-                        self.inflight[work.key] = work
-                        # the requeued recovery is a synthetic waiterless
-                        # request: counting its accept here keeps the
-                        # lifetime invariant accepted == answered + cancelled
-                        self.counters["accepted"] += 1
-                        self.counters["recovered_requeued"] += 1
-                        self.journal.finish(request_id, journal_mod.REQUEUED)
-                        continue
+        for request_id in report.open_requests:
             self.counters["recovered_nacked"] += 1
             self.journal.finish(request_id, journal_mod.NACKED)
         if report.open_requests or report.torn_lines:
             _log.info(
                 f"journal recovery: {len(report.open_requests)} open request(s) "
-                f"({self.config.recover}), {report.torn_lines} torn line(s)"
+                f"NACKed, {report.torn_lines} torn line(s)"
             )
         _telemetry.counter("serve.recovered_open", len(report.open_requests))
-
-    def _work_from_request(self, request: dict) -> Optional[_Work]:
-        """Rebuild a :class:`_Work` from a journaled request document."""
-        try:
-            task = _task_from_request(request)
-            system = task.load()
-            property_name = _resolve_property(system, request.get("property"))
-            representation = str(
-                request.get("representation", self.config.representation)
-            )
-            key = cache_key(system, property_name, representation)
-        except Exception:  # noqa: BLE001 - a stale journal must not wedge startup
-            return None
-        bound = request.get("bound")
-        return _Work(
-            key,
-            task,
-            property_name,
-            representation,
-            int(bound) if isinstance(bound, int) else None,
-            priority_value(request.get("priority")),
-        )
 
     # ------------------------------------------------------------------
     # connections and request admission
@@ -454,7 +405,7 @@ class VerifyServer:
             _telemetry.counter("serve.cancelled")
             if self.journal is not None:
                 self.journal.finish(request_id, journal_mod.CANCELLED)
-            if not work.waiters and not work.recovered:
+            if not work.waiters:
                 if work.running:
                     work.abort.set()
                 else:
@@ -469,8 +420,6 @@ class VerifyServer:
             await conn.send({"ok": True, "op": "pong", "draining": self.draining})
         elif op == OP_STATS:
             await conn.send({"ok": True, "op": "stats", "stats": self.stats()})
-        elif op == OP_STATUS:
-            await conn.send({"ok": True, "op": "status", "status": self.status_doc()})
         elif op == OP_DRAIN:
             await conn.send({"ok": True, "op": "draining"})
             self.request_shutdown()
@@ -505,9 +454,7 @@ class VerifyServer:
         )
         try:
             task = _task_from_request(request)
-            representation = str(
-                request.get("representation", self.config.representation)
-            )
+            representation = str(request.get("representation", "word"))
             property_name, key, hit = self._look_up(
                 span, task, request.get("property"), representation
             )
@@ -540,20 +487,13 @@ class VerifyServer:
             property_name,
             representation,
             int(bound) if isinstance(bound, int) else None,
-            priority_value(request.get("priority")),
         )
-        work.looked_up = True
         work.waiters.append(waiter)
 
         existing = self.inflight.get(key)
         if existing is not None and not existing.cancelled and not existing.done:
             # coalesce: share the in-flight computation, skip the queue
             existing.waiters.append(waiter)
-            if existing.recovered:
-                # a real client adopts the waiterless recovery: close the
-                # synthetic stake so accepted == answered + cancelled holds
-                existing.recovered = False
-                self.counters["cancelled"] += 1
             conn.requests[request_id] = existing
             self.counters["accepted"] += 1
             self.counters["coalesced"] += 1
@@ -561,7 +501,7 @@ class VerifyServer:
             await self._accept(conn, request_id, request, key, coalesced=True)
             return
 
-        if not self.queue.try_put(work, work.priority):
+        if not self.queue.try_put(work):
             self.counters["rejected_overloaded"] += 1
             _telemetry.counter("serve.rejected_overloaded")
             await conn.send(
@@ -638,7 +578,7 @@ class VerifyServer:
             except QueueClosed:
                 return
             _telemetry.gauge("serve.queue_depth", len(self.queue))
-            while self.active >= self.throttle.concurrency:
+            while self.active >= self.config.max_workers:
                 self._slot_free.clear()
                 await self._slot_free.wait()
             if work.cancelled:  # its waiters may leave while it waits
@@ -664,7 +604,6 @@ class VerifyServer:
                     requests=[w.request_id for w in work.waiters],
                 )
             timeout = _pool_deadline(work)
-            started = time.monotonic()
             if timeout is not None and timeout <= 0:
                 result = VerificationResult(
                     Status.TIMEOUT,
@@ -676,10 +615,6 @@ class VerifyServer:
             else:
                 result, source = await asyncio.to_thread(
                     self._compute, work, timeout
-                )
-                self.throttle.observe(time.monotonic() - started)
-                _telemetry.gauge(
-                    "serve.concurrency", self.throttle.concurrency
                 )
             if work.span is not None:
                 work.span.finish(outcome=f"{result.status}:{source}")
@@ -696,12 +631,6 @@ class VerifyServer:
             self.counters["computations"] += 1
             _telemetry.counter("serve.computations")
             system = work.task.load()
-            if self.cache is not None and not work.looked_up:
-                lookup = self.cache.lookup(
-                    system, work.property_name, work.representation
-                )
-                if lookup.hit:
-                    return lookup.result, "cache"
             rungs = default_budget_ladder(
                 (work.representation,),
                 bound=work.bound,
@@ -749,9 +678,6 @@ class VerifyServer:
                     waiter.request_id, journal_mod.ANSWERED, status=result.status
                 )
             await waiter.conn.send(dict(reply_base, id=waiter.request_id))
-        if work.recovered and not waiters:
-            # a requeued recovery has no client; the verdict went to the cache
-            self.counters["answered"] += 1
 
     def _result_doc(
         self, key: str, result: VerificationResult, source: str, audience: int
@@ -836,25 +762,22 @@ class VerifyServer:
             asyncio.ensure_future(waiter.conn.send(frame))
 
     async def _monitor(self) -> None:
-        """Periodic liveness duty: idle-window throttle ticks, ``progress``
-        keepalive frames for quiet computations, and the wedged-request
-        kill — no computation progress inside ``progress_timeout_s`` sets
-        the work's stall event, which the supervisor turns into a
-        kill-and-retry (``timed-out`` attempt, normal retry budget)."""
+        """Periodic liveness duty: ``progress`` keepalive frames for quiet
+        computations, and the wedged-request kill — no computation progress
+        inside ``progress_timeout_s`` sets the work's stall event, which the
+        supervisor turns into a kill-and-retry (``timed-out`` attempt,
+        normal retry budget)."""
         interval = 0.25
         while True:
             await asyncio.sleep(interval)
-            self.throttle.tick()
             now = time.monotonic()
             for work in list(self.inflight.values()):
                 if not work.running or work.done:
                     continue
-                keepalive = self.config.progress_interval_s
                 if (
-                    keepalive
-                    and work.waiters
+                    work.waiters
                     and now - max(work.last_progress_sent, work.started_t or 0.0)
-                    >= keepalive
+                    >= PROGRESS_INTERVAL_S
                 ):
                     self._fan_out_progress(work, {"kind": "alive"})
                 window = self.config.progress_timeout_s
@@ -871,15 +794,21 @@ class VerifyServer:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
+        """The ``stats`` op's document, which ``repro-serve --status`` prints.
+
+        Lifetime accept/answer/cancel counters come straight from
+        ``counters``; while a recorder records, the ``telemetry`` block adds
+        the span count and the cross-subsystem counters and gauges.
+        """
         document = {
             "protocol": PROTOCOL,
             "pid": os.getpid(),
             "server_id": self.server_id,
+            "uptime_s": round(time.monotonic() - self._started_at, 3),
             "draining": self.draining,
             "counters": dict(self.counters),
             "queue_depth": len(self.queue),
             "active": self.active,
-            "throttle": self.throttle.snapshot(),
             "recovery": self.recovery_report,
         }
         if self.cache is not None:
@@ -896,17 +825,6 @@ class VerifyServer:
                 "appends": self.journal.appends,
                 "torn_injected": self.journal.torn_injected,
             }
-        return document
-
-    def status_doc(self) -> dict:
-        """The ``status`` op's richer document: stats + uptime + telemetry.
-
-        Lifetime accept/answer/cancel counters come straight from
-        ``counters``; the telemetry snapshot (when a recorder is recording)
-        adds the span count and the cross-subsystem counters and gauges.
-        """
-        document = self.stats()
-        document["uptime_s"] = round(time.monotonic() - self._started_at, 3)
         recorder = _telemetry.get_recorder()
         if recorder is not None:
             snapshot = recorder.snapshot()
@@ -966,7 +884,7 @@ def _journal_doc(request: dict) -> dict:
         name: request[name]
         for name in (
             "design", "verilog", "aiger", "top", "property",
-            "representation", "bound", "deadline_s", "priority",
+            "representation", "bound", "deadline_s",
         )
         if name in request
     }

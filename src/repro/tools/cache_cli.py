@@ -20,7 +20,8 @@ Subcommands
 
 ``evict``
     Apply ``--max-entries``/``--max-bytes`` LRU caps once, printing the
-    evicted keys.
+    evicted keys.  A cap of 0 evicts every entry; a negative cap is refused
+    with exit 2.
 """
 
 from __future__ import annotations
@@ -100,8 +101,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_evict(args: argparse.Namespace) -> int:
-    if args.max_entries is None and args.max_bytes is None:
+    caps = [cap for cap in (args.max_entries, args.max_bytes) if cap is not None]
+    if not caps:
         print("evict needs --max-entries and/or --max-bytes")
+        return 2
+    if min(caps) < 0:
+        print("evict caps must be 0 or more (0 evicts every entry)")
         return 2
     cache = ResultCache(args.cache_dir)
     evicted = cache.store_backend.evict(

@@ -6,7 +6,7 @@ across requests::
 
     repro-serve --socket /tmp/repro.sock --cache-dir .repro-cache \\
         --journal .repro-serve/journal.jsonl
-    repro-serve --tcp 127.0.0.1:7411 --workers 1:4 --target-latency 10
+    repro-serve --tcp 127.0.0.1:7411 --workers 4
 
 Clients speak ``repro-serve-v1`` (:mod:`repro.serve.protocol`):
 ``repro-verify daio --server /tmp/repro.sock`` for one-shot queries, or
@@ -20,9 +20,11 @@ is written.
 the server process — soak-harness only; the rates come from
 ``--chaos-rates kind=rate,...`` and cover both the classic execution faults
 (worker kills, hangs, cache tampering) and the server-site ``journal-torn``.
+A kind outside :data:`repro.faults.plan.FAULT_KINDS` or a rate outside
+[0, 1] is a usage error.
 
 ``repro-serve --status TARGET`` prints a one-shot health report of a running
-server instead of starting anything.
+server, read from its ``stats`` op, instead of starting anything.
 """
 
 from __future__ import annotations
@@ -32,25 +34,36 @@ import asyncio
 import sys
 from typing import List, Optional
 
+from repro.faults.plan import FAULT_KINDS, FaultPlan
 from repro.obs import log as _log
 from repro.obs import telemetry as _telemetry
 from repro.serve.server import ServerConfig, VerifyServer
 
 
-def _parse_workers(spec: str) -> tuple:
-    """``"4"`` → (1, 4); ``"2:8"`` → (2, 8)."""
-    if ":" in spec:
-        low, high = spec.split(":", 1)
-        return int(low), int(high)
-    return 1, int(spec)
+def _parse_rates(spec: str) -> dict:
+    """An argparse type: ``"kind=rate,..."`` to ``{kind: rate}``.
 
-
-def _parse_rates(spec: Optional[str]) -> dict:
+    Every kind must be one of :data:`repro.faults.plan.FAULT_KINDS` and every
+    rate a number in [0, 1]; a misspelled kind would otherwise be installed
+    and never fire.
+    """
     rates = {}
-    if spec:
-        for item in spec.split(","):
-            kind, _, rate = item.partition("=")
-            rates[kind.strip()] = float(rate)
+    for item in spec.split(","):
+        kind, _, text = item.partition("=")
+        kind = kind.strip()
+        if kind not in FAULT_KINDS:
+            raise argparse.ArgumentTypeError(
+                f"unknown fault kind {kind!r} (known: {', '.join(FAULT_KINDS)})"
+            )
+        try:
+            rate = float(text)
+        except ValueError:
+            rate = -1.0
+        if not 0.0 <= rate <= 1.0:
+            raise argparse.ArgumentTypeError(
+                f"rate of {kind!r} must be a number in [0, 1], got {text!r}"
+            )
+        rates[kind] = rate
     return rates
 
 
@@ -65,7 +78,7 @@ def _print_status(target: str) -> int:
             socket_path=socket_path, host=host, port=port,
             timeout=5.0, reconnect=False,
         ) as client:
-            status = client.status()
+            status = client.stats()
     except Exception as error:  # noqa: BLE001 - report, don't trace
         print(f"{target}: unreachable ({error})", file=sys.stderr)
         return 1
@@ -79,11 +92,9 @@ def _print_status(target: str) -> int:
             if name in counters
         )
         print(f"  lifetime: {lifetime}")
-    throttle = status.get("throttle") or {}
     print(
         f"  queue={status.get('queue_depth', '?')}"
         f" active={status.get('active', '?')}"
-        f" concurrency={throttle.get('concurrency', '?')}"
     )
     telemetry = status.get("telemetry") or {}
     wedged = counters.get("wedged_kills")
@@ -122,12 +133,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--journal", metavar="FILE", default=None,
         help="write-ahead request journal; on restart, accepted-but-"
-             "unanswered requests are recovered per --recover",
-    )
-    parser.add_argument(
-        "--recover", choices=("nack", "requeue"), default="nack",
-        help="journal recovery policy: close open requests as nacked "
-             "(default) or recompute them into the cache",
+             "unanswered requests are NACKed",
     )
     parser.add_argument(
         "--max-queue", type=int, default=16, metavar="N",
@@ -135,13 +141,9 @@ def main(argv: Optional[List[str]] = None) -> int:
              "with reason 'overloaded' (default 16)",
     )
     parser.add_argument(
-        "--workers", default="2", metavar="[MIN:]MAX",
-        help="concurrency range for the adaptive throttle (default 1:2)",
-    )
-    parser.add_argument(
-        "--target-latency", type=float, default=10.0, metavar="S",
-        help="throttle target: shrink concurrency while observed latency "
-             "EWMA exceeds this, grow while well below (default 10)",
+        "--workers", type=int, default=2, metavar="N",
+        help="run at most N computations at once; queued misses wait in "
+             "arrival order (default 2)",
     )
     parser.add_argument(
         "--default-deadline", type=float, default=120.0, metavar="S",
@@ -179,7 +181,7 @@ def main(argv: Optional[List[str]] = None) -> int:
              "(soak/test harness only)",
     )
     parser.add_argument(
-        "--chaos-rates", default=None, metavar="KIND=RATE,...",
+        "--chaos-rates", type=_parse_rates, default={}, metavar="KIND=RATE,...",
         help="per-kind fault rates for --chaos, e.g. "
              "'worker-kill=0.2,journal-torn=0.1'",
     )
@@ -197,7 +199,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             port = int(port_text)
         except ValueError:
             parser.error(f"bad --tcp spec {args.tcp!r} (want HOST:PORT)")
-    min_workers, max_workers = _parse_workers(args.workers)
+    if args.workers < 1:
+        parser.error(f"--workers must be 1 or more, not {args.workers}")
+    if args.max_queue < 1:
+        parser.error(f"--max-queue must be 1 or more, not {args.max_queue}")
 
     config = ServerConfig(
         socket_path=args.socket,
@@ -206,13 +211,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache_dir=args.cache_dir,
         journal_path=args.journal,
         max_queue=args.max_queue,
-        min_workers=min_workers,
-        max_workers=max_workers,
-        target_latency_s=args.target_latency,
+        max_workers=args.workers,
         default_deadline_s=args.default_deadline,
         attempt_timeout_s=args.attempt_timeout,
         certify=args.certify,
-        recover=args.recover,
         trace_path=args.trace,
         fsync_journal=args.fsync_journal,
         progress_timeout_s=args.progress_timeout,
@@ -220,10 +222,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.chaos is not None:
         from repro.faults import injection
-        from repro.faults.plan import FaultPlan
 
         injection.install(
-            FaultPlan(seed=args.chaos, rates=_parse_rates(args.chaos_rates))
+            FaultPlan(seed=args.chaos, rates=args.chaos_rates)
         )
         _log.info(f"chaos plan installed (seed {args.chaos})")
 

@@ -365,10 +365,6 @@ def main(argv: Optional[List[str]] = None) -> int:
              "multiple targets are pipelined over one connection",
     )
     parser.add_argument(
-        "--priority", choices=["interactive", "batch", "bulk"], default=None,
-        help="server-mode admission priority (default: the server's)",
-    )
-    parser.add_argument(
         "--trace", metavar="FILE", default=None,
         help="record structured telemetry (spans + counters) for the whole "
              "run and write a repro-trace-v1 JSONL file; inspect it with "
@@ -694,8 +690,6 @@ def _run_server_client(args) -> int:
             request["representation"] = args.representation[0]
         if args.bound is not None:
             request["bound"] = args.bound
-        if args.priority:
-            request["priority"] = args.priority
         return request
 
     if ":" in args.server and not os.path.exists(args.server):

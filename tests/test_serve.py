@@ -1,13 +1,15 @@
-"""The verify server: protocol, journal, admission, throttle, end to end.
+"""The verify server: protocol, journal, admission, CLI checks, end to end.
 
 The serving contract under test is *no silent loss*: every request the
-server accepts is answered, cleanly rejected, or journaled for a restart to
-NACK.  The unit tests cover each mechanism in isolation (framing, journal
-replay through torn tails, bounded-queue admission, throttle feedback); the
-end-to-end tests run a real :class:`VerifyServer` on a unix socket with real
-supervised verifications behind it.
+server accepts is answered, cancelled when its client leaves, or journaled
+for a restart to NACK.  The unit tests cover each mechanism in isolation
+(framing, journal replay through torn tails, bounded FIFO admission, the
+``repro-serve`` and ``repro-cache`` argument checks); the end-to-end tests
+run a real :class:`VerifyServer` on a unix socket with real supervised
+verifications behind it.
 """
 
+import argparse
 import io
 import json
 import multiprocessing
@@ -30,8 +32,7 @@ from repro.faults.injection import plan_installed
 from repro.faults.plan import HANG_HARD, FaultPlan
 from repro.obs import telemetry
 from repro.serve import (
-    AdaptiveThrottle,
-    BoundedPriorityQueue,
+    BoundedQueue,
     PROTOCOL,
     ProtocolError,
     RequestJournal,
@@ -48,8 +49,9 @@ from repro.serve.protocol import (
     read_frame_blocking,
     write_frame_blocking,
 )
-from repro.serve.queues import QueueClosed, priority_value
-from repro.tools import serve_cli
+from repro.serve.queues import QueueClosed
+from repro.tools import cache_cli, serve_cli
+from test_serve_soak import SERVER_RATES
 
 
 # ---------------------------------------------------------------------------
@@ -183,125 +185,95 @@ def test_journal_compaction_races_live_appends(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# bounded priority admission queue
+# bounded FIFO admission queue
 # ---------------------------------------------------------------------------
 
 
-def test_queue_priority_order_and_fifo_within_class():
+def test_queue_serves_in_arrival_order():
     async def scenario():
-        queue = BoundedPriorityQueue(maxsize=8)
-        assert queue.try_put("bulk-1", priority_value("bulk"))
-        assert queue.try_put("batch-1", priority_value("batch"))
-        assert queue.try_put("interactive-1", priority_value("interactive"))
-        assert queue.try_put("batch-2", priority_value(None))  # default: batch
-        assert queue.try_put("weird", priority_value("no-such-class"))  # bulk
-        order = [await queue.get() for _ in range(5)]
-        assert order == ["interactive-1", "batch-1", "batch-2", "bulk-1", "weird"]
+        queue = BoundedQueue(maxsize=8)
+        for item in ("first", "second", "third"):
+            assert queue.try_put(item)
+        assert await queue.get() == "first"
+        assert queue.try_put("fourth")
+        order = [await queue.get() for _ in range(3)]
+        assert order == ["second", "third", "fourth"]
 
     asyncio.run(scenario())
 
 
 def test_queue_rejects_at_capacity_never_blocks():
     async def scenario():
-        queue = BoundedPriorityQueue(maxsize=2)
-        assert queue.try_put("a", 1) and queue.try_put("b", 1)
-        assert not queue.try_put("c", 0)  # even interactive is refused
+        queue = BoundedQueue(maxsize=2)
+        assert queue.try_put("a") and queue.try_put("b")
+        assert not queue.try_put("c")
         assert queue.rejected == 1 and queue.admitted == 2
         await queue.get()
-        assert queue.try_put("c", 0)
+        assert queue.try_put("c")
 
     asyncio.run(scenario())
 
 
 def test_queue_close_wakes_getters_with_queue_closed():
     async def scenario():
-        queue = BoundedPriorityQueue(maxsize=2)
+        queue = BoundedQueue(maxsize=2)
         getter = asyncio.ensure_future(queue.get())
         await asyncio.sleep(0)  # let the getter park
         queue.close()
         with pytest.raises(QueueClosed):
             await getter
-        assert not queue.try_put("late", 1)
+        assert not queue.try_put("late")
 
     asyncio.run(scenario())
 
 
 # ---------------------------------------------------------------------------
-# adaptive throttle
+# command-line argument checks
 # ---------------------------------------------------------------------------
 
 
-def test_throttle_shrinks_under_latency_and_recovers():
-    throttle = AdaptiveThrottle(
-        min_concurrency=1, max_concurrency=4, target_latency_s=1.0, window=2
-    )
-    assert throttle.concurrency == 4
-    for _ in range(4):
-        throttle.observe(10.0)  # far above target
-    assert throttle.concurrency == 2
-    for _ in range(20):
-        throttle.observe(0.01)  # far below target/2
-    assert throttle.concurrency == 4  # clamped at max, grown back
-    assert throttle.adjustments >= 4
+def test_chaos_rates_accept_only_known_kinds_and_rates_in_range():
+    """A misspelled or retired kind would be installed and never fire, and
+    a rate that is no number used to end in a traceback."""
+    assert serve_cli._parse_rates(SERVER_RATES) == {
+        "crash": 0.25, "slow-start": 0.3, "worker-kill": 0.25,
+        "cert-forge": 0.25, "journal-torn": 0.2,
+    }
+    assert serve_cli._parse_rates("hang=0,spawn-fail=1") == {
+        "hang": 0.0, "spawn-fail": 1.0,
+    }
+    for spec in ("crsh=0.5", "queue-flood=1", "crash=0.1,", "worker-kill=x",
+                 "crash", "crash=1.5", "crash=-0.1", "crash=nan"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            serve_cli._parse_rates(spec)
 
 
-def test_throttle_never_drops_below_min():
-    throttle = AdaptiveThrottle(
-        min_concurrency=2, max_concurrency=3, target_latency_s=0.5, window=1
-    )
-    for _ in range(10):
-        throttle.observe(30.0)
-    assert throttle.concurrency == 2
+@pytest.mark.parametrize("argv", [
+    ["--workers", "0"],
+    ["--workers", "2:x"],
+    ["--max-queue", "0"],
+])
+def test_serve_cli_bad_sizes_are_usage_errors_before_binding(tmp_path, capsys, argv):
+    sock = _sock(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        serve_cli.main(["--socket", sock, *argv])
+    assert excinfo.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+    assert not os.path.exists(sock)
 
 
-def test_throttle_adjusts_at_most_once_per_window():
-    throttle = AdaptiveThrottle(
-        min_concurrency=1, max_concurrency=8, target_latency_s=10.0, window=4
-    )
-    throttle.observe(0.001)
-    throttle.observe(0.001)
-    throttle.observe(0.001)
-    assert throttle.concurrency == 8 and throttle.adjustments == 0
-
-
-def test_throttle_idle_windows_decay_stale_ewma_toward_target():
-    """A zero-completion window must not leave the pool shrunk forever.
-
-    A burst of slow work pins the EWMA above target and shrinks
-    concurrency; if no further work completes, observe() never runs again
-    and the stale sample would keep the pool small.  The monitor's tick()
-    closes each idle window by decaying the EWMA toward target, growing
-    the pool back without a single fresh observation.
-    """
-    throttle = AdaptiveThrottle(
-        min_concurrency=1, max_concurrency=4, target_latency_s=1.0,
-        window=1, idle_window_s=0.5,
-    )
-    for _ in range(6):
-        throttle.observe(40.0)  # overload burst
-    assert throttle.concurrency == 1
-    assert throttle.ewma_latency_s > throttle.target_latency_s
-
-    # ticks inside the idle window are no-ops (the window hasn't closed)
-    assert throttle.tick(now=time.monotonic() + 0.1) == 1
-    assert throttle.idle_windows == 0
-
-    # then silence: each closed idle window decays the stale sample toward
-    # target (never past it — growth still requires evidence of fast work)
-    now = time.monotonic()
-    for n in range(1, 40):
-        throttle.tick(now=now + 0.6 * n)
-    assert throttle.idle_windows >= 10
-    assert 1.0 < throttle.ewma_latency_s < 1.1  # stale 40s sample released
-
-    # two fast observations now suffice to start growing the pool back;
-    # without the decay they would have been swamped by the stale sample
-    throttle.observe(0.01)
-    throttle.observe(0.01)
-    assert throttle.ewma_latency_s < throttle.target_latency_s / 2.0
-    for _ in range(6):
-        throttle.observe(0.01)
-    assert throttle.concurrency == 4
+def test_cache_evict_refuses_negative_caps(tmp_path, proc3_entry_json, capsys):
+    root = str(tmp_path / "cache")
+    store = CertificateStore(root)
+    for key in ("k0", "k1"):
+        store.save(_clone_entry(proc3_entry_json, key))
+    for flag in ("--max-entries", "--max-bytes"):
+        assert cache_cli.main(["--cache-dir", root, "evict", flag, "-1"]) == 2
+        assert "0 or more" in capsys.readouterr().out
+        assert len(CertificateStore(root)) == 2
+    # a cap of 0 still means "evict everything"
+    assert cache_cli.main(["--cache-dir", root, "evict", "--max-entries", "0"]) == 0
+    assert len(CertificateStore(root)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +416,7 @@ def test_server_recovery_nacks_journaled_orphans(tmp_path):
     dead.finish("orphan-2", journal_mod.ANSWERED, status="safe")
     dead.close()
 
-    config = ServerConfig(
-        socket_path=_sock(tmp_path),
-        journal_path=journal_path,
-        recover="nack",
-    )
+    config = ServerConfig(socket_path=_sock(tmp_path), journal_path=journal_path)
     with RunningServer(config) as server:
         with ServeClient(socket_path=config.socket_path) as client:
             stats = client.stats()
@@ -610,29 +578,6 @@ def test_tampered_entry_is_demoted_at_admission_and_computed_once(
     assert server.counters["computations"] == 1
 
 
-def test_requeued_recovery_consults_the_cache(tmp_path, proc3_entry_json):
-    cache_dir = str(tmp_path / "cache")
-    _store_proc3(cache_dir, proc3_entry_json)
-    journal_path = str(tmp_path / "journal.jsonl")
-    dead = RequestJournal(journal_path)
-    dead.accept("orphan", {"design": "proc3"})
-    dead.close()
-
-    config = ServerConfig(
-        socket_path=_sock(tmp_path),
-        cache_dir=cache_dir,
-        journal_path=journal_path,
-        recover="requeue",
-    )
-    with RunningServer(config) as server:
-        with ServeClient(socket_path=config.socket_path) as client:
-            client.drain()  # a drain answers the requeued recovery first
-    assert server.counters["recovered_requeued"] == 1
-    assert server.counters["answered"] == 1
-    assert server.cache.hits == 1 and server.cache.misses == 0
-    assert server.cache.stores == 0
-
-
 def test_server_rejects_unknown_design_without_dying(tmp_path):
     config = ServerConfig(socket_path=_sock(tmp_path))
     with RunningServer(config) as server:
@@ -658,16 +603,19 @@ def _journaled_config(tmp_path, **overrides):
 
 
 def test_status_op(tmp_path):
+    """``stats`` carries what ``repro-serve --status`` prints; the
+    ``telemetry`` block is there only while a recorder records."""
     config = _journaled_config(tmp_path)
     with RunningServer(config):
         with ServeClient(
             socket_path=config.socket_path, reconnect=False
         ) as client:
             client.verify(design="daio", bound=70)
-            status = client.status()
-            assert status["server_id"] == config.socket_path
-            assert status["counters"]["answered"] == 1
-            assert status["uptime_s"] > 0
+            stats = client.stats()
+            assert stats["server_id"] == config.socket_path
+            assert stats["counters"]["answered"] == 1
+            assert stats["uptime_s"] > 0
+            assert "telemetry" not in stats
 
 
 def test_status_cli_counts_recorded_spans(tmp_path, capsys):
@@ -730,7 +678,7 @@ def test_client_reconnects_and_resubmits_across_server_restart(tmp_path):
 
 
 def test_progress_frames_stream_to_waiting_clients(tmp_path):
-    config = _journaled_config(tmp_path, progress_interval_s=0.2)
+    config = _journaled_config(tmp_path)
     with RunningServer(config):
         frames = []
         with ServeClient(

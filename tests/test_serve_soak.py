@@ -115,8 +115,7 @@ def test_serve_soak(tmp_path):
     with _server(
         "--socket", sock, "--cache-dir", str(tmp_path / "cache"),
         "--journal", journal_a, "--trace", trace_a,
-        "--max-queue", "4", "--workers", "1:2",
-        "--target-latency", "5",
+        "--max-queue", "4",
         "--default-deadline", str(TIMEOUT_S),
         "--attempt-timeout", str(TIMEOUT_S / 4.0),
         "--certify",
@@ -177,8 +176,7 @@ def test_serve_soak(tmp_path):
                     try:
                         accepted = client.submit(
                             {"design": name, "representation": representation,
-                             "bound": 64, "deadline_s": min(20.0, TIMEOUT_S),
-                             "priority": "bulk"}
+                             "bound": 64, "deadline_s": min(20.0, TIMEOUT_S)}
                         )
                         accepted_ids.append((name, accepted["id"]))
                     except ServeError:
@@ -234,7 +232,7 @@ def test_serve_soak(tmp_path):
     with _server(
         "--socket", sock, "--cache-dir", cache_b,
         "--journal", journal_b,
-        "--max-queue", "8", "--workers", "1:2",
+        "--max-queue", "8",
         "--default-deadline", "120", "-q",
     ) as server:
         _wait_ready(server, sock)
@@ -260,9 +258,9 @@ def test_serve_soak(tmp_path):
         os.unlink(sock)
     with _server(
         "--socket", sock, "--cache-dir", cache_b,
-        "--journal", journal_b, "--recover", "nack",
+        "--journal", journal_b,
         "--trace", trace_c,
-        "--max-queue", "8", "--workers", "1:2", "-q",
+        "--max-queue", "8", "-q",
     ) as server:
         _wait_ready(server, sock)
         with ServeClient(socket_path=sock) as client:
