@@ -24,11 +24,6 @@ def aig_is_negated(lit: AigerLiteral) -> bool:
     return bool(lit & 1)
 
 
-def aig_node(lit: AigerLiteral) -> int:
-    """Return the node index of a literal."""
-    return lit >> 1
-
-
 @dataclass
 class Latch:
     """A sequential element: current-state literal, next-state literal, reset value."""

@@ -62,7 +62,6 @@ _EXPORTS = {
     "BatchItem": "batch",
     "BatchReport": "batch",
     "BatchRunner": "batch",
-    "RetryPolicy": "supervision",
     "SupervisedOutcome": "supervision",
     "WorkerSupervisor": "supervision",
 }

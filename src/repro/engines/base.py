@@ -146,11 +146,6 @@ class EngineCapabilities(Frozen):
         #: scheduling tier used by the budget ladder ("cheap"/"medium"/"heavy")
         object.__setattr__(self, "cost", cost)
 
-    @property
-    def cost_rank(self) -> int:
-        """The ladder rung index of the engine's cost tier."""
-        return self.COST_TIERS.index(self.cost)
-
     def describe(self) -> str:
         """Short human-readable capability tag, e.g. ``prove+refute [word,bit]``."""
         verbs = [v for v, ok in (("prove", self.can_prove), ("refute", self.can_refute)) if ok]

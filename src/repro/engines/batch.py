@@ -14,7 +14,9 @@ The serving workload of the ROADMAP is not "one design, one query" but a
 * each item is first looked up in the certificate-keyed
   :class:`repro.cache.ResultCache` (when one is attached): hits are served
   from the parent after independent re-validation, only misses reach the
-  pool, which is one :meth:`WorkerSupervisor.run_map`;
+  pool, which is one :meth:`WorkerSupervisor.run_map`: a unit that crashed,
+  timed out or came back without a verdict is retried once, but a ladder on
+  which every engine ran cleanly to ``unknown`` is final;
 * pool workers run the budget ladder
   (:func:`repro.engines.ladder.run_sequential_ladder`, the package's one
   ladder loop, which bare ``repro-verify`` queries also run in-process):
@@ -32,7 +34,6 @@ The module holds only the pool; the ladder it runs lives in
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import time
@@ -49,8 +50,8 @@ from repro.engines.ladder import (
 from repro.engines.result import Status, VerificationResult
 from repro.engines.supervision import (
     CANCELLED as _UNIT_CANCELLED,
+    START_METHOD,
     TIMED_OUT as _UNIT_TIMED_OUT,
-    RetryPolicy,
     SupervisedOutcome,
     WorkerSupervisor,
 )
@@ -217,11 +218,7 @@ def run_supervised_unit(
     timeout: Optional[float] = None,
     attempt_timeout: Optional[float] = None,
     certify: bool = False,
-    supervisor: Optional[WorkerSupervisor] = None,
-    context=None,
-    retry: Optional[RetryPolicy] = None,
     abort=None,
-    stall=None,
     on_event=None,
 ) -> Tuple[VerificationResult, SupervisedOutcome]:
     """Run one ``(task, property)`` unit in a supervised worker process.
@@ -229,23 +226,15 @@ def run_supervised_unit(
     This is the single-unit form of the batch pool: one payload through
     :meth:`WorkerSupervisor.run_map` with the same rebudgeting (the attempt
     allowance is threaded into the ladder so engines and solvers arm their
-    cooperative deadlines) and the same semantic acceptance test (a ladder
-    that returned no definitive verdict is retried under the remaining
-    budget).  The serve layer runs every admitted request through here, so
-    a server request gets exactly the deadline/kill/retry hygiene of a
-    batch unit — plus ``abort`` for client-disconnect cancellation and
-    ``stall`` for the wedged-request liveness kill (both settable events,
-    see :meth:`WorkerSupervisor.run_map`).
+    cooperative deadlines) and the same semantic acceptance test
+    (:func:`_accept_definitive`).  The serve layer runs every admitted
+    request through here, so a server request gets exactly the
+    deadline/kill/retry hygiene of a batch unit — plus ``abort``, a
+    settable event, for client-disconnect cancellation (see
+    :meth:`WorkerSupervisor.run_map`).
     """
-    if supervisor is None:
-        if context is None:
-            start_methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in start_methods else "spawn"
-            )
-        supervisor = WorkerSupervisor(context, retry=retry)
     payload = (0, task, property_name, tuple(rungs), timeout, certify)
-    outcomes = supervisor.run_map(
+    outcomes = WorkerSupervisor().run_map(
         [payload],
         _batch_worker,
         jobs=1,
@@ -254,7 +243,6 @@ def run_supervised_unit(
         rebudget=lambda p, allowance: p[:4] + (allowance,) + p[5:],
         accept=_accept_definitive,
         abort=abort,
-        stall=stall,
         on_event=on_event,
     )
     outcome = outcomes[0]
@@ -268,16 +256,22 @@ def run_supervised_unit(
 def _accept_definitive(payload, value) -> Optional[str]:
     """Supervision acceptance test for a batch worker's answer.
 
-    A ladder that came back without a definitive verdict (every rung
-    crashed, wedged, or had its certificate rejected) is worth retrying
-    while the unit still has wall budget — the supervisor keeps the
-    rejected answer as the fallback if the retry fares no better.
+    A definitive verdict is final, and so is a ladder on which every engine
+    ran cleanly to ``unknown``: a retry would repeat the same deterministic
+    work.  Any other inconclusive ladder (an engine crashed, ran out of
+    budget or had its certificate rejected, which is what faults leave
+    behind) is worth retrying while the unit still has wall budget — the
+    supervisor keeps the rejected answer as the fallback if the retry fares
+    no better.
     """
     try:
         _, result = value
     except (TypeError, ValueError):
         return "malformed worker answer"
     if result.status in Status.DEFINITIVE:
+        return None
+    attempts = result.detail.get("ladder_attempts")
+    if attempts and all(attempt["status"] == Status.UNKNOWN for attempt in attempts):
         return None
     return f"no definitive verdict ({result.status}: {result.reason or 'inconclusive'})"
 
@@ -302,20 +296,16 @@ class BatchRunner:
     timeout:
         Per-item wall-clock budget in seconds.
     bound:
-        Search-depth cap routed to every engine of the ladder.
-    ladder:
-        The rung schedule each worker escalates through (default: the
-        cost-tier ladder of
-        :func:`repro.engines.ladder.default_budget_ladder`).
+        Search-depth cap routed to every engine of the ladder.  Each worker
+        escalates through the cost-tier ladder of
+        :func:`repro.engines.ladder.default_budget_ladder`.
     on_event:
         Optional callback receiving progress dicts (``hit``/``scheduled``/
         ``result``/``stored``/``supervision`` events).
-    retry:
-        :class:`repro.engines.supervision.RetryPolicy` for crashed or
-        timed-out units (default: one retry with backoff).
     attempt_timeout:
         Per-attempt wall cap in seconds (on top of the per-item ``timeout``
-        budget); a wedged worker is killed this long after launch.
+        budget); a wedged worker is killed at this cap plus the
+        supervisor's grace, then retried once under the remaining budget.
     certify:
         Accept a definitive ladder answer only when its certificate passes
         independent validation (see
@@ -329,9 +319,7 @@ class BatchRunner:
         timeout: Optional[float] = None,
         bound: Optional[int] = None,
         representation: str = "word",
-        ladder: Optional[Sequence[LadderRung]] = None,
         on_event: Optional[Callable[[Dict[str, object]], None]] = None,
-        retry: Optional[RetryPolicy] = None,
         attempt_timeout: Optional[float] = None,
         certify: bool = False,
     ) -> None:
@@ -340,19 +328,12 @@ class BatchRunner:
         self.timeout = timeout
         self.bound = bound
         self.representation = representation
-        if ladder is None:
-            ladder = default_budget_ladder(
-                (representation,), bound=bound, timeout=timeout
-            )
-        self.ladder = tuple(ladder)
+        self.ladder = tuple(
+            default_budget_ladder((representation,), bound=bound, timeout=timeout)
+        )
         self.on_event = on_event
-        self.retry = retry
         self.attempt_timeout = attempt_timeout
         self.certify = certify
-        start_methods = multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context(
-            "fork" if "fork" in start_methods else "spawn"
-        )
 
     # ------------------------------------------------------------------
     def _emit(self, event: str, **payload) -> None:
@@ -387,7 +368,7 @@ class BatchRunner:
 
     def _prewarm(self, units: Sequence[Tuple[VerificationTask, str, Optional[str]]]) -> None:
         """Warm the parent once before forking the pool: engines and templates."""
-        if self._context.get_start_method() != "fork":
+        if START_METHOD != "fork":
             return
         configs = [config for rung in self.ladder for config in rung.configs]
         seen = set()
@@ -487,8 +468,7 @@ class BatchRunner:
             for index in pending:
                 task, property_name, _ = units[index]
                 self._emit("scheduled", design=task.name, property=property_name)
-            supervisor = WorkerSupervisor(self._context, retry=self.retry)
-            outcomes = supervisor.run_map(
+            outcomes = WorkerSupervisor().run_map(
                 payloads,
                 _batch_worker,
                 jobs=jobs,

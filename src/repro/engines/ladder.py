@@ -107,7 +107,7 @@ class VerificationTask(Frozen):
     def system(system: TransitionSystem) -> "VerificationTask":
         return VerificationTask("system", system, system.name)
 
-    def load(self, fresh: bool = False) -> TransitionSystem:
+    def load(self) -> TransitionSystem:
         """Build (or fetch the memoized) transition system of this task.
 
         Every kind resolves through a per-process memo: suite benchmarks via
@@ -117,22 +117,20 @@ class VerificationTask(Frozen):
         object) are built once per process — and under the ``fork`` start
         method a worker's load returns the very object the parent
         pre-warmed, so the templates arrive via copy-on-write memory
-        instead of being rebuilt per worker.  Pass ``fresh=True`` to force
-        a cold rebuild (timing harnesses).
+        instead of being rebuilt per worker.
         """
         if self.kind == "system":
             return self.spec
         if self.kind == "benchmark":
-            from repro.benchmarks import load_system, load_system_cached
+            from repro.benchmarks import load_system_cached
 
-            return load_system(self.spec) if fresh else load_system_cached(self.spec)
+            return load_system_cached(self.spec)
         key = (self.kind, self.spec)
         path = self.spec[0] if self.kind == "verilog" else self.spec
         stamp = _file_stamp(path)
-        if not fresh:
-            cached = _TASK_SYSTEMS.get(key)
-            if cached is not None and cached[0] == stamp:
-                return cached[1]
+        cached = _TASK_SYSTEMS.get(key)
+        if cached is not None and cached[0] == stamp:
+            return cached[1]
         if self.kind == "verilog":
             from repro.synth import synthesize_file
 
@@ -146,10 +144,9 @@ class VerificationTask(Frozen):
                 system = transition_system_from_aig(read_aiger(handle.read()))
         else:
             raise ValueError(f"unknown task kind {self.kind!r}")
-        if not fresh:
-            while len(_TASK_SYSTEMS) >= _TASK_SYSTEMS_MAX:
-                _TASK_SYSTEMS.pop(next(iter(_TASK_SYSTEMS)))
-            _TASK_SYSTEMS[key] = (stamp, system)
+        while len(_TASK_SYSTEMS) >= _TASK_SYSTEMS_MAX:
+            _TASK_SYSTEMS.pop(next(iter(_TASK_SYSTEMS)))
+        _TASK_SYSTEMS[key] = (stamp, system)
         return system
 
 

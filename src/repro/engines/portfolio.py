@@ -9,7 +9,8 @@ verification task and take the first definitive answer.
 :class:`PortfolioRunner` races the configurations as worker *processes*
 (the engines are CPU-bound pure Python, so threads would serialize on the
 GIL), one unit each of :meth:`repro.engines.supervision.WorkerSupervisor.run_map`
-— the process primitive the batch pool and ``repro-serve`` use too.  The
+— the process primitive the batch pool and ``repro-serve`` use too, with
+the same deadline, kill, retry and start-method policy.  The
 first definitive answer aborts the map, which cancels the losers, and
 everything is aggregated into a :class:`PortfolioResult`.  A *cross-check*
 mode instead lets every worker finish and reports
@@ -29,7 +30,6 @@ so the workers inherit both by copy-on-write.
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 import time
 from dataclasses import dataclass, field
@@ -47,7 +47,7 @@ from repro.engines.result import Counterexample, Status, VerificationResult
 from repro.engines.supervision import (
     CRASHED,
     DONE,
-    RetryPolicy,
+    START_METHOD,
     SupervisedOutcome,
     WorkerSupervisor,
 )
@@ -210,12 +210,13 @@ class PortfolioRunner:
     """Race engine configurations in supervised worker processes.
 
     Each configuration is one unit of :meth:`WorkerSupervisor.run_map`,
-    which owns every process concern: deadlines, terminate-then-SIGKILL
-    escalation, retries of workers that die without reporting, the
-    in-process fallback once spawning fails, and the per-attempt trace
-    spans.  The runner sees each answer through run_map's ``accept`` hook;
-    the first definitive one sets the map's ``abort`` event, so the losers
-    end ``cancelled`` (running) or ``skipped`` (never started).
+    which owns every process concern with one policy each: deadlines,
+    terminate-then-SIGKILL escalation, one retry of a worker that dies
+    without reporting, the in-process fallback once spawning fails, and the
+    per-attempt trace spans.  The runner sees each answer through
+    run_map's ``accept`` hook; the first definitive one sets the map's
+    ``abort`` event, so the losers end ``cancelled`` (running) or
+    ``skipped`` (never started).
 
     Parameters
     ----------
@@ -244,10 +245,6 @@ class PortfolioRunner:
         "status": ..., ...}``) plus the supervisor's own events
         (``attempt``, ``retry``, ``aborted``, ...) tagged with the
         configuration's label.
-    retry:
-        :class:`repro.engines.supervision.RetryPolicy` for workers that die
-        without reporting: the crashed configuration is relaunched with
-        exponential backoff while its budget allows (default: one retry).
     certify:
         Accept a definitive worker answer only when its certificate passes
         independent validation (:func:`repro.certs.validate_result`).  Each
@@ -255,10 +252,6 @@ class PortfolioRunner:
         uncertified claim cannot end the race, is excluded from winning and
         is recorded under ``detail["certification"]``.
     """
-
-    #: grace past a worker's deadline before it is stopped, and between the
-    #: stop's SIGTERM and SIGKILL
-    GRACE_SECONDS = 2.0
 
     def __init__(
         self,
@@ -268,7 +261,6 @@ class PortfolioRunner:
         cross_check: bool = False,
         expected: Optional[str] = None,
         on_event: Optional[Callable[[Dict[str, object]], None]] = None,
-        retry: Optional[RetryPolicy] = None,
         certify: bool = False,
     ) -> None:
         self.configs = (
@@ -281,12 +273,7 @@ class PortfolioRunner:
         self.cross_check = cross_check
         self.expected = expected
         self.on_event = on_event
-        self.retry = retry if retry is not None else RetryPolicy()
         self.certify = certify
-        start_methods = multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context(
-            "fork" if "fork" in start_methods else "spawn"
-        )
 
     # ------------------------------------------------------------------
     def _prewarm(self, task: VerificationTask) -> None:
@@ -297,7 +284,7 @@ class PortfolioRunner:
         workers find both in inherited (copy-on-write) memory.  No-op under
         the ``spawn`` start method (workers warm their own caches there).
         """
-        if self._context.get_start_method() != "fork":
+        if START_METHOD != "fork":
             return
         warm_task_templates(task, self.configs)
 
@@ -323,9 +310,7 @@ class PortfolioRunner:
         start = time.monotonic()
         self._prewarm(task)
         deadline = start + self.timeout if self.timeout is not None else None
-        supervisor = WorkerSupervisor(
-            self._context, retry=self.retry, grace=self.GRACE_SECONDS
-        )
+        supervisor = WorkerSupervisor()
         abort = threading.Event()
         winner_index: Optional[int] = None
         verdicts: Dict[int, Dict[str, object]] = {}
@@ -398,7 +383,6 @@ class PortfolioRunner:
             rebudget=rebudget,
             accept=accept,
             on_event=forward,
-            kill_grace=self.GRACE_SECONDS,
             abort=abort,
         )
         workers = [

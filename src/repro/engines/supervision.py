@@ -3,18 +3,28 @@
 :meth:`WorkerSupervisor.run_map` is the one process primitive of the
 package: the portfolio race, the batch pool and every ``repro-serve``
 computation run their workers through it, and so share its process
-hygiene:
+hygiene.  Each supervision decision has one policy, fixed by the module
+constants below:
 
-* **spawn health** — process launches go through :meth:`WorkerSupervisor.spawn`,
-  which counts consecutive failures; after :data:`~WorkerSupervisor.UNHEALTHY_AFTER`
-  of them the pool is declared unhealthy and the map degrades to
-  in-process sequential execution, so a query always gets an answer;
-* **stop escalation** — :meth:`WorkerSupervisor.stop` terminates, waits a
-  grace period, then SIGKILLs and reaps, so a SIGTERM-ignoring worker can
-  never leak as a zombie past the driver;
-* **supervised retries** — each payload runs with a per-attempt deadline,
-  and ``crashed``/``timed-out`` attempts are retried with exponential
-  backoff under the unit's remaining budget;
+* **what ends a stuck attempt** — its attempt deadline: the attempt's
+  allowance (the smaller of the unit's remaining budget and
+  ``attempt_timeout``) plus :data:`GRACE_SECONDS`.  Engines arm their
+  cooperative deadlines from the allowance; the kill at the deadline is
+  the backstop for a wedged worker;
+* **whether a failed attempt is retried** — a ``crashed`` or
+  ``timed-out`` attempt is retried once, :data:`RETRY_DELAY_S` later,
+  while more than that much of the unit's budget is left;
+* **how a worker is stopped** — :meth:`WorkerSupervisor.stop` sends
+  SIGTERM, waits :data:`GRACE_SECONDS`, then SIGKILLs and reaps, so a
+  SIGTERM-ignoring worker can never leak as a zombie past the driver;
+* **how workers start** — :data:`START_METHOD`: ``fork`` where the
+  platform has it, so workers inherit the parent's warm templates, and
+  ``spawn`` otherwise;
+* **spawn health** — process launches go through
+  :meth:`WorkerSupervisor.spawn`, which counts consecutive failures; after
+  :data:`~WorkerSupervisor.UNHEALTHY_AFTER` of them the pool is declared
+  unhealthy and the map degrades to in-process sequential execution, so a
+  query always gets an answer;
 * **cancellation** — an ``abort`` event ends the whole map; the portfolio
   sets it when its first definitive answer arrives, the serve layer when
   the last client of a computation disconnects.
@@ -24,7 +34,7 @@ Attempt states are part of the public outcome taxonomy: ``done``,
 attempt deadline), ``cancelled`` (stopped by ``abort``), ``degraded`` (ran
 in-process after the pool went unhealthy) — a fault is never a silent skip.
 
-Workers stream liveness through :func:`repro.obs.telemetry.report_progress`,
+Workers stream progress through :func:`repro.obs.telemetry.report_progress`,
 which lives outside this module: the in-process ladder
 (:mod:`repro.engines.ladder`) reports rung landings without importing the
 supervisor or :mod:`multiprocessing`.
@@ -32,6 +42,7 @@ supervisor or :mod:`multiprocessing`.
 
 from __future__ import annotations
 
+import multiprocessing
 import signal
 import threading
 import time
@@ -50,37 +61,24 @@ TIMED_OUT = "timed-out"
 DEGRADED = "degraded"
 CANCELLED = "cancelled"
 
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How supervised attempts are retried.
-
-    ``max_attempts`` counts all attempts of a unit (1 disables retries).
-    The backoff before retry ``n`` (1-based) is
-    ``backoff_s * backoff_factor ** (n - 1)``; a retry launches only while
-    the unit has more than ``min_budget_s`` of its wall budget left — the
-    "remaining rung budget" rule: a unit whose first attempt burned the
-    whole budget timing out is not retried, one whose worker was killed
-    early is.
-    """
-
-    max_attempts: int = 2
-    backoff_s: float = 0.05
-    backoff_factor: float = 2.0
-    min_budget_s: float = 0.05
-    retry_states: Sequence[str] = (CRASHED, TIMED_OUT)
-
-    def backoff(self, attempt: int) -> float:
-        return self.backoff_s * (self.backoff_factor ** max(0, attempt - 1))
-
-    def should_retry(
-        self, state: str, attempt: int, remaining: Optional[float]
-    ) -> bool:
-        if state not in self.retry_states:
-            return False
-        if attempt + 1 >= self.max_attempts:
-            return False
-        return remaining is None or remaining > self.min_budget_s
+#: attempts a unit may use: a crashed or timed-out first attempt is retried
+#: once.  A unit whose first attempt burned its whole budget timing out is
+#: not retried; one whose worker was killed early is.
+MAX_ATTEMPTS = 2
+#: a retry launches this long after the failed attempt ended, and only while
+#: the unit has more than this much of its budget left
+RETRY_DELAY_S = 0.05
+#: how long a worker gets before escalation: the backstop past its attempt
+#: deadline, and the wait between SIGTERM and SIGKILL
+GRACE_SECONDS = 2.0
+#: how long the map waits on the result pipes before reaping and deadlines
+POLL_INTERVAL_S = 0.05
+#: ``fork`` lets workers inherit the parent's warm templates; ``spawn`` is
+#: the fallback on platforms without it
+START_METHOD = (
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
+_CONTEXT = multiprocessing.get_context(START_METHOD)
 
 
 @dataclass
@@ -192,7 +190,7 @@ class _Slot:
     started: Optional[float] = None  # first launch (budget anchor)
     launched: Optional[float] = None  # current attempt launch
     deadline: Optional[float] = None  # current attempt kill deadline
-    not_before: float = 0.0  # backoff gate for the next launch
+    not_before: float = 0.0  # a retry waits for this moment
     dead_since: Optional[float] = None  # process found dead, result may race
     conn: Optional[object] = None  # parent end of the attempt's result pipe
 
@@ -221,20 +219,10 @@ class WorkerSupervisor:
 
     #: consecutive spawn failures after which the pool is unhealthy
     UNHEALTHY_AFTER = 3
-    #: grace between SIGTERM and SIGKILL when stopping a worker
-    GRACE_SECONDS = 2.0
     #: how long a dead worker's in-flight result may still arrive
     REAP_GRACE_SECONDS = 0.25
 
-    def __init__(
-        self,
-        context,
-        retry: Optional[RetryPolicy] = None,
-        grace: Optional[float] = None,
-    ) -> None:
-        self.context = context
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.grace = self.GRACE_SECONDS if grace is None else grace
+    def __init__(self) -> None:
         #: consecutive spawn failures (reset by any success)
         self.spawn_failures = 0
         self.spawned = 0
@@ -247,12 +235,12 @@ class WorkerSupervisor:
     def pool_healthy(self) -> bool:
         return self.spawn_failures < self.UNHEALTHY_AFTER
 
-    def spawn(self, target, args=(), daemon: bool = True):
-        """Start one worker process; ``None`` on failure (health-counted)."""
+    def spawn(self, target, args=()):
+        """Start one daemon worker process; ``None`` on failure (health-counted)."""
         try:
             if _fault_injection.fail_spawn(f"spawn:{self.spawned}:{self.spawn_failures}"):
                 raise OSError("injected spawn failure")
-            process = self.context.Process(target=target, args=args, daemon=daemon)
+            process = _CONTEXT.Process(target=target, args=args, daemon=True)
             with self._SPAWN_LOCK:
                 process.start()
         except OSError as error:
@@ -265,14 +253,13 @@ class WorkerSupervisor:
         _telemetry.counter("supervisor.spawns")
         return process
 
-    def stop(self, process, grace: Optional[float] = None) -> None:
+    def stop(self, process) -> None:
         """Terminate → grace → SIGKILL → join: no zombie survives the driver."""
         if process is None:
             return
-        grace = self.grace if grace is None else grace
         if process.is_alive():
             process.terminate()
-            process.join(grace)
+            process.join(GRACE_SECONDS)
             if process.is_alive():
                 self.kills += 1
                 _telemetry.counter("supervisor.kills")
@@ -294,10 +281,7 @@ class WorkerSupervisor:
         rebudget: Optional[Callable[[object, Optional[float]], object]] = None,
         accept: Optional[Callable[[object, object], Optional[str]]] = None,
         on_event: Optional[Callable[[Dict[str, object]], None]] = None,
-        poll_interval: float = 0.05,
-        kill_grace: float = 2.0,
         abort: Optional[threading.Event] = None,
-        stall: Optional[threading.Event] = None,
     ) -> List[SupervisedOutcome]:
         """Run every payload through ``worker`` under supervision.
 
@@ -306,7 +290,8 @@ class WorkerSupervisor:
         seconds.  ``rebudget(payload, allowance)`` lets the caller thread
         the attempt's allowance into the payload (so the worker's engines
         arm their cooperative deadlines); the external kill at
-        ``allowance + kill_grace`` is only the backstop for wedged workers.
+        ``allowance + GRACE_SECONDS`` is only the backstop for wedged
+        workers.
         ``accept(payload, value)`` vets a worker's answer semantically:
         ``None`` accepts it, a reason string treats the attempt as
         ``timed-out`` (retried under the remaining budget; the rejected
@@ -324,13 +309,6 @@ class WorkerSupervisor:
         definitive answer; the serve layer sets it to tear a computation
         down when its last waiting client disconnects — the cancellation is
         an explicit outcome, never a leaked process.
-
-        ``stall`` (another settable event) declares the *current attempts*
-        wedged without cancelling the map: every active worker is
-        kill-escalated and its attempt retired as ``timed-out`` (so the
-        normal retry budget applies), then the event is cleared.  The serve
-        layer sets it when a request's streamed progress goes silent past
-        its liveness window.
 
         Workers stream ``("progress", doc)`` messages over their result
         pipes (see :func:`repro.obs.telemetry.report_progress`); each is
@@ -415,13 +393,15 @@ class WorkerSupervisor:
             )
 
         def retire_or_retry(index: int, state: str, reason: str = "") -> None:
-            """One attempt failed: retry under the remaining budget or retire."""
+            """One attempt crashed or timed out: retry it or retire the unit."""
             slot = slots[index]
             record_attempt(index, state, reason)
             remaining = slot.remaining(time.monotonic())
-            if self.retry.should_retry(state, slot.attempt, remaining):
+            if slot.attempt + 1 < MAX_ATTEMPTS and (
+                remaining is None or remaining > RETRY_DELAY_S
+            ):
                 slot.attempt += 1
-                slot.not_before = time.monotonic() + self.retry.backoff(slot.attempt)
+                slot.not_before = time.monotonic() + RETRY_DELAY_S
                 slot.dead_since = None
                 self.retries_launched += 1
                 _telemetry.counter("supervisor.retries")
@@ -498,22 +478,6 @@ class WorkerSupervisor:
                 pending.clear()
                 emit("aborted", units=len(slots))
                 break
-            if stall is not None and stall.is_set():
-                # liveness window expired: the active attempts are wedged.
-                # Kill them and retire as timed-out — retries stay available.
-                stall.clear()
-                stalled = list(active.items())
-                for index, process in stalled:
-                    active.pop(index)
-                    slots[index].close_conn()
-                    self.stop(process)
-                    end_attempt_span(index, TIMED_OUT)
-                    retire_or_retry(
-                        index, TIMED_OUT, reason="liveness window expired without progress"
-                    )
-                if stalled:
-                    _telemetry.counter("supervisor.stall_kills", len(stalled))
-                    emit("stall-killed", units=[index for index, _ in stalled])
             now = time.monotonic()
 
             # launch what fits; degrade when the pool is unhealthy
@@ -523,7 +487,7 @@ class WorkerSupervisor:
                 index = pending[0]
                 slot = slots[index]
                 if slot.not_before > now:
-                    # backoff not elapsed: rotate so others can launch
+                    # retry delay not elapsed: rotate so others can launch
                     pending.rotate(-1)
                     rotations += 1
                     if rotations >= len(pending):
@@ -536,9 +500,9 @@ class WorkerSupervisor:
                 if (
                     slot.attempt > 0
                     and remaining is not None
-                    and remaining <= self.retry.min_budget_s
+                    and remaining <= RETRY_DELAY_S
                 ):
-                    # budget exhausted between backoff and launch
+                    # budget exhausted during the retry delay
                     finalize(index, outcomes[index].attempts[-1]["state"])
                     continue
                 allowance = remaining
@@ -551,7 +515,7 @@ class WorkerSupervisor:
                 payload = (
                     slot.payload if rebudget is None else rebudget(slot.payload, allowance)
                 )
-                recv_conn, send_conn = self.context.Pipe(duplex=False)
+                recv_conn, send_conn = _CONTEXT.Pipe(duplex=False)
                 process = self.spawn(
                     _run_attempt, (worker, payload, slot.attempt, send_conn)
                 )
@@ -566,7 +530,7 @@ class WorkerSupervisor:
                 slot.conn = recv_conn
                 slot.launched = time.monotonic()
                 slot.deadline = (
-                    None if allowance is None else slot.launched + allowance + kill_grace
+                    None if allowance is None else slot.launched + allowance + GRACE_SECONDS
                 )
                 slot.dead_since = None
                 active[index] = process
@@ -590,7 +554,7 @@ class WorkerSupervisor:
                 if not pending:
                     break
                 if not launched_any and not degraded:
-                    time.sleep(min(poll_interval, 0.02))
+                    time.sleep(0.02)  # every pending retry is still in its delay
                 continue
 
             # drain results from the per-attempt pipes
@@ -600,9 +564,9 @@ class WorkerSupervisor:
                 if slots[index].conn is not None
             }
             ready = (
-                _mp_connection.wait(list(by_conn), timeout=poll_interval)
+                _mp_connection.wait(list(by_conn), timeout=POLL_INTERVAL_S)
                 if by_conn
-                else time.sleep(poll_interval)
+                else time.sleep(POLL_INTERVAL_S)
             )
             for conn in ready or ():
                 index = by_conn[conn]
@@ -623,7 +587,7 @@ class WorkerSupervisor:
                 status, value, trace = message
                 process = active.pop(index, None)
                 if process is not None:
-                    self.stop(process, grace=self.grace)
+                    self.stop(process)
                 if status == "ok":
                     rejection = (
                         accept(slot.payload, value) if accept is not None else None

@@ -16,10 +16,6 @@ class EvaluationError(Exception):
     """Raised when an expression cannot be evaluated (e.g. an unbound variable)."""
 
 
-def _shift_amount(value: int) -> int:
-    return value
-
-
 def _eval_udiv(a: int, b: int, width: int) -> int:
     # Division by zero yields all-ones, matching SMT-LIB bvudiv and the
     # behaviour the C code generator emits (guarded division).

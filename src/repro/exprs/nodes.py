@@ -565,11 +565,6 @@ def bool_or(*args: Expr) -> Expr:
     return result
 
 
-def bool_xor(a: Expr, b: Expr) -> Expr:
-    """Logical exclusive-or of truth values."""
-    return bv_xor(to_bool(a), to_bool(b))
-
-
 def bool_implies(a: Expr, b: Expr) -> Expr:
     """Logical implication ``a -> b`` of truth values."""
     return bool_or(bool_not(a), to_bool(b))

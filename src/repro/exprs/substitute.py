@@ -85,37 +85,3 @@ def collect_vars(expr: Expr) -> Set[Var]:
         elif isinstance(node, Op):
             stack.extend(node.args)
     return found
-
-
-def expr_size(expr: Expr) -> int:
-    """Return the number of distinct nodes in the expression DAG."""
-    seen: Set[int] = set()
-    stack = [expr]
-    count = 0
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        count += 1
-        if isinstance(node, Op):
-            stack.extend(node.args)
-    return count
-
-
-def expr_depth(expr: Expr) -> int:
-    """Return the height of the expression tree (leaves have depth 1)."""
-    cache: Dict[int, int] = {}
-
-    def rec(node: Expr) -> int:
-        key = id(node)
-        if key in cache:
-            return cache[key]
-        if isinstance(node, Op) and node.args:
-            depth = 1 + max(rec(arg) for arg in node.args)
-        else:
-            depth = 1
-        cache[key] = depth
-        return depth
-
-    return rec(expr)

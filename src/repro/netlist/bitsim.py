@@ -632,12 +632,6 @@ class PackedRun:
             name: unpack_lane(planes, lane) for name, planes in self.states[cycle].items()
         }
 
-    def violated_lanes(self, property_name: str, cycle: int) -> int:
-        """Plane of lanes (still alive) violating ``property_name`` at ``cycle``."""
-        value = self.prop_values[cycle][property_name]
-        return (~value) & self.alive[cycle]
-
-
 class PackedSimulator:
     """Evaluates 64 (or ``lanes``) independent input vectors per operation.
 
@@ -665,16 +659,6 @@ class PackedSimulator:
             for name, value in self.netlist.initial_values.items()
         }
         self.cycle = 0
-
-    def set_lane_states(self, values: Sequence[Mapping[str, int]]) -> None:
-        """Load one scalar state per lane (missing lanes keep the reset state)."""
-        for name, width in self.netlist.registers.items():
-            defaults = self.netlist.initial_values[name]
-            column = [
-                int(values[lane].get(name, defaults)) if lane < len(values) else defaults
-                for lane in range(self.lanes)
-            ]
-            self.state[name] = pack_values(column, width)
 
     # ------------------------------------------------------------------
     def step(

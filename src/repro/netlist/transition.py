@@ -184,13 +184,6 @@ class TransitionSystem:
     # ------------------------------------------------------------------
     # wire elimination and flattening
     # ------------------------------------------------------------------
-    def wire_free_expr(self, expr: Expr) -> Expr:
-        """Return ``expr`` with all wire names substituted by their definitions."""
-        if not self.wires:
-            return expr
-        resolved = self._resolved_wires()
-        return substitute(expr, resolved)
-
     def _resolved_wires(self) -> Dict[str, Expr]:
         """Resolve wire definitions so none refers to another wire."""
         resolved: Dict[str, Expr] = {}

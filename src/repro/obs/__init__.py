@@ -24,7 +24,6 @@ from repro.obs.telemetry import (
     counter,
     disable,
     enable,
-    enabled,
     gauge,
     get_recorder,
     recording,
@@ -44,7 +43,6 @@ __all__ = [
     "counter",
     "disable",
     "enable",
-    "enabled",
     "gauge",
     "get_recorder",
     "recording",

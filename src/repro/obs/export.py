@@ -53,10 +53,6 @@ class Trace:
     def roots(self) -> List[Dict[str, object]]:
         return [span for span in self.spans if span.get("parent") is None]
 
-    def children_of(self, span_id: int) -> List[Dict[str, object]]:
-        return [span for span in self.spans if span.get("parent") == span_id]
-
-
 # ---------------------------------------------------------------------------
 # writing
 # ---------------------------------------------------------------------------

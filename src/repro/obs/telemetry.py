@@ -436,11 +436,6 @@ def report_progress(**fields) -> None:
         set_progress_sink(None)
 
 
-def enabled() -> bool:
-    """Whether telemetry is currently recording in this process."""
-    return _RECORDER is not None
-
-
 def get_recorder() -> Optional[Recorder]:
     return _RECORDER
 

@@ -21,17 +21,11 @@ def var_of(lit: int) -> int:
     return abs(lit)
 
 
-def sign_of(lit: int) -> bool:
-    """Return True for a positive literal, False for a negative one."""
-    return lit > 0
-
-
 class CNF:
     """A growable clause database.
 
     The class is used both as the target of the Tseitin encoder and as a
-    portable container that can be handed to the solver or written out in
-    DIMACS format.
+    portable container that can be handed to the solver.
     """
 
     def __init__(self) -> None:
@@ -62,11 +56,6 @@ class CNF:
         self.clauses.append(clause)
         return clause
 
-    def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
-        """Add several clauses."""
-        for clause in clauses:
-            self.add_clause(clause)
-
     def add_clauses_mapped(
         self, clauses: Iterable[Sequence[int]], table: Sequence[int]
     ) -> None:
@@ -79,7 +68,7 @@ class CNF:
         are skipped.  Portable-container mirror of
         :meth:`repro.sat.solver.Solver.add_clauses_mapped` (which is the path
         the frame templates actually stamp through); useful when an unrolled
-        frame must land in a standalone CNF, e.g. for DIMACS export.
+        frame must land in a standalone CNF.
         """
         top = 0
         for var in table:
@@ -90,11 +79,6 @@ class CNF:
         for clause in clauses:
             append(tuple(table[l] if l > 0 else -table[-l] for l in clause))
 
-    def extend_from(self, other: "CNF") -> None:
-        """Append all clauses of ``other`` (variable numbering must be shared)."""
-        self.num_vars = max(self.num_vars, other.num_vars)
-        self.clauses.extend(other.clauses)
-
     def copy(self) -> "CNF":
         """Return a shallow copy (clauses are immutable tuples)."""
         clone = CNF()
@@ -102,45 +86,8 @@ class CNF:
         clone.clauses = list(self.clauses)
         return clone
 
-    def to_dimacs(self) -> str:
-        """Render the clause database in DIMACS CNF format."""
-        lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
-        for clause in self.clauses:
-            lines.append(" ".join(str(lit) for lit in clause) + " 0")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_dimacs(cls, text: str) -> "CNF":
-        """Parse a DIMACS CNF string."""
-        cnf = cls()
-        for raw_line in text.splitlines():
-            line = raw_line.strip()
-            if not line or line.startswith("c"):
-                continue
-            if line.startswith("p"):
-                parts = line.split()
-                if len(parts) >= 3:
-                    cnf.num_vars = max(cnf.num_vars, int(parts[2]))
-                continue
-            literals = [int(tok) for tok in line.split()]
-            if literals and literals[-1] == 0:
-                literals = literals[:-1]
-            cnf.add_clause(literals)
-        return cnf
-
     def __len__(self) -> int:
         return len(self.clauses)
 
     def __repr__(self) -> str:
         return f"CNF(vars={self.num_vars}, clauses={len(self.clauses)})"
-
-
-def clause_is_tautology(clause: Sequence[int]) -> bool:
-    """Return True if the clause contains a literal and its negation."""
-    literals = set(clause)
-    return any(-lit in literals for lit in literals)
-
-
-def normalize_clause(clause: Sequence[int]) -> Tuple[int, ...]:
-    """Remove duplicate literals and sort the clause for canonical comparison."""
-    return tuple(sorted(set(clause), key=lambda lit: (var_of(lit), lit < 0)))

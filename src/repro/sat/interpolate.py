@@ -68,11 +68,6 @@ _TRUE = ItpNode("const", value=True)
 _FALSE = ItpNode("const", value=False)
 
 
-def itp_const(value: bool) -> ItpNode:
-    """Return the constant interpolant node."""
-    return _TRUE if value else _FALSE
-
-
 def itp_lit(lit: int) -> ItpNode:
     """Return an interpolant node for a single literal."""
     return ItpNode("lit", lit=lit)
@@ -120,34 +115,6 @@ def itp_evaluate(node: ItpNode, assignment: Dict[int, bool]) -> bool:
     if node.kind == "and":
         return all(itp_evaluate(a, assignment) for a in node.args)
     return any(itp_evaluate(a, assignment) for a in node.args)
-
-
-def itp_variables(node: ItpNode) -> Set[int]:
-    """Return the set of variables occurring in the interpolant."""
-    result: Set[int] = set()
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if current.kind == "lit":
-            result.add(var_of(current.lit))
-        else:
-            stack.extend(current.args)
-    return result
-
-
-def itp_size(node: ItpNode) -> int:
-    """Return the number of nodes of the interpolant DAG."""
-    seen: Set[int] = set()
-    stack = [node]
-    count = 0
-    while stack:
-        current = stack.pop()
-        if id(current) in seen:
-            continue
-        seen.add(id(current))
-        count += 1
-        stack.extend(current.args)
-    return count
 
 
 def itp_map_literals(node: ItpNode, mapping: Dict[int, int]) -> ItpNode:

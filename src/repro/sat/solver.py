@@ -289,16 +289,6 @@ class Solver:
     # ------------------------------------------------------------------
     # VSIDS order heap (indexed mutable binary max-heap over activities)
     # ------------------------------------------------------------------
-    def _heap_insert(self, var: int) -> None:
-        """Insert ``var`` into the order heap (no-op when already present)."""
-        pos = self._heap_pos[var]
-        if pos >= 0:
-            return
-        heap = self._heap
-        self._heap_pos[var] = len(heap)
-        heap.append(var)
-        self._heap_sift_up(len(heap) - 1)
-
     def _heap_sift_up(self, pos: int) -> None:
         heap = self._heap
         heap_pos = self._heap_pos
@@ -315,41 +305,6 @@ class Solver:
             pos = parent
         heap[pos] = var
         heap_pos[var] = pos
-
-    def _heap_sift_down(self, pos: int) -> None:
-        heap = self._heap
-        heap_pos = self._heap_pos
-        activity = self._activity
-        size = len(heap)
-        var = heap[pos]
-        value = activity[var]
-        while True:
-            child = 2 * pos + 1
-            if child >= size:
-                break
-            right = child + 1
-            if right < size and activity[heap[right]] > activity[heap[child]]:
-                child = right
-            child_var = heap[child]
-            if value >= activity[child_var]:
-                break
-            heap[pos] = child_var
-            heap_pos[child_var] = pos
-            pos = child
-        heap[pos] = var
-        heap_pos[var] = pos
-
-    def _heap_pop(self) -> int:
-        """Remove and return the highest-activity variable."""
-        heap = self._heap
-        top = heap[0]
-        self._heap_pos[top] = -1
-        last = heap.pop()
-        if heap:
-            heap[0] = last
-            self._heap_pos[last] = 0
-            self._heap_sift_down(0)
-        return top
 
     @property
     def num_vars(self) -> int:

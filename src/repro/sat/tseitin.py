@@ -11,7 +11,7 @@ constant literals are handled through a dedicated always-true variable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 
 class TseitinEncoder:
@@ -119,10 +119,6 @@ class TseitinEncoder:
         self._cache[key] = out
         return out
 
-    def implies_gate(self, a: int, b: int) -> int:
-        """Return a literal equivalent to ``a -> b``."""
-        return self.or_gate([-a, b])
-
     # -- adders used by the word-level bit-blaster -----------------------
     def full_adder(self, a: int, b: int, carry_in: int) -> Tuple[int, int]:
         """Return ``(sum, carry_out)`` literals of a full adder."""
@@ -142,19 +138,3 @@ class TseitinEncoder:
         """Assert that two literals are equivalent."""
         self._sink.add_clause([-a, b])
         self._sink.add_clause([a, -b])
-
-
-def equal_vectors(encoder: TseitinEncoder, a: Sequence[int], b: Sequence[int]) -> int:
-    """Return a literal true iff the two literal vectors are bit-wise equal."""
-    if len(a) != len(b):
-        raise ValueError("vector lengths differ")
-    bits = [encoder.xnor_gate(x, y) for x, y in zip(a, b)]
-    return encoder.and_gate(bits)
-
-
-def at_most_one(encoder: TseitinEncoder, literals: Sequence[int]) -> None:
-    """Add pairwise at-most-one constraints over ``literals``."""
-    lits = list(literals)
-    for i in range(len(lits)):
-        for j in range(i + 1, len(lits)):
-            encoder.add_clause([-lits[i], -lits[j]])

@@ -10,9 +10,11 @@ load.
 
 Reconnects: the client remembers every submitted-but-unanswered request
 (its ids are journaled server-side the moment they were accepted).  When
-the connection dies — reset, refused, EOF mid-frame — it reconnects with
-bounded exponential backoff and resubmits exactly those pending ids, so a
-server restart is one transparent hiccup instead of an exception.
+the connection dies — reset, refused, EOF mid-frame — it makes up to
+:data:`RECONNECT_ATTEMPTS` reconnects, waiting :data:`RECONNECT_DELAY_S`
+before the first and twice as long before each next one (at most
+:data:`RECONNECT_MAX_DELAY_S`), and resubmits exactly those pending ids, so
+a server restart is one transparent hiccup instead of an exception.
 Resubmission is idempotent: the id is unchanged, so a coalescing server
 folds the resubmitted request into work it already knows, and a restarted
 server, which NACKed the id on recovery, answers it afresh (from the cache
@@ -37,6 +39,14 @@ from repro.serve.protocol import (
     read_frame_blocking,
     write_frame_blocking,
 )
+
+
+#: reconnects a broken connection gets before :class:`ServeError`
+RECONNECT_ATTEMPTS = 6
+#: wait before the first reconnect; each later one waits twice as long
+RECONNECT_DELAY_S = 0.05
+#: cap on the wait before one reconnect
+RECONNECT_MAX_DELAY_S = 2.0
 
 
 class ServeError(RuntimeError):
@@ -73,10 +83,6 @@ class ServeClient:
         port: int = 0,
         timeout: Optional[float] = None,
         reconnect: bool = True,
-        max_retries: int = 6,
-        backoff_s: float = 0.05,
-        backoff_factor: float = 2.0,
-        max_backoff_s: float = 2.0,
     ) -> None:
         if not socket_path and not host:
             raise ValueError("client needs a unix socket path or a TCP host")
@@ -85,10 +91,6 @@ class ServeClient:
         self._port = port
         self._timeout = timeout
         self.reconnect = reconnect
-        self.max_retries = max(1, max_retries)
-        self.backoff_s = backoff_s
-        self.backoff_factor = backoff_factor
-        self.max_backoff_s = max_backoff_s
         #: frames read while waiting for a different request's reply — the
         #: server answers in completion order, a pipelining caller reads in
         #: submission order, so out-of-order results are parked here by id
@@ -150,7 +152,7 @@ class ServeClient:
 
     # ------------------------------------------------------------------
     def _recover(self, error: BaseException) -> None:
-        """Reconnect with bounded exponential backoff, resubmit pending ids.
+        """Reconnect with doubling delays, resubmit pending ids.
 
         Raises :class:`ServeError` when every retry fails; otherwise the
         connection is fresh and every journaled-unanswered request has been
@@ -159,11 +161,11 @@ class ServeClient:
         if not self.reconnect:
             raise error
         self.close()
-        delay = self.backoff_s
+        delay = RECONNECT_DELAY_S
         last: BaseException = error
-        for _ in range(self.max_retries):
+        for _ in range(RECONNECT_ATTEMPTS):
             time.sleep(delay)
-            delay = min(delay * self.backoff_factor, self.max_backoff_s)
+            delay = min(delay * 2, RECONNECT_MAX_DELAY_S)
             try:
                 self._connect()
             except _RETRYABLE as connect_error:
@@ -180,7 +182,7 @@ class ServeClient:
                 continue
             return
         raise ServeError(
-            f"reconnect failed after {self.max_retries} attempt(s): {last}"
+            f"reconnect failed after {RECONNECT_ATTEMPTS} attempt(s): {last}"
         ) from last
 
     # ------------------------------------------------------------------

@@ -16,6 +16,12 @@ that warm core sit the robustness mechanisms this module exists for:
 * **deadline propagation** — a request's ``deadline_s`` becomes the
   supervised unit's wall budget, which the ladder threads into every
   engine's timeout and the SAT solver's cooperative interrupt;
+* **wedge kill** — the supervisor kills an attempt at its attempt deadline
+  (its allowance under ``attempt_timeout_s`` and the request's budget,
+  plus a grace) and retries it once; a running computation streams
+  ``progress`` frames, with a keepalive at least every
+  :data:`PROGRESS_INTERVAL_S`, so a client can tell a long proof from a
+  dead server;
 * **cancellation** — a client disconnect removes its waiter; when a
   computation has no waiters left its abort event fires and the supervisor
   reaps the worker;
@@ -106,9 +112,6 @@ class ServerConfig:
     certify: bool = False
     trace_path: Optional[str] = None
     fsync_journal: bool = False
-    #: a running request with no computation progress for this long is
-    #: declared wedged: its workers are killed and retried (None = off)
-    progress_timeout_s: Optional[float] = None
 
 
 class _Waiter:
@@ -143,21 +146,14 @@ class _Work:
         self.bound = bound
         self.waiters: List[_Waiter] = []
         self.abort = threading.Event()
-        #: liveness kill switch: set by the monitor when streamed progress
-        #: goes silent past the window; the supervisor kills and retries
-        self.stall = threading.Event()
         self.running = False
         self.cancelled = False
         self.done = False
         self.span = None
         self.admitted_t = time.monotonic()
         self.started_t: Optional[float] = None
-        #: last *computation* progress (rung/bound), monotonic
-        self.last_progress = time.monotonic()
         #: last progress frame of any kind sent to waiters, monotonic
         self.last_progress_sent = 0.0
-        self.progress_events = 0
-        self.stall_kills = 0
 
 
 class _Connection:
@@ -241,7 +237,6 @@ class VerifyServer:
             "recovered_nacked": 0,
             "bad_requests": 0,
             "progress_frames": 0,
-            "wedged_kills": 0,
         }
         self._shutdown = asyncio.Event()
         self._slot_free = asyncio.Event()
@@ -590,7 +585,6 @@ class VerifyServer:
         try:
             work.running = True
             work.started_t = time.monotonic()
-            work.last_progress = work.started_t
             recorder = _telemetry.get_recorder()
             if recorder is not None:
                 work.span = recorder.start_span(
@@ -649,7 +643,6 @@ class VerifyServer:
                 attempt_timeout=self.config.attempt_timeout_s,
                 certify=self.config.certify,
                 abort=work.abort,
-                stall=work.stall,
                 on_event=self._supervision_observer(work),
             )
             if self.cache is not None and result.is_definitive:
@@ -715,23 +708,21 @@ class VerifyServer:
         return document
 
     # ------------------------------------------------------------------
-    # streamed progress and liveness
+    # streamed progress
     # ------------------------------------------------------------------
     def _supervision_observer(self, work: _Work):
         """Event callback for one computation's supervisor (executor thread).
 
-        Progress-bearing events reset the work's liveness clock and are
-        forwarded to every waiter as ``progress`` frames; the hop onto the
-        event loop goes through ``call_soon_threadsafe`` because the
-        supervisor runs in a worker thread.
+        Progress-bearing events are forwarded to every waiter as
+        ``progress`` frames; the hop onto the event loop goes through
+        ``call_soon_threadsafe`` because the supervisor runs in a worker
+        thread.
         """
         loop = self._loop
 
         def observer(event: dict) -> None:
             name = event.get("event")
-            if name in ("progress", "attempt", "retry", "stall-killed", "degraded"):
-                work.last_progress = time.monotonic()
-                work.progress_events += 1
+            if name in ("progress", "attempt", "retry", "degraded"):
                 doc = {
                     key: value
                     for key, value in event.items()
@@ -762,11 +753,8 @@ class VerifyServer:
             asyncio.ensure_future(waiter.conn.send(frame))
 
     async def _monitor(self) -> None:
-        """Periodic liveness duty: ``progress`` keepalive frames for quiet
-        computations, and the wedged-request kill — no computation progress
-        inside ``progress_timeout_s`` sets the work's stall event, which the
-        supervisor turns into a kill-and-retry (``timed-out`` attempt,
-        normal retry budget)."""
+        """Send a ``progress`` keepalive frame to the waiters of every
+        computation that has been quiet for :data:`PROGRESS_INTERVAL_S`."""
         interval = 0.25
         while True:
             await asyncio.sleep(interval)
@@ -780,17 +768,6 @@ class VerifyServer:
                     >= PROGRESS_INTERVAL_S
                 ):
                     self._fan_out_progress(work, {"kind": "alive"})
-                window = self.config.progress_timeout_s
-                if window and now - work.last_progress > window:
-                    work.last_progress = now  # one kill per silent window
-                    work.stall_kills += 1
-                    self.counters["wedged_kills"] += 1
-                    _telemetry.counter("serve.wedged_kills")
-                    _log.info(
-                        f"liveness: no progress on {work.key[:16]} for "
-                        f"{window:.1f}s — killing the attempt for retry"
-                    )
-                    work.stall.set()
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

@@ -60,21 +60,6 @@ class BitBlaster:
         """Return True if variable bits have already been allocated for ``name``."""
         return name in self._var_bits
 
-    def var_names(self) -> List[str]:
-        """Return all variable names with allocated bits."""
-        return list(self._var_bits)
-
-    def lookup_bit(self, lit: int) -> Optional[Tuple[str, int, bool]]:
-        """Map a SAT literal back to ``(variable name, bit index, positive?)``.
-
-        Returns None for literals that are internal gate outputs.
-        """
-        var = abs(lit)
-        for name, bits in self._var_bits.items():
-            if var in bits:
-                return name, bits.index(var), lit > 0
-        return None
-
     def bit_map(self) -> Dict[int, Tuple[str, int]]:
         """Return a map from SAT variable to (variable name, bit index)."""
         result: Dict[int, Tuple[str, int]] = {}
@@ -132,10 +117,6 @@ class BitBlaster:
     def assert_true(self, expr: Expr) -> None:
         """Assert that ``expr`` evaluates to a non-zero (true) value."""
         self._encoder.assert_lit(self.blast_bool(expr))
-
-    def assert_false(self, expr: Expr) -> None:
-        """Assert that ``expr`` evaluates to zero (false)."""
-        self._encoder.assert_lit(-self.blast_bool(expr))
 
     def model_value(self, solver, name: str, width: int) -> int:
         """Read back the value of a variable from a satisfying assignment."""

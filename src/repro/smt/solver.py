@@ -13,7 +13,7 @@ engines are written against:
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from repro.exprs.nodes import Expr
 from repro.obs import telemetry as _telemetry
@@ -225,10 +225,6 @@ class BVSolver:
         if lit > 0:
             return self.solver.model_value(lit)
         return not self.solver.model_value(-lit)
-
-    def model_of_vars(self, widths: Dict[str, int]) -> Dict[str, int]:
-        """Return model values for all the given variables (name -> width map)."""
-        return {name: self.value(name, width) for name, width in widths.items()}
 
     @property
     def failed_assumptions(self):

@@ -7,6 +7,7 @@ across requests::
     repro-serve --socket /tmp/repro.sock --cache-dir .repro-cache \\
         --journal .repro-serve/journal.jsonl
     repro-serve --tcp 127.0.0.1:7411 --workers 4
+    repro-serve --tcp 7411          # no host: 127.0.0.1, as clients assume
 
 Clients speak ``repro-serve-v1`` (:mod:`repro.serve.protocol`):
 ``repro-verify daio --server /tmp/repro.sock`` for one-shot queries, or
@@ -15,6 +16,10 @@ until SIGTERM/SIGINT or a client ``drain`` request, then drains gracefully:
 admissions close (``rejected: draining``), every accepted request is
 answered, the journal is compacted and the telemetry trace (``--trace``)
 is written.
+
+A computation's attempt is killed at its attempt deadline — its share of
+the request's budget, capped by ``--attempt-timeout``, plus a grace — and
+retried once; that deadline is the one wedge kill.
 
 ``--chaos SEED`` installs a seeded fault plan (see :mod:`repro.faults`) in
 the server process — soak-harness only; the rates come from
@@ -97,9 +102,6 @@ def _print_status(target: str) -> int:
         f" active={status.get('active', '?')}"
     )
     telemetry = status.get("telemetry") or {}
-    wedged = counters.get("wedged_kills")
-    if wedged:
-        print(f"  wedged kills: {wedged}")
     if telemetry:
         print(
             f"  telemetry: {telemetry.get('spans', 0)} span(s),"
@@ -152,8 +154,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--attempt-timeout", type=float, default=None, metavar="S",
-        help="per-attempt cap inside a request's budget (enables "
-             "supervised retry of a wedged attempt)",
+        help="per-attempt cap inside a request's budget: a wedged "
+             "attempt is killed at it (plus a grace) and retried once",
     )
     parser.add_argument(
         "--certify", action="store_true",
@@ -169,11 +171,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--trace", metavar="FILE", default=None,
         help="write a repro-trace-v1 JSONL of the server's whole life on "
              "drain; lint it with repro-trace lint --expect-clean",
-    )
-    parser.add_argument(
-        "--progress-timeout", type=float, default=None, metavar="S",
-        help="declare a computation wedged after S seconds without "
-             "progress, kill its attempt and retry it (default: off)",
     )
     parser.add_argument(
         "--chaos", type=int, default=None, metavar="SEED",
@@ -195,6 +192,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     host, port = None, 0
     if args.tcp:
         host, _, port_text = args.tcp.rpartition(":")
+        # a spec with no host listens where clients look by default
+        host = host or "127.0.0.1"
         try:
             port = int(port_text)
         except ValueError:
@@ -206,7 +205,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     config = ServerConfig(
         socket_path=args.socket,
-        host=host or None,
+        host=host,
         port=port,
         cache_dir=args.cache_dir,
         journal_path=args.journal,
@@ -217,7 +216,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         certify=args.certify,
         trace_path=args.trace,
         fsync_journal=args.fsync_journal,
-        progress_timeout_s=args.progress_timeout,
     )
 
     if args.chaos is not None:

@@ -301,7 +301,49 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+class _Stdout:
+    """``sys.stdout`` while the CLI runs.  Once the reader of a piped stdout
+    has gone (``repro-verify D | head -2``), the rest of the output is
+    discarded and the run still ends with its verdict's exit code."""
+
+    def __init__(self, stream) -> None:
+        self._stream = stream
+
+    def __getattr__(self, name: str):
+        return getattr(self._stream, name)
+
+    def write(self, text: str) -> int:
+        try:
+            return self._stream.write(text)
+        except BrokenPipeError:
+            self._discard()
+            return len(text)
+
+    def flush(self) -> None:
+        try:
+            self._stream.flush()
+        except BrokenPipeError:
+            self._discard()
+
+    def _discard(self) -> None:
+        # point the descriptor itself at devnull, so the buffered tail the
+        # interpreter flushes at exit is discarded too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, self._stream.fileno())
+        os.close(devnull)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    stdout = sys.stdout
+    sys.stdout = _Stdout(stdout)
+    try:
+        return _main(argv)
+    finally:
+        sys.stdout.flush()
+        sys.stdout = stdout
+
+
+def _main(argv: Optional[List[str]]) -> int:
     parser = _ArgumentParser(
         prog="repro-verify",
         description="verify a hardware design: the cheap-first budget ladder "

@@ -15,7 +15,7 @@ Pipeline::
 """
 
 from repro.verilog.lexer import Lexer, Token, VerilogSyntaxError
-from repro.verilog.parser import parse_source, parse_expression_text
+from repro.verilog.parser import parse_source
 from repro.verilog.elaborate import elaborate, ElaboratedDesign, ElaborationError
 from repro.verilog import ast
 
@@ -24,7 +24,6 @@ __all__ = [
     "Token",
     "VerilogSyntaxError",
     "parse_source",
-    "parse_expression_text",
     "elaborate",
     "ElaboratedDesign",
     "ElaborationError",

@@ -14,15 +14,6 @@ def parse_source(text: str) -> ast.SourceUnit:
     return Parser(tokens).parse_source_unit()
 
 
-def parse_expression_text(text: str) -> ast.VExpr:
-    """Parse a standalone expression (used by the SVA property parser)."""
-    tokens = Lexer(text).tokenize()
-    parser = Parser(tokens)
-    expr = parser.parse_expression()
-    parser.expect_kind("eof")
-    return expr
-
-
 class Parser:
     """Token-stream parser producing the AST of :mod:`repro.verilog.ast`."""
 

@@ -378,6 +378,30 @@ def test_cli_exit_codes(capsys):
     assert expired.returncode == 3, expired.stdout + expired.stderr
 
 
+@pytest.mark.parametrize("mode", [["--certify"], ["--batch", "--timeout", "60"]])
+def test_cli_closed_stdout_ends_quietly_with_the_verdicts_exit_code(mode):
+    """``repro-verify daio --certify | head -1``: once the reader has gone,
+    the rest of the output is discarded and the validated UNSAFE still
+    exits 0, with no traceback.  ``--batch`` prints its first line before
+    the sweep runs, so its reader is always gone before the table comes."""
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    with subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro.tools.verify_cli", "daio", *mode],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ) as process:
+        assert process.stdout.readline()
+        process.stdout.close()
+        stderr = process.stderr.read()
+        assert process.wait(timeout=120) == 0, stderr
+    assert "Traceback" not in stderr
+
+
 def _fresh_python(*args):
     """Run ``python *args`` in a fresh interpreter over this checkout's src."""
     import subprocess

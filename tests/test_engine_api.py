@@ -163,3 +163,27 @@ def test_interpolation_iteration_cap_is_unknown_not_timeout():
     assert result.status == "unknown"
     assert "max_iterations=3" in result.reason
     assert result.detail["iterations"] == 3
+
+
+def test_every_public_name_resolves():
+    """Each name in a ``repro`` package's ``__all__``, and each key of a
+    lazy-export table such as ``repro.engines._EXPORTS``, resolves: a stale
+    re-export would otherwise pass every other test until something
+    imports it."""
+    import importlib
+    import pkgutil
+
+    import repro
+
+    packages = [
+        importlib.import_module(f"repro.{info.name}")
+        for info in pkgutil.iter_modules(repro.__path__)
+        if info.ispkg
+    ]
+    assert {"engines", "exprs", "obs", "verilog"} <= {
+        package.__name__.split(".")[1] for package in packages
+    }
+    for package in packages:
+        names = [*getattr(package, "__all__", ()), *getattr(package, "_EXPORTS", {})]
+        for name in names:
+            assert hasattr(package, name), f"{package.__name__}.{name}"

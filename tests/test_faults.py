@@ -10,10 +10,11 @@ import pytest
 from repro.benchmarks import get_benchmark
 from repro.cache import QUARANTINE_DIR, ResultCache
 from repro.engines import Status, VerificationTask, make_engine
-from repro.engines.batch import BatchItem, BatchRunner
+from repro.engines.batch import BatchItem, BatchRunner, _accept_definitive
 from repro.engines.ladder import PortfolioConfig, learn_priors
 from repro.engines.portfolio import PortfolioRunner
-from repro.engines.supervision import RetryPolicy, WorkerSupervisor
+from repro.engines.result import VerificationResult
+from repro.engines.supervision import WorkerSupervisor
 from repro.faults import (
     CERT_FORGE,
     HANG,
@@ -100,13 +101,8 @@ def _reject_me(payload):
     return "inconclusive"
 
 
-def _make_supervisor(**retry_kwargs):
-    policy = RetryPolicy(**retry_kwargs) if retry_kwargs else RetryPolicy()
-    return WorkerSupervisor(multiprocessing.get_context("fork"), retry=policy)
-
-
 def test_run_map_success_and_crash_taxonomy():
-    supervisor = _make_supervisor(max_attempts=2, backoff_s=0.01)
+    supervisor = WorkerSupervisor()
     outcomes = supervisor.run_map([3, 4], _ok_worker, jobs=2, timeout=30)
     assert [o.state for o in outcomes] == ["done", "done"]
     assert [o.value for o in outcomes] == [6, 8]
@@ -118,7 +114,7 @@ def test_run_map_success_and_crash_taxonomy():
 
 
 def test_run_map_accept_rejects_and_keeps_fallback_value():
-    supervisor = _make_supervisor(max_attempts=2, backoff_s=0.01)
+    supervisor = WorkerSupervisor()
     outcomes = supervisor.run_map(
         ["unit"],
         _reject_me,
@@ -133,7 +129,7 @@ def test_run_map_accept_rejects_and_keeps_fallback_value():
 
 
 def test_spawn_failures_degrade_to_in_process_execution():
-    supervisor = _make_supervisor()
+    supervisor = WorkerSupervisor()
     with plan_installed(FaultPlan(seed=0, rates={SPAWN_FAIL: 1.0})):
         outcomes = supervisor.run_map([5], _ok_worker, jobs=1, timeout=30)
     assert not supervisor.pool_healthy
@@ -197,6 +193,27 @@ def test_batch_certify_rejects_forged_certificates_and_recovers():
     assert row.status == Status.UNSAFE  # retry converged on the truth
     assert row.correct is True
     assert row.supervision["retried"]
+
+
+def test_batch_ladder_of_clean_unknowns_is_final():
+    """Every engine ran cleanly to ``unknown`` (tlc's bug sits at cycle 65,
+    far past bound 2, and the bit-level ladder has no rsim rung): a retry
+    would repeat the same deterministic work, so the unit ends after one
+    attempt.  A ladder with an engine that crashed, ran out of budget or
+    lied still earns its retry."""
+    report = BatchRunner(timeout=60, bound=2, representation="bit").run(
+        [BatchItem.benchmark("tlc")]
+    )
+    row = report.items[0]
+    assert row.status == Status.UNKNOWN
+    assert [a["state"] for a in row.supervision["attempts"]] == ["done"]
+    assert report.retries == 0
+    for status in (Status.ERROR, Status.TIMEOUT, "uncertified"):
+        result = VerificationResult(
+            Status.UNKNOWN, "ladder", "p",
+            detail={"ladder_attempts": [{"status": Status.UNKNOWN}, {"status": status}]},
+        )
+        assert _accept_definitive(None, (0, result)) is not None
 
 
 #: per-kind firing rates of a chaos sweep: the destructive kinds fire often

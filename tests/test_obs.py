@@ -2,16 +2,15 @@
 
 import argparse
 import json
-import multiprocessing
 import time
 
 import pytest
 
 from repro.benchmarks import get_benchmark
-from repro.engines import make_engine
+from repro.engines import make_engine, supervision
 from repro.engines.batch import BatchItem, BatchRunner
 from repro.engines.portfolio import PortfolioConfig, PortfolioRunner, VerificationTask
-from repro.engines.supervision import RetryPolicy, WorkerSupervisor
+from repro.engines.supervision import WorkerSupervisor
 from repro.faults import injection
 from repro.obs import log as obslog
 from repro.obs import telemetry
@@ -113,16 +112,10 @@ def _hang_first_attempt(payload):
         pass
     return payload + 1
 
-def _supervisor(**retry_kwargs):
-    policy = RetryPolicy(**retry_kwargs) if retry_kwargs else RetryPolicy()
-    return WorkerSupervisor(
-        multiprocessing.get_context("fork"), retry=policy, grace=0.1
-    )
-
 def test_worker_spans_stitch_under_the_spawning_span():
     with telemetry.recording() as recorder:
         with telemetry.span("driver"):
-            outcomes = _supervisor().run_map(
+            outcomes = WorkerSupervisor().run_map(
                 [1, 2], _traced_worker, jobs=2, timeout=30
             )
     assert [o.value for o in outcomes] == [2, 3]
@@ -147,16 +140,17 @@ def test_worker_spans_stitch_under_the_spawning_span():
     assert payload["counters"]["worker.calls"] == 2
     assert payload["counters"]["supervisor.spawns"] == 2
 
-def test_kill_retry_trace_has_no_orphans(tmp_path):
+def test_kill_retry_trace_has_no_orphans(tmp_path, monkeypatch):
+    # a short grace before the kill at the attempt deadline and before SIGKILL
+    monkeypatch.setattr(supervision, "GRACE_SECONDS", 0.1)
     with telemetry.recording() as recorder:
         with telemetry.span("driver"):
-            outcomes = _supervisor(max_attempts=2, backoff_s=0.01).run_map(
+            outcomes = WorkerSupervisor().run_map(
                 [5],
                 _hang_first_attempt,
                 jobs=1,
                 timeout=30,
                 attempt_timeout=0.5,
-                kill_grace=0.1,
             )
     assert outcomes[0].state == "done"
     assert outcomes[0].value == 6

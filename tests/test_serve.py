@@ -27,7 +27,6 @@ from repro.cache.store import CacheEntry, CertificateStore, StoreLock
 from repro.benchmarks import load_system
 from repro.certs import KInductiveCertificate
 from repro.engines import Status, make_engine
-from repro.engines.supervision import RetryPolicy, WorkerSupervisor
 from repro.faults.injection import plan_installed
 from repro.faults.plan import HANG_HARD, FaultPlan
 from repro.obs import telemetry
@@ -260,6 +259,25 @@ def test_serve_cli_bad_sizes_are_usage_errors_before_binding(tmp_path, capsys, a
     assert excinfo.value.code == 2
     assert argv[-2] in capsys.readouterr().err
     assert not os.path.exists(sock)
+
+
+def test_serve_cli_tcp_spec_without_host_listens_on_localhost(monkeypatch):
+    """``--tcp 7411`` names no host: it means 127.0.0.1, as it does for
+    clients (``parse_addr``), and no socket is bound here."""
+    configs = []
+
+    class _Server:
+        def __init__(self, config):
+            server_mod.VerifyServer(config)  # the real checks accept it
+            configs.append(config)
+
+        async def serve_forever(self):
+            pass
+
+    monkeypatch.setattr(serve_cli, "VerifyServer", _Server)
+    assert serve_cli.main(["--tcp", "7411"]) == 0
+    assert (configs[0].host, configs[0].port) == ("127.0.0.1", 7411)
+    assert parse_addr(":7411")[1:] == ("127.0.0.1", 7411)
 
 
 def test_cache_evict_refuses_negative_caps(tmp_path, proc3_entry_json, capsys):
@@ -673,7 +691,7 @@ def test_client_reconnects_and_resubmits_across_server_restart(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# streamed liveness
+# streamed progress and the attempt deadline
 # ---------------------------------------------------------------------------
 
 
@@ -695,45 +713,13 @@ def test_progress_frames_stream_to_waiting_clients(tmp_path):
         assert all("elapsed_s" in frame for frame in frames)
 
 
-def _sleepy_worker(payload):
-    time.sleep(120.0)
-    return payload
-
-
-def test_run_map_stall_event_kills_and_retires_attempt():
-    supervisor = WorkerSupervisor(
-        multiprocessing.get_context("fork"),
-        retry=RetryPolicy(max_attempts=1, backoff_s=0.01),
-    )
-    stall = threading.Event()
-    events = []
-
-    def trip_stall():
-        time.sleep(0.5)
-        stall.set()
-
-    threading.Thread(target=trip_stall, daemon=True).start()
-    t0 = time.monotonic()
-    outcomes = supervisor.run_map(
-        ["unit"], _sleepy_worker, jobs=1, timeout=120.0,
-        stall=stall, on_event=events.append,
-    )
-    wall = time.monotonic() - t0
-    assert outcomes[0].state == "timed-out"
-    assert "liveness" in outcomes[0].reason
-    assert wall < 60.0  # the stall kill, not the budget, ended the attempt
-    assert any(e["event"] == "stall-killed" for e in events)
-    assert not stall.is_set()  # one kill per trip: the event was consumed
-
-
-def test_wedged_request_killed_by_liveness_monitor(tmp_path):
-    """No progress inside the window -> wedged -> killed -> retried clean."""
-    config = _journaled_config(tmp_path, progress_timeout_s=1.0)
+def test_wedged_request_killed_at_its_attempt_deadline(tmp_path):
+    """A wedged attempt is killed at its attempt deadline and retried clean."""
+    config = _journaled_config(tmp_path, attempt_timeout_s=3.0)
     # hang-hard wedges the first attempt's SAT search unconditionally (on
     # buffalloc k-induction's search reaches the wedge's checkpoint; rsim
     # answers daio with no search); the only thing that can end it is the
-    # server's liveness monitor noticing the silent progress stream and
-    # setting the stall event
+    # supervisor's kill at the attempt deadline, 3 s plus its grace
     plan = FaultPlan(seed=3, rates={HANG_HARD: 1.0})
     with plan_installed(plan):
         with RunningServer(config) as server:
@@ -743,7 +729,6 @@ def test_wedged_request_killed_by_liveness_monitor(tmp_path):
                 reply = client.verify(design="buffalloc", bound=70, deadline_s=90.0)
                 # the retried attempt ran clean and still answered correctly
                 assert reply["status"] == Status.SAFE
-            assert server.counters["wedged_kills"] >= 1
             assert server.counters["accepted"] == (
                 server.counters["answered"] + server.counters["cancelled"]
             )
