@@ -243,8 +243,7 @@ def aig_from_transition_system(system: TransitionSystem) -> AIG:
     the HWMCC convention that a bad output asserted in some reachable state
     means the property fails.  Environment constraints become invariant
     constraints that hold in every cycle; each bad output is also gated by
-    them, so a file writer that drops the constraint section still flags
-    no violation in a cycle that breaks them.
+    the current cycle's constraints.
     """
     flat = system.flattened()
     aig = AIG(name=flat.name)
@@ -295,7 +294,9 @@ def transition_system_from_aig(
     1-bit input; AND gates become shared word-level expressions over them.
     Bad outputs (AIGER 1.9) become safety properties asserting the bad
     literal is never 1; ordinary outputs are used as bad states when no bad
-    section is present (the pre-1.9 HWMCC convention).  This is the loader
+    section is present (the pre-1.9 HWMCC convention).  Invariant
+    constraints become environment constraints asserting their literal is 1
+    in every cycle.  This is the loader
     behind verifying ``.aag`` files with the word-level engines through the
     ``repro-verify`` CLI.
     """
@@ -365,6 +366,8 @@ def transition_system_from_aig(
 
     for latch in aig.latches:
         system.set_next(latch_names[latch.literal], expr_of(latch.next_literal))
+    for literal in aig.constraints:
+        system.add_constraint(bv_eq(expr_of(literal), bv_const(1, 1)))
 
     bad_states = list(aig.bad)
     if not bad_states:

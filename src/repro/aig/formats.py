@@ -3,7 +3,9 @@
 HWMCC benchmarks are distributed as AIGER.  :func:`write_aiger` exports a
 bit-blasted design so it can be inspected with standard tools, and
 :func:`read_aiger` parses ASCII AIGER (``aag``) input, which
-``repro-verify FILE.aag`` lifts to a transition system and verifies.
+``repro-verify FILE.aag`` lifts to a transition system and verifies.  Both
+keep the AIGER 1.9 bad-state and invariant-constraint sections; justice and
+fairness properties are not supported, and a file declaring any is refused.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ def write_aiger(aig: AIG) -> str:
         f"aag {aig.max_variable} {len(aig.inputs)} {len(aig.latches)} "
         f"{len(aig.outputs)} {num_ands}"
     )
-    if aig.bad:
+    if aig.bad or aig.constraints:
         header += f" {len(aig.bad)}"
+    if aig.constraints:
+        header += f" {len(aig.constraints)}"
     lines.append(header)
     for literal in aig.inputs:
         lines.append(str(literal))
@@ -34,6 +38,8 @@ def write_aiger(aig: AIG) -> str:
     for _, literal in aig.outputs:
         lines.append(str(literal))
     for _, literal in aig.bad:
+        lines.append(str(literal))
+    for literal in aig.constraints:
         lines.append(str(literal))
     for output, (left, right) in aig.ands.items():
         lines.append(f"{output} {left} {right}")
@@ -59,7 +65,13 @@ def read_aiger(text: str) -> AIG:
     if header[0] != "aag":
         raise ValueError("only ASCII AIGER (aag) is supported")
     _, num_inputs, num_latches, num_outputs, num_ands = (int(x) for x in header[1:6])
-    num_bad = int(header[6]) if len(header) > 6 else 0
+    num_bad, num_constraints, num_justice, num_fairness = (
+        int(header[index]) if len(header) > index else 0 for index in range(6, 10)
+    )
+    if num_justice or num_fairness:
+        raise ValueError(
+            "AIGER justice and fairness properties (J/F) are not supported"
+        )
     aig = AIG()
     position = 1
     literal_remap: Dict[int, int] = {0: 0, 1: 1}
@@ -81,6 +93,10 @@ def read_aiger(text: str) -> AIG:
     bad_literals = []
     for _ in range(num_bad):
         bad_literals.append(int(lines[position]))
+        position += 1
+    constraint_literals = []
+    for _ in range(num_constraints):
+        constraint_literals.append(int(lines[position]))
         position += 1
     and_rows = []
     for _ in range(num_ands):
@@ -133,4 +149,5 @@ def read_aiger(text: str) -> AIG:
         aig.add_output(symbols.get(f"o{index}", f"o{index}"), remap(literal))
     for index, literal in enumerate(bad_literals):
         aig.add_bad(symbols.get(f"b{index}", f"b{index}"), remap(literal))
+    aig.constraints = [remap(literal) for literal in constraint_literals]
     return aig

@@ -468,6 +468,14 @@ class BatchRunner:
             for index in pending:
                 task, property_name, _ = units[index]
                 self._emit("scheduled", design=task.name, property=property_name)
+
+            def on_supervision(event: Dict[str, object]) -> None:
+                fields = {"kind" if k == "event" else k: v for k, v in event.items()}
+                if "unit" in event:
+                    task, property_name, _ = units[pending[event["unit"]]]
+                    fields.update(design=task.name, property=property_name)
+                self._emit("supervision", **fields)
+
             outcomes = WorkerSupervisor().run_map(
                 payloads,
                 _batch_worker,
@@ -481,9 +489,7 @@ class BatchRunner:
                     payload[:4] + (allowance,) + payload[5:]
                 ),
                 accept=_accept_definitive,
-                on_event=lambda event: self._emit(
-                    "supervision", **{"kind" if k == "event" else k: v for k, v in event.items()}
-                ),
+                on_event=on_supervision,
             )
             for payload, outcome in zip(payloads, outcomes):
                 index = payload[0]

@@ -498,11 +498,6 @@ def run_sequential_ladder(
                     rung_left if allowance is None else min(allowance, rung_left)
                 )
             t0 = time.monotonic()
-            # a rung landing is a liveness milestone: under supervision it
-            # streams to the waiting client as a progress frame
-            _telemetry.report_progress(
-                milestone=True, phase="rung", rung=rung_index, config=config.label
-            )
             try:
                 with _telemetry.span(
                     "ladder.attempt", config=config.label, rung=rung_index

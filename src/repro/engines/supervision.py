@@ -34,10 +34,10 @@ Attempt states are part of the public outcome taxonomy: ``done``,
 attempt deadline), ``cancelled`` (stopped by ``abort``), ``degraded`` (ran
 in-process after the pool went unhealthy) — a fault is never a silent skip.
 
-Workers stream progress through :func:`repro.obs.telemetry.report_progress`,
-which lives outside this module: the in-process ladder
-(:mod:`repro.engines.ladder`) reports rung landings without importing the
-supervisor or :mod:`multiprocessing`.
+A worker reports once: each attempt's pipe carries one message,
+``(status, value, trace)``, when the attempt ends.  What a waiting caller
+learns in between comes from the parent side, through ``run_map``'s
+``on_event``.
 """
 
 from __future__ import annotations
@@ -105,27 +105,6 @@ class SupervisedOutcome:
         }
 
 
-def _span_progress_hook(name: str, attrs: dict) -> None:
-    """Telemetry span hook: engine bound-loop spans double as progress.
-
-    The PR-8 span stream already marks every unit of search progress
-    (``engine.bmc.bound``, ``engine.kinduction.k``, …); forwarding those
-    span starts through :func:`repro.obs.telemetry.report_progress` gives
-    liveness for free wherever tracing is on, with no per-engine plumbing.
-    """
-    if not name.startswith("engine."):
-        return
-    _telemetry.report_progress(
-        phase="bound",
-        span=name,
-        **{
-            key: value
-            for key, value in attrs.items()
-            if isinstance(value, (int, float, str)) and key != "span"
-        },
-    )
-
-
 def _run_attempt(worker, payload, attempt, conn) -> None:
     """Child-process entry: run one attempt, send the outcome back.
 
@@ -151,15 +130,6 @@ def _run_attempt(worker, payload, attempt, conn) -> None:
         signal.signal(signum, signal.SIG_DFL)
     _fault_injection.set_attempt(attempt)
     _telemetry.child_begin()
-
-    # stream liveness: explicit report_progress() calls plus every engine
-    # bound-loop span start are forwarded over the result pipe as
-    # ("progress", doc) messages interleaved before the final triple
-    def _pipe_progress(doc: dict) -> None:
-        conn.send(("progress", doc))
-
-    _telemetry.set_progress_sink(_pipe_progress)
-    _telemetry.set_span_hook(_span_progress_hook)
     try:
         with _telemetry.span("worker.attempt", attempt=attempt):
             value = worker(payload)
@@ -167,9 +137,6 @@ def _run_attempt(worker, payload, attempt, conn) -> None:
     except BaseException as error:  # noqa: BLE001 - reported, never silent
         value = f"{type(error).__name__}: {error}"
         status = "error"
-    finally:
-        _telemetry.set_span_hook(None)
-        _telemetry.set_progress_sink(None)
     trace = _telemetry.child_export()
     try:
         conn.send((status, value, trace))
@@ -310,10 +277,9 @@ class WorkerSupervisor:
         down when its last waiting client disconnects — the cancellation is
         an explicit outcome, never a leaked process.
 
-        Workers stream ``("progress", doc)`` messages over their result
-        pipes (see :func:`repro.obs.telemetry.report_progress`); each is
-        surfaced as a ``progress`` event through ``on_event`` with the unit
-        and attempt attached.
+        ``on_event`` hears each attempt launch (``attempt``), ``retry``,
+        ``gave-up``, ``done`` and ``degraded`` unit, ``pool-unhealthy`` and
+        ``aborted``.
         """
 
         def emit(event: str, **fields) -> None:
@@ -430,11 +396,6 @@ class WorkerSupervisor:
             _fault_injection.set_attempt(slot.attempt)
             begin_attempt_span(index, slot.attempt)
             degraded_span = attempt_spans.get(index)
-            _telemetry.set_progress_sink(
-                lambda doc: emit(
-                    "progress", unit=index, attempt=slot.attempt, **doc
-                )
-            )
             try:
                 if recorder is not None and degraded_span is not None:
                     with recorder.under(degraded_span):
@@ -452,7 +413,6 @@ class WorkerSupervisor:
                 end_attempt_span(index, DEGRADED)
                 finalize(index, DONE, value=value)
             finally:
-                _telemetry.set_progress_sink(None)
                 _fault_injection.set_attempt(0)
             outcomes[index].degraded = True
             emit("degraded", unit=index, state=outcomes[index].state)
@@ -576,12 +536,6 @@ class WorkerSupervisor:
                 except (EOFError, OSError):
                     # the worker died mid-send; the reaper below classifies it
                     slot.close_conn()
-                    continue
-                if message and message[0] == "progress":
-                    # liveness tick: surface it and keep the pipe open — the
-                    # worker is still running toward its final report
-                    doc = message[1] if isinstance(message[1], dict) else {}
-                    emit("progress", unit=index, attempt=slot.attempt, **doc)
                     continue
                 slot.close_conn()
                 status, value, trace = message

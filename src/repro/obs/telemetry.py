@@ -20,8 +20,9 @@ Design contract (mirrors :mod:`repro.faults.injection`):
   drop count kept) so a runaway instrumentation site cannot exhaust memory;
 * **cross-process assembly**: a forked worker calls :func:`child_begin` to
   replace the recorder it inherited with a fresh one, ships
-  :func:`child_export` back over its existing result channel, and the
-  parent stitches the subtree under the spawning span with
+  :func:`child_export` back inside the one result message of its attempt
+  (nothing streams while it runs), and the parent stitches the subtree
+  under the spawning span with
   :meth:`Recorder.attach` — span ids are remapped into the parent's id
   space, so one run yields one coherent, cycle-free trace.
 
@@ -38,7 +39,7 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 #: trace document format tag (JSONL header and subtree payloads)
 TRACE_FORMAT = "repro-trace-v1"
@@ -376,66 +377,6 @@ class Recorder:
 
 _RECORDER: Optional[Recorder] = None
 
-#: optional observer of span *starts* — ``hook(name, attrs)`` — used by the
-#: supervision layer to turn the span stream into streamed progress without
-#: per-engine plumbing.  Fires whether or not a recorder is installed (the
-#: span stream marks forward progress even when nobody keeps the spans), and
-#: must never raise into the instrumented code.
-_SPAN_HOOK = None
-
-
-def set_span_hook(hook) -> None:
-    """Install (or clear, with ``None``) the process-wide span-start hook."""
-    global _SPAN_HOOK
-    _SPAN_HOOK = hook
-
-
-# ---------------------------------------------------------------------------
-# progress reporting — the worker-side half of streamed liveness
-# ---------------------------------------------------------------------------
-
-#: thread-local progress sink: inside a supervised worker process it forwards
-#: over the attempt's result pipe; in degraded in-process execution it
-#: forwards to the supervisor's event callback directly.  Thread-local because
-#: the serve layer runs several degraded units on different threads of one
-#: process.
-_PROGRESS = threading.local()
-
-#: floor between forwarded progress reports, so a tight bound loop cannot
-#: flood the result pipe
-PROGRESS_MIN_INTERVAL_S = 0.05
-
-
-def set_progress_sink(sink: Optional[Callable[[dict], None]]) -> None:
-    """Install (or clear, with ``None``) this thread's progress sink."""
-    _PROGRESS.sink = sink
-    _PROGRESS.last = 0.0
-
-
-def report_progress(**fields) -> None:
-    """Report one unit of forward progress (ladder rung, bound reached).
-
-    Called from engine/ladder code running under supervision.  A no-op
-    without a sink (one thread-local read), so unsupervised execution pays
-    nothing.  Reports are rate-limited to one per
-    :data:`PROGRESS_MIN_INTERVAL_S` unless marked ``milestone=True`` —
-    rung landings are milestones, per-bound ticks are not.
-    """
-    sink = getattr(_PROGRESS, "sink", None)
-    if sink is None:
-        return
-    now = time.monotonic()
-    if not fields.pop("milestone", False):
-        if now - getattr(_PROGRESS, "last", 0.0) < PROGRESS_MIN_INTERVAL_S:
-            return
-    _PROGRESS.last = now
-    try:
-        sink(dict(fields))
-    except Exception:
-        # a dead pipe must never crash the computation it reports on
-        set_progress_sink(None)
-
-
 def get_recorder() -> Optional[Recorder]:
     return _RECORDER
 
@@ -473,12 +414,6 @@ def span(name: str, **attrs):
     disabled — safe in warm loops.  The span joins the current thread's
     stack, so nested ``span()`` calls build the tree automatically.
     """
-    hook = _SPAN_HOOK
-    if hook is not None:
-        try:
-            hook(name, attrs)
-        except Exception:  # pragma: no cover - observer bug, not ours
-            pass
     recorder = _RECORDER
     if recorder is None:
         return NOOP_SPAN

@@ -6,11 +6,11 @@ validated-certificate cache — warm across requests, so the marginal cost of
 a repeated query is one re-validation instead of one verification.  Around
 that warm core sit the robustness mechanisms this module exists for:
 
-* **admission control** — a bounded FIFO queue
-  (:class:`repro.serve.queues.BoundedQueue`) in front of at most
-  ``max_workers`` concurrent computations; when it is full the marginal
-  request gets an immediate ``rejected: overloaded`` reply instead of
-  unbounded queueing;
+* **admission control** — at most ``max_workers`` computations run at
+  once, and a miss that finds every slot busy waits in one FIFO line (a
+  :class:`collections.deque`) of at most ``max_queue`` misses; when the
+  line is full the marginal request gets an immediate
+  ``rejected: overloaded`` reply instead of unbounded queueing;
 * **coalescing** — identical in-flight queries (same cache key) share one
   computation; N clients, one supervised run, one cache store;
 * **deadline propagation** — a request's ``deadline_s`` becomes the
@@ -18,13 +18,14 @@ that warm core sit the robustness mechanisms this module exists for:
   engine's timeout and the SAT solver's cooperative interrupt;
 * **wedge kill** — the supervisor kills an attempt at its attempt deadline
   (its allowance under ``attempt_timeout_s`` and the request's budget,
-  plus a grace) and retries it once; a running computation streams
-  ``progress`` frames, with a keepalive at least every
+  plus a grace) and retries it once; the waiters of a running
+  computation get a ``progress`` frame for each attempt, retry and
+  degraded run, and a keepalive at least every
   :data:`PROGRESS_INTERVAL_S`, so a client can tell a long proof from a
   dead server;
-* **cancellation** — a client disconnect removes its waiter; when a
-  computation has no waiters left its abort event fires and the supervisor
-  reaps the worker;
+* **cancellation** — a client disconnect removes its waiter; a queued miss
+  with no waiters left leaves the line, and a running computation with
+  none left has its abort event fire, so the supervisor reaps the worker;
 * **crash safety** — every accepted request is journaled before the accept
   reply (:class:`repro.serve.journal.RequestJournal`); a restarted server
   replays the journal and NACKs accepted-but-unanswered requests, so an
@@ -55,8 +56,9 @@ import signal
 import threading
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.cache import ResultCache
 from repro.cache.key import cache_key
@@ -82,7 +84,6 @@ from repro.serve.protocol import (
     read_frame,
     write_frame,
 )
-from repro.serve.queues import BoundedQueue, QueueClosed
 
 #: how long admission's look-up may spend re-validating a hit on the event
 #: loop.  The suite's slowest first look-up takes 28 ms; a look-up that runs
@@ -146,8 +147,8 @@ class _Work:
         self.bound = bound
         self.waiters: List[_Waiter] = []
         self.abort = threading.Event()
+        #: set when the miss leaves the line for a computation slot
         self.running = False
-        self.cancelled = False
         self.done = False
         self.span = None
         self.admitted_t = time.monotonic()
@@ -208,6 +209,8 @@ class VerifyServer:
             raise ValueError("server needs a unix socket path or a TCP host")
         if config.max_workers < 1:
             raise ValueError("max_workers must be at least 1")
+        if config.max_queue < 1:
+            raise ValueError("max_queue must be at least 1")
         self.config = config
         #: the listen address names this server in stats documents and spans
         self.server_id = config.socket_path or f"{config.host}:{config.port}"
@@ -219,9 +222,12 @@ class VerifyServer:
             if config.journal_path
             else None
         )
-        self.queue = BoundedQueue(config.max_queue)
+        #: admitted misses waiting for a computation slot, oldest first
+        self.queue: Deque[_Work] = deque()
         self.inflight: Dict[str, _Work] = {}
         self.active = 0
+        #: the running computations' tasks, referenced until they end
+        self._computations: set = set()
         #: requests inside :meth:`_admit`; a drain waits for them too
         self.admitting = 0
         self.draining = False
@@ -239,7 +245,6 @@ class VerifyServer:
             "progress_frames": 0,
         }
         self._shutdown = asyncio.Event()
-        self._slot_free = asyncio.Event()
         self._work_done = asyncio.Event()
         self._connections: set = set()
         self._server_span = None
@@ -282,7 +287,6 @@ class VerifyServer:
                 self._handle_connection, host=self.config.host, port=self.config.port
             )
             where = f"{self.config.host}:{self.config.port}"
-        dispatcher = asyncio.create_task(self._dispatch())
         monitor = asyncio.create_task(self._monitor())
         _log.info(f"repro-serve listening on {where} ({PROTOCOL})")
         await self._shutdown.wait()
@@ -291,8 +295,6 @@ class VerifyServer:
         self._listener.close()
         await self._listener.wait_closed()
         await self._drained()
-        self.queue.close()
-        await dispatcher
         monitor.cancel()
         with contextlib.suppress(asyncio.CancelledError):
             await monitor
@@ -404,7 +406,7 @@ class VerifyServer:
                 if work.running:
                     work.abort.set()
                 else:
-                    work.cancelled = True
+                    self.queue.remove(work)
                     self.inflight.pop(work.key, None)
                     self._work_done.set()
         conn.requests.clear()
@@ -465,7 +467,7 @@ class VerifyServer:
         if span is not None:
             span.finish(outcome="hit" if hit is not None else "miss")
         if hit is not None:
-            # a re-validated hit is answered here: no queue, no dispatcher
+            # a re-validated hit is answered here: it never waits in line
             await self._answer_hit(conn, request_id, request, key, hit)
             return
 
@@ -486,8 +488,8 @@ class VerifyServer:
         work.waiters.append(waiter)
 
         existing = self.inflight.get(key)
-        if existing is not None and not existing.cancelled and not existing.done:
-            # coalesce: share the in-flight computation, skip the queue
+        if existing is not None and not existing.done:
+            # coalesce: share the in-flight computation, skip the line
             existing.waiters.append(waiter)
             conn.requests[request_id] = existing
             self.counters["accepted"] += 1
@@ -496,7 +498,7 @@ class VerifyServer:
             await self._accept(conn, request_id, request, key, coalesced=True)
             return
 
-        if not self.queue.try_put(work):
+        if len(self.queue) >= self.config.max_queue:
             self.counters["rejected_overloaded"] += 1
             _telemetry.counter("serve.rejected_overloaded")
             await conn.send(
@@ -504,12 +506,13 @@ class VerifyServer:
                  "reason": "overloaded", "queue_depth": len(self.queue)}
             )
             return
+        self.queue.append(work)
         self.inflight[key] = work
         conn.requests[request_id] = work
         self.counters["accepted"] += 1
         _telemetry.counter("serve.accepted")
-        _telemetry.gauge("serve.queue_depth", len(self.queue))
         await self._accept(conn, request_id, request, key, coalesced=False)
+        self._start_queued()
 
     def _look_up(self, span, task: VerificationTask, prop, representation: str):
         """Admission's look-up, on the event loop: load the design, resolve
@@ -560,30 +563,25 @@ class VerifyServer:
             )
         await conn.send(
             _accepted_doc(request_id, key, coalesced=False),
-            dict(self._result_doc(key, result, "cache", 1), id=request_id),
+            dict(_result_doc(key, result, "cache", 1, True), id=request_id),
         )
 
     # ------------------------------------------------------------------
-    # dispatch and computation
+    # the line and computation
     # ------------------------------------------------------------------
-    async def _dispatch(self) -> None:
-        while True:
-            try:
-                work = await self.queue.get()
-            except QueueClosed:
-                return
-            _telemetry.gauge("serve.queue_depth", len(self.queue))
-            while self.active >= self.config.max_workers:
-                self._slot_free.clear()
-                await self._slot_free.wait()
-            if work.cancelled:  # its waiters may leave while it waits
-                continue
+    def _start_queued(self) -> None:
+        """Start the oldest queued misses while a computation slot is free."""
+        while self.queue and self.active < self.config.max_workers:
+            work = self.queue.popleft()
+            work.running = True
             self.active += 1
-            asyncio.create_task(self._run_work(work))
+            task = asyncio.create_task(self._run_work(work))
+            self._computations.add(task)
+            task.add_done_callback(self._computations.discard)
+        _telemetry.gauge("serve.queue_depth", len(self.queue))
 
     async def _run_work(self, work: _Work) -> None:
         try:
-            work.running = True
             work.started_t = time.monotonic()
             recorder = _telemetry.get_recorder()
             if recorder is not None:
@@ -605,22 +603,25 @@ class VerifyServer:
                     work.property_name,
                     reason="deadline exceeded while queued",
                 )
-                source = "deadline"
+                source, validated = "deadline", None
             else:
-                result, source = await asyncio.to_thread(
+                result, source, validated = await asyncio.to_thread(
                     self._compute, work, timeout
                 )
             if work.span is not None:
                 work.span.finish(outcome=f"{result.status}:{source}")
-            await self._answer(work, result, source)
+            await self._answer(work, result, source, validated)
         finally:
             self.inflight.pop(work.key, None)
             self.active -= 1
-            self._slot_free.set()
             self._work_done.set()
+            self._start_queued()
 
     def _compute(self, work: _Work, timeout: Optional[float]):
-        """Run one computation in this executor thread (workers fork from here)."""
+        """Run one computation in this executor thread (workers fork from here).
+
+        Returns the result, its source and, with a cache attached and a
+        definitive verdict, whether the cache store validated it."""
         with _under(work.span):
             self.counters["computations"] += 1
             _telemetry.counter("serve.computations")
@@ -645,23 +646,30 @@ class VerifyServer:
                 abort=work.abort,
                 on_event=self._supervision_observer(work),
             )
+            validated = None
             if self.cache is not None and result.is_definitive:
-                self.cache.store(
+                validated = self.cache.store(
                     system,
                     work.property_name,
                     work.representation,
                     result,
                     design=work.task.name,
-                )
-            return result, "computed"
+                ).stored
+            return result, "computed", validated
 
-    async def _answer(self, work: _Work, result: VerificationResult, source: str):
+    async def _answer(
+        self,
+        work: _Work,
+        result: VerificationResult,
+        source: str,
+        validated: Optional[bool],
+    ):
         # no coalescer may attach once the reply fan-out starts: the waiter
         # snapshot below is the complete audience for this computation
         work.done = True
         waiters = list(work.waiters)
         work.waiters.clear()
-        reply_base = self._result_doc(work.key, result, source, len(waiters))
+        reply_base = _result_doc(work.key, result, source, len(waiters), validated)
         for waiter in waiters:
             waiter.conn.requests.pop(waiter.request_id, None)
             self.counters["answered"] += 1
@@ -672,48 +680,13 @@ class VerifyServer:
                 )
             await waiter.conn.send(dict(reply_base, id=waiter.request_id))
 
-    def _result_doc(
-        self, key: str, result: VerificationResult, source: str, audience: int
-    ) -> dict:
-        """The ``result`` frame for one answered query, without its ``id``."""
-        validated = None
-        if source == "cache":
-            validated = True
-        elif self.cache is not None and result.is_definitive:
-            # either the in-ladder --certify gate (detail["certified"]) or an
-            # explicit validation record marks the verdict as validated
-            validated = bool(
-                isinstance(result.detail, dict)
-                and (
-                    result.detail.get("certified") is True
-                    or result.detail.get("validation", {}).get("ok")
-                )
-            ) or None
-        document = {
-            "ok": True,
-            "op": "result",
-            "key": key,
-            "status": result.status,
-            "engine": result.engine,
-            "property": result.property_name,
-            "runtime_s": round(result.runtime or 0.0, 6),
-            "source": source,
-            "reason": result.reason or "",
-            "coalesced_with": audience,
-        }
-        if validated is not None:
-            document["validated"] = validated
-        if result.counterexample is not None:
-            document["counterexample_steps"] = len(result.counterexample.steps)
-        return document
-
     # ------------------------------------------------------------------
-    # streamed progress
+    # progress frames
     # ------------------------------------------------------------------
     def _supervision_observer(self, work: _Work):
         """Event callback for one computation's supervisor (executor thread).
 
-        Progress-bearing events are forwarded to every waiter as
+        Attempt, retry and degraded events are forwarded to every waiter as
         ``progress`` frames; the hop onto the event loop goes through
         ``call_soon_threadsafe`` because the supervisor runs in a worker
         thread.
@@ -722,7 +695,7 @@ class VerifyServer:
 
         def observer(event: dict) -> None:
             name = event.get("event")
-            if name in ("progress", "attempt", "retry", "degraded"):
+            if name in ("attempt", "retry", "degraded"):
                 doc = {
                     key: value
                     for key, value in event.items()
@@ -853,6 +826,37 @@ def _resolve_property(system, property_name) -> str:
 def _accepted_doc(request_id: str, key: str, coalesced: bool) -> dict:
     return {"ok": True, "op": "accepted", "id": request_id,
             "key": key, "coalesced": coalesced}
+
+
+def _result_doc(
+    key: str,
+    result: VerificationResult,
+    source: str,
+    audience: int,
+    validated: Optional[bool],
+) -> dict:
+    """The ``result`` frame for one answered query, without its ``id``.
+
+    ``validated`` is ``True`` for a re-validated hit and, for a computed
+    definitive verdict with a cache attached, whether the cache store
+    validated its certificate; ``None`` leaves the field out."""
+    document = {
+        "ok": True,
+        "op": "result",
+        "key": key,
+        "status": result.status,
+        "engine": result.engine,
+        "property": result.property_name,
+        "runtime_s": round(result.runtime or 0.0, 6),
+        "source": source,
+        "reason": result.reason or "",
+        "coalesced_with": audience,
+    }
+    if validated is not None:
+        document["validated"] = validated
+    if result.counterexample is not None:
+        document["counterexample_steps"] = len(result.counterexample.steps)
+    return document
 
 
 def _journal_doc(request: dict) -> dict:

@@ -501,14 +501,14 @@ def _main(argv: Optional[List[str]]) -> int:
                 with _telemetry.span(
                     "cli.verify", mode=(modes[0] if modes else "sequential-ladder")
                 ):
-                    return _dispatch(parser, args)
+                    return _run_driver(parser, args)
             finally:
                 write_trace(recorder, args.trace, meta={"tool": "repro-verify"})
                 _log.info(f"wrote trace {args.trace}")
-    return _dispatch(parser, args)
+    return _run_driver(parser, args)
 
 
-def _dispatch(parser: argparse.ArgumentParser, args) -> int:
+def _run_driver(parser: argparse.ArgumentParser, args) -> int:
     """Run the selected driver; factored out so --trace can wrap it."""
     if args.server:
         if not args.target:
@@ -739,14 +739,13 @@ def _run_server_client(args) -> int:
         client = ServeClient(host=host, port=int(port))
     else:
         client = ServeClient(socket_path=args.server)
-    # streamed liveness: the server sends progress frames (ladder rung
-    # landed, bound reached, keepalives) while a proof runs
+    # liveness: the server sends a progress frame for each worker attempt,
+    # retry and degraded run, and a keepalive while a proof runs
     client.on_progress = lambda frame: _log.info(
         "progress "
         + " ".join(
             f"{name}={frame[name]}"
-            for name in ("id", "kind", "phase", "rung", "config", "bound",
-                         "k", "elapsed_s")
+            for name in ("id", "kind", "attempt", "state", "elapsed_s")
             if name in frame
         )
     )
@@ -817,16 +816,13 @@ def _run_batch(parser, args, cache) -> int:
     representation = args.representation[0] if args.representation else "word"
 
     def on_event(event: Dict[str, object]) -> None:
-        if args.quiet:
-            return
         kind = event.pop("event")
-        design = event.pop("design", "")
-        prop = event.pop("property", "")
-        extras = ", ".join(f"{key}={value}" for key, value in event.items() if value)
-        print(
-            f"  [{time.strftime('%H:%M:%S')}] {kind:9s} "
-            f"{design + ':' + prop:28s} {extras}"
+        label = f"{event.pop('design', '')}:{event.pop('property', '')}"
+        extras = ", ".join(
+            f"{key}={value}" for key, value in event.items()
+            if value is not None and value != ""
         )
+        _log.info(f"  [{time.strftime('%H:%M:%S')}] {kind:9s} {label:28s} {extras}")
 
     runner = BatchRunner(
         cache=cache,

@@ -15,8 +15,9 @@ import pytest
 from repro.aig import aig_from_transition_system, write_aiger
 from repro.aig.bitblast import transition_system_from_aig
 from repro.aig.formats import read_aiger
-from repro.benchmarks import get_benchmark
+from repro.benchmarks import BENCHMARKS, get_benchmark
 from repro.engines import Status, make_engine
+from repro.engines.ladder import default_budget_ladder, run_sequential_ladder
 from repro.netlist.simulate import Simulator
 
 
@@ -97,3 +98,29 @@ def test_lifted_model_reproduces_bug_in_same_cycle():
     trace = Simulator(lifted).run(bit_sequence, stop_on_violation=True)
     assert trace.violated_property == result.property_name
     assert len(trace) - 1 == benchmark.bug_cycle
+
+
+@pytest.mark.parametrize("design", list(BENCHMARKS))
+def test_aiger_round_trip_keeps_every_suite_verdict(design):
+    """word -> AIG -> ``.aag`` text -> lift -> the certified ladder returns
+    the suite verdict for every property.  fifo's environment constraints
+    must survive the file: without them a path that breaks one in cycle 0
+    reaches bad in cycle 1, a witness that validates against the lift."""
+    benchmark = get_benchmark(design)
+    aig, lifted = _lift_round_trip(benchmark.load())
+    assert len(lifted.constraints) == len(aig.constraints)
+    for prop in lifted.properties:
+        result = run_sequential_ladder(
+            lifted, prop.name, default_budget_ladder(timeout=30), timeout=30,
+            certify=True,
+        )
+        assert result.status == benchmark.expected, prop.name
+
+
+def test_read_aiger_refuses_justice_and_fairness_properties():
+    text = write_aiger(aig_from_transition_system(get_benchmark("fifo").load()))
+    header, _, body = text.partition("\n")
+    assert len(header.split()) == 8  # aag M I L O A B C
+    for extra in (" 1", " 0 1"):  # one justice, then one fairness property
+        with pytest.raises(ValueError, match="justice and fairness"):
+            read_aiger(f"{header}{extra}\n{body}")

@@ -633,6 +633,21 @@ def test_verify_cli_batch_respects_property_scope(tmp_path, capsys):
     assert "1 items" in out
 
 
+def test_verify_cli_batch_narrates_on_stderr(capsys):
+    """Result rows and the summary own stdout; the narration goes to
+    stderr, and each supervision event names its unit's design:property."""
+    from repro.tools.verify_cli import main
+
+    assert main(["daio", "huffman_dec", "--batch", "--timeout", "60"]) == 0
+    captured = capsys.readouterr()
+    assert "2 items" in captured.out
+    assert not [line for line in captured.out.splitlines() if line.lstrip().startswith("[")]
+    supervision = [line for line in captured.err.splitlines() if "supervision" in line]
+    assert any("daio:no_overrun" in line for line in supervision)
+    assert all(" :" not in line for line in supervision)
+    assert any("unit=0" in line for line in supervision)
+
+
 def test_verify_cli_rejects_cross_check_with_ladder_or_batch(capsys):
     from repro.tools.verify_cli import main
 

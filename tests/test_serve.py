@@ -3,10 +3,10 @@
 The serving contract under test is *no silent loss*: every request the
 server accepts is answered, cancelled when its client leaves, or journaled
 for a restart to NACK.  The unit tests cover each mechanism in isolation
-(framing, journal replay through torn tails, bounded FIFO admission, the
-``repro-serve`` and ``repro-cache`` argument checks); the end-to-end tests
-run a real :class:`VerifyServer` on a unix socket with real supervised
-verifications behind it.
+(framing, journal replay through torn tails, the ``repro-serve`` and
+``repro-cache`` argument checks); the end-to-end tests run a real
+:class:`VerifyServer` on a unix socket, with real supervised verifications
+behind it or, for admission, a computation that waits for the test.
 """
 
 import argparse
@@ -26,12 +26,11 @@ from repro.cache import cache_key
 from repro.cache.store import CacheEntry, CertificateStore, StoreLock
 from repro.benchmarks import load_system
 from repro.certs import KInductiveCertificate
-from repro.engines import Status, make_engine
+from repro.engines import Status, VerificationResult, make_engine
 from repro.faults.injection import plan_installed
-from repro.faults.plan import HANG_HARD, FaultPlan
+from repro.faults.plan import CERT_FORGE, HANG_HARD, FaultPlan
 from repro.obs import telemetry
 from repro.serve import (
-    BoundedQueue,
     PROTOCOL,
     ProtocolError,
     RequestJournal,
@@ -48,7 +47,6 @@ from repro.serve.protocol import (
     read_frame_blocking,
     write_frame_blocking,
 )
-from repro.serve.queues import QueueClosed
 from repro.tools import cache_cli, serve_cli
 from test_serve_soak import SERVER_RATES
 
@@ -184,49 +182,6 @@ def test_journal_compaction_races_live_appends(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# bounded FIFO admission queue
-# ---------------------------------------------------------------------------
-
-
-def test_queue_serves_in_arrival_order():
-    async def scenario():
-        queue = BoundedQueue(maxsize=8)
-        for item in ("first", "second", "third"):
-            assert queue.try_put(item)
-        assert await queue.get() == "first"
-        assert queue.try_put("fourth")
-        order = [await queue.get() for _ in range(3)]
-        assert order == ["second", "third", "fourth"]
-
-    asyncio.run(scenario())
-
-
-def test_queue_rejects_at_capacity_never_blocks():
-    async def scenario():
-        queue = BoundedQueue(maxsize=2)
-        assert queue.try_put("a") and queue.try_put("b")
-        assert not queue.try_put("c")
-        assert queue.rejected == 1 and queue.admitted == 2
-        await queue.get()
-        assert queue.try_put("c")
-
-    asyncio.run(scenario())
-
-
-def test_queue_close_wakes_getters_with_queue_closed():
-    async def scenario():
-        queue = BoundedQueue(maxsize=2)
-        getter = asyncio.ensure_future(queue.get())
-        await asyncio.sleep(0)  # let the getter park
-        queue.close()
-        with pytest.raises(QueueClosed):
-            await getter
-        assert not queue.try_put("late")
-
-    asyncio.run(scenario())
-
-
-# ---------------------------------------------------------------------------
 # command-line argument checks
 # ---------------------------------------------------------------------------
 
@@ -317,6 +272,8 @@ def test_server_cold_computed_then_warm_cache_hit(tmp_path):
             cold = client.verify(design="daio", representation="word", bound=70)
             assert cold["status"] == Status.UNSAFE
             assert cold["source"] == "computed"
+            # the cache store validated the witness (no --certify needed)
+            assert cold["validated"] is True
             assert cold["counterexample_steps"] >= 1
             warm = client.verify(design="daio", representation="word", bound=70)
             assert warm["status"] == Status.UNSAFE
@@ -331,6 +288,47 @@ def test_server_cold_computed_then_warm_cache_hit(tmp_path):
     assert report.open_requests == {}
     assert server.counters["answered"] == 2
     assert not os.path.exists(config.socket_path)
+
+
+def test_computed_reply_says_the_store_refused_a_forged_certificate(tmp_path):
+    """Every engine's answer is forged, and with no ``--certify`` the forged
+    verdict is the reply; the cache store refuses its certificate, and the
+    reply says so."""
+    config = ServerConfig(socket_path=_sock(tmp_path), cache_dir=str(tmp_path / "cache"))
+    with plan_installed(FaultPlan(seed=0, rates={CERT_FORGE: 1.0})):
+        with RunningServer(config):
+            with ServeClient(socket_path=config.socket_path, reconnect=False) as client:
+                reply = client.verify(design="daio", bound=70)
+                assert reply["source"] == "computed"
+                assert reply["validated"] is False
+                assert client.stats()["cache"]["stores"] == 0
+                client.drain()
+
+
+def test_verify_cli_server_mode_end_to_end(tmp_path, capsys):
+    """``repro-verify --server`` against a live server with a cache: two
+    pipelined targets are computed and validated, a second run is answered
+    from the cache, a WRONG verdict exits 2 and a rejected request exits 1."""
+    from repro.tools.verify_cli import main
+
+    config = ServerConfig(socket_path=_sock(tmp_path), cache_dir=str(tmp_path / "cache"))
+    argv = ["daio", "proc3", "--server", config.socket_path, "--timeout", "60"]
+
+    def rows():
+        out = capsys.readouterr().out
+        return [line for line in out.splitlines() if line.startswith(("daio ", "proc3 "))]
+
+    with RunningServer(config):
+        assert main(argv) == 0
+        cold = rows()
+        assert len(cold) == 2 and all(r.endswith("computed validated") for r in cold)
+        assert main(argv) == 0
+        warm = rows()
+        assert len(warm) == 2 and all(r.endswith("cache validated") for r in warm)
+        assert main(["daio", "--server", config.socket_path, "--expected", "safe"]) == 2
+        assert "wrong" in rows()[0]
+        assert main(["daio", "--server", config.socket_path, "--property", "nope"]) == 1
+        assert "rejected" in capsys.readouterr().out
 
 
 def test_server_coalesces_identical_concurrent_queries(tmp_path):
@@ -453,6 +451,95 @@ def _wait_for(condition, timeout=30.0):
         time.sleep(0.01)
 
 
+# ---------------------------------------------------------------------------
+# admission: the line of misses waiting for a computation slot
+# ---------------------------------------------------------------------------
+
+
+def _gated_computations(monkeypatch):
+    """Make every computation wait for ``release`` and answer a fixed SAFE,
+    so admission is tested apart from how fast any engine is.  Returns the
+    list of designs in the order their computations started, and
+    ``release``."""
+    started = []
+    release = threading.Event()
+
+    def compute(self, work, timeout):
+        started.append(work.task.name)
+        assert release.wait(timeout=60.0)
+        return (
+            VerificationResult(Status.SAFE, "fixed", work.property_name),
+            "computed",
+            None,
+        )
+
+    monkeypatch.setattr(server_mod.VerifyServer, "_compute", compute)
+    return started, release
+
+
+def test_max_queue_is_the_exact_number_of_waiting_misses(tmp_path, monkeypatch):
+    """With the only slot busy and ``max_queue`` misses waiting, the next
+    miss is ``rejected: overloaded``: nothing holds a miss outside the line."""
+    started, release = _gated_computations(monkeypatch)
+    config = ServerConfig(socket_path=_sock(tmp_path), max_workers=1, max_queue=1)
+    with RunningServer(config) as server:
+        with ServeClient(socket_path=config.socket_path, reconnect=False) as client:
+            running = client.submit({"design": "daio"})["id"]
+            _wait_for(lambda: started == ["daio"])
+            waiting = client.submit({"design": "tlc"})["id"]
+            with pytest.raises(ServeError) as excinfo:
+                client.submit({"design": "mac16"})
+            assert excinfo.value.reply["reason"] == "overloaded"
+            stats = client.stats()
+            assert stats["queue_depth"] == 1 and stats["active"] == 1
+            release.set()
+            for request_id in (running, waiting):
+                assert client.result(request_id)["status"] == Status.SAFE
+            client.drain()
+    assert started == ["daio", "tlc"]
+    assert server.counters["rejected_overloaded"] == 1
+
+
+def test_queued_misses_start_in_arrival_order(tmp_path, monkeypatch):
+    started, release = _gated_computations(monkeypatch)
+    config = ServerConfig(socket_path=_sock(tmp_path), max_workers=1, max_queue=4)
+    designs = ["daio", "tlc", "mac16", "rcu", "proc3"]
+    with RunningServer(config):
+        with ServeClient(socket_path=config.socket_path, reconnect=False) as client:
+            ids = [client.submit({"design": designs[0]})["id"]]
+            _wait_for(lambda: started == designs[:1])
+            ids += [client.submit({"design": design})["id"] for design in designs[1:]]
+            assert client.stats()["queue_depth"] == len(designs) - 1
+            release.set()
+            for request_id in ids:
+                assert client.result(request_id)["status"] == Status.SAFE
+            client.drain()
+    assert started == designs
+
+
+def test_a_queued_miss_leaves_the_line_with_its_last_client(tmp_path, monkeypatch):
+    """A queued miss whose only client disconnects leaves the line at once
+    and never computes."""
+    started, release = _gated_computations(monkeypatch)
+    config = ServerConfig(socket_path=_sock(tmp_path), max_workers=1, max_queue=2)
+    with RunningServer(config) as server:
+        with ServeClient(socket_path=config.socket_path, reconnect=False) as client:
+            running = client.submit({"design": "daio"})["id"]
+            _wait_for(lambda: started == ["daio"])
+            leaver = ServeClient(socket_path=config.socket_path, reconnect=False)
+            leaver.submit({"design": "tlc"})
+            assert client.stats()["queue_depth"] == 1
+            leaver.close()
+            _wait_for(lambda: client.stats()["queue_depth"] == 0)
+            assert client.stats()["counters"]["cancelled"] == 1
+            release.set()
+            assert client.result(running)["status"] == Status.SAFE
+            client.drain()
+    assert started == ["daio"]
+    counters = server.counters
+    assert counters["accepted"] == counters["answered"] + counters["cancelled"]
+
+
 def _store_proc3(cache_dir, document_text):
     """Store the fixture's validated proc3 verdict under its query's key."""
     system = load_system("proc3")
@@ -477,12 +564,10 @@ def test_warm_hit_is_answered_under_full_load(tmp_path):
             assert cold["source"] == "computed"
             slow = ServeClient(socket_path=config.socket_path)
             # bit-level daio to bound 96 needs seconds of k-induction: it
-            # holds the slot, the dispatcher holds the next query while it
-            # waits for the slot, and the third fills the queue
+            # holds the slot, and the next query fills the line
             slow.submit({"design": "daio", "representation": "bit", "bound": 96})
             _wait_for(lambda: server.active == 1)
-            for design in ("tlc", "mac16"):
-                slow.submit({"design": design, "representation": "bit", "bound": 96})
+            slow.submit({"design": "tlc", "representation": "bit", "bound": 96})
             _wait_for(lambda: len(server.queue) == 1)
             warm = client.verify(design="proc3", representation="word")
             assert warm["source"] == "cache"
