@@ -16,6 +16,13 @@ and over — the store never crashes on garbage and keeps the evidence for
 store into an LRU: loads touch the entry file's mtime and :meth:`evict`
 drops the least-recently-used entries over the caps.
 
+Parse memo: every look-up reads the entry file, but the store parses a
+given byte content once.  It keeps the last parse of each key (up to
+:data:`PARSED_ENTRIES_KEPT` keys, oldest out) with the exact bytes it came
+from, and reuses it only while the file still holds those bytes, so any
+rewrite, whatever its mtime or size, is parsed afresh.  Nothing mutates a
+loaded entry, so the kept one is shared.
+
 Concurrency: the atomic per-entry writes already make single mutations safe,
 but *compound* mutations — LRU eviction scanning then deleting, quarantine
 moves — can race when several server workers and batch runs share one store
@@ -31,6 +38,7 @@ import os
 import tempfile
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -50,6 +58,9 @@ QUARANTINE_DIR = "quarantine"
 
 #: name of the advisory inter-process lock file at the store root
 LOCK_FILENAME = ".lock"
+
+#: how many keys' last parse a store keeps (see "Parse memo" above)
+PARSED_ENTRIES_KEPT = 1024
 
 
 class StoreLock:
@@ -185,6 +196,8 @@ class CertificateStore:
         self.quarantined = 0
         os.makedirs(root, exist_ok=True)
         self.lock = StoreLock(root)
+        #: key -> (the entry file's bytes, the entry parsed from them)
+        self._parsed: "OrderedDict[str, Tuple[bytes, CacheEntry]]" = OrderedDict()
 
     # ------------------------------------------------------------------
     def path_for(self, key: str) -> str:
@@ -202,21 +215,27 @@ class CertificateStore:
         Returns ``(entry, "ok")``, or ``(None, reason)`` with reason
         ``"absent"`` (no file), ``"undecodable"`` (torn/tampered document)
         or ``"key-mismatch"`` (a moved/renamed file must not impersonate
-        another query).  Never raises on store garbage.
+        another query).  Never raises on store garbage.  The file is read on
+        every call; it is parsed only when its bytes differ from those of
+        the key's kept parse.
         """
         try:
-            with open(self.path_for(key), "r", encoding="utf-8") as handle:
-                document = json.load(handle)
+            with open(self.path_for(key), "rb") as handle:
+                data = handle.read()
         except OSError:
             return None, "absent"
-        except ValueError:
-            return None, "undecodable"
+        kept = self._parsed.get(key)
+        if kept is not None and kept[0] == data:
+            return kept[1], "ok"
         try:
-            entry = CacheEntry.from_json(document)
+            entry = CacheEntry.from_json(json.loads(data.decode("utf-8")))
         except (ValueError, TypeError, KeyError):
             return None, "undecodable"
         if entry.key != key:
             return None, "key-mismatch"
+        self._parsed[key] = (data, entry)
+        if len(self._parsed) > PARSED_ENTRIES_KEPT:
+            self._parsed.popitem(last=False)
         return entry, "ok"
 
     def load(self, key: str) -> Optional[CacheEntry]:
@@ -242,6 +261,7 @@ class CertificateStore:
         The file stops being a cache entry (``keys`` skips the quarantine
         shard) but remains on disk as evidence for ``repro-cache fsck``.
         """
+        self._parsed.pop(key, None)
         source = self.path_for(key)
         target = self.quarantine_path_for(key)
         with self.lock:
@@ -288,6 +308,7 @@ class CertificateStore:
 
     def delete(self, key: str) -> bool:
         """Drop one entry (used to demote an entry that failed revalidation)."""
+        self._parsed.pop(key, None)
         with self.lock:
             try:
                 os.unlink(self.path_for(key))

@@ -64,12 +64,13 @@ UNSAT.  A warm session decides exactly what a fresh solver would:
   reused.
 
 Two guards keep a long-lived session honest.  The definitions are always
-satisfiable, so an UNSAT with an empty assumption core means the session
-itself is inconsistent: that obligation is reported undecided, never
-holding, and the session is dropped.  A session that grows past
-:data:`_SESSION_GROWTH_LIMIT` times its size after its first validation is
-dropped too, so failed minimizer candidates or a forged entry with a huge
-``k`` cannot bloat a long-lived server; the next validation rebuilds it.
+satisfiable, so an UNSAT that refutes the definitions themselves (the
+solver is no longer ``ok``) means the session itself is inconsistent: that
+obligation is reported undecided, never holding, and the session is
+dropped.  A session that grows past :data:`_SESSION_GROWTH_LIMIT` times
+its size after its first validation is dropped too, so failed minimizer
+candidates or a forged entry with a huge ``k`` cannot bloat a long-lived
+server; the next validation rebuilds it.
 
 Sessions are kept per live :class:`~repro.netlist.TransitionSystem` (weak
 keys, checked against :meth:`~repro.netlist.TransitionSystem.fingerprint`,
@@ -334,7 +335,7 @@ class _Session:
             return FAILED, ""
         if outcome != BVResult.UNSAT:
             return UNDECIDED, "solver gave up"
-        if not self.solver.failed_assumptions:
+        if not self.solver.solver.ok:
             # the definitions alone were refuted: nothing this session
             # answers can be trusted any more
             self.inconsistent = True
@@ -390,11 +391,15 @@ os.register_at_fork(after_in_child=_forget_sessions)
 
 
 class CertificateValidator:
-    """Discharges certificate obligations against one transition system."""
+    """Discharges certificate obligations against one transition system.
+
+    The design's validation session is fetched once, at construction.
+    """
 
     def __init__(self, system: TransitionSystem, timeout: Optional[float] = None) -> None:
         self.system = system
-        self.flat = _session_for(system).flat
+        self._session = _session_for(system)
+        self.flat = self._session.flat
         self.timeout = timeout
         self._deadline: Optional[float] = None
 
@@ -503,7 +508,7 @@ class CertificateValidator:
     # safety certificates, on the design's warm session
     # ------------------------------------------------------------------
     def _validate_safety(self, certificate) -> ValidationResult:
-        session = _session_for(self.system)
+        session = self._session
         with session.lock:
             session.solver.set_deadline(self._deadline)
             try:

@@ -12,7 +12,9 @@ the interpolation-based engines).  When a solve under assumptions is
 unsatisfiable, a proof-logging solver additionally records the resolution
 chain deriving a clause over the negated failed assumptions
 (:attr:`Solver.assumption_core_chain`), so interpolants can be extracted from
-assumption-based (retractable) queries as well.
+assumption-based (retractable) queries as well.  Only a proof-logging solver
+records such a core; any solver tells a refuted clause database (:attr:`Solver.ok`
+is False) from assumptions that conflict with it.
 
 Long-lived *sessions* retract constraint groups through activation literals:
 clauses guarded by ``-act`` are active while ``act`` is assumed and are
@@ -219,7 +221,6 @@ class Solver:
         self._var_decay = 0.95
 
         self._ok = True  # False once a top-level refutation has been found
-        self.failed_assumptions: Set[int] = set()
         #: resolution chain deriving :attr:`assumption_core` from the clause
         #: database when the last solve was UNSAT under assumptions (requires
         #: ``proof=True``); the derived clause's literals are negations of
@@ -599,7 +600,7 @@ class Solver:
     def _enqueue(self, lit: int, reason: Optional[int]) -> None:
         var = lit if lit > 0 else -lit
         self._assign[var] = lit > 0
-        self._level[var] = self._decision_level()
+        self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         index = var << 1
         if lit > 0:
@@ -694,16 +695,26 @@ class Solver:
             bin_watches[index].append((a, cid))
 
     def _propagate(self) -> Optional[int]:
-        """Propagate all enqueued literals; return a conflicting clause id or None."""
+        """Propagate all enqueued literals; return a conflicting clause id or None.
+
+        Implied literals are assigned inline (what :meth:`_enqueue` does, at
+        the one decision level a call runs at), and ``stats.propagations``
+        grows once per call by the number of literals dequeued.
+        """
         trail = self._trail
         clauses = self._clauses
         watches = self._watches
         bin_watches = self._bin_watches
         lit_value = self._lit_value
-        while self._queue_head < len(trail):
-            lit = trail[self._queue_head]
-            self._queue_head += 1
-            self.stats.propagations += 1
+        assign = self._assign
+        levels = self._level
+        reasons = self._reason
+        level = len(self._trail_lim)
+        start = head = self._queue_head
+        conflict: Optional[int] = None
+        while head < len(trail):
+            lit = trail[head]
+            head += 1
             watch_index = (lit << 1) if lit > 0 else (((-lit) << 1) | 1)
             # binary fast path: each pair resolves with two list reads — the
             # other literal is either true (skip), false (conflict) or
@@ -711,16 +722,24 @@ class Solver:
             pairs = bin_watches[watch_index]
             if pairs:
                 for other, bin_cid in pairs:
-                    value = lit_value[(other << 1) if other > 0 else (((-other) << 1) | 1)]
+                    index = (other << 1) if other > 0 else (((-other) << 1) | 1)
+                    value = lit_value[index]
                     if value == 0:
-                        self._enqueue(other, bin_cid)
+                        lit_value[index] = 1
+                        lit_value[index ^ 1] = -1
+                        var = index >> 1
+                        assign[var] = other > 0
+                        levels[var] = level
+                        reasons[var] = bin_cid
+                        trail.append(other)
                     elif value < 0:
+                        self._queue_head = head
+                        self.stats.propagations += head - start
                         return bin_cid
             watchers = watches[watch_index]
             if not watchers:
                 continue
             new_watchers: List[int] = []
-            conflict: Optional[int] = None
             i = 0
             n = len(watchers)
             false_lit = -lit
@@ -743,7 +762,8 @@ class Solver:
                     clause[0], clause[1] = clause[1], clause[0]
                 # now clause[1] == false_lit
                 first = clause[0]
-                first_value = lit_value[(first << 1) if first > 0 else (((-first) << 1) | 1)]
+                first_index = (first << 1) if first > 0 else (((-first) << 1) | 1)
+                first_value = lit_value[first_index]
                 if first_value > 0:
                     new_watchers.append(cid)
                     continue
@@ -767,11 +787,19 @@ class Solver:
                     new_watchers.extend(watchers[i:])
                     conflict = cid
                     break
-                self._enqueue(first, cid)
+                lit_value[first_index] = 1
+                lit_value[first_index ^ 1] = -1
+                var = first_index >> 1
+                assign[var] = first > 0
+                levels[var] = level
+                reasons[var] = cid
+                trail.append(first)
             watches[watch_index] = new_watchers
             if conflict is not None:
-                return conflict
-        return None
+                break
+        self._queue_head = head
+        self.stats.propagations += head - start
+        return conflict
 
     # ------------------------------------------------------------------
     # conflict analysis
@@ -1133,11 +1161,11 @@ class Solver:
         A deadline armed with :meth:`set_deadline` is additionally checked
         every :data:`CHECK_INTERVAL` decisions and raises
         :class:`SolverInterrupted` instead.
-        On SAT, :meth:`model_value` reports the satisfying assignment.  On
-        UNSAT under assumptions, :attr:`failed_assumptions` holds a subset of
-        the assumptions sufficient for unsatisfiability.
+        On SAT, :meth:`model_value` reports the satisfying assignment.  An
+        UNSAT leaves :attr:`ok` False exactly when the clause database itself
+        is refuted; otherwise some assumptions conflict with it, and a
+        proof-logging solver records their core (:attr:`assumption_core`).
         """
-        self.failed_assumptions = set()
         self.assumption_core_chain = None
         self.assumption_core = ()
         self._model = {}
@@ -1208,7 +1236,8 @@ class Solver:
                     self._new_decision_level()
                     continue
                 if value is False:
-                    self._analyze_final_lit(lit, assumptions)
+                    if self.proof_logging:
+                        self._record_assumption_core(lit)
                     self._cancel_until(0)
                     return SolverResult.UNSAT
                 self._new_decision_level()
@@ -1249,33 +1278,7 @@ class Solver:
         value = self._model.get(var_of(lit), False)
         return value if lit > 0 else not value
 
-    def _analyze_final_lit(self, failed_lit: int, assumptions: Sequence[int]) -> None:
-        """Compute failed assumptions when an assumption literal is already false."""
-        if self.proof_logging and self._record_assumption_core(failed_lit):
-            return
-        assumption_vars = {var_of(a) for a in assumptions}
-        failed: Set[int] = {failed_lit}
-        seen: Set[int] = set()
-        queue: List[int] = [-failed_lit]
-        while queue:
-            lit = queue.pop()
-            var = var_of(lit)
-            if var in seen:
-                continue
-            seen.add(var)
-            if self._level[var] == 0:
-                continue
-            reason_id = self._reason[var]
-            if reason_id is None:
-                if var in assumption_vars:
-                    failed.add(self._trail_literal(var))
-            else:
-                queue.extend(
-                    other for other in self._clauses[reason_id] if var_of(other) != var
-                )
-        self.failed_assumptions = failed
-
-    def _record_assumption_core(self, failed_lit: int) -> bool:
+    def _record_assumption_core(self, failed_lit: int) -> None:
         """Derive a clause over negated assumptions refuting the assumptions.
 
         ``failed_lit`` is an assumption whose negation is implied by the
@@ -1284,15 +1287,13 @@ class Solver:
         with a reason is resolved away in reverse assignment order; what
         remains are negations of assumption decisions (which have no reason).
         The chain and the derived clause are stored on
-        :attr:`assumption_core_chain` / :attr:`assumption_core`, and
-        :attr:`failed_assumptions` is the negation of the derived clause.
-        Returns False (falling back to the reachability analysis) when the
-        propagated literal has no reason — i.e. the assumptions are directly
-        contradictory.
+        :attr:`assumption_core_chain` / :attr:`assumption_core`.  Nothing is
+        recorded when the propagated literal has no reason — i.e. the
+        assumptions are directly contradictory.
         """
         root_reason = self._reason[var_of(failed_lit)]
         if root_reason is None:
-            return False
+            return
         position = {var_of(lit): i for i, lit in enumerate(self._trail)}
         current: Set[int] = set(self._clauses[root_reason])
         antecedents: List[int] = [root_reason]
@@ -1303,7 +1304,7 @@ class Solver:
         while True:
             guard += 1
             if guard > limit:  # pragma: no cover - defensive
-                return False
+                return
             best: Optional[int] = None
             best_position = -1
             for lit in current:
@@ -1328,11 +1329,6 @@ class Solver:
             pivots.append(var)
         self.assumption_core_chain = (tuple(antecedents), tuple(pivots))
         self.assumption_core = tuple(current)
-        self.failed_assumptions = {-lit for lit in current}
-        return True
-
-    def _trail_literal(self, var: int) -> int:
-        return var if self._assign[var] else -var
 
     # ------------------------------------------------------------------
     # model access

@@ -407,7 +407,8 @@ class VerifyServer:
                     work.abort.set()
                 else:
                     self.queue.remove(work)
-                    self.inflight.pop(work.key, None)
+                    if self.inflight.get(work.key) is work:
+                        del self.inflight[work.key]
                     self._work_done.set()
         conn.requests.clear()
 
@@ -488,8 +489,9 @@ class VerifyServer:
         work.waiters.append(waiter)
 
         existing = self.inflight.get(key)
-        if existing is not None and not existing.done:
-            # coalesce: share the in-flight computation, skip the line
+        if existing is not None and not existing.done and not existing.abort.is_set():
+            # coalesce: share the in-flight computation, skip the line; an
+            # aborted one is left to end, and this miss queues afresh
             existing.waiters.append(waiter)
             conn.requests[request_id] = existing
             self.counters["accepted"] += 1
@@ -612,7 +614,9 @@ class VerifyServer:
                 work.span.finish(outcome=f"{result.status}:{source}")
             await self._answer(work, result, source, validated)
         finally:
-            self.inflight.pop(work.key, None)
+            # a fresh computation may own the key now (see _admit)
+            if self.inflight.get(work.key) is work:
+                del self.inflight[work.key]
             self.active -= 1
             self._work_done.set()
             self._start_queued()

@@ -225,8 +225,3 @@ class BVSolver:
         if lit > 0:
             return self.solver.model_value(lit)
         return not self.solver.model_value(-lit)
-
-    @property
-    def failed_assumptions(self):
-        """Failed assumption literals of the last UNSAT check."""
-        return self.solver.failed_assumptions

@@ -11,7 +11,8 @@ The synthesizer consumes an elaborated design (see
 * module boundaries become wire aliases for the port connections, with
   hierarchical dotted names (``fifo.head``) preserving the structure,
 * 1-D memories are scalarized into one register (or wire) per word,
-* SVA ``assert property`` items become safety properties.
+* SVA ``assert property`` items become safety properties, and ``assume
+  property`` items environment constraints.
 
 Designs with combinational loops, transparent latches (incompletely assigned
 combinational signals) or multiple clocks are rejected, which matches the
@@ -427,6 +428,7 @@ class _Synthesizer:
         self.wire_defs: Dict[str, Expr] = {}
         self.wire_width: Dict[str, int] = {}
         self.properties: List[Tuple[str, Expr]] = []
+        self.constraints: List[Expr] = []
         self.clock_nets: Set[str] = set()
         self.declared: Dict[str, int] = {}  # flat name -> width for every word
 
@@ -654,6 +656,9 @@ class _Synthesizer:
         scope = Scope(instance)
         for assertion in instance.assertions:
             expr = convert_condition(assertion.expr, scope)
+            if assertion.assume:
+                self.constraints.append(simplify(expr))
+                continue
             name = (
                 f"{instance.path}.{assertion.name}" if instance.path else assertion.name
             )
@@ -688,6 +693,8 @@ class _Synthesizer:
 
         for name, expr in self.properties:
             system.add_property(name, expr)
+        for expr in self.constraints:
+            system.add_constraint(expr)
 
         system.validate()
         return system

@@ -274,11 +274,13 @@ class Instance(VItem):
 
 @dataclass
 class AssertProperty(VItem):
-    """SVA-style safety assertion ``label: assert property (@(posedge clk) expr);``."""
+    """SVA-style safety assertion ``label: assert property (@(posedge clk) expr);``,
+    or with ``assume`` an environment assumption ``assume property (expr);``."""
 
     name: str
     expr: VExpr
     clock: Optional[str] = None
+    assume: bool = False
 
 
 @dataclass

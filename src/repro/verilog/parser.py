@@ -167,9 +167,10 @@ class Parser:
             while not self.accept(";"):
                 self.advance()
             return []
-        if value == "assert":
-            return [self._parse_assertion(label=f"assert_{token.line}")]
-        if token.kind == "id" and self.peek(1).value == ":" and self.peek(2).value == "assert":
+        if value in ("assert", "assume"):
+            return [self._parse_assertion(label=f"{value}_{token.line}")]
+        labelled = token.kind == "id" and self.peek(1).value == ":"
+        if labelled and self.peek(2).value in ("assert", "assume"):
             label = self.advance().value
             self.expect(":")
             return [self._parse_assertion(label=label)]
@@ -222,12 +223,16 @@ class Parser:
         while True:
             name = self.expect_kind("id").value
             array = self._parse_optional_range()
-            init = None
-            if self.accept("="):
-                init = self.parse_expression()
+            value = self.parse_expression() if self.accept("=") else None
+            # a net declaration assignment (``wire w = e;``) is a continuous
+            # assignment; a variable's (``reg r = c;``) is its initial value
+            net_assign = kind == "wire" and value is not None
+            init = None if net_assign else value
             items.append(
                 ast.NetDecl(kind=kind, name=name, range=rng, array=array, signed=signed, init=init)
             )
+            if net_assign:
+                items.append(ast.ContAssign(target=ast.EIdent(name), value=value))
             if not self.accept(","):
                 break
         self.expect(";")
@@ -287,7 +292,7 @@ class Parser:
         return ast.AlwaysBlock(sensitivity=sensitivity, body=body)
 
     def _parse_assertion(self, label: str) -> ast.AssertProperty:
-        self.expect("assert")
+        keyword = self.advance().value  # 'assert' | 'assume'
         self.expect("property")
         self.expect("(")
         clock = None
@@ -300,7 +305,9 @@ class Parser:
         expr = self.parse_expression()
         self.expect(")")
         self.expect(";")
-        return ast.AssertProperty(name=label, expr=expr, clock=clock)
+        return ast.AssertProperty(
+            name=label, expr=expr, clock=clock, assume=keyword == "assume"
+        )
 
     def _parse_instance(self) -> ast.Instance:
         module_name = self.expect_kind("id").value

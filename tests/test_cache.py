@@ -212,6 +212,60 @@ def test_forged_invariant_fails_revalidation_and_is_demoted(tmp_path):
     assert cache.lookup(system, result.property_name, "word").reason == "absent"
 
 
+def test_an_unchanged_entry_is_parsed_once(tmp_path):
+    """Every look-up reads the entry file, but the same bytes are parsed
+    once: a repeated hit shares the kept entry, and a rewrite is parsed
+    afresh."""
+    system, result = _verify("huffman_dec")
+    cache = ResultCache(str(tmp_path))
+    prop = result.property_name
+    assert cache.store(system, prop, "word", result).stored
+    first = cache.lookup(system, prop, "word")
+    again = cache.lookup(system, prop, "word")
+    assert first.hit and again.hit and again.entry is first.entry
+    _, path = _stored_entry_path(cache, system, prop)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(" ")  # same document, other bytes
+    rewritten = cache.lookup(system, prop, "word")
+    assert rewritten.hit and rewritten.entry is not first.entry
+
+
+def test_a_same_length_forgery_with_its_mtime_set_back_is_demoted(tmp_path):
+    """One cache instance looks an entry up (keeping its parse), then the
+    file is rewritten as a forged certificate of the same length with the
+    old mtime: the next look-up must re-parse it and demote it, which a
+    memo keyed by mtime and size would miss."""
+    system, result = _verify("huffman_dec")
+    cache = ResultCache(str(tmp_path))
+    prop = result.property_name
+    assert cache.store(system, prop, "word", result).stored
+    assert cache.lookup(system, prop, "word").hit
+    key, path = _stored_entry_path(cache, system, prop)
+    with open(path, "rb") as handle:
+        original = handle.read()
+    before = os.stat(path)
+    forged = CacheEntry(
+        key=key,
+        status=Status.SAFE,
+        property_name=prop,
+        engine="oracle",
+        representation="word",
+        certificate=result.certificate.replace(invariant=TRUE),
+    )
+    payload = json.dumps(forged.to_json()).encode("utf-8")
+    assert len(payload) < len(original)
+    payload += b" " * (len(original) - len(payload))
+    with open(path, "wb") as handle:
+        handle.write(payload)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    lookup = cache.lookup(system, prop, "word")
+    assert not lookup.hit and lookup.demoted
+    assert "re-validation failed" in lookup.reason
+    assert not os.path.exists(path)
+
+
 def test_undecided_revalidation_keeps_the_entry(tmp_path, monkeypatch):
     """A re-validation that runs out of time says nothing against the
     certificate: the lookup is a plain miss that keeps the entry, and fsck

@@ -1,4 +1,4 @@
-"""SAT solver unit tests: propagation, assumption cores, proofs, bulk APIs."""
+"""SAT solver unit tests: propagation, assumptions, proofs, bulk APIs."""
 
 import pytest
 
@@ -38,17 +38,39 @@ def test_simple_unsat():
     assert not solver.ok or solver.solve() == SolverResult.UNSAT
 
 
-def test_failed_assumptions_core():
+def test_propagation_counts_each_implied_literal_once():
+    """One assumption and the chain it implies through binary clauses and a
+    long clause: every literal dequeued counts as one propagation."""
+    solver = Solver()
+    a, b, c, d, e = solver.new_vars(5)
+    solver.add_clause([-a, b])
+    solver.add_clause([-b, c])
+    solver.add_clause([-b, -c, d])  # b and c force d
+    solver.add_clause([-d, e])
+    assert solver.solve(assumptions=[a]) == SolverResult.SAT
+    assert solver.stats.propagations == 5  # a, then b, c, d and e
+    assert solver.stats.decisions == 0
+    # the same chain again, ending on an assumption it refutes
+    assert solver.solve(assumptions=[a, -e]) == SolverResult.UNSAT
+    assert solver.stats.propagations == 10
+    assert solver.stats.conflicts == 0
+
+
+def test_conflicting_assumptions_are_unsat_and_leave_the_solver_ok():
     solver = Solver()
     x, y, z = solver.new_vars(3)
     solver.add_clause([-x, y])
     # x forces y; assuming -y alongside x must fail, z is irrelevant
     assert solver.solve(assumptions=[x, z, -y]) == SolverResult.UNSAT
-    assert solver.failed_assumptions
-    assert solver.failed_assumptions <= {x, z, -y}
-    assert z not in solver.failed_assumptions
-    # the core is sound: assuming just the core is already UNSAT
-    assert solver.solve(assumptions=sorted(solver.failed_assumptions)) == SolverResult.UNSAT
+    # the assumptions conflict with the clauses, which stay satisfiable
+    assert solver.ok
+    assert solver.solve(assumptions=[x, -y]) == SolverResult.UNSAT
+    assert solver.solve(assumptions=[x, z]) == SolverResult.SAT
+    # refuting the clause database itself is what clears ok
+    solver.add_clause([x])
+    solver.add_clause([-y])
+    assert solver.solve() == SolverResult.UNSAT
+    assert not solver.ok
 
 
 def test_incremental_reuse_after_unsat_assumptions():

