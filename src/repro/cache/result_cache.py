@@ -47,6 +47,10 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX: appends go unlocked
     fcntl = None
 
+#: validation checks one SAFE certificate's minimization may spend before
+#: it keeps what it has
+MINIMIZE_MAX_CHECKS = 64
+
 
 @dataclass
 class CacheLookup:
@@ -189,8 +193,6 @@ class ResultCache:
         self,
         root: str,
         validation_timeout: Optional[float] = None,
-        minimize: bool = True,
-        minimize_max_checks: int = 64,
         max_entries: Optional[int] = None,
         max_bytes: Optional[int] = None,
     ) -> None:
@@ -198,8 +200,6 @@ class ResultCache:
             root, max_entries=max_entries, max_bytes=max_bytes
         )
         self.validation_timeout = validation_timeout
-        self.minimize = minimize
-        self.minimize_max_checks = minimize_max_checks
         # observability counters (per ResultCache instance)
         self.hits = 0
         self.misses = 0
@@ -391,13 +391,13 @@ class ResultCache:
 
             minimization: Optional[MinimizationResult] = None
             validate_minimized_s = validate_original_s
-            if self.minimize and result.status == Status.SAFE:
+            if result.status == Status.SAFE:
                 with _telemetry.span("cache.minimize", key=key) as minimize_span:
                     minimization = minimize_certificate(
                         system,
                         certificate,
                         timeout=self.validation_timeout,
-                        max_checks=self.minimize_max_checks,
+                        max_checks=MINIMIZE_MAX_CHECKS,
                     )
                     minimize_span.annotate(dropped=minimization.dropped)
                 certificate = minimization.certificate

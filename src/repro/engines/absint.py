@@ -3,9 +3,12 @@
 The engine computes, per register, an unsigned interval enclosing all
 reachable values: starting from the (singleton) initial state it repeatedly
 evaluates the next-state functions in interval arithmetic, joins the result
-with the current intervals and applies widening after a few iterations.
-Inputs are unconstrained (top).  If the safety property evaluates to
-definitely-true under the resulting invariant the design is proved safe;
+with the current intervals and widens from round :data:`WIDEN_AFTER` on.
+Widening alone makes the iteration terminate, so it has no round cap: it
+stops at a fixpoint, the only point where the box is inductive, or when the
+budget runs out (TIMEOUT).  Inputs are unconstrained (top).  If the safety
+property evaluates to definitely-true under the fixpoint the design is
+proved safe;
 otherwise the result is ``UNKNOWN`` — a potential false alarm, which is
 exactly the behaviour the paper reports for Astrée on the software netlists
 ("it generates many false alarms for safe benchmarks" due to the numerical
@@ -18,6 +21,7 @@ k-induction — mirroring how 2LS combines k-induction with k-invariants.
 
 from __future__ import annotations
 
+import itertools
 import time
 from typing import Dict, List, Optional
 
@@ -29,6 +33,9 @@ from repro.exprs import TRUE, Expr, bv_const, bv_var, bool_and
 from repro.exprs.nodes import Const, Op, Var, mask
 from repro.netlist import TransitionSystem
 from repro.records import Frozen
+
+#: rounds of plain joins before every round widens
+WIDEN_AFTER = 8
 
 
 class Interval(Frozen):
@@ -323,29 +330,30 @@ class AbstractInterpretationEngine(Engine):
 
     name = "abstract-interpretation"
 
-    def __init__(
-        self,
-        system: TransitionSystem,
-        widen_after: int = 8,
-        max_iterations: int = 200,
-    ) -> None:
+    def __init__(self, system: TransitionSystem) -> None:
         super().__init__(system)
         # shared memoized flatten: portfolio workers forked after the parent
         # pre-warm inherit it copy-on-write instead of re-flattening
         self.flat = flattened_cached(system)
-        self.widen_after = widen_after
-        self.max_iterations = max_iterations
 
     # ------------------------------------------------------------------
     def compute_invariants(self, budget: Optional[Budget] = None) -> Dict[str, Interval]:
-        """Run the fixpoint iteration; returns the per-register intervals."""
+        """Run the iteration to its fixpoint; returns the per-register intervals.
+
+        Only a fixpoint is inductive, so the iteration has no round cap: it
+        stops there, or when ``budget`` expires (callers then read the
+        budget, not the intervals).  It terminates because from round
+        :data:`WIDEN_AFTER` on every round that changes anything moves some
+        register bound to its type bound, so it ends within
+        ``WIDEN_AFTER + 2 * registers + 1`` rounds.
+        """
         from repro.exprs import evaluate
 
         intervals: Dict[str, Interval] = {
             name: Interval.constant(evaluate(self.flat.init[name], {}), width)
             for name, width in self.flat.state_vars.items()
         }
-        for iteration in range(self.max_iterations):
+        for iteration in itertools.count():
             if budget is not None and budget.expired():
                 break
             env: Dict[str, Interval] = dict(intervals)
@@ -357,7 +365,7 @@ class AbstractInterpretationEngine(Engine):
             for name, next_expr in self.flat.next.items():
                 post = evaluator.eval(next_expr)
                 joined = intervals[name].join(post)
-                if iteration >= self.widen_after:
+                if iteration >= WIDEN_AFTER:
                     joined = intervals[name].widen(joined)
                 if joined != intervals[name]:
                     changed = True

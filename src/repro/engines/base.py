@@ -115,9 +115,7 @@ class EngineCapabilities(Frozen):
     is able to return (``SAFE`` respectively ``UNSAFE``); every engine may
     additionally return ``UNKNOWN``/``TIMEOUT``.  ``representations`` lists
     the frame encodings the engine supports (``"word"`` and/or ``"bit"``,
-    see :class:`repro.engines.encoding.FrameEncoder`).  ``complete`` marks
-    engines that terminate with a definitive answer on every finite-state
-    design given enough resources.
+    see :class:`repro.engines.encoding.FrameEncoder`).
 
     ``cost`` is the engine's scheduling tier: ``"cheap"`` engines (random
     simulation, abstract interpretation) answer or give up within
@@ -136,13 +134,11 @@ class EngineCapabilities(Frozen):
         can_prove: bool,
         can_refute: bool,
         representations: Tuple[str, ...] = ("word",),
-        complete: bool = False,
         cost: str = "heavy",
     ) -> None:
         object.__setattr__(self, "can_prove", can_prove)
         object.__setattr__(self, "can_refute", can_refute)
         object.__setattr__(self, "representations", representations)
-        object.__setattr__(self, "complete", complete)
         #: scheduling tier used by the budget ladder ("cheap"/"medium"/"heavy")
         object.__setattr__(self, "cost", cost)
 

@@ -17,6 +17,10 @@ refutations:
    property is proved; otherwise ``I`` (renamed to frame 0) is added to ``R``
    and the loop continues.
 
+The depth ``k`` starts at 1 and stops at ``max_depth``; after
+:data:`MAX_ITERATIONS` bounded checks over all depths the engine gives up
+with UNKNOWN.
+
 This is the algorithm behind ABC's interpolation engine at the bit level and
 CPAChecker's interpolation-based analysis at the software level, compared in
 Figure 4 of the paper.
@@ -64,6 +68,9 @@ from repro.obs import telemetry as _telemetry
 from repro.sat.interpolate import Interpolator, ItpNode
 from repro.sat.solver import SolverStats
 from repro.smt import BVResult, BVSolver
+
+#: bounded checks, over every depth, before the engine gives up UNKNOWN
+MAX_ITERATIONS = 200
 
 
 def init_state_expr(flat: TransitionSystem) -> Expr:
@@ -236,15 +243,11 @@ class InterpolationEngine(Engine):
     def __init__(
         self,
         system: TransitionSystem,
-        initial_depth: int = 1,
         max_depth: int = 64,
-        max_iterations: int = 200,
         representation: str = "word",
     ) -> None:
         super().__init__(system)
-        self.initial_depth = max(1, initial_depth)
         self.max_depth = max_depth
-        self.max_iterations = max_iterations
         self.representation = representation
 
     # ------------------------------------------------------------------
@@ -265,7 +268,7 @@ class InterpolationEngine(Engine):
             self._fold_stats(session)
             return initial_check
 
-        depth = self.initial_depth
+        depth = 1
         iterations = 0
 
         while depth <= self.max_depth:
@@ -276,7 +279,7 @@ class InterpolationEngine(Engine):
                 if budget.expired():
                     self._fold_stats(session)
                     return self._timeout(property_name, budget, depth, iterations)
-                if iterations > self.max_iterations:
+                if iterations > MAX_ITERATIONS:
                     self._fold_stats(session)
                     return VerificationResult(
                         Status.UNKNOWN,
@@ -289,7 +292,7 @@ class InterpolationEngine(Engine):
                             "solver_stats": self._stats.as_dict(),
                         },
                         reason=(
-                            f"max_iterations={self.max_iterations} reached "
+                            f"max_iterations={MAX_ITERATIONS} reached "
                             "without a fixpoint"
                         ),
                     )

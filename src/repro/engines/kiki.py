@@ -12,6 +12,12 @@ The combination solves designs whose properties are not k-inductive on their
 own but become so once the interval invariants prune unreachable states — the
 behaviour that lets 2LS solve more benchmarks than plain k-induction in the
 paper's Figure 5.
+
+The candidates are the bounds of absint's interval fixpoint, which
+over-approximates the reachable states, so no sampled reachable state can
+refute one and they are not screened against samples.  The SAT loop of
+:meth:`KikiEngine._certified_invariants` decides which are assumed, and the
+inner k-induction runs without simple-path constraints.
 """
 
 from __future__ import annotations
@@ -39,14 +45,11 @@ class KikiEngine(Engine):
         self,
         system: TransitionSystem,
         max_k: int = 64,
-        simple_path: bool = False,
         representation: str = "word",
     ) -> None:
         super().__init__(system)
         self.max_k = max_k
-        self.simple_path = simple_path
         self.representation = representation
-        self._sim_dropped = 0
 
     def verify(
         self, property_name: Optional[str] = None, timeout: Optional[float] = None
@@ -55,7 +58,6 @@ class KikiEngine(Engine):
         property_name = self.default_property(property_name)
         start = time.monotonic()
         self._certification_stats = None
-        self._sim_dropped = 0
 
         # phase 1: infer interval invariants (cheap, template-based)
         with _telemetry.span("engine.kiki.intervals"):
@@ -86,7 +88,7 @@ class KikiEngine(Engine):
         engine = KInductionEngine(
             self.system,
             max_k=self.max_k,
-            simple_path=self.simple_path,
+            simple_path=False,
             representation=self.representation,
             strengthening_invariants=invariants,
         )
@@ -100,7 +102,6 @@ class KikiEngine(Engine):
             **result.detail,
             **interval_detail,
             "certified_invariants": len(invariants),
-            "sim_filtered_invariants": self._sim_dropped,
         }
         if self._certification_stats is not None:
             # fold the certification session's counters into the inner run's
@@ -138,17 +139,6 @@ class KikiEngine(Engine):
         flat = flattened_cached(self.system)
         init_env = {name: evaluate(expr, {}) for name, expr in flat.init.items()}
         certified = [inv for inv in invariants if evaluate(inv, init_env) == 1]
-        if not certified:
-            return []
-
-        # cheap bit-parallel screen: a candidate false on any *sampled*
-        # reachable state cannot be an invariant, so drop it before the SAT
-        # loop pays induction queries for it (strictly sound — the screen can
-        # only remove candidates the solver would have had to drop anyway)
-        from repro.netlist.bitsim import ReachabilitySampler
-
-        sampler = ReachabilitySampler(self.system)
-        certified, self._sim_dropped = sampler.screen_invariants(certified)
         if not certified:
             return []
 

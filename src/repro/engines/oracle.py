@@ -3,7 +3,7 @@
 The certification layer must be exercised against engines that *lie* — the
 "wrong result" category of the paper's figures.  ``OracleEngine`` claims
 whatever verdict it is configured with, backed by a deliberately weak
-certificate (the trivial ``TRUE`` invariant for SAFE, an all-zero input trace
+certificate (the trivial ``TRUE`` invariant for SAFE, one all-zero input cycle
 for UNSAFE).  On designs where the claim is wrong the certificate fails
 independent validation, which is exactly what the portfolio's cross-check
 adjudication and the certification tests rely on to tell the liar from the
@@ -32,14 +32,12 @@ class OracleEngine(Engine):
         self,
         system: TransitionSystem,
         claim: str = Status.SAFE,
-        trace_length: int = 1,
         representation: str = "word",
     ) -> None:
         super().__init__(system)
         if claim not in Status.DEFINITIVE:
             raise ValueError(f"claim must be 'safe' or 'unsafe', got {claim!r}")
         self.claim = claim
-        self.trace_length = max(1, trace_length)
         self.representation = representation
 
     def verify(
@@ -51,10 +49,7 @@ class OracleEngine(Engine):
             certificate = InductiveCertificate(property_name, self.name, TRUE)
             counterexample = None
         else:
-            inputs = tuple(
-                {name: 0 for name in self.system.inputs}
-                for _ in range(self.trace_length)
-            )
+            inputs = ({name: 0 for name in self.system.inputs},)
             certificate = Witness(property_name, self.name, inputs)
             counterexample = Counterexample(
                 property_name, [dict(step) for step in inputs]

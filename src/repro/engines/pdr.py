@@ -46,12 +46,10 @@ class PDREngine(Engine):
         system: TransitionSystem,
         max_frames: int = 200,
         representation: str = "word",
-        generalize_passes: int = 1,
     ) -> None:
         super().__init__(system)
         self.max_frames = max_frames
         self.representation = representation
-        self.generalize_passes = generalize_passes
         self._sim_skips = 0
 
     # ------------------------------------------------------------------
@@ -318,30 +316,28 @@ class PDREngine(Engine):
         return result
 
     def _generalize(self, cube: Cube, level: int) -> Cube:
-        """Drop literals from the cube while it stays relatively inductive."""
+        """Drop literals from the cube while it stays relatively inductive.
+
+        One pass over the literals, each tried once.
+        """
         current = set(cube)
-        for _ in range(self.generalize_passes):
-            changed = False
-            for literal in list(current):
-                if len(current) <= 1:
-                    break
-                candidate = frozenset(current - {literal})
-                if self._intersects_init(candidate):
-                    continue
-                # bit-parallel screen: if a sampled reachable state satisfies
-                # the widened cube, blocking it would over-generalize into the
-                # reachable set and be repaired later — skip the induction
-                # query and keep the literal (purely a query-saving heuristic;
-                # the kept cube is strictly stronger, so soundness is
-                # unaffected either way)
-                if self._sampler.satisfies_cube(candidate):
-                    self._sim_skips += 1
-                    continue
-                if self._relative_induction_query(candidate, level) is None:
-                    current.discard(literal)
-                    changed = True
-            if not changed:
+        for literal in list(current):
+            if len(current) <= 1:
                 break
+            candidate = frozenset(current - {literal})
+            if self._intersects_init(candidate):
+                continue
+            # bit-parallel screen: if a sampled reachable state satisfies
+            # the widened cube, blocking it would over-generalize into the
+            # reachable set and be repaired later — skip the induction
+            # query and keep the literal (purely a query-saving heuristic;
+            # the kept cube is strictly stronger, so soundness is
+            # unaffected either way)
+            if self._sampler.satisfies_cube(candidate):
+                self._sim_skips += 1
+                continue
+            if self._relative_induction_query(candidate, level) is None:
+                current.discard(literal)
         return frozenset(current)
 
     # ------------------------------------------------------------------

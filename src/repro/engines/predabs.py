@@ -14,9 +14,11 @@ A breadth-first search explores the abstract state space:
   the spurious path contribute new predicates (bit-level atoms), and the
   search restarts.
 
-The abstract-state and refinement budgets model the practical limits of
-predicate abstraction on bit-level-heavy designs that Figure 5 of the paper
-shows (CPAChecker times out on two benchmarks).
+The abstract-state, refinement and predicate budgets
+(:data:`MAX_ABSTRACT_STATES`, :data:`MAX_REFINEMENTS`,
+:data:`MAX_PREDICATES`) model the practical limits of predicate abstraction
+on bit-level-heavy designs that Figure 5 of the paper shows (CPAChecker
+times out on two benchmarks).
 """
 
 from __future__ import annotations
@@ -46,25 +48,21 @@ from repro.smt import BVResult, BVSolver
 
 AbstractState = Tuple[bool, ...]
 
+#: the search budgets: abstract states explored per abstraction, refinement
+#: rounds, and predicates in the abstraction
+MAX_ABSTRACT_STATES = 4000
+MAX_REFINEMENTS = 20
+MAX_PREDICATES = 64
+
 
 class PredicateAbstractionEngine(Engine):
     """Boolean predicate abstraction with interpolant-based refinement."""
 
     name = "predicate-abstraction"
 
-    def __init__(
-        self,
-        system: TransitionSystem,
-        max_abstract_states: int = 4000,
-        max_refinements: int = 20,
-        max_predicates: int = 64,
-        representation: str = "word",
-    ) -> None:
+    def __init__(self, system: TransitionSystem, representation: str = "word") -> None:
         super().__init__(system)
         self.flat = flattened_cached(system)
-        self.max_abstract_states = max_abstract_states
-        self.max_refinements = max_refinements
-        self.max_predicates = max_predicates
         self.representation = representation
         self._reset_sessions()
 
@@ -165,7 +163,7 @@ class PredicateAbstractionEngine(Engine):
                 )
             # spurious: refine
             refinements += 1
-            if refinements > self.max_refinements or len(predicates) >= self.max_predicates:
+            if refinements > MAX_REFINEMENTS or len(predicates) >= MAX_PREDICATES:
                 return VerificationResult(
                     Status.UNKNOWN,
                     self.name,
@@ -179,7 +177,7 @@ class PredicateAbstractionEngine(Engine):
                 return self._timeout(property_name, budget, refinements, len(predicates))
             added = False
             for predicate in new_predicates:
-                if predicate not in predicates and len(predicates) < self.max_predicates:
+                if predicate not in predicates and len(predicates) < MAX_PREDICATES:
                     predicates.append(predicate)
                     added = True
             if not added:
@@ -220,7 +218,7 @@ class PredicateAbstractionEngine(Engine):
             equality = bv_var(name, width).eq(self.flat.init[name])
             if equality not in predicates:
                 predicates.append(equality)
-        return predicates[: self.max_predicates]
+        return predicates[:MAX_PREDICATES]
 
     # ------------------------------------------------------------------
     # abstract exploration
@@ -267,7 +265,7 @@ class PredicateAbstractionEngine(Engine):
                     if successor not in visited:
                         visited.add(successor)
                         next_frontier.append(successor)
-                        if len(visited) > self.max_abstract_states:
+                        if len(visited) > MAX_ABSTRACT_STATES:
                             return ("limit", 0)
             frontier = next_frontier
             depth += 1

@@ -92,7 +92,7 @@ _REGISTRATIONS: List[EngineRegistration] = [
         "kinduction",
         "KInductionEngine",
         EngineCapabilities(
-            can_prove=True, can_refute=True, representations=("word", "bit"), complete=True, cost="medium"
+            can_prove=True, can_refute=True, representations=("word", "bit"), cost="medium"
         ),
         aliases=("kind", "kinduction"),
         summary="k-induction with optional simple-path constraints",
@@ -103,7 +103,7 @@ _REGISTRATIONS: List[EngineRegistration] = [
         "interpolation",
         "InterpolationEngine",
         EngineCapabilities(
-            can_prove=True, can_refute=True, representations=("word", "bit"), complete=True
+            can_prove=True, can_refute=True, representations=("word", "bit")
         ),
         aliases=("itp",),
         summary="McMillan-style interpolation-based reachability",
@@ -114,7 +114,7 @@ _REGISTRATIONS: List[EngineRegistration] = [
         "pdr",
         "PDREngine",
         EngineCapabilities(
-            can_prove=True, can_refute=True, representations=("word", "bit"), complete=True
+            can_prove=True, can_refute=True, representations=("word", "bit")
         ),
         aliases=("ic3",),
         summary="IC3/PDR over the register bits",
@@ -125,7 +125,7 @@ _REGISTRATIONS: List[EngineRegistration] = [
         "kiki",
         "KikiEngine",
         EngineCapabilities(
-            can_prove=True, can_refute=True, representations=("word", "bit"), complete=True, cost="medium"
+            can_prove=True, can_refute=True, representations=("word", "bit"), cost="medium"
         ),
         summary="kIkI: BMC + k-induction + interval k-invariants (2LS)",
         portfolio=True,

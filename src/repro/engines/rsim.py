@@ -1,12 +1,15 @@
 """Random-simulation falsification over the bit-parallel packed simulator.
 
 The cheapest refutation engine in the portfolio: drive the design with
-uniformly random inputs, 64 (or more) independent vectors per packed step,
-and report UNSAFE with a real :class:`~repro.certs.certificate.Witness` when
-any lane violates a property.  The paper's unsafe designs (DAIO at cycle 64,
-the traffic-light controller at cycle 65) fall to this engine in a few
-milliseconds — before any SAT machinery is even constructed — which is why it
-sits on the budget ladder's cheap rung.
+uniformly random inputs and report UNSAFE with a real
+:class:`~repro.certs.certificate.Witness` when any lane violates the
+property.  Its search is one fixed run: :data:`LANES` independent vectors
+per packed step for :data:`CYCLES` cycles from :data:`SEED`, through the
+packed step compiled from the design (:mod:`repro.netlist.bitsim`).  The
+paper's unsafe designs (DAIO at cycle 64, the traffic-light controller at
+cycle 65) fall to this engine in a few milliseconds — before any SAT
+machinery is even constructed — which is why it sits on the budget ladder's
+cheap rung.
 
 Trust: a packed hit is never reported directly.  The violating lane's input
 sequence is replayed through the scalar reference simulator and must keep
@@ -26,46 +29,25 @@ from typing import Optional
 from repro.certs import witness_from_counterexample
 from repro.engines.base import Engine
 from repro.engines.result import Budget, Counterexample, Status, VerificationResult
-from repro.netlist import TransitionSystem
 from repro.netlist.bitsim import PackedSimulator, SimulationMismatch
 from repro.netlist.simulate import Simulator
 
 
-class RandomSimulationEngine(Engine):
-    """Bit-parallel random-input falsification.
+#: depth of the random run (past both paper bug cycles, 64 and 65)
+CYCLES = 96
+#: input vectors per packed operation (the native word)
+LANES = 64
+#: the run's seed, so a verdict and its witness reproduce
+SEED = 2016
 
-    Parameters
-    ----------
-    system:
-        The design under verification.
-    cycles:
-        Depth of each random run (default 96: past both paper bug cycles).
-    rounds:
-        How many independently seeded runs to try before giving up (default
-        1: both paper bugs fall in the first; a bug that needs more random
-        vectors is left to k-induction's base case or BMC on the next rung).
-    lanes:
-        Vectors evaluated per packed operation (wider words trade Python int
-        cost for fewer runs; 64 matches the native word).
-    seed:
-        Base seed; round ``i`` uses ``seed + i`` so sweeps are reproducible.
-    """
+
+class RandomSimulationEngine(Engine):
+    """Bit-parallel random-input falsification: one seeded run of
+    :data:`LANES` vectors for :data:`CYCLES` cycles.  A bug that needs more
+    random vectors is left to k-induction's base case or BMC on the next
+    rung."""
 
     name = "rsim"
-
-    def __init__(
-        self,
-        system: TransitionSystem,
-        cycles: int = 96,
-        rounds: int = 1,
-        lanes: int = 64,
-        seed: int = 2016,
-    ) -> None:
-        super().__init__(system)
-        self.cycles = cycles
-        self.rounds = rounds
-        self.lanes = lanes
-        self.seed = seed
 
     def verify(
         self, property_name: Optional[str] = None, timeout: Optional[float] = None
@@ -73,54 +55,36 @@ class RandomSimulationEngine(Engine):
         budget = Budget(timeout)
         property_name = self.default_property(property_name)
         start = time.monotonic()
-        simulator = PackedSimulator(self.system, lanes=self.lanes)
-        vectors = 0
-        for round_index in range(self.rounds):
-            if budget.expired():
-                return VerificationResult(
-                    Status.TIMEOUT,
-                    self.name,
-                    property_name,
-                    runtime=budget.elapsed(),
-                    detail={"rounds": round_index, "vectors": vectors},
-                )
-            run = simulator.run_random(
-                self.cycles,
-                seed=self.seed + round_index,
-                properties=[property_name],
-            )
-            vectors += self.lanes
-            if run.violation is None:
-                continue
-            violation = run.violation
-            inputs = run.lane_inputs(violation.lane, upto=violation.cycle)
-            self._scalar_confirm(property_name, inputs, violation.cycle)
-            cex = Counterexample(property_name, [dict(step) for step in inputs])
+        simulator = PackedSimulator(self.system, lanes=LANES)
+        if budget.expired():
             return VerificationResult(
-                Status.UNSAFE,
+                Status.TIMEOUT, self.name, property_name, runtime=budget.elapsed()
+            )
+        run = simulator.run_random(CYCLES, seed=SEED, properties=[property_name])
+        violation = run.violation
+        if violation is None:
+            return VerificationResult(
+                Status.UNKNOWN,
                 self.name,
                 property_name,
                 runtime=time.monotonic() - start,
-                counterexample=cex,
-                detail={
-                    "rounds": round_index + 1,
-                    "vectors": vectors,
-                    "violation_cycle": violation.cycle,
-                    "lane": violation.lane,
-                    "scalar_confirmed": True,
-                },
-                certificate=witness_from_counterexample(self.system, self.name, cex),
+                reason=f"no violation in {LANES} random lanes x {CYCLES} cycles",
             )
+        inputs = run.lane_inputs(violation.lane, upto=violation.cycle)
+        self._scalar_confirm(property_name, inputs, violation.cycle)
+        cex = Counterexample(property_name, [dict(step) for step in inputs])
         return VerificationResult(
-            Status.UNKNOWN,
+            Status.UNSAFE,
             self.name,
             property_name,
             runtime=time.monotonic() - start,
-            detail={"rounds": self.rounds, "vectors": vectors},
-            reason=(
-                f"no violation in {self.rounds} random runs x {self.lanes} lanes "
-                f"x {self.cycles} cycles"
-            ),
+            counterexample=cex,
+            detail={
+                "violation_cycle": violation.cycle,
+                "lane": violation.lane,
+                "scalar_confirmed": True,
+            },
+            certificate=witness_from_counterexample(self.system, self.name, cex),
         )
 
     # ------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The transition system is the central intermediate representation of the tool
 flow: the Verilog synthesizer produces it, the bit-level flow bit-blasts it to
-an AIG, the packed simulator runs it as a software-netlist, and the
-verification engines analyse it directly.
+an AIG, the scalar and the packed simulator each compile their step function
+from it, and the verification engines analyse it directly.
 """
 
 from repro.netlist.transition import (

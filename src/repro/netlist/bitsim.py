@@ -2,7 +2,7 @@
 
 The scalar reference simulator (:mod:`repro.netlist.simulate`) steps one
 input vector per call of its compiled step function.  Random falsification
-and invariant filtering want many vectors at once, so this module packs
+and reachable-state sampling want many vectors at once, so this module packs
 them: every signal of width ``w`` is represented *transposed*, as a tuple of
 ``w`` Python ints (bit planes) where bit ``i`` of plane ``b`` carries bit
 ``b`` of lane ``i``'s value.  One bitwise int operation then advances all
@@ -10,6 +10,11 @@ lanes at once — 64 by default, or any wider word for parameter sweeps — and
 the per-design step function is emitted once as straight-line Python source
 (no per-node dispatch, common subexpressions bound to temporaries) and
 ``compile()``d.
+
+The packed step is compiled from the :class:`TransitionSystem` the same way
+the scalar step is: each wire is emitted on first use (a wire that reaches
+itself is a combinational cycle), and the first property of a name answers
+for it.
 
 Lowering follows the classic bit-parallel recipes: ripple carry/borrow for
 add/sub/compares, shift-and-add multiplication, barrel shifters muxed on the
@@ -25,17 +30,23 @@ answer.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro.exprs import evaluate
 from repro.exprs.nodes import Const, Expr, Op, Var, mask, to_unsigned
 from repro.netlist.simulate import Simulator
-from repro.netlist.transition import TransitionSystem
-from repro.v2c.softnetlist import SoftwareNetlist
+from repro.netlist.transition import TransitionSystem, TransitionSystemError
 
 #: a packed value: one int per bit of the signal, lane ``i`` at bit ``1 << i``
 Planes = Tuple[int, ...]
 
 DEFAULT_LANES = 64
+
+#: the reachability sampler's one random run: its depth, its seed and how
+#: many distinct states it keeps (its lanes are :data:`DEFAULT_LANES`)
+SAMPLE_CYCLES = 64
+SAMPLE_SEED = 2016
+MAX_SAMPLED_STATES = 256
 
 
 class SimulationMismatch(RuntimeError):
@@ -333,95 +344,12 @@ _STEP_GLOBALS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# generic packed expression evaluation (interpretive; used by the sampler
-# screens and as the reference for the generated step code)
-# ---------------------------------------------------------------------------
-
-
-def evaluate_packed(expr: Expr, env: Mapping[str, Planes], lane_mask: int) -> Planes:
-    """Evaluate ``expr`` over packed planes, all lanes at once."""
-    cache: Dict[int, Planes] = {}
-
-    def rec(node: Expr) -> Planes:
-        key = id(node)
-        if key in cache:
-            return cache[key]
-        value = _eval_packed_node(node, env, lane_mask, rec)
-        cache[key] = value
-        return value
-
-    return rec(expr)
-
-
-_BINARY_PLAIN = {"and": _p_and, "or": _p_or, "xor": _p_xor, "ne": _p_ne}
-_BINARY_MASKED = {
-    "xnor": _p_xnor,
-    "nand": _p_nand,
-    "nor": _p_nor,
-    "add": _p_add,
-    "sub": _p_sub,
-    "mul": _p_mul,
-    "udiv": _p_udiv,
-    "urem": _p_urem,
-    "shl": _p_shl,
-    "lshr": _p_lshr,
-    "ashr": _p_ashr,
-    "eq": _p_eq,
-    "ult": _p_ult,
-    "ule": _p_ule,
-    "ugt": _p_ugt,
-    "uge": _p_uge,
-    "slt": _p_slt,
-    "sle": _p_sle,
-    "sgt": _p_sgt,
-    "sge": _p_sge,
-}
-
-
-def _eval_packed_node(
-    node: Expr, env: Mapping[str, Planes], m: int, rec: Callable[[Expr], Planes]
-) -> Planes:
-    if isinstance(node, Const):
-        return broadcast(node.value, node.width, m)
-    if isinstance(node, Var):
-        planes = env.get(node.name)
-        if planes is None:
-            raise KeyError(f"unbound packed variable {node.name!r}")
-        return planes
-    assert isinstance(node, Op)
-    op = node.op
-    if op in _BINARY_PLAIN:
-        return _BINARY_PLAIN[op](rec(node.args[0]), rec(node.args[1]))
-    if op in _BINARY_MASKED:
-        return _BINARY_MASKED[op](rec(node.args[0]), rec(node.args[1]), m)
-    if op == "not":
-        return _p_not(rec(node.args[0]), m)
-    if op == "neg":
-        return _p_neg(rec(node.args[0]), m)
-    if op == "redand":
-        return _p_redand(rec(node.args[0]), m)
-    if op == "redor":
-        return _p_redor(rec(node.args[0]))
-    if op == "redxor":
-        return _p_redxor(rec(node.args[0]))
-    if op == "concat":
-        planes: Tuple[int, ...] = ()
-        for arg in reversed(node.args):  # last argument is least significant
-            planes = planes + rec(arg)
-        return planes
-    if op == "extract":
-        hi, lo = node.params
-        return rec(node.args[0])[lo : hi + 1]
-    if op == "zext":
-        inner = rec(node.args[0])
-        return inner + (0,) * (node.width - len(inner))
-    if op == "sext":
-        inner = rec(node.args[0])
-        return inner + (inner[-1],) * (node.width - len(inner))
-    if op == "ite":
-        return _p_ite(rec(node.args[0]), rec(node.args[1]), rec(node.args[2]), m)
-    raise ValueError(f"unhandled packed operator {op!r}")  # pragma: no cover
+#: operators lowered to ``_p_<op>(a, b)`` and to ``_p_<op>(a, b, M)``
+_BINARY_PLAIN = ("and", "or", "xor", "ne")
+_BINARY_MASKED = (
+    "xnor", "nand", "nor", "add", "sub", "mul", "udiv", "urem", "shl", "lshr",
+    "ashr", "eq", "ult", "ule", "ugt", "uge", "slt", "sle", "sgt", "sge",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -432,18 +360,26 @@ def _eval_packed_node(
 class _StepCompiler:
     """Emits the straight-line packed step function of one design.
 
+    The function is ``_step(S, I)`` over the packed state and input
+    mappings, and returns the packed next state, the property planes by
+    name and the constraint planes.  It reads the design as the scalar
+    :class:`repro.netlist.simulate._StepCompiler` does: a wire is emitted
+    where it is first used, a wire that reaches itself is a combinational
+    cycle, and the first property of a name answers for it.
+
     Shared subtrees are bound to one temporary (memoized by node identity),
     constants are broadcast once at compile time, and width-changing operators
     (extract/zext/sext/concat, constant shifts) become tuple-slicing literals
     — the generated function contains no expression-tree dispatch at all.
     """
 
-    def __init__(self, netlist: SoftwareNetlist, lane_mask: int) -> None:
-        self.netlist = netlist
+    def __init__(self, system: TransitionSystem, lane_mask: int) -> None:
+        self.system = system
         self.m = lane_mask
         self.lines: List[str] = []
         self.temps: Dict[int, str] = {}
         self.signals: Dict[str, str] = {}  # signal name -> bound temp
+        self.resolving: Set[str] = set()
         self.consts: Dict[Tuple[int, int], str] = {}
         self.globals: Dict[str, object] = dict(_STEP_GLOBALS)
         self.globals["M"] = lane_mask
@@ -474,14 +410,26 @@ class _StepCompiler:
         self.lines.append(f"    {name} = {code}")
         return name
 
+    def _signal(self, name: str) -> str:
+        temp = self.signals.get(name)
+        if temp is not None:
+            return temp
+        if name not in self.system.wires:
+            raise TransitionSystemError(f"expression refers to undeclared signal {name!r}")
+        if name in self.resolving:
+            raise TransitionSystemError(
+                f"combinational cycle through wires: {sorted(self.resolving)}"
+            )
+        self.resolving.add(name)
+        temp = self.signals[name] = self.emit(self.system.wires[name])
+        self.resolving.discard(name)
+        return temp
+
     def _emit_node(self, node: Expr) -> str:
         if isinstance(node, Const):
             return self.const_name(node.value, node.width)
         if isinstance(node, Var):
-            temp = self.signals.get(node.name)
-            if temp is None:
-                raise KeyError(f"unbound signal {node.name!r} in step compilation")
-            return temp
+            return self._signal(node.name)
         assert isinstance(node, Op)
         op = node.op
         args = node.args
@@ -533,25 +481,19 @@ class _StepCompiler:
         return self._bind(f"{inner}[{fill}:] + ({inner}[-1],) * {fill}")
 
     def compile(self) -> Callable:
-        netlist = self.netlist
+        system = self.system
         self.lines.append("def _step(S, I):")
-        for name in netlist.registers:
-            temp = self.fresh()
-            self.lines.append(f"    {temp} = S[{name!r}]")
-            self.signals[name] = temp
-        for name in netlist.inputs:
-            temp = self.fresh()
-            self.lines.append(f"    {temp} = I[{name!r}]")
-            self.signals[name] = temp
-        for step_assignment in netlist.assignments:
-            if step_assignment.kind != "wire":
-                continue
-            self.signals[step_assignment.target] = self.emit(step_assignment.expr)
-        next_temps = {
-            name: self.emit(netlist.system.next[name]) for name in netlist.registers
-        }
-        prop_temps = {a.name: self.emit(a.expr) for a in netlist.assertions}
-        cons_temps = [self.emit(expr) for expr in netlist.constraints]
+        for name in system.state_vars:
+            self.signals[name] = self._bind(f"S[{name!r}]")
+        for name in system.inputs:
+            self.signals[name] = self._bind(f"I[{name!r}]")
+        next_temps = {name: self.emit(system.next[name]) for name in system.state_vars}
+        prop_temps: Dict[str, str] = {}
+        for prop in system.properties:
+            # the first property of a name answers for it, as in property_by_name
+            if prop.name not in prop_temps:
+                prop_temps[prop.name] = self.emit(prop.expr)
+        cons_temps = [self.emit(expr) for expr in system.constraints]
         next_code = ", ".join(f"{n!r}: {t}" for n, t in next_temps.items())
         prop_code = ", ".join(f"{n!r}: {t}" for n, t in prop_temps.items())
         cons_code = ", ".join(cons_temps)
@@ -561,15 +503,11 @@ class _StepCompiler:
         source = "\n".join(self.lines)
         namespace: Dict[str, object] = {}
         exec(  # noqa: S102 - compiling our own generated step function
-            compile(source, f"<bitsim:{netlist.name}>", "exec"), self.globals, namespace
+            compile(source, f"<bitsim:{system.name}>", "exec"), self.globals, namespace
         )
         step = namespace["_step"]
         step._source = source  # kept for debugging and tests
         return step
-
-
-def _compile_step(netlist: SoftwareNetlist, lane_mask: int) -> Callable:
-    return _StepCompiler(netlist, lane_mask).compile()
 
 
 # ---------------------------------------------------------------------------
@@ -632,32 +570,34 @@ class PackedRun:
             name: unpack_lane(planes, lane) for name, planes in self.states[cycle].items()
         }
 
+
 class PackedSimulator:
     """Evaluates 64 (or ``lanes``) independent input vectors per operation.
 
     The packed simulator shares its semantics with the scalar
     :class:`repro.netlist.simulate.Simulator`, which every cross-check runs:
-    wires in dependency order, properties and constraints on the pre-update
+    wires where first used, properties and constraints on the pre-update
     state, registers updated simultaneously.
     """
 
     def __init__(self, system: TransitionSystem, lanes: int = DEFAULT_LANES) -> None:
         if lanes < 1:
             raise ValueError("lanes must be >= 1")
+        system.validate()
         self.system = system
-        self.netlist = SoftwareNetlist(system)
         self.lanes = lanes
         self.mask = (1 << lanes) - 1
-        self.property_names = [a.name for a in self.netlist.assertions]
-        self._step_fn = _compile_step(self.netlist, self.mask)
+        self.property_names = list(dict.fromkeys(prop.name for prop in system.properties))
+        self._initial_state: Dict[str, Planes] = {
+            name: broadcast(evaluate(expr, {}), system.state_vars[name], self.mask)
+            for name, expr in system.init.items()
+        }
+        self._step_fn = _StepCompiler(system, self.mask).compile()
         self.reset()
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        self.state: Dict[str, Planes] = {
-            name: broadcast(value, self.netlist.registers[name], self.mask)
-            for name, value in self.netlist.initial_values.items()
-        }
+        self.state: Dict[str, Planes] = dict(self._initial_state)
         self.cycle = 0
 
     # ------------------------------------------------------------------
@@ -683,7 +623,7 @@ class PackedSimulator:
     ) -> Dict[str, Planes]:
         packed: Dict[str, Planes] = {}
         inputs = inputs or {}
-        for name, width in self.netlist.inputs.items():
+        for name, width in self.system.inputs.items():
             planes = inputs.get(name)
             packed[name] = planes if planes is not None else (0,) * width
         return packed
@@ -692,7 +632,7 @@ class PackedSimulator:
         """One cycle of uniformly random packed inputs (one draw per bit plane)."""
         return {
             name: tuple(rng.getrandbits(self.lanes) for _ in range(width))
-            for name, width in self.netlist.inputs.items()
+            for name, width in self.system.inputs.items()
         }
 
     # ------------------------------------------------------------------
@@ -760,7 +700,7 @@ class PackedSimulator:
         packed = [
             {
                 name: broadcast(cycle.get(name, 0), width, self.mask)
-                for name, width in self.netlist.inputs.items()
+                for name, width in self.system.inputs.items()
             }
             for cycle in input_sequence
         ]
@@ -785,7 +725,7 @@ class PackedSimulator:
         packed: List[Dict[str, Planes]] = []
         for cycle in range(cycles):
             cycle_planes: Dict[str, Planes] = {}
-            for name, width in self.netlist.inputs.items():
+            for name, width in self.system.inputs.items():
                 column = [
                     int(seq[cycle].get(name, 0)) if cycle < len(seq) else 0
                     for seq in sequences
@@ -851,32 +791,22 @@ def crosscheck_lane(
 
 
 # ---------------------------------------------------------------------------
-# reachable-state sampling (candidate-invariant screens for kIkI / PDR)
+# reachable-state sampling (the cube screen of PDR's generalization)
 # ---------------------------------------------------------------------------
 
 
 class ReachabilitySampler:
-    """Random reachable states, packed for cheap candidate screening.
+    """Random reachable states, packed for cheap cube screening.
 
     A short packed random run harvests distinct register states from lanes
-    whose environment constraints held.  Candidate invariants that evaluate
-    false on any sampled state cannot be invariants, so engines drop them
-    before paying a SAT call; cubes satisfied by a sampled state are skipped
-    during PDR generalization (a pure no-progress query avoided).
+    whose environment constraints held.  Cubes satisfied by a sampled state
+    are skipped during PDR generalization (a pure no-progress query avoided).
     """
 
-    def __init__(
-        self,
-        system: TransitionSystem,
-        lanes: int = DEFAULT_LANES,
-        cycles: int = 64,
-        seed: int = 2016,
-        max_states: int = 256,
-    ) -> None:
-        self.system = system
-        simulator = PackedSimulator(system, lanes=lanes)
-        run = simulator.run_random(cycles, seed=seed, stop_on_violation=False)
-        widths = dict(simulator.netlist.registers)
+    def __init__(self, system: TransitionSystem) -> None:
+        simulator = PackedSimulator(system)
+        run = simulator.run_random(SAMPLE_CYCLES, seed=SAMPLE_SEED, stop_on_violation=False)
+        widths = dict(system.state_vars)
         seen: Dict[Tuple[int, ...], Dict[str, int]] = {}
         order = list(widths)
         for cycle in range(run.cycles):
@@ -884,52 +814,25 @@ class ReachabilitySampler:
             if not alive:
                 break
             lane_bits = alive
-            while lane_bits and len(seen) < max_states:
+            while lane_bits and len(seen) < MAX_SAMPLED_STATES:
                 lane = (lane_bits & -lane_bits).bit_length() - 1
                 lane_bits &= lane_bits - 1
                 state = run.lane_state(cycle, lane)
                 seen.setdefault(tuple(state[name] for name in order), state)
-            if len(seen) >= max_states:
+            if len(seen) >= MAX_SAMPLED_STATES:
                 break
-        self.states: List[Dict[str, int]] = list(seen.values())
+        states = list(seen.values())
         self._widths = widths
-        # packed batches for 64-way candidate evaluation
+        # packed batches for 64-way cube evaluation
         self._batches: List[Tuple[int, Dict[str, Planes]]] = []
-        for start in range(0, len(self.states), lanes):
-            chunk = self.states[start : start + lanes]
+        for start in range(0, len(states), DEFAULT_LANES):
+            chunk = states[start : start + DEFAULT_LANES]
             batch_mask = (1 << len(chunk)) - 1
             planes = {
                 name: pack_values([state[name] for state in chunk], width)
                 for name, width in widths.items()
             }
             self._batches.append((batch_mask, planes))
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def screen_invariants(
-        self, candidates: Sequence[Expr]
-    ) -> Tuple[List[Expr], int]:
-        """Partition candidates: (kept, dropped-count).
-
-        A candidate false on any sampled reachable state is dropped — it
-        cannot be an invariant, so the SAT certification call it would have
-        cost is saved outright.
-        """
-        kept: List[Expr] = []
-        dropped = 0
-        for candidate in candidates:
-            holds = True
-            for batch_mask, planes in self._batches:
-                value = evaluate_packed(candidate, planes, batch_mask)
-                if value[0] != batch_mask:
-                    holds = False
-                    break
-            if holds:
-                kept.append(candidate)
-            else:
-                dropped += 1
-        return kept, dropped
 
     def satisfies_cube(self, cube: Iterable[Tuple[str, int, bool]]) -> bool:
         """True when some sampled reachable state satisfies every cube literal."""

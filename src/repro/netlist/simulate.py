@@ -4,12 +4,15 @@ The simulator is the executable reference semantics of the word-level
 netlist.  Every clock cycle runs through one straight-line Python function
 that is generated from the design and ``compile()``d once per design: the
 step function of the paper's v2c flow (Section III.A) and the scalar twin of
-the packed tier's :class:`repro.netlist.bitsim._StepCompiler`.  The step has
-one local per expression DAG node (shared subterms are bound once, by node
-identity), masks and constants inlined, and wires resolved by dependency;
-it returns the cycle's wire, property and constraint values and the next
-state in one pass.  :func:`repro.exprs.evaluate` stays the reference model
-the compiled step is tested against.
+the packed tier's :class:`repro.netlist.bitsim._StepCompiler`.  Both
+compilers read the :class:`TransitionSystem` the same way: a wire is emitted
+where it is first used (a wire that reaches itself is a combinational
+cycle), and the first property of a name answers for it.  The step has one
+local per expression DAG node (shared subterms are bound once, by node
+identity) and masks and constants inlined; it returns the cycle's wire,
+property and constraint values and the next state in one pass.
+:func:`repro.exprs.evaluate` stays the reference model the compiled step is
+tested against.
 
 The simulator is used to
 

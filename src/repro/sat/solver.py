@@ -21,6 +21,10 @@ clauses guarded by ``-act`` are active while ``act`` is assumed and are
 permanently disabled by :meth:`Solver.retire_activation`, which also
 garbage-collects the learned clauses that depended on the guard.
 
+The solver has one setting, ``proof``; the learned-clause database
+reduction follows the module constants :data:`REDUCE_BASE` and
+:data:`REDUCE_GROWTH`.
+
 The implementation favours clarity over raw speed; the benchmark circuits in
 this reproduction are sized so that a pure-Python solver handles them.
 """
@@ -31,6 +35,11 @@ import time
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.sat.cnf import CNF, var_of
+
+#: live learned clauses that trigger the first learned-clause database
+#: reduction; each reduction multiplies the threshold by REDUCE_GROWTH
+REDUCE_BASE = 2000
+REDUCE_GROWTH = 1.3
 
 
 class SolverResult:
@@ -143,12 +152,11 @@ class Solver:
         required by :class:`repro.sat.interpolate.Interpolator`.  Proof
         logging disables learned-clause garbage collection (deleted clauses
         could be antecedents of the final refutation).
-    reduce_base:
-        Number of *live* learned clauses that triggers the first database
-        reduction; each reduction raises the threshold by ``reduce_growth``.
-        Deep unrolls previously grew the clause database without bound — the
-        reduction keeps the learned part in check while original (problem)
-        clauses are never touched.
+
+    :data:`REDUCE_BASE` live learned clauses trigger the first database
+    reduction, and each reduction raises the threshold by
+    :data:`REDUCE_GROWTH`.  The reduction keeps the learned part of deep
+    unrolls in check; original (problem) clauses are never touched.
     """
 
     #: decisions between cooperative deadline checks in the search loop
@@ -158,21 +166,14 @@ class Solver:
     #: fault-injection harness to wedge a solve mid-search); ``None`` normally
     fault_hook = None
 
-    def __init__(
-        self,
-        proof: bool = False,
-        reduce_base: int = 2000,
-        reduce_growth: float = 1.3,
-    ) -> None:
+    def __init__(self, proof: bool = False) -> None:
         self.proof_logging = proof
         self.stats = SolverStats()
         #: armed cooperative deadline (see :meth:`set_deadline`)
         self._deadline: Optional[float] = None
 
         # learned-clause database reduction (clause GC)
-        self.reduce_base = reduce_base
-        self.reduce_growth = reduce_growth
-        self._next_reduce = reduce_base
+        self._next_reduce = REDUCE_BASE
         #: live learned clause id -> activity (bumped when used in analysis)
         self._learned_activity: Dict[int, float] = {}
         #: live learned clause id -> literal-block distance at learn time
@@ -1005,7 +1006,7 @@ class Solver:
             if lbd > 2 and len(clauses[cid]) > 2 and cid not in locked
         ]
         self.stats.reduce_db += 1
-        self._next_reduce = int(self._next_reduce * self.reduce_growth) + 1
+        self._next_reduce = int(self._next_reduce * REDUCE_GROWTH) + 1
         if not candidates:
             return
         activity = self._learned_activity

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.verilog import ast
 from repro.verilog.lexer import Lexer, Token, VerilogSyntaxError, parse_number
@@ -110,10 +110,7 @@ class Parser:
         while True:
             token = self.peek()
             if token.value in ("input", "output", "inout"):
-                direction = self.advance().value
-                is_reg = self.accept("reg")
-                signed = self.accept("signed")
-                rng = self._parse_optional_range()
+                direction, is_reg, signed, rng = self._parse_port_head()
                 name = self.expect_kind("id").value
                 module.port_order.append(name)
                 module.items.append(
@@ -199,11 +196,19 @@ class Parser:
         self.expect("]")
         return ast.Range(msb=msb, lsb=lsb)
 
-    def _parse_port_declaration(self) -> List[ast.VItem]:
+    def _parse_port_head(self) -> Tuple[str, bool, bool, Optional[ast.Range]]:
+        """Parse ``input|output|inout [wire|reg] [signed] [range]``.
+
+        Shared by ANSI headers and body declarations; a ``wire`` port is a
+        net, like a port that names no kind.
+        """
         direction = self.advance().value
-        is_reg = self.accept("reg")
+        is_reg = not self.accept("wire") and self.accept("reg")
         signed = self.accept("signed")
-        rng = self._parse_optional_range()
+        return direction, is_reg, signed, self._parse_optional_range()
+
+    def _parse_port_declaration(self) -> List[ast.VItem]:
+        direction, is_reg, signed, rng = self._parse_port_head()
         items: List[ast.VItem] = []
         while True:
             name = self.expect_kind("id").value

@@ -8,6 +8,7 @@ model agrees with the word-level reference simulator cycle by cycle, and
 bugs manifest in the same clock cycle in both models.
 """
 
+import os
 import random
 
 import pytest
@@ -19,6 +20,11 @@ from repro.benchmarks import BENCHMARKS, get_benchmark
 from repro.engines import Status, make_engine
 from repro.engines.ladder import default_budget_ladder, run_sequential_ladder
 from repro.netlist.simulate import Simulator
+
+#: 201 one-bit latches reset to 0 with ``r0' = 1`` and ``r_i' = r_{i-1}``;
+#: the property ``r200 == 0`` fails at cycle 201.  Written once with
+#: ``aig_from_transition_system`` and ``write_aiger``.
+SHIFT201 = os.path.join(os.path.dirname(__file__), "data", "aiger", "shift201.aag")
 
 
 def _lift_round_trip(system):
@@ -124,3 +130,21 @@ def test_read_aiger_refuses_justice_and_fairness_properties():
     for extra in (" 1", " 0 1"):  # one justice, then one fairness property
         with pytest.raises(ValueError, match="justice and fairness"):
             read_aiger(f"{header}{extra}\n{body}")
+
+
+def test_absint_proves_nothing_from_an_unfinished_interval_iteration(capsys):
+    """The shift register's interval iteration moves one latch to [0, 1] per
+    round and reaches its fixpoint, every latch [0, 1], after 202 rounds.
+    A box taken before that is not inductive, so absint must not call the
+    property SAFE from it; no rung finds the cycle-201 bug within 2 s, so
+    the CLI's answer is inconclusive (exit 3), not a wrong SAFE (exit 2)."""
+    from repro.tools.verify_cli import main
+
+    with open(SHIFT201) as handle:
+        lifted = transition_system_from_aig(read_aiger(handle.read()))
+    assert len(lifted.state_vars) == 201
+    result = make_engine("absint", lifted).verify(timeout=60)
+    assert result.status == Status.UNKNOWN
+    assert result.detail["intervals"]["r200[0]"] == (0, 1)
+    assert main([SHIFT201, "--expected", "unsafe", "--timeout", "2"]) == 3
+    capsys.readouterr()

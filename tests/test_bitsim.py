@@ -2,10 +2,11 @@
 
 The packed simulator (:mod:`repro.netlist.bitsim`) is a raw-speed tier, so
 every test here is a cross-check: packed lanes against the scalar reference
-simulator, per-operator plane lowering against :func:`repro.exprs.evaluate`,
-the rsim falsifier's witnesses against the independent certificate validator,
-and both scalar simulators (word-level netlist vs AIG graph) against each
-other — one scalar oracle, agreed on by every representation.
+simulator, the compiled packed step's per-operator lowering against
+:func:`repro.exprs.evaluate`, the rsim falsifier's verdicts against bmc and
+its witnesses against the independent certificate validator, and both
+scalar simulators (word-level netlist vs AIG graph) against each other — one
+scalar oracle, agreed on by every representation.
 """
 
 import random
@@ -20,6 +21,7 @@ from repro.exprs import (
     bv_add,
     bv_ashr,
     bv_concat,
+    bv_const,
     bv_extract,
     bv_ite,
     bv_lshr,
@@ -42,13 +44,13 @@ from repro.exprs import (
     bv_zero_extend,
     evaluate,
 )
+from repro.netlist import TransitionSystem, TransitionSystemError
 from repro.netlist.bitsim import (
     PackedSimulator,
     ReachabilitySampler,
     SimulationMismatch,
     broadcast,
     crosscheck_lane,
-    evaluate_packed,
     pack_values,
     unpack_lane,
 )
@@ -77,8 +79,32 @@ def test_broadcast_fills_every_lane():
 
 
 # ---------------------------------------------------------------------------
-# per-operator plane lowering vs the scalar expression evaluator
+# the compiled packed step's operator lowering vs the scalar evaluator
 # ---------------------------------------------------------------------------
+
+
+def _packed_step(exprs, inputs):
+    """Each lane's value of each expression as the compiled packed step,
+    the code rsim runs, computes it.
+
+    ``exprs`` maps a register name to its next-state expression and
+    ``inputs`` an input name to ``(width, per-lane values)``; one packed step
+    of that design leaves every expression's value in its register.
+    """
+    system = TransitionSystem("operators")
+    for name, (width, _values) in inputs.items():
+        system.add_input(name, width)
+    for name, expr in exprs.items():
+        system.add_state_var(name, expr.width, next_expr=expr)
+    simulator = PackedSimulator(system)
+    simulator.step(
+        {name: pack_values(values, width) for name, (width, values) in inputs.items()}
+    )
+    return {
+        name: [unpack_lane(simulator.state[name], lane) for lane in range(simulator.lanes)]
+        for name in exprs
+    }
+
 
 _BINARY_OPS = [
     bv_add, bv_sub, bv_mul, bv_udiv, bv_urem, bv_xor,
@@ -91,7 +117,7 @@ _BINARY_OPS = [
 @pytest.mark.parametrize("width", [1, 5, 8])
 def test_binary_operators_match_scalar(make_op, width):
     """Every lane of the packed result equals the scalar evaluator's answer."""
-    lanes, mask = 64, (1 << 64) - 1
+    lanes = 64
     rng = random.Random(hash((make_op.__name__, width)) & 0xFFFF)
     a_vals = [rng.getrandbits(width) for _ in range(lanes)]
     # bias the second operand toward small values so shifts exercise both
@@ -100,18 +126,20 @@ def test_binary_operators_match_scalar(make_op, width):
         rng.getrandbits(width) if rng.random() < 0.5 else rng.randrange(0, width + 2)
         for _ in range(lanes)
     ]
-    expr = make_op(bv_var("a", width), bv_var("b", width))
-    packed = evaluate_packed(
-        expr,
-        {"a": pack_values(a_vals, width), "b": pack_values(b_vals, width)},
-        mask,
-    )
-    for lane in range(lanes):
-        expected = evaluate(expr, {"a": a_vals[lane], "b": b_vals[lane]})
-        assert unpack_lane(packed, lane) == expected, (
-            f"{make_op.__name__} w={width} lane={lane}: "
-            f"a={a_vals[lane]} b={b_vals[lane]}"
-        )
+    a, b = bv_var("a", width), bv_var("b", width)
+    exprs = {"r": make_op(a, b)}
+    if make_op in (bv_shl, bv_lshr, bv_ashr):
+        # a constant amount compiles to tuple slicing, not a barrel shifter
+        for amount in range(width + 2):
+            exprs[f"k{amount}"] = make_op(a, bv_const(amount, width))
+    packed = _packed_step(exprs, {"a": (width, a_vals), "b": (width, b_vals)})
+    for name, expr in exprs.items():
+        for lane in range(lanes):
+            expected = evaluate(expr, {"a": a_vals[lane], "b": b_vals[lane]})
+            assert packed[name][lane] == expected, (
+                f"{make_op.__name__} w={width} {name} lane={lane}: "
+                f"a={a_vals[lane]} b={b_vals[lane]}"
+            )
 
 
 @pytest.mark.parametrize(
@@ -133,19 +161,15 @@ def test_binary_operators_match_scalar(make_op, width):
     ],
 )
 def test_structural_operators_match_scalar(make_expr):
-    lanes, mask, width = 64, (1 << 64) - 1, 6
+    lanes, width = 64, 6
     rng = random.Random(7)
     a_vals = [rng.getrandbits(width) for _ in range(lanes)]
     b_vals = [rng.getrandbits(width) for _ in range(lanes)]
     expr = make_expr(bv_var("a", width))
-    packed = evaluate_packed(
-        expr,
-        {"a": pack_values(a_vals, width), "b": pack_values(b_vals, width)},
-        mask,
-    )
+    packed = _packed_step({"r": expr}, {"a": (width, a_vals), "b": (width, b_vals)})
     for lane in range(lanes):
         expected = evaluate(expr, {"a": a_vals[lane], "b": b_vals[lane]})
-        assert unpack_lane(packed, lane) == expected
+        assert packed["r"][lane] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -231,23 +255,8 @@ def test_wide_lane_counts_work():
 
 
 # ---------------------------------------------------------------------------
-# the reachability sampler (candidate-invariant screening)
+# the reachability sampler (PDR's cube screen)
 # ---------------------------------------------------------------------------
-
-
-def test_sampler_screens_unreachable_claims():
-    system = load_system("huffman_dec")
-    sampler = ReachabilitySampler(system)
-    assert sampler.states, "sampler harvested no states"
-    name, width = next(iter(system.state_vars.items()))
-    seen = {state[name] for state in sampler.states}
-    always_true = bv_ule(bv_var(name, width), bv_var(name, width))
-    # false on every sampled state: claims the register avoids all its values
-    impossible = bv_ult(bv_var(name, width), bv_var(name, width))
-    kept, dropped = sampler.screen_invariants([always_true, impossible])
-    assert kept == [always_true]
-    assert dropped == 1
-    assert seen  # the harvest really found states
 
 
 def test_sampler_satisfies_cube_is_conservative():
@@ -286,6 +295,39 @@ def test_rsim_cannot_prove():
 
     capabilities = get_registration("rsim").capabilities
     assert capabilities.can_refute and not capabilities.can_prove
+
+
+@pytest.mark.parametrize("violated_first", [True, False], ids=["violated-first", "holding-first"])
+def test_packed_and_scalar_steps_agree_on_a_repeated_property_name(violated_first):
+    """A 4-bit counter declares ``p`` twice: once violated at cycle 3, once
+    always true.  The first ``p`` answers for the name in the packed step as
+    in the scalar step and bmc, so rsim matches bmc and never raises."""
+    system = TransitionSystem("twice")
+    count = system.add_state_var("count", 4)
+    system.set_next("count", bv_add(count, bv_const(1, 4)))
+    violated = bv_ult(count, bv_const(3, 4))
+    holding = bv_ule(count, bv_const(15, 4))
+    for expr in (violated, holding) if violated_first else (holding, violated):
+        system.add_property("p", expr)
+    expected = Status.UNSAFE if violated_first else Status.UNKNOWN
+    assert make_engine("bmc", system, max_bound=8).verify("p", timeout=60).status == expected
+    result = make_engine("rsim", system).verify("p", timeout=60)
+    assert result.status == expected
+    if violated_first:
+        assert result.detail["violation_cycle"] == 3
+        assert validate_result(system, result).ok
+
+
+def test_packed_step_reports_a_combinational_cycle():
+    """The packed step resolves wires as the scalar step does, with the same
+    error for a wire that reaches itself."""
+    system = TransitionSystem("loop")
+    x = system.add_input("x", 4)
+    system.add_wire("a", bv_add(bv_var("b", 4), x))
+    system.add_wire("b", bv_add(bv_var("a", 4), x))
+    system.add_property("p", bv_ult(bv_var("a", 4), x))
+    with pytest.raises(TransitionSystemError, match="combinational cycle"):
+        PackedSimulator(system)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from repro.sat import solver as solver_module
 from repro.sat.solver import Solver, SolverResult
 
 
@@ -20,8 +21,9 @@ def add_pigeonhole(solver: Solver, pigeons: int, holes: int) -> None:
             solver.add_clause([-var[first, hole], -var[second, hole]])
 
 
-def test_reduction_triggers_and_preserves_unsat():
-    solver = Solver(reduce_base=100)
+def test_reduction_triggers_and_preserves_unsat(monkeypatch):
+    monkeypatch.setattr(solver_module, "REDUCE_BASE", 100)
+    solver = Solver()
     add_pigeonhole(solver, 7, 6)
     assert solver.solve() == SolverResult.UNSAT
     assert solver.stats.reduce_db > 0
@@ -34,10 +36,12 @@ def test_reduction_triggers_and_preserves_unsat():
             assert solver.clause_literals(cid)
 
 
-def test_reduction_matches_unreduced_verdict():
+def test_reduction_matches_unreduced_verdict(monkeypatch):
     for pigeons, holes, expected in ((6, 5, SolverResult.UNSAT), (5, 5, SolverResult.SAT)):
-        reduced = Solver(reduce_base=50)
-        baseline = Solver(reduce_base=10**9)
+        monkeypatch.setattr(solver_module, "REDUCE_BASE", 50)
+        reduced = Solver()
+        monkeypatch.setattr(solver_module, "REDUCE_BASE", 10**9)
+        baseline = Solver()
         add_pigeonhole(reduced, pigeons, holes)
         add_pigeonhole(baseline, pigeons, holes)
         assert reduced.solve() == expected
@@ -45,38 +49,42 @@ def test_reduction_matches_unreduced_verdict():
         assert baseline.stats.reduce_db == 0
 
 
-def test_sat_model_still_checks_after_reduction():
+def test_sat_model_still_checks_after_reduction(monkeypatch):
     # a satisfiable instance hard enough to trigger reductions; the solver's
     # internal _check_model asserts the model against every live clause
-    solver = Solver(reduce_base=50)
+    monkeypatch.setattr(solver_module, "REDUCE_BASE", 50)
+    solver = Solver()
     add_pigeonhole(solver, 6, 6)
     assert solver.solve() == SolverResult.SAT
     model = solver.model()
     assert model  # a full assignment was produced
 
 
-def test_incremental_solving_across_reductions():
-    solver = Solver(reduce_base=50)
+def test_incremental_solving_across_reductions(monkeypatch):
+    monkeypatch.setattr(solver_module, "REDUCE_BASE", 50)
+    solver = Solver()
     add_pigeonhole(solver, 6, 5)
     assert solver.solve() == SolverResult.UNSAT
     # the solver stays usable for further queries after reducing
     fresh = [solver.new_var() for _ in range(3)]
-    solver2 = Solver(reduce_base=50)
+    solver2 = Solver()
     add_pigeonhole(solver2, 6, 6)
     assert solver2.solve() == SolverResult.SAT
     assert solver2.solve(assumptions=[solver2.new_var()]) == SolverResult.SAT
 
 
-def test_proof_logging_disables_reduction():
-    solver = Solver(proof=True, reduce_base=10)
+def test_proof_logging_disables_reduction(monkeypatch):
+    monkeypatch.setattr(solver_module, "REDUCE_BASE", 10)
+    solver = Solver(proof=True)
     add_pigeonhole(solver, 6, 5)
     assert solver.solve() == SolverResult.UNSAT
     assert solver.stats.reduce_db == 0
     assert solver.final_proof is not None
 
 
-def test_glue_and_locked_clauses_survive():
-    solver = Solver(reduce_base=30)
+def test_glue_and_locked_clauses_survive(monkeypatch):
+    monkeypatch.setattr(solver_module, "REDUCE_BASE", 30)
+    solver = Solver()
     add_pigeonhole(solver, 7, 6)
     assert solver.solve() == SolverResult.UNSAT
     # every surviving learned clause is either small or was recently useful;

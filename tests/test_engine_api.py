@@ -120,15 +120,30 @@ def test_unknown_option_raises_engine_option_error(design):
 
 
 @pytest.mark.parametrize(
-    "option", ["incremental_template", "persistent_session", "sim_filter", "use_intervals"]
+    "option",
+    [
+        "incremental_template", "persistent_session", "sim_filter", "use_intervals",
+        # search settings with one value, now module constants
+        "initial_depth", "max_iterations", "generalize_passes", "max_abstract_states",
+        "max_refinements", "max_predicates", "widen_after", "cycles", "rounds",
+        "lanes", "seed", "trace_length",
+    ],
 )
 def test_removed_encoding_switches_are_rejected(design, option):
-    """Every engine has one encoding path: none takes a switch to another."""
+    """Every engine has one encoding path and one value per search setting:
+    none takes a switch to another path or another value."""
     for registration in list_engines():
         with pytest.raises(EngineOptionError, match=option):
             make_engine(registration.name, design, **{option: False})
     with pytest.raises(TypeError):
         FrameEncoder(design, **{option: True})
+
+
+def test_kiki_runs_its_k_induction_without_simple_paths(design):
+    """k-induction keeps ``simple_path`` (kiki sets it), kiki takes none."""
+    with pytest.raises(EngineOptionError, match="simple_path"):
+        make_engine("kiki", design, simple_path=True)
+    assert make_engine("k-induction", design, simple_path=True).simple_path
 
 
 def test_option_routing_drops_unknown_options(design):
@@ -155,10 +170,13 @@ def test_registration_is_callable_like_a_constructor(design):
     assert result.engine == "bmc"
 
 
-def test_interpolation_iteration_cap_is_unknown_not_timeout():
-    """Running out of ``max_iterations`` is inconclusive; TIMEOUT means an
+def test_interpolation_iteration_cap_is_unknown_not_timeout(monkeypatch):
+    """Running out of ``MAX_ITERATIONS`` is inconclusive; TIMEOUT means an
     expired budget, and this run has 30 s left."""
-    engine = make_engine("interpolation", load_system("daio"), max_iterations=3)
+    from repro.engines import interpolation
+
+    monkeypatch.setattr(interpolation, "MAX_ITERATIONS", 3)
+    engine = make_engine("interpolation", load_system("daio"))
     result = engine.verify(timeout=30)
     assert result.status == "unknown"
     assert "max_iterations=3" in result.reason

@@ -53,3 +53,23 @@ def test_assume_property_constrains_the_environment():
     assert free.constraints == []
     assert result.status == Status.UNSAFE
     assert result.certificate.kind == "witness"
+
+
+def test_ports_declared_wire_parse_in_headers_and_bodies():
+    """``input wire``/``output wire`` ports, in an ANSI header and in body
+    declarations, are nets like ports that name no kind."""
+    system, result = _decide("wire_ports.v")
+    assert set(system.inputs) == {"en"} and set(system.state_vars) == {"c"}
+    assert result.status == Status.SAFE
+    body = synthesize_source(
+        "module m(clk, en, y);\n"
+        "  input wire clk;\n"
+        "  input wire en;\n"
+        "  output wire [3:0] y;\n"
+        "  reg [3:0] c = 4'd0;\n"
+        "  always @(posedge clk) if (en && c != 4'd9) c <= c + 4'd1;\n"
+        "  assign y = c;\n"
+        "endmodule\n"
+    )
+    assert set(body.inputs) == {"en"} and set(body.state_vars) == {"c"}
+    assert body.width_of("y") == 4
