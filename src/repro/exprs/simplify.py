@@ -12,7 +12,7 @@ property-based tests in ``tests/test_exprs_properties.py``.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.exprs.evaluate import evaluate
 from repro.exprs.nodes import Const, Expr, Op, Var, mask
@@ -34,9 +34,14 @@ def constant_fold(expr: Expr) -> Expr:
     return expr
 
 
-def simplify(expr: Expr) -> Expr:
-    """Simplify ``expr`` bottom-up with constant folding and algebraic rules."""
-    cache: Dict[int, Expr] = {}
+def simplify(expr: Expr, cache: Optional[Dict[int, Expr]] = None) -> Expr:
+    """Simplify ``expr`` bottom-up with constant folding and algebraic rules.
+
+    ``cache`` is a node-identity memo that several calls may share, as
+    :func:`repro.exprs.substitute.substitute` documents.
+    """
+    if cache is None:
+        cache = {}
 
     def rec(node: Expr) -> Expr:
         key = id(node)

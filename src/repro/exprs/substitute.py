@@ -4,18 +4,23 @@ size and depth metrics.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Set
+from typing import Dict, Mapping, Optional, Set
 
 from repro.exprs.nodes import Const, Expr, Op, Var
 
 
-def substitute(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
+def substitute(
+    expr: Expr, mapping: Mapping[str, Expr], cache: Optional[Dict[int, Expr]] = None
+) -> Expr:
     """Replace every variable whose name is in ``mapping`` by the given expression.
 
     Width compatibility is enforced: a replacement must have the same width as
-    the variable it replaces.
+    the variable it replaces.  Calls that pass one ``cache`` (a node-identity
+    memo) share their results, so a subexpression common to several roots
+    stays one node; every root must stay alive as long as the memo.
     """
-    cache: Dict[int, Expr] = {}
+    if cache is None:
+        cache = {}
 
     def rec(node: Expr) -> Expr:
         key = id(node)

@@ -230,18 +230,19 @@ class TransitionSystem:
         flat.inputs = dict(self.inputs)
         flat.state_vars = dict(self.state_vars)
         resolved = self._resolved_wires()
-        flat.init = {
-            name: simplify(substitute(expr, resolved)) for name, expr in self.init.items()
-        }
-        flat.next = {
-            name: simplify(substitute(expr, resolved)) for name, expr in self.next.items()
-        }
-        flat.constraints = [
-            simplify(substitute(expr, resolved)) for expr in self.constraints
-        ]
+        # one memo of each pass over every root, so that a subexpression
+        # several roots share stays one node in the flattened design
+        substituted: Dict[int, Expr] = {}
+        simplified: Dict[int, Expr] = {}
+
+        def flat_expr(expr: Expr) -> Expr:
+            return simplify(substitute(expr, resolved, substituted), simplified)
+
+        flat.init = {name: flat_expr(expr) for name, expr in self.init.items()}
+        flat.next = {name: flat_expr(expr) for name, expr in self.next.items()}
+        flat.constraints = [flat_expr(expr) for expr in self.constraints]
         flat.properties = [
-            SafetyProperty(p.name, simplify(substitute(p.expr, resolved)))
-            for p in self.properties
+            SafetyProperty(p.name, flat_expr(p.expr)) for p in self.properties
         ]
         return flat
 

@@ -1,12 +1,30 @@
 """Tseitin encoding of propositional structure into CNF clauses.
 
 The encoder produces fresh variables for gate outputs and emits the standard
-defining clauses.  It is used by the bit-blaster (:mod:`repro.smt`) and by the
-engines when they need to assert arbitrary propositional formulas (for
-instance, the negation of a candidate inductive invariant).
+defining clauses.  It is used by the bit-blaster (:mod:`repro.smt`), by the
+AIG frame templates and by the engines when they need to assert arbitrary
+propositional formulas (for instance, the negation of a candidate inductive
+invariant).
+
+Before a gate allocates its output it folds its inputs, as the AIG's
+``add_and`` and the propositional back end of CBMC/EBMC do:
+
+* ``and``: the true literal and duplicates drop out; a false input or an
+  input next to its negation gives false; no input left gives true, one
+  input left is the result;
+* ``xor``: a constant input gives the other input or its negation, ``a, a``
+  gives false and ``a, -a`` true; otherwise the gate is hashed on the
+  unsigned pair, so ``xor(-a, b)`` is the negated ``xor(a, b)``;
+* ``ite``: a constant condition selects a branch; equal branches give the
+  branch and complementary ones an ``xnor``; a branch that is constant or
+  ``±cond`` leaves one ``and`` or ``or`` gate.
+
+Whatever does not fold is structurally hashed.  ``or``, ``xnor`` and the full
+adder are built from these gates and fold with them.
 
 Literals use the DIMACS convention of :mod:`repro.sat.cnf`.  The special
-constant literals are handled through a dedicated always-true variable.
+constant literals are handled through a dedicated always-true variable,
+allocated on first use.
 """
 
 from __future__ import annotations
@@ -65,21 +83,30 @@ class TseitinEncoder:
         return self.true_lit if value else self.false_lit
 
     # -- gates -----------------------------------------------------------
+    # The folding compares inputs against ``_true_lit`` and never allocates
+    # the constant just to test for it: while none exists, ``or 0`` makes
+    # every comparison with it fail, since no literal is 0.
     def and_gate(self, literals: Sequence[int]) -> int:
         """Return a literal equivalent to the conjunction of ``literals``."""
-        literals = [lit for lit in literals]
-        if not literals:
+        true = self._true_lit or 0
+        inputs: Dict[int, None] = {}  # ordered, duplicate-free
+        for lit in literals:
+            if lit == -true or -lit in inputs:
+                return self.false_lit
+            if lit != true:
+                inputs[lit] = None
+        if not inputs:
             return self.true_lit
-        if len(literals) == 1:
-            return literals[0]
-        key = ("and", tuple(sorted(literals)))
+        if len(inputs) == 1:
+            return next(iter(inputs))
+        key = ("and", tuple(sorted(inputs)))
         cached = self._cache.get(key)
         if cached is not None:
             return cached
         out = self.new_var()
-        for lit in literals:
+        for lit in inputs:
             self._sink.add_clause([-out, lit])
-        self._sink.add_clause([out] + [-lit for lit in literals])
+        self._sink.add_clause([out] + [-lit for lit in inputs])
         self._cache[key] = out
         return out
 
@@ -88,25 +115,59 @@ class TseitinEncoder:
         return -self.and_gate([-lit for lit in literals])
 
     def xor_gate(self, a: int, b: int) -> int:
-        """Return a literal equivalent to ``a xor b``."""
-        key = ("xor", tuple(sorted((a, b))))
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        out = self.new_var()
-        self._sink.add_clause([-out, a, b])
-        self._sink.add_clause([-out, -a, -b])
-        self._sink.add_clause([out, -a, b])
-        self._sink.add_clause([out, a, -b])
-        self._cache[key] = out
-        return out
+        """Return a literal equivalent to ``a xor b``.
+
+        The gate is hashed on the unsigned pair: ``xor(-a, b)`` is the
+        negated output of ``xor(a, b)``.
+        """
+        true = self._true_lit or 0
+        if abs(a) == true:
+            return -b if a == true else b
+        if abs(b) == true:
+            return -a if b == true else a
+        if a == b:
+            return self.false_lit
+        if a == -b:
+            return self.true_lit
+        negated = (a < 0) != (b < 0)
+        a, b = sorted((abs(a), abs(b)))
+        key = ("xor", a, b)
+        out = self._cache.get(key)
+        if out is None:
+            out = self.new_var()
+            self._sink.add_clause([-out, a, b])
+            self._sink.add_clause([-out, -a, -b])
+            self._sink.add_clause([out, -a, b])
+            self._sink.add_clause([out, a, -b])
+            self._cache[key] = out
+        return -out if negated else out
 
     def xnor_gate(self, a: int, b: int) -> int:
         """Return a literal equivalent to ``a == b``."""
         return -self.xor_gate(a, b)
 
     def ite_gate(self, cond: int, then_lit: int, else_lit: int) -> int:
-        """Return a literal equivalent to ``cond ? then_lit : else_lit``."""
+        """Return a literal equivalent to ``cond ? then_lit : else_lit``.
+
+        A branch that is constant, or ``±cond``, reduces the multiplexer to
+        one AND or OR gate (in the then-branch ``cond`` reads as 1, in the
+        else-branch as 0).
+        """
+        true = self._true_lit or 0
+        if abs(cond) == true:
+            return then_lit if cond == true else else_lit
+        if then_lit == else_lit:
+            return then_lit
+        if then_lit == -else_lit:
+            return -self.xor_gate(cond, then_lit)
+        if then_lit in (true, cond):
+            return self.or_gate([cond, else_lit])
+        if then_lit in (-true, -cond):
+            return self.and_gate([-cond, else_lit])
+        if else_lit in (-true, cond):
+            return self.and_gate([cond, then_lit])
+        if else_lit in (true, -cond):
+            return self.or_gate([-cond, then_lit])
         key = ("ite", cond, then_lit, else_lit)
         cached = self._cache.get(key)
         if cached is not None:

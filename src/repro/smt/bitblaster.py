@@ -5,6 +5,14 @@ Each :class:`repro.exprs.Expr` is translated to a vector of SAT literals
 propositional gate networks through a :class:`repro.sat.tseitin.TseitinEncoder`.
 This is the same flattening approach taken by the SAT back-ends of CBMC and
 EBMC, which the paper relies on for bit-precise reasoning.
+
+Constant bits are the encoder's constant literal, and the encoder folds
+every gate that sees one, or that sees an input twice or next to its
+negation.  The operators below are written for the general case and
+shrink through that folding alone: ``x == 5`` is one ``and`` over x's bits,
+each signed by the constant's bit; ``x + 1`` is a chain of half adders
+(one ``xor`` and one ``and`` per bit above bit 0); and ``ite(c, 0, x)`` is
+one ``and`` per bit.
 """
 
 from __future__ import annotations

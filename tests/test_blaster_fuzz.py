@@ -5,6 +5,11 @@ blasted with every input fixed; the blasted ``e`` must equal
 ``evaluate(e, env)`` (SAT) and can never differ from it (UNSAT).  The checks
 run on a fresh solver per tree and again on one shared solver under
 assumptions, where sub-blasts memoized by earlier trees are reused.
+
+The Tseitin encoder folds constant, repeated and complementary gate inputs,
+so a second seed draws trees that reach those rules: more constant leaves
+(0, 1, all-ones, the top bit), operands paired with themselves or their
+complement, and constant ``ite`` conditions.
 """
 
 import random
@@ -68,11 +73,28 @@ def _edge_value(rng, width):
     return rng.choice((0, 1, mask(width), top, top - 1, rng.getrandbits(width)))
 
 
-def _tree(rng, width, depth):
-    """A random expression of ``width`` bits and depth at most ``depth``."""
+def _folding_constant(rng, width):
+    return bv_const(rng.choice((0, 1, mask(width), 1 << (width - 1))), width)
+
+
+def _second_operand(rng, first, width, depth, folding):
+    """A fresh tree, or with ``folding`` often ``first`` or its complement."""
+    if folding and rng.random() < 0.4:
+        return rng.choice((first, bv_not(first)))
+    return _tree(rng, width, depth, folding)
+
+
+def _tree(rng, width, depth, folding=False):
+    """A random expression of ``width`` bits and depth at most ``depth``.
+
+    With ``folding`` the tree draws the inputs the gate folding rules
+    rewrite; without it the draws are the original seed's.
+    """
     if depth == 0 or rng.random() < 0.2:
-        if rng.random() < 0.6:
+        if rng.random() < (0.35 if folding else 0.6):
             return bv_var(f"x{width}_{rng.randrange(2)}", width)
+        if folding:
+            return _folding_constant(rng, width)
         return bv_const(_edge_value(rng, width), width)
     kinds = ["unary", "binary", "binary", "shift", "ite", "extract"]
     if width > 1:
@@ -81,37 +103,47 @@ def _tree(rng, width, depth):
         kinds += ["compare", "compare"]
     kind = rng.choice(kinds)
     if kind == "unary":
-        return rng.choice(UNARY)(_tree(rng, width, depth - 1))
+        return rng.choice(UNARY)(_tree(rng, width, depth - 1, folding))
     if kind == "binary":
         operators = LINEAR + (QUADRATIC if width <= QUADRATIC_MAX_WIDTH else ())
-        operands = _tree(rng, width, depth - 1), _tree(rng, width, depth - 1)
-        return rng.choice(operators)(*operands)
+        first = _tree(rng, width, depth - 1, folding)
+        second = _second_operand(rng, first, width, depth - 1, folding)
+        return rng.choice(operators)(first, second)
     if kind == "shift":
-        amount = _tree(rng, rng.choice(WIDTHS), depth - 1)
-        return rng.choice(SHIFTS)(_tree(rng, width, depth - 1), amount)
+        amount = _tree(rng, rng.choice(WIDTHS), depth - 1, folding)
+        return rng.choice(SHIFTS)(_tree(rng, width, depth - 1, folding), amount)
     if kind == "ite":
-        condition = _tree(rng, 1, depth - 1)
-        return bv_ite(condition, _tree(rng, width, depth - 1), _tree(rng, width, depth - 1))
+        if folding and rng.random() < 0.3:
+            condition = bv_const(rng.randrange(2), 1)
+        else:
+            condition = _tree(rng, 1, depth - 1, folding)
+        then_expr = _tree(rng, width, depth - 1, folding)
+        else_expr = _second_operand(rng, then_expr, width, depth - 1, folding)
+        return bv_ite(condition, then_expr, else_expr)
     if kind == "extract":
         wider = rng.choice([w for w in WIDTHS if w >= width])
         low = rng.randint(0, wider - width)
-        return bv_extract(_tree(rng, wider, depth - 1), low + width - 1, low)
+        return bv_extract(_tree(rng, wider, depth - 1, folding), low + width - 1, low)
     if kind == "concat":
         high = rng.randint(1, width - 1)
-        return bv_concat(_tree(rng, high, depth - 1), _tree(rng, width - high, depth - 1))
+        return bv_concat(
+            _tree(rng, high, depth - 1, folding),
+            _tree(rng, width - high, depth - 1, folding),
+        )
     if kind == "extend":
         narrow = rng.randint(1, width - 1)
         extend = rng.choice((bv_zero_extend, bv_sign_extend))
-        return extend(_tree(rng, narrow, depth - 1), width - narrow)
+        return extend(_tree(rng, narrow, depth - 1, folding), width - narrow)
     operand_width = rng.choice(WIDTHS)
-    operands = _tree(rng, operand_width, depth - 1), _tree(rng, operand_width, depth - 1)
-    return rng.choice(COMPARISONS)(*operands)
+    first = _tree(rng, operand_width, depth - 1, folding)
+    second = _second_operand(rng, first, operand_width, depth - 1, folding)
+    return rng.choice(COMPARISONS)(first, second)
 
 
-def _cases(seed, count):
+def _cases(seed, count, folding=False):
     rng = random.Random(seed)
     for _ in range(count):
-        expr = _tree(rng, rng.choice(WIDTHS), rng.randint(1, 4))
+        expr = _tree(rng, rng.choice(WIDTHS), rng.randint(1, 4), folding)
         variables = sorted(collect_vars(expr), key=lambda var: var.name)
         env = {var.name: _edge_value(rng, var.width) for var in variables}
         inputs = [bv_eq(var, bv_const(env[var.name], var.width)) for var in variables]
@@ -126,8 +158,16 @@ SHARED_TREES = 30
 
 
 def test_blaster_matches_evaluate_on_random_trees():
+    _check_blasts(_cases(seed=2016, count=200))
+
+
+def test_blaster_matches_evaluate_on_trees_that_fold():
+    _check_blasts(_cases(seed=2030, count=200, folding=True))
+
+
+def _check_blasts(cases):
     shared = BVSolver()
-    for index, (expr, inputs, expected) in enumerate(_cases(seed=2016, count=200)):
+    for index, (expr, inputs, expected) in enumerate(cases):
         fresh = BVSolver()
         fresh.assert_exprs(inputs)
         assert fresh.check_expr(bv_eq(expr, expected)) == BVResult.SAT, expr

@@ -13,12 +13,19 @@ import pytest
 
 from repro.benchmarks import get_benchmark, load_system
 from repro.certs import validate_result
+from repro.engines import Status
 from repro.engines.bmc import BMCEngine
-from repro.engines.encoding import FrameEncoder, template_library
+from repro.engines.encoding import (
+    FrameEncoder,
+    cone_of_influence,
+    template_library,
+    widen_witness,
+)
 from repro.engines.kinduction import KInductionEngine
+from repro.engines.ladder import bound_options
 from repro.engines.pdr import PDREngine
-from repro.engines.registry import make_engine
-from repro.exprs import bv_const, bv_ne
+from repro.engines.registry import list_engines, make_engine
+from repro.exprs import bv_const, bv_eq, bv_ne, bv_ult, bv_xor
 from repro.netlist import TransitionSystem
 
 #: three safe suite designs plus daio, whose bug lies at cycle 64: all stay
@@ -162,3 +169,71 @@ def test_property_literal_cached_per_frame():
     second = encoder.property_literal("one_hot_grant", 0)
     assert first == second
     assert encoder.solver.solver.num_clauses == clauses_after
+
+
+#: properties that fold to a constant when blasted, and their verdicts
+CONSTANT_PROPERTIES = {
+    "tautology": Status.SAFE,  # xor(x, x) == 0
+    "contradiction": Status.UNSAFE,  # xor(x, i) != xor(i, x)
+    "below-zero": Status.UNSAFE,  # x <u 0
+}
+#: the runs that cannot decide: bmc and rsim prove nothing, absint refutes
+#: nothing
+UNDECIDED = {
+    ("tautology", "bmc"),
+    ("tautology", "rsim"),
+    ("contradiction", "absint"),
+    ("below-zero", "absint"),
+}
+
+
+def _constant_property(kind: str) -> TransitionSystem:
+    ts = TransitionSystem(kind)
+    i = ts.add_input("i", 4)
+    x = ts.add_state_var("x", 4, init=0)
+    ts.set_next("x", x + i)
+    ts.add_property(
+        "p",
+        {
+            "tautology": bv_eq(bv_xor(x, x), bv_const(0, 4)),
+            "contradiction": bv_ne(bv_xor(x, i), bv_xor(i, x)),
+            "below-zero": bv_ult(x, bv_const(0, 4)),
+        }[kind],
+    )
+    return ts
+
+
+def _constant_property_runs():
+    """Every engine but the forging oracle, on each representation it takes."""
+    for kind in CONSTANT_PROPERTIES:
+        for registration in list_engines():
+            if registration.name != "oracle":
+                for representation in registration.capabilities.representations:
+                    yield kind, registration.name, representation
+
+
+@pytest.mark.parametrize(
+    "kind, engine_name, representation", list(_constant_property_runs())
+)
+def test_a_property_that_folds_to_a_constant(kind, engine_name, representation):
+    """The property template's output is the constant itself (``±true_var``):
+    every engine that decides gives the design's verdict on its cone, as
+    the drivers run it, and the verdict validates on the whole design."""
+    system = _constant_property(kind)
+    cone = cone_of_influence(system, "p")
+    template = template_library(cone, representation).property_template("p")
+    assert template.true_var is not None
+    assert abs(template.output) == template.true_var
+    engine = make_engine(
+        engine_name,
+        cone,
+        ignore_unknown_options=True,
+        representation=representation,
+        **bound_options(8),
+    )
+    result = widen_witness(engine.verify("p", timeout=60), system)
+    if (kind, engine_name) in UNDECIDED:
+        assert result.status == Status.UNKNOWN
+    else:
+        assert result.status == CONSTANT_PROPERTIES[kind]
+        _assert_validates(system, result)
