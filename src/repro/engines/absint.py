@@ -4,6 +4,9 @@ The engine computes, per register, an unsigned interval enclosing all
 reachable values: starting from the (singleton) initial state it repeatedly
 evaluates the next-state functions in interval arithmetic, joins the result
 with the current intervals and widens from round :data:`WIDEN_AFTER` on.
+Each round is one call of the design's compiled interval step
+(:class:`IntervalStep`, the interval domain of :mod:`repro.netlist.step`):
+straight-line code with one transfer-function kernel per expression node.
 Widening alone makes the iteration terminate, so it has no round cap: it
 stops at a fixpoint, the only point where the box is inductive, or when the
 budget runs out (TIMEOUT).  Inputs are unconstrained (top).  If the safety
@@ -23,15 +26,16 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.certs import InductiveCertificate
 from repro.engines.base import Engine
 from repro.engines.encoding import flattened_cached
 from repro.engines.result import Budget, Status, VerificationResult
 from repro.exprs import TRUE, Expr, bv_const, bv_var, bool_and
-from repro.exprs.nodes import Const, Op, Var, mask
+from repro.exprs.nodes import Op, mask
 from repro.netlist import TransitionSystem
+from repro.netlist.step import StepCompiler, mapping, sequence
 from repro.records import Frozen
 
 #: rounds of plain joins before every round widens
@@ -84,245 +88,235 @@ class Interval(Frozen):
         return f"[{self.lo}, {self.hi}]#{self.width}"
 
 
-class IntervalEvaluator:
-    """Evaluates word-level expressions in interval arithmetic."""
+#: the 1-bit interval of a comparison that may go either way
+UNKNOWN = Interval(0, 1, 1)
 
-    def __init__(self, env: Dict[str, Interval]) -> None:
-        self.env = env
 
-    def eval(self, expr: Expr) -> Interval:
-        if isinstance(expr, Const):
-            return Interval.constant(expr.value, expr.width)
-        if isinstance(expr, Var):
-            found = self.env.get(expr.name)
-            if found is None:
-                return Interval.top(expr.width)
-            return found
-        assert isinstance(expr, Op)
-        handler = getattr(self, f"_eval_{expr.op}", None)
-        if handler is None:
-            return Interval.top(expr.width)
-        return handler(expr)
+def _bool(value: bool) -> Interval:
+    return Interval.constant(int(value), 1)
 
-    # -- helpers -----------------------------------------------------------
-    def _args(self, expr: Op) -> List[Interval]:
-        return [self.eval(arg) for arg in expr.args]
 
-    def _bool(self, value: Optional[bool]) -> Interval:
-        if value is None:
-            return Interval(0, 1, 1)
-        return Interval.constant(int(value), 1)
+# ---------------------------------------------------------------------------
+# the transfer functions: one kernel per operator, over evaluated arguments
+# ---------------------------------------------------------------------------
 
-    # -- arithmetic --------------------------------------------------------
-    def _eval_add(self, expr: Op) -> Interval:
-        a, b = self._args(expr)
-        if a.hi + b.hi <= mask(expr.width):
-            return Interval(a.lo + b.lo, a.hi + b.hi, expr.width)
-        return Interval.top(expr.width)
 
-    def _eval_sub(self, expr: Op) -> Interval:
-        a, b = self._args(expr)
-        if a.lo - b.hi >= 0:
-            return Interval(a.lo - b.hi, a.hi - b.lo, expr.width)
-        return Interval.top(expr.width)
+def _i_add(a: Interval, b: Interval, width: int) -> Interval:
+    if a.hi + b.hi <= mask(width):
+        return Interval(a.lo + b.lo, a.hi + b.hi, width)
+    return Interval.top(width)
 
-    def _eval_mul(self, expr: Op) -> Interval:
-        a, b = self._args(expr)
-        if a.hi * b.hi <= mask(expr.width):
-            return Interval(a.lo * b.lo, a.hi * b.hi, expr.width)
-        return Interval.top(expr.width)
 
-    def _eval_udiv(self, expr: Op) -> Interval:
-        a, b = self._args(expr)
-        if b.lo > 0:
-            return Interval(a.lo // b.hi, a.hi // b.lo, expr.width)
-        return Interval.top(expr.width)
+def _i_sub(a: Interval, b: Interval, width: int) -> Interval:
+    if a.lo - b.hi >= 0:
+        return Interval(a.lo - b.hi, a.hi - b.lo, width)
+    return Interval.top(width)
 
-    def _eval_urem(self, expr: Op) -> Interval:
-        a, b = self._args(expr)
-        if b.lo > 0:
-            return Interval(0, min(a.hi, b.hi - 1), expr.width)
-        return Interval(0, a.hi, expr.width)
 
-    def _eval_neg(self, expr: Op) -> Interval:
-        (a,) = self._args(expr)
-        if a.is_constant:
-            return Interval.constant(-a.lo, expr.width)
-        return Interval.top(expr.width)
+def _i_mul(a: Interval, b: Interval, width: int) -> Interval:
+    if a.hi * b.hi <= mask(width):
+        return Interval(a.lo * b.lo, a.hi * b.hi, width)
+    return Interval.top(width)
 
-    # -- bitwise -----------------------------------------------------------
-    def _eval_and(self, expr: Op) -> Interval:
-        a, b = self._args(expr)
-        if a.is_constant and b.is_constant:
-            return Interval.constant(a.lo & b.lo, expr.width)
-        return Interval(0, min(a.hi, b.hi), expr.width)
 
-    def _eval_or(self, expr: Op) -> Interval:
-        a, b = self._args(expr)
-        if a.is_constant and b.is_constant:
-            return Interval.constant(a.lo | b.lo, expr.width)
-        upper_bits = max(a.hi, b.hi).bit_length()
-        return Interval(max(a.lo, b.lo), min(mask(expr.width), (1 << upper_bits) - 1), expr.width)
+def _i_udiv(a: Interval, b: Interval, width: int) -> Interval:
+    if b.lo > 0:
+        return Interval(a.lo // b.hi, a.hi // b.lo, width)
+    return Interval.top(width)
 
-    def _eval_xor(self, expr: Op) -> Interval:
-        a, b = self._args(expr)
-        if a.is_constant and b.is_constant:
-            return Interval.constant(a.lo ^ b.lo, expr.width)
-        upper_bits = max(a.hi, b.hi).bit_length()
-        return Interval(0, min(mask(expr.width), (1 << upper_bits) - 1), expr.width)
 
-    def _eval_not(self, expr: Op) -> Interval:
-        (a,) = self._args(expr)
-        return Interval(mask(expr.width) - a.hi, mask(expr.width) - a.lo, expr.width)
+def _i_urem(a: Interval, b: Interval, width: int) -> Interval:
+    if b.lo > 0:
+        return Interval(0, min(a.hi, b.hi - 1), width)
+    return Interval(0, a.hi, width)
 
-    def _eval_xnor(self, expr: Op) -> Interval:
-        return Interval.top(expr.width)
 
-    def _eval_nand(self, expr: Op) -> Interval:
-        return Interval.top(expr.width)
+def _i_neg(a: Interval, width: int) -> Interval:
+    if a.is_constant:
+        return Interval.constant(-a.lo, width)
+    return Interval.top(width)
 
-    def _eval_nor(self, expr: Op) -> Interval:
-        return Interval.top(expr.width)
 
-    # -- shifts -----------------------------------------------------------
-    def _eval_shl(self, expr: Op) -> Interval:
-        a, b = self._args(expr)
-        if b.is_constant:
-            shift = b.lo
-            if shift >= expr.width:
-                return Interval.constant(0, expr.width)
-            if a.hi << shift <= mask(expr.width):
-                return Interval(a.lo << shift, a.hi << shift, expr.width)
-        return Interval.top(expr.width)
+def _i_and(a: Interval, b: Interval, width: int) -> Interval:
+    if a.is_constant and b.is_constant:
+        return Interval.constant(a.lo & b.lo, width)
+    return Interval(0, min(a.hi, b.hi), width)
 
-    def _eval_lshr(self, expr: Op) -> Interval:
-        a, b = self._args(expr)
-        if b.is_constant:
-            shift = b.lo
-            if shift >= expr.width:
-                return Interval.constant(0, expr.width)
-            return Interval(a.lo >> shift, a.hi >> shift, expr.width)
-        return Interval(0, a.hi, expr.width)
 
-    def _eval_ashr(self, expr: Op) -> Interval:
-        return Interval.top(expr.width)
+def _i_or(a: Interval, b: Interval, width: int) -> Interval:
+    if a.is_constant and b.is_constant:
+        return Interval.constant(a.lo | b.lo, width)
+    upper_bits = max(a.hi, b.hi).bit_length()
+    return Interval(max(a.lo, b.lo), min(mask(width), (1 << upper_bits) - 1), width)
 
-    # -- comparisons --------------------------------------------------------
-    def _eval_eq(self, expr: Op) -> Interval:
-        a, b = self._args(expr)
-        if a.is_constant and b.is_constant:
-            return self._bool(a.lo == b.lo)
-        if a.hi < b.lo or b.hi < a.lo:
-            return self._bool(False)
-        return self._bool(None)
 
-    def _eval_ne(self, expr: Op) -> Interval:
-        inner = self._eval_eq(expr)
-        if inner.is_constant:
-            return self._bool(not bool(inner.lo))
-        return self._bool(None)
+def _i_xor(a: Interval, b: Interval, width: int) -> Interval:
+    if a.is_constant and b.is_constant:
+        return Interval.constant(a.lo ^ b.lo, width)
+    upper_bits = max(a.hi, b.hi).bit_length()
+    return Interval(0, min(mask(width), (1 << upper_bits) - 1), width)
 
-    def _eval_ult(self, expr: Op) -> Interval:
-        a, b = self._args(expr)
-        if a.hi < b.lo:
-            return self._bool(True)
-        if a.lo >= b.hi:
-            return self._bool(False)
-        return self._bool(None)
 
-    def _eval_ule(self, expr: Op) -> Interval:
-        a, b = self._args(expr)
-        if a.hi <= b.lo:
-            return self._bool(True)
-        if a.lo > b.hi:
-            return self._bool(False)
-        return self._bool(None)
+def _i_not(a: Interval, width: int) -> Interval:
+    return Interval(mask(width) - a.hi, mask(width) - a.lo, width)
 
-    def _eval_ugt(self, expr: Op) -> Interval:
-        inner = self._eval_ule(expr)
-        if inner.is_constant:
-            return self._bool(not bool(inner.lo))
-        return self._bool(None)
 
-    def _eval_uge(self, expr: Op) -> Interval:
-        inner = self._eval_ult(expr)
-        if inner.is_constant:
-            return self._bool(not bool(inner.lo))
-        return self._bool(None)
+def _i_shl(a: Interval, b: Interval, width: int) -> Interval:
+    if b.is_constant:
+        shift = b.lo
+        if shift >= width:
+            return Interval.constant(0, width)
+        if a.hi << shift <= mask(width):
+            return Interval(a.lo << shift, a.hi << shift, width)
+    return Interval.top(width)
 
-    def _eval_slt(self, expr: Op) -> Interval:
-        return self._bool(None)
 
-    def _eval_sle(self, expr: Op) -> Interval:
-        return self._bool(None)
+def _i_lshr(a: Interval, b: Interval, width: int) -> Interval:
+    if b.is_constant:
+        shift = b.lo
+        if shift >= width:
+            return Interval.constant(0, width)
+        return Interval(a.lo >> shift, a.hi >> shift, width)
+    return Interval(0, a.hi, width)
 
-    def _eval_sgt(self, expr: Op) -> Interval:
-        return self._bool(None)
 
-    def _eval_sge(self, expr: Op) -> Interval:
-        return self._bool(None)
+def _i_eq(a: Interval, b: Interval) -> Interval:
+    if a.is_constant and b.is_constant:
+        return _bool(a.lo == b.lo)
+    if a.hi < b.lo or b.hi < a.lo:
+        return _bool(False)
+    return UNKNOWN
 
-    # -- reductions ---------------------------------------------------------
-    def _eval_redand(self, expr: Op) -> Interval:
-        (a,) = self._args(expr)
-        operand_width = expr.args[0].width
-        if a.is_constant:
-            return self._bool(a.lo == mask(operand_width))
-        if a.hi < mask(operand_width):
-            return self._bool(False)
-        return self._bool(None)
 
-    def _eval_redor(self, expr: Op) -> Interval:
-        (a,) = self._args(expr)
-        if a.is_constant:
-            return self._bool(a.lo != 0)
-        if a.lo > 0:
-            return self._bool(True)
-        return self._bool(None)
+def _i_ult(a: Interval, b: Interval) -> Interval:
+    if a.hi < b.lo:
+        return _bool(True)
+    if a.lo >= b.hi:
+        return _bool(False)
+    return UNKNOWN
 
-    def _eval_redxor(self, expr: Op) -> Interval:
-        (a,) = self._args(expr)
-        if a.is_constant:
-            return self._bool(bool(bin(a.lo).count("1") & 1))
-        return self._bool(None)
 
-    # -- structural -----------------------------------------------------------
-    def _eval_concat(self, expr: Op) -> Interval:
-        intervals = self._args(expr)
-        if all(i.is_constant for i in intervals):
-            value = 0
-            for interval, arg in zip(intervals, expr.args):
-                value = (value << arg.width) | interval.lo
-            return Interval.constant(value, expr.width)
-        return Interval.top(expr.width)
+def _i_ule(a: Interval, b: Interval) -> Interval:
+    if a.hi <= b.lo:
+        return _bool(True)
+    if a.lo > b.hi:
+        return _bool(False)
+    return UNKNOWN
 
-    def _eval_extract(self, expr: Op) -> Interval:
-        hi, lo = expr.params
-        (a,) = self._args(expr)
-        if a.is_constant:
-            return Interval.constant((a.lo >> lo) & mask(hi - lo + 1), expr.width)
-        if lo == 0 and a.hi <= mask(hi - lo + 1):
-            return Interval(a.lo, a.hi, expr.width)
-        return Interval.top(expr.width)
 
-    def _eval_zext(self, expr: Op) -> Interval:
-        (a,) = self._args(expr)
-        return Interval(a.lo, a.hi, expr.width)
+def _i_ne(a: Interval, b: Interval) -> Interval:
+    return _i_not(_i_eq(a, b), 1)
 
-    def _eval_sext(self, expr: Op) -> Interval:
-        (a,) = self._args(expr)
-        inner_width = expr.args[0].width
-        if a.hi < (1 << (inner_width - 1)):
-            return Interval(a.lo, a.hi, expr.width)
-        return Interval.top(expr.width)
 
-    def _eval_ite(self, expr: Op) -> Interval:
-        condition = self.eval(expr.args[0])
-        then_interval = self.eval(expr.args[1])
-        else_interval = self.eval(expr.args[2])
-        if condition.is_constant:
-            return then_interval if condition.lo else else_interval
-        return then_interval.join(else_interval)
+def _i_ugt(a: Interval, b: Interval) -> Interval:
+    return _i_not(_i_ule(a, b), 1)
+
+
+def _i_uge(a: Interval, b: Interval) -> Interval:
+    return _i_not(_i_ult(a, b), 1)
+
+
+def _i_redand(a: Interval, operand_width: int) -> Interval:
+    full = mask(operand_width)
+    if a.is_constant:
+        return _bool(a.lo == full)
+    if a.hi < full:
+        return _bool(False)
+    return UNKNOWN
+
+
+def _i_redor(a: Interval) -> Interval:
+    if a.is_constant:
+        return _bool(a.lo != 0)
+    if a.lo > 0:
+        return _bool(True)
+    return UNKNOWN
+
+
+def _i_redxor(a: Interval) -> Interval:
+    if a.is_constant:
+        return _bool(bool(bin(a.lo).count("1") & 1))
+    return UNKNOWN
+
+
+def _i_concat(parts: Tuple[Interval, ...], widths: Tuple[int, ...], width: int) -> Interval:
+    if all(part.is_constant for part in parts):
+        value = 0
+        for part, part_width in zip(parts, widths):
+            value = (value << part_width) | part.lo
+        return Interval.constant(value, width)
+    return Interval.top(width)
+
+
+def _i_extract(a: Interval, lo: int, width: int) -> Interval:
+    if a.is_constant:
+        return Interval.constant((a.lo >> lo) & mask(width), width)
+    if lo == 0 and a.hi <= mask(width):
+        return Interval(a.lo, a.hi, width)
+    return Interval.top(width)
+
+
+def _i_zext(a: Interval, width: int) -> Interval:
+    return Interval(a.lo, a.hi, width)
+
+
+def _i_sext(a: Interval, inner_width: int, width: int) -> Interval:
+    if a.hi < (1 << (inner_width - 1)):
+        return Interval(a.lo, a.hi, width)
+    return Interval.top(width)
+
+
+def _i_ite(condition: Interval, then_interval: Interval, else_interval: Interval) -> Interval:
+    if condition.is_constant:
+        return then_interval if condition.lo else else_interval
+    return then_interval.join(else_interval)
+
+
+#: operators whose interval is always top (``top``) or, for the signed
+#: comparisons, unknown; each other operator has its ``_i_`` kernel
+_TOP = frozenset({"xnor", "nand", "nor", "ashr"})
+_SIGNED_COMPARE = frozenset({"slt", "sle", "sgt", "sge"})
+#: kernels that take no result width
+_WIDTHLESS = frozenset(
+    {"eq", "ne", "ult", "ule", "ugt", "uge", "redand", "redor", "redxor", "ite"}
+)
+
+
+class IntervalStep(StepCompiler):
+    """The interval domain: the post image of a box of unsigned intervals.
+
+    The step is ``_step(S, I)`` over the register and input intervals, and
+    returns the next-state intervals and the property intervals by name.
+    Each operator is one kernel call with its widths and parameters fixed
+    at compile time.
+    """
+
+    tag = "absint"
+    kernels = {name: value for name, value in globals().items() if name.startswith("_i_")}
+
+    def constant(self, value: int, width: int) -> str:
+        return self.hoist(Interval.constant(value, width))
+
+    def operator(self, node: Op, args: List[str]) -> str:
+        op = node.op
+        width = node.width
+        if op in _TOP:
+            return self._bind(self.hoist(Interval.top(width)))
+        if op in _SIGNED_COMPARE:
+            return self._bind(self.hoist(UNKNOWN))
+        if op == "concat":
+            args = [sequence(args), repr(tuple(arg.width for arg in node.args))]
+        elif op == "extract":
+            args = [*args, str(node.params[1])]  # the low bit
+        elif op in ("sext", "redand"):
+            args = [*args, str(node.args[0].width)]  # the operand's width
+        if op not in _WIDTHLESS:
+            args = [*args, str(width)]
+        return self._bind(f"_i_{op}({', '.join(args)})")
+
+    def returns(self) -> str:
+        next_state = {name: self.emit(expr) for name, expr in self.system.next.items()}
+        return f"{mapping(next_state)}, {mapping(self.properties())}"
 
 
 class AbstractInterpretationEngine(Engine):
@@ -349,6 +343,8 @@ class AbstractInterpretationEngine(Engine):
         """
         from repro.exprs import evaluate
 
+        step = IntervalStep.step_for(self.flat)
+        inputs = self._inputs()
         intervals: Dict[str, Interval] = {
             name: Interval.constant(evaluate(self.flat.init[name], {}), width)
             for name, width in self.flat.state_vars.items()
@@ -356,14 +352,9 @@ class AbstractInterpretationEngine(Engine):
         for iteration in itertools.count():
             if budget is not None and budget.expired():
                 break
-            env: Dict[str, Interval] = dict(intervals)
-            for name, width in self.flat.inputs.items():
-                env[name] = Interval.top(width)
-            evaluator = IntervalEvaluator(env)
             new_intervals: Dict[str, Interval] = {}
             changed = False
-            for name, next_expr in self.flat.next.items():
-                post = evaluator.eval(next_expr)
+            for name, post in step(intervals, inputs)[0].items():
                 joined = intervals[name].join(post)
                 if iteration >= WIDEN_AFTER:
                     joined = intervals[name].widen(joined)
@@ -374,6 +365,10 @@ class AbstractInterpretationEngine(Engine):
             if not changed:
                 break
         return intervals
+
+    def _inputs(self) -> Dict[str, Interval]:
+        """Inputs are unconstrained: each is top."""
+        return {name: Interval.top(width) for name, width in self.flat.inputs.items()}
 
     def invariant_exprs(self, intervals: Dict[str, Interval]) -> List[Expr]:
         """Turn non-trivial intervals into word-level invariant expressions."""
@@ -399,11 +394,8 @@ class AbstractInterpretationEngine(Engine):
             return VerificationResult(
                 Status.TIMEOUT, self.name, property_name, runtime=budget.elapsed()
             )
-        env: Dict[str, Interval] = dict(intervals)
-        for name, width in self.flat.inputs.items():
-            env[name] = Interval.top(width)
-        prop = self.flat.property_by_name(property_name)
-        verdict = IntervalEvaluator(env).eval(prop.expr)
+        step = IntervalStep.step_for(self.flat)
+        verdict = step(intervals, self._inputs())[1][property_name]
         runtime = time.monotonic() - start
         detail = {
             "intervals": {name: (iv.lo, iv.hi) for name, iv in intervals.items()},

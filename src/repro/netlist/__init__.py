@@ -2,8 +2,9 @@
 
 The transition system is the central intermediate representation of the tool
 flow: the Verilog synthesizer produces it, the bit-level flow bit-blasts it to
-an AIG, the scalar and the packed simulator each compile their step function
-from it, and the verification engines analyse it directly.
+an AIG, one step compiler (:mod:`repro.netlist.step`) turns it into the
+scalar, packed and interval step functions, and the verification engines
+analyse it directly.
 """
 
 from repro.netlist.transition import (

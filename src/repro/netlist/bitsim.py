@@ -11,10 +11,10 @@ the per-design step function is emitted once as straight-line Python source
 (no per-node dispatch, common subexpressions bound to temporaries) and
 ``compile()``d.
 
-The packed step is compiled from the :class:`TransitionSystem` the same way
-the scalar step is: each wire is emitted on first use (a wire that reaches
-itself is a combinational cycle), and the first property of a name answers
-for it.
+The packed step is the packed domain (:class:`PackedStep`) of the step
+compiler in :mod:`repro.netlist.step`, so it reads the
+:class:`TransitionSystem` exactly as the scalar step does, and it is
+compiled once per design and lane count.
 
 Lowering follows the classic bit-parallel recipes: ripple carry/borrow for
 add/sub/compares, shift-and-add multiplication, barrel shifters muxed on the
@@ -30,12 +30,13 @@ answer.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exprs import evaluate
-from repro.exprs.nodes import Const, Expr, Op, Var, mask, to_unsigned
+from repro.exprs.nodes import Const, Op, mask, to_unsigned
 from repro.netlist.simulate import Simulator
-from repro.netlist.transition import TransitionSystem, TransitionSystemError
+from repro.netlist.step import StepCompiler, mapping, sequence
+from repro.netlist.transition import TransitionSystem
 
 #: a packed value: one int per bit of the signal, lane ``i`` at bit ``1 << i``
 Planes = Tuple[int, ...]
@@ -309,40 +310,8 @@ def _p_ite(c: Planes, t: Planes, e: Planes, m: int) -> Planes:
     return _p_mux(c[0], t, e, m)
 
 
-#: globals visible to the generated step function
-_STEP_GLOBALS = {
-    "_p_not": _p_not,
-    "_p_and": _p_and,
-    "_p_or": _p_or,
-    "_p_xor": _p_xor,
-    "_p_xnor": _p_xnor,
-    "_p_nand": _p_nand,
-    "_p_nor": _p_nor,
-    "_p_add": _p_add,
-    "_p_sub": _p_sub,
-    "_p_neg": _p_neg,
-    "_p_mul": _p_mul,
-    "_p_udiv": _p_udiv,
-    "_p_urem": _p_urem,
-    "_p_shl": _p_shl,
-    "_p_lshr": _p_lshr,
-    "_p_ashr": _p_ashr,
-    "_p_eq": _p_eq,
-    "_p_ne": _p_ne,
-    "_p_ult": _p_ult,
-    "_p_ule": _p_ule,
-    "_p_ugt": _p_ugt,
-    "_p_uge": _p_uge,
-    "_p_slt": _p_slt,
-    "_p_sle": _p_sle,
-    "_p_sgt": _p_sgt,
-    "_p_sge": _p_sge,
-    "_p_redand": _p_redand,
-    "_p_redor": _p_redor,
-    "_p_redxor": _p_redxor,
-    "_p_ite": _p_ite,
-}
-
+#: the kernels the generated step calls
+_KERNELS = {name: value for name, value in globals().items() if name.startswith("_p_")}
 
 #: operators lowered to ``_p_<op>(a, b)`` and to ``_p_<op>(a, b, M)``
 _BINARY_PLAIN = ("and", "or", "xor", "ne")
@@ -353,121 +322,60 @@ _BINARY_MASKED = (
 
 
 # ---------------------------------------------------------------------------
-# per-design step compilation
+# the packed domain of the step compiler
 # ---------------------------------------------------------------------------
 
 
-class _StepCompiler:
-    """Emits the straight-line packed step function of one design.
+class PackedStep(StepCompiler):
+    """The packed domain: bit planes of ``lane_mask``'s lanes.
 
-    The function is ``_step(S, I)`` over the packed state and input
-    mappings, and returns the packed next state, the property planes by
-    name and the constraint planes.  It reads the design as the scalar
-    :class:`repro.netlist.simulate._StepCompiler` does: a wire is emitted
-    where it is first used, a wire that reaches itself is a combinational
-    cycle, and the first property of a name answers for it.
-
-    Shared subtrees are bound to one temporary (memoized by node identity),
-    constants are broadcast once at compile time, and width-changing operators
-    (extract/zext/sext/concat, constant shifts) become tuple-slicing literals
-    — the generated function contains no expression-tree dispatch at all.
+    The step is ``_step(S, I)`` over the packed state and input mappings,
+    and returns the packed next state, the property planes by name and the
+    constraint planes.  Constants are broadcast once at compile time, and
+    width-changing operators (extract/zext/sext/concat, constant shifts)
+    become tuple-slicing literals — the generated function contains no
+    expression-tree dispatch at all.
     """
 
+    tag = "bitsim"
+    kernels = _KERNELS
+
     def __init__(self, system: TransitionSystem, lane_mask: int) -> None:
-        self.system = system
+        super().__init__(system)
         self.m = lane_mask
-        self.lines: List[str] = []
-        self.temps: Dict[int, str] = {}
-        self.signals: Dict[str, str] = {}  # signal name -> bound temp
-        self.resolving: Set[str] = set()
-        self.consts: Dict[Tuple[int, int], str] = {}
-        self.globals: Dict[str, object] = dict(_STEP_GLOBALS)
-        self.globals["M"] = lane_mask
-        self.counter = 0
+        self.namespace["M"] = lane_mask
 
-    def fresh(self) -> str:
-        self.counter += 1
-        return f"t{self.counter}"
+    def constant(self, value: int, width: int) -> str:
+        return self.hoist(broadcast(value, width, self.m))
 
-    def const_name(self, value: int, width: int) -> str:
-        key = (value, width)
-        if key not in self.consts:
-            name = f"K{len(self.consts)}"
-            self.consts[key] = name
-            self.globals[name] = broadcast(value, width, self.m)
-        return self.consts[key]
-
-    def emit(self, expr: Expr) -> str:
-        key = id(expr)
-        if key in self.temps:
-            return self.temps[key]
-        name = self._emit_node(expr)
-        self.temps[key] = name
-        return name
-
-    def _bind(self, code: str) -> str:
-        name = self.fresh()
-        self.lines.append(f"    {name} = {code}")
-        return name
-
-    def _signal(self, name: str) -> str:
-        temp = self.signals.get(name)
-        if temp is not None:
-            return temp
-        if name not in self.system.wires:
-            raise TransitionSystemError(f"expression refers to undeclared signal {name!r}")
-        if name in self.resolving:
-            raise TransitionSystemError(
-                f"combinational cycle through wires: {sorted(self.resolving)}"
-            )
-        self.resolving.add(name)
-        temp = self.signals[name] = self.emit(self.system.wires[name])
-        self.resolving.discard(name)
-        return temp
-
-    def _emit_node(self, node: Expr) -> str:
-        if isinstance(node, Const):
-            return self.const_name(node.value, node.width)
-        if isinstance(node, Var):
-            return self._signal(node.name)
-        assert isinstance(node, Op)
+    def operator(self, node: Op, args: List[str]) -> str:
         op = node.op
-        args = node.args
         if op in _BINARY_PLAIN:
-            return self._bind(f"_p_{op}({self.emit(args[0])}, {self.emit(args[1])})")
-        if op in ("shl", "lshr", "ashr") and isinstance(args[1], Const):
-            return self._static_shift(op, args[0], args[1].value)
+            return self._bind(f"_p_{op}({args[0]}, {args[1]})")
+        if op in ("shl", "lshr", "ashr") and isinstance(node.args[1], Const):
+            return self._static_shift(op, args[0], node.width, node.args[1].value)
         if op in _BINARY_MASKED:
-            return self._bind(
-                f"_p_{op}({self.emit(args[0])}, {self.emit(args[1])}, M)"
-            )
+            return self._bind(f"_p_{op}({args[0]}, {args[1]}, M)")
         if op in ("not", "neg", "redand"):
-            return self._bind(f"_p_{op}({self.emit(args[0])}, M)")
+            return self._bind(f"_p_{op}({args[0]}, M)")
         if op in ("redor", "redxor"):
-            return self._bind(f"_p_{op}({self.emit(args[0])})")
+            return self._bind(f"_p_{op}({args[0]})")
         if op == "concat":
-            parts = [self.emit(arg) for arg in reversed(args)]
-            return self._bind(" + ".join(parts))
+            return self._bind(" + ".join(reversed(args)))
         if op == "extract":
             hi, lo = node.params
-            return self._bind(f"{self.emit(args[0])}[{lo}:{hi + 1}]")
+            return self._bind(f"{args[0]}[{lo}:{hi + 1}]")
         if op == "zext":
-            extra = node.width - args[0].width
-            return self._bind(f"{self.emit(args[0])} + {(0,) * extra!r}")
+            extra = node.width - node.args[0].width
+            return self._bind(f"{args[0]} + {(0,) * extra!r}")
         if op == "sext":
-            extra = node.width - args[0].width
-            inner = self.emit(args[0])
-            return self._bind(f"{inner} + ({inner}[-1],) * {extra}")
+            extra = node.width - node.args[0].width
+            return self._bind(f"{args[0]} + ({args[0]}[-1],) * {extra}")
         if op == "ite":
-            return self._bind(
-                f"_p_ite({self.emit(args[0])}, {self.emit(args[1])}, "
-                f"{self.emit(args[2])}, M)"
-            )
+            return self._bind(f"_p_ite({args[0]}, {args[1]}, {args[2]}, M)")
         raise ValueError(f"cannot compile operator {op!r}")  # pragma: no cover
 
-    def _static_shift(self, op: str, operand: Expr, amount: int) -> str:
-        width = operand.width
-        inner = self.emit(operand)
+    def _static_shift(self, op: str, inner: str, width: int, amount: int) -> str:
         if op == "shl":
             if amount >= width:
                 return self._bind(f"{(0,) * width!r}")
@@ -480,34 +388,12 @@ class _StepCompiler:
         fill = min(amount, width)
         return self._bind(f"{inner}[{fill}:] + ({inner}[-1],) * {fill}")
 
-    def compile(self) -> Callable:
+    def returns(self) -> str:
         system = self.system
-        self.lines.append("def _step(S, I):")
-        for name in system.state_vars:
-            self.signals[name] = self._bind(f"S[{name!r}]")
-        for name in system.inputs:
-            self.signals[name] = self._bind(f"I[{name!r}]")
-        next_temps = {name: self.emit(system.next[name]) for name in system.state_vars}
-        prop_temps: Dict[str, str] = {}
-        for prop in system.properties:
-            # the first property of a name answers for it, as in property_by_name
-            if prop.name not in prop_temps:
-                prop_temps[prop.name] = self.emit(prop.expr)
-        cons_temps = [self.emit(expr) for expr in system.constraints]
-        next_code = ", ".join(f"{n!r}: {t}" for n, t in next_temps.items())
-        prop_code = ", ".join(f"{n!r}: {t}" for n, t in prop_temps.items())
-        cons_code = ", ".join(cons_temps)
-        if cons_temps:
-            cons_code += ","
-        self.lines.append(f"    return {{{next_code}}}, {{{prop_code}}}, ({cons_code})")
-        source = "\n".join(self.lines)
-        namespace: Dict[str, object] = {}
-        exec(  # noqa: S102 - compiling our own generated step function
-            compile(source, f"<bitsim:{system.name}>", "exec"), self.globals, namespace
-        )
-        step = namespace["_step"]
-        step._source = source  # kept for debugging and tests
-        return step
+        next_state = {name: self.emit(system.next[name]) for name in system.state_vars}
+        properties = self.properties()
+        constraints = [self.emit(expr) for expr in system.constraints]
+        return f"{mapping(next_state)}, {mapping(properties)}, {sequence(constraints)}"
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +478,7 @@ class PackedSimulator:
             name: broadcast(evaluate(expr, {}), system.state_vars[name], self.mask)
             for name, expr in system.init.items()
         }
-        self._step_fn = _StepCompiler(system, self.mask).compile()
+        self._step_fn = PackedStep.step_for(system, self.mask)
         self.reset()
 
     # ------------------------------------------------------------------

@@ -3,14 +3,12 @@
 The simulator is the executable reference semantics of the word-level
 netlist.  Every clock cycle runs through one straight-line Python function
 that is generated from the design and ``compile()``d once per design: the
-step function of the paper's v2c flow (Section III.A) and the scalar twin of
-the packed tier's :class:`repro.netlist.bitsim._StepCompiler`.  Both
-compilers read the :class:`TransitionSystem` the same way: a wire is emitted
-where it is first used (a wire that reaches itself is a combinational
-cycle), and the first property of a name answers for it.  The step has one
-local per expression DAG node (shared subterms are bound once, by node
-identity) and masks and constants inlined; it returns the cycle's wire,
-property and constraint values and the next state in one pass.
+scalar domain (:class:`ScalarStep`) of the step compiler in
+:mod:`repro.netlist.step`, which reads the :class:`TransitionSystem` the
+same way for the packed and the interval domain.  The step has one local
+per expression DAG node (shared subterms are bound once, by node identity)
+and masks and constants inlined; it returns the cycle's wire, property and
+constraint values and the next state in one pass.
 :func:`repro.exprs.evaluate` stays the reference model the compiled step is
 tested against.
 
@@ -29,13 +27,11 @@ current cycle and moves to the next, so each trace is walked once.
 
 from __future__ import annotations
 
-import os
-import threading
-import weakref
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exprs import evaluate
-from repro.exprs.nodes import Const, Expr, Op, Var, mask
+from repro.exprs.nodes import Const, Op, mask
+from repro.netlist.step import StepCompiler, mapping, sequence
 from repro.netlist.transition import TransitionSystem, TransitionSystemError
 
 
@@ -170,7 +166,7 @@ class Simulator:
         """The values of the current cycle; the simulator stays in it."""
         step = self._step
         if step is None:
-            step = self._step = _step_for(self.system)
+            step = self._step = ScalarStep.step_for(self.system)
         return step(self.cycle, self._state, _NO_INPUTS if inputs is None else inputs)
 
     def advance(self, inputs: Optional[Mapping[str, int]] = None) -> CycleValues:
@@ -222,7 +218,7 @@ def replay(system: TransitionSystem, input_sequence: Sequence[Mapping[str, int]]
 
 
 # ---------------------------------------------------------------------------
-# the compiled step, one per design
+# the scalar domain of the step compiler
 # ---------------------------------------------------------------------------
 
 _BITWISE = {"and": "&", "or": "|", "xor": "^"}
@@ -235,11 +231,11 @@ _SIGNED_COMPARE = {"slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
 _CONCAT_CHUNK = 64
 
 
-class _StepCompiler:
-    """Emits the straight-line scalar step function of one design.
+class ScalarStep(StepCompiler):
+    """The scalar domain: Python ints, masks and constants inlined.
 
-    The function is ``_step(cycle, S, I)`` over the cycle number and the
-    state and input mappings, and returns the cycle's :class:`CycleValues`.
+    The step is ``_step(cycle, S, I)`` over the cycle number and the state
+    and input mappings, and returns the cycle's :class:`CycleValues`.
     Every value it computes is an unsigned int below ``2**width``, the
     invariant :func:`repro.exprs.evaluate` keeps, so only the operators that
     can leave that range are masked.  Both arms of an ``ite`` are computed,
@@ -248,55 +244,17 @@ class _StepCompiler:
     never builds a huge int.
     """
 
-    def __init__(self, system: TransitionSystem) -> None:
-        self.system = system
-        self.widths = system.signal_widths()
-        self.lines: List[str] = ["def _step(cycle, S, I):"]
-        #: id(node) -> the local (or literal) holding its value
-        self.atoms: Dict[int, str] = {}
-        #: signal name -> the local (or literal) holding its value
-        self.signals: Dict[str, str] = {}
-        self.resolving: Set[str] = set()
+    params = "cycle, S, I"
+    read_input = "I.get({name!r}, 0) & {mask}"
+    tag = "simulate"
+    kernels = {"CycleValues": CycleValues}
 
-    def _bind(self, code: str) -> str:
-        local = f"t{len(self.lines)}"
-        self.lines.append(f"    {local} = {code}")
-        return local
+    def constant(self, value: int, width: int) -> str:
+        return str(value)
 
-    def emit(self, node: Expr) -> str:
-        key = id(node)
-        atom = self.atoms.get(key)
-        if atom is None:
-            atom = self.atoms[key] = self._emit(node)
-        return atom
-
-    def _signal(self, name: str) -> str:
-        atom = self.signals.get(name)
-        if atom is not None:
-            return atom
-        if name not in self.system.wires:
-            raise TransitionSystemError(f"expression refers to undeclared signal {name!r}")
-        if name in self.resolving:
-            raise TransitionSystemError(
-                f"combinational cycle through wires: {sorted(self.resolving)}"
-            )
-        self.resolving.add(name)
-        atom = self.signals[name] = self.emit(self.system.wires[name])
-        self.resolving.discard(name)
-        return atom
-
-    def _emit(self, node: Expr) -> str:
-        if isinstance(node, Const):
-            return str(node.value)
-        if isinstance(node, Var):
-            atom = self._signal(node.name)
-            if node.width != self.widths[node.name]:
-                return self._bind(f"{atom} & {mask(node.width)}")
-            return atom
-        assert isinstance(node, Op)
+    def operator(self, node: Op, args: List[str]) -> str:
         op = node.op
         width = node.width
-        args = [self.emit(arg) for arg in node.args]
         a = args[0]
         b = args[1] if len(args) > 1 else None
         operand_mask = mask(node.args[0].width)
@@ -375,27 +333,12 @@ class _StepCompiler:
             return self._bind(shifted if amount.value < width else "0")
         return self._bind(f"{shifted} if {b} < {width} else 0")
 
-    def compile(self) -> Callable:
+    def returns(self) -> str:
         system = self.system
-        for index, name in enumerate(system.state_vars):
-            self.signals[name] = f"s{index}"
-            self.lines.append(f"    s{index} = S[{name!r}]")
-        for index, (name, width) in enumerate(system.inputs.items()):
-            self.signals[name] = f"i{index}"
-            self.lines.append(f"    i{index} = I.get({name!r}, 0) & {mask(width)}")
-        wires = {name: self._signal(name) for name in system.wires}
-        properties: Dict[str, str] = {}
-        for prop in system.properties:
-            # the first property of a name answers for it, as in property_by_name
-            if prop.name not in properties:
-                properties[prop.name] = self.emit(prop.expr)
+        wires = {name: self.signal(name) for name in system.wires}
+        properties = self.properties()
         constraints = [self.emit(expr) for expr in system.constraints]
         next_state = {name: self.emit(expr) for name, expr in system.next.items()}
-
-        def mapping(atoms: Mapping[str, str]) -> str:
-            items = ", ".join(f"{name!r}: {atom}" for name, atom in atoms.items())
-            return "{" + items + "}"
-
         cycle_inputs = {name: self.signals[name] for name in system.inputs}
         results = [
             "cycle",
@@ -403,49 +346,7 @@ class _StepCompiler:
             mapping(cycle_inputs),
             mapping(wires),
             mapping(properties),
-            "(" + "".join(f"{atom}, " for atom in constraints) + ")",
+            sequence(constraints),
             mapping(next_state),
         ]
-        self.lines.append(f"    return CycleValues({', '.join(results)})")
-        source = "\n".join(self.lines)
-        namespace: Dict[str, object] = {}
-        exec(  # noqa: S102 - compiling our own generated step function
-            compile(source, f"<simulate:{system.name}>", "exec"),
-            {"CycleValues": CycleValues},
-            namespace,
-        )
-        step = namespace["_step"]
-        step._source = source  # kept for debugging
-        return step
-
-
-#: system -> (fingerprint, compiled step); weak keys so designs built on the
-#: fly do not accumulate, and the step holds no reference to its system
-_STEPS: "weakref.WeakKeyDictionary[TransitionSystem, Tuple[int, Callable]]" = (
-    weakref.WeakKeyDictionary()
-)
-_STEPS_LOCK = threading.Lock()
-
-
-def _step_for(system: TransitionSystem) -> Callable:
-    """Return (compiling if needed) the step function of a design.
-
-    Checked against :meth:`TransitionSystem.fingerprint`, so a design
-    mutated in place gets a new step.
-    """
-    fingerprint = system.fingerprint()
-    with _STEPS_LOCK:
-        entry = _STEPS.get(system)
-        if entry is None or entry[0] != fingerprint:
-            entry = _STEPS[system] = (fingerprint, _StepCompiler(system).compile())
-        return entry[1]
-
-
-def _forget_steps() -> None:
-    """A forked child starts afresh: a parent thread may hold the lock."""
-    global _STEPS, _STEPS_LOCK
-    _STEPS = weakref.WeakKeyDictionary()
-    _STEPS_LOCK = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_steps)
+        return f"CycleValues({', '.join(results)})"

@@ -260,23 +260,24 @@ class TransitionSystem:
                 raise TransitionSystemError(f"init({name}) width mismatch")
             if self.next[name].width != width:
                 raise TransitionSystemError(f"next({name}) width mismatch")
-        known = set(self.inputs) | set(self.state_vars) | set(self.wires)
-        for name, expr in list(self.next.items()) + list(self.wires.items()):
+        # every root reads only declared signals, each at its declared width
+        widths = self.signal_widths()
+        roots = [
+            *((f"expression for {name!r}", expr) for name, expr in self.next.items()),
+            *((f"expression for {name!r}", expr) for name, expr in self.wires.items()),
+            *((f"constraint {index}", expr) for index, expr in enumerate(self.constraints)),
+            *((f"property {prop.name!r}", prop.expr) for prop in self.properties),
+        ]
+        for label, expr in roots:
             for var in collect_vars(expr):
-                if var.name not in known:
+                declared = widths.get(var.name)
+                if declared is None:
                     raise TransitionSystemError(
-                        f"expression for {name!r} refers to undeclared signal {var.name!r}"
+                        f"{label} refers to undeclared signal {var.name!r}"
                     )
-                if var.width != self.width_of(var.name):
+                if var.width != declared:
                     raise TransitionSystemError(
-                        f"expression for {name!r} uses {var.name!r} with width "
-                        f"{var.width}, declared {self.width_of(var.name)}"
-                    )
-        for prop in self.properties:
-            for var in collect_vars(prop.expr):
-                if var.name not in known:
-                    raise TransitionSystemError(
-                        f"property {prop.name!r} refers to undeclared signal {var.name!r}"
+                        f"{label} uses {var.name!r} with width {var.width}, declared {declared}"
                     )
         # initial values must not depend on inputs or other registers' current values
         for name, expr in self.init.items():

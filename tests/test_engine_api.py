@@ -16,6 +16,8 @@ from repro.engines import (
 )
 from repro.engines.encoding import FrameEncoder
 from repro.engines.registry import ENGINE_REGISTRY
+from repro.exprs import bv_add, bv_const, bv_eq, bv_ult, bv_var
+from repro.netlist import TransitionSystem, TransitionSystemError
 
 
 CANONICAL = [
@@ -181,6 +183,31 @@ def test_interpolation_iteration_cap_is_unknown_not_timeout(monkeypatch):
     assert result.status == "unknown"
     assert "max_iterations=3" in result.reason
     assert result.detail["iterations"] == 3
+
+
+def _malformed(defect):
+    """A 4-bit counter ``x`` whose constraint reads an undeclared ``z``, or
+    whose property reads ``x`` at 2 bits."""
+    system = TransitionSystem(defect)
+    x = system.add_state_var("x", 4, init=0)
+    system.set_next("x", bv_add(x, bv_const(1, 4)))
+    if defect == "undeclared":
+        system.add_constraint(bv_eq(bv_var("z", 1), bv_const(1, 1)))
+        system.add_property("p", bv_ult(x, bv_const(15, 4)))
+    else:
+        system.add_property("p", bv_ult(bv_var("x", 2), bv_const(3, 2)))
+    return system
+
+
+@pytest.mark.parametrize("defect", ["undeclared", "width"])
+def test_every_engine_rejects_a_malformed_constraint_or_property(defect):
+    """``validate`` checks every root alike, so no engine runs on such a
+    design: each raised its own error, or answered, before."""
+    with pytest.raises(TransitionSystemError):
+        _malformed(defect).validate()
+    for engine in ("bmc", "k-induction", "pdr", "rsim", "absint"):
+        with pytest.raises(TransitionSystemError):
+            make_engine(engine, _malformed(defect)).verify(timeout=10)
 
 
 def test_every_public_name_resolves():

@@ -21,6 +21,7 @@ from repro.aig import aig_from_transition_system
 from repro.aig.bitblast import transition_system_from_aig
 from repro.benchmarks import benchmark_names, load_system
 from repro.engines import make_engine
+from repro.engines.absint import Interval, IntervalStep
 from repro.exprs import (
     BV_OPS,
     bv_add,
@@ -64,9 +65,10 @@ from repro.exprs import (
     mask,
 )
 from repro.exprs.nodes import Op
-from repro.netlist import TransitionSystem, TransitionSystemError, simulate
+from repro.netlist import Trace, TraceStep, TransitionSystem, TransitionSystemError
 from repro.netlist.bitsim import PackedSimulator, SimulationMismatch, crosscheck_lane
 from repro.netlist.simulate import Simulator, replay
+from repro.netlist.step import StepCompiler
 
 WIDTHS = (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 32, 33, 63, 64)
 UNARY = (bv_not, bv_neg)
@@ -365,17 +367,41 @@ def test_design_mutated_in_place_replays_with_new_semantics():
     assert trace.values_of("count") == [0] * 5
 
 
-def test_threads_share_one_compiled_step(monkeypatch):
+def _packed_replay(system, sequence):
+    """Lane 0 of a packed replay, as a trace of its register states."""
+    run = PackedSimulator(system).replay(sequence)
+    return Trace([TraceStep(c, state=run.lane_state(c, 0)) for c in range(run.cycles)])
+
+
+def _interval_replay(system, sequence):
+    """The interval step's images of the initial box, one per cycle."""
+    step = IntervalStep.step_for(system)
+    box = {
+        name: Interval.constant(evaluate(expr, {}), system.state_vars[name])
+        for name, expr in system.init.items()
+    }
+    inputs = {name: Interval.top(width) for name, width in system.inputs.items()}
+    trace = Trace()
+    for cycle in range(len(sequence)):
+        trace.steps.append(TraceStep(cycle, state=box))
+        box = step(box, inputs)[0]
+    return trace
+
+
+@pytest.mark.parametrize(
+    "replay", [replay, _packed_replay, _interval_replay], ids=["scalar", "packed", "interval"]
+)
+def test_threads_share_one_compiled_step(monkeypatch, replay):
     """Concurrent first cycles on one design compile its step once."""
     compiles = []
-    compile_step = simulate._StepCompiler.compile
+    compile_step = StepCompiler.compile
 
     def counting(self):
         compiles.append(self.system.name)
         time.sleep(0.01)  # widen the window another thread could race into
         return compile_step(self)
 
-    monkeypatch.setattr(simulate._StepCompiler, "compile", counting)
+    monkeypatch.setattr(StepCompiler, "compile", counting)
     system = load_system("tlc")
     sequence = [{name: 0 for name in system.inputs}] * 8
     expected = [step.state for step in replay(system, sequence).steps]
