@@ -54,6 +54,8 @@ validator computes its own cones and never reads these.
 
 from __future__ import annotations
 
+import os
+import threading
 import weakref
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -451,6 +453,21 @@ _FLAT_SYSTEMS: (
     "weakref.WeakKeyDictionary[TransitionSystem, Tuple[int, Optional[TransitionSystem]]]"
 ) = weakref.WeakKeyDictionary()
 
+#: guards the flattening and cone memos, so threads that first ask for one
+#: design at once share one flattening; re-entrant because a cone is cut
+#: from its design's flattening under the same lock
+_FLAT_LOCK = threading.RLock()
+
+
+def _new_flat_lock() -> None:
+    """A forked child keeps the memos, which a pre-warm filled for it, but
+    takes a new lock: a parent thread may hold the old one."""
+    global _FLAT_LOCK
+    _FLAT_LOCK = threading.RLock()
+
+
+os.register_at_fork(after_in_child=_new_flat_lock)
+
 
 def flattened_cached(system: TransitionSystem) -> TransitionSystem:
     """Return the (memoized, validated) wire-free flattening of a design.
@@ -460,20 +477,21 @@ def flattened_cached(system: TransitionSystem) -> TransitionSystem:
     between calls.
     """
     fingerprint = system.fingerprint()
-    entry = _FLAT_SYSTEMS.get(system)
-    if entry is not None and entry[0] == fingerprint:
-        return system if entry[1] is None else entry[1]
-    flat = system.flattened()
-    flat.validate()
-    _remember_flat(system, fingerprint, flat)
+    with _FLAT_LOCK:
+        entry = _FLAT_SYSTEMS.get(system)
+        if entry is not None and entry[0] == fingerprint:
+            return system if entry[1] is None else entry[1]
+        flat = system.flattened()
+        flat.validate()
+        _remember_flat(system, fingerprint, flat)
     return flat
 
 
 def _remember_flat(
     system: TransitionSystem, fingerprint: int, flat: TransitionSystem
 ) -> None:
-    # a design that is its own flattening is recorded as None: a value
-    # referring to its weak key would keep the key alive forever
+    # under _FLAT_LOCK; a design that is its own flattening is recorded as
+    # None: a value referring to its weak key would keep the key alive forever
     try:
         _FLAT_SYSTEMS[system] = (fingerprint, None if flat is system else flat)
     except TypeError:  # pragma: no cover - non-weakrefable subclass
@@ -511,16 +529,17 @@ def cone_of_influence(
             return flattened_cached(system)
         property_name = system.properties[0].name
     fingerprint = system.fingerprint()
-    entry = _CONES.get(system)
-    if entry is None or entry[0] != fingerprint:
-        entry = (fingerprint, {})
-        try:
-            _CONES[system] = entry
-        except TypeError:  # pragma: no cover - non-weakrefable subclass
-            pass
-    cone = entry[1].get(property_name)
-    if cone is None:
-        cone = entry[1][property_name] = _slice(flattened_cached(system), property_name)
+    with _FLAT_LOCK:
+        entry = _CONES.get(system)
+        if entry is None or entry[0] != fingerprint:
+            entry = (fingerprint, {})
+            try:
+                _CONES[system] = entry
+            except TypeError:  # pragma: no cover - non-weakrefable subclass
+                pass
+        cone = entry[1].get(property_name)
+        if cone is None:
+            cone = entry[1][property_name] = _slice(flattened_cached(system), property_name)
     return cone
 
 

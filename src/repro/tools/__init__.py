@@ -15,5 +15,27 @@ console script         module
 The engines stand in for the tools the paper compares (ABC, EBMC, CBMC,
 2LS, CPAchecker, IMPARA, SeaHorn, Astrée) by algorithm and representation
 level; ``repro-verify --list-engines`` names them.  Importing this package
-loads nothing, so each front end starts with only what it runs.
+loads only the builtin ``atexit`` and ``gc``, so each front end starts with
+only what it runs.
+
+**Exit contract.**  Each front end's ``main()`` first calls
+:func:`freeze_heap_at_exit`, so its process ends without tearing its heap
+down object by object, and its output never depends on that teardown.
 """
+
+import atexit
+import gc
+
+
+def freeze_heap_at_exit() -> None:
+    """Freeze the collector once the interpreter exits.
+
+    Every ``atexit`` handler, thread join and stream flush still runs; the
+    final collections then skip the frozen heap, so cyclic garbage alive at
+    exit is never finalized (Python does not promise that anyway).  So a
+    CLI's output must never depend on teardown: every file it writes is
+    closed before ``main()`` returns.  Nothing changes while the process
+    runs, and one hook stays registered however often ``main()`` runs.
+    """
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)

@@ -34,6 +34,7 @@ from typing import List, Optional
 from repro.cache import ResultCache
 from repro.cache.store import QUARANTINE_DIR
 from repro.obs import log as _log
+from repro.tools import freeze_heap_at_exit
 
 
 def _print_json(document: object) -> None:
@@ -146,6 +147,7 @@ def _cmd_purge_quarantine(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    freeze_heap_at_exit()
     parser = argparse.ArgumentParser(
         prog="repro-cache",
         description="inspect, fsck, and shrink the certificate result cache",

@@ -43,6 +43,7 @@ from repro.faults.plan import FAULT_KINDS, FaultPlan
 from repro.obs import log as _log
 from repro.obs import telemetry as _telemetry
 from repro.serve.server import ServerConfig, VerifyServer
+from repro.tools import freeze_heap_at_exit
 
 
 def _parse_rates(spec: str) -> dict:
@@ -111,6 +112,7 @@ def _print_status(target: str) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    freeze_heap_at_exit()
     parser = argparse.ArgumentParser(
         prog="repro-serve",
         description="run a long-lived verification server (repro-serve-v1)",

@@ -26,6 +26,7 @@ from repro.obs.export import (
     summarize_trace,
     write_chrome_trace,
 )
+from repro.tools import freeze_heap_at_exit
 
 
 def _load(path: str) -> Trace:
@@ -180,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    freeze_heap_at_exit()
     args = build_parser().parse_args(argv)
     log.configure_from_args(args)
     return args.func(args)

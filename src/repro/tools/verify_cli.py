@@ -84,6 +84,7 @@ from repro.engines.ladder import bound_options, run_sequential_ladder
 from repro.jsonio import write_text_atomic
 from repro.obs import log as _log
 from repro.obs import telemetry as _telemetry
+from repro.tools import freeze_heap_at_exit
 
 if TYPE_CHECKING:  # the race is imported under --portfolio only
     from repro.engines.portfolio import PortfolioResult
@@ -334,6 +335,7 @@ class _Stdout:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    freeze_heap_at_exit()
     stdout = sys.stdout
     sys.stdout = _Stdout(stdout)
     try:

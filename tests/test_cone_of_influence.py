@@ -14,6 +14,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import weakref
 
 import pytest
@@ -22,6 +24,7 @@ from repro.aig import aig_from_transition_system, write_aiger
 from repro.benchmarks import BENCHMARKS, get_benchmark, load_system
 from repro.certs import KInductiveCertificate, dumps, validate_certificate, validate_result
 from repro.engines import Status
+from repro.engines.absint import AbstractInterpretationEngine
 from repro.engines.encoding import cone_of_influence, flattened_cached, template_library
 from repro.engines.ladder import (
     LadderRung,
@@ -35,6 +38,7 @@ from repro.engines.portfolio import PortfolioRunner
 from repro.exprs import bool_implies, bool_not, bv_const, bv_eq, bv_ite, bv_ne
 from repro.netlist import TransitionSystem
 from repro.netlist.bitsim import PackedSimulator
+from repro.netlist.step import StepCompiler
 from repro.obs import telemetry
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -166,6 +170,54 @@ def test_cones_and_their_templates_die_with_their_design():
     del system, cone
     gc.collect()
     assert cone_ref() is None
+
+
+def test_threads_share_one_flattening_its_interval_step_and_one_cone(monkeypatch):
+    """Threads that first ask for one design at once flatten it once, so
+    the memos keyed by the flattening (its compiled interval step) are
+    built once too, and they get one cone of its property."""
+    flattenings, compiles = [], []
+    flatten, compile_step = TransitionSystem.flattened, StepCompiler.compile
+
+    def slow_flatten(self):
+        flattenings.append(self.name)
+        time.sleep(0.01)  # every thread is inside before the first returns
+        return flatten(self)
+
+    def counting_compile(self):
+        compiles.append(type(self).__name__)
+        return compile_step(self)
+
+    monkeypatch.setattr(TransitionSystem, "flattened", slow_flatten)
+    monkeypatch.setattr(StepCompiler, "compile", counting_compile)
+    system = load_system("daio")  # a fresh design: no memo holds it yet
+    prop = system.properties[0].name
+    results = []
+    ready = threading.Barrier(8)
+
+    def run():
+        ready.wait(timeout=60)
+        engine = AbstractInterpretationEngine(system)
+        engine.compute_invariants()
+        results.append((engine.flat, cone_of_influence(system, prop)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 8
+    assert flattenings == ["daio"]
+    assert compiles == ["IntervalStep"]
+    assert len({id(flat) for flat, _ in results}) == 1
+    assert len({id(cone) for _, cone in results}) == 1
+    assert results[0][1] is not results[0][0]  # a strict slice of daio
 
 
 def _warm_for_the_ladder(task):
