@@ -16,25 +16,19 @@ the key: the cache prefers a spurious miss (re-verify) over any risk of a
 wrong hit, and a hit is *re-validated* against the queried design anyway
 (see :mod:`repro.cache.result_cache`).
 
-Keys are memoized per live :class:`~repro.netlist.TransitionSystem` (weak
-keys, checked against the design's name and
-:meth:`~repro.netlist.TransitionSystem.fingerprint`, so a design mutated in
-place is hashed again), the way :mod:`repro.certs.validate` keys its
-sessions.  A module lock guards the memo, and forked children start without
-it.
+Keys are derived once per live :class:`~repro.netlist.TransitionSystem`
+(:func:`repro.netlist.transition.derived`), so a design renamed or mutated
+in place is hashed again and a forked worker inherits its parent's keys.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import threading
-import weakref
-from typing import Dict, Tuple
 
 from repro.certs.exprjson import expr_to_json
 from repro.netlist import TransitionSystem
+from repro.netlist.transition import derived
 
 #: format tag baked into every key so key-schema changes invalidate old stores
 KEY_FORMAT = "repro-cache-key-v1"
@@ -64,38 +58,15 @@ def system_to_canonical_json(system: TransitionSystem) -> dict:
     }
 
 
-#: system -> ((name, fingerprint), {(property, representation): key})
-_KEYS: "weakref.WeakKeyDictionary[TransitionSystem, Tuple[tuple, Dict]]" = (
-    weakref.WeakKeyDictionary()
-)
-_KEYS_LOCK = threading.Lock()
-
-
-def _forget_keys() -> None:
-    """A forked child starts afresh: a parent thread may hold the lock."""
-    global _KEYS, _KEYS_LOCK
-    _KEYS = weakref.WeakKeyDictionary()
-    _KEYS_LOCK = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_keys)
-
-
 def cache_key(
     system: TransitionSystem, property_name: str, representation: str = "word"
 ) -> str:
     """The cache key of one verification query, as a SHA-256 hex digest."""
-    stamp = (system.name, system.fingerprint())
-    with _KEYS_LOCK:
-        memo = _KEYS.get(system)
-        if memo is None or memo[0] != stamp:
-            memo = _KEYS[system] = (stamp, {})
-        key = memo[1].get((property_name, representation))
-    if key is None:
-        key = _digest(system, property_name, representation)
-        with _KEYS_LOCK:
-            memo[1][(property_name, representation)] = key
-    return key
+    return derived(
+        system,
+        ("cache-key", property_name, representation),
+        lambda: _digest(system, property_name, representation),
+    )
 
 
 def _digest(system: TransitionSystem, property_name: str, representation: str) -> str:

@@ -50,7 +50,6 @@ from repro.engines.ladder import (
 from repro.engines.result import Status, VerificationResult
 from repro.engines.supervision import (
     CANCELLED as _UNIT_CANCELLED,
-    START_METHOD,
     TIMED_OUT as _UNIT_TIMED_OUT,
     SupervisedOutcome,
     WorkerSupervisor,
@@ -368,8 +367,6 @@ class BatchRunner:
 
     def _prewarm(self, units: Sequence[Tuple[VerificationTask, str, Optional[str]]]) -> None:
         """Warm the parent once before forking the pool: engines and templates."""
-        if START_METHOD != "fork":
-            return
         configs = [config for rung in self.ladder for config in rung.configs]
         seen = set()
         for task, _, _ in units:

@@ -30,10 +30,13 @@ current-state bit, next-state bit, input bit or internal gate output.  Frame
 ``k`` is then instantiated by remapping template literals through a per-frame
 offset table (pure integer arithmetic, no expression traversal, no dict-keyed
 expression-cache lookups) and bulk-loading the remapped clauses with
-:meth:`repro.sat.solver.Solver.add_clauses_mapped`.  Templates are cached per
-``(system, representation)`` so repeated encoder constructions (the base and
-step sessions of k-induction, PDR's counterexample replay, the sessions of
-the refinement engines) reuse both the flattened system and the blasted CNF.
+:meth:`repro.sat.solver.Solver.add_clauses_mapped`.  The flattening, each
+property's cone and the templates of each ``(system, representation)`` are
+derived once per process (:func:`repro.netlist.transition.derived`), so
+repeated encoder constructions (the base and step sessions of k-induction,
+PDR's counterexample replay, the sessions of the refinement engines) reuse
+both the flattened system and the blasted CNF, and a worker forked after a
+pre-warm inherits them.
 This is the only unrolling path; the certificate validator
 (:mod:`repro.certs`), which stamps frames its own way, is the independent
 check on it.
@@ -54,8 +57,6 @@ validator computes its own cones and never reads these.
 
 from __future__ import annotations
 
-import os
-import threading
 import weakref
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -63,6 +64,7 @@ from repro.certs.certificate import WITNESS
 from repro.exprs import Expr, bv_eq, bv_var, collect_vars, evaluate
 from repro.exprs.substitute import rename
 from repro.netlist import TransitionSystem
+from repro.netlist.transition import derived
 from repro.engines.result import Counterexample, VerificationResult
 from repro.obs import telemetry as _telemetry
 from repro.records import Frozen
@@ -352,7 +354,7 @@ class _AigTemplateBuilder:
     """Shared scaffolding for capturing AIG cones as frame templates."""
 
     def __init__(self, flat: TransitionSystem, aig: AIG) -> None:
-        # widths only: the builder lives in a library memo keyed by the
+        # widths only: the builder lives in a library derived from the
         # design, which may be ``flat`` itself (see TemplateLibrary)
         self.inputs = dict(flat.inputs)
         self.state_vars = dict(flat.state_vars)
@@ -443,66 +445,22 @@ class _AigTemplateBuilder:
         )
 
 
-#: system -> (fingerprint, flattened system); shared by the template library
-#: and by the expression-level engines (abstract interpretation, IMPACT,
-#: predicate abstraction, kIkI's invariant pruning), so a design is flattened
-#: once per process instead of once per engine construction — in a portfolio
-#: worker forked after the parent pre-warm, the flatten arrives via
-#: copy-on-write exactly like the blasted templates do
-_FLAT_SYSTEMS: (
-    "weakref.WeakKeyDictionary[TransitionSystem, Tuple[int, Optional[TransitionSystem]]]"
-) = weakref.WeakKeyDictionary()
-
-#: guards the flattening and cone memos, so threads that first ask for one
-#: design at once share one flattening; re-entrant because a cone is cut
-#: from its design's flattening under the same lock
-_FLAT_LOCK = threading.RLock()
-
-
-def _new_flat_lock() -> None:
-    """A forked child keeps the memos, which a pre-warm filled for it, but
-    takes a new lock: a parent thread may hold the old one."""
-    global _FLAT_LOCK
-    _FLAT_LOCK = threading.RLock()
-
-
-os.register_at_fork(after_in_child=_new_flat_lock)
-
-
 def flattened_cached(system: TransitionSystem) -> TransitionSystem:
     """Return the (memoized, validated) wire-free flattening of a design.
 
-    The result is shared: callers must treat it as read-only.  A content
-    fingerprint invalidates the entry if the design object is mutated
-    between calls.
+    Shared by the template library and by the expression-level engines
+    (abstract interpretation, IMPACT, predicate abstraction, kIkI's
+    invariant pruning), so a design is flattened once per process instead
+    of once per engine construction.  The result is shared: callers must
+    treat it as read-only.
     """
-    fingerprint = system.fingerprint()
-    with _FLAT_LOCK:
-        entry = _FLAT_SYSTEMS.get(system)
-        if entry is not None and entry[0] == fingerprint:
-            return system if entry[1] is None else entry[1]
+
+    def build() -> TransitionSystem:
         flat = system.flattened()
         flat.validate()
-        _remember_flat(system, fingerprint, flat)
-    return flat
+        return flat
 
-
-def _remember_flat(
-    system: TransitionSystem, fingerprint: int, flat: TransitionSystem
-) -> None:
-    # under _FLAT_LOCK; a design that is its own flattening is recorded as
-    # None: a value referring to its weak key would keep the key alive forever
-    try:
-        _FLAT_SYSTEMS[system] = (fingerprint, None if flat is system else flat)
-    except TypeError:  # pragma: no cover - non-weakrefable subclass
-        pass
-
-
-#: system -> (fingerprint, {property name -> cone}); weak keys and a content
-#: check, exactly like the flattening memo
-_CONES: (
-    "weakref.WeakKeyDictionary[TransitionSystem, Tuple[int, Dict[str, TransitionSystem]]]"
-) = weakref.WeakKeyDictionary()
+    return derived(system, "flat", build)
 
 
 def cone_of_influence(
@@ -528,19 +486,11 @@ def cone_of_influence(
         if not system.properties:
             return flattened_cached(system)
         property_name = system.properties[0].name
-    fingerprint = system.fingerprint()
-    with _FLAT_LOCK:
-        entry = _CONES.get(system)
-        if entry is None or entry[0] != fingerprint:
-            entry = (fingerprint, {})
-            try:
-                _CONES[system] = entry
-            except TypeError:  # pragma: no cover - non-weakrefable subclass
-                pass
-        cone = entry[1].get(property_name)
-        if cone is None:
-            cone = entry[1][property_name] = _slice(flattened_cached(system), property_name)
-    return cone
+    return derived(
+        system,
+        ("cone", property_name),
+        lambda: _slice(flattened_cached(system), property_name),
+    )
 
 
 def _slice(flat: TransitionSystem, property_name: str) -> TransitionSystem:
@@ -572,7 +522,7 @@ def _slice(flat: TransitionSystem, property_name: str) -> TransitionSystem:
         cone.constraints = list(flat.constraints)
         cone.properties = [prop]
         cone.validate()
-    _remember_flat(cone, cone.fingerprint(), cone)
+    derived(cone, "flat", lambda: cone)  # the cone is its own flattening
     return cone
 
 
@@ -598,25 +548,22 @@ class TemplateLibrary:
 
     Holds the flattened system (weakly: see :attr:`flat`), the
     transition-relation template and lazily built per-property templates.
-    Obtained through :func:`template_library`, which memoizes per system so
-    that every engine and every encoder instance built on the same design
-    shares the same blast; a content fingerprint invalidates the cache if
-    the design object is mutated between runs.
+    Obtained through :func:`template_library`, so that every engine and
+    every encoder instance built on the same design shares the same blast.
     """
 
     def __init__(self, system: TransitionSystem, representation: str) -> None:
         self.representation = representation
-        self.fingerprint = system.fingerprint()
         with _telemetry.span(
             "encoding.blast",
             design=getattr(system, "name", "?"),
             representation=representation,
         ):
             flat = flattened_cached(system)
-            # held weakly: a cone of influence is its own flattening, and the
-            # library memo keyed by it must not keep it alive; the design
-            # (and through the flattening memo its flattening) outlives
-            # every use of the library
+            # held weakly: a cone of influence is its own flattening, and a
+            # library derived from it must not keep it alive; the design
+            # (and through its "flat" entry its flattening) outlives every
+            # use of the library
             self._flat = weakref.ref(flat)
             self._property_templates: Dict[str, FrameTemplate] = {}
             if representation == "bit":
@@ -646,26 +593,19 @@ class TemplateLibrary:
         return template
 
 
-#: system -> {representation -> TemplateLibrary}; weak keys so that designs
-#: built on the fly (tests, benchmarks harness) do not accumulate forever
-_TEMPLATE_LIBRARIES: "weakref.WeakKeyDictionary[TransitionSystem, Dict[str, TemplateLibrary]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def template_library(system: TransitionSystem, representation: str) -> TemplateLibrary:
-    """Return (building and caching if needed) the template library of a design."""
-    per_system = _TEMPLATE_LIBRARIES.get(system)
-    if per_system is None:
-        per_system = {}
-        _TEMPLATE_LIBRARIES[system] = per_system
-    library = per_system.get(representation)
-    if library is None or library.fingerprint != system.fingerprint():
-        _telemetry.counter("encoding.template_library.miss")
-        library = TemplateLibrary(system, representation)
-        per_system[representation] = library
-    else:
-        _telemetry.counter("encoding.template_library.hit")
+    """Return (building once per design if needed) the template library of a design."""
+    built = False
+
+    def build() -> TemplateLibrary:
+        nonlocal built
+        built = True
+        return TemplateLibrary(system, representation)
+
+    library = derived(system, ("templates", representation), build)
+    _telemetry.counter(
+        "encoding.template_library.miss" if built else "encoding.template_library.hit"
+    )
     return library
 
 

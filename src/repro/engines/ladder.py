@@ -158,16 +158,21 @@ def warm_task_templates(
     Imports every configuration's engine module and blasts, for every
     representation the configurations use, the frame-template library of
     each property's cone of influence — the design the engines run on.
-    The cone and template caches are keyed by system instance, and every task
+    The cones and templates are derived per system instance, and every task
     kind resolves repeated loads to the same instance (benchmarks via the
     memoized suite loader, files via the stamped per-task memo, systems by
     identity) — so workers forked after this call find both the engine code
     and the parent's warm blast in copy-on-write memory instead of
     importing and blasting after the fork.  Shared by the portfolio race,
-    the batch pool and the serve layer.  Best-effort: failures are ignored,
-    a worker that cannot build templates reports its own error through the
-    normal result channel.
+    the batch pool and the serve layer.  A no-op where workers do not fork
+    (nothing would inherit the warm-up).  Best-effort: failures are
+    ignored, a worker that cannot build templates reports its own error
+    through the normal result channel.
     """
+    from repro.engines.supervision import START_METHOD
+
+    if START_METHOD != "fork":
+        return
     try:
         from repro.engines.encoding import cone_of_influence, template_library
 

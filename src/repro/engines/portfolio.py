@@ -47,7 +47,6 @@ from repro.engines.result import Counterexample, Status, VerificationResult
 from repro.engines.supervision import (
     CRASHED,
     DONE,
-    START_METHOD,
     SupervisedOutcome,
     WorkerSupervisor,
 )
@@ -276,19 +275,6 @@ class PortfolioRunner:
         self.certify = certify
 
     # ------------------------------------------------------------------
-    def _prewarm(self, task: VerificationTask) -> None:
-        """Import the engines and blast the task's templates before forking.
-
-        Every configuration's engine module is imported and every
-        representation the configurations use is blasted, so the forked
-        workers find both in inherited (copy-on-write) memory.  No-op under
-        the ``spawn`` start method (workers warm their own caches there).
-        """
-        if START_METHOD != "fork":
-            return
-        warm_task_templates(task, self.configs)
-
-    # ------------------------------------------------------------------
     def run(
         self,
         task: VerificationTask,
@@ -308,7 +294,7 @@ class PortfolioRunner:
         property_name: Optional[str],
     ) -> PortfolioResult:
         start = time.monotonic()
-        self._prewarm(task)
+        warm_task_templates(task, self.configs)
         deadline = start + self.timeout if self.timeout is not None else None
         supervisor = WorkerSupervisor()
         abort = threading.Event()

@@ -20,18 +20,16 @@ its operator lowering (:meth:`StepCompiler.operator`) and its return value
 * 64-lane bit planes, :class:`repro.netlist.bitsim.PackedStep`;
 * unsigned intervals, :class:`repro.engines.absint.IntervalStep`.
 
-:meth:`StepCompiler.step_for` keeps one compiled step per design and domain.
+:meth:`StepCompiler.step_for` compiles one step per design and domain, once
+per process (:func:`repro.netlist.transition.derived`).
 """
 
 from __future__ import annotations
 
-import os
-import threading
-import weakref
 from typing import Callable, Dict, Iterable, List, Mapping, Set, Tuple
 
 from repro.exprs.nodes import Const, Expr, Op, Var, mask
-from repro.netlist.transition import TransitionSystem, TransitionSystemError
+from repro.netlist.transition import TransitionSystem, TransitionSystemError, derived
 
 
 def mapping(atoms: Mapping[str, str]) -> str:
@@ -160,38 +158,11 @@ class StepCompiler:
 
     @classmethod
     def step_for(cls, system: TransitionSystem, *params: object) -> Callable:
-        """Return (compiling if needed) the step of ``system`` in this domain.
+        """Return (compiling once if needed) the step of ``system`` in this domain.
 
-        ``params`` are the domain's own (the packed domain's lane mask).
-        Checked against :meth:`TransitionSystem.fingerprint`, so a design
-        mutated in place gets a new step.
+        ``params`` are the domain's own (the packed domain's lane mask).  No
+        step holds a reference to its system.
         """
-        fingerprint = system.fingerprint()
-        key = (cls, *params)
-        with _STEPS_LOCK:
-            steps = _STEPS.get(system)
-            if steps is None:
-                steps = _STEPS[system] = {}
-            entry = steps.get(key)
-            if entry is None or entry[0] != fingerprint:
-                entry = steps[key] = (fingerprint, cls(system, *params).compile())
-            return entry[1]
-
-
-#: system -> {(domain, params) -> (fingerprint, compiled step)}; weak keys so
-#: designs built on the fly do not accumulate, and no step holds a
-#: reference to its system
-_STEPS: "weakref.WeakKeyDictionary[TransitionSystem, Dict[tuple, Tuple[int, Callable]]]" = (
-    weakref.WeakKeyDictionary()
-)
-_STEPS_LOCK = threading.Lock()
-
-
-def _forget_steps() -> None:
-    """A forked child starts afresh: a parent thread may hold the lock."""
-    global _STEPS, _STEPS_LOCK
-    _STEPS = weakref.WeakKeyDictionary()
-    _STEPS_LOCK = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_steps)
+        return derived(
+            system, ("step", cls, *params), lambda: cls(system, *params).compile()
+        )

@@ -18,7 +18,10 @@ variables, inputs and wires of the system.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+import os
+import threading
+import weakref
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.exprs import (
     Expr,
@@ -163,14 +166,18 @@ class TransitionSystem:
         raise KeyError(name)
 
     def fingerprint(self) -> int:
-        """A cheap content hash, used to invalidate memos keyed by this object.
+        """A cheap hash of the design's name and content.
 
-        Expression nodes cache their hashes, so this is O(number of declared
-        signals), not O(expression size).  The value is only stable within
-        one process (string hashes are salted per interpreter).
+        Its only job is to invalidate what a process keeps for this object
+        (:func:`derived`, and the validator's sessions), so a design renamed
+        or mutated in place derives everything anew.  Expression nodes cache
+        their hashes, so this is O(number of declared signals), not
+        O(expression size).  The value is only stable within one process
+        (string hashes are salted per interpreter).
         """
         return hash(
             (
+                self.name,
                 tuple(self.inputs.items()),
                 tuple(self.state_vars.items()),
                 tuple(sorted(self.init.items())),
@@ -308,3 +315,82 @@ class TransitionSystem:
             f"TransitionSystem({self.name!r}, state_bits={stats['state_bits']}, "
             f"inputs={stats['inputs']}, properties={stats['properties']})"
         )
+
+
+# ----------------------------------------------------------------------
+# what a process derives from a design
+# ----------------------------------------------------------------------
+
+_T = TypeVar("_T")
+#: an entry no build has finished
+_EMPTY = object()
+#: an entry whose value is its design itself, which the weak-key table must
+#: not hold strongly (a cone of influence is its own flattening)
+_SELF = object()
+
+
+class _Entry:
+    """One derived value, and the lock its one build runs under."""
+
+    __slots__ = ("lock", "value")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.value: object = _EMPTY
+
+
+#: design -> (fingerprint, {key -> entry}); weak keys, so designs built on
+#: the fly do not accumulate
+_DERIVED: "weakref.WeakKeyDictionary[TransitionSystem, Tuple[int, Dict[object, _Entry]]]" = (
+    weakref.WeakKeyDictionary()
+)
+#: guards lookups in the table, never a build
+_DERIVED_LOCK = threading.Lock()
+
+
+def derived(system: TransitionSystem, key: object, build: Callable[[], _T]) -> _T:
+    """Return what ``build()`` derives from ``system``, built once per process.
+
+    Every per-design memo goes through here; ``key`` names the kind:
+    ``"flat"``, ``("cone", prop)``, ``("templates", representation)``,
+    ``("step", domain, *params)`` and ``("cache-key", prop,
+    representation)``.  A value is kept while its design lives and its
+    :meth:`~TransitionSystem.fingerprint` holds; it is shared, so callers
+    treat it as read-only.
+
+    Each entry is built under its own lock: a thread asking for an entry
+    that is being built waits for that build and for no other.  A build
+    that raises leaves its entry empty, so the next caller builds it again.
+    A forked child keeps every finished value.
+    """
+    stamp = system.fingerprint()
+    with _DERIVED_LOCK:
+        memo = _DERIVED.get(system)
+        if memo is None or memo[0] != stamp:
+            memo = _DERIVED[system] = (stamp, {})
+        entry = memo[1].get(key)
+        if entry is None:
+            entry = memo[1][key] = _Entry()
+    value = entry.value  # a finished entry is read without its lock
+    if value is _EMPTY:
+        with entry.lock:
+            value = entry.value
+            if value is _EMPTY:
+                value = build()
+                entry.value = _SELF if value is system else value
+    return system if value is _SELF else value
+
+
+def _drop_unfinished() -> None:
+    """Drop, in a forked child, what a parent thread may hold: the table
+    lock, and every entry no build has finished (its builder is not in the
+    child, which builds the entry again when asked).  A finished entry is
+    kept whatever the state of its lock, which no reader takes."""
+    global _DERIVED_LOCK
+    _DERIVED_LOCK = threading.Lock()
+    for _, entries in _DERIVED.values():
+        for key in [key for key, entry in entries.items() if entry.value is _EMPTY]:
+            del entries[key]
+
+
+os.register_at_fork(after_in_child=_drop_unfinished)

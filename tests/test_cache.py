@@ -92,7 +92,10 @@ def test_key_memo_follows_in_place_mutation():
     assert constrained != reference
     name, expr = next(iter(system.init.items()))
     system.set_init(name, expr + bv_const(1, expr.width))
-    assert cache_key(system, prop) not in (reference, constrained)
+    reset = cache_key(system, prop)
+    assert reset not in (reference, constrained)
+    system.name = "renamed"
+    assert cache_key(system, prop) not in (reference, constrained, reset)
 
 
 # ---------------------------------------------------------------------------

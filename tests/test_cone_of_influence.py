@@ -24,6 +24,7 @@ from repro.aig import aig_from_transition_system, write_aiger
 from repro.benchmarks import BENCHMARKS, get_benchmark, load_system
 from repro.certs import KInductiveCertificate, dumps, validate_certificate, validate_result
 from repro.engines import Status
+from repro.engines import encoding
 from repro.engines.absint import AbstractInterpretationEngine
 from repro.engines.encoding import cone_of_influence, flattened_cached, template_library
 from repro.engines.ladder import (
@@ -220,6 +221,43 @@ def test_threads_share_one_flattening_its_interval_step_and_one_cone(monkeypatch
     assert results[0][1] is not results[0][0]  # a strict slice of daio
 
 
+def test_threads_share_one_template_library(monkeypatch):
+    """Threads that first ask for one cone's templates at once blast it
+    once and get one library."""
+    blasts = []
+    build = encoding._build_word_trans_template
+
+    def slow_build(flat):
+        blasts.append(flat.name)
+        time.sleep(0.01)  # every thread is inside before the first returns
+        return build(flat)
+
+    monkeypatch.setattr(encoding, "_build_word_trans_template", slow_build)
+    system = load_system("tlc")  # a fresh design: no memo holds it yet
+    prop = system.properties[0].name
+    libraries = []
+    ready = threading.Barrier(8)
+
+    def run():
+        ready.wait(timeout=60)
+        libraries.append(template_library(cone_of_influence(system, prop), "word"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(libraries) == 8
+    assert blasts == ["tlc"]
+    assert len({id(library) for library in libraries}) == 1
+
+
 def _warm_for_the_ladder(task):
     warm_task_templates(task, [PortfolioConfig.of("k-induction")])
     return ("word",)
@@ -233,7 +271,7 @@ def _warm_for_a_portfolio(task):
         ],
         timeout=30,
     )
-    runner._prewarm(task)
+    warm_task_templates(task, runner.configs)
     return ("word", "bit")
 
 

@@ -20,6 +20,7 @@ from repro.engines.impact import ImpactEngine
 from repro.engines.interpolation import InterpolationEngine
 from repro.engines.kiki import KikiEngine
 from repro.engines.kinduction import KInductionEngine
+from repro.engines.ladder import warm_task_templates
 from repro.engines.portfolio import PortfolioConfig, PortfolioRunner, VerificationTask
 from repro.engines.predabs import PredicateAbstractionEngine
 from repro.exprs import bv_const, bv_eq, bv_ne
@@ -202,7 +203,7 @@ def test_prewarm_builds_templates_in_parent():
         timeout=30,
     )
     task = VerificationTask.benchmark("huffman_dec")
-    runner._prewarm(task)
+    warm_task_templates(task, runner.configs)
     system = load_system_cached("huffman_dec")
     # both representations were blasted on the shared instance: further
     # lookups return the already-built libraries (no rebuild)
