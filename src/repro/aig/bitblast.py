@@ -236,16 +236,19 @@ class _AigBlaster:
         return current
 
 
-def aig_from_transition_system(system: TransitionSystem) -> AIG:
+def aig_from_transition_system(
+    system: TransitionSystem, flat: Optional[TransitionSystem] = None
+) -> AIG:
     """Bit-blast a transition system into a sequential AIG.
 
     Properties become *bad* outputs (the negation of each property), matching
     the HWMCC convention that a bad output asserted in some reachable state
     means the property fails.  Environment constraints become invariant
     constraints that hold in every cycle; each bad output is also gated by
-    the current cycle's constraints.
+    the current cycle's constraints.  ``flat`` is the design's flattening
+    when the caller already holds it.
     """
-    flat = system.flattened()
+    flat = system.flattened() if flat is None else flat
     aig = AIG(name=flat.name)
     signal_bits: Dict[str, List[AigerLiteral]] = {}
 

@@ -27,6 +27,7 @@ respectively one concrete replay).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -91,6 +92,12 @@ def _lock(fd: int, exclusive: bool = False) -> None:
         fcntl.flock(fd, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
 
 
+@functools.lru_cache(maxsize=64)
+def _log_line(deltas: tuple) -> bytes:
+    """One ``counters.log`` line, encoded once per set of ``(name, delta)`` pairs."""
+    return (json.dumps(dict(deltas), separators=(",", ":")) + "\n").encode("ascii")
+
+
 class PersistentCounters:
     """Lifetime cache counters shared by every process using one cache root.
 
@@ -126,15 +133,15 @@ class PersistentCounters:
 
     def bump(self, **deltas: int) -> None:
         """Add ``deltas`` to the lifetime totals: one appended log line."""
-        changed = {name: delta for name, delta in deltas.items() if delta}
+        changed = tuple((name, delta) for name, delta in deltas.items() if delta)
         if not changed:
             return
-        line = json.dumps(changed, separators=(",", ":")) + "\n"
+        line = _log_line(changed)
         try:
             fd = os.open(self.log_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
             try:
                 _lock(fd)
-                os.write(fd, line.encode("ascii"))
+                os.write(fd, line)
                 size = os.fstat(fd).st_size
             finally:
                 os.close(fd)
@@ -159,12 +166,21 @@ class PersistentCounters:
                 rows = [json.load(handle)]
         except (OSError, ValueError):
             rows = []  # fresh cache or corrupt counter file: start from zero
-        # the piece after the last newline is empty or a torn append
-        for line in log.split(b"\n")[:-1]:
-            try:
-                rows.append(json.loads(line))
-            except ValueError:
-                continue
+        # the piece after the last newline is empty or a torn append; the
+        # whole lines are one parse unless a torn line among them fails it
+        lines = log.split(b"\n")[:-1]
+        try:
+            parsed = json.loads(b"[%s]" % b",".join(lines))
+        except ValueError:
+            parsed = []
+        if len(parsed) == len(lines):
+            rows += parsed
+        else:  # parse each line on its own and skip the torn ones
+            for line in lines:
+                try:
+                    rows.append(json.loads(line))
+                except ValueError:
+                    continue
         values = {name: 0 for name in self.FIELDS}
         for row in rows:
             if not isinstance(row, dict):

@@ -570,7 +570,7 @@ class TemplateLibrary:
                 from repro.aig import aig_from_transition_system
 
                 self._builder = _AigTemplateBuilder(
-                    flat, aig_from_transition_system(system)
+                    flat, aig_from_transition_system(system, flat)
                 )
                 self.trans_template = self._builder.trans_template()
             else:

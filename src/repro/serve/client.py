@@ -24,9 +24,9 @@ instead.
 
 from __future__ import annotations
 
+import os
 import socket
 import time
-import uuid
 from typing import Dict, Optional
 
 from repro.serve.protocol import (
@@ -241,7 +241,7 @@ class ServeClient:
         """
         request = dict(request)
         request["op"] = OP_VERIFY
-        request.setdefault("id", f"req-{uuid.uuid4().hex[:12]}")
+        request.setdefault("id", f"req-{os.urandom(6).hex()}")
         request_id = request["id"]
         self._pending[request_id] = request
         sent = False

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional
 
 from repro.faults import injection as _fault_injection
 from repro.jsonio import write_text_atomic
+from repro.serve.protocol import encode_json
 
 #: format tag carried by every record
 JOURNAL_FORMAT = "repro-serve-journal-v1"
@@ -113,9 +114,7 @@ class RequestJournal:
         for record in records:
             record["format"] = JOURNAL_FORMAT
             record["t"] = now
-        text = "".join(
-            json.dumps(record, separators=(",", ":")) + "\n" for record in records
-        )
+        text = "".join(encode_json(record) + "\n" for record in records)
         with self._lock:
             handle = self._open()
             handle.write(text)
@@ -202,15 +201,14 @@ class RequestJournal:
             if keep_open:
                 for request_id, request in report.open_requests.items():
                     lines.append(
-                        json.dumps(
+                        encode_json(
                             {
                                 "format": JOURNAL_FORMAT,
                                 "op": "accept",
                                 "id": request_id,
                                 "t": time.time(),
                                 "request": request,
-                            },
-                            separators=(",", ":"),
+                            }
                         )
                     )
             write_text_atomic(self.path, "".join(line + "\n" for line in lines))

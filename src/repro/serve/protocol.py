@@ -16,15 +16,16 @@ Conversation shape: the server sends a ``hello`` frame on connect, then the
 client sends request frames and reads reply frames.  Replies to ``verify``
 are asynchronous (an immediate ``accepted``/``rejected``, then a ``result``
 frame when the computation finishes) and carry the request ``id`` so a
-client may pipeline.  Both async (server) and blocking (client) helpers
-live here so the two sides cannot drift apart.
+client may pipeline.  Both readers live here, the server's incremental
+:class:`FrameReader` and the client's blocking :func:`read_frame_blocking`,
+so the two sides cannot drift apart: they take the same frames and refuse
+the same garbage.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
-from typing import Optional
+from typing import Iterator, Optional
 
 #: protocol identifier sent in the server's hello frame
 PROTOCOL = "repro-serve-v1"
@@ -32,6 +33,9 @@ PROTOCOL = "repro-serve-v1"
 #: hard bound on one frame's payload; a length prefix beyond this is a
 #: protocol error, not an allocation
 MAX_FRAME_BYTES = 4 * 1024 * 1024
+
+#: bound on a frame's length line, newline included, for both readers
+MAX_LENGTH_LINE = 32
 
 #: request operations a server understands
 OP_VERIFY = "verify"
@@ -47,9 +51,14 @@ class ProtocolError(ValueError):
     """A malformed frame: bad length prefix, oversized payload, non-JSON body."""
 
 
+#: the compact JSON encoding of frames and journal lines, one encoder for
+#: the process (``json.dumps`` with separators builds one per call)
+encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode_frame(document: object) -> bytes:
     """Serialize one document into a wire frame."""
-    payload = json.dumps(document, separators=(",", ":")).encode("utf-8")
+    payload = encode_json(document).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame payload of {len(payload)} bytes exceeds cap")
     return b"%d\n%s\n" % (len(payload), payload)
@@ -72,26 +81,35 @@ def _parse_payload(payload: bytes) -> object:
         raise ProtocolError(f"frame payload is not JSON: {error}") from error
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Optional[object]:
-    """Read one frame; ``None`` on clean EOF before a length prefix."""
-    try:
-        line = await reader.readuntil(b"\n")
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise ProtocolError("connection closed mid length prefix") from error
-    length = _parse_length(line)
-    try:
-        body = await reader.readexactly(length + 1)  # payload + trailing \n
-    except asyncio.IncompleteReadError as error:
-        raise ProtocolError("connection closed mid payload") from error
-    return _parse_payload(body[:length])
+class FrameReader:
+    """The incremental reader: :meth:`feed` it bytes as they arrive and
+    iterate it for the documents of the frames they complete.
 
+    Iteration stops at an incomplete frame, whose bytes wait for the next
+    feed, and raises :class:`ProtocolError` at bytes that cannot start a
+    frame; a frame leaves the buffer before its document is yielded.
+    """
 
-async def write_frame(writer: asyncio.StreamWriter, *documents: object) -> None:
-    """Write ``documents`` as consecutive frames in one transport write."""
-    writer.write(b"".join(encode_frame(document) for document in documents))
-    await writer.drain()
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+
+    def feed(self, data: bytes) -> None:
+        self._buffer += data
+
+    def __iter__(self) -> Iterator[object]:
+        buffer = self._buffer
+        while buffer:
+            start = buffer.find(b"\n", 0, MAX_LENGTH_LINE) + 1
+            if not start:
+                if len(buffer) < MAX_LENGTH_LINE:
+                    return  # the length line is still arriving
+                raise ProtocolError(f"bad frame length prefix {bytes(buffer[:MAX_LENGTH_LINE])!r}")
+            end = start + _parse_length(bytes(buffer[:start]))
+            if len(buffer) <= end:  # payload or its trailing newline to come
+                return
+            payload = buffer[start:end]
+            del buffer[: end + 1]
+            yield _parse_payload(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +119,7 @@ async def write_frame(writer: asyncio.StreamWriter, *documents: object) -> None:
 
 def read_frame_blocking(stream) -> Optional[object]:
     """Read one frame from a blocking binary file object (``socket.makefile``)."""
-    line = stream.readline(32)
+    line = stream.readline(MAX_LENGTH_LINE)
     if not line:
         return None
     if not line.endswith(b"\n"):

@@ -35,16 +35,19 @@ that warm core sit the robustness mechanisms this module exists for:
   the telemetry trace before exit.
 
 The supervised computations run in worker *processes* (via
-:func:`repro.engines.batch.run_supervised_unit`), driven from executor
-threads.  Everything else runs on the asyncio loop: protocol and
-bookkeeping work, and admission's look-up, which loads the design, hashes
-the cache key and re-validates a hit's certificate on the design's warm
-validation session.  A hit is therefore answered in the loop turn that
-read its request, with one journal append and one reply write.  A design's
-first look-up in a server lifetime also builds its validation session
-there, holding up other clients once (1.2–28 ms per suite design on a
-2-CPU box).  A re-validation that would hold the loop longer is cut off
-at :data:`LOOKUP_TIMEOUT_S` and the query computed like a miss.
+:func:`repro.engines.batch.run_supervised_unit`, which the first miss
+imports), driven from executor threads.  Everything else runs on the
+asyncio loop: protocol and bookkeeping work, and admission's look-up,
+which loads the design, hashes the cache key and re-validates a hit's
+certificate on the design's warm validation session.  Each connection is
+an :class:`asyncio.Protocol` that handles each request in the callback
+that read it, so a request costs one loop turn, and ``ping``, ``stats``,
+``drain`` and a re-validated hit are answered there, a hit with one
+journal append and one reply write.  A design's first look-up in a
+server lifetime also builds its validation session there, holding up
+other clients once (1.2–28 ms per suite design on a 2-CPU box).  A
+re-validation that would hold the loop longer is cut off at
+:data:`LOOKUP_TIMEOUT_S` and the query computed like a miss.
 """
 
 from __future__ import annotations
@@ -55,14 +58,12 @@ import os
 import signal
 import threading
 import time
-import uuid
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
 from repro.cache import ResultCache
 from repro.cache.key import cache_key
-from repro.engines.batch import run_supervised_unit
 from repro.engines.ladder import (
     VerificationTask,
     default_budget_ladder,
@@ -80,9 +81,9 @@ from repro.serve.protocol import (
     OP_STATS,
     OP_VERIFY,
     PROTOCOL,
+    FrameReader,
     ProtocolError,
-    read_frame,
-    write_frame,
+    encode_frame,
 )
 
 #: how long admission's look-up may spend re-validating a hit on the event
@@ -157,27 +158,56 @@ class _Work:
         self.last_progress_sent = 0.0
 
 
-class _Connection:
-    """Per-client connection state: serialized writes + pending requests."""
+class _Connection(asyncio.Protocol):
+    """One client: its pending requests, and its bytes cut into frames as
+    they arrive, each request handled in the callback that read it."""
 
-    def __init__(self, reader, writer) -> None:
-        self.reader = reader
-        self.writer = writer
-        self.send_lock = asyncio.Lock()
+    def __init__(self, server: "VerifyServer") -> None:
+        self.server = server
+        self.transport = None
+        self.frames = FrameReader()
         self.requests: Dict[str, _Work] = {}
-        self.alive = True
 
-    async def send(self, *documents: dict) -> bool:
-        """Send ``documents`` as consecutive frames in one transport write."""
-        if not self.alive:
-            return False
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+        self.send({"op": "hello", "protocol": PROTOCOL, "pid": os.getpid(),
+                   "server_id": self.server.server_id})
+
+    def data_received(self, data: bytes) -> None:
+        self.frames.feed(data)
+        self._handle_frames()
+
+    def _handle_frames(self) -> None:
+        """Handle every whole frame received until reading pauses."""
         try:
-            async with self.send_lock:
-                await write_frame(self.writer, *documents)
-            return True
-        except (ConnectionError, OSError):
-            self.alive = False
-            return False
+            for request in self.frames:
+                self.server._handle_request(self, request)
+                if not self.transport.is_reading():
+                    return  # the rest waits for resume_writing
+        except ProtocolError as error:
+            self.send({"ok": False, "error": str(error)})
+            self.transport.close()
+
+    # backpressure: while a client leaves its replies unread, neither its
+    # socket nor the frames already buffered from it are read
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+        if self.transport.is_reading():
+            self._handle_frames()
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self.server._connections.discard(self)
+        self.server._forget_connection(self)
+
+    def send(self, *documents: dict) -> None:
+        """Send ``documents`` as consecutive frames in one transport write;
+        only the loop's thread may call it."""
+        if not self.transport.is_closing():
+            self.transport.write(b"".join(map(encode_frame, documents)))
 
 
 def set_event_threadsafe(loop: Optional[asyncio.AbstractEventLoop], event: asyncio.Event) -> None:
@@ -228,8 +258,6 @@ class VerifyServer:
         self.active = 0
         #: the running computations' tasks, referenced until they end
         self._computations: set = set()
-        #: requests inside :meth:`_admit`; a drain waits for them too
-        self.admitting = 0
         self.draining = False
         self.recovery_report: Optional[dict] = None
         self.counters: Dict[str, int] = {
@@ -278,13 +306,13 @@ class VerifyServer:
         if self.config.socket_path:
             if os.path.exists(self.config.socket_path):
                 os.unlink(self.config.socket_path)
-            self._listener = await asyncio.start_unix_server(
-                self._handle_connection, path=self.config.socket_path
+            self._listener = await loop.create_unix_server(
+                lambda: _Connection(self), path=self.config.socket_path
             )
             where = self.config.socket_path
         else:
-            self._listener = await asyncio.start_server(
-                self._handle_connection, host=self.config.host, port=self.config.port
+            self._listener = await loop.create_server(
+                lambda: _Connection(self), host=self.config.host, port=self.config.port
             )
             where = f"{self.config.host}:{self.config.port}"
         monitor = asyncio.create_task(self._monitor())
@@ -298,12 +326,10 @@ class VerifyServer:
         monitor.cancel()
         with contextlib.suppress(asyncio.CancelledError):
             await monitor
-        # close surviving client connections so their handler tasks end on a
-        # clean EOF instead of being cancelled by loop teardown
+        # close surviving client connections so each sees a clean EOF
+        # before loop teardown
         for conn in list(self._connections):
-            conn.alive = False
-            with contextlib.suppress(ConnectionError, OSError):
-                conn.writer.close()
+            conn.transport.close()
         await asyncio.sleep(0.05)
         self._finalize()
 
@@ -332,7 +358,7 @@ class VerifyServer:
 
     async def _drained(self) -> None:
         """Wait until every admitted request has been answered."""
-        while self.queue or self.active or self.inflight or self.admitting:
+        while self.queue or self.active or self.inflight:
             self._work_done.clear()
             await self._work_done.wait()
 
@@ -359,41 +385,6 @@ class VerifyServer:
     # ------------------------------------------------------------------
     # connections and request admission
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        conn = _Connection(reader, writer)
-        self._connections.add(conn)
-        await conn.send(
-            {
-                "op": "hello",
-                "protocol": PROTOCOL,
-                "pid": os.getpid(),
-                "server_id": self.server_id,
-            }
-        )
-        try:
-            while True:
-                try:
-                    request = await read_frame(reader)
-                except ProtocolError as error:
-                    await conn.send({"ok": False, "error": str(error)})
-                    break
-                if request is None:
-                    break
-                if not isinstance(request, dict):
-                    self.counters["bad_requests"] += 1
-                    await conn.send({"ok": False, "error": "request must be an object"})
-                    continue
-                await self._handle_request(conn, request)
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            conn.alive = False
-            self._connections.discard(conn)
-            self._forget_connection(conn)
-            with contextlib.suppress(ConnectionError, OSError):
-                writer.close()
-                await writer.wait_closed()
-
     def _forget_connection(self, conn: _Connection) -> None:
         """Client gone: cancel its stakes; abort orphaned computations."""
         for request_id, work in list(conn.requests.items()):
@@ -412,32 +403,31 @@ class VerifyServer:
                     self._work_done.set()
         conn.requests.clear()
 
-    async def _handle_request(self, conn: _Connection, request: dict) -> None:
+    def _handle_request(self, conn: _Connection, request: object) -> None:
+        if not isinstance(request, dict):
+            self.counters["bad_requests"] += 1
+            conn.send({"ok": False, "error": "request must be an object"})
+            return
         op = request.get("op")
-        if op == OP_PING:
-            await conn.send({"ok": True, "op": "pong", "draining": self.draining})
+        if op == OP_VERIFY:
+            self._admit(conn, request)
+        elif op == OP_PING:
+            conn.send({"ok": True, "op": "pong", "draining": self.draining})
         elif op == OP_STATS:
-            await conn.send({"ok": True, "op": "stats", "stats": self.stats()})
+            conn.send({"ok": True, "op": "stats", "stats": self.stats()})
         elif op == OP_DRAIN:
-            await conn.send({"ok": True, "op": "draining"})
+            conn.send({"ok": True, "op": "draining"})
             self.request_shutdown()
-        elif op == OP_VERIFY:
-            self.admitting += 1
-            try:
-                await self._admit(conn, request)
-            finally:
-                self.admitting -= 1
-                self._work_done.set()
         else:
             self.counters["bad_requests"] += 1
-            await conn.send({"ok": False, "error": f"unknown op {op!r}"})
+            conn.send({"ok": False, "error": f"unknown op {op!r}"})
 
-    async def _admit(self, conn: _Connection, request: dict) -> None:
-        request_id = str(request.get("id") or f"req-{uuid.uuid4().hex[:12]}")
+    def _admit(self, conn: _Connection, request: dict) -> None:
+        request_id = str(request.get("id") or f"req-{os.urandom(6).hex()}")
         if self.draining:
             self.counters["rejected_draining"] += 1
             _telemetry.counter("serve.rejected_draining")
-            await conn.send(
+            conn.send(
                 {"ok": False, "op": "rejected", "id": request_id,
                  "reason": "draining"}
             )
@@ -460,7 +450,7 @@ class VerifyServer:
             if span is not None:
                 span.finish(outcome="bad-request")
             self.counters["bad_requests"] += 1
-            await conn.send(
+            conn.send(
                 {"ok": False, "op": "rejected", "id": request_id,
                  "reason": f"bad request: {error}"}
             )
@@ -469,7 +459,7 @@ class VerifyServer:
             span.finish(outcome="hit" if hit is not None else "miss")
         if hit is not None:
             # a re-validated hit is answered here: it never waits in line
-            await self._answer_hit(conn, request_id, request, key, hit)
+            self._answer_hit(conn, request_id, request, key, hit)
             return
 
         deadline_s = request.get("deadline_s", self.config.default_deadline_s)
@@ -497,13 +487,13 @@ class VerifyServer:
             self.counters["accepted"] += 1
             self.counters["coalesced"] += 1
             _telemetry.counter("serve.coalesced")
-            await self._accept(conn, request_id, request, key, coalesced=True)
+            self._accept(conn, request_id, request, key, coalesced=True)
             return
 
         if len(self.queue) >= self.config.max_queue:
             self.counters["rejected_overloaded"] += 1
             _telemetry.counter("serve.rejected_overloaded")
-            await conn.send(
+            conn.send(
                 {"ok": False, "op": "rejected", "id": request_id,
                  "reason": "overloaded", "queue_depth": len(self.queue)}
             )
@@ -513,7 +503,7 @@ class VerifyServer:
         conn.requests[request_id] = work
         self.counters["accepted"] += 1
         _telemetry.counter("serve.accepted")
-        await self._accept(conn, request_id, request, key, coalesced=False)
+        self._accept(conn, request_id, request, key, coalesced=False)
         self._start_queued()
 
     def _look_up(self, span, task: VerificationTask, prop, representation: str):
@@ -531,7 +521,7 @@ class VerifyServer:
             )
             return prop, lookup.key, lookup.result if lookup.hit else None
 
-    async def _accept(
+    def _accept(
         self,
         conn: _Connection,
         request_id: str,
@@ -542,9 +532,9 @@ class VerifyServer:
         """Journal one accept, then tell the client."""
         if self.journal is not None:
             self.journal.accept(request_id, _journal_doc(request))
-        await conn.send(_accepted_doc(request_id, key, coalesced))
+        conn.send(_accepted_doc(request_id, key, coalesced))
 
-    async def _answer_hit(
+    def _answer_hit(
         self,
         conn: _Connection,
         request_id: str,
@@ -552,7 +542,7 @@ class VerifyServer:
         key: str,
         result: VerificationResult,
     ) -> None:
-        """Answer a re-validated hit in the turn that admitted it: its accept
+        """Answer a re-validated hit in the callback that read it: its accept
         and close go to the journal in one append before any frame, and its
         ``accepted`` and ``result`` frames go out in one write."""
         for name in ("accepted", "computations", "answered"):
@@ -563,7 +553,7 @@ class VerifyServer:
                 request_id, _journal_doc(request), journal_mod.ANSWERED,
                 status=result.status,
             )
-        await conn.send(
+        conn.send(
             _accepted_doc(request_id, key, coalesced=False),
             dict(_result_doc(key, result, "cache", 1, True), id=request_id),
         )
@@ -612,7 +602,7 @@ class VerifyServer:
                 )
             if work.span is not None:
                 work.span.finish(outcome=f"{result.status}:{source}")
-            await self._answer(work, result, source, validated)
+            self._answer(work, result, source, validated)
         finally:
             # a fresh computation may own the key now (see _admit)
             if self.inflight.get(work.key) is work:
@@ -626,6 +616,9 @@ class VerifyServer:
 
         Returns the result, its source and, with a cache attached and a
         definitive verdict, whether the cache store validated it."""
+        # a server that only answers hits never loads the supervised pipeline
+        from repro.engines.batch import run_supervised_unit
+
         with _under(work.span):
             self.counters["computations"] += 1
             _telemetry.counter("serve.computations")
@@ -661,7 +654,7 @@ class VerifyServer:
                 ).stored
             return result, "computed", validated
 
-    async def _answer(
+    def _answer(
         self,
         work: _Work,
         result: VerificationResult,
@@ -682,7 +675,7 @@ class VerifyServer:
                 self.journal.finish(
                     waiter.request_id, journal_mod.ANSWERED, status=result.status
                 )
-            await waiter.conn.send(dict(reply_base, id=waiter.request_id))
+            waiter.conn.send(dict(reply_base, id=waiter.request_id))
 
     # ------------------------------------------------------------------
     # progress frames
@@ -727,7 +720,7 @@ class VerifyServer:
                 **doc,
             }
             self.counters["progress_frames"] += 1
-            asyncio.ensure_future(waiter.conn.send(frame))
+            waiter.conn.send(frame)
 
     async def _monitor(self) -> None:
         """Send a ``progress`` keepalive frame to the waiters of every

@@ -358,6 +358,38 @@ def test_lifetime_counters_lose_no_update_under_concurrent_processes(tmp_path):
     assert totals["hits"] == totals["revalidations_ok"] == 1200
 
 
+def test_torn_counter_lines_read_as_zero_and_a_fold_keeps_the_whole_ones(tmp_path):
+    """A torn append leaves a line that is no JSON (a crash cut it, and the
+    next append went on the same line) or a tail with no newline.  Reads
+    and folds sum the whole lines only."""
+    from repro.cache.result_cache import COUNTERS_FOLD_BYTES, PersistentCounters
+
+    counters = PersistentCounters(str(tmp_path))
+    hit = b'{"hits":1,"revalidations_ok":1}\n'
+    store = b'{"misses":1,"stores":1}\n'
+    counters.bump(hits=1, revalidations_ok=1, demotions=0)
+    with open(counters.log_path, "rb") as handle:
+        assert handle.read() == hit  # one line per bump, zero deltas left out
+    log = hit * 100 + hit[:9] + store + store + hit * 40 + hit[:12]
+    assert len(log) > COUNTERS_FOLD_BYTES
+    with open(counters.log_path, "wb") as handle:
+        handle.write(log)
+    expected = {
+        "hits": 140,
+        "misses": 1,
+        "stores": 1,
+        "demotions": 0,
+        "revalidations_ok": 140,
+        "revalidations_failed": 0,
+    }
+    assert counters.as_dict() == expected
+    counters._fold()
+    assert os.path.getsize(counters.log_path) == 0
+    with open(counters.path, "r", encoding="utf-8") as handle:
+        assert json.load(handle) == expected
+    assert counters.as_dict() == expected
+
+
 def test_entry_under_wrong_key_does_not_impersonate(tmp_path):
     system, result = _verify("huffman_dec")
     cache = ResultCache(str(tmp_path))

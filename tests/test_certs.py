@@ -465,6 +465,25 @@ def test_cli_import_loads_no_frontend_or_serving_code():
     ]
 
 
+def test_serve_cli_import_loads_no_miss_computation():
+    """A server that only answers hits never loads the code that computes
+    misses: the supervised pipeline and its process machinery load with
+    the first miss, and request ids need no ``uuid`` (nor the ``platform``
+    it imports)."""
+    unwanted = (
+        "repro.engines.batch", "repro.engines.supervision",
+        "multiprocessing", "pickle", "uuid", "platform",
+    )
+    probe = (
+        "import sys\n"
+        "import repro.tools.serve_cli\n"
+        f"print(sorted(m for m in {unwanted!r} if m in sys.modules))\n"
+    )
+    completed = _fresh_python("-c", probe)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.splitlines() == ["[]"]
+
+
 def test_interpolating_engines_load_no_dataclasses():
     """A query that reaches interpolation or impact builds interpolant
     nodes, which are plain records too: neither ``dataclasses`` nor

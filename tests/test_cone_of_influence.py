@@ -275,6 +275,24 @@ def _warm_for_a_portfolio(task):
     return ("word", "bit")
 
 
+def test_a_cone_and_its_word_and_bit_libraries_flatten_the_design_once(monkeypatch):
+    """Slicing the cone flattens the design; each of the cone's template
+    libraries blasts the flattening it holds instead of flattening again."""
+    flattenings = []
+    flatten = TransitionSystem.flattened
+
+    def counting_flatten(self):
+        flattenings.append(self.name)
+        return flatten(self)
+
+    monkeypatch.setattr(TransitionSystem, "flattened", counting_flatten)
+    system = load_system("tlc")  # a fresh design: no memo holds it yet
+    cone = cone_of_influence(system, system.properties[0].name)
+    for representation in ("word", "bit"):
+        template_library(cone, representation)
+    assert flattenings == ["tlc"]
+
+
 def test_warm_task_templates_blasts_each_cone_before_a_fork():
     # a fresh mac16 per input: its two properties read only the 4-bit
     # counter, so each cone is a strict slice, and no earlier test warmed it

@@ -15,7 +15,7 @@ import pytest
 from repro.benchmarks import benchmark_names, get_benchmark, load_system_cached
 from repro.certs import validate_result
 from repro.engines.bmc import BMCEngine
-from repro.engines.encoding import FrameEncoder, template_library
+from repro.engines.encoding import FrameEncoder, cone_of_influence, template_library
 from repro.engines.impact import ImpactEngine
 from repro.engines.interpolation import InterpolationEngine
 from repro.engines.kiki import KikiEngine
@@ -25,6 +25,7 @@ from repro.engines.portfolio import PortfolioConfig, PortfolioRunner, Verificati
 from repro.engines.predabs import PredicateAbstractionEngine
 from repro.exprs import bv_const, bv_eq, bv_ne
 from repro.netlist import TransitionSystem
+from repro.obs import telemetry
 from repro.smt import BVResult
 
 
@@ -195,6 +196,9 @@ def test_cached_loader_returns_shared_instance():
 
 
 def test_prewarm_builds_templates_in_parent():
+    """The pre-warm blasts both representations of the property's cone, the
+    design the engines run on: after it, every look-up of those libraries
+    is a hit, and the property template is already built."""
     runner = PortfolioRunner(
         configs=[
             PortfolioConfig.of("bmc", representation="word", max_bound=8),
@@ -202,18 +206,16 @@ def test_prewarm_builds_templates_in_parent():
         ],
         timeout=30,
     )
-    task = VerificationTask.benchmark("huffman_dec")
-    warm_task_templates(task, runner.configs)
-    system = load_system_cached("huffman_dec")
-    # both representations were blasted on the shared instance: further
-    # lookups return the already-built libraries (no rebuild)
-    word = template_library(system, "word")
-    bit = template_library(system, "bit")
-    assert template_library(system, "word") is word
-    assert template_library(system, "bit") is bit
-    # property templates were warmed too
+    system = get_benchmark("huffman_dec").load()  # a fresh design: no memo holds it yet
+    warm_task_templates(VerificationTask.system(system), runner.configs)
     prop = system.properties[0].name
-    assert word.property_template(prop) is word.property_template(prop)
+    cone = cone_of_influence(system, prop)
+    with telemetry.recording() as recorder:
+        word = template_library(cone, "word")
+        bit = template_library(cone, "bit")
+    assert recorder.counters == {"encoding.template_library.hit": 2}
+    # the property templates were warmed too
+    assert prop in word._property_templates and prop in bit._property_templates
 
 
 def test_portfolio_with_prewarm_still_correct():

@@ -14,6 +14,7 @@ import io
 import json
 import multiprocessing
 import os
+import socket
 import threading
 import time
 
@@ -42,6 +43,8 @@ from repro.serve import journal as journal_mod
 from repro.serve import server as server_mod
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
+    MAX_LENGTH_LINE,
+    FrameReader,
     encode_frame,
     parse_addr,
     read_frame_blocking,
@@ -56,6 +59,63 @@ from test_serve_soak import SERVER_RATES
 # ---------------------------------------------------------------------------
 
 
+class _Chunks(io.RawIOBase):
+    """A raw stream that hands out its chunks one read at a time."""
+
+    def __init__(self, chunks):
+        self._chunks = [chunk for chunk in chunks if chunk]
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        if not self._chunks:
+            return 0
+        chunk = self._chunks.pop(0)
+        size = min(len(buffer), len(chunk))
+        buffer[:size] = chunk[:size]
+        if size < len(chunk):
+            self._chunks.insert(0, chunk[size:])
+        return size
+
+
+def _read_blocking(chunks):
+    """Every document of ``chunks`` through the client's blocking reader,
+    which reads them as one socket file up to its clean EOF."""
+    stream = io.BufferedReader(_Chunks(chunks))
+    documents = []
+    while (document := read_frame_blocking(stream)) is not None:
+        documents.append(document)
+    return documents
+
+
+def _read_incremental(chunks):
+    """Every document of ``chunks`` through the server's reader, fed each
+    chunk as it arrives."""
+    reader = FrameReader()
+    documents = []
+    for chunk in chunks:
+        reader.feed(chunk)
+        documents.extend(reader)
+    return documents
+
+
+#: the two readers of the wire protocol, which must agree on every input
+READERS = {"blocking": _read_blocking, "incremental": _read_incremental}
+
+#: inputs neither reader may take for frames: garbage, an out-of-range
+#: length, a length line past its bound and a payload that is not JSON
+GARBAGE = (
+    b"not-a-length\n{}\n",
+    b"%d\n" % (MAX_FRAME_BYTES + 1),
+    b"1" * 100,
+    b"0" * (MAX_LENGTH_LINE - 1) + b"2\n{}\n",
+    b"-1\n",
+    b"3\nabc\n",
+    encode_frame({"op": "ping"}) + b"3\nabc\n",
+)
+
+
 def test_frame_roundtrip_and_interleaving():
     stream = io.BytesIO()
     docs = [{"op": "ping"}, {"op": "verify", "design": "daio", "bound": 64},
@@ -66,6 +126,18 @@ def test_frame_roundtrip_and_interleaving():
     assert [read_frame_blocking(stream) for _ in docs] == docs
     # clean EOF reads as None, not an error
     assert read_frame_blocking(stream) is None
+    wire = stream.getvalue()
+    for name, read in READERS.items():
+        # the frames sent together, split at every byte offset, and one
+        # byte at a time read alike
+        assert read([wire]) == docs, name
+        for offset in range(len(wire) + 1):
+            assert read([wire[:offset], wire[offset:]]) == docs, (name, offset)
+        assert read([wire[i:i + 1] for i in range(len(wire))]) == docs, name
+        assert read([]) == [], name
+        # a length line of exactly the bound, newline included, is a frame
+        longest = b"0" * (MAX_LENGTH_LINE - 2) + b"2\n{}\n"
+        assert read([longest]) == [{}], name
 
 
 def test_frame_rejects_garbage_and_oversize():
@@ -77,6 +149,18 @@ def test_frame_rejects_garbage_and_oversize():
     frame = encode_frame({"op": "ping"})
     with pytest.raises(ProtocolError):
         read_frame_blocking(io.BytesIO(frame[:-4]))
+    for name, read in READERS.items():
+        for garbage in GARBAGE:
+            with pytest.raises(ProtocolError):
+                read([garbage])
+                pytest.fail(f"{name} reader took {garbage!r}")
+    # to the incremental reader a truncated frame is one still arriving:
+    # no document and no error, until the rest of it comes
+    reader = FrameReader()
+    reader.feed(frame[:-4])
+    assert list(reader) == []
+    reader.feed(frame[-4:])
+    assert list(reader) == [{"op": "ping"}]
 
 
 def test_parse_addr_specs():
@@ -739,6 +823,68 @@ def test_server_rejects_unknown_design_without_dying(tmp_path):
             assert client.ping()["op"] == "pong"
             client.drain()
     assert server.counters["bad_requests"] == 1
+
+
+def _raw_connection(config):
+    """A bare socket to the server and its read side, past the hello."""
+    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    raw.settimeout(30.0)
+    raw.connect(config.socket_path)
+    stream = raw.makefile("rb")
+    assert read_frame_blocking(stream)["op"] == "hello"
+    return raw, stream
+
+
+def test_an_overlong_length_line_is_refused_at_its_bound(tmp_path, proc3_entry_json):
+    """A length line longer than MAX_LENGTH_LINE gets an ``ok: false`` frame
+    and its connection closed as soon as the bound is passed, while another
+    client's hit is answered."""
+    config = ServerConfig(socket_path=_sock(tmp_path), cache_dir=str(tmp_path / "cache"))
+    _store_proc3(config.cache_dir, proc3_entry_json)
+    with RunningServer(config):
+        with ServeClient(socket_path=config.socket_path, reconnect=False) as client:
+            raw, stream = _raw_connection(config)
+            with raw, stream:
+                raw.sendall(b"1" * 100)
+                warm = client.verify(design="proc3", representation="word")
+                assert warm["source"] == "cache" and warm["validated"] is True
+                refusal = read_frame_blocking(stream)
+                assert refusal["ok"] is False
+                assert "length prefix" in refusal["error"]
+                assert read_frame_blocking(stream) is None  # closed by the server
+            client.drain()
+
+
+def test_a_client_that_reads_no_replies_stops_being_read(tmp_path, monkeypatch):
+    """Backpressure: a client pipelines 5,000 pings without reading.  Once
+    its unread pongs pass the transport's high-water mark the server stops
+    reading that connection, another client is answered meanwhile, and the
+    first then reads every reply in order."""
+    pauses = []
+    pause_writing = server_mod._Connection.pause_writing
+
+    def counting_pause(conn):
+        pauses.append(conn)
+        pause_writing(conn)
+
+    monkeypatch.setattr(server_mod._Connection, "pause_writing", counting_pause)
+    config = ServerConfig(socket_path=_sock(tmp_path))
+    with RunningServer(config):
+        raw, stream = _raw_connection(config)
+        with raw, stream:
+            requests = encode_frame({"op": "ping"}) * 5000 + encode_frame({"op": "stats"})
+            # the send blocks while the server leaves the client unread
+            sender = threading.Thread(target=raw.sendall, args=(requests,))
+            sender.start()
+            _wait_for(lambda: pauses)
+            with ServeClient(socket_path=config.socket_path, reconnect=False) as other:
+                assert other.ping()["op"] == "pong"
+            replies = [read_frame_blocking(stream)["op"] for _ in range(5001)]
+            sender.join(timeout=30.0)
+            assert not sender.is_alive()
+            assert replies == ["pong"] * 5000 + ["stats"]
+            raw.sendall(encode_frame({"op": "drain"}))
+            assert read_frame_blocking(stream)["op"] == "draining"
 
 
 def _journaled_config(tmp_path, **overrides):
